@@ -31,6 +31,7 @@ from .fock import (
     basis_ket,
     boson_annihilator,
     boson_creator,
+    displaced_columns,
     displaced_number_state,
     displacement_operator,
     ensure_displacement_dim,

@@ -241,6 +241,11 @@ def _resolve_dim(args) -> int:
     return dim
 
 
+def _require_finite(flag: str, value: float | None, hint: str = "") -> None:
+    if value is not None and not math.isfinite(value):
+        raise UsageError(f"{flag} must be finite, got {value}{hint}")
+
+
 def _resolve_zeta(args) -> tuple[ExtendedComplex, tuple[float, float] | str]:
     has_finite = args.zeta_re is not None or args.zeta_im is not None
     if args.zeta_inf and has_finite:
@@ -249,6 +254,8 @@ def _resolve_zeta(args) -> tuple[ExtendedComplex, tuple[float, float] | str]:
         return ExtendedComplex.infinity(), "inf"
     if not has_finite:
         raise UsageError("zeta is required: supply --zeta-re/--zeta-im or --zeta-inf")
+    for flag, value in (("--zeta-re", args.zeta_re), ("--zeta-im", args.zeta_im)):
+        _require_finite(flag, value, "; use --zeta-inf for the pole")
     re = args.zeta_re if args.zeta_re is not None else 0.0
     im = args.zeta_im if args.zeta_im is not None else 0.0
     return ExtendedComplex.from_value(complex(re, im)), (re, im)
@@ -276,8 +283,8 @@ def _config_from_args(args) -> RunConfig:
     dim = _resolve_dim(args)
 
     if command == "verify":
-        if args.tol <= 0:
-            raise UsageError(f"--tol must be positive, got {args.tol}")
+        if not 0 < args.tol < math.inf:
+            raise UsageError(f"--tol must be positive and finite, got {args.tol}")
         if args.n_max < 3:
             raise UsageError(f"--n-max must be >= 3, got {args.n_max}")
         return RunConfig(
@@ -314,6 +321,8 @@ def _config_from_args(args) -> RunConfig:
 
     n = getattr(args, "n", None)
     theta = args.theta
+    for flag in ("theta", "phi", "alpha_re", "alpha_im"):
+        _require_finite("--" + flag.replace("_", "-"), getattr(args, flag, None))
     if n is not None:
         if theta is not None:
             raise UsageError("supply either --theta or --n, not both")
@@ -462,9 +471,21 @@ def _emit_uncertainty(config: RunConfig) -> str:
     return dumps(payload)
 
 
+def sweep_thetas(t_count: int) -> list[float]:
+    """t_count polar angles evenly spaced over [0, pi], both ends included when t_count > 1.
+
+    The last angle is set to pi itself: pi * (T-1) / (T-1) rounds above pi
+    for some T (14, 27, 48, ...), where it would be refused.
+    """
+    thetas = [math.pi * i / max(t_count - 1, 1) for i in range(t_count)]
+    if t_count > 1:
+        thetas[-1] = math.pi
+    return thetas
+
+
 def _emit_sweep(config: RunConfig) -> str:
     t_count, p_count = config.grid
-    thetas = [math.pi * i / max(t_count - 1, 1) for i in range(t_count)]
+    thetas = sweep_thetas(t_count)
     phis = [2.0 * math.pi * j / p_count for j in range(p_count)]
     if config.zeta_echo == "inf":
         zeta_re, zeta_im = math.inf, 0.0

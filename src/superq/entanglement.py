@@ -25,7 +25,6 @@ from .superstate import (
 
 __all__ = [
     "NORMALIZATION_TOL",
-    "GRAM_NEGATIVE_TOL",
     "DensityMatrix",
     "EntanglementReport",
     "gram_matrix",
@@ -41,7 +40,6 @@ __all__ = [
 ]
 
 NORMALIZATION_TOL = 1e-12
-GRAM_NEGATIVE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -85,10 +83,10 @@ class EntanglementReport:
     p1: float
 
 
-def _require_normalized(state: SuperVector) -> None:
-    if not state.is_normalized(NORMALIZATION_TOL):
+def _require_normalized(norm_sq: float) -> None:
+    if abs(norm_sq - 1.0) > NORMALIZATION_TOL:
         raise NormalizationError(
-            f"state norm^2 = {state.norm_sq()} is not 1 within {NORMALIZATION_TOL}"
+            f"state norm^2 = {norm_sq} is not 1 within {NORMALIZATION_TOL}"
         )
 
 
@@ -102,7 +100,7 @@ def gram_matrix(state: SuperVector) -> np.ndarray:
 
 def reduced_boson_density(state: SuperVector) -> DensityMatrix:
     """Partial trace over the fermion: |psi0><psi0| + |psi1><psi1|."""
-    _require_normalized(state)
+    _require_normalized(state.norm_sq())
     c0 = state.psi0.coeffs
     c1 = state.psi1.coeffs
     return DensityMatrix(np.outer(c0, c0.conj()) + np.outer(c1, c1.conj()))
@@ -111,19 +109,22 @@ def reduced_boson_density(state: SuperVector) -> DensityMatrix:
 def concurrence_gram(state: SuperVector) -> float:
     """Concurrence 2 sqrt(det G) from the Gram determinant of the blocks.
 
-    Tiny negative determinants (>= -1e-12) from near-dependent blocks are
-    clamped to zero; anything more negative indicates corrupted input.
+    det G = g_big ||small - (<big|small> / g_big) big||^2, where big is the
+    block of larger norm: the smaller block is projected off the larger one
+    instead of subtracting |g01|^2 from g00 g11, so two parallel blocks give
+    a determinant of rounding size squared, not rounding size.
     """
-    _require_normalized(state)
-    g00 = state.psi0.norm_sq()
-    g11 = state.psi1.norm_sq()
-    g01 = state.psi0.inner(state.psi1)
-    det = g00 * g11 - abs(g01) ** 2
-    if det < -GRAM_NEGATIVE_TOL:
-        raise NumericalConsistencyError(
-            f"Gram determinant {det} is negative beyond tolerance"
-        )
-    return min(1.0, 2.0 * math.sqrt(max(det, 0.0)))
+    c0 = state.psi0.coeffs
+    c1 = state.psi1.coeffs
+    g00 = float(np.vdot(c0, c0).real)
+    g11 = float(np.vdot(c1, c1).real)
+    _require_normalized(g00 + g11)
+    big, small, g_big = (c0, c1, g00) if g00 >= g11 else (c1, c0, g11)
+    # numpy divides each part by the real g_big; complex / float in Python
+    # would round through a complex division
+    perpendicular = small - (np.vdot(big, small) / g_big) * big
+    det = g_big * float(np.vdot(perpendicular, perpendicular).real)
+    return min(1.0, 2.0 * math.sqrt(det))
 
 
 def concurrence_n_state(zeta: ExtendedComplex) -> float:
@@ -173,7 +174,7 @@ def entanglement_entropy_bits(state: SuperVector) -> float:
     The reduced density matrix has rank <= 2 and its nonzero spectrum equals
     the spectrum of the 2x2 Gram matrix, so only that spectrum is computed.
     """
-    _require_normalized(state)
+    _require_normalized(state.norm_sq())
     eigenvalues = np.linalg.eigvalsh(gram_matrix(state))
     # + 0.0 turns the empty/pure-state result -0.0 into plain 0.0
     return float(-sum(lam * math.log2(lam) for lam in eigenvalues if lam > 0.0) + 0.0)

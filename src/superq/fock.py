@@ -2,13 +2,19 @@
 
 All operators are dense complex matrices over the number basis |0..dim-1>.
 Truncation corrupts only the top of the spectrum, so operator identities are
-asserted on a guard-restricted block (``GUARD_BAND`` top levels excluded) and
-displacement amplitudes must respect :func:`required_displacement_dim`, which
-keeps the displaced tail mass below 1e-12.
+asserted on a guard-restricted block (``GUARD_BAND`` top levels excluded).
+
+Displaced kets come from two independent routes.  :func:`displaced_columns`
+evaluates D(alpha)|0> and D(alpha)|1> in closed form, exact on every kept
+level; :func:`displacement_operator` exponentiates the truncated generator
+densely and serves as the oracle for it.  Both respect
+:func:`required_displacement_dim`, which keeps the norm^2 the two closed
+columns lose past the truncation below 1e-13.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -29,11 +35,14 @@ __all__ = [
     "required_displacement_dim",
     "ensure_displacement_dim",
     "displacement_operator",
+    "displaced_columns",
     "displaced_number_state",
 ]
 
 DEFAULT_DIM = 64
 GUARD_BAND = 8
+# Largest norm^2 that D|0> and D|1> together may lose past the truncation.
+DISPLACED_TAIL_TOL = 1e-13
 
 # Dense complex matrix acting on the truncated number basis.
 BosonOperator = np.ndarray
@@ -114,14 +123,35 @@ def number_operator(dim: int) -> BosonOperator:
     return np.diag(np.arange(dim, dtype=np.float64)).astype(np.complex128)
 
 
+def _log_coherent_moduli(modulus: float, start: int, stop: int) -> np.ndarray:
+    """log |<n|D(alpha)|0>| = -|alpha|^2/2 + n log|alpha| - lgamma(n+1)/2 for start <= n < stop.
+
+    Working with logarithms keeps every factor finite where e^{-|alpha|^2/2}
+    alone would underflow.  modulus must be positive.
+    """
+    n = np.arange(start, stop, dtype=np.float64)
+    log_factorial = np.fromiter(map(math.lgamma, n + 1.0), np.float64, stop - start)
+    return (-0.5 * modulus * modulus) + n * math.log(modulus) - 0.5 * log_factorial
+
+
 def required_displacement_dim(alpha: complex) -> int:
     """Smallest truncation size safe for displacing by alpha.
 
-    The bound |alpha|^2 + 6 |alpha| + 20 keeps the Poisson tail of displaced
-    level-0/1 states below 1e-12 of total mass.
+    The larger of |alpha|^2 + 6 |alpha| + 20 and the smallest dim at which
+    D|0> and D|1> together lose at most ``DISPLACED_TAIL_TOL`` of their
+    norm^2 past the truncation, summed in O(dim) from the closed moduli.
     """
     a = abs(alpha)
-    return math.ceil(a * a + 6.0 * a + 20.0)
+    floor = math.ceil(a * a + 6.0 * a + 20.0)
+    if a == 0:
+        return floor
+    # levels floor..2*floor-1; the weights past 2*floor are far below the tolerance
+    moduli = np.exp(_log_coherent_moduli(a, floor - 1, 2 * floor))  # |<n|D|0>| from n = floor-1
+    # |<n|D|1>| = |sqrt(n) |<n-1|D|0>| - |alpha| |<n|D|0>||
+    shifted = np.sqrt(np.arange(floor, 2.0 * floor)) * moduli[:-1] - a * moduli[1:]
+    weights = moduli[1:] ** 2 + shifted**2
+    tails = np.cumsum(weights[::-1])[::-1]  # tails[k] = mass on levels >= floor + k
+    return floor + int(np.argmax(tails <= DISPLACED_TAIL_TOL))
 
 
 def ensure_displacement_dim(alpha: complex, dim: int) -> None:
@@ -135,11 +165,13 @@ def ensure_displacement_dim(alpha: complex, dim: int) -> None:
 
 
 def displacement_operator(alpha: complex, dim: int) -> BosonOperator:
-    """exp(alpha a^dag - conj(alpha) a) on the truncated space.
+    """exp(alpha a^dag - conj(alpha) a) on the truncated space, the dense oracle.
 
     The anti-Hermitian generator is exponentiated through the spectral
     decomposition of its Hermitian partner i (conj(alpha) a - alpha a^dag),
-    which keeps the result unitary to machine precision.
+    which keeps the result unitary to machine precision.  Its low columns
+    differ from the exact D(alpha)|0>, D(alpha)|1> by the truncation of the
+    generator; :func:`displaced_columns` is the production route.
     """
     alpha = complex(alpha)
     ensure_displacement_dim(alpha, dim)
@@ -151,8 +183,28 @@ def displacement_operator(alpha: complex, dim: int) -> BosonOperator:
     return (vecs * np.exp(1j * evals)) @ vecs.conj().T
 
 
+def displaced_columns(alpha: complex, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """D(alpha)|0> and D(alpha)|1> in closed form, O(dim).
+
+    <n|D|0> = e^{-|alpha|^2/2} alpha^n / sqrt(n!) is evaluated from its
+    logarithm, and D|1> = (a^dag - conj(alpha)) D|0> as a sqrt(n) shift.
+    Both are exact on every kept level; the guard bounds what the truncation
+    drops.  alpha = 0 gives the basis kets exactly.
+    """
+    alpha = complex(alpha)
+    ensure_displacement_dim(alpha, dim)
+    if alpha == 0:
+        basis = np.eye(2, dim, dtype=np.complex128)
+        return basis[0], basis[1]
+    n = np.arange(dim, dtype=np.float64)
+    d0 = np.exp(_log_coherent_moduli(abs(alpha), 0, dim) + 1j * (n * cmath.phase(alpha)))
+    d1 = -alpha.conjugate() * d0
+    d1[1:] += np.sqrt(n[1:]) * d0[:-1]
+    return d0, d1
+
+
 def displaced_number_state(alpha: complex, m: int, dim: int) -> FockVector:
-    """D(alpha)|m> for m in {0, 1}."""
+    """D(alpha)|m> for m in {0, 1}, from the closed-form columns."""
     if m not in (0, 1):
         raise UnsupportedLevelError(f"only levels 0 and 1 are supported, got {m}")
-    return FockVector(displacement_operator(alpha, dim)[:, m])
+    return FockVector(displaced_columns(alpha, dim)[m])

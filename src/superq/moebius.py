@@ -86,7 +86,10 @@ class ExtendedComplex:
 
 @dataclass(frozen=True)
 class BlochPoint:
-    """Polar angles on a unit sphere; phi is canonically 0 at the poles."""
+    """Polar angles on a unit sphere; phi is canonically 0 at the poles.
+
+    theta outside [0, pi] (NaN included) and a non-finite phi are rejected.
+    """
 
     theta: float
     phi: float = 0.0
@@ -95,7 +98,10 @@ class BlochPoint:
         theta = float(self.theta)
         if not 0.0 <= theta <= math.pi:
             raise ValueError(f"theta must lie in [0, pi], got {theta}")
-        phi = float(self.phi) % _TWO_PI
+        phi = float(self.phi)
+        if not math.isfinite(phi):
+            raise ValueError(f"phi must be finite, got {phi}")
+        phi %= _TWO_PI
         if theta == 0.0 or theta == math.pi:
             phi = 0.0
         object.__setattr__(self, "theta", theta)

@@ -26,7 +26,7 @@ from .fock import (
     basis_ket,
     boson_annihilator,
     boson_creator,
-    displacement_operator,
+    displaced_columns,
     ensure_displacement_dim,
     number_operator,
     zero_vector,
@@ -318,20 +318,31 @@ def super_qubit_state(params: SuperQubitParams, dim: int) -> SuperVector:
     return SuperVector(FockVector(coeffs0), FockVector(coeffs1))
 
 
+def _displace_low_levels(alpha: complex, *states: SuperVector) -> list[SuperVector]:
+    """D(alpha) on both blocks of states supported on boson levels 0 and 1.
+
+    Each block r0 |0> + r1 |1> becomes r0 D|0> + r1 D|1>, built from the
+    closed-form columns, which are computed once for all the states.
+    """
+    d0, d1 = displaced_columns(alpha, states[0].dim)
+
+    def block(psi: FockVector) -> FockVector:
+        return FockVector(psi.coeffs[0] * d0 + psi.coeffs[1] * d1)
+
+    return [SuperVector(block(state.psi0), block(state.psi1)) for state in states]
+
+
 def super_coherent_state(params: CoherentParams, dim: int) -> SuperVector:
     """Displaced super-qubit state, an eigenstate of the super-annihilation operator.
 
     The displacement acts as the boson displacement on both fermion blocks.
     alpha = 0 returns the reference super-qubit state exactly.
     """
-    ensure_displacement_dim(params.alpha, dim)
     reference = super_qubit_state(params.base, dim)
     if params.alpha == 0:
+        ensure_displacement_dim(params.alpha, dim)  # the guard holds at every alpha
         return reference
-    d = displacement_operator(params.alpha, dim)
-    return SuperVector(
-        FockVector(d @ reference.psi0.coeffs), FockVector(d @ reference.psi1.coeffs)
-    )
+    return _displace_low_levels(params.alpha, reference)[0]
 
 
 def flip_operator(dim: int) -> BlockOperator:
@@ -371,13 +382,7 @@ def pole_probabilities(
     pole0 = n_superparticle_state(0, zeta, dim)
     pole1 = n_superparticle_state(1, zeta, dim)
     if alpha != 0:
-        d = displacement_operator(alpha, dim)
-        pole0 = SuperVector(
-            FockVector(d @ pole0.psi0.coeffs), FockVector(d @ pole0.psi1.coeffs)
-        )
-        pole1 = SuperVector(
-            FockVector(d @ pole1.psi0.coeffs), FockVector(d @ pole1.psi1.coeffs)
-        )
+        pole0, pole1 = _displace_low_levels(alpha, pole0, pole1)
     return abs(pole0.inner(state)) ** 2, abs(pole1.inner(state)) ** 2
 
 

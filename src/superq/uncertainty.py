@@ -12,7 +12,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fock import DEFAULT_DIM, boson_annihilator
+import numpy as np
+
+from .errors import InvalidDimensionError
+from .fock import DEFAULT_DIM
 from .moebius import BlochPoint, ExtendedComplex, bloch_cartesian
 from .superstate import (
     BlockOperator,
@@ -71,12 +74,29 @@ class FibonacciRecord:
     dispersion_numeric: float
 
 
+def _quadrature_matrices(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dense boson matrices X = (a + a^dag)/sqrt2 and P = i (a^dag - a)/sqrt2.
+
+    Only the two off-diagonals are written, with entries sqrt(n) * (1/sqrt2):
+    numpy's complex division by sqrt2 rounds the same way, and the golden
+    Fibonacci table records that rounding.
+    """
+    if dim < 2:
+        raise InvalidDimensionError(f"dim must be >= 2 for quadratures, got {dim}")
+    off = np.sqrt(np.arange(1.0, dim)) * (1.0 / _SQRT2)
+    x = np.zeros((dim, dim), dtype=np.complex128)
+    p = np.zeros((dim, dim), dtype=np.complex128)
+    upper, lower = slice(1, None, dim + 1), slice(dim, None, dim + 1)
+    x.flat[upper] = off
+    x.flat[lower] = off
+    p.flat[upper] = -1j * off
+    p.flat[lower] = 1j * off
+    return x, p
+
+
 def quadrature_operators(dim: int) -> tuple[BlockOperator, BlockOperator]:
-    """X = (a + a^dag)/sqrt2 and P = i (a^dag - a)/sqrt2 on both fermion blocks."""
-    a = boson_annihilator(dim)
-    ad = a.conj().T
-    x = (a + ad) / _SQRT2
-    p = 1j * (ad - a) / _SQRT2
+    """X and P on both fermion blocks."""
+    x, p = _quadrature_matrices(dim)
     return BlockOperator.boson_diagonal(x), BlockOperator.boson_diagonal(p)
 
 
@@ -116,6 +136,18 @@ def quadrature_stats_closed(params: CoherentParams) -> QuadratureStats:
     return QuadratureStats(mean_x, mean_p, var_x, var_p, math.sqrt(var_x * var_p))
 
 
+def _block_moments(op: np.ndarray, blocks) -> tuple[float, float]:
+    """<op> and ||op psi||^2 - <op>^2 of a Hermitian boson matrix acting on each block.
+
+    Each sum runs block by block, psi0 before psi1, which fixes the rounding
+    of the golden Fibonacci table.
+    """
+    images = [op @ psi for psi in blocks]
+    mean = sum(complex(np.vdot(psi, image)) for psi, image in zip(blocks, images)).real
+    second = sum(float(np.vdot(image, image).real) for image in images)
+    return mean, second - mean**2
+
+
 def quadrature_stats_numeric(params: CoherentParams, dim: int = DEFAULT_DIM) -> QuadratureStats:
     """Matrix-expectation oracle for the closed quadrature formulas.
 
@@ -124,13 +156,10 @@ def quadrature_stats_numeric(params: CoherentParams, dim: int = DEFAULT_DIM) -> 
     ||X psi||^2 since X is Hermitian.
     """
     state = super_coherent_state(params, dim)
-    x_op, p_op = quadrature_operators(dim)
-    x_state = x_op.apply(state)
-    p_state = p_op.apply(state)
-    mean_x = state.inner(x_state).real
-    mean_p = state.inner(p_state).real
-    var_x = x_state.norm_sq() - mean_x**2
-    var_p = p_state.norm_sq() - mean_p**2
+    x, p = _quadrature_matrices(dim)
+    blocks = (state.psi0.coeffs, state.psi1.coeffs)
+    mean_x, var_x = _block_moments(x, blocks)
+    mean_p, var_p = _block_moments(p, blocks)
     return QuadratureStats(mean_x, mean_p, var_x, var_p, math.sqrt(var_x * var_p))
 
 

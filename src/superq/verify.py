@@ -31,7 +31,13 @@ from .entanglement import (
     reduced_boson_density,
 )
 from .errors import InvalidDimensionError
-from .fock import DEFAULT_DIM, FockVector, displacement_operator
+from .fock import (
+    DEFAULT_DIM,
+    GUARD_BAND,
+    FockVector,
+    displaced_columns,
+    displacement_operator,
+)
 from .moebius import ExtendedComplex, zeta_to_bloch
 from .superstate import (
     CoherentParams,
@@ -40,12 +46,14 @@ from .superstate import (
     commutator_suite,
     flip_operator,
     flip_state,
+    flipped_super_coherent_state,
     guarded_max_abs,
     guarded_norm,
     n_superparticle_state,
     pole_probabilities,
     super_annihilation,
     super_annihilation_transposed,
+    super_coherent_state,
     super_creation_gate,
     super_number_operator,
     super_qubit_state,
@@ -250,38 +258,42 @@ def _suite_algebra(dim: int, tol: float) -> list[Check]:
 
 
 def _suite_eigen(dim: int, tol: float) -> list[Check]:
-    references = {}
     reference_residual = 0.0
     for zeta in _zeta_grid():
         a_op = super_annihilation(zeta, dim)
         for theta, phi in _angle_grid():
             state = super_qubit_state(SuperQubitParams(theta, phi, zeta), dim)
-            references[(theta, phi, zeta)] = state
             reference_residual = max(reference_residual, a_op.apply(state).norm())
 
     coherent_residual = 0.0
     flipped_residual = 0.0
+    column_gap = 0.0
+    keep = dim - GUARD_BAND
     for alpha in _EIGEN_ALPHAS:
-        d = displacement_operator(alpha, dim)
         for zeta in _zeta_grid():
             a_op = super_annihilation(zeta, dim)
             at_op = super_annihilation_transposed(zeta, dim)
             for theta, phi in _angle_grid():
-                coherent = _displace_blocks(d, references[(theta, phi, zeta)])
+                params = CoherentParams(alpha, SuperQubitParams(theta, phi, zeta))
+                coherent = super_coherent_state(params, dim)
                 residual = a_op.apply(coherent) - alpha * coherent
                 coherent_residual = max(
                     coherent_residual, guarded_norm(residual) / coherent.norm()
                 )
-                flipped = flip_state(coherent)
+                flipped = flipped_super_coherent_state(params, dim)
                 residual = at_op.apply(flipped) - alpha * flipped
                 flipped_residual = max(
                     flipped_residual, guarded_norm(residual) / flipped.norm()
                 )
+        oracle = displacement_operator(alpha, dim)[:, 0:2]
+        closed = np.stack(displaced_columns(alpha, dim), axis=1)
+        column_gap = max(column_gap, float(np.abs(closed - oracle)[:keep].max()))
 
     return [
         Check("reference_annihilation", reference_residual, 1e-10),
         Check("coherent_eigenrelation", coherent_residual, tol),
         Check("flipped_coherent_eigenrelation", flipped_residual, tol),
+        Check("closed_coherent_columns_vs_truncated_displacement", column_gap, tol),
     ]
 
 

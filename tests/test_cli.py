@@ -3,9 +3,10 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from superq.cli import FIBONACCI_HEADER, SWEEP_HEADER
+from superq.cli import FIBONACCI_HEADER, SWEEP_HEADER, sweep_thetas
 
 
 class TestGoldenFiles:
@@ -79,6 +80,46 @@ class TestStateEmission:
         assert payload["norm"] == pytest.approx(1.0, abs=1e-10)
 
 
+    def test_guard_names_dim_where_closed_columns_lose_norm(self, run_cli):
+        # at |alpha| = 8 the Poisson tail past dim 132 costs D|1> 5e-12 of its norm^2
+        args = ["coherent", "--alpha-re=8", "--theta=1.0", "--zeta-re=1"]
+        code, out, err = run_cli([*args, "--dim", "132"])
+        assert code == 2
+        assert out == ""
+        assert "dim >= 138" in err
+        code, out, _ = run_cli([*args, "--dim", "138"])
+        assert code == 0
+        assert json.loads(out)["norm"] == pytest.approx(1.0, abs=1e-12)
+
+
+class TestDenseSpectralWork:
+    """The production path builds displaced states without any eigh."""
+
+    @pytest.fixture
+    def eigh_calls(self, monkeypatch):
+        calls = []
+        original = np.linalg.eigh
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        return calls
+
+    @pytest.mark.parametrize("command", ["coherent", "uncertainty"])
+    def test_single_state_commands_make_no_eigh_call(self, run_cli, eigh_calls, command):
+        args = ["--theta=1.1", "--phi=0.4", "--zeta-re=0.8", "--zeta-im=0.3", "--alpha-re=2.1"]
+        code, _, _ = run_cli([command, *args, "--alpha-im=-1.7", "--dim", "512"])
+        assert code == 0
+        assert eigh_calls == []
+
+    def test_verify_report_makes_four_eigh_calls(self, run_cli, eigh_calls):
+        code, _, _ = run_cli(["verify", "--suite", "all", "--dim", "48", "--n-max", "5"])
+        assert code == 0
+        assert len(eigh_calls) == 4
+
+
 class TestAnalysisCommands:
     def test_concurrence_maximal_at_south_pole(self, run_cli):
         code, out, _ = run_cli(
@@ -139,6 +180,35 @@ class TestSweep:
         code, _, err = run_cli(["sweep", "--zeta-re", "1", "--grid", "0,5", "--dim", "8"])
         assert code == 2
         assert "grid" in err
+
+    def test_theta_grid_ends_exactly_at_pi(self):
+        for t_count in range(2, 401):
+            thetas = sweep_thetas(t_count)
+            assert len(thetas) == t_count
+            assert thetas[0] == 0.0 and thetas[-1] == math.pi
+            assert all(a < b for a, b in zip(thetas, thetas[1:]))
+        assert sweep_thetas(1) == [0.0]
+
+    def test_every_grid_size_with_overshooting_last_theta_runs(self, run_cli):
+        # pi * (T-1) / (T-1) rounds above pi for these T; every other T in
+        # 2..400 never reaches that arithmetic (see the grid test above)
+        overshooting = [t for t in range(2, 401) if math.pi * (t - 1) / (t - 1) > math.pi]
+        assert 14 in overshooting and 27 in overshooting and 48 in overshooting
+        for t_count in overshooting:
+            code, out, err = run_cli(
+                ["sweep", "--zeta-re", "1", "--grid", f"{t_count},1", "--dim", "2"]
+            )
+            assert code == 0, (t_count, err)
+            lines = out.strip().split("\n")
+            assert len(lines) == 1 + t_count
+            assert float(lines[-1].split(",")[0]) == math.pi
+
+    def test_rows_before_the_last_theta_unchanged(self, run_cli):
+        code, out, _ = run_cli(["sweep", "--zeta-re", "0.5", "--grid", "14,3", "--dim", "8"])
+        assert code == 0
+        thetas = [float(line.split(",")[0]) for line in out.strip().split("\n")[1:]]
+        assert thetas[:-3] == [math.pi * (i // 3) / 13 for i in range(39)]
+        assert thetas[-3:] == [math.pi] * 3
 
 
 class TestFibonacciCommand:
@@ -225,6 +295,37 @@ class TestArgumentHandling:
         code, out, _ = run_cli(["state", "--theta", "1.0", "--phi", "7.0", "--zeta-re", "1", "--dim", "4"])
         assert code == 0
         assert json.loads(out)["params"]["phi"] == pytest.approx(7.0 - 2.0 * math.pi)
+
+    @pytest.mark.parametrize(
+        "flag,command",
+        [
+            ("--theta=nan", "state"),
+            ("--phi=nan", "state"),
+            ("--phi=inf", "coherent"),
+            ("--alpha-re=nan", "coherent"),
+            ("--alpha-im=-inf", "uncertainty"),
+        ],
+    )
+    def test_non_finite_value_names_its_flag(self, run_cli, flag, command):
+        args = [command, "--theta=1.0", "--zeta-re=1", "--dim", "32", flag]
+        code, out, err = run_cli(args)
+        assert code == 2
+        assert out == ""
+        assert flag.split("=")[0] in err
+
+    @pytest.mark.parametrize("flag", ["--zeta-re=inf", "--zeta-re=-inf", "--zeta-im=nan"])
+    def test_non_finite_zeta_points_to_zeta_inf(self, run_cli, flag):
+        for command in (["state", "--theta=1.0"], ["entropy"], ["sweep"]):
+            code, out, err = run_cli([*command, flag, "--dim", "8"])
+            assert code == 2
+            assert out == ""
+            assert flag.split("=")[0] in err and "--zeta-inf" in err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_rejected(self, run_cli, tol):
+        code, _, err = run_cli(["verify", "--suite", "fibonacci", "--n-max", "4", f"--tol={tol}"])
+        assert code == 2
+        assert "--tol" in err
 
     def test_unknown_command_exits_two(self, run_cli):
         with pytest.raises(SystemExit) as excinfo:

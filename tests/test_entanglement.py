@@ -25,6 +25,7 @@ from superq.superstate import (
     flip_state,
     n_superparticle_state,
     pole_probabilities,
+    super_coherent_state,
     super_qubit_state,
 )
 
@@ -106,6 +107,17 @@ class TestConcurrenceGram:
     def test_unnormalized_rejected(self):
         with pytest.raises(NormalizationError):
             concurrence_gram(SuperVector(fock.FockVector([2.0]), fock.FockVector([0.0])))
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.3 - 0.4j])
+    def test_pole_product_states_read_zero(self, alpha):
+        # at zeta = infinity both blocks are multiples of one boson state;
+        # g00 g11 - |g01|^2 rounds to ~1e-16 there and its sqrt to ~1e-8
+        pole = ExtendedComplex.infinity()
+        for theta in np.linspace(0.0, math.pi, 41):
+            for phi in (0.0, 0.4, 2.5, 5.9):
+                params = CoherentParams(alpha, SuperQubitParams(theta, phi, pole))
+                state = super_coherent_state(params, 64)
+                assert concurrence_gram(state) <= 1e-15
 
 
 class TestClosedConcurrences:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import factorial
 
 from superq import fock
@@ -147,6 +148,31 @@ class TestDisplacement:
         assert fock.required_displacement_dim(0.0) == 20
         assert fock.required_displacement_dim(2.0) == 36
 
+    @pytest.mark.parametrize("modulus", [0.0, 0.3, 1.0, 2.5, 3.7, 5.0])
+    def test_required_dim_unchanged_up_to_five(self, modulus):
+        assert fock.required_displacement_dim(modulus) == math.ceil(
+            modulus * modulus + 6.0 * modulus + 20.0
+        )
+
+    def test_required_dim_grows_with_the_closed_column_tail(self):
+        assert fock.required_displacement_dim(8.0) == 138
+        assert fock.required_displacement_dim(10.0j) == 190
+
+    @pytest.mark.parametrize("modulus", [0.5, 3.0, 6.0, 8.0, 10.0, 14.0])
+    def test_required_dim_bounds_tail_of_both_columns(self, modulus):
+        # Poisson tail of |D|0>|^2 plus that of |D|1>|^2 = p_n (n - r^2)^2 / r^2
+        dim = fock.required_displacement_dim(modulus)
+        r_sq = modulus * modulus
+
+        def tail(start):
+            n = np.arange(start, 4 * dim)
+            log_p = -r_sq + n * math.log(r_sq) - np.array([math.lgamma(k + 1.0) for k in n])
+            return np.sum(np.exp(log_p) * (1.0 + (n - r_sq) ** 2 / r_sq))
+
+        assert tail(dim) <= 1e-13
+        floor = math.ceil(r_sq + 6.0 * modulus + 20.0)
+        assert dim == floor or tail(dim - 1) > 1e-13
+
 
 class TestDisplacedNumberStates:
     def test_zero_displacement_gives_basis_ket(self):
@@ -173,3 +199,44 @@ class TestDisplacedNumberStates:
     def test_higher_levels_rejected(self):
         with pytest.raises(UnsupportedLevelError):
             fock.displaced_number_state(0.5, 2, 64)
+
+    def test_guard_violation_carries_required_dim(self):
+        with pytest.raises(TruncationError) as excinfo:
+            fock.displaced_number_state(8.0, 1, 132)
+        assert excinfo.value.required_dim == 138
+
+    @pytest.mark.parametrize("alpha", [8.0, -5.0 + 6.0j, 7.5j])
+    def test_vacuum_column_is_exact_where_spectral_route_drifts(self, alpha):
+        dim = fock.required_displacement_dim(alpha)
+        closed = fock.displaced_number_state(alpha, 0, dim).coeffs
+        expected = coherent_coefficients(alpha, dim)
+        assert np.abs(closed - expected).max() <= 1e-13
+
+    def test_large_displacement_does_not_underflow(self):
+        # e^{-|alpha|^2/2} alone underflows to 0 at |alpha| = 40
+        alpha = 40.0 * np.exp(0.3j)
+        dim = fock.required_displacement_dim(alpha)
+        for m in (0, 1):
+            coeffs = fock.displaced_number_state(alpha, m, dim).coeffs
+            assert np.all(np.isfinite(coeffs))
+            assert abs(np.vdot(coeffs, coeffs).real - 1.0) <= 1e-12
+        vacuum = fock.displaced_number_state(alpha, 0, dim).coeffs
+        # Poisson weights with integer mean 1600 peak at 1599 and 1600 alike
+        assert np.argmax(np.abs(vacuum)) in (1599, 1600)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.floats(min_value=0.0, max_value=12.0),
+        st.floats(min_value=0.0, max_value=2.0 * math.pi),
+    )
+    def test_closed_columns_orthonormal_and_eigen(self, modulus, phase):
+        alpha = complex(modulus * math.cos(phase), modulus * math.sin(phase))
+        dim = fock.required_displacement_dim(alpha)
+        d0 = fock.displaced_number_state(alpha, 0, dim).coeffs
+        d1 = fock.displaced_number_state(alpha, 1, dim).coeffs
+        assert abs(np.vdot(d0, d0).real - 1.0) <= 1e-12
+        assert abs(np.vdot(d1, d1).real - 1.0) <= 1e-12
+        assert abs(np.vdot(d0, d1)) <= 1e-12
+        keep = dim - fock.GUARD_BAND
+        lowered = fock.boson_annihilator(dim) @ d0
+        assert np.abs(lowered - alpha * d0)[:keep].max() <= 1e-12 * max(1.0, abs(alpha))

@@ -68,6 +68,14 @@ class TestBlochPoint:
         assert 0.0 <= point.phi < 2.0 * math.pi
         assert point.phi == pytest.approx(7.0 - 2.0 * math.pi)
 
+    @pytest.mark.parametrize(
+        "theta,phi",
+        [(math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan), (1.0, math.inf), (0.0, -math.inf)],
+    )
+    def test_non_finite_angles_rejected(self, theta, phi):
+        with pytest.raises(ValueError, match="finite|lie in"):
+            BlochPoint(theta, phi)
+
     def test_phi_zero_at_poles(self):
         assert BlochPoint(0.0, 1.5).phi == 0.0
         assert BlochPoint(math.pi, 1.5).phi == 0.0

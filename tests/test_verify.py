@@ -40,6 +40,18 @@ class TestRunVerify:
         by_name = {check.name: check for check in report.checks}
         assert by_name["golden_point_variance"].tolerance == 1e-14
 
+    def test_eigen_check_inventory(self):
+        report = run_verify("eigen", dim=48)
+        assert [check.name for check in report.checks] == [
+            "reference_annihilation",
+            "coherent_eigenrelation",
+            "flipped_coherent_eigenrelation",
+            "closed_coherent_columns_vs_truncated_displacement",
+        ]
+        columns = report.checks[-1]
+        assert columns.tolerance == report.tol
+        assert 0.0 < columns.residual <= 1e-10
+
     def test_fibonacci_check_inventory(self):
         report = run_verify("fibonacci", n_max=20)
         names = [check.name for check in report.checks]
