@@ -12,7 +12,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict
 
 from .entanglement import (
     collapse_probabilities,
@@ -22,14 +22,7 @@ from .entanglement import (
     entanglement_entropy_bits,
     entropy_from_z,
 )
-from .errors import (
-    InvalidDimensionError,
-    NormalizationError,
-    NumericalConsistencyError,
-    SingularParameterError,
-    TruncationError,
-    UnsupportedLevelError,
-)
+from .errors import NumericalConsistencyError
 from .fock import DEFAULT_DIM
 from .moebius import ExtendedComplex, concurrence_circle, zeta_to_bloch
 from .serialize import csv_text, dumps
@@ -50,7 +43,7 @@ from .uncertainty import (
 )
 from .verify import DEFAULT_SEED, DEFAULT_TOL, SUITE_NAMES, run_verify
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
 DIM_ENV_VAR = "SUPERQ_DIM"
 
@@ -79,32 +72,11 @@ FIBONACCI_HEADER = [
     "golden_gap",
 ]
 
-_JSON_COMMANDS = {"state", "coherent", "concurrence", "entropy", "uncertainty", "verify"}
 _CSV_COMMANDS = {"sweep", "fibonacci"}
 
 
 class UsageError(ValueError):
     """Invalid flag combination or parameter value (exit code 2)."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation: command plus every parameter binding it uses."""
-
-    command: str
-    dim: int
-    tol: float = DEFAULT_TOL
-    output: str = "json"
-    seed: int = DEFAULT_SEED
-    theta: float | None = None
-    phi: float = 0.0
-    alpha: complex = 0j
-    zeta: ExtendedComplex | None = None
-    zeta_echo: tuple[float, float] | str = "inf"
-    n: int | None = None
-    n_max: int = 20
-    grid: tuple[int, int] = (25, 25)
-    suite: str = "all"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -246,19 +218,24 @@ def _require_finite(flag: str, value: float | None, hint: str = "") -> None:
         raise UsageError(f"{flag} must be finite, got {value}{hint}")
 
 
-def _resolve_zeta(args) -> tuple[ExtendedComplex, tuple[float, float] | str]:
+def _resolve_zeta(args) -> ExtendedComplex:
     has_finite = args.zeta_re is not None or args.zeta_im is not None
     if args.zeta_inf and has_finite:
         raise UsageError("supply either --zeta-re/--zeta-im or --zeta-inf, not both")
     if args.zeta_inf:
-        return ExtendedComplex.infinity(), "inf"
+        return ExtendedComplex.infinity()
     if not has_finite:
         raise UsageError("zeta is required: supply --zeta-re/--zeta-im or --zeta-inf")
     for flag, value in (("--zeta-re", args.zeta_re), ("--zeta-im", args.zeta_im)):
         _require_finite(flag, value, "; use --zeta-inf for the pole")
+    return ExtendedComplex.from_value(complex(*_zeta_parts(args)))
+
+
+def _zeta_parts(args) -> tuple[float, float]:
+    """(--zeta-re, --zeta-im) as given, an omitted part read as 0."""
     re = args.zeta_re if args.zeta_re is not None else 0.0
     im = args.zeta_im if args.zeta_im is not None else 0.0
-    return ExtendedComplex.from_value(complex(re, im)), (re, im)
+    return re, im
 
 
 def _parse_grid(raw: str) -> tuple[int, int]:
@@ -274,115 +251,71 @@ def _parse_grid(raw: str) -> tuple[int, int]:
     return t_count, p_count
 
 
-def _config_from_args(args) -> RunConfig:
-    command = args.command
-    expected_output = "json" if command in _JSON_COMMANDS else "csv"
+def _validate(args) -> None:
+    """Check the parsed flags and store the resolved dim, zeta, alpha and grid on args."""
+    expected_output = "csv" if args.command in _CSV_COMMANDS else "json"
     if args.output != expected_output:
-        raise UsageError(f"command {command!r} emits {expected_output}, not {args.output}")
-
-    dim = _resolve_dim(args)
-
-    if command == "verify":
-        if not 0 < args.tol < math.inf:
+        raise UsageError(f"command {args.command!r} emits {expected_output}, not {args.output}")
+    args.dim = _resolve_dim(args)
+    if args.command in ("verify", "fibonacci"):
+        if args.command == "verify" and not 0 < args.tol < math.inf:
             raise UsageError(f"--tol must be positive and finite, got {args.tol}")
         if args.n_max < 3:
             raise UsageError(f"--n-max must be >= 3, got {args.n_max}")
-        return RunConfig(
-            command=command,
-            dim=dim,
-            tol=args.tol,
-            output=args.output,
-            seed=args.seed,
-            n_max=args.n_max,
-            suite=args.suite,
-        )
-
-    if command == "fibonacci":
-        if args.n_max < 3:
-            raise UsageError(f"--n-max must be >= 3, got {args.n_max}")
-        return RunConfig(command=command, dim=dim, output=args.output, n_max=args.n_max)
-
-    zeta, zeta_echo = _resolve_zeta(args)
-
-    if command == "sweep":
-        return RunConfig(
-            command=command,
-            dim=dim,
-            output=args.output,
-            zeta=zeta,
-            zeta_echo=zeta_echo,
-            grid=_parse_grid(args.grid),
-        )
-
-    if command == "entropy":
-        return RunConfig(
-            command=command, dim=dim, output=args.output, zeta=zeta, zeta_echo=zeta_echo
-        )
-
-    n = getattr(args, "n", None)
-    theta = args.theta
+        return
+    args.zeta = _resolve_zeta(args)
+    if args.command == "sweep":
+        args.grid = _parse_grid(args.grid)
+    if args.command in ("sweep", "entropy"):
+        return
     for flag in ("theta", "phi", "alpha_re", "alpha_im"):
         _require_finite("--" + flag.replace("_", "-"), getattr(args, flag, None))
-    if n is not None:
-        if theta is not None:
+    args.n = getattr(args, "n", None)
+    if args.n is not None:
+        if args.theta is not None:
             raise UsageError("supply either --theta or --n, not both")
-        if n < 0:
-            raise UsageError(f"--n must be nonnegative, got {n}")
-    elif theta is None:
-        raise UsageError(f"command {command!r} requires --theta (or --n where supported)")
-
-    alpha = complex(getattr(args, "alpha_re", 0.0), getattr(args, "alpha_im", 0.0))
-    return RunConfig(
-        command=command,
-        dim=dim,
-        output=args.output,
-        theta=theta,
-        phi=args.phi,
-        alpha=alpha,
-        zeta=zeta,
-        zeta_echo=zeta_echo,
-        n=n,
-    )
+        if args.n < 0:
+            raise UsageError(f"--n must be nonnegative, got {args.n}")
+    elif args.theta is None:
+        raise UsageError(f"command {args.command!r} requires --theta (or --n where supported)")
+    args.alpha = complex(getattr(args, "alpha_re", 0.0), getattr(args, "alpha_im", 0.0))
 
 
-def _zeta_payload(config: RunConfig):
-    if config.zeta_echo == "inf":
-        return "inf"
-    return [config.zeta_echo[0], config.zeta_echo[1]]
+def _zeta_payload(args):
+    return "inf" if args.zeta_inf else list(_zeta_parts(args))
 
 
 def _complex_pairs(coeffs) -> list[list[float]]:
     return [[c.real, c.imag] for c in coeffs]
 
 
-def _emit_state(config: RunConfig) -> str:
-    if config.n is not None:
-        state = n_superparticle_state(config.n, config.zeta, config.dim)
-        closed = concurrence_n_state(config.zeta)
-        # fermion-sector weights = pole-collapse probabilities on the zeta sphere
-        p0 = state.psi0.norm_sq()
-        p1 = state.psi1.norm_sq()
-        params = {
-            "n": config.n,
-            "zeta": _zeta_payload(config),
-            "alpha": [config.alpha.real, config.alpha.imag],
-        }
+def _selected_state(args):
+    """The state picked by --n or --theta/--phi, its closed concurrence and its params.
+
+    coherent displaces the super-qubit state by alpha.
+    """
+    if args.n is not None:
+        state = n_superparticle_state(args.n, args.zeta, args.dim)
+        return state, concurrence_n_state(args.zeta), {"n": args.n, "zeta": _zeta_payload(args)}
+    base = SuperQubitParams(args.theta, args.phi, args.zeta)
+    if args.command == "coherent":
+        state = super_coherent_state(CoherentParams(args.alpha, base), args.dim)
     else:
-        base = SuperQubitParams(config.theta, config.phi, config.zeta)
-        if config.command == "coherent":
-            state = super_coherent_state(CoherentParams(config.alpha, base), config.dim)
-        else:
-            state = super_qubit_state(base, config.dim)
-        closed = concurrence_superqubit(base.theta, config.zeta)
-        p0, p1 = pole_probabilities(state, config.zeta, config.alpha)
-        params = {
-            "theta": base.theta,
-            "phi": base.phi,
-            "zeta": _zeta_payload(config),
-            "alpha": [config.alpha.real, config.alpha.imag],
-        }
+        state = super_qubit_state(base, args.dim)
+    params = {"theta": base.theta, "phi": base.phi, "zeta": _zeta_payload(args)}
+    return state, concurrence_superqubit(base.theta, args.zeta), params
+
+
+def _emit_state(args) -> str:
+    state, closed, params = _selected_state(args)
+    params["alpha"] = [args.alpha.real, args.alpha.imag]
+    if args.n is not None:
+        # fermion-sector weights = pole-collapse probabilities on the zeta sphere
+        p0, p1 = state.psi0.norm_sq(), state.psi1.norm_sq()
+    else:
+        p0, p1 = pole_probabilities(state, args.zeta, args.alpha)
     payload = {
-        "dim": config.dim,
+        "dim": args.dim,
         "params": params,
         "psi0": _complex_pairs(state.psi0.coeffs),
         "psi1": _complex_pairs(state.psi1.coeffs),
@@ -396,19 +329,11 @@ def _emit_state(config: RunConfig) -> str:
     return dumps(payload)
 
 
-def _emit_concurrence(config: RunConfig) -> str:
-    if config.n is not None:
-        state = n_superparticle_state(config.n, config.zeta, config.dim)
-        closed = concurrence_n_state(config.zeta)
-        params = {"n": config.n, "zeta": _zeta_payload(config)}
-    else:
-        base = SuperQubitParams(config.theta, config.phi, config.zeta)
-        state = super_qubit_state(base, config.dim)
-        closed = concurrence_superqubit(base.theta, config.zeta)
-        params = {"theta": base.theta, "phi": base.phi, "zeta": _zeta_payload(config)}
+def _emit_concurrence(args) -> str:
+    state, closed, params = _selected_state(args)
     gram = concurrence_gram(state)
     payload = {
-        "dim": config.dim,
+        "dim": args.dim,
         "params": params,
         "concurrence_closed": closed,
         "concurrence_gram": gram,
@@ -417,14 +342,14 @@ def _emit_concurrence(config: RunConfig) -> str:
     return dumps(payload)
 
 
-def _emit_entropy(config: RunConfig) -> str:
-    point = zeta_to_bloch(config.zeta)
+def _emit_entropy(args) -> str:
+    point = zeta_to_bloch(args.zeta)
     closed, z = concurrence_circle(point.theta)
-    state = n_superparticle_state(1, config.zeta, config.dim)
+    state = n_superparticle_state(1, args.zeta, args.dim)
     p0, p1 = collapse_probabilities(z)
     payload = {
-        "dim": config.dim,
-        "params": {"zeta": _zeta_payload(config)},
+        "dim": args.dim,
+        "params": {"zeta": _zeta_payload(args)},
         "theta1": point.theta,
         "z": z,
         "concurrence_closed": closed,
@@ -437,35 +362,27 @@ def _emit_entropy(config: RunConfig) -> str:
     return dumps(payload)
 
 
-def _emit_uncertainty(config: RunConfig) -> str:
-    base = SuperQubitParams(config.theta, config.phi, config.zeta)
-    params = CoherentParams(config.alpha, base)
+def _emit_uncertainty(args) -> str:
+    base = SuperQubitParams(args.theta, args.phi, args.zeta)
+    params = CoherentParams(args.alpha, base)
     closed = quadrature_stats_closed(params)
-    numeric = quadrature_stats_numeric(params, config.dim)
+    numeric = quadrature_stats_numeric(params, args.dim)
     gap = max(
         abs(closed.mean_x - numeric.mean_x),
         abs(closed.mean_p - numeric.mean_p),
         abs(closed.var_x - numeric.var_x),
         abs(closed.var_p - numeric.var_p),
     )
-    def stats_payload(stats):
-        return {
-            "mean_x": stats.mean_x,
-            "mean_p": stats.mean_p,
-            "var_x": stats.var_x,
-            "var_p": stats.var_p,
-            "product": stats.product,
-        }
     payload = {
-        "dim": config.dim,
+        "dim": args.dim,
         "params": {
             "theta": base.theta,
             "phi": base.phi,
-            "zeta": _zeta_payload(config),
-            "alpha": [config.alpha.real, config.alpha.imag],
+            "zeta": _zeta_payload(args),
+            "alpha": [args.alpha.real, args.alpha.imag],
         },
-        "closed": stats_payload(closed),
-        "numeric": stats_payload(numeric),
+        "closed": asdict(closed),
+        "numeric": asdict(numeric),
         "max_abs_difference": gap,
     }
     return dumps(payload)
@@ -483,20 +400,17 @@ def sweep_thetas(t_count: int) -> list[float]:
     return thetas
 
 
-def _emit_sweep(config: RunConfig) -> str:
-    t_count, p_count = config.grid
+def _emit_sweep(args) -> str:
+    t_count, p_count = args.grid
     thetas = sweep_thetas(t_count)
     phis = [2.0 * math.pi * j / p_count for j in range(p_count)]
-    if config.zeta_echo == "inf":
-        zeta_re, zeta_im = math.inf, 0.0
-    else:
-        zeta_re, zeta_im = config.zeta_echo
+    zeta_re, zeta_im = (math.inf, 0.0) if args.zeta_inf else _zeta_parts(args)
     rows = []
     for theta in thetas:
         for phi in phis:
-            base = SuperQubitParams(theta, phi, config.zeta)
-            state = super_qubit_state(base, config.dim)
-            p0, p1 = pole_probabilities(state, config.zeta)
+            base = SuperQubitParams(theta, phi, args.zeta)
+            state = super_qubit_state(base, args.dim)
+            p0, p1 = pole_probabilities(state, args.zeta)
             var_x, var_p = variance_quadratures_closed(CoherentParams(0.0, base))
             rows.append(
                 [
@@ -504,7 +418,7 @@ def _emit_sweep(config: RunConfig) -> str:
                     phi,
                     zeta_re,
                     zeta_im,
-                    concurrence_superqubit(base.theta, config.zeta),
+                    concurrence_superqubit(base.theta, args.zeta),
                     concurrence_gram(state),
                     entanglement_entropy_bits(state),
                     p0,
@@ -516,10 +430,10 @@ def _emit_sweep(config: RunConfig) -> str:
     return csv_text(SWEEP_HEADER, rows)
 
 
-def _emit_fibonacci(config: RunConfig) -> str:
+def _emit_fibonacci(args) -> str:
     rows = []
-    for n in range(3, config.n_max + 1):
-        record = fibonacci_record(n, config.dim)
+    for n in range(3, args.n_max + 1):
+        record = fibonacci_record(n, args.dim)
         rows.append(
             [
                 record.n,
@@ -535,13 +449,9 @@ def _emit_fibonacci(config: RunConfig) -> str:
     return csv_text(FIBONACCI_HEADER, rows)
 
 
-def _run_verify(config: RunConfig) -> int:
+def _run_verify(args) -> int:
     report = run_verify(
-        suite=config.suite,
-        dim=config.dim,
-        tol=config.tol,
-        seed=config.seed,
-        n_max=config.n_max,
+        suite=args.suite, dim=args.dim, tol=args.tol, seed=args.seed, n_max=args.n_max
     )
     print(dumps(report.to_payload()))
     if not report.all_passed:
@@ -551,33 +461,27 @@ def _run_verify(config: RunConfig) -> int:
     return 0
 
 
+_EMITTERS = {
+    "state": _emit_state,
+    "coherent": _emit_state,
+    "concurrence": _emit_concurrence,
+    "entropy": _emit_entropy,
+    "uncertainty": _emit_uncertainty,
+    "sweep": _emit_sweep,
+    "fibonacci": _emit_fibonacci,
+}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _config_from_args(args)
-        if config.command == "verify":
-            return _run_verify(config)
-        emitters = {
-            "state": _emit_state,
-            "coherent": _emit_state,
-            "concurrence": _emit_concurrence,
-            "entropy": _emit_entropy,
-            "uncertainty": _emit_uncertainty,
-            "sweep": _emit_sweep,
-            "fibonacci": _emit_fibonacci,
-        }
-        print(emitters[config.command](config))
+        _validate(args)
+        if args.command == "verify":
+            return _run_verify(args)
+        print(_EMITTERS[args.command](args))
         return 0
-    except (
-        UsageError,
-        TruncationError,
-        SingularParameterError,
-        InvalidDimensionError,
-        UnsupportedLevelError,
-        NormalizationError,
-        ValueError,
-    ) as exc:
+    except ValueError as exc:  # UsageError and the package's parameter and truncation errors
         print(f"superq: error: {exc}", file=sys.stderr)
         return 2
     except NumericalConsistencyError as exc:

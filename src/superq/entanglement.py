@@ -168,6 +168,12 @@ def collapse_probabilities(z: float) -> tuple[float, float]:
     return 0.5 * (1.0 + z), 0.5 * (1.0 - z)
 
 
+def _entropy_bits(eigenvalues: np.ndarray) -> float:
+    """-sum lam log2 lam over the positive eigenvalues."""
+    # + 0.0 turns the empty/pure-state result -0.0 into plain 0.0
+    return float(-sum(lam * math.log2(lam) for lam in eigenvalues if lam > 0.0) + 0.0)
+
+
 def entanglement_entropy_bits(state: SuperVector) -> float:
     """Spectral entanglement entropy of the reduced boson state, in bits.
 
@@ -175,9 +181,7 @@ def entanglement_entropy_bits(state: SuperVector) -> float:
     the spectrum of the 2x2 Gram matrix, so only that spectrum is computed.
     """
     _require_normalized(state.norm_sq())
-    eigenvalues = np.linalg.eigvalsh(gram_matrix(state))
-    # + 0.0 turns the empty/pure-state result -0.0 into plain 0.0
-    return float(-sum(lam * math.log2(lam) for lam in eigenvalues if lam > 0.0) + 0.0)
+    return _entropy_bits(np.linalg.eigvalsh(gram_matrix(state)))
 
 
 def entanglement_report(
@@ -192,7 +196,6 @@ def entanglement_report(
     c_gram = concurrence_gram(state)
     eigenvalues = np.linalg.eigvalsh(gram_matrix(state))
     purity = float(np.sum(eigenvalues**2))
-    entropy = float(-sum(lam * math.log2(lam) for lam in eigenvalues if lam > 0.0) + 0.0)
     if abs(p0 + p1 - 1.0) > 1e-12:
         raise NumericalConsistencyError(f"p0 + p1 = {p0 + p1} differs from 1")
     if abs(c_gram**2 - 2.0 * (1.0 - purity)) > 1e-10:
@@ -203,7 +206,7 @@ def entanglement_report(
         concurrence_gram=c_gram,
         concurrence_closed=float(concurrence_closed),
         purity=purity,
-        entropy_bits=entropy,
+        entropy_bits=_entropy_bits(eigenvalues),
         p0=float(p0),
         p1=float(p1),
     )

@@ -23,6 +23,10 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+# Coordinates past this size are scaled down by _DOWNSCALE (a power of two,
+# so exactly) before normalizing: |u| and the norm of (|u|, |v|) stay finite.
+_HUGE = 2.0**1000
+_DOWNSCALE = 2.0**-64
 
 
 @dataclass(frozen=True)
@@ -42,6 +46,9 @@ class ExtendedComplex:
         v = complex(self.v)
         if not (cmath.isfinite(u) and cmath.isfinite(v)):
             raise ValueError("homogeneous coordinates must be finite")
+        if max(abs(u.real), abs(u.imag), abs(v.real), abs(v.imag)) > _HUGE:
+            u *= _DOWNSCALE
+            v *= _DOWNSCALE
         scale = math.hypot(abs(u), abs(v))
         if scale == 0.0:
             raise ValueError("homogeneous coordinates must not both be zero")
@@ -78,10 +85,11 @@ class ExtendedComplex:
 
     @property
     def mod_sq(self) -> float:
-        """|zeta|^2, math.inf at the pole."""
+        """|zeta|^2, math.inf at the pole and wherever it exceeds the largest float."""
         if self.is_infinite:
             return math.inf
-        return (abs(self.u) / self.v.real) ** 2
+        modulus = abs(self.u) / self.v.real
+        return modulus * modulus
 
 
 @dataclass(frozen=True)

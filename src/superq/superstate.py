@@ -27,7 +27,6 @@ from .fock import (
     boson_annihilator,
     boson_creator,
     displaced_columns,
-    ensure_displacement_dim,
     number_operator,
     zero_vector,
 )
@@ -147,10 +146,6 @@ class BlockOperator:
         zeros = np.zeros_like(np.asarray(mat, dtype=np.complex128))
         return cls(mat, zeros, zeros, mat)
 
-    @classmethod
-    def identity(cls, dim: int) -> "BlockOperator":
-        return cls.boson_diagonal(np.eye(dim, dtype=np.complex128))
-
     def full(self) -> np.ndarray:
         """Dense 2*dim x 2*dim matrix."""
         return np.block([[self.ul, self.ur], [self.ll, self.lr]])
@@ -165,9 +160,6 @@ class BlockOperator:
         return BlockOperator(
             self.ul.conj().T, self.ll.conj().T, self.ur.conj().T, self.lr.conj().T
         )
-
-    def expectation(self, state: SuperVector) -> complex:
-        return state.inner(self.apply(state))
 
     def __matmul__(self, other: "BlockOperator") -> "BlockOperator":
         return BlockOperator(
@@ -187,11 +179,6 @@ class BlockOperator:
             self.ul - other.ul, self.ur - other.ur, self.ll - other.ll, self.lr - other.lr
         )
 
-    def __rmul__(self, scalar: complex) -> "BlockOperator":
-        return BlockOperator(
-            scalar * self.ul, scalar * self.ur, scalar * self.ll, scalar * self.lr
-        )
-
 
 @dataclass(frozen=True)
 class SuperQubitParams:
@@ -209,10 +196,6 @@ class SuperQubitParams:
         point = BlochPoint(self.theta, self.phi)
         object.__setattr__(self, "theta", point.theta)
         object.__setattr__(self, "phi", point.phi)
-
-    @property
-    def bloch(self) -> BlochPoint:
-        return BlochPoint(self.theta, self.phi)
 
 
 @dataclass(frozen=True)
@@ -336,11 +319,11 @@ def super_coherent_state(params: CoherentParams, dim: int) -> SuperVector:
     """Displaced super-qubit state, an eigenstate of the super-annihilation operator.
 
     The displacement acts as the boson displacement on both fermion blocks.
-    alpha = 0 returns the reference super-qubit state exactly.
+    alpha = 0 returns the reference super-qubit state exactly, at any dim >= 2:
+    nothing is displaced, so the displacement guard does not apply.
     """
     reference = super_qubit_state(params.base, dim)
     if params.alpha == 0:
-        ensure_displacement_dim(params.alpha, dim)  # the guard holds at every alpha
         return reference
     return _displace_low_levels(params.alpha, reference)[0]
 

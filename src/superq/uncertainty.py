@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidDimensionError
+from .errors import InvalidDimensionError, TruncationError
 from .fock import DEFAULT_DIM
 from .moebius import BlochPoint, ExtendedComplex, bloch_cartesian
 from .superstate import (
@@ -153,9 +153,12 @@ def quadrature_stats_numeric(params: CoherentParams, dim: int = DEFAULT_DIM) -> 
 
     Builds the state and the dense quadrature matrices, then evaluates
     <X>, <X^2> - <X>^2 (and the same for P) directly; <X^2> is computed as
-    ||X psi||^2 since X is Hermitian.
+    ||X psi||^2 since X is Hermitian.  At alpha = 0 the state lives on levels
+    0 and 1, and X, P reach level 2, so dim >= 3 is required.
     """
     state = super_coherent_state(params, dim)
+    if dim < 3:
+        raise TruncationError(f"the quadrature oracle needs dim >= 3, got {dim}", required_dim=3)
     x, p = _quadrature_matrices(dim)
     blocks = (state.psi0.coeffs, state.psi1.coeffs)
     mean_x, var_x = _block_moments(x, blocks)

@@ -478,11 +478,16 @@ def _suite_uncertainty(dim: int, tol: float) -> list[Check]:
     ]
 
 
+def _above_root5(r: Fraction) -> bool:
+    """r > sqrt(5), decided exactly (a rational never equals sqrt(5))."""
+    return r > 0 and r * r > 5
+
+
 def _suite_fibonacci(dim: int, tol: float, n_max: int) -> list[Check]:
     if n_max < 3:
         raise ValueError(f"n_max must be >= 3, got {n_max}")
     checks = []
-    previous_gap = None
+    previous_r = None
     previous_sign = None
     alternation_ok = True
     monotone_ok = True
@@ -503,14 +508,22 @@ def _suite_fibonacci(dim: int, tol: float, n_max: int) -> list[Check]:
         residual = numeric_gap if exact_ok else _BOOL_FAIL
         checks.append(Check(f"fibonacci_record[n={n}]", residual, tol))
 
-        sign = 1 if float(record.zeta_sq) > GOLDEN_RATIO - 0.5 else -1
+        # Decided in exact arithmetic: from n ~ 40 on, the radius and the gap
+        # sit within float rounding of their limits.  |zeta_n|^2 > phi - 1/2
+        # reads 2 |zeta_n|^2 > sqrt(5).
+        sign = 1 if _above_root5(2 * record.zeta_sq) else -1
         if previous_sign is not None and sign == previous_sign:
             alternation_ok = False
         previous_sign = sign
-        gap = abs(float(record.dispersion_closed) - 1.0 / GOLDEN_RATIO)
-        if previous_gap is not None and gap >= previous_gap:
+        # The gap |F_n/F_{n+1} - 1/phi| is |r - sqrt(5)| / 2.  It fails to shrink
+        # when r repeats, or when sqrt(5) lies on the previous r's side of
+        # their midpoint.
+        r = 2 * record.dispersion_closed + 1
+        if previous_r is not None and (
+            r == previous_r or (r > previous_r) == _above_root5((r + previous_r) / 2)
+        ):
             monotone_ok = False
-        previous_gap = gap
+        previous_r = r
 
     checks.append(
         Check(

@@ -22,6 +22,36 @@ class TestGoldenFiles:
         assert code == 0
         assert out == (golden_dir / "fibonacci_nmax10_dim64.csv").read_text()
 
+    @pytest.mark.parametrize(
+        "name,argv",
+        [
+            (
+                "coherent_theta1.1_alpha0.5_dim24.json",
+                ["coherent", "--theta", "1.1", "--phi", "0.4", "--zeta-re", "0.8", "--zeta-im", "-0.3",
+                 "--alpha-re", "0.5", "--alpha-im", "-0.2", "--dim", "24"],
+            ),
+            (
+                "concurrence_theta2_dim4.json",
+                ["concurrence", "--theta", "2.0", "--phi", "1.0", "--zeta-re", "1.5", "--zeta-im", "-0.5",
+                 "--dim", "4"],
+            ),
+            ("entropy_zeta0.5_dim4.json", ["entropy", "--zeta-re", "0.5", "--zeta-im", "0.25", "--dim", "4"]),
+            (
+                "uncertainty_alpha0.3_dim24.json",
+                ["uncertainty", "--theta", "1.5707963267948966", "--phi", "0.7853981633974483",
+                 "--zeta-re", "1", "--alpha-re", "0.3", "--alpha-im", "0.1", "--dim", "24"],
+            ),
+            (
+                "sweep_grid3x4_dim4.csv",
+                ["sweep", "--zeta-re", "0.7", "--zeta-im", "0.2", "--grid", "3,4", "--dim", "4"],
+            ),
+        ],
+    )
+    def test_command_output_bytes(self, run_cli, golden_dir, name, argv):
+        code, out, err = run_cli(argv)
+        assert (code, err) == (0, "")
+        assert out == (golden_dir / name).read_text()
+
 
 class TestStateEmission:
     def test_json_round_trips_norm(self, run_cli):
@@ -223,6 +253,17 @@ class TestFibonacciCommand:
         assert (row["dispersion_num"], row["dispersion_den"]) == ("5", "8")
         assert float(row["dispersion_numeric"]) == pytest.approx(0.625, abs=1e-8)
 
+    def test_small_dim_needs_no_displacement_guard(self, run_cli):
+        # the ladder states are undisplaced (alpha = 0) and live on levels 0 and 1
+        code, out, err = run_cli(["fibonacci", "--n-max", "5", "--dim", "16"])
+        assert (code, err) == (0, "")
+        reference = run_cli(["fibonacci", "--n-max", "5", "--dim", "64"])[1]
+        small_rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        reference_rows = [line.split(",") for line in reference.strip().split("\n")[1:]]
+        for small, full in zip(small_rows, reference_rows, strict=True):
+            assert small[:6] == full[:6]
+            assert float(small[6]) == pytest.approx(float(full[6]), abs=1e-15)
+
     def test_n_max_too_small(self, run_cli):
         code, _, err = run_cli(["fibonacci", "--n-max", "2"])
         assert code == 2
@@ -245,6 +286,11 @@ class TestVerifyCommand:
         assert "failed" in err
         payload = json.loads(out)
         assert payload["summary"]["passed"] < payload["summary"]["total"]
+
+    def test_deep_fibonacci_ladder_passes(self, run_cli):
+        code, out, err = run_cli(["verify", "--suite", "fibonacci", "--n-max", "45", "--dim", "64"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["summary"]["passed"] == 45 - 3 + 1 + 3
 
     def test_seed_recorded(self, run_cli):
         code, out, _ = run_cli(["verify", "--suite", "fibonacci", "--n-max", "5", "--seed", "7"])
@@ -291,6 +337,24 @@ class TestArgumentHandling:
         assert code == 2
         assert "emits" in err
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (
+                ["state", "--theta", "1", "--n", "2", "--zeta-inf", "--zeta-re", "1"],
+                "supply either --zeta-re/--zeta-im or --zeta-inf, not both",
+            ),
+            (["state", "--theta", "1", "--n", "-1", "--zeta-re", "1"], "supply either --theta or --n, not both"),
+            (
+                ["state", "--theta", "1", "--zeta-re", "1", "--zeta-inf", "--output", "csv"],
+                "command 'state' emits json, not csv",
+            ),
+        ],
+    )
+    def test_usage_error_exact_stderr(self, run_cli, argv, message):
+        # each argv breaks several rules; the message names the first one checked
+        assert run_cli(argv) == (2, "", f"superq: error: {message}\n")
+
     def test_phi_reduced_mod_two_pi(self, run_cli):
         code, out, _ = run_cli(["state", "--theta", "1.0", "--phi", "7.0", "--zeta-re", "1", "--dim", "4"])
         assert code == 0
@@ -320,6 +384,18 @@ class TestArgumentHandling:
             assert code == 2
             assert out == ""
             assert flag.split("=")[0] in err and "--zeta-inf" in err
+
+    def test_huge_finite_zeta_gives_near_pole_state(self, run_cli):
+        code, out, err = run_cli(
+            ["state", "--theta", "1", "--zeta-re=1.7e308", "--zeta-im=1.7e308", "--dim", "4"]
+        )
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["params"]["zeta"] == [1.7e308, 1.7e308]
+        assert payload["norm"] == pytest.approx(1.0, abs=1e-15)
+        assert payload["concurrence_closed"] == pytest.approx(0.0, abs=1e-300)
+        assert payload["concurrence_gram"] == pytest.approx(0.0, abs=1e-15)
+        assert payload["p0"] + payload["p1"] == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_non_finite_tol_rejected(self, run_cli, tol):

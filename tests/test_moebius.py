@@ -36,6 +36,27 @@ class TestExtendedComplex:
         assert abs(again.u - z.u) <= 2e-16
         assert abs(again.v - z.v) <= 2e-16
 
+    @pytest.mark.parametrize(
+        "u,v,canonical_u,canonical_v",
+        [
+            (1.7e308, 1.7e308, 1 / math.sqrt(2.0), 1 / math.sqrt(2.0)),
+            (1e308, -1e308j, 1j / math.sqrt(2.0), 1 / math.sqrt(2.0)),
+            (-1.7e308j, 0.0, 1.0, 0.0),
+        ],
+    )
+    def test_huge_coordinates_normalize(self, u, v, canonical_u, canonical_v):
+        # |u| alone, or the norm of (|u|, |v|), can exceed the largest float here
+        z = ExtendedComplex(u, v)
+        assert abs(z.u - canonical_u) <= 1e-15
+        assert abs(z.v - canonical_v) <= 1e-15
+        assert z.v.imag == 0.0 and z.v.real >= 0.0
+
+    def test_huge_value_lies_next_to_the_pole(self):
+        z = ExtendedComplex.from_value(1.7e308 + 1.7e308j)
+        assert not z.is_infinite
+        assert z.u == pytest.approx((1 + 1j) / math.sqrt(2.0), abs=1e-15)
+        assert 0.0 < z.v.real < 1e-300
+
     def test_zero_pair_rejected(self):
         with pytest.raises(ValueError):
             ExtendedComplex(0.0, 0.0)
@@ -54,6 +75,10 @@ class TestExtendedComplex:
     def test_mod_sq(self):
         assert ExtendedComplex.from_value(2.0).mod_sq == pytest.approx(4.0, rel=1e-14)
         assert math.isinf(ExtendedComplex.infinity().mod_sq)
+
+    @pytest.mark.parametrize("zeta", [1e200, 1.7e308 + 1.7e308j])
+    def test_mod_sq_past_the_largest_float_is_inf(self, zeta):
+        assert ExtendedComplex.from_value(zeta).mod_sq == math.inf
 
 
 class TestBlochPoint:

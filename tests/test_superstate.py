@@ -248,6 +248,12 @@ class TestSuperCoherentState:
         coherent = super_coherent_state(CoherentParams(0.0, base), 32)
         assert (coherent - super_qubit_state(base, 32)).norm() == 0.0
 
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_zero_alpha_needs_no_guard_dim(self, dim):
+        base = SuperQubitParams(0.9, 0.3, ExtendedComplex.from_value(1.5))
+        coherent = super_coherent_state(CoherentParams(0.0, base), dim)
+        assert (coherent - super_qubit_state(base, dim)).norm() == 0.0
+
     def test_eigenvalue_relation(self):
         # quoted residual point: alpha = 1.2 - 0.3i, zeta = 1, theta = pi/3, phi = 0.4
         dim = 96

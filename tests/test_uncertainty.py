@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from superq import uncertainty
+from superq.errors import TruncationError
 from superq.moebius import ExtendedComplex
 from superq.superstate import CoherentParams, SuperQubitParams, guarded_max_abs
 from superq.uncertainty import (
@@ -91,6 +92,20 @@ class TestClosedMoments:
 
 
 class TestMatrixOracle:
+    @pytest.mark.parametrize("dim", [3, 8])
+    def test_undisplaced_oracle_exact_at_small_dim(self, dim):
+        # at alpha = 0 the state lives on levels 0, 1 and X, P reach level 2 at most
+        small = quadrature_stats_numeric(SYMMETRIC_POINT, dim)
+        full = quadrature_stats_numeric(SYMMETRIC_POINT, 64)
+        for name in ("mean_x", "mean_p", "var_x", "var_p", "product"):
+            assert getattr(small, name) == pytest.approx(getattr(full, name), abs=1e-15)
+
+    def test_undisplaced_oracle_refuses_dim_two(self):
+        # X|1> has a |2> component, which two levels cannot hold
+        with pytest.raises(TruncationError, match="dim >= 3") as excinfo:
+            quadrature_stats_numeric(SYMMETRIC_POINT, 2)
+        assert excinfo.value.required_dim == 3
+
     def test_variances_match_at_quoted_point(self):
         point = params(1.3 - 0.7j, 1.0, 0.5, 2.0)
         closed = quadrature_stats_closed(point)

@@ -61,6 +61,16 @@ class TestRunVerify:
         assert "golden_gap_at_n20" in names
         assert len(names) == 21
 
+    @pytest.mark.parametrize("n_max", [45, 200])
+    def test_fibonacci_ladder_properties_hold_at_any_depth(self, n_max):
+        # from n ~ 40 on, the radii and the gaps sit within float rounding of
+        # their golden limits; the sign and the gap order are decided exactly
+        report = run_verify("fibonacci", dim=64, n_max=n_max)
+        by_name = {check.name: check for check in report.checks}
+        assert by_name["fibonacci_circle_sign_alternation"].residual == 0.0
+        assert by_name["fibonacci_dispersion_monotone_convergence"].residual == 0.0
+        assert report.all_passed, [c.name for c in report.checks if not c.passed]
+
     def test_payload_is_consistent(self):
         report = run_verify("algebra", dim=32)
         payload = report.to_payload()
