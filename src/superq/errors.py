@@ -8,7 +8,10 @@ class InvalidDimensionError(ValueError):
 class TruncationError(ValueError):
     """Raised when an operation needs more Fock levels than the space provides.
 
-    ``required_dim`` carries the smallest acceptable truncation size.
+    ``required_dim`` carries the smallest acceptable truncation size; for a
+    displacement whose alpha has a part larger than dim it carries the
+    floor |alpha|^2 + 6 |alpha| + 20, a lower bound found without the tail
+    scan.
     """
 
     def __init__(self, message: str, required_dim: int):

@@ -15,8 +15,11 @@ columns lose past the truncation below 1e-13.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 
@@ -61,6 +64,14 @@ class FockVector:
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
 
+    @classmethod
+    def _adopt(cls, coeffs: np.ndarray) -> "FockVector":
+        """Wrap a nonempty 1-d complex128 array no caller holds, without a copy."""
+        coeffs.setflags(write=False)
+        vector = object.__new__(cls)
+        object.__setattr__(vector, "coeffs", coeffs)
+        return vector
+
     @property
     def dim(self) -> int:
         return self.coeffs.size
@@ -89,14 +100,14 @@ def basis_ket(n: int, dim: int) -> FockVector:
         )
     coeffs = np.zeros(dim, dtype=np.complex128)
     coeffs[n] = 1.0
-    return FockVector(coeffs)
+    return FockVector._adopt(coeffs)
 
 
 def zero_vector(dim: int) -> FockVector:
     """The zero vector (not a state) used for empty fermion blocks."""
     if dim < 1:
         raise InvalidDimensionError(f"dim must be >= 1, got {dim}")
-    return FockVector(np.zeros(dim, dtype=np.complex128))
+    return FockVector._adopt(np.zeros(dim, dtype=np.complex128))
 
 
 def boson_annihilator(dim: int) -> BosonOperator:
@@ -134,34 +145,75 @@ def _log_coherent_moduli(modulus: float, start: int, stop: int) -> np.ndarray:
     return (-0.5 * modulus * modulus) + n * math.log(modulus) - 0.5 * log_factorial
 
 
+def _guard_floor(alpha: complex) -> int:
+    """ceil(|alpha|^2 + 6 |alpha| + 20) for any finite alpha.
+
+    Past the float range |alpha|^2 is summed exactly in rationals and
+    |alpha| is rounded up to an integer.
+    """
+    try:
+        a = abs(alpha)
+        floor = a * a + 6.0 * a + 20.0
+    except OverflowError:  # |alpha| itself overflows
+        floor = math.inf
+    if floor < math.inf:
+        return math.ceil(floor)
+    mod_sq = math.ceil(Fraction(alpha.real) ** 2 + Fraction(alpha.imag) ** 2)
+    return mod_sq + 6 * (math.isqrt(mod_sq) + 1) + 20
+
+
 def required_displacement_dim(alpha: complex) -> int:
     """Smallest truncation size safe for displacing by alpha.
 
     The larger of |alpha|^2 + 6 |alpha| + 20 and the smallest dim at which
     D|0> and D|1> together lose at most ``DISPLACED_TAIL_TOL`` of their
-    norm^2 past the truncation, summed in O(dim) from the closed moduli.
+    norm^2 past the truncation, summed from the closed moduli in O(|alpha|).
     """
     a = abs(alpha)
-    floor = math.ceil(a * a + 6.0 * a + 20.0)
+    floor = _guard_floor(complex(alpha))
     if a == 0:
         return floor
-    # levels floor..2*floor-1; the weights past 2*floor are far below the tolerance
-    moduli = np.exp(_log_coherent_moduli(a, floor - 1, 2 * floor))  # |<n|D|0>| from n = floor-1
+    # The crossing lies within 2|alpha| levels past the floor (1.89|alpha| at
+    # |alpha| = 1e5).  Beyond floor + 6|alpha| + 60, or 2*floor for small alpha,
+    # the weights sit far below the last bit of the tolerance.
+    stop = min(2 * floor, floor + 6 * math.ceil(a) + 60)
+    moduli = np.exp(_log_coherent_moduli(a, floor - 1, stop))  # |<n|D|0>| from n = floor-1
     # |<n|D|1>| = |sqrt(n) |<n-1|D|0>| - |alpha| |<n|D|0>||
-    shifted = np.sqrt(np.arange(floor, 2.0 * floor)) * moduli[:-1] - a * moduli[1:]
+    shifted = np.sqrt(np.arange(floor, stop, dtype=np.float64)) * moduli[:-1] - a * moduli[1:]
     weights = moduli[1:] ** 2 + shifted**2
     tails = np.cumsum(weights[::-1])[::-1]  # tails[k] = mass on levels >= floor + k
     return floor + int(np.argmax(tails <= DISPLACED_TAIL_TOL))
 
 
+def _dim_text(dim: int) -> str:
+    """dim in full, or rounded to 4 significant digits past 15 digits."""
+    return str(dim) if dim < 10**15 else f"{Decimal(dim):.3e}"
+
+
 def ensure_displacement_dim(alpha: complex, dim: int) -> None:
-    """Raise TruncationError when dim is too small to displace by alpha."""
-    required = required_displacement_dim(alpha)
+    """Raise TruncationError when dim is too small to displace by alpha.
+
+    O(dim) whatever alpha.  The tail scan of :func:`required_displacement_dim`
+    runs only while both parts of alpha are at most dim, so over O(dim)
+    levels.  A larger part needs dim > |alpha|^2 anyway: it is refused in
+    O(1), naming the floor |alpha|^2 + 6 |alpha| + 20, a lower bound on the
+    required dim.
+    """
+    alpha = complex(alpha)
+    if abs(alpha.real) <= dim and abs(alpha.imag) <= dim:
+        required = required_displacement_dim(alpha)
+    else:
+        required = _guard_floor(alpha)
     if dim < required:
         raise TruncationError(
-            f"displacement by alpha = {alpha} needs dim >= {required}, got {dim}",
+            f"displacement by alpha = {alpha} needs dim >= {_dim_text(required)}, got {dim}",
             required_dim=required,
         )
+
+
+def _require_two_levels(dim: int) -> None:
+    if dim < 2:
+        raise InvalidDimensionError(f"displacement needs dim >= 2, got {dim}")
 
 
 def displacement_operator(alpha: complex, dim: int) -> BosonOperator:
@@ -171,12 +223,14 @@ def displacement_operator(alpha: complex, dim: int) -> BosonOperator:
     decomposition of its Hermitian partner i (conj(alpha) a - alpha a^dag),
     which keeps the result unitary to machine precision.  Its low columns
     differ from the exact D(alpha)|0>, D(alpha)|1> by the truncation of the
-    generator; :func:`displaced_columns` is the production route.
+    generator; :func:`displaced_columns` is the production route.  alpha = 0
+    gives the identity at any dim >= 2, outside the displacement guard.
     """
     alpha = complex(alpha)
-    ensure_displacement_dim(alpha, dim)
+    _require_two_levels(dim)
     if alpha == 0:
         return np.eye(dim, dtype=np.complex128)
+    ensure_displacement_dim(alpha, dim)
     a = boson_annihilator(dim)
     hermitian = 1j * (alpha.conjugate() * a - alpha * a.conj().T)
     evals, vecs = np.linalg.eigh(hermitian)
@@ -184,22 +238,38 @@ def displacement_operator(alpha: complex, dim: int) -> BosonOperator:
 
 
 def displaced_columns(alpha: complex, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """D(alpha)|0> and D(alpha)|1> in closed form, O(dim).
+    """D(alpha)|0> and D(alpha)|1> in closed form, O(dim), as read-only arrays.
 
     <n|D|0> = e^{-|alpha|^2/2} alpha^n / sqrt(n!) is evaluated from its
     logarithm, and D|1> = (a^dag - conj(alpha)) D|0> as a sqrt(n) shift.
     Both are exact on every kept level; the guard bounds what the truncation
-    drops.  alpha = 0 gives the basis kets exactly.
+    drops.  alpha = 0 gives the basis kets exactly, at any dim >= 2.
+
+    The pair is memoised per exact (Re alpha, Im alpha, dim): 0.5 + 0j and
+    0.5 - 0j compare equal but give D|1> columns whose zeros differ in sign,
+    so the key holds the bits of both parts.  Repeated calls return the same
+    arrays.
     """
     alpha = complex(alpha)
-    ensure_displacement_dim(alpha, dim)
+    return _memoised_columns(alpha.real.hex(), alpha.imag.hex(), dim)
+
+
+# Each verification suite varies alpha in its outer loop, so a few entries
+# serve a whole report; an entry holds 2 * dim complex numbers.
+@functools.lru_cache(maxsize=8)
+def _memoised_columns(re_hex: str, im_hex: str, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    alpha = complex(float.fromhex(re_hex), float.fromhex(im_hex))
+    _require_two_levels(dim)
     if alpha == 0:
-        basis = np.eye(2, dim, dtype=np.complex128)
-        return basis[0], basis[1]
-    n = np.arange(dim, dtype=np.float64)
-    d0 = np.exp(_log_coherent_moduli(abs(alpha), 0, dim) + 1j * (n * cmath.phase(alpha)))
-    d1 = -alpha.conjugate() * d0
-    d1[1:] += np.sqrt(n[1:]) * d0[:-1]
+        d0, d1 = np.eye(2, dim, dtype=np.complex128)
+    else:
+        ensure_displacement_dim(alpha, dim)
+        n = np.arange(dim, dtype=np.float64)
+        d0 = np.exp(_log_coherent_moduli(abs(alpha), 0, dim) + 1j * (n * cmath.phase(alpha)))
+        d1 = -alpha.conjugate() * d0
+        d1[1:] += np.sqrt(n[1:]) * d0[:-1]
+    d0.setflags(write=False)
+    d1.setflags(write=False)
     return d0, d1
 
 
@@ -207,4 +277,4 @@ def displaced_number_state(alpha: complex, m: int, dim: int) -> FockVector:
     """D(alpha)|m> for m in {0, 1}, from the closed-form columns."""
     if m not in (0, 1):
         raise UnsupportedLevelError(f"only levels 0 and 1 are supported, got {m}")
-    return FockVector(displaced_columns(alpha, dim)[m])
+    return FockVector._adopt(displaced_columns(alpha, dim)[m])

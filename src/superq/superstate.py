@@ -9,6 +9,10 @@ The one-super-particle label zeta enters every construction through its
 homogeneous coordinates (u, v): the pair of blocks of |n, zeta> is
 (v |n>, u |n-1>), the coefficient -1/zeta of the super-annihilation operator
 is -v/u, and both poles of the sphere come out of the same expressions.
+
+Public constructors copy the arrays a caller passes in.  The operators and
+states built here wrap the fresh arrays of their own arithmetic without a
+copy (``FockVector._adopt``, ``BlockOperator._adopt``), read-only as well.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -98,22 +103,30 @@ class SuperVector:
         half = arr.size // 2
         return cls(FockVector(arr[:half]), FockVector(arr[half:]))
 
+    @classmethod
+    def _adopt(cls, coeffs0: np.ndarray, coeffs1: np.ndarray) -> "SuperVector":
+        """Wrap two fresh complex128 blocks of one length without copying them."""
+        vector = object.__new__(cls)
+        object.__setattr__(vector, "psi0", FockVector._adopt(coeffs0))
+        object.__setattr__(vector, "psi1", FockVector._adopt(coeffs1))
+        return vector
+
     def __sub__(self, other: "SuperVector") -> "SuperVector":
-        return SuperVector(
-            FockVector(self.psi0.coeffs - other.psi0.coeffs),
-            FockVector(self.psi1.coeffs - other.psi1.coeffs),
+        return SuperVector._adopt(
+            self.psi0.coeffs - other.psi0.coeffs, self.psi1.coeffs - other.psi1.coeffs
         )
 
     def __rmul__(self, scalar: complex) -> "SuperVector":
-        return SuperVector(
-            FockVector(scalar * self.psi0.coeffs),
-            FockVector(scalar * self.psi1.coeffs),
-        )
+        return SuperVector._adopt(scalar * self.psi0.coeffs, scalar * self.psi1.coeffs)
 
 
 @dataclass(frozen=True)
 class BlockOperator:
-    """2x2 block of dense boson matrices; the fermion index is the block index."""
+    """2x2 block of dense boson matrices; the fermion index is the block index.
+
+    A block whose entries are all zero is neither multiplied nor added by
+    ``@`` and ``apply``; it is still stored as a dense zero matrix.
+    """
 
     ul: np.ndarray
     ur: np.ndarray
@@ -136,9 +149,26 @@ class BlockOperator:
         for name, block in blocks.items():
             object.__setattr__(self, name, block)
 
+    @classmethod
+    def _adopt(cls, ul, ur, ll, lr) -> "BlockOperator":
+        """Wrap fresh square complex128 blocks of one shape without copying them."""
+        op = object.__new__(cls)
+        for name, block in zip(("ul", "ur", "ll", "lr"), (ul, ur, ll, lr)):
+            block.setflags(write=False)
+            object.__setattr__(op, name, block)
+        return op
+
     @property
     def dim(self) -> int:
         return self.ul.shape[0]
+
+    @cached_property
+    def _rows(self) -> tuple[tuple, tuple]:
+        """((ul, ur), (ll, lr)) with None in place of each all-zero block."""
+        return tuple(
+            tuple(block if block.any() else None for block in row)
+            for row in ((self.ul, self.ur), (self.ll, self.lr))
+        )
 
     @classmethod
     def boson_diagonal(cls, mat: np.ndarray) -> "BlockOperator":
@@ -151,33 +181,38 @@ class BlockOperator:
         return np.block([[self.ul, self.ur], [self.ll, self.lr]])
 
     def apply(self, state: SuperVector) -> SuperVector:
-        return SuperVector(
-            FockVector(self.ul @ state.psi0.coeffs + self.ur @ state.psi1.coeffs),
-            FockVector(self.ll @ state.psi0.coeffs + self.lr @ state.psi1.coeffs),
+        psi = (state.psi0.coeffs, state.psi1.coeffs)
+        return SuperVector._adopt(
+            *(_sum_of_products(row, psi, (self.dim,)) for row in self._rows)
         )
 
     def dagger(self) -> "BlockOperator":
-        return BlockOperator(
+        return BlockOperator._adopt(
             self.ul.conj().T, self.ll.conj().T, self.ur.conj().T, self.lr.conj().T
         )
 
     def __matmul__(self, other: "BlockOperator") -> "BlockOperator":
-        return BlockOperator(
-            self.ul @ other.ul + self.ur @ other.ll,
-            self.ul @ other.ur + self.ur @ other.lr,
-            self.ll @ other.ul + self.lr @ other.ll,
-            self.ll @ other.ur + self.lr @ other.lr,
+        shape = self.ul.shape
+        columns = tuple(zip(*other._rows))
+        return BlockOperator._adopt(
+            *(_sum_of_products(row, column, shape) for row in self._rows for column in columns)
         )
 
     def __add__(self, other: "BlockOperator") -> "BlockOperator":
-        return BlockOperator(
+        return BlockOperator._adopt(
             self.ul + other.ul, self.ur + other.ur, self.ll + other.ll, self.lr + other.lr
         )
 
     def __sub__(self, other: "BlockOperator") -> "BlockOperator":
-        return BlockOperator(
+        return BlockOperator._adopt(
             self.ul - other.ul, self.ur - other.ur, self.ll - other.ll, self.lr - other.lr
         )
+
+
+def _sum_of_products(row, column, shape) -> np.ndarray:
+    """row[0] @ column[0] + row[1] @ column[1], skipping terms with a None (zero) factor."""
+    terms = [x @ y for x, y in zip(row, column) if x is not None and y is not None]
+    return sum(terms[1:], terms[0]) if terms else np.zeros(shape, dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -228,7 +263,7 @@ def super_number_operator(dim: int) -> BlockOperator:
         raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
     n = number_operator(dim)
     zeros = np.zeros_like(n)
-    return BlockOperator(n, zeros, zeros, n + np.eye(dim, dtype=np.complex128))
+    return BlockOperator._adopt(n, zeros, zeros, n + np.eye(dim, dtype=np.complex128))
 
 
 def super_annihilation(zeta: ExtendedComplex, dim: int) -> BlockOperator:
@@ -241,7 +276,7 @@ def super_annihilation(zeta: ExtendedComplex, dim: int) -> BlockOperator:
     a = boson_annihilator(dim)
     coeff = _minus_inverse(zeta)
     zeros = np.zeros_like(a)
-    return BlockOperator(a, coeff * np.eye(dim, dtype=np.complex128), zeros, a)
+    return BlockOperator._adopt(a, coeff * np.eye(dim, dtype=np.complex128), zeros, a)
 
 
 def super_annihilation_transposed(zeta: ExtendedComplex, dim: int) -> BlockOperator:
@@ -249,7 +284,7 @@ def super_annihilation_transposed(zeta: ExtendedComplex, dim: int) -> BlockOpera
     a = boson_annihilator(dim)
     coeff = _minus_inverse(zeta)
     zeros = np.zeros_like(a)
-    return BlockOperator(a, zeros, coeff * np.eye(dim, dtype=np.complex128), a)
+    return BlockOperator._adopt(a, zeros, coeff * np.eye(dim, dtype=np.complex128), a)
 
 
 def super_creation_gate(zeta: ExtendedComplex, dim: int) -> BlockOperator:
@@ -259,7 +294,7 @@ def super_creation_gate(zeta: ExtendedComplex, dim: int) -> BlockOperator:
     """
     ad = boson_creator(dim)
     zeros = np.zeros_like(ad)
-    return BlockOperator(
+    return BlockOperator._adopt(
         zeta.v * ad, zeros, zeta.u * np.eye(dim, dtype=np.complex128), zeta.v * ad
     )
 
@@ -284,7 +319,7 @@ def n_superparticle_state(n: int, zeta: ExtendedComplex, dim: int) -> SuperVecto
     coeffs1 = np.zeros(dim, dtype=np.complex128)
     coeffs0[n] = zeta.v
     coeffs1[n - 1] = zeta.u
-    return SuperVector(FockVector(coeffs0), FockVector(coeffs1))
+    return SuperVector._adopt(coeffs0, coeffs1)
 
 
 def super_qubit_state(params: SuperQubitParams, dim: int) -> SuperVector:
@@ -298,21 +333,21 @@ def super_qubit_state(params: SuperQubitParams, dim: int) -> SuperVector:
     coeffs0[0] = amp0
     coeffs0[1] = amp1 * params.zeta.v
     coeffs1[0] = amp1 * params.zeta.u
-    return SuperVector(FockVector(coeffs0), FockVector(coeffs1))
+    return SuperVector._adopt(coeffs0, coeffs1)
 
 
-def _displace_low_levels(alpha: complex, *states: SuperVector) -> list[SuperVector]:
-    """D(alpha) on both blocks of states supported on boson levels 0 and 1.
+def _displace_low_levels(alpha: complex, state: SuperVector) -> SuperVector:
+    """D(alpha) on both blocks of a state supported on boson levels 0 and 1.
 
     Each block r0 |0> + r1 |1> becomes r0 D|0> + r1 D|1>, built from the
-    closed-form columns, which are computed once for all the states.
+    memoised closed-form columns.
     """
-    d0, d1 = displaced_columns(alpha, states[0].dim)
+    d0, d1 = displaced_columns(alpha, state.dim)
 
-    def block(psi: FockVector) -> FockVector:
-        return FockVector(psi.coeffs[0] * d0 + psi.coeffs[1] * d1)
+    def block(psi: FockVector) -> np.ndarray:
+        return psi.coeffs[0] * d0 + psi.coeffs[1] * d1
 
-    return [SuperVector(block(state.psi0), block(state.psi1)) for state in states]
+    return SuperVector._adopt(block(state.psi0), block(state.psi1))
 
 
 def super_coherent_state(params: CoherentParams, dim: int) -> SuperVector:
@@ -325,7 +360,7 @@ def super_coherent_state(params: CoherentParams, dim: int) -> SuperVector:
     reference = super_qubit_state(params.base, dim)
     if params.alpha == 0:
         return reference
-    return _displace_low_levels(params.alpha, reference)[0]
+    return _displace_low_levels(params.alpha, reference)
 
 
 def flip_operator(dim: int) -> BlockOperator:
@@ -334,7 +369,7 @@ def flip_operator(dim: int) -> BlockOperator:
         raise InvalidDimensionError(f"dim must be >= 1, got {dim}")
     eye = np.eye(dim, dtype=np.complex128)
     zeros = np.zeros_like(eye)
-    return BlockOperator(zeros, eye, eye, zeros)
+    return BlockOperator._adopt(zeros, eye, eye, zeros)
 
 
 def flip_state(state: SuperVector) -> SuperVector:
@@ -365,7 +400,8 @@ def pole_probabilities(
     pole0 = n_superparticle_state(0, zeta, dim)
     pole1 = n_superparticle_state(1, zeta, dim)
     if alpha != 0:
-        pole0, pole1 = _displace_low_levels(alpha, pole0, pole1)
+        pole0 = _displace_low_levels(alpha, pole0)
+        pole1 = _displace_low_levels(alpha, pole1)
     return abs(pole0.inner(state)) ** 2, abs(pole1.inner(state)) ** 2
 
 
@@ -416,7 +452,9 @@ def commutator_suite(
     inv_mod_sq = (abs(zeta.v) / abs(zeta.u)) ** 2  # 1/|zeta|^2, zero at the pole
     eye = np.eye(dim, dtype=np.complex128)
     zeros = np.zeros_like(eye)
-    ladder_target = BlockOperator((1.0 + inv_mod_sq) * eye, zeros, zeros, (1.0 - inv_mod_sq) * eye)
+    ladder_target = BlockOperator._adopt(
+        (1.0 + inv_mod_sq) * eye, zeros, zeros, (1.0 - inv_mod_sq) * eye
+    )
     lowering = (n_op @ a_op - a_op @ n_op + a_op).full()
     raising = (n_op @ a_dag - a_dag @ n_op - a_dag).full()
     ladder = (a_op @ a_dag - a_dag @ a_op - ladder_target).full()

@@ -7,7 +7,7 @@ comparisons use the configurable ``tol``.  Boolean conditions report residual
 0.0 on success and 1.0 on failure against tolerance 0.
 
 The same configuration (including the seed) always produces the same checks
-in the same order.
+in the same order; only the timings differ between runs.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .errors import InvalidDimensionError
 from .fock import (
     DEFAULT_DIM,
     GUARD_BAND,
-    FockVector,
     displaced_columns,
     displacement_operator,
 )
@@ -117,6 +116,7 @@ class VerificationReport:
     n_max: int
     checks: tuple[Check, ...]
     wall_time_ms: float
+    timings_ms: dict[str, float]
 
     @property
     def total(self) -> int:
@@ -135,7 +135,7 @@ class VerificationReport:
         return self.passed == self.total
 
     def to_payload(self) -> dict:
-        """JSON-ready mapping; wall_time_ms is the only non-reproducible field."""
+        """JSON-ready mapping; wall_time_ms and timings_ms are the non-reproducible fields."""
         return {
             "suite": self.suite,
             "dim": self.dim,
@@ -156,6 +156,7 @@ class VerificationReport:
                 "passed": self.passed,
                 "max_residual": self.max_residual,
                 "wall_time_ms": self.wall_time_ms,
+                "timings_ms": dict(self.timings_ms),
             },
         }
 
@@ -174,13 +175,11 @@ def _angle_grid(stride: int = 1) -> list[tuple[float, float]]:
 def _random_super_vector(rng: np.random.Generator, dim: int) -> SuperVector:
     raw = rng.standard_normal(2 * dim) + 1j * rng.standard_normal(2 * dim)
     raw /= np.linalg.norm(raw)
-    return SuperVector(FockVector(raw[:dim]), FockVector(raw[dim:]))
+    return SuperVector._adopt(raw[:dim], raw[dim:])
 
 
 def _displace_blocks(d: np.ndarray, state: SuperVector) -> SuperVector:
-    return SuperVector(
-        FockVector(d @ state.psi0.coeffs), FockVector(d @ state.psi1.coeffs)
-    )
+    return SuperVector._adopt(d @ state.psi0.coeffs, d @ state.psi1.coeffs)
 
 
 def _suite_algebra(dim: int, tol: float) -> list[Check]:
@@ -578,7 +577,9 @@ def run_verify(
     started = time.perf_counter()
     selected = SUITE_NAMES if suite == "all" else (suite,)
     checks: list[Check] = []
+    timings_ms: dict[str, float] = {}
     for name in selected:
+        suite_started = time.perf_counter()
         if name == "algebra":
             checks.extend(_suite_algebra(dim, tol))
         elif name == "eigen":
@@ -589,6 +590,7 @@ def run_verify(
             checks.extend(_suite_uncertainty(dim, tol))
         elif name == "fibonacci":
             checks.extend(_suite_fibonacci(dim, tol, n_max))
+        timings_ms[name] = (time.perf_counter() - suite_started) * 1000.0
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     return VerificationReport(
         suite=suite,
@@ -598,4 +600,5 @@ def run_verify(
         n_max=n_max,
         checks=tuple(checks),
         wall_time_ms=elapsed_ms,
+        timings_ms=timings_ms,
     )

@@ -1,3 +1,6 @@
+import contextlib
+import csv
+import io
 import json
 import math
 import subprocess
@@ -5,8 +8,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from superq.cli import FIBONACCI_HEADER, SWEEP_HEADER, sweep_thetas
+from superq import fock
+from superq.cli import FIBONACCI_HEADER, SWEEP_HEADER, main as cli_main, sweep_thetas
 
 
 class TestGoldenFiles:
@@ -148,6 +153,143 @@ class TestDenseSpectralWork:
         code, _, _ = run_cli(["verify", "--suite", "all", "--dim", "48", "--n-max", "5"])
         assert code == 0
         assert len(eigh_calls) == 4
+
+
+class TestClosedColumnWork:
+    """Each distinct (alpha, dim) builds its closed columns once per process."""
+
+    @pytest.fixture
+    def memo(self):
+        fock._memoised_columns.cache_clear()
+        return fock._memoised_columns
+
+    def test_default_verify_report_builds_each_key_once(self, run_cli, memo):
+        code, _, _ = run_cli(["verify", "--suite", "all"])
+        assert code == 0
+        assert memo.cache_info().misses == memo.cache_info().currsize == 5
+
+    def test_coherent_builds_once(self, run_cli, memo):
+        args = ["--theta=1.1", "--phi=0.4", "--zeta-re=0.8", "--zeta-im=0.3", "--alpha-re=2.1"]
+        code, _, _ = run_cli(["coherent", *args, "--alpha-im=-1.7", "--dim", "96"])
+        assert code == 0
+        # super_coherent_state builds; pole_probabilities reuses for both poles
+        assert (memo.cache_info().misses, memo.cache_info().hits) == (1, 2)
+
+
+def _masked_verify(out):
+    payload = json.loads(out)
+    del payload["summary"]["wall_time_ms"], payload["summary"]["timings_ms"]
+    return payload
+
+
+class TestVerifyMemoIdentity:
+    def test_cold_and_warm_reports_agree(self, run_cli):
+        argv = ["verify", "--suite", "all", "--dim", "40"]
+        fock._memoised_columns.cache_clear()
+        code, cold, _ = run_cli(argv)
+        assert code == 0
+        # verify's entangle suite displaces by 1.5 + 0j; these share its key
+        # under complex equality but not its bits
+        for alpha in (complex(1.5, -0.0), complex(-0.0, 1.5), complex(1.1, -0.6)):
+            fock.displaced_columns(alpha, 40)
+        code, warm, _ = run_cli(argv)
+        assert code == 0
+        assert _masked_verify(warm) == _masked_verify(cold)
+
+    def test_summary_times_every_suite(self, run_cli):
+        code, out, _ = run_cli(["verify", "--suite", "all", "--dim", "40", "--n-max", "5"])
+        assert code == 0
+        timings = json.loads(out)["summary"]["timings_ms"]
+        assert list(timings) == ["algebra", "eigen", "entangle", "uncertainty", "fibonacci"]
+        assert all(ms >= 0.0 for ms in timings.values())
+        code, out, _ = run_cli(["verify", "--suite", "fibonacci", "--n-max", "5"])
+        assert list(json.loads(out)["summary"]["timings_ms"]) == ["fibonacci"]
+
+
+class TestHugeAlpha:
+    @pytest.mark.parametrize(
+        "alpha,named",
+        [("1000", "dim >= 1006020,"), ("1e154", "dim >= 1.000e+308,"), ("1e200", "dim >= 1.000e+400,")],
+    )
+    @pytest.mark.parametrize("command", ["coherent", "uncertainty"])
+    def test_refused_naming_the_dim(self, run_cli, command, alpha, named):
+        code, out, err = run_cli(
+            [command, f"--alpha-re={alpha}", "--theta", "1", "--zeta-re", "1", "--dim", "64"]
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("superq: error: displacement by alpha") and named in err
+
+
+_HUGE = [1e154, -1e200, 1.7e308, -1.7e308, 5e307]
+_FLOATS = st.one_of(
+    st.sampled_from(_HUGE + [0.0, -0.0, 1e-300]),
+    st.floats(min_value=-4.0, max_value=4.0, allow_nan=False),
+)
+# mostly valid angles and one zeta choice, so that most argv reach the numerics
+_THETAS = st.one_of(st.floats(min_value=0.0, max_value=math.pi), _FLOATS)
+_ZETA_CHOICES = ["finite", "finite", "finite", "inf", "both", "none"]
+_FLAGS = {
+    "state": ("zeta", "angles", "n"),
+    "coherent": ("zeta", "angles", "alpha"),
+    "concurrence": ("zeta", "angles", "n"),
+    "entropy": ("zeta",),
+    "uncertainty": ("zeta", "angles", "alpha"),
+    "sweep": ("zeta", "grid"),
+    "fibonacci": ("n_max",),
+    "verify": ("suite",),
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command, "--dim", str(draw(st.integers(2, 64)))]
+    groups = _FLAGS[command]
+    if "zeta" in groups:
+        choice = draw(st.sampled_from(_ZETA_CHOICES))
+        if choice in ("inf", "both"):
+            argv.append("--zeta-inf")
+        if choice in ("finite", "both"):
+            argv.append(f"--zeta-re={draw(_FLOATS)!r}")
+            if draw(st.booleans()):
+                argv.append(f"--zeta-im={draw(_FLOATS)!r}")
+    if "angles" in groups:
+        if draw(st.integers(0, 3)):
+            argv.append(f"--theta={draw(_THETAS)!r}")
+        if draw(st.booleans()):
+            argv.append(f"--phi={draw(_FLOATS)!r}")
+    if "n" in groups and not draw(st.integers(0, 3)):
+        argv.append(f"--n={draw(st.integers(-1, 70))}")
+    if "alpha" in groups:
+        for flag in ("--alpha-re", "--alpha-im"):
+            if draw(st.booleans()):
+                argv.append(f"{flag}={draw(_FLOATS)!r}")
+    if "grid" in groups:
+        argv.append(f"--grid={draw(st.integers(0, 4))},{draw(st.integers(0, 4))}")
+    if "n_max" in groups:
+        argv.append(f"--n-max={draw(st.integers(1, 12))}")
+    if "suite" in groups:
+        argv += ["--suite", draw(st.sampled_from(["algebra", "fibonacci", "nope"])), "--n-max=4"]
+    return argv
+
+
+class TestMainFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(_argv())
+    def test_main_exits_cleanly(self, argv):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = cli_main(argv)
+        out = stdout.getvalue()
+        assert code in (0, 1, 2)
+        if not out:
+            return
+        if argv[0] in ("sweep", "fibonacci"):
+            rows = list(csv.reader(io.StringIO(out)))
+            assert len({len(row) for row in rows}) == 1
+            assert all(math.isfinite(float(cell)) for row in rows[1:] for cell in row if cell != "inf")
+        else:
+            json.loads(out)
 
 
 class TestAnalysisCommands:

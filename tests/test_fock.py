@@ -240,3 +240,126 @@ class TestDisplacedNumberStates:
         keep = dim - fock.GUARD_BAND
         lowered = fock.boson_annihilator(dim) @ d0
         assert np.abs(lowered - alpha * d0)[:keep].max() <= 1e-12 * max(1.0, abs(alpha))
+
+
+class TestUndisplacedColumns:
+    """alpha = 0 displaces nothing, so the guard's dim >= 20 does not apply."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_zero_alpha_gives_basis_columns_at_small_dim(self, dim):
+        for m in (0, 1):
+            state = fock.displaced_number_state(0, m, dim)
+            np.testing.assert_array_equal(state.coeffs, fock.basis_ket(m, dim).coeffs)
+
+    @pytest.mark.parametrize("dim", [2, 8])
+    def test_zero_alpha_operator_is_identity_at_small_dim(self, dim):
+        np.testing.assert_array_equal(fock.displacement_operator(0, dim), np.eye(dim))
+
+    def test_one_level_rejected(self):
+        with pytest.raises(InvalidDimensionError):
+            fock.displaced_columns(0, 1)
+
+
+class TestHugeDisplacementGuard:
+    """The refusal costs O(dim) whatever |alpha|, and names the dim it needs."""
+
+    @pytest.fixture
+    def scanned_levels(self, monkeypatch):
+        spans = []
+        original = fock._log_coherent_moduli
+
+        def recording(modulus, start, stop):
+            spans.append(stop - start)
+            return original(modulus, start, stop)
+
+        monkeypatch.setattr(fock, "_log_coherent_moduli", recording)
+        return spans
+
+    @pytest.mark.parametrize(
+        "alpha,named",
+        [
+            (1000.0, "dim >= 1006020,"),
+            (1e154, "dim >= 1.000e+308,"),
+            (1e200, "dim >= 1.000e+400,"),
+            (complex(1.7e308, 1.7e308), "dim >= 5.780e+616,"),
+        ],
+    )
+    def test_refusal_scans_nothing_and_names_dim(self, scanned_levels, alpha, named):
+        with pytest.raises(TruncationError) as excinfo:
+            fock.ensure_displacement_dim(alpha, 64)
+        assert named in str(excinfo.value)
+        assert excinfo.value.required_dim > 64
+        assert scanned_levels == []
+
+    @pytest.mark.parametrize("dim", [64, 100, 132])
+    def test_scan_names_the_exact_dim_over_o_dim_levels(self, scanned_levels, dim):
+        # |alpha| = 8: floor 132, the closed-column tail needs 138
+        with pytest.raises(TruncationError) as excinfo:
+            fock.ensure_displacement_dim(8.0, dim)
+        assert excinfo.value.required_dim == 138
+        assert f"dim >= 138, got {dim}" in str(excinfo.value)
+        assert max(scanned_levels) <= 6 * 8 + 61
+
+    def test_tail_scan_is_o_alpha(self, scanned_levels):
+        # the crossing sits about 1.9 |alpha| past the floor
+        dim = fock.required_displacement_dim(1000.0)
+        assert 1006020 < dim < 1006020 + 2000
+        assert scanned_levels == [6 * 1000 + 61]
+
+
+def _full_window_required_dim(alpha):
+    """The tail scan over every level floor..2*floor, the reference for the O(|alpha|) window."""
+    a = abs(alpha)
+    floor = math.ceil(a * a + 6.0 * a + 20.0)
+    if a == 0:
+        return floor
+    moduli = np.exp(fock._log_coherent_moduli(a, floor - 1, 2 * floor))
+    shifted = np.sqrt(np.arange(floor, 2.0 * floor)) * moduli[:-1] - a * moduli[1:]
+    tails = np.cumsum((moduli[1:] ** 2 + shifted**2)[::-1])[::-1]
+    return floor + int(np.argmax(tails <= fock.DISPLACED_TAIL_TOL))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=0.0, max_value=60.0), st.floats(min_value=0.0, max_value=2.0 * math.pi))
+def test_windowed_tail_scan_matches_full_scan(modulus, phase):
+    alpha = complex(modulus * math.cos(phase), modulus * math.sin(phase))
+    assert fock.required_displacement_dim(alpha) == _full_window_required_dim(alpha)
+
+
+class TestColumnMemo:
+    """displaced_columns memoises per exact (Re alpha, Im alpha, dim) bits."""
+
+    @pytest.mark.parametrize("x", [0.5, -1.3, 2.0])
+    @pytest.mark.parametrize("first_sign", [1.0, -1.0])
+    def test_signed_zero_keys_match_cold_calls(self, x, first_sign):
+        dim = 40
+        cold = {}
+        for sign in (1.0, -1.0):
+            fock._memoised_columns.cache_clear()
+            cold[sign] = [col.tobytes() for col in fock.displaced_columns(complex(x, sign * 0.0), dim)]
+        fock._memoised_columns.cache_clear()
+        for sign in (first_sign, -first_sign, first_sign):
+            warm = [col.tobytes() for col in fock.displaced_columns(complex(x, sign * 0.0), dim)]
+            assert warm == cold[sign]
+
+    def test_cached_columns_reject_writes(self):
+        d0, d1 = fock.displaced_columns(1.2 - 0.3j, 40)
+        for column in (d0, d1, *fock.displaced_columns(0, 4)):
+            with pytest.raises(ValueError):
+                column[0] = 7.0
+        again = fock.displaced_columns(1.2 - 0.3j, 40)
+        assert again[0] is d0 and again[1] is d1
+
+    def test_memo_is_bounded(self):
+        for k in range(40):
+            fock.displaced_columns(0.01 * (k + 1), 24)
+        assert fock._memoised_columns.cache_info().currsize <= fock._memoised_columns.cache_info().maxsize
+
+
+class TestArrayOwnership:
+    def test_fock_vector_copies_caller_array(self):
+        coeffs = np.array([0.6, 0.8j])
+        vec = fock.FockVector(coeffs)
+        coeffs[0] = 5.0
+        assert vec.coeffs[0] == 0.6
+        assert coeffs.flags.writeable

@@ -408,3 +408,58 @@ class TestParams:
         base = SuperQubitParams(0.5, 0.0, ExtendedComplex.from_value(1.0))
         with pytest.raises(ValueError):
             CoherentParams(complex("inf"), base)
+
+
+class TestBlockOperatorOwnership:
+    def test_caller_arrays_are_copied(self):
+        blocks = [np.eye(3) * (k + 1) for k in range(4)]
+        op = BlockOperator(*blocks)
+        for block in blocks:
+            block[0, 0] = -9.0
+        np.testing.assert_array_equal(op.full(), np.kron(np.array([[1, 2], [3, 4]]), np.eye(3)))
+        assert all(block.flags.writeable for block in blocks)
+
+    def test_boson_diagonal_copies_caller_array(self):
+        mat = np.arange(4.0).reshape(2, 2)
+        op = BlockOperator.boson_diagonal(mat)
+        mat[0, 0] = 9.0
+        assert op.ul[0, 0] == 0.0 and op.lr[0, 0] == 0.0
+
+    def test_blocks_of_derived_operators_are_read_only(self):
+        a_op = super_annihilation(ExtendedComplex.from_value(0.7), 6)
+        for op in (a_op, a_op.dagger(), a_op @ a_op.dagger(), a_op - a_op, a_op + a_op):
+            for block in (op.ul, op.ur, op.ll, op.lr):
+                with pytest.raises(ValueError):
+                    block[0, 0] = 1.0
+
+    def test_zero_blocks_stay_dense_arrays(self):
+        a_op = super_annihilation(ExtendedComplex.from_value(0.7), 6)
+        product = a_op @ a_op
+        assert isinstance(product.ll, np.ndarray) and product.ll.shape == (6, 6)
+        assert not product.ll.any()
+
+    @pytest.mark.parametrize("dim", [2, 7])
+    def test_zero_aware_products_equal_all_block_products(self, dim):
+        # skipping a zero block drops only exact zero terms: the values equal
+        # those of all eight block products (up to the sign of zero entries)
+        zeta = ExtendedComplex.from_value(1.3 - 0.4j)
+        ops = [
+            super_annihilation(zeta, dim),
+            super_annihilation_transposed(zeta, dim),
+            super_creation_gate(zeta, dim),
+            flip_operator(dim),
+            super_number_operator(dim),
+        ]
+        rng = np.random.default_rng(3)
+        state = random_state(rng, dim)
+        psi0, psi1 = state.psi0.coeffs, state.psi1.coeffs
+        for x in ops:
+            applied = x.apply(state)
+            np.testing.assert_array_equal(applied.psi0.coeffs, x.ul @ psi0 + x.ur @ psi1)
+            np.testing.assert_array_equal(applied.psi1.coeffs, x.ll @ psi0 + x.lr @ psi1)
+            for y in ops:
+                product = x @ y
+                np.testing.assert_array_equal(product.ul, x.ul @ y.ul + x.ur @ y.ll)
+                np.testing.assert_array_equal(product.ur, x.ul @ y.ur + x.ur @ y.lr)
+                np.testing.assert_array_equal(product.ll, x.ll @ y.ul + x.lr @ y.ll)
+                np.testing.assert_array_equal(product.lr, x.ll @ y.ur + x.lr @ y.lr)
