@@ -14,6 +14,8 @@ import os
 import sys
 from dataclasses import asdict
 
+import numpy as np
+
 from .entanglement import (
     collapse_probabilities,
     concurrence_gram,
@@ -41,7 +43,7 @@ from .uncertainty import (
     quadrature_stats_numeric,
     variance_quadratures_closed,
 )
-from .verify import DEFAULT_SEED, DEFAULT_TOL, SUITE_NAMES, run_verify
+from .verify import DEFAULT_SEED, DEFAULT_TOL, SUITE_NAMES, required_suite_dim, run_verify
 
 __all__ = ["main"]
 
@@ -262,6 +264,13 @@ def _validate(args) -> None:
             raise UsageError(f"--tol must be positive and finite, got {args.tol}")
         if args.n_max < 3:
             raise UsageError(f"--n-max must be >= 3, got {args.n_max}")
+        if args.command == "verify":
+            required = required_suite_dim(args.suite)
+            if args.dim < required:
+                raise UsageError(
+                    f"--dim must be >= {required} for verify --suite {args.suite}, "
+                    f"got {args.dim}"
+                )
         return
     args.zeta = _resolve_zeta(args)
     if args.command == "sweep":
@@ -285,8 +294,9 @@ def _zeta_payload(args):
     return "inf" if args.zeta_inf else list(_zeta_parts(args))
 
 
-def _complex_pairs(coeffs) -> list[list[float]]:
-    return [[c.real, c.imag] for c in coeffs]
+def _pairs(coeffs: np.ndarray) -> np.ndarray:
+    """A complex block as its (dim, 2) float64 [re, im] view."""
+    return coeffs.view(np.float64).reshape(-1, 2)
 
 
 def _selected_state(args):
@@ -317,8 +327,8 @@ def _emit_state(args) -> str:
     payload = {
         "dim": args.dim,
         "params": params,
-        "psi0": _complex_pairs(state.psi0.coeffs),
-        "psi1": _complex_pairs(state.psi1.coeffs),
+        "psi0": _pairs(state.psi0.coeffs),
+        "psi1": _pairs(state.psi1.coeffs),
         "norm": state.norm(),
         "concurrence_closed": closed,
         "concurrence_gram": concurrence_gram(state),

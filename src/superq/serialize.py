@@ -4,6 +4,11 @@ The standard json module formats floats with the shortest round-trip
 representation, which is stable but under-specified across interpreter
 versions; emitting every float through a fixed '%.17g' keeps output
 byte-reproducible and exactly round-trippable.
+
+A real 2-d float64 array renders exactly as its nested list would, one
+bracketed row per line, but in a single '%'-format pass over the whole
+array; state blocks reach the serializer as their (dim, 2) [re, im] views.
+CSV rows are likewise formatted through one template per row layout.
 """
 
 from __future__ import annotations
@@ -11,18 +16,35 @@ from __future__ import annotations
 import json
 import math
 
-__all__ = ["format_float", "dumps", "csv_text"]
+import numpy as np
+
+__all__ = ["dumps", "csv_text"]
 
 _INDENT = 2
+_FLOAT = "%.17g"
 
 
-def format_float(value: float) -> str:
-    """Fixed 17-significant-digit representation of a float."""
-    return format(float(value), ".17g")
+def _non_finite(value) -> ValueError:
+    return ValueError(f"non-finite float {value} cannot be serialized to JSON")
 
 
 def _is_scalar(value) -> bool:
     return value is None or isinstance(value, (bool, int, float, str))
+
+
+def _render_rows(arr: np.ndarray, level: int) -> str:
+    """A real 2-d array as the JSON of arr.tolist(), formatted in one pass."""
+    flat = arr.ravel()
+    if not np.isfinite(flat).all():
+        raise _non_finite(float(flat[~np.isfinite(flat)][0]))
+    rows, cols = arr.shape
+    if not rows:
+        return "[]"
+    row = "[" + ", ".join([_FLOAT] * cols) + "]"
+    pad = " " * (_INDENT * level)
+    inner = " " * (_INDENT * (level + 1))
+    template = "[\n" + inner + (",\n" + inner).join([row] * rows) + "\n" + pad + "]"
+    return template % tuple(flat.tolist())
 
 
 def _render(value, level: int) -> str:
@@ -36,8 +58,10 @@ def _render(value, level: int) -> str:
         return str(value)
     if isinstance(value, float):
         if not math.isfinite(value):
-            raise ValueError(f"non-finite float {value} cannot be serialized to JSON")
-        return format_float(value)
+            raise _non_finite(value)
+        return _FLOAT % value
+    if isinstance(value, np.ndarray) and value.ndim == 2 and value.dtype == np.float64:
+        return _render_rows(value, level)
     pad = " " * (_INDENT * level)
     inner = " " * (_INDENT * (level + 1))
     if isinstance(value, dict):
@@ -59,22 +83,32 @@ def _render(value, level: int) -> str:
 
 
 def dumps(payload) -> str:
-    """Render a payload as deterministic, indented JSON (no trailing newline)."""
+    """Render a payload as deterministic, indented JSON (no trailing newline).
+
+    Besides JSON scalars, lists, tuples and dicts, a payload may hold real 2-d
+    float64 arrays; each renders as the list of its rows.
+    """
     return _render(payload, 0)
 
 
-def _cell(value) -> str:
-    if isinstance(value, bool):
+def _cell_format(kind: type) -> str:
+    if issubclass(kind, bool):
         raise TypeError("booleans do not belong in CSV output")
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return format_float(value)
-    return str(value)
+    return _FLOAT if issubclass(kind, float) else "%s"
 
 
 def csv_text(header: list[str], rows: list[list]) -> str:
-    """Render numeric rows under a frozen header (no trailing newline)."""
+    """Render numeric rows under a frozen header (no trailing newline).
+
+    Floats print as '%.17g' (``inf`` as ``inf``), ints and other cells as
+    ``str``, so ints stay exact at any size; booleans are refused.
+    """
+    templates: dict[tuple[type, ...], str] = {}
     lines = [",".join(header)]
-    lines.extend(",".join(_cell(cell) for cell in row) for row in rows)
+    for row in rows:
+        kinds = tuple(map(type, row))
+        template = templates.get(kinds)
+        if template is None:
+            template = templates[kinds] = ",".join(map(_cell_format, kinds))
+        lines.append(template % tuple(row))
     return "\n".join(lines)

@@ -405,11 +405,16 @@ def pole_probabilities(
     return abs(pole0.inner(state)) ** 2, abs(pole1.inner(state)) ** 2
 
 
-def guarded_levels(dim: int, guard: int = GUARD_BAND) -> np.ndarray:
-    """Stacked indices of both fermion blocks with boson level < dim - guard."""
+def _guarded_count(dim: int, guard: int) -> int:
+    """Number of boson levels below the guard band, dim - guard."""
     if not 0 <= guard < dim:
         raise InvalidDimensionError(f"guard must satisfy 0 <= guard < dim, got {guard}")
-    keep = np.arange(dim - guard)
+    return dim - guard
+
+
+def guarded_levels(dim: int, guard: int = GUARD_BAND) -> np.ndarray:
+    """Stacked indices of both fermion blocks with boson level < dim - guard."""
+    keep = np.arange(_guarded_count(dim, guard))
     return np.concatenate([keep, keep + dim])
 
 
@@ -421,8 +426,9 @@ def guarded_max_abs(full_matrix: np.ndarray, dim: int, guard: int = GUARD_BAND) 
 
 def guarded_norm(state: SuperVector, guard: int = GUARD_BAND) -> float:
     """Euclidean norm of a SuperVector restricted to the guarded levels."""
-    keep = guarded_levels(state.dim, guard)
-    return float(np.linalg.norm(state.to_array()[keep]))
+    keep = _guarded_count(state.dim, guard)
+    guarded = np.concatenate([state.psi0.coeffs[:keep], state.psi1.coeffs[:keep]])
+    return float(np.linalg.norm(guarded))
 
 
 @dataclass(frozen=True)

@@ -30,12 +30,13 @@ from .entanglement import (
     entropy_from_z,
     reduced_boson_density,
 )
-from .errors import InvalidDimensionError
+from .errors import InvalidDimensionError, TruncationError
 from .fock import (
     DEFAULT_DIM,
     GUARD_BAND,
     displaced_columns,
     displacement_operator,
+    required_displacement_dim,
 )
 from .moebius import ExtendedComplex, zeta_to_bloch
 from .superstate import (
@@ -45,7 +46,6 @@ from .superstate import (
     commutator_suite,
     flip_operator,
     flip_state,
-    flipped_super_coherent_state,
     guarded_max_abs,
     guarded_norm,
     n_superparticle_state,
@@ -73,6 +73,7 @@ __all__ = [
     "SUITE_NAMES",
     "Check",
     "VerificationReport",
+    "required_suite_dim",
     "run_verify",
 ]
 
@@ -87,6 +88,10 @@ _ZETA_PHASES = (0.0, 1.2, 2.5, 3.7, 5.0)
 
 # Coherent amplitudes for eigenrelation checks, all with |alpha| <= 2.
 _EIGEN_ALPHAS = (1.2 - 0.3j, -0.7 + 1.8j, 1.9 + 0.6j)
+# The amplitudes the other suites displace by.
+_ALGEBRA_ALPHA = 0.9 + 0.4j
+_ENTANGLE_ALPHA = 1.5
+_UNCERTAINTY_ALPHA = 1.1 - 0.6j
 
 _BOOL_PASS = 0.0
 _BOOL_FAIL = 1.0
@@ -219,8 +224,7 @@ def _suite_algebra(dim: int, tol: float) -> list[Check]:
         np.abs(flipped_number - np.kron(np.diag([1.0, 0.0]), boson_eye)).max()
     )
 
-    alpha = 0.9 + 0.4j
-    d = displacement_operator(alpha, dim)
+    d = displacement_operator(_ALGEBRA_ALPHA, dim)
     commute = 0.0
     for zeta in _zeta_grid():
         state = super_qubit_state(SuperQubitParams(1.3, 0.7, zeta), dim)
@@ -279,7 +283,7 @@ def _suite_eigen(dim: int, tol: float) -> list[Check]:
                 coherent_residual = max(
                     coherent_residual, guarded_norm(residual) / coherent.norm()
                 )
-                flipped = flipped_super_coherent_state(params, dim)
+                flipped = flip_state(coherent)
                 residual = at_op.apply(flipped) - alpha * flipped
                 flipped_residual = max(
                     flipped_residual, guarded_norm(residual) / flipped.norm()
@@ -341,7 +345,7 @@ def _suite_entangle(dim: int, tol: float, rng: np.random.Generator) -> list[Chec
     flip_invariance = 0.0
     for zeta in zetas:
         for theta, phi in _angle_grid(stride=2):
-            params = CoherentParams(1.5, SuperQubitParams(theta, phi, zeta))
+            params = CoherentParams(_ENTANGLE_ALPHA, SuperQubitParams(theta, phi, zeta))
             alpha_invariance = max(
                 alpha_invariance, displacement_invariance_check(params, dim)
             )
@@ -412,7 +416,7 @@ def _suite_uncertainty(dim: int, tol: float) -> list[Check]:
         for theta, phi in _angle_grid(stride=2):
             base = SuperQubitParams(theta, phi, zeta)
             numeric_at_zero = quadrature_stats_numeric(CoherentParams(0.0, base), dim)
-            for alpha in (0.0, 1.1 - 0.6j):
+            for alpha in (0.0, _UNCERTAINTY_ALPHA):
                 params = CoherentParams(alpha, base)
                 closed = quadrature_stats_closed(params)
                 numeric = quadrature_stats_numeric(params, dim)
@@ -552,6 +556,40 @@ def _suite_fibonacci(dim: int, tol: float, n_max: int) -> list[Check]:
 
 SUITE_NAMES = ("algebra", "eigen", "entangle", "uncertainty", "fibonacci")
 
+# Per suite: the smallest dim it needs before any displacement, and the
+# amplitudes it displaces by.  algebra and eigen compare on the levels below
+# the guard band, entangle builds |5, zeta>, and the quadrature oracle needs 3.
+_SUITE_NEEDS = {
+    "algebra": (GUARD_BAND + 1, (_ALGEBRA_ALPHA,)),
+    "eigen": (GUARD_BAND + 1, _EIGEN_ALPHAS),
+    "entangle": (6, (_ENTANGLE_ALPHA,)),
+    "uncertainty": (3, (_UNCERTAINTY_ALPHA,)),
+    "fibonacci": (3, ()),
+}
+
+
+def _selected_suites(suite: str) -> tuple[str, ...]:
+    if suite == "all":
+        return SUITE_NAMES
+    if suite not in SUITE_NAMES:
+        raise ValueError(
+            f"unknown suite {suite!r}; choose from {('all',) + SUITE_NAMES}"
+        )
+    return (suite,)
+
+
+def required_suite_dim(suite: str) -> int:
+    """Smallest dim at which ``run_verify(suite)`` runs every check of the suite.
+
+    The largest of the suites' own level needs and the displacement guard of
+    every amplitude they displace by.  Raises ValueError for an unknown suite.
+    """
+    required = 0
+    for name in _selected_suites(suite):
+        levels, alphas = _SUITE_NEEDS[name]
+        required = max(required, levels, *map(required_displacement_dim, alphas))
+    return required
+
 
 def run_verify(
     suite: str = "all",
@@ -562,20 +600,21 @@ def run_verify(
 ) -> VerificationReport:
     """Run one named suite (or ``all``) and collect its checks.
 
-    Raises ValueError for an unknown suite name; numeric infeasibility such
-    as a displacement guard violation propagates as TruncationError.
+    Raises ValueError for an unknown suite name, and TruncationError for a
+    dim below :func:`required_suite_dim`.
     """
-    if suite != "all" and suite not in SUITE_NAMES:
-        raise ValueError(
-            f"unknown suite {suite!r}; choose from {('all',) + SUITE_NAMES}"
-        )
+    selected = _selected_suites(suite)
     if dim < 2:
         raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
+    required = required_suite_dim(suite)
+    if dim < required:
+        raise TruncationError(
+            f"suite {suite!r} needs dim >= {required}, got {dim}", required_dim=required
+        )
 
     started = time.perf_counter()
-    selected = SUITE_NAMES if suite == "all" else (suite,)
     checks: list[Check] = []
     timings_ms: dict[str, float] = {}
     for name in selected:

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from superq import fock
 from superq.cli import FIBONACCI_HEADER, SWEEP_HEADER, main as cli_main, sweep_thetas
+from superq.verify import required_suite_dim
 
 
 class TestGoldenFiles:
@@ -53,6 +54,23 @@ class TestGoldenFiles:
         ],
     )
     def test_command_output_bytes(self, run_cli, golden_dir, name, argv):
+        code, out, err = run_cli(argv)
+        assert (code, err) == (0, "")
+        assert out == (golden_dir / name).read_text()
+
+    @pytest.mark.parametrize(
+        "name,argv",
+        [
+            (
+                "coherent_theta2.3_alpha-1.2_dim128.json",
+                ["coherent", "--theta", "2.3", "--phi", "4", "--zeta-re=-0.7", "--zeta-im", "1.9",
+                 "--alpha-re=-1.2", "--alpha-im", "0.4", "--dim", "128"],
+            ),
+            ("state_n2_zetainf_dim4.json", ["state", "--n", "2", "--zeta-inf", "--dim", "4"]),
+            ("fibonacci_nmax90_dim64.csv", ["fibonacci", "--n-max", "90", "--dim", "64"]),
+        ],
+    )
+    def test_array_and_big_int_output_bytes(self, run_cli, golden_dir, name, argv):
         code, out, err = run_cli(argv)
         assert (code, err) == (0, "")
         assert out == (golden_dir / name).read_text()
@@ -433,6 +451,21 @@ class TestVerifyCommand:
         code, out, err = run_cli(["verify", "--suite", "fibonacci", "--n-max", "45", "--dim", "64"])
         assert (code, err) == (0, "")
         assert json.loads(out)["summary"]["passed"] == 45 - 3 + 1 + 3
+
+    @pytest.mark.parametrize(
+        "suite,dim", [("algebra", 8), ("algebra", 2), ("algebra", 9), ("all", 8), ("eigen", 8)]
+    )
+    def test_dim_below_the_suite_floor_names_the_flag(self, run_cli, suite, dim):
+        floor = required_suite_dim(suite)
+        code, out, err = run_cli(["verify", "--suite", suite, "--dim", str(dim)])
+        assert (code, out) == (2, "")
+        message = f"--dim must be >= {floor} for verify --suite {suite}, got {dim}"
+        assert err == f"superq: error: {message}\n"
+
+    def test_suite_floor_dim_runs(self, run_cli):
+        floor = required_suite_dim("algebra")
+        code, out, err = run_cli(["verify", "--suite", "algebra", "--dim", str(floor)])
+        assert (code, err) == (0, "")
 
     def test_seed_recorded(self, run_cli):
         code, out, _ = run_cli(["verify", "--suite", "fibonacci", "--n-max", "5", "--seed", "7"])

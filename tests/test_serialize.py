@@ -1,0 +1,138 @@
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+
+from superq.serialize import csv_text, dumps
+
+EDGE_FLOATS = (
+    0.0,
+    -0.0,
+    5e-324,
+    -5e-324,
+    2.2250738585072014e-308,
+    1.7976931348623157e308,
+    -1.7976931348623157e308,
+    1e-300,
+    1e300,
+    1.0,
+    0.1,
+)
+FINITE = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+ARRAYS = hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=9),
+    elements=FINITE,
+)
+
+
+class TestArrays:
+    @settings(max_examples=300, deadline=None)
+    @given(ARRAYS)
+    def test_array_renders_as_its_nested_list(self, arr):
+        assert dumps(arr) == dumps(arr.tolist())
+        assert dumps({"psi": arr}) == dumps({"psi": arr.tolist()})
+
+    @settings(max_examples=300, deadline=None)
+    @given(ARRAYS)
+    def test_every_float_round_trips(self, arr):
+        # '-0' and '1' read back as JSON integers; parse_int keeps the sign of zero
+        loaded = np.array(json.loads(dumps(arr), parse_int=float), dtype=np.float64)
+        loaded = loaded.reshape(arr.shape)
+        assert loaded.tobytes() == arr.tobytes()
+
+    def test_complex_view_renders_re_im_pairs(self):
+        coeffs = np.array([1 - 0.5j, complex(-0.0, 2e-310), 0.1 + 0j])
+        pairs = coeffs.view(np.float64).reshape(-1, 2)
+        expected = [[c.real, c.imag] for c in coeffs]
+        assert dumps({"psi0": pairs}) == dumps({"psi0": expected})
+        assert dumps(pairs).splitlines()[2] == f"  [-0, {format(2e-310, '.17g')}],"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("shape,index", [((1, 1), (0, 0)), ((4, 2), (3, 1)), ((3, 5), (1, 2))])
+    def test_non_finite_array_raises_like_the_list(self, bad, shape, index):
+        arr = np.arange(float(np.prod(shape))).reshape(shape)
+        arr[index] = bad
+        with pytest.raises(ValueError) as from_list:
+            dumps(arr.tolist())
+        with pytest.raises(ValueError) as from_array:
+            dumps(arr)
+        assert str(from_array.value) == str(from_list.value)
+        assert str(from_array.value) == f"non-finite float {bad} cannot be serialized to JSON"
+
+    def test_first_non_finite_is_named(self):
+        arr = np.array([[1.0, -math.inf], [math.nan, 2.0]])
+        with pytest.raises(ValueError, match="non-finite float -inf"):
+            dumps(arr)
+
+    @pytest.mark.parametrize(
+        "arr", [np.zeros((2, 2), dtype=np.complex128), np.zeros(3), np.zeros((2, 2), dtype=np.int64)]
+    )
+    def test_other_arrays_refused(self, arr):
+        with pytest.raises(TypeError, match="cannot serialize ndarray"):
+            dumps(arr)
+
+
+class TestScalars:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scalar_raises(self, bad):
+        with pytest.raises(ValueError, match=f"non-finite float {bad} cannot be serialized"):
+            dumps({"x": [1.0, bad]})
+
+    @settings(max_examples=300, deadline=None)
+    @given(FINITE)
+    def test_scalar_uses_seventeen_digits(self, x):
+        assert dumps(x) == format(x, ".17g")
+
+    def test_int_above_two_to_the_53_exact(self):
+        assert dumps([2**53 + 1, 2**80]) == f"[{2**53 + 1}, {2**80}]"
+
+    def test_empty_containers(self):
+        assert dumps([]) == "[]"
+        assert dumps({}) == "{}"
+        nested = {"a": [], "b": {}, "c": np.empty((0, 2))}
+        assert dumps(nested) == '{\n  "a": [],\n  "b": {},\n  "c": []\n}'
+        assert dumps(np.empty((3, 0))) == dumps([[], [], []])
+
+
+def reference_cell(value) -> str:
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
+
+CELLS = st.one_of(
+    FINITE,
+    st.sampled_from([math.inf, -math.inf]),
+    st.integers(),
+    st.integers(min_value=2**53, max_value=2**200),
+    st.text(alphabet="abc%s", max_size=4),
+)
+
+
+class TestCsv:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(CELLS, min_size=0, max_size=6), max_size=8))
+    def test_matches_per_cell_join(self, rows):
+        expected = "\n".join(["x,y"] + [",".join(map(reference_cell, row)) for row in rows])
+        assert csv_text(["x", "y"], rows) == expected
+
+    def test_mixed_int_float_rows(self):
+        rows = [[3, 2**53 + 1, 0.1, -0.0], [4, 2**80, 1.0, 1e22], [5, 7, math.inf, 0.5]]
+        assert csv_text(["n", "f", "a", "b"], rows) == (
+            "n,f,a,b\n"
+            f"3,{2**53 + 1},0.10000000000000001,-0\n"
+            f"4,{2**80},1,1e+22\n"
+            "5,7,inf,0.5"
+        )
+
+    @pytest.mark.parametrize("row", [[True], [1.0, False], [0, 1, True]])
+    def test_bool_refused(self, row):
+        with pytest.raises(TypeError, match="booleans do not belong in CSV output"):
+            csv_text(["h"], [row])
+
+    def test_no_rows_is_header_only(self):
+        assert csv_text(["a", "b"], []) == "a,b"

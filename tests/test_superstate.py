@@ -363,6 +363,17 @@ class TestFlippedCoherent:
         displaced_then_flipped = flip_state(super_coherent_state(params, dim))
         assert (flipped_super_coherent_state(params, dim) - displaced_then_flipped).norm() == 0.0
 
+    @pytest.mark.parametrize("zeta", ZETA_SAMPLES + [ExtendedComplex.infinity()])
+    @pytest.mark.parametrize("alpha", [0.0, 0.9, -1.2 + 0.4j, -0.0 - 0.7j])
+    @pytest.mark.parametrize("theta,phi", [(0.0, math.pi), (1.3, 0.2), (math.pi, 4.0)])
+    def test_equals_flipped_state_byte_for_byte(self, zeta, alpha, theta, phi):
+        dim = 40
+        params = CoherentParams(alpha, SuperQubitParams(theta, phi, zeta))
+        flipped = flipped_super_coherent_state(params, dim)
+        reference = flip_state(super_coherent_state(params, dim))
+        assert flipped.psi0.coeffs.tobytes() == reference.psi0.coeffs.tobytes()
+        assert flipped.psi1.coeffs.tobytes() == reference.psi1.coeffs.tobytes()
+
 
 class TestCommutatorSuite:
     @pytest.mark.parametrize(
@@ -393,6 +404,18 @@ class TestCommutatorSuite:
         state = SuperVector(fock.FockVector(coeffs), fock.zero_vector(8))
         assert guarded_norm(state, guard=2) == 0.0
         assert guarded_norm(state, guard=0) == 1.0
+
+    @pytest.mark.parametrize("dim,guard", [(2, 0), (2, 1), (9, 8), (48, 8), (64, 3)])
+    def test_guarded_norm_matches_indexed_reference(self, dim, guard):
+        state = random_state(np.random.default_rng(dim + guard), dim)
+        keep = superstate.guarded_levels(dim, guard)
+        reference = float(np.linalg.norm(state.to_array()[keep]))
+        assert guarded_norm(state, guard) == reference
+
+    @pytest.mark.parametrize("guard", [-1, 8, 9])
+    def test_guarded_norm_rejects_guard_outside_dim(self, guard):
+        with pytest.raises(InvalidDimensionError, match="guard must satisfy"):
+            guarded_norm(n_superparticle_state(0, ExtendedComplex.from_value(1.0), 8), guard)
 
 
 class TestParams:

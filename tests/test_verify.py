@@ -1,7 +1,8 @@
 import pytest
 
+from superq import verify
 from superq.errors import TruncationError
-from superq.verify import SUITE_NAMES, run_verify
+from superq.verify import SUITE_NAMES, required_suite_dim, run_verify
 
 
 class TestRunVerify:
@@ -87,3 +88,34 @@ class TestRunVerify:
             run_verify("all", tol=0.0)
         with pytest.raises(ValueError):
             run_verify("fibonacci", n_max=2)
+
+
+class TestSuiteDimFloor:
+    @pytest.mark.parametrize("suite", ("all",) + SUITE_NAMES)
+    def test_floor_is_the_smallest_dim_that_runs(self, suite):
+        floor = required_suite_dim(suite)
+        report = run_verify(suite, dim=floor, n_max=5)
+        assert report.total > 0
+        with pytest.raises(TruncationError) as info:
+            run_verify(suite, dim=floor - 1, n_max=5)
+        assert info.value.required_dim == floor
+        assert str(info.value) == f"suite {suite!r} needs dim >= {floor}, got {floor - 1}"
+
+    @pytest.mark.parametrize("suite", SUITE_NAMES)
+    def test_floor_is_tight(self, suite, monkeypatch):
+        floor = required_suite_dim(suite)
+        monkeypatch.setattr(verify, "required_suite_dim", lambda name: 2)
+        with pytest.raises(ValueError):
+            run_verify(suite, dim=floor - 1, n_max=5)
+
+    @pytest.mark.parametrize("dim", (2, 8, 9, 20))
+    def test_algebra_below_floor_names_it(self, dim):
+        with pytest.raises(TruncationError, match=f"needs dim >= {required_suite_dim('algebra')}"):
+            run_verify("algebra", dim=dim)
+
+    def test_all_needs_every_suite(self):
+        assert required_suite_dim("all") == max(map(required_suite_dim, SUITE_NAMES))
+
+    def test_unknown_suite_rejected(self):
+        with pytest.raises(ValueError, match="unknown suite 'spectra'"):
+            required_suite_dim("spectra")
