@@ -117,9 +117,14 @@ def boson_annihilator(dim: int) -> BosonOperator:
     identity on levels 0..dim-2, with the unavoidable truncation artifact
     1 - dim in the last diagonal entry.
     """
+    return np.diag(_ladder_entries(dim), k=1)
+
+
+def _ladder_entries(dim: int) -> np.ndarray:
+    """The annihilator's superdiagonal sqrt(1), ..., sqrt(dim - 1), as complex128."""
     if dim < 2:
         raise InvalidDimensionError(f"dim must be >= 2 for ladder operators, got {dim}")
-    return np.diag(np.sqrt(np.arange(1.0, dim)), k=1).astype(np.complex128)
+    return np.sqrt(np.arange(1.0, dim)).astype(np.complex128)
 
 
 def boson_creator(dim: int) -> BosonOperator:

@@ -1,9 +1,12 @@
 """Composite fermion (x) boson space: block operators and the named states.
 
 A composite vector splits by fermion occupation into two Fock-space blocks
-(psi0, psi1).  Operators are 2x2 blocks of dense boson matrices with the
-fermion index as the outer block index, so the full matrix of an operator is
-the corresponding 2*dim x 2*dim array.
+(psi0, psi1).  An operator is a 2x2 array of boson blocks with the fermion
+index as the outer block index, so its full matrix is 2*dim x 2*dim.  Every
+block the package builds is banded (a, a^dag, N, I, X, P all have bandwidth
+<= 1), so ``BlockOperator`` stores each block as its nonzero diagonals and
+multiplies, applies, adds and adjoins in O(dim); only ``full()`` and the
+dense block accessors form dim x dim arrays.
 
 The one-super-particle label zeta enters every construction through its
 homogeneous coordinates (u, v): the pair of blocks of |n, zeta> is
@@ -19,8 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -28,11 +30,9 @@ from .errors import InvalidDimensionError, SingularParameterError, TruncationErr
 from .fock import (
     GUARD_BAND,
     FockVector,
+    _ladder_entries,
     basis_ket,
-    boson_annihilator,
-    boson_creator,
     displaced_columns,
-    number_operator,
     zero_vector,
 )
 from .moebius import BlochPoint, ExtendedComplex
@@ -120,99 +120,199 @@ class SuperVector:
         return SuperVector._adopt(scalar * self.psi0.coeffs, scalar * self.psi1.coeffs)
 
 
-@dataclass(frozen=True)
-class BlockOperator:
-    """2x2 block of dense boson matrices; the fermion index is the block index.
+# A banded boson matrix: {offset k: the diagonal M[i, i + k]} over the rows
+# i = max(0, -k) .. dim - 1 - max(0, k), so the diagonal holds dim - |k|
+# entries.  The empty mapping is the zero matrix.
+Band = dict[int, np.ndarray]
 
-    A block whose entries are all zero is neither multiplied nor added by
-    ``@`` and ``apply``; it is still stored as a dense zero matrix.
+_BLOCK_NAMES = ("ul", "ur", "ll", "lr")
+
+
+@dataclass(frozen=True, eq=False)
+class BlockOperator:
+    """2x2 fermion blocks of banded boson matrices; the fermion index is the block index.
+
+    ``bands`` holds the blocks (ul, ur, ll, lr) as ``{offset: diagonal}``
+    mappings of their nonzero diagonals, a zero block as the empty mapping.
+    ``@``, ``apply``, ``+``, ``-`` and ``dagger`` work on the diagonals alone,
+    in O(offsets^2 * dim), and never form a dim x dim array.
+
+    The constructor takes the four blocks as dense square matrices of one
+    shape and keeps their nonzero diagonals.  ``op.ul`` (and ``ur``, ``ll``,
+    ``lr``) reads a block back as a dense read-only matrix and ``full()`` the
+    whole 2*dim x 2*dim matrix; both are built on each call.
     """
 
-    ul: np.ndarray
-    ur: np.ndarray
-    ll: np.ndarray
-    lr: np.ndarray
+    ul: InitVar[np.ndarray]
+    ur: InitVar[np.ndarray]
+    ll: InitVar[np.ndarray]
+    lr: InitVar[np.ndarray]
+    dim: int = field(init=False)
+    bands: tuple[Band, Band, Band, Band] = field(init=False)
 
-    def __post_init__(self):
-        blocks = {}
-        shape = None
-        for name in ("ul", "ur", "ll", "lr"):
-            block = np.array(getattr(self, name), dtype=np.complex128)
-            if block.ndim != 2 or block.shape[0] != block.shape[1]:
-                raise InvalidDimensionError(f"block {name} must be a square matrix")
-            if shape is None:
-                shape = block.shape
-            elif block.shape != shape:
-                raise InvalidDimensionError("all four blocks must share one shape")
-            block.setflags(write=False)
-            blocks[name] = block
-        for name, block in blocks.items():
-            object.__setattr__(self, name, block)
+    def __post_init__(self, ul, ur, ll, lr):
+        blocks = [_square(block, name) for name, block in zip(_BLOCK_NAMES, (ul, ur, ll, lr))]
+        if any(block.shape != blocks[0].shape for block in blocks):
+            raise InvalidDimensionError("all four blocks must share one shape")
+        object.__setattr__(self, "dim", blocks[0].shape[0])
+        object.__setattr__(self, "bands", tuple(_freeze(_band_of(block)) for block in blocks))
 
     @classmethod
-    def _adopt(cls, ul, ur, ll, lr) -> "BlockOperator":
-        """Wrap fresh square complex128 blocks of one shape without copying them."""
+    def _adopt(cls, dim: int, ul: Band, ur: Band, ll: Band, lr: Band) -> "BlockOperator":
+        """Wrap four bands of fresh (or read-only) diagonals without copying them."""
         op = object.__new__(cls)
-        for name, block in zip(("ul", "ur", "ll", "lr"), (ul, ur, ll, lr)):
-            block.setflags(write=False)
-            object.__setattr__(op, name, block)
+        object.__setattr__(op, "dim", dim)
+        object.__setattr__(op, "bands", tuple(_freeze(band) for band in (ul, ur, ll, lr)))
         return op
-
-    @property
-    def dim(self) -> int:
-        return self.ul.shape[0]
-
-    @cached_property
-    def _rows(self) -> tuple[tuple, tuple]:
-        """((ul, ur), (ll, lr)) with None in place of each all-zero block."""
-        return tuple(
-            tuple(block if block.any() else None for block in row)
-            for row in ((self.ul, self.ur), (self.ll, self.lr))
-        )
 
     @classmethod
     def boson_diagonal(cls, mat: np.ndarray) -> "BlockOperator":
         """The same boson matrix on both fermion blocks (identity on the fermion)."""
-        zeros = np.zeros_like(np.asarray(mat, dtype=np.complex128))
-        return cls(mat, zeros, zeros, mat)
+        mat = _square(mat, "ul")
+        band = _band_of(mat)
+        return cls._adopt(mat.shape[0], band, {}, {}, band)
+
+    @classmethod
+    def fermion_diagonal(cls, upper: complex, lower: complex, dim: int) -> "BlockOperator":
+        """diag(upper, lower) (x) I: each fermion block a multiple of the boson identity."""
+        return cls._adopt(dim, _scalar_band(upper, dim), {}, {}, _scalar_band(lower, dim))
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        # the dense block accessors ul, ur, ll, lr
+        if name not in _BLOCK_NAMES:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        block = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        _fill(block, self.bands[_BLOCK_NAMES.index(name)])
+        block.setflags(write=False)
+        return block
 
     def full(self) -> np.ndarray:
         """Dense 2*dim x 2*dim matrix."""
-        return np.block([[self.ul, self.ur], [self.ll, self.lr]])
+        dim = self.dim
+        out = np.zeros((2 * dim, 2 * dim), dtype=np.complex128)
+        for (row, col), band in zip(((0, 0), (0, dim), (dim, 0), (dim, dim)), self.bands):
+            _fill(out[row : row + dim, col : col + dim], band)
+        return out
 
     def apply(self, state: SuperVector) -> SuperVector:
+        ul, ur, ll, lr = self.bands
         psi = (state.psi0.coeffs, state.psi1.coeffs)
         return SuperVector._adopt(
-            *(_sum_of_products(row, psi, (self.dim,)) for row in self._rows)
+            _band_apply(zip((ul, ur), psi), self.dim), _band_apply(zip((ll, lr), psi), self.dim)
         )
 
     def dagger(self) -> "BlockOperator":
-        return BlockOperator._adopt(
-            self.ul.conj().T, self.ll.conj().T, self.ur.conj().T, self.lr.conj().T
+        ul, ur, ll, lr = (
+            {-offset: diagonal.conj() for offset, diagonal in band.items()} for band in self.bands
         )
+        return BlockOperator._adopt(self.dim, ul, ll, ur, lr)
 
     def __matmul__(self, other: "BlockOperator") -> "BlockOperator":
-        shape = self.ul.shape
-        columns = tuple(zip(*other._rows))
+        a, b, c, d = self.bands
+        e, f, g, h = other.bands
+        dim = self.dim
         return BlockOperator._adopt(
-            *(_sum_of_products(row, column, shape) for row in self._rows for column in columns)
+            dim,
+            _band_matmul(((a, e), (b, g)), dim),
+            _band_matmul(((a, f), (b, h)), dim),
+            _band_matmul(((c, e), (d, g)), dim),
+            _band_matmul(((c, f), (d, h)), dim),
         )
 
     def __add__(self, other: "BlockOperator") -> "BlockOperator":
-        return BlockOperator._adopt(
-            self.ul + other.ul, self.ur + other.ur, self.ll + other.ll, self.lr + other.lr
-        )
+        return self._entrywise(other, np.add)
 
     def __sub__(self, other: "BlockOperator") -> "BlockOperator":
-        return BlockOperator._adopt(
-            self.ul - other.ul, self.ur - other.ur, self.ll - other.ll, self.lr - other.lr
-        )
+        return self._entrywise(other, np.subtract)
+
+    def _entrywise(self, other: "BlockOperator", ufunc) -> "BlockOperator":
+        """ufunc(self, other) entry by entry; a diagonal self lacks reads as 0.0."""
+        bands = []
+        for x, y in zip(self.bands, other.bands):
+            band = dict(x)
+            for offset, diagonal in y.items():
+                band[offset] = ufunc(x.get(offset, 0.0), diagonal)
+            bands.append(band)
+        return BlockOperator._adopt(self.dim, *bands)
+
+    def max_abs(self, guard: int = 0) -> float:
+        """Max-norm over the boson levels below dim - guard of every block.
+
+        Entries off the diagonals are exactly zero, so this equals the max
+        over the dense guarded sub-block; a zero operator gives 0.0.
+        """
+        keep = _guarded_count(self.dim, guard)
+        maxima = [0.0]
+        for band in self.bands:
+            for offset, diagonal in band.items():
+                # rows i < keep whose column i + offset is < keep too
+                count = min(keep, keep - offset) - max(0, -offset)
+                if count > 0:
+                    maxima.append(np.abs(diagonal[:count]).max())
+        return float(np.max(maxima))
 
 
-def _sum_of_products(row, column, shape) -> np.ndarray:
-    """row[0] @ column[0] + row[1] @ column[1], skipping terms with a None (zero) factor."""
-    terms = [x @ y for x, y in zip(row, column) if x is not None and y is not None]
-    return sum(terms[1:], terms[0]) if terms else np.zeros(shape, dtype=np.complex128)
+def _square(block, name: str) -> np.ndarray:
+    block = np.asarray(block, dtype=np.complex128)
+    if block.ndim != 2 or block.shape[0] != block.shape[1]:
+        raise InvalidDimensionError(f"block {name} must be a square matrix")
+    return block
+
+
+def _band_of(mat: np.ndarray) -> Band:
+    """The nonzero diagonals of a square matrix, each a copy, in ascending offset."""
+    rows, cols = np.nonzero(mat)
+    return {int(k): np.diagonal(mat, k).copy() for k in np.unique(cols - rows)}
+
+
+def _freeze(band: Band) -> Band:
+    for diagonal in band.values():
+        diagonal.setflags(write=False)
+    return band
+
+
+def _scalar_band(scalar: complex, dim: int) -> Band:
+    """scalar times the boson identity; the zero matrix when scalar is 0."""
+    return {0: np.full(dim, scalar, dtype=np.complex128)} if scalar != 0 else {}
+
+
+def _fill(block: np.ndarray, band: Band) -> None:
+    """Write the diagonals of a band into a zeroed square matrix (or a view of one)."""
+    for offset, diagonal in band.items():
+        np.fill_diagonal(block[max(0, -offset) :, max(0, offset) :], diagonal)
+
+
+def _band_apply(terms, dim: int) -> np.ndarray:
+    """Sum of band @ psi over the (band, psi) terms, in term and offset order."""
+    out = np.zeros(dim, dtype=np.complex128)
+    for band, psi in terms:
+        for offset, diagonal in band.items():
+            lo, hi = max(0, -offset), dim - max(0, offset)
+            out[lo:hi] += diagonal * psi[lo + offset : hi + offset]
+    return out
+
+
+def _band_matmul(pairs, dim: int) -> Band:
+    """Sum of x @ y over the (x, y) pairs of bands, in pair order, then the bands' offset order.
+
+    Diagonal p of x times diagonal q of y lands on diagonal s = p + q, at the
+    rows i where both factors X[i, i + p] and Y[i + p, i + s] lie inside the
+    matrix.
+    """
+    out: Band = {}
+    for x, y in pairs:
+        for p, xd in x.items():
+            x0 = max(0, -p)
+            for q, yd in y.items():
+                s = p + q
+                lo, hi = max(0, -p, -s), min(dim, dim - p, dim - s)
+                if lo >= hi:
+                    continue
+                if s not in out:
+                    out[s] = np.zeros(dim - abs(s), dtype=np.complex128)
+                y0, s0 = max(0, -q) - p, max(0, -s)
+                out[s][lo - s0 : hi - s0] += xd[lo - x0 : hi - x0] * yd[lo - y0 : hi - y0]
+    return out
 
 
 @dataclass(frozen=True)
@@ -261,9 +361,8 @@ def super_number_operator(dim: int) -> BlockOperator:
     """Total super-particle count: block-diagonal (N, N + 1)."""
     if dim < 2:
         raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
-    n = number_operator(dim)
-    zeros = np.zeros_like(n)
-    return BlockOperator._adopt(n, zeros, zeros, n + np.eye(dim, dtype=np.complex128))
+    n = np.arange(dim, dtype=np.complex128)
+    return BlockOperator._adopt(dim, {0: n}, {}, {}, {0: n + 1.0})
 
 
 def super_annihilation(zeta: ExtendedComplex, dim: int) -> BlockOperator:
@@ -273,18 +372,14 @@ def super_annihilation(zeta: ExtendedComplex, dim: int) -> BlockOperator:
     block-diagonal (a, a), the plain bosonic annihilator on both blocks.
     zeta = 0 is rejected: the entry -1/zeta is unbounded there.
     """
-    a = boson_annihilator(dim)
-    coeff = _minus_inverse(zeta)
-    zeros = np.zeros_like(a)
-    return BlockOperator._adopt(a, coeff * np.eye(dim, dtype=np.complex128), zeros, a)
+    a = {1: _ladder_entries(dim)}
+    return BlockOperator._adopt(dim, a, _scalar_band(_minus_inverse(zeta), dim), {}, a)
 
 
 def super_annihilation_transposed(zeta: ExtendedComplex, dim: int) -> BlockOperator:
     """Block transpose [[a, 0], [-(1/zeta) I, a]], annihilating flipped states."""
-    a = boson_annihilator(dim)
-    coeff = _minus_inverse(zeta)
-    zeros = np.zeros_like(a)
-    return BlockOperator._adopt(a, zeros, coeff * np.eye(dim, dtype=np.complex128), a)
+    a = {1: _ladder_entries(dim)}
+    return BlockOperator._adopt(dim, a, {}, _scalar_band(_minus_inverse(zeta), dim), a)
 
 
 def super_creation_gate(zeta: ExtendedComplex, dim: int) -> BlockOperator:
@@ -292,11 +387,8 @@ def super_creation_gate(zeta: ExtendedComplex, dim: int) -> BlockOperator:
 
     Written homogeneously as [[v a^dag, 0], [u I, v a^dag]], valid at both poles.
     """
-    ad = boson_creator(dim)
-    zeros = np.zeros_like(ad)
-    return BlockOperator._adopt(
-        zeta.v * ad, zeros, zeta.u * np.eye(dim, dtype=np.complex128), zeta.v * ad
-    )
+    v_ad = {-1: zeta.v * _ladder_entries(dim)} if zeta.v != 0 else {}
+    return BlockOperator._adopt(dim, v_ad, {}, _scalar_band(zeta.u, dim), v_ad)
 
 
 def n_superparticle_state(n: int, zeta: ExtendedComplex, dim: int) -> SuperVector:
@@ -367,9 +459,8 @@ def flip_operator(dim: int) -> BlockOperator:
     """Fermion-flip gate sigma_1 (x) I, swapping the two blocks; an involution."""
     if dim < 1:
         raise InvalidDimensionError(f"dim must be >= 1, got {dim}")
-    eye = np.eye(dim, dtype=np.complex128)
-    zeros = np.zeros_like(eye)
-    return BlockOperator._adopt(zeros, eye, eye, zeros)
+    ones = _scalar_band(1.0, dim)
+    return BlockOperator._adopt(dim, {}, ones, ones, {})
 
 
 def flip_state(state: SuperVector) -> SuperVector:
@@ -419,9 +510,18 @@ def guarded_levels(dim: int, guard: int = GUARD_BAND) -> np.ndarray:
 
 
 def guarded_max_abs(full_matrix: np.ndarray, dim: int, guard: int = GUARD_BAND) -> float:
-    """Max-norm of a 2*dim x 2*dim matrix restricted to the guarded sub-block."""
-    keep = guarded_levels(dim, guard)
-    return float(np.abs(full_matrix[np.ix_(keep, keep)]).max())
+    """Max-norm of a 2*dim x 2*dim matrix restricted to the guarded sub-block.
+
+    The guarded sub-block is the four [:keep, :keep] corners of the fermion
+    blocks, keep = dim - guard: the entries ``guarded_levels`` indexes.
+    """
+    keep = _guarded_count(dim, guard)
+    corners = [
+        np.abs(full_matrix[row : row + keep, col : col + keep]).max()
+        for row in (0, dim)
+        for col in (0, dim)
+    ]
+    return float(np.max(corners))
 
 
 def guarded_norm(state: SuperVector, guard: int = GUARD_BAND) -> float:
@@ -456,16 +556,10 @@ def commutator_suite(
     a_dag = a_op.dagger()
     n_op = super_number_operator(dim)
     inv_mod_sq = (abs(zeta.v) / abs(zeta.u)) ** 2  # 1/|zeta|^2, zero at the pole
-    eye = np.eye(dim, dtype=np.complex128)
-    zeros = np.zeros_like(eye)
-    ladder_target = BlockOperator._adopt(
-        (1.0 + inv_mod_sq) * eye, zeros, zeros, (1.0 - inv_mod_sq) * eye
-    )
-    lowering = (n_op @ a_op - a_op @ n_op + a_op).full()
-    raising = (n_op @ a_dag - a_dag @ n_op - a_dag).full()
-    ladder = (a_op @ a_dag - a_dag @ a_op - ladder_target).full()
+    ladder_target = BlockOperator.fermion_diagonal(1.0 + inv_mod_sq, 1.0 - inv_mod_sq, dim)
+    lowering = n_op @ a_op - a_op @ n_op + a_op
+    raising = n_op @ a_dag - a_dag @ n_op - a_dag
+    ladder = a_op @ a_dag - a_dag @ a_op - ladder_target
     return CommutatorResiduals(
-        guarded_max_abs(lowering, dim, guard),
-        guarded_max_abs(raising, dim, guard),
-        guarded_max_abs(ladder, dim, guard),
+        lowering.max_abs(guard), raising.max_abs(guard), ladder.max_abs(guard)
     )

@@ -74,16 +74,23 @@ class FibonacciRecord:
     dispersion_numeric: float
 
 
-def _quadrature_matrices(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dense boson matrices X = (a + a^dag)/sqrt2 and P = i (a^dag - a)/sqrt2.
+def _quadrature_entries(dim: int) -> np.ndarray:
+    """Off-diagonal entries sqrt(n) * (1/sqrt2), n = 1..dim-1, of X and P.
 
-    Only the two off-diagonals are written, with entries sqrt(n) * (1/sqrt2):
     numpy's complex division by sqrt2 rounds the same way, and the golden
     Fibonacci table records that rounding.
     """
     if dim < 2:
         raise InvalidDimensionError(f"dim must be >= 2 for quadratures, got {dim}")
-    off = np.sqrt(np.arange(1.0, dim)) * (1.0 / _SQRT2)
+    return np.sqrt(np.arange(1.0, dim)) * (1.0 / _SQRT2)
+
+
+def _quadrature_matrices(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dense boson matrices X = (a + a^dag)/sqrt2 and P = i (a^dag - a)/sqrt2.
+
+    Only the two off-diagonals are written, from :func:`_quadrature_entries`.
+    """
+    off = _quadrature_entries(dim)
     x = np.zeros((dim, dim), dtype=np.complex128)
     p = np.zeros((dim, dim), dtype=np.complex128)
     upper, lower = slice(1, None, dim + 1), slice(dim, None, dim + 1)
@@ -95,9 +102,18 @@ def _quadrature_matrices(dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def quadrature_operators(dim: int) -> tuple[BlockOperator, BlockOperator]:
-    """X and P on both fermion blocks."""
-    x, p = _quadrature_matrices(dim)
-    return BlockOperator.boson_diagonal(x), BlockOperator.boson_diagonal(p)
+    """X and P on both fermion blocks, written as their two diagonals.
+
+    The entries equal those of the dense oracle matrices bit for bit.
+    """
+    off = _quadrature_entries(dim)
+    xd = off.astype(np.complex128)
+    x = {-1: xd, 1: xd}
+    p = {-1: 1j * off, 1: -1j * off}
+    return (
+        BlockOperator._adopt(dim, x, {}, {}, x),
+        BlockOperator._adopt(dim, p, {}, {}, p),
+    )
 
 
 def mean_quadratures_closed(params: CoherentParams) -> tuple[float, float]:

@@ -40,13 +40,13 @@ from .fock import (
 )
 from .moebius import ExtendedComplex, zeta_to_bloch
 from .superstate import (
+    BlockOperator,
     CoherentParams,
     SuperQubitParams,
     SuperVector,
     commutator_suite,
     flip_operator,
     flip_state,
-    guarded_max_abs,
     guarded_norm,
     n_superparticle_state,
     pole_probabilities,
@@ -198,12 +198,9 @@ def _suite_algebra(dim: int, tol: float) -> list[Check]:
         lowering = max(lowering, residuals.number_lowering)
         raising = max(raising, residuals.number_raising)
         ladder = max(ladder, residuals.ladder)
-        conjugated = (flip @ super_annihilation(zeta, dim) @ flip).full()
+        conjugated = flip @ super_annihilation(zeta, dim) @ flip
         transpose = max(
-            transpose,
-            float(
-                np.abs(conjugated - super_annihilation_transposed(zeta, dim).full()).max()
-            ),
+            transpose, (conjugated - super_annihilation_transposed(zeta, dim)).max_abs()
         )
         raised = super_creation_gate(zeta, dim).apply(n_superparticle_state(0, zeta, dim))
         gate = max(gate, (raised - n_superparticle_state(1, zeta, dim)).norm())
@@ -218,8 +215,8 @@ def _suite_algebra(dim: int, tol: float) -> list[Check]:
             - np.kron(np.eye(2), np.diag(np.arange(dim)))
         ).max()
     )
-    fermion_number = np.kron(np.diag([0.0, 1.0]), boson_eye)
-    flipped_number = flip.full() @ fermion_number @ flip.full()
+    fermion_number = BlockOperator.fermion_diagonal(0.0, 1.0, dim)
+    flipped_number = (flip @ fermion_number @ flip).full()
     number_conjugation = float(
         np.abs(flipped_number - np.kron(np.diag([1.0, 0.0]), boson_eye)).max()
     )
@@ -241,9 +238,9 @@ def _suite_algebra(dim: int, tol: float) -> list[Check]:
         float(np.abs(x_op.full() - x_op.full().conj().T).max()),
         float(np.abs(p_op.full() - p_op.full().conj().T).max()),
     )
-    canonical = guarded_max_abs(
-        (x_op @ p_op - p_op @ x_op).full() - 1j * np.eye(2 * dim), dim
-    )
+    canonical = (
+        x_op @ p_op - p_op @ x_op - BlockOperator.fermion_diagonal(1j, 1j, dim)
+    ).max_abs(GUARD_BAND)
 
     return [
         Check("commutator_number_lowering", lowering, 1e-10),
@@ -554,18 +551,31 @@ def _suite_fibonacci(dim: int, tol: float, n_max: int) -> list[Check]:
     return checks
 
 
-SUITE_NAMES = ("algebra", "eigen", "entangle", "uncertainty", "fibonacci")
-
-# Per suite: the smallest dim it needs before any displacement, and the
-# amplitudes it displaces by.  algebra and eigen compare on the levels below
-# the guard band, entangle builds |5, zeta>, and the quadrature oracle needs 3.
-_SUITE_NEEDS = {
-    "algebra": (GUARD_BAND + 1, (_ALGEBRA_ALPHA,)),
-    "eigen": (GUARD_BAND + 1, _EIGEN_ALPHAS),
-    "entangle": (6, (_ENTANGLE_ALPHA,)),
-    "uncertainty": (3, (_UNCERTAINTY_ALPHA,)),
-    "fibonacci": (3, ()),
+# Per suite: the smallest dim it needs before any displacement, the amplitudes
+# it displaces by, and its runner (dim, tol, seed, n_max) -> checks.  algebra
+# and eigen compare on the levels below the guard band, entangle builds
+# |5, zeta>, and the quadrature oracle needs 3.  Each runner looks its
+# ``_suite_*`` function up when called, so a rebound function is the one run.
+_SUITES = {
+    "algebra": (
+        GUARD_BAND + 1,
+        (_ALGEBRA_ALPHA,),
+        lambda dim, tol, seed, n_max: _suite_algebra(dim, tol),
+    ),
+    "eigen": (GUARD_BAND + 1, _EIGEN_ALPHAS, lambda dim, tol, seed, n_max: _suite_eigen(dim, tol)),
+    "entangle": (
+        6,
+        (_ENTANGLE_ALPHA,),
+        lambda dim, tol, seed, n_max: _suite_entangle(dim, tol, np.random.default_rng(seed)),
+    ),
+    "uncertainty": (
+        3,
+        (_UNCERTAINTY_ALPHA,),
+        lambda dim, tol, seed, n_max: _suite_uncertainty(dim, tol),
+    ),
+    "fibonacci": (3, (), lambda dim, tol, seed, n_max: _suite_fibonacci(dim, tol, n_max)),
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def _selected_suites(suite: str) -> tuple[str, ...]:
@@ -586,7 +596,7 @@ def required_suite_dim(suite: str) -> int:
     """
     required = 0
     for name in _selected_suites(suite):
-        levels, alphas = _SUITE_NEEDS[name]
+        levels, alphas, _ = _SUITES[name]
         required = max(required, levels, *map(required_displacement_dim, alphas))
     return required
 
@@ -619,16 +629,8 @@ def run_verify(
     timings_ms: dict[str, float] = {}
     for name in selected:
         suite_started = time.perf_counter()
-        if name == "algebra":
-            checks.extend(_suite_algebra(dim, tol))
-        elif name == "eigen":
-            checks.extend(_suite_eigen(dim, tol))
-        elif name == "entangle":
-            checks.extend(_suite_entangle(dim, tol, np.random.default_rng(seed)))
-        elif name == "uncertainty":
-            checks.extend(_suite_uncertainty(dim, tol))
-        elif name == "fibonacci":
-            checks.extend(_suite_fibonacci(dim, tol, n_max))
+        _, _, run = _SUITES[name]
+        checks.extend(run(dim, tol, seed, n_max))
         timings_ms[name] = (time.perf_counter() - suite_started) * 1000.0
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     return VerificationReport(

@@ -1,8 +1,10 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superq import fock, superstate
 from superq.errors import (
@@ -462,9 +464,11 @@ class TestBlockOperatorOwnership:
         assert not product.ll.any()
 
     @pytest.mark.parametrize("dim", [2, 7])
-    def test_zero_aware_products_equal_all_block_products(self, dim):
-        # skipping a zero block drops only exact zero terms: the values equal
-        # those of all eight block products (up to the sign of zero entries)
+    def test_banded_products_equal_entrywise_block_products(self, dim):
+        # each entry of these products has at most one nonzero term, rounded
+        # by numpy's elementwise complex multiply; BLAS may fuse that multiply
+        # (complex x complex entries such as (-1/zeta) * u), so the dense
+        # GEMM/GEMV agrees to rounding, not bit for bit
         zeta = ExtendedComplex.from_value(1.3 - 0.4j)
         ops = [
             super_annihilation(zeta, dim),
@@ -476,13 +480,162 @@ class TestBlockOperatorOwnership:
         rng = np.random.default_rng(3)
         state = random_state(rng, dim)
         psi0, psi1 = state.psi0.coeffs, state.psi1.coeffs
+
+        def matvec(m, v):
+            return (m * v[None, :]).sum(axis=1)
+
+        def matmul(m, n):
+            return (m[:, :, None] * n[None, :, :]).sum(axis=1)
+
         for x in ops:
             applied = x.apply(state)
-            np.testing.assert_array_equal(applied.psi0.coeffs, x.ul @ psi0 + x.ur @ psi1)
-            np.testing.assert_array_equal(applied.psi1.coeffs, x.ll @ psi0 + x.lr @ psi1)
+            expected0 = matvec(x.ul, psi0) + matvec(x.ur, psi1)
+            expected1 = matvec(x.ll, psi0) + matvec(x.lr, psi1)
+            np.testing.assert_array_equal(applied.psi0.coeffs, expected0)
+            np.testing.assert_array_equal(applied.psi1.coeffs, expected1)
+            np.testing.assert_allclose(
+                applied.psi0.coeffs, x.ul @ psi0 + x.ur @ psi1, rtol=1e-15, atol=1e-15
+            )
             for y in ops:
                 product = x @ y
-                np.testing.assert_array_equal(product.ul, x.ul @ y.ul + x.ur @ y.ll)
-                np.testing.assert_array_equal(product.ur, x.ul @ y.ur + x.ur @ y.lr)
-                np.testing.assert_array_equal(product.ll, x.ll @ y.ul + x.lr @ y.ll)
-                np.testing.assert_array_equal(product.lr, x.ll @ y.ur + x.lr @ y.lr)
+                blocks = [
+                    (product.ul, (x.ul, y.ul), (x.ur, y.ll)),
+                    (product.ur, (x.ul, y.ur), (x.ur, y.lr)),
+                    (product.ll, (x.ll, y.ul), (x.lr, y.ll)),
+                    (product.lr, (x.ll, y.ur), (x.lr, y.lr)),
+                ]
+                for block, first, second in blocks:
+                    np.testing.assert_array_equal(block, matmul(*first) + matmul(*second))
+                    np.testing.assert_allclose(
+                        block, first[0] @ first[1] + second[0] @ second[1], rtol=1e-15, atol=1e-15
+                    )
+
+
+def _dense_from_bands(dim, offsets, rng):
+    block = np.zeros((dim, dim), dtype=np.complex128)
+    for offset in offsets:
+        size = dim - abs(offset)
+        rows = np.arange(max(0, -offset), max(0, -offset) + size)
+        block[rows, rows + offset] = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    return block
+
+
+@st.composite
+def banded_blocks(draw, count=2):
+    """count quadruples of dense blocks of one dim in 2..64, each with 0-3 random diagonals."""
+    dim = draw(st.integers(2, 64))
+    offsets = st.lists(st.integers(-(dim - 1), dim - 1), max_size=3, unique=True)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return [[_dense_from_bands(dim, draw(offsets), rng) for _ in range(4)] for _ in range(count)]
+
+
+def _offsets(block):
+    rows, cols = np.nonzero(block)
+    return sorted({int(k) for k in cols - rows})
+
+
+class TestBandedBlockOperator:
+    @settings(max_examples=150, deadline=None)
+    @given(banded_blocks())
+    def test_operations_match_dense_numpy(self, operands):
+        x, y = (BlockOperator(*blocks) for blocks in operands)
+        dense_x, dense_y = (np.block([blocks[:2], blocks[2:]]) for blocks in operands)
+        assert [sorted(band) for band in x.bands] == [_offsets(block) for block in operands[0]]
+        np.testing.assert_array_equal(x.full(), dense_x)
+        np.testing.assert_allclose((x @ y).full(), dense_x @ dense_y, rtol=1e-13, atol=1e-13)
+        state = random_state(np.random.default_rng(x.dim), x.dim)
+        np.testing.assert_allclose(
+            x.apply(state).to_array(), dense_x @ state.to_array(), rtol=1e-13, atol=1e-13
+        )
+        np.testing.assert_array_equal((x + y).full(), dense_x + dense_y)
+        np.testing.assert_array_equal((x - y).full(), dense_x - dense_y)
+        np.testing.assert_array_equal(x.dagger().full(), dense_x.conj().T)
+
+    @settings(max_examples=100, deadline=None)
+    @given(banded_blocks(count=1), st.integers(0, 63))
+    def test_max_abs_equals_dense_guarded_max(self, operands, guard):
+        op = BlockOperator(*operands[0])
+        guard = guard % op.dim
+        assert op.max_abs(guard) == superstate.guarded_max_abs(op.full(), op.dim, guard)
+
+    def test_zero_operator_has_empty_bands(self):
+        op = BlockOperator(*(np.zeros((4, 4)) for _ in range(4)))
+        assert op.bands == ({}, {}, {}, {})
+        assert op.max_abs() == 0.0
+        assert not (op @ op).full().any()
+        assert not op.apply(random_state(np.random.default_rng(1), 4)).to_array().any()
+
+    def test_max_abs_rejects_guard_outside_dim(self):
+        with pytest.raises(InvalidDimensionError, match="guard must satisfy"):
+            flip_operator(4).max_abs(4)
+
+    def test_storage_is_o_dim(self):
+        # one dense 2048 x 2048 complex block is 64 MiB
+        dim = 2048
+        zeta = ExtendedComplex.from_value(0.7 - 0.2j)
+        state = random_state(np.random.default_rng(9), dim)
+        tracemalloc.start()
+        try:
+            a_op = super_annihilation(zeta, dim)
+            product = a_op @ a_op.dagger()
+            applied = a_op.apply(state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        assert sorted(product.bands[0]) == [0] and applied.dim == dim
+
+    @pytest.mark.parametrize("zeta", ZETA_SAMPLES + [ExtendedComplex.infinity()])
+    @pytest.mark.parametrize("dim", [2, 3, 9])
+    def test_builders_equal_dense_constructions(self, zeta, dim):
+        a = fock.boson_annihilator(dim)
+        ad = fock.boson_creator(dim)
+        eye = np.eye(dim, dtype=np.complex128)
+        zeros = np.zeros_like(eye)
+        coeff = -(zeta.v / zeta.u)
+        expected = {
+            "annihilation": (super_annihilation(zeta, dim), [[a, coeff * eye], [zeros, a]]),
+            "transposed": (
+                super_annihilation_transposed(zeta, dim),
+                [[a, zeros], [coeff * eye, a]],
+            ),
+            "gate": (
+                super_creation_gate(zeta, dim),
+                [[zeta.v * ad, zeros], [zeta.u * eye, zeta.v * ad]],
+            ),
+            "number": (
+                super_number_operator(dim),
+                [[fock.number_operator(dim), zeros], [zeros, fock.number_operator(dim) + eye]],
+            ),
+            "flip": (flip_operator(dim), [[zeros, eye], [eye, zeros]]),
+        }
+        for name, (op, blocks) in expected.items():
+            np.testing.assert_array_equal(op.full(), np.block(blocks), err_msg=name)
+            assert all(all(d.any() for d in band.values()) for band in op.bands), name
+
+    def test_fermion_diagonal(self):
+        op = BlockOperator.fermion_diagonal(0.0, 2.5j, 3)
+        np.testing.assert_array_equal(op.full(), np.kron(np.diag([0.0, 2.5j]), np.eye(3)))
+        assert op.bands[0] == {}
+
+    def test_dense_accessors_match_full(self):
+        op = super_annihilation(ExtendedComplex.from_value(0.4 + 1.1j), 5)
+        np.testing.assert_array_equal(np.block([[op.ul, op.ur], [op.ll, op.lr]]), op.full())
+        with pytest.raises(AttributeError):
+            op.missing  # noqa: B018
+
+
+class TestGuardedMaxAbs:
+    @pytest.mark.parametrize("dim,guard", [(2, 0), (2, 1), (9, 8), (48, 8), (64, 3)])
+    def test_equals_indexed_reference(self, dim, guard):
+        rng = np.random.default_rng(dim * 100 + guard)
+        shape = (2 * dim, 2 * dim)
+        matrix = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        keep = superstate.guarded_levels(dim, guard)
+        reference = float(np.abs(matrix[np.ix_(keep, keep)]).max())
+        assert superstate.guarded_max_abs(matrix, dim, guard) == reference
+
+    def test_nan_propagates(self):
+        matrix = np.zeros((8, 8))
+        matrix[4, 4] = np.nan
+        assert math.isnan(superstate.guarded_max_abs(matrix, 4, 1))

@@ -38,6 +38,15 @@ class TestQuadratureOperators:
         np.testing.assert_array_equal(x_op.ul, x_op.lr)
         assert np.abs(x_op.ur).max() == 0.0
 
+    @pytest.mark.parametrize("dim", [2, 3, 17, 64])
+    def test_blocks_equal_the_dense_oracle_matrices_bit_for_bit(self, dim):
+        x, p = uncertainty._quadrature_matrices(dim)
+        x_op, p_op = quadrature_operators(dim)
+        for op, dense in ((x_op, x), (p_op, p)):
+            assert op.ul.tobytes() == dense.tobytes()
+            assert op.lr.tobytes() == dense.tobytes()
+            assert op.bands[1] == {} and op.bands[2] == {}
+
     def test_hermitian(self):
         for op in quadrature_operators(24):
             assert np.abs(op.full() - op.full().conj().T).max() == 0.0

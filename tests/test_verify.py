@@ -83,6 +83,28 @@ class TestRunVerify:
         for check in payload["checks"]:
             assert check["pass"] == (check["residual"] <= check["tolerance"])
 
+    def test_suites_run_in_table_order(self):
+        report = run_verify("all", dim=36, n_max=5)
+        assert SUITE_NAMES == ("algebra", "eigen", "entangle", "uncertainty", "fibonacci")
+        assert list(report.timings_ms) == list(SUITE_NAMES)
+        assert report.checks[0].name == "commutator_number_lowering"
+        assert report.checks[-1].name == "fibonacci_dispersion_monotone_convergence"
+
+    @pytest.mark.parametrize("suite", SUITE_NAMES)
+    def test_dispatch_calls_the_module_suite_function(self, suite, monkeypatch):
+        # the suite function is looked up on each run, so rebinding it (as a
+        # profiler wrapping ``verify._suite_*`` does) takes effect
+        seen = []
+
+        def replacement(*args):
+            seen.append(args)
+            return [verify.Check("stub", 0.0, 0.0)]
+
+        monkeypatch.setattr(verify, f"_suite_{suite}", replacement)
+        report = run_verify(suite, dim=48, seed=5, n_max=7)
+        assert [check.name for check in report.checks] == ["stub"]
+        assert len(seen) == 1 and seen[0][0] == 48
+
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             run_verify("all", tol=0.0)
