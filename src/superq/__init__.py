@@ -37,7 +37,6 @@ from .fock import (
     ensure_displacement_dim,
     number_operator,
     required_displacement_dim,
-    zero_vector,
 )
 from .superstate import (
     BlockOperator,

@@ -294,11 +294,6 @@ def _zeta_payload(args):
     return "inf" if args.zeta_inf else list(_zeta_parts(args))
 
 
-def _pairs(coeffs: np.ndarray) -> np.ndarray:
-    """A complex block as its (dim, 2) float64 [re, im] view."""
-    return coeffs.view(np.float64).reshape(-1, 2)
-
-
 def _selected_state(args):
     """The state picked by --n or --theta/--phi, its closed concurrence and its params.
 
@@ -321,14 +316,16 @@ def _emit_state(args) -> str:
     params["alpha"] = [args.alpha.real, args.alpha.imag]
     if args.n is not None:
         # fermion-sector weights = pole-collapse probabilities on the zeta sphere
-        p0, p1 = state.psi0.norm_sq(), state.psi1.norm_sq()
+        p0, p1 = state.block_norms_sq()
     else:
         p0, p1 = pole_probabilities(state, args.zeta, args.alpha)
+    # each block as its (dim, 2) float64 [re, im] view
+    pairs0, pairs1 = state.coeffs.view(np.float64).reshape(2, -1, 2)
     payload = {
         "dim": args.dim,
         "params": params,
-        "psi0": _pairs(state.psi0.coeffs),
-        "psi1": _pairs(state.psi1.coeffs),
+        "psi0": pairs0,
+        "psi1": pairs1,
         "norm": state.norm(),
         "concurrence_closed": closed,
         "concurrence_gram": concurrence_gram(state),

@@ -90,19 +90,29 @@ def _require_normalized(norm_sq: float) -> None:
         )
 
 
+def _gram_entries(state: SuperVector) -> tuple[float, float, np.complex128]:
+    """g00 = <psi0|psi0>, g11 = <psi1|psi1> and g01 = <psi0|psi1>, one np.vdot each.
+
+    The one place the Gram entries are computed (the diagonal ones by
+    ``SuperVector.block_norms_sq``); the concurrence, the Gram matrix and the
+    spectral entropy all read them from here.
+    """
+    return (*state.block_norms_sq(), np.vdot(state.psi0, state.psi1))
+
+
+def _gram(g00: float, g11: float, g01: np.complex128) -> np.ndarray:
+    return np.array([[g00, g01], [g01.conjugate(), g11]], dtype=np.complex128)
+
+
 def gram_matrix(state: SuperVector) -> np.ndarray:
     """2x2 Gram matrix of the two fermion blocks in the boson Fock space."""
-    g00 = state.psi0.norm_sq()
-    g11 = state.psi1.norm_sq()
-    g01 = state.psi0.inner(state.psi1)
-    return np.array([[g00, g01], [g01.conjugate(), g11]], dtype=np.complex128)
+    return _gram(*_gram_entries(state))
 
 
 def reduced_boson_density(state: SuperVector) -> DensityMatrix:
     """Partial trace over the fermion: |psi0><psi0| + |psi1><psi1|."""
     _require_normalized(state.norm_sq())
-    c0 = state.psi0.coeffs
-    c1 = state.psi1.coeffs
+    c0, c1 = state.coeffs
     return DensityMatrix(np.outer(c0, c0.conj()) + np.outer(c1, c1.conj()))
 
 
@@ -114,15 +124,20 @@ def concurrence_gram(state: SuperVector) -> float:
     instead of subtracting |g01|^2 from g00 g11, so two parallel blocks give
     a determinant of rounding size squared, not rounding size.
     """
-    c0 = state.psi0.coeffs
-    c1 = state.psi1.coeffs
-    g00 = float(np.vdot(c0, c0).real)
-    g11 = float(np.vdot(c1, c1).real)
+    return _concurrence(state, *_gram_entries(state))
+
+
+def _concurrence(state: SuperVector, g00: float, g11: float, g01: np.complex128) -> float:
+    """concurrence_gram of a state whose Gram entries are already computed."""
     _require_normalized(g00 + g11)
-    big, small, g_big = (c0, c1, g00) if g00 >= g11 else (c1, c0, g11)
+    c0, c1 = state.coeffs
+    if g00 >= g11:
+        big, small, g_big, overlap = c0, c1, g00, g01
+    else:  # <psi1|psi0> is the conjugate of g01
+        big, small, g_big, overlap = c1, c0, g11, g01.conjugate()
     # numpy divides each part by the real g_big; complex / float in Python
     # would round through a complex division
-    perpendicular = small - (np.vdot(big, small) / g_big) * big
+    perpendicular = small - (overlap / g_big) * big
     det = g_big * float(np.vdot(perpendicular, perpendicular).real)
     return min(1.0, 2.0 * math.sqrt(det))
 
@@ -180,8 +195,9 @@ def entanglement_entropy_bits(state: SuperVector) -> float:
     The reduced density matrix has rank <= 2 and its nonzero spectrum equals
     the spectrum of the 2x2 Gram matrix, so only that spectrum is computed.
     """
-    _require_normalized(state.norm_sq())
-    return _entropy_bits(np.linalg.eigvalsh(gram_matrix(state)))
+    g00, g11, g01 = _gram_entries(state)
+    _require_normalized(g00 + g11)
+    return _entropy_bits(np.linalg.eigvalsh(_gram(g00, g11, g01)))
 
 
 def entanglement_report(
@@ -193,8 +209,9 @@ def entanglement_report(
     formula the caller supplied: probabilities sum to one, and the squared
     Gram concurrence equals twice the linear entropy 1 - Tr rho^2.
     """
-    c_gram = concurrence_gram(state)
-    eigenvalues = np.linalg.eigvalsh(gram_matrix(state))
+    entries = _gram_entries(state)
+    c_gram = _concurrence(state, *entries)
+    eigenvalues = np.linalg.eigvalsh(_gram(*entries))
     purity = float(np.sum(eigenvalues**2))
     if abs(p0 + p1 - 1.0) > 1e-12:
         raise NumericalConsistencyError(f"p0 + p1 = {p0 + p1} differs from 1")

@@ -31,7 +31,6 @@ __all__ = [
     "BosonOperator",
     "FockVector",
     "basis_ket",
-    "zero_vector",
     "boson_annihilator",
     "boson_creator",
     "number_operator",
@@ -53,7 +52,7 @@ BosonOperator = np.ndarray
 
 @dataclass(frozen=True)
 class FockVector:
-    """Complex amplitudes over the truncated number basis |0..dim-1>."""
+    """Complex amplitudes over |0..dim-1>, kept as a read-only complex128 copy."""
 
     coeffs: np.ndarray
 
@@ -63,14 +62,6 @@ class FockVector:
             raise InvalidDimensionError("coefficients must form a nonempty 1-d vector")
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
-
-    @classmethod
-    def _adopt(cls, coeffs: np.ndarray) -> "FockVector":
-        """Wrap a nonempty 1-d complex128 array no caller holds, without a copy."""
-        coeffs.setflags(write=False)
-        vector = object.__new__(cls)
-        object.__setattr__(vector, "coeffs", coeffs)
-        return vector
 
     @property
     def dim(self) -> int:
@@ -100,14 +91,7 @@ def basis_ket(n: int, dim: int) -> FockVector:
         )
     coeffs = np.zeros(dim, dtype=np.complex128)
     coeffs[n] = 1.0
-    return FockVector._adopt(coeffs)
-
-
-def zero_vector(dim: int) -> FockVector:
-    """The zero vector (not a state) used for empty fermion blocks."""
-    if dim < 1:
-        raise InvalidDimensionError(f"dim must be >= 1, got {dim}")
-    return FockVector._adopt(np.zeros(dim, dtype=np.complex128))
+    return FockVector(coeffs)
 
 
 def boson_annihilator(dim: int) -> BosonOperator:
@@ -282,4 +266,4 @@ def displaced_number_state(alpha: complex, m: int, dim: int) -> FockVector:
     """D(alpha)|m> for m in {0, 1}, from the closed-form columns."""
     if m not in (0, 1):
         raise UnsupportedLevelError(f"only levels 0 and 1 are supported, got {m}")
-    return FockVector._adopt(displaced_columns(alpha, dim)[m])
+    return FockVector(displaced_columns(alpha, dim)[m])

@@ -1,39 +1,36 @@
 """Composite fermion (x) boson space: block operators and the named states.
 
 A composite vector splits by fermion occupation into two Fock-space blocks
-(psi0, psi1).  An operator is a 2x2 array of boson blocks with the fermion
-index as the outer block index, so its full matrix is 2*dim x 2*dim.  Every
-block the package builds is banded (a, a^dag, N, I, X, P all have bandwidth
-<= 1), so ``BlockOperator`` stores each block as its nonzero diagonals and
-multiplies, applies, adds and adjoins in O(dim); only ``full()`` and the
-dense block accessors form dim x dim arrays.
+(psi0, psi1), the rows of one (2, dim) array.  An operator is a 2x2 array of
+boson blocks with the fermion index as the outer block index, so its full
+matrix is 2*dim x 2*dim.  Every block the package builds is banded (a,
+a^dag, N, I, X, P all have bandwidth <= 1), so ``BlockOperator`` stores each
+block as its nonzero diagonals and multiplies, applies, adds and adjoins in
+O(dim); only ``full()`` and the dense block accessors form dim x dim arrays.
 
 The one-super-particle label zeta enters every construction through its
 homogeneous coordinates (u, v): the pair of blocks of |n, zeta> is
 (v |n>, u |n-1>), the coefficient -1/zeta of the super-annihilation operator
 is -v/u, and both poles of the sphere come out of the same expressions.
 
-Public constructors copy the arrays a caller passes in.  The operators and
-states built here wrap the fresh arrays of their own arithmetic without a
-copy (``FockVector._adopt``, ``BlockOperator._adopt``), read-only as well.
+Each value type has one construction path, its dataclass constructor, which
+validates the arrays it is given and keeps read-only copies of them; the
+builders here fill fresh arrays and pass them to it once.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidDimensionError, SingularParameterError, TruncationError
 from .fock import (
     GUARD_BAND,
-    FockVector,
     _ladder_entries,
-    basis_ket,
     displaced_columns,
-    zero_vector,
 )
 from .moebius import BlochPoint, ExtendedComplex
 
@@ -63,23 +60,52 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SuperVector:
-    """Fermion-0 and fermion-1 Fock blocks of a composite state."""
+    """A composite state: its fermion-0 and fermion-1 Fock blocks as one array.
 
-    psi0: FockVector
-    psi1: FockVector
+    ``coeffs`` is a read-only (2, dim) complex128 array whose rows are the
+    blocks psi0 and psi1.  The constructor copies the array it is given and
+    refuses any shape other than (2, dim >= 1).
+    """
+
+    coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.psi0.dim != self.psi1.dim:
+        try:
+            # C order keeps psi0 before psi1 in memory for ravelled reductions
+            coeffs = np.array(self.coeffs, dtype=np.complex128, order="C")
+        except ValueError as exc:
             raise InvalidDimensionError(
-                f"blocks must share one truncation size, got {self.psi0.dim} and {self.psi1.dim}"
+                f"coefficients must form a (2, dim >= 1) array: {exc}"
+            ) from exc
+        if coeffs.ndim != 2 or coeffs.shape[0] != 2 or coeffs.shape[1] == 0:
+            raise InvalidDimensionError(
+                f"coefficients must form a (2, dim >= 1) array, got shape {coeffs.shape}"
             )
+        coeffs.setflags(write=False)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    @property
+    def psi0(self) -> np.ndarray:
+        """The fermion-0 block, a read-only view of row 0."""
+        return self.coeffs[0]
+
+    @property
+    def psi1(self) -> np.ndarray:
+        """The fermion-1 block, a read-only view of row 1."""
+        return self.coeffs[1]
 
     @property
     def dim(self) -> int:
-        return self.psi0.dim
+        return self.coeffs.shape[1]
+
+    def block_norms_sq(self) -> tuple[float, float]:
+        """<psi0|psi0> and <psi1|psi1>, one np.vdot each."""
+        c0, c1 = self.coeffs
+        return float(np.vdot(c0, c0).real), float(np.vdot(c1, c1).real)
 
     def norm_sq(self) -> float:
-        return self.psi0.norm_sq() + self.psi1.norm_sq()
+        g00, g11 = self.block_norms_sq()
+        return g00 + g11
 
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())
@@ -88,36 +114,14 @@ class SuperVector:
         return abs(self.norm_sq() - 1.0) <= tol
 
     def inner(self, other: "SuperVector") -> complex:
-        """<self|other>, conjugating the left argument."""
-        return self.psi0.inner(other.psi0) + self.psi1.inner(other.psi1)
-
-    def to_array(self) -> np.ndarray:
-        """Stacked coefficients (psi0 then psi1), length 2*dim."""
-        return np.concatenate([self.psi0.coeffs, self.psi1.coeffs])
-
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "SuperVector":
-        arr = np.asarray(arr)
-        if arr.ndim != 1 or arr.size % 2 != 0:
-            raise InvalidDimensionError("stacked vector must have even length")
-        half = arr.size // 2
-        return cls(FockVector(arr[:half]), FockVector(arr[half:]))
-
-    @classmethod
-    def _adopt(cls, coeffs0: np.ndarray, coeffs1: np.ndarray) -> "SuperVector":
-        """Wrap two fresh complex128 blocks of one length without copying them."""
-        vector = object.__new__(cls)
-        object.__setattr__(vector, "psi0", FockVector._adopt(coeffs0))
-        object.__setattr__(vector, "psi1", FockVector._adopt(coeffs1))
-        return vector
+        """<self|other>, conjugating the left argument; summed block by block."""
+        return complex(np.vdot(self.psi0, other.psi0)) + complex(np.vdot(self.psi1, other.psi1))
 
     def __sub__(self, other: "SuperVector") -> "SuperVector":
-        return SuperVector._adopt(
-            self.psi0.coeffs - other.psi0.coeffs, self.psi1.coeffs - other.psi1.coeffs
-        )
+        return SuperVector(self.coeffs - other.coeffs)
 
     def __rmul__(self, scalar: complex) -> "SuperVector":
-        return SuperVector._adopt(scalar * self.psi0.coeffs, scalar * self.psi1.coeffs)
+        return SuperVector(scalar * self.coeffs)
 
 
 # A banded boson matrix: {offset k: the diagonal M[i, i + k]} over the rows
@@ -134,48 +138,43 @@ class BlockOperator:
 
     ``bands`` holds the blocks (ul, ur, ll, lr) as ``{offset: diagonal}``
     mappings of their nonzero diagonals, a zero block as the empty mapping.
-    ``@``, ``apply``, ``+``, ``-`` and ``dagger`` work on the diagonals alone,
-    in O(offsets^2 * dim), and never form a dim x dim array.
+    The constructor checks that each diagonal holds dim - |offset| entries
+    and keeps read-only copies of them.  ``@``, ``apply``, ``+``, ``-`` and
+    ``dagger`` work on the diagonals alone, in O(offsets^2 * dim), and never
+    form a dim x dim array.
 
-    The constructor takes the four blocks as dense square matrices of one
-    shape and keeps their nonzero diagonals.  ``op.ul`` (and ``ur``, ``ll``,
-    ``lr``) reads a block back as a dense read-only matrix and ``full()`` the
-    whole 2*dim x 2*dim matrix; both are built on each call.
+    ``from_blocks`` builds an operator from four dense square matrices.
+    ``op.ul`` (and ``ur``, ``ll``, ``lr``) reads a block back as a dense
+    read-only matrix and ``full()`` the whole 2*dim x 2*dim matrix; both are
+    built on each call.
     """
 
-    ul: InitVar[np.ndarray]
-    ur: InitVar[np.ndarray]
-    ll: InitVar[np.ndarray]
-    lr: InitVar[np.ndarray]
-    dim: int = field(init=False)
-    bands: tuple[Band, Band, Band, Band] = field(init=False)
+    dim: int
+    bands: tuple[Band, Band, Band, Band]
 
-    def __post_init__(self, ul, ur, ll, lr):
-        blocks = [_square(block, name) for name, block in zip(_BLOCK_NAMES, (ul, ur, ll, lr))]
+    def __post_init__(self):
+        if self.dim < 1:
+            raise InvalidDimensionError(f"dim must be >= 1, got {self.dim}")
+        if len(self.bands) != 4:
+            raise InvalidDimensionError(f"an operator has 4 blocks, got {len(self.bands)}")
+        bands = tuple(_checked_band(band, self.dim) for band in self.bands)
+        object.__setattr__(self, "bands", bands)
+
+    @classmethod
+    def from_blocks(cls, ul, ur, ll, lr) -> "BlockOperator":
+        """The operator whose blocks are four dense square matrices of one shape."""
+        blocks = [np.asarray(block, dtype=np.complex128) for block in (ul, ur, ll, lr)]
+        for name, block in zip(_BLOCK_NAMES, blocks):
+            if block.ndim != 2 or block.shape[0] != block.shape[1]:
+                raise InvalidDimensionError(f"block {name} must be a square matrix")
         if any(block.shape != blocks[0].shape for block in blocks):
             raise InvalidDimensionError("all four blocks must share one shape")
-        object.__setattr__(self, "dim", blocks[0].shape[0])
-        object.__setattr__(self, "bands", tuple(_freeze(_band_of(block)) for block in blocks))
-
-    @classmethod
-    def _adopt(cls, dim: int, ul: Band, ur: Band, ll: Band, lr: Band) -> "BlockOperator":
-        """Wrap four bands of fresh (or read-only) diagonals without copying them."""
-        op = object.__new__(cls)
-        object.__setattr__(op, "dim", dim)
-        object.__setattr__(op, "bands", tuple(_freeze(band) for band in (ul, ur, ll, lr)))
-        return op
-
-    @classmethod
-    def boson_diagonal(cls, mat: np.ndarray) -> "BlockOperator":
-        """The same boson matrix on both fermion blocks (identity on the fermion)."""
-        mat = _square(mat, "ul")
-        band = _band_of(mat)
-        return cls._adopt(mat.shape[0], band, {}, {}, band)
+        return cls(blocks[0].shape[0], tuple(map(_band_of, blocks)))
 
     @classmethod
     def fermion_diagonal(cls, upper: complex, lower: complex, dim: int) -> "BlockOperator":
         """diag(upper, lower) (x) I: each fermion block a multiple of the boson identity."""
-        return cls._adopt(dim, _scalar_band(upper, dim), {}, {}, _scalar_band(lower, dim))
+        return cls(dim, (_scalar_band(upper, dim), {}, {}, _scalar_band(lower, dim)))
 
     def __getattr__(self, name: str) -> np.ndarray:
         # the dense block accessors ul, ur, ll, lr
@@ -196,27 +195,29 @@ class BlockOperator:
 
     def apply(self, state: SuperVector) -> SuperVector:
         ul, ur, ll, lr = self.bands
-        psi = (state.psi0.coeffs, state.psi1.coeffs)
-        return SuperVector._adopt(
-            _band_apply(zip((ul, ur), psi), self.dim), _band_apply(zip((ll, lr), psi), self.dim)
+        psi = state.coeffs
+        return SuperVector(
+            [_band_apply(zip((ul, ur), psi), self.dim), _band_apply(zip((ll, lr), psi), self.dim)]
         )
 
     def dagger(self) -> "BlockOperator":
         ul, ur, ll, lr = (
             {-offset: diagonal.conj() for offset, diagonal in band.items()} for band in self.bands
         )
-        return BlockOperator._adopt(self.dim, ul, ll, ur, lr)
+        return BlockOperator(self.dim, (ul, ll, ur, lr))
 
     def __matmul__(self, other: "BlockOperator") -> "BlockOperator":
         a, b, c, d = self.bands
         e, f, g, h = other.bands
         dim = self.dim
-        return BlockOperator._adopt(
+        return BlockOperator(
             dim,
-            _band_matmul(((a, e), (b, g)), dim),
-            _band_matmul(((a, f), (b, h)), dim),
-            _band_matmul(((c, e), (d, g)), dim),
-            _band_matmul(((c, f), (d, h)), dim),
+            (
+                _band_matmul(((a, e), (b, g)), dim),
+                _band_matmul(((a, f), (b, h)), dim),
+                _band_matmul(((c, e), (d, g)), dim),
+                _band_matmul(((c, f), (d, h)), dim),
+            ),
         )
 
     def __add__(self, other: "BlockOperator") -> "BlockOperator":
@@ -233,7 +234,7 @@ class BlockOperator:
             for offset, diagonal in y.items():
                 band[offset] = ufunc(x.get(offset, 0.0), diagonal)
             bands.append(band)
-        return BlockOperator._adopt(self.dim, *bands)
+        return BlockOperator(self.dim, tuple(bands))
 
     def max_abs(self, guard: int = 0) -> float:
         """Max-norm over the boson levels below dim - guard of every block.
@@ -252,23 +253,28 @@ class BlockOperator:
         return float(np.max(maxima))
 
 
-def _square(block, name: str) -> np.ndarray:
-    block = np.asarray(block, dtype=np.complex128)
-    if block.ndim != 2 or block.shape[0] != block.shape[1]:
-        raise InvalidDimensionError(f"block {name} must be a square matrix")
-    return block
-
-
 def _band_of(mat: np.ndarray) -> Band:
-    """The nonzero diagonals of a square matrix, each a copy, in ascending offset."""
+    """The nonzero diagonals of a square matrix, as views, in ascending offset."""
     rows, cols = np.nonzero(mat)
-    return {int(k): np.diagonal(mat, k).copy() for k in np.unique(cols - rows)}
+    return {int(k): np.diagonal(mat, k) for k in np.unique(cols - rows)}
 
 
-def _freeze(band: Band) -> Band:
-    for diagonal in band.values():
+def _checked_band(band: Band, dim: int) -> Band:
+    """Read-only complex128 copies of a band's diagonals, in the band's offset order.
+
+    Diagonal k must hold dim - |k| > 0 entries.
+    """
+    checked = {}
+    for offset, diagonal in band.items():
+        diagonal = np.array(diagonal, dtype=np.complex128)
+        if not abs(offset) < dim or diagonal.shape != (dim - abs(offset),):
+            raise InvalidDimensionError(
+                f"diagonal {offset} of a dim-{dim} block needs shape ({dim - abs(offset)},), "
+                f"got {diagonal.shape}"
+            )
         diagonal.setflags(write=False)
-    return band
+        checked[offset] = diagonal
+    return checked
 
 
 def _scalar_band(scalar: complex, dim: int) -> Band:
@@ -362,7 +368,7 @@ def super_number_operator(dim: int) -> BlockOperator:
     if dim < 2:
         raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
     n = np.arange(dim, dtype=np.complex128)
-    return BlockOperator._adopt(dim, {0: n}, {}, {}, {0: n + 1.0})
+    return BlockOperator(dim, ({0: n}, {}, {}, {0: n + 1.0}))
 
 
 def super_annihilation(zeta: ExtendedComplex, dim: int) -> BlockOperator:
@@ -373,13 +379,13 @@ def super_annihilation(zeta: ExtendedComplex, dim: int) -> BlockOperator:
     zeta = 0 is rejected: the entry -1/zeta is unbounded there.
     """
     a = {1: _ladder_entries(dim)}
-    return BlockOperator._adopt(dim, a, _scalar_band(_minus_inverse(zeta), dim), {}, a)
+    return BlockOperator(dim, (a, _scalar_band(_minus_inverse(zeta), dim), {}, a))
 
 
 def super_annihilation_transposed(zeta: ExtendedComplex, dim: int) -> BlockOperator:
     """Block transpose [[a, 0], [-(1/zeta) I, a]], annihilating flipped states."""
     a = {1: _ladder_entries(dim)}
-    return BlockOperator._adopt(dim, a, {}, _scalar_band(_minus_inverse(zeta), dim), a)
+    return BlockOperator(dim, (a, {}, _scalar_band(_minus_inverse(zeta), dim), a))
 
 
 def super_creation_gate(zeta: ExtendedComplex, dim: int) -> BlockOperator:
@@ -388,7 +394,7 @@ def super_creation_gate(zeta: ExtendedComplex, dim: int) -> BlockOperator:
     Written homogeneously as [[v a^dag, 0], [u I, v a^dag]], valid at both poles.
     """
     v_ad = {-1: zeta.v * _ladder_entries(dim)} if zeta.v != 0 else {}
-    return BlockOperator._adopt(dim, v_ad, {}, _scalar_band(zeta.u, dim), v_ad)
+    return BlockOperator(dim, (v_ad, {}, _scalar_band(zeta.u, dim), v_ad))
 
 
 def n_superparticle_state(n: int, zeta: ExtendedComplex, dim: int) -> SuperVector:
@@ -401,17 +407,17 @@ def n_superparticle_state(n: int, zeta: ExtendedComplex, dim: int) -> SuperVecto
         raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if n == 0:
-        return SuperVector(basis_ket(0, dim), zero_vector(dim))
     if n >= dim:
         raise TruncationError(
             f"|{n}, zeta> does not fit in {dim} levels", required_dim=n + 1
         )
-    coeffs0 = np.zeros(dim, dtype=np.complex128)
-    coeffs1 = np.zeros(dim, dtype=np.complex128)
-    coeffs0[n] = zeta.v
-    coeffs1[n - 1] = zeta.u
-    return SuperVector._adopt(coeffs0, coeffs1)
+    coeffs = np.zeros((2, dim), dtype=np.complex128)
+    if n == 0:
+        coeffs[0, 0] = 1.0
+    else:
+        coeffs[0, n] = zeta.v
+        coeffs[1, n - 1] = zeta.u
+    return SuperVector(coeffs)
 
 
 def super_qubit_state(params: SuperQubitParams, dim: int) -> SuperVector:
@@ -420,26 +426,21 @@ def super_qubit_state(params: SuperQubitParams, dim: int) -> SuperVector:
         raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
     amp0 = math.cos(0.5 * params.theta)
     amp1 = cmath.rect(math.sin(0.5 * params.theta), params.phi)
-    coeffs0 = np.zeros(dim, dtype=np.complex128)
-    coeffs1 = np.zeros(dim, dtype=np.complex128)
-    coeffs0[0] = amp0
-    coeffs0[1] = amp1 * params.zeta.v
-    coeffs1[0] = amp1 * params.zeta.u
-    return SuperVector._adopt(coeffs0, coeffs1)
+    coeffs = np.zeros((2, dim), dtype=np.complex128)
+    coeffs[0, 0] = amp0
+    coeffs[0, 1] = amp1 * params.zeta.v
+    coeffs[1, 0] = amp1 * params.zeta.u
+    return SuperVector(coeffs)
 
 
 def _displace_low_levels(alpha: complex, state: SuperVector) -> SuperVector:
     """D(alpha) on both blocks of a state supported on boson levels 0 and 1.
 
     Each block r0 |0> + r1 |1> becomes r0 D|0> + r1 D|1>, built from the
-    memoised closed-form columns.
+    memoised closed-form columns elementwise, both rows at once.
     """
     d0, d1 = displaced_columns(alpha, state.dim)
-
-    def block(psi: FockVector) -> np.ndarray:
-        return psi.coeffs[0] * d0 + psi.coeffs[1] * d1
-
-    return SuperVector._adopt(block(state.psi0), block(state.psi1))
+    return SuperVector(state.coeffs[:, :1] * d0 + state.coeffs[:, 1:2] * d1)
 
 
 def super_coherent_state(params: CoherentParams, dim: int) -> SuperVector:
@@ -460,12 +461,12 @@ def flip_operator(dim: int) -> BlockOperator:
     if dim < 1:
         raise InvalidDimensionError(f"dim must be >= 1, got {dim}")
     ones = _scalar_band(1.0, dim)
-    return BlockOperator._adopt(dim, {}, ones, ones, {})
+    return BlockOperator(dim, ({}, ones, ones, {}))
 
 
 def flip_state(state: SuperVector) -> SuperVector:
     """The flipped state: blocks exchanged, no arithmetic involved."""
-    return SuperVector(state.psi1, state.psi0)
+    return SuperVector(state.coeffs[::-1])
 
 
 def flipped_super_coherent_state(params: CoherentParams, dim: int) -> SuperVector:
@@ -527,8 +528,8 @@ def guarded_max_abs(full_matrix: np.ndarray, dim: int, guard: int = GUARD_BAND) 
 def guarded_norm(state: SuperVector, guard: int = GUARD_BAND) -> float:
     """Euclidean norm of a SuperVector restricted to the guarded levels."""
     keep = _guarded_count(state.dim, guard)
-    guarded = np.concatenate([state.psi0.coeffs[:keep], state.psi1.coeffs[:keep]])
-    return float(np.linalg.norm(guarded))
+    # numpy ravels the rows, so the sum runs over psi0[:keep] then psi1[:keep]
+    return float(np.linalg.norm(state.coeffs[:, :keep]))
 
 
 @dataclass(frozen=True)
@@ -545,7 +546,7 @@ class CommutatorResiduals:
     ladder: float
 
     def max(self) -> float:
-        return max(self.number_lowering, self.number_raising, self.ladder)
+        return float(np.max([self.number_lowering, self.number_raising, self.ladder]))
 
 
 def commutator_suite(

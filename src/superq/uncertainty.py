@@ -110,10 +110,7 @@ def quadrature_operators(dim: int) -> tuple[BlockOperator, BlockOperator]:
     xd = off.astype(np.complex128)
     x = {-1: xd, 1: xd}
     p = {-1: 1j * off, 1: -1j * off}
-    return (
-        BlockOperator._adopt(dim, x, {}, {}, x),
-        BlockOperator._adopt(dim, p, {}, {}, p),
-    )
+    return BlockOperator(dim, (x, {}, {}, x)), BlockOperator(dim, (p, {}, {}, p))
 
 
 def mean_quadratures_closed(params: CoherentParams) -> tuple[float, float]:
@@ -152,8 +149,8 @@ def quadrature_stats_closed(params: CoherentParams) -> QuadratureStats:
     return QuadratureStats(mean_x, mean_p, var_x, var_p, math.sqrt(var_x * var_p))
 
 
-def _block_moments(op: np.ndarray, blocks) -> tuple[float, float]:
-    """<op> and ||op psi||^2 - <op>^2 of a Hermitian boson matrix acting on each block.
+def _block_moments(op: np.ndarray, blocks: np.ndarray) -> tuple[float, float]:
+    """<op> and ||op psi||^2 - <op>^2 of a Hermitian boson matrix acting on each block (row).
 
     Each sum runs block by block, psi0 before psi1, which fixes the rounding
     of the golden Fibonacci table.
@@ -176,9 +173,8 @@ def quadrature_stats_numeric(params: CoherentParams, dim: int = DEFAULT_DIM) -> 
     if dim < 3:
         raise TruncationError(f"the quadrature oracle needs dim >= 3, got {dim}", required_dim=3)
     x, p = _quadrature_matrices(dim)
-    blocks = (state.psi0.coeffs, state.psi1.coeffs)
-    mean_x, var_x = _block_moments(x, blocks)
-    mean_p, var_p = _block_moments(p, blocks)
+    mean_x, var_x = _block_moments(x, state.coeffs)
+    mean_p, var_p = _block_moments(p, state.coeffs)
     return QuadratureStats(mean_x, mean_p, var_x, var_p, math.sqrt(var_x * var_p))
 
 

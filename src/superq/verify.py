@@ -97,6 +97,11 @@ _BOOL_PASS = 0.0
 _BOOL_FAIL = 1.0
 
 
+def _worst(*residuals: float) -> float:
+    """The largest residual, or NaN when any is NaN (the builtin max(0.0, nan) is 0.0)."""
+    return math.nan if any(map(math.isnan, residuals)) else max(residuals)
+
+
 @dataclass(frozen=True)
 class Check:
     """One named residual against its tolerance."""
@@ -133,14 +138,18 @@ class VerificationReport:
 
     @property
     def max_residual(self) -> float:
-        return max((check.residual for check in self.checks), default=0.0)
+        """The largest residual, NaN when any residual is NaN, 0.0 without checks."""
+        return _worst(0.0, *(check.residual for check in self.checks))
 
     @property
     def all_passed(self) -> bool:
         return self.passed == self.total
 
     def to_payload(self) -> dict:
-        """JSON-ready mapping; wall_time_ms and timings_ms are the non-reproducible fields."""
+        """JSON-ready mapping; wall_time_ms and timings_ms are the non-reproducible fields.
+
+        A residual that is not a finite number (NaN, inf) becomes None, JSON null.
+        """
         return {
             "suite": self.suite,
             "dim": self.dim,
@@ -150,7 +159,7 @@ class VerificationReport:
             "checks": [
                 {
                     "name": check.name,
-                    "residual": check.residual,
+                    "residual": _finite_or_none(check.residual),
                     "tolerance": check.tolerance,
                     "pass": check.passed,
                 }
@@ -159,11 +168,15 @@ class VerificationReport:
             "summary": {
                 "total": self.total,
                 "passed": self.passed,
-                "max_residual": self.max_residual,
+                "max_residual": _finite_or_none(self.max_residual),
                 "wall_time_ms": self.wall_time_ms,
                 "timings_ms": dict(self.timings_ms),
             },
         }
+
+
+def _finite_or_none(value: float) -> float | None:
+    return value if math.isfinite(value) else None
 
 
 def _zeta_grid() -> list[ExtendedComplex]:
@@ -180,11 +193,7 @@ def _angle_grid(stride: int = 1) -> list[tuple[float, float]]:
 def _random_super_vector(rng: np.random.Generator, dim: int) -> SuperVector:
     raw = rng.standard_normal(2 * dim) + 1j * rng.standard_normal(2 * dim)
     raw /= np.linalg.norm(raw)
-    return SuperVector._adopt(raw[:dim], raw[dim:])
-
-
-def _displace_blocks(d: np.ndarray, state: SuperVector) -> SuperVector:
-    return SuperVector._adopt(d @ state.psi0.coeffs, d @ state.psi1.coeffs)
+    return SuperVector(raw.reshape(2, dim))
 
 
 def _suite_algebra(dim: int, tol: float) -> list[Check]:
@@ -195,15 +204,15 @@ def _suite_algebra(dim: int, tol: float) -> list[Check]:
     gate = 0.0
     for zeta in zetas:
         residuals = commutator_suite(zeta, dim)
-        lowering = max(lowering, residuals.number_lowering)
-        raising = max(raising, residuals.number_raising)
-        ladder = max(ladder, residuals.ladder)
+        lowering = _worst(lowering, residuals.number_lowering)
+        raising = _worst(raising, residuals.number_raising)
+        ladder = _worst(ladder, residuals.ladder)
         conjugated = flip @ super_annihilation(zeta, dim) @ flip
-        transpose = max(
+        transpose = _worst(
             transpose, (conjugated - super_annihilation_transposed(zeta, dim)).max_abs()
         )
         raised = super_creation_gate(zeta, dim).apply(n_superparticle_state(0, zeta, dim))
-        gate = max(gate, (raised - n_superparticle_state(1, zeta, dim)).norm())
+        gate = _worst(gate, (raised - n_superparticle_state(1, zeta, dim)).norm())
 
     involution = float(np.abs((flip @ flip).full() - np.eye(2 * dim)).max())
 
@@ -225,16 +234,12 @@ def _suite_algebra(dim: int, tol: float) -> list[Check]:
     commute = 0.0
     for zeta in _zeta_grid():
         state = super_qubit_state(SuperQubitParams(1.3, 0.7, zeta), dim)
-        commute = max(
-            commute,
-            (
-                flip_state(_displace_blocks(d, state))
-                - _displace_blocks(d, flip_state(state))
-            ).norm(),
-        )
+        displaced = SuperVector([d @ psi for psi in state.coeffs])
+        displaced_flip = SuperVector([d @ psi for psi in flip_state(state).coeffs])
+        commute = _worst(commute, (flip_state(displaced) - displaced_flip).norm())
 
     x_op, p_op = quadrature_operators(dim)
-    hermiticity = max(
+    hermiticity = _worst(
         float(np.abs(x_op.full() - x_op.full().conj().T).max()),
         float(np.abs(p_op.full() - p_op.full().conj().T).max()),
     )
@@ -263,7 +268,7 @@ def _suite_eigen(dim: int, tol: float) -> list[Check]:
         a_op = super_annihilation(zeta, dim)
         for theta, phi in _angle_grid():
             state = super_qubit_state(SuperQubitParams(theta, phi, zeta), dim)
-            reference_residual = max(reference_residual, a_op.apply(state).norm())
+            reference_residual = _worst(reference_residual, a_op.apply(state).norm())
 
     coherent_residual = 0.0
     flipped_residual = 0.0
@@ -277,17 +282,17 @@ def _suite_eigen(dim: int, tol: float) -> list[Check]:
                 params = CoherentParams(alpha, SuperQubitParams(theta, phi, zeta))
                 coherent = super_coherent_state(params, dim)
                 residual = a_op.apply(coherent) - alpha * coherent
-                coherent_residual = max(
+                coherent_residual = _worst(
                     coherent_residual, guarded_norm(residual) / coherent.norm()
                 )
                 flipped = flip_state(coherent)
                 residual = at_op.apply(flipped) - alpha * flipped
-                flipped_residual = max(
+                flipped_residual = _worst(
                     flipped_residual, guarded_norm(residual) / flipped.norm()
                 )
         oracle = displacement_operator(alpha, dim)[:, 0:2]
         closed = np.stack(displaced_columns(alpha, dim), axis=1)
-        column_gap = max(column_gap, float(np.abs(closed - oracle)[:keep].max()))
+        column_gap = _worst(column_gap, float(np.abs(closed - oracle)[:keep].max()))
 
     return [
         Check("reference_annihilation", reference_residual, 1e-10),
@@ -309,14 +314,14 @@ def _suite_entangle(dim: int, tol: float, rng: np.random.Generator) -> list[Chec
             state = n_superparticle_state(n, zeta, dim)
             gram = concurrence_gram(state)
             values.append(gram)
-            closed_vs_gram = max(closed_vs_gram, abs(gram - concurrence_n_state(zeta)))
-        n_spread = max(n_spread, max(values) - min(values))
+            closed_vs_gram = _worst(closed_vs_gram, abs(gram - concurrence_n_state(zeta)))
+        n_spread = _worst(n_spread, _worst(*values) - min(values))
         closed = concurrence_n_state(zeta)
         point = zeta_to_bloch(zeta)
         # z compared in the homogeneous form v^2 - |u|^2; the equivalent
         # sqrt(1 - C^2) is ill-conditioned where C is close to 1
         height = zeta.v.real**2 - abs(zeta.u) ** 2
-        geometric = max(
+        geometric = _worst(
             geometric,
             abs(closed - math.sin(point.theta)),
             abs(height - math.cos(point.theta)),
@@ -327,12 +332,12 @@ def _suite_entangle(dim: int, tol: float, rng: np.random.Generator) -> list[Chec
     for zeta in zetas:
         for theta, phi in _angle_grid():
             state = super_qubit_state(SuperQubitParams(theta, phi, zeta), dim)
-            superqubit_gap = max(
+            superqubit_gap = _worst(
                 superqubit_gap,
                 abs(concurrence_gram(state) - concurrence_superqubit(theta, zeta)),
             )
             p0, p1 = pole_probabilities(state, zeta)
-            probability_gap = max(
+            probability_gap = _worst(
                 probability_gap,
                 abs(p0 - math.cos(0.5 * theta) ** 2),
                 abs(p1 - math.sin(0.5 * theta) ** 2),
@@ -343,11 +348,11 @@ def _suite_entangle(dim: int, tol: float, rng: np.random.Generator) -> list[Chec
     for zeta in zetas:
         for theta, phi in _angle_grid(stride=2):
             params = CoherentParams(_ENTANGLE_ALPHA, SuperQubitParams(theta, phi, zeta))
-            alpha_invariance = max(
+            alpha_invariance = _worst(
                 alpha_invariance, displacement_invariance_check(params, dim)
             )
             state = super_qubit_state(params.base, dim)
-            flip_invariance = max(
+            flip_invariance = _worst(
                 flip_invariance,
                 abs(concurrence_gram(flip_state(state)) - concurrence_gram(state)),
             )
@@ -359,21 +364,21 @@ def _suite_entangle(dim: int, tol: float, rng: np.random.Generator) -> list[Chec
         state = _random_super_vector(rng, dim)
         c_gram = concurrence_gram(state)
         rho = reduced_boson_density(state)
-        gram_purity = max(gram_purity, abs(c_gram**2 - 2.0 * (1.0 - rho.purity())))
+        gram_purity = _worst(gram_purity, abs(c_gram**2 - 2.0 * (1.0 - rho.purity())))
         eigenvalues = np.sort(rho.eigenvalues())[::-1]
         if dim > 2:
-            rank_bound = max(rank_bound, float(abs(eigenvalues[2])))
+            rank_bound = _worst(rank_bound, float(abs(eigenvalues[2])))
         spectral = float(
             -sum(lam * math.log2(lam) for lam in eigenvalues if lam > 1e-16)
         )
-        spectral_gap = max(
+        spectral_gap = _worst(
             spectral_gap,
             abs(spectral - entropy_from_z(math.sqrt(max(0.0, 1.0 - c_gram**2)))),
         )
     for zeta in zetas:
         state = n_superparticle_state(1, zeta, dim)
         c_gram = concurrence_gram(state)
-        spectral_gap = max(
+        spectral_gap = _worst(
             spectral_gap,
             abs(
                 entanglement_entropy_bits(state)
@@ -381,7 +386,7 @@ def _suite_entangle(dim: int, tol: float, rng: np.random.Generator) -> list[Chec
             ),
         )
 
-    pole_entropy = max(
+    pole_entropy = _worst(
         abs(entropy_from_z(0.0) - 1.0),
         abs(entropy_from_z(1.0)),
         abs(entropy_from_z(-1.0)),
@@ -417,17 +422,17 @@ def _suite_uncertainty(dim: int, tol: float) -> list[Check]:
                 params = CoherentParams(alpha, base)
                 closed = quadrature_stats_closed(params)
                 numeric = quadrature_stats_numeric(params, dim)
-                mean_gap = max(
+                mean_gap = _worst(
                     mean_gap,
                     abs(closed.mean_x - numeric.mean_x),
                     abs(closed.mean_p - numeric.mean_p),
                 )
-                var_gap = max(
+                var_gap = _worst(
                     var_gap,
                     abs(closed.var_x - numeric.var_x),
                     abs(closed.var_p - numeric.var_p),
                 )
-                alpha_independence = max(
+                alpha_independence = _worst(
                     alpha_independence,
                     abs(numeric.var_x - numeric_at_zero.var_x),
                     abs(numeric.var_p - numeric_at_zero.var_p),
@@ -440,19 +445,19 @@ def _suite_uncertainty(dim: int, tol: float) -> list[Check]:
         for theta in _THETAS:
             params = CoherentParams(0.0, SuperQubitParams(theta, 0.25 * math.pi, zeta))
             var_x, var_p = variance_quadratures_closed(params)
-            symmetric_closed = max(symmetric_closed, abs(var_x - var_p))
-            variance_floor = max(variance_floor, 0.5 - min(var_x, var_p))
+            symmetric_closed = _worst(symmetric_closed, abs(var_x - var_p))
+            variance_floor = _worst(variance_floor, 0.5 - var_x, 0.5 - var_p)
             numeric = quadrature_stats_numeric(params, dim)
-            symmetric_numeric = max(symmetric_numeric, abs(numeric.var_x - numeric.var_p))
+            symmetric_numeric = _worst(symmetric_numeric, abs(numeric.var_x - numeric.var_p))
 
     fib_point = CoherentParams(
         0.0,
         SuperQubitParams(0.5 * math.pi, 0.25 * math.pi, ExtendedComplex.from_value(1.0)),
     )
     closed_58 = variance_quadratures_closed(fib_point)
-    five_eighths_closed = max(abs(closed_58[0] - 0.625), abs(closed_58[1] - 0.625))
+    five_eighths_closed = _worst(abs(closed_58[0] - 0.625), abs(closed_58[1] - 0.625))
     numeric_58 = quadrature_stats_numeric(fib_point, dim)
-    five_eighths_numeric = max(
+    five_eighths_numeric = _worst(
         abs(numeric_58.var_x - 0.625), abs(numeric_58.var_p - 0.625)
     )
 
@@ -461,7 +466,7 @@ def _suite_uncertainty(dim: int, tol: float) -> list[Check]:
         0.0, SuperQubitParams(0.5 * math.pi, 0.25 * math.pi, golden_zeta)
     )
     golden_var = variance_quadratures_closed(golden_params)
-    golden_gap = max(
+    golden_gap = _worst(
         abs(golden_var[0] - 1.0 / GOLDEN_RATIO), abs(golden_var[1] - 1.0 / GOLDEN_RATIO)
     )
 

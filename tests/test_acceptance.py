@@ -64,9 +64,7 @@ def _grid_states(dim):
 
 
 def _displace(d, state):
-    return SuperVector(
-        fock.FockVector(d @ state.psi0.coeffs), fock.FockVector(d @ state.psi1.coeffs)
-    )
+    return SuperVector([d @ psi for psi in state.coeffs])
 
 
 def test_criterion_1_reference_annihilation():

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superq import fock
+from superq import fock, verify
 from superq.cli import FIBONACCI_HEADER, SWEEP_HEADER, main as cli_main, sweep_thetas
 from superq.verify import required_suite_dim
 
@@ -446,6 +447,20 @@ class TestVerifyCommand:
         assert "failed" in err
         payload = json.loads(out)
         assert payload["summary"]["passed"] < payload["summary"]["total"]
+
+    def test_nan_residual_exits_one_naming_its_check(self, run_cli, monkeypatch):
+        real = verify.commutator_suite
+
+        def patched(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), number_lowering=math.nan)
+
+        monkeypatch.setattr(verify, "commutator_suite", patched)
+        code, out, err = run_cli(["verify", "--suite", "algebra", "--dim", "36"])
+        assert code == 1
+        assert err == "superq: 1 check(s) failed: commutator_number_lowering\n"
+        payload = json.loads(out)
+        assert payload["checks"][0]["residual"] is None
+        assert payload["summary"]["max_residual"] is None
 
     def test_deep_fibonacci_ladder_passes(self, run_cli):
         code, out, err = run_cli(["verify", "--suite", "fibonacci", "--n-max", "45", "--dim", "64"])

@@ -44,29 +44,128 @@ ZETA_SAMPLES = [
 def random_state(rng, dim):
     raw = rng.standard_normal(2 * dim) + 1j * rng.standard_normal(2 * dim)
     raw /= np.linalg.norm(raw)
-    return SuperVector.from_array(raw)
+    return SuperVector(raw.reshape(2, -1))
 
 
 class TestSuperVector:
     def test_block_dims_must_agree(self):
-        with pytest.raises(InvalidDimensionError):
-            SuperVector(fock.basis_ket(0, 3), fock.basis_ket(0, 4))
+        with pytest.raises(InvalidDimensionError, match="must form a"):
+            SuperVector([fock.basis_ket(0, 3).coeffs, fock.basis_ket(0, 4).coeffs])
+
+    @pytest.mark.parametrize("shape", [(4,), (1, 4), (3, 4), (2, 0), (2, 2, 2), (0, 2), ()])
+    def test_shape_must_be_two_by_dim(self, shape):
+        with pytest.raises(InvalidDimensionError, match="must form a"):
+            SuperVector(np.zeros(shape))
+
+    def test_constructor_copies_and_freezes(self):
+        coeffs = np.array([[0.6, 0.0], [0.0, 0.8j]])
+        state = SuperVector(coeffs)
+        coeffs[0, 0] = 9.0
+        assert state.coeffs[0, 0] == 0.6 and coeffs.flags.writeable
+        assert state.coeffs.dtype == np.complex128 and state.coeffs.shape == (2, 2)
+        for view in (state.coeffs, state.psi0, state.psi1):
+            with pytest.raises(ValueError):
+                view[0] = 1.0
+
+    def test_fortran_ordered_input_is_stored_c_ordered(self):
+        flat = np.arange(8.0) + 1j * np.arange(8.0)
+        transposed = flat.reshape(4, 2).T
+        assert not transposed.flags.c_contiguous
+        state = SuperVector(transposed)
+        assert state.coeffs.flags.c_contiguous
+        np.testing.assert_array_equal(state.coeffs, transposed)
+        # the ravelled reduction runs psi0 before psi1
+        np.testing.assert_array_equal(
+            state.coeffs.ravel(), np.concatenate([transposed[0], transposed[1]])
+        )
+
+    def test_block_norms_sq_sum_to_norm_sq(self):
+        state = SuperVector([[0.6, 0.0], [0.0, 0.8j]])
+        g00, g11 = state.block_norms_sq()
+        assert (g00, g11) == (
+            float(np.vdot(state.psi0, state.psi0).real),
+            float(np.vdot(state.psi1, state.psi1).real),
+        )
+        assert state.norm_sq() == g00 + g11
+
+    def test_blocks_are_row_views(self):
+        state = random_state(np.random.default_rng(2), 5)
+        assert state.dim == 5
+        assert np.shares_memory(state.psi0, state.coeffs)
+        np.testing.assert_array_equal(state.psi0, state.coeffs[0])
+        np.testing.assert_array_equal(state.psi1, state.coeffs[1])
 
     def test_norm_splits_over_blocks(self):
-        state = SuperVector(fock.FockVector([0.6, 0.0]), fock.FockVector([0.0, 0.8]))
+        state = SuperVector([[0.6, 0.0], [0.0, 0.8]])
         assert state.norm() == pytest.approx(1.0)
         assert state.is_normalized()
 
     def test_array_round_trip(self):
         rng = np.random.default_rng(7)
         state = random_state(rng, 5)
-        again = SuperVector.from_array(state.to_array())
+        again = SuperVector(state.coeffs)
+        assert again.coeffs is not state.coeffs
         assert (again - state).norm() == 0.0
+
+
+def _blocks(state):
+    """The two blocks of a state as separate contiguous arrays, as the per-block code held them."""
+    return np.array(state.psi0), np.array(state.psi1)
+
+
+@st.composite
+def coherent_points(draw):
+    """A super-coherent parameter point and a dim at or above its displacement guard."""
+    zeta = draw(
+        st.one_of(
+            st.just(ExtendedComplex.infinity()),
+            st.builds(
+                lambda re, im: ExtendedComplex.from_value(complex(re, im)),
+                st.floats(-4, 4),
+                st.floats(-4, 4),
+            ),
+        )
+    )
+    base = SuperQubitParams(draw(st.floats(0.0, math.pi)), draw(st.floats(0.0, 6.3)), zeta)
+    alpha = complex(draw(st.floats(-2, 2)), draw(st.floats(-2, 2)))
+    dim = max(fock.required_displacement_dim(alpha), draw(st.integers(2, 64)))
+    return CoherentParams(alpha, base), dim
+
+
+class TestPerBlockReferences:
+    """The (2, dim) array reduces block by block, bit for bit like separate blocks."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 80), st.integers(0, 2**32 - 1))
+    def test_inner_norm_and_flip(self, dim, seed):
+        rng = np.random.default_rng(seed)
+        x, y = (SuperVector(rng.standard_normal((2, dim, 2)) @ [1.0, 1j]) for _ in range(2))
+        x0, x1 = _blocks(x)
+        y0, y1 = _blocks(y)
+        assert x.inner(y) == complex(np.vdot(x0, y0)) + complex(np.vdot(x1, y1))
+        assert x.norm_sq() == float(np.vdot(x0, x0).real) + float(np.vdot(x1, x1).real)
+        assert flip_state(x).coeffs.tobytes() == np.concatenate([x1, x0]).tobytes()
+        for guard in {0, dim // 2, dim - 1}:
+            keep = dim - guard
+            reference = float(np.linalg.norm(np.concatenate([x0[:keep], x1[:keep]])))
+            assert guarded_norm(x, guard) == reference
+
+    @settings(max_examples=100, deadline=None)
+    @given(coherent_points())
+    def test_super_coherent_state(self, point):
+        params, dim = point
+        r0, r1 = _blocks(super_qubit_state(params.base, dim))
+        d0, d1 = fock.displaced_columns(params.alpha, dim)
+        if params.alpha == 0:
+            expected = np.concatenate([r0, r1])
+        else:
+            expected = np.concatenate([r0[0] * d0 + r0[1] * d1, r1[0] * d0 + r1[1] * d1])
+        assert super_coherent_state(params, dim).coeffs.tobytes() == expected.tobytes()
 
 
 class TestBlockOperator:
     def test_full_layout(self):
-        op = BlockOperator(
+        op = BlockOperator.from_blocks(
             np.eye(2), 2 * np.eye(2), 3 * np.eye(2), 4 * np.eye(2)
         )
         expected = np.kron(np.array([[1, 2], [3, 4]]), np.eye(2))
@@ -76,10 +175,10 @@ class TestBlockOperator:
         rng = np.random.default_rng(11)
         dim = 6
         blocks = [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)) for _ in range(4)]
-        op = BlockOperator(*blocks)
+        op = BlockOperator.from_blocks(*blocks)
         state = random_state(rng, dim)
         np.testing.assert_allclose(
-            op.apply(state).to_array(), op.full() @ state.to_array(), atol=1e-14
+            op.apply(state).coeffs.ravel(), op.full() @ state.coeffs.ravel(), atol=1e-14
         )
 
     def test_matmul_matches_full_product(self):
@@ -88,7 +187,7 @@ class TestBlockOperator:
         ops = []
         for _ in range(2):
             blocks = [rng.standard_normal((dim, dim)) for _ in range(4)]
-            ops.append(BlockOperator(*blocks))
+            ops.append(BlockOperator.from_blocks(*blocks))
         np.testing.assert_allclose(
             (ops[0] @ ops[1]).full(), ops[0].full() @ ops[1].full(), atol=1e-12
         )
@@ -97,23 +196,50 @@ class TestBlockOperator:
         rng = np.random.default_rng(17)
         dim = 4
         blocks = [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)) for _ in range(4)]
-        op = BlockOperator(*blocks)
+        op = BlockOperator.from_blocks(*blocks)
         np.testing.assert_array_equal(op.dagger().full(), op.full().conj().T)
 
     def test_block_shapes_must_agree(self):
         with pytest.raises(InvalidDimensionError):
-            BlockOperator(np.eye(2), np.eye(3), np.eye(2), np.eye(2))
+            BlockOperator.from_blocks(np.eye(2), np.eye(3), np.eye(2), np.eye(2))
+
+    @pytest.mark.parametrize(
+        "band",
+        [{0: np.ones(3)}, {1: np.ones(4)}, {-1: np.ones(1)}, {4: np.ones(1)}, {0: np.ones((4, 1))}],
+    )
+    def test_diagonal_of_wrong_length_refused(self, band):
+        with pytest.raises(InvalidDimensionError, match="diagonal"):
+            BlockOperator(4, ({}, band, {}, {}))
+
+    def test_four_blocks_and_positive_dim_required(self):
+        with pytest.raises(InvalidDimensionError, match="4 blocks"):
+            BlockOperator(3, ({}, {}, {}))
+        with pytest.raises(InvalidDimensionError, match="dim must be"):
+            BlockOperator(0, ({}, {}, {}, {}))
+        with pytest.raises(InvalidDimensionError, match="dim must be"):
+            BlockOperator.from_blocks(*(np.zeros((0, 0)) for _ in range(4)))
+
+    def test_constructor_copies_diagonals_read_only(self):
+        diagonal = np.arange(3.0, dtype=np.complex128)
+        op = BlockOperator(3, ({0: diagonal}, {}, {}, {1: np.ones(2)}))
+        diagonal[0] = 9.0
+        assert op.bands[0][0][0] == 0.0 and diagonal.flags.writeable
+        for band in op.bands:
+            for stored in band.values():
+                assert stored.dtype == np.complex128
+                with pytest.raises(ValueError):
+                    stored[0] = 1.0
 
 
 class TestSuperNumber:
     def test_boson_block_eigenvalue(self):
         op = super_number_operator(8)
-        state = SuperVector(fock.basis_ket(2, 8), fock.zero_vector(8))
+        state = SuperVector([fock.basis_ket(2, 8).coeffs, np.zeros(8)])
         assert (op.apply(state) - 2.0 * state).norm() == 0.0
 
     def test_fermion_block_counts_one_extra(self):
         op = super_number_operator(8)
-        state = SuperVector(fock.zero_vector(8), fock.basis_ket(1, 8))
+        state = SuperVector([np.zeros(8), fock.basis_ket(1, 8).coeffs])
         assert (op.apply(state) - 2.0 * state).norm() == 0.0
 
     def test_matches_tensor_construction(self):
@@ -173,20 +299,20 @@ class TestNSuperparticleState:
     def test_zero_state_ignores_zeta(self):
         for zeta in ZETA_SAMPLES + [ExtendedComplex.infinity()]:
             state = n_superparticle_state(0, zeta, 4)
-            np.testing.assert_array_equal(state.psi0.coeffs, fock.basis_ket(0, 4).coeffs)
-            assert state.psi1.norm() == 0.0
+            np.testing.assert_array_equal(state.psi0, fock.basis_ket(0, 4).coeffs)
+            assert not state.psi1.any()
 
     def test_one_state_at_unit_zeta(self):
         state = n_superparticle_state(1, ExtendedComplex.from_value(1.0), 4)
         inv_sqrt2 = 1.0 / math.sqrt(2.0)
-        assert state.psi0.coeffs[1] == pytest.approx(inv_sqrt2, abs=1e-15)
-        assert state.psi1.coeffs[0] == pytest.approx(inv_sqrt2, abs=1e-15)
+        assert state.psi0[1] == pytest.approx(inv_sqrt2, abs=1e-15)
+        assert state.psi1[0] == pytest.approx(inv_sqrt2, abs=1e-15)
         assert state.is_normalized()
 
     def test_pole_keeps_only_fermion_block(self):
         state = n_superparticle_state(2, ExtendedComplex.infinity(), 4)
-        assert state.psi0.norm() == 0.0
-        np.testing.assert_array_equal(state.psi1.coeffs, fock.basis_ket(1, 4).coeffs)
+        assert not state.psi0.any()
+        np.testing.assert_array_equal(state.psi1, fock.basis_ket(1, 4).coeffs)
 
     def test_truncation_rejected(self):
         with pytest.raises(TruncationError) as excinfo:
@@ -211,18 +337,18 @@ class TestSuperQubitState:
         state = super_qubit_state(
             SuperQubitParams(theta, phi, ExtendedComplex.from_value(0.0)), 8
         )
-        assert state.psi1.norm() == 0.0
-        assert state.psi0.coeffs[0] == pytest.approx(math.cos(theta / 2))
-        assert state.psi0.coeffs[1] == pytest.approx(cmath.rect(math.sin(theta / 2), phi))
+        assert not state.psi1.any()
+        assert state.psi0[0] == pytest.approx(math.cos(theta / 2))
+        assert state.psi0[1] == pytest.approx(cmath.rect(math.sin(theta / 2), phi))
 
     def test_pole_zeta_is_fermionic_product(self):
         theta, phi = 1.2, 0.8
         state = super_qubit_state(
             SuperQubitParams(theta, phi, ExtendedComplex.infinity()), 8
         )
-        assert state.psi0.coeffs[0] == pytest.approx(math.cos(theta / 2))
-        assert state.psi1.coeffs[0] == pytest.approx(cmath.rect(math.sin(theta / 2), phi))
-        assert abs(state.psi0.coeffs[1]) == 0.0
+        assert state.psi0[0] == pytest.approx(math.cos(theta / 2))
+        assert state.psi1[0] == pytest.approx(cmath.rect(math.sin(theta / 2), phi))
+        assert abs(state.psi0[1]) == 0.0
 
     @pytest.mark.parametrize("theta,phi", [(0.0, 0.0), (0.9, 2.2), (math.pi, 0.0)])
     def test_normalized(self, theta, phi):
@@ -276,8 +402,8 @@ class TestSuperCoherentState:
         amp1 = cmath.rect(math.sin(theta / 2), phi)
         psi0 = math.cos(theta / 2) * d0 + amp1 * zeta.v * d1
         psi1 = amp1 * zeta.u * d0
-        assert np.abs(state.psi0.coeffs - psi0).max() <= 1e-10
-        assert np.abs(state.psi1.coeffs - psi1).max() <= 1e-10
+        assert np.abs(state.psi0 - psi0).max() <= 1e-10
+        assert np.abs(state.psi1 - psi1).max() <= 1e-10
 
     def test_guard_violation(self):
         base = SuperQubitParams(0.5, 0.0, ExtendedComplex.from_value(1.0))
@@ -304,8 +430,8 @@ class TestFlip:
         rng = np.random.default_rng(3)
         state = random_state(rng, 6)
         flipped = flip_operator(6).apply(state)
-        np.testing.assert_array_equal(flipped.psi0.coeffs, state.psi1.coeffs)
-        np.testing.assert_array_equal(flipped.psi1.coeffs, state.psi0.coeffs)
+        np.testing.assert_array_equal(flipped.psi0, state.psi1)
+        np.testing.assert_array_equal(flipped.psi1, state.psi0)
         direct = flip_state(state)
         assert (flipped - direct).norm() == 0.0
 
@@ -330,13 +456,9 @@ class TestFlip:
         d = fock.displacement_operator(0.6 + 0.2j, dim)
         for _ in range(5):
             state = random_state(rng, dim)
-            displaced = SuperVector(
-                fock.FockVector(d @ state.psi0.coeffs), fock.FockVector(d @ state.psi1.coeffs)
-            )
+            displaced = SuperVector([d @ psi for psi in state.coeffs])
             swapped = flip_state(state)
-            displaced_swapped = SuperVector(
-                fock.FockVector(d @ swapped.psi0.coeffs), fock.FockVector(d @ swapped.psi1.coeffs)
-            )
+            displaced_swapped = SuperVector([d @ psi for psi in swapped.coeffs])
             assert (flip_state(displaced) - displaced_swapped).norm() <= 1e-12
 
 
@@ -347,8 +469,8 @@ class TestFlippedCoherent:
             CoherentParams(0.0, SuperQubitParams(math.pi, 0.0, zeta)), 24
         )
         inv_sqrt2 = 1.0 / math.sqrt(2.0)
-        assert state.psi0.coeffs[0] == pytest.approx(inv_sqrt2, abs=1e-15)
-        assert state.psi1.coeffs[1] == pytest.approx(inv_sqrt2, abs=1e-15)
+        assert state.psi0[0] == pytest.approx(inv_sqrt2, abs=1e-15)
+        assert state.psi1[1] == pytest.approx(inv_sqrt2, abs=1e-15)
 
     def test_transposed_eigenvalue_relation(self):
         # quoted residual point: alpha = 0.8i, zeta = 1 + i, theta = 2, phi = 1
@@ -373,8 +495,8 @@ class TestFlippedCoherent:
         params = CoherentParams(alpha, SuperQubitParams(theta, phi, zeta))
         flipped = flipped_super_coherent_state(params, dim)
         reference = flip_state(super_coherent_state(params, dim))
-        assert flipped.psi0.coeffs.tobytes() == reference.psi0.coeffs.tobytes()
-        assert flipped.psi1.coeffs.tobytes() == reference.psi1.coeffs.tobytes()
+        assert flipped.psi0.tobytes() == reference.psi0.tobytes()
+        assert flipped.psi1.tobytes() == reference.psi1.tobytes()
 
 
 class TestCommutatorSuite:
@@ -400,10 +522,17 @@ class TestCommutatorSuite:
         with pytest.raises(SingularParameterError):
             commutator_suite(ExtendedComplex.from_value(0.0), 16)
 
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_max_propagates_nan(self, position):
+        values = [1e-12, 3e-12, 2e-12]
+        assert superstate.CommutatorResiduals(*values).max() == 3e-12
+        values[position] = math.nan
+        assert math.isnan(superstate.CommutatorResiduals(*values).max())
+
     def test_guarded_norm_drops_top_levels(self):
         coeffs = np.zeros(8, dtype=complex)
         coeffs[7] = 1.0
-        state = SuperVector(fock.FockVector(coeffs), fock.zero_vector(8))
+        state = SuperVector([coeffs, np.zeros(8)])
         assert guarded_norm(state, guard=2) == 0.0
         assert guarded_norm(state, guard=0) == 1.0
 
@@ -411,7 +540,7 @@ class TestCommutatorSuite:
     def test_guarded_norm_matches_indexed_reference(self, dim, guard):
         state = random_state(np.random.default_rng(dim + guard), dim)
         keep = superstate.guarded_levels(dim, guard)
-        reference = float(np.linalg.norm(state.to_array()[keep]))
+        reference = float(np.linalg.norm(state.coeffs.ravel()[keep]))
         assert guarded_norm(state, guard) == reference
 
     @pytest.mark.parametrize("guard", [-1, 8, 9])
@@ -438,17 +567,11 @@ class TestParams:
 class TestBlockOperatorOwnership:
     def test_caller_arrays_are_copied(self):
         blocks = [np.eye(3) * (k + 1) for k in range(4)]
-        op = BlockOperator(*blocks)
+        op = BlockOperator.from_blocks(*blocks)
         for block in blocks:
             block[0, 0] = -9.0
         np.testing.assert_array_equal(op.full(), np.kron(np.array([[1, 2], [3, 4]]), np.eye(3)))
         assert all(block.flags.writeable for block in blocks)
-
-    def test_boson_diagonal_copies_caller_array(self):
-        mat = np.arange(4.0).reshape(2, 2)
-        op = BlockOperator.boson_diagonal(mat)
-        mat[0, 0] = 9.0
-        assert op.ul[0, 0] == 0.0 and op.lr[0, 0] == 0.0
 
     def test_blocks_of_derived_operators_are_read_only(self):
         a_op = super_annihilation(ExtendedComplex.from_value(0.7), 6)
@@ -479,7 +602,7 @@ class TestBlockOperatorOwnership:
         ]
         rng = np.random.default_rng(3)
         state = random_state(rng, dim)
-        psi0, psi1 = state.psi0.coeffs, state.psi1.coeffs
+        psi0, psi1 = state.coeffs
 
         def matvec(m, v):
             return (m * v[None, :]).sum(axis=1)
@@ -491,10 +614,10 @@ class TestBlockOperatorOwnership:
             applied = x.apply(state)
             expected0 = matvec(x.ul, psi0) + matvec(x.ur, psi1)
             expected1 = matvec(x.ll, psi0) + matvec(x.lr, psi1)
-            np.testing.assert_array_equal(applied.psi0.coeffs, expected0)
-            np.testing.assert_array_equal(applied.psi1.coeffs, expected1)
+            np.testing.assert_array_equal(applied.psi0, expected0)
+            np.testing.assert_array_equal(applied.psi1, expected1)
             np.testing.assert_allclose(
-                applied.psi0.coeffs, x.ul @ psi0 + x.ur @ psi1, rtol=1e-15, atol=1e-15
+                applied.psi0, x.ul @ psi0 + x.ur @ psi1, rtol=1e-15, atol=1e-15
             )
             for y in ops:
                 product = x @ y
@@ -538,14 +661,14 @@ class TestBandedBlockOperator:
     @settings(max_examples=150, deadline=None)
     @given(banded_blocks())
     def test_operations_match_dense_numpy(self, operands):
-        x, y = (BlockOperator(*blocks) for blocks in operands)
+        x, y = (BlockOperator.from_blocks(*blocks) for blocks in operands)
         dense_x, dense_y = (np.block([blocks[:2], blocks[2:]]) for blocks in operands)
         assert [sorted(band) for band in x.bands] == [_offsets(block) for block in operands[0]]
         np.testing.assert_array_equal(x.full(), dense_x)
         np.testing.assert_allclose((x @ y).full(), dense_x @ dense_y, rtol=1e-13, atol=1e-13)
         state = random_state(np.random.default_rng(x.dim), x.dim)
         np.testing.assert_allclose(
-            x.apply(state).to_array(), dense_x @ state.to_array(), rtol=1e-13, atol=1e-13
+            x.apply(state).coeffs.ravel(), dense_x @ state.coeffs.ravel(), rtol=1e-13, atol=1e-13
         )
         np.testing.assert_array_equal((x + y).full(), dense_x + dense_y)
         np.testing.assert_array_equal((x - y).full(), dense_x - dense_y)
@@ -554,16 +677,16 @@ class TestBandedBlockOperator:
     @settings(max_examples=100, deadline=None)
     @given(banded_blocks(count=1), st.integers(0, 63))
     def test_max_abs_equals_dense_guarded_max(self, operands, guard):
-        op = BlockOperator(*operands[0])
+        op = BlockOperator.from_blocks(*operands[0])
         guard = guard % op.dim
         assert op.max_abs(guard) == superstate.guarded_max_abs(op.full(), op.dim, guard)
 
     def test_zero_operator_has_empty_bands(self):
-        op = BlockOperator(*(np.zeros((4, 4)) for _ in range(4)))
+        op = BlockOperator.from_blocks(*(np.zeros((4, 4)) for _ in range(4)))
         assert op.bands == ({}, {}, {}, {})
         assert op.max_abs() == 0.0
         assert not (op @ op).full().any()
-        assert not op.apply(random_state(np.random.default_rng(1), 4)).to_array().any()
+        assert not op.apply(random_state(np.random.default_rng(1), 4)).coeffs.any()
 
     def test_max_abs_rejects_guard_outside_dim(self):
         with pytest.raises(InvalidDimensionError, match="guard must satisfy"):

@@ -1,8 +1,23 @@
+import dataclasses
+import json
+import math
+
 import pytest
 
 from superq import verify
 from superq.errors import TruncationError
-from superq.verify import SUITE_NAMES, required_suite_dim, run_verify
+from superq.serialize import dumps
+from superq.verify import SUITE_NAMES, Check, VerificationReport, required_suite_dim, run_verify
+
+
+def nan_number_lowering(monkeypatch):
+    """Make every commutator_suite call in verify report a NaN number_lowering residual."""
+    real = verify.commutator_suite
+
+    def patched(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), number_lowering=math.nan)
+
+    monkeypatch.setattr(verify, "commutator_suite", patched)
 
 
 class TestRunVerify:
@@ -141,3 +156,41 @@ class TestSuiteDimFloor:
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError, match="unknown suite 'spectra'"):
             required_suite_dim("spectra")
+
+
+class TestNonFiniteResiduals:
+    def test_nan_residual_fails_its_check(self, monkeypatch):
+        nan_number_lowering(monkeypatch)
+        report = run_verify("algebra", 36)
+        failed = [check.name for check in report.checks if not check.passed]
+        assert failed == ["commutator_number_lowering"]
+        assert math.isnan(report.checks[0].residual)
+        assert not report.all_passed
+        assert math.isnan(report.max_residual)
+
+    def test_nan_residual_serializes_as_null(self, monkeypatch):
+        nan_number_lowering(monkeypatch)
+        payload = json.loads(dumps(run_verify("algebra", 36).to_payload()))
+        assert payload["checks"][0]["residual"] is None
+        assert payload["checks"][0]["pass"] is False
+        assert payload["summary"]["max_residual"] is None
+        assert all(check["residual"] is not None for check in payload["checks"][1:])
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_max_residual_sees_a_non_finite_residual_anywhere(self, position, bad):
+        residuals = [0.5, 0.25, 0.75]
+        residuals[position] = bad
+        checks = tuple(Check(f"c{i}", r, 1.0) for i, r in enumerate(residuals))
+        report = VerificationReport("algebra", 36, 1e-8, 1, 20, checks, 0.0, {})
+        if math.isnan(bad):
+            assert math.isnan(report.max_residual)
+        else:
+            assert report.max_residual == math.inf
+        assert report.passed == 2
+        assert report.to_payload()["summary"]["max_residual"] is None
+        assert report.to_payload()["checks"][position]["residual"] is None
+
+    def test_max_residual_of_no_checks_is_zero(self):
+        report = VerificationReport("fibonacci", 36, 1e-8, 1, 20, (), 0.0, {})
+        assert report.max_residual == 0.0
