@@ -69,6 +69,16 @@ class TestGoldenFiles:
             ),
             ("state_n2_zetainf_dim4.json", ["state", "--n", "2", "--zeta-inf", "--dim", "4"]),
             ("fibonacci_nmax90_dim64.csv", ["fibonacci", "--n-max", "90", "--dim", "64"]),
+            # dim 64 takes BLAS's blocked dot products; the pole grid holds
+            # T = 14, whose last theta is set to pi
+            (
+                "sweep_zetainf_grid14x5_dim64.csv",
+                ["sweep", "--zeta-inf", "--grid", "14,5", "--dim", "64"],
+            ),
+            (
+                "sweep_zeta0.5-1.3i_grid9x7_dim64.csv",
+                ["sweep", "--zeta-re", "0.5", "--zeta-im", "-1.3", "--grid", "9,7", "--dim", "64"],
+            ),
         ],
     )
     def test_array_and_big_int_output_bytes(self, run_cli, golden_dir, name, argv):
