@@ -9,6 +9,7 @@ the truncated space cannot support).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -17,6 +18,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .entanglement import (
+    _gram_grid,
     collapse_probabilities,
     concurrence_gram,
     concurrence_n_state,
@@ -26,11 +28,19 @@ from .entanglement import (
 )
 from .errors import NumericalConsistencyError
 from .fock import DEFAULT_DIM
-from .moebius import ExtendedComplex, concurrence_circle, zeta_to_bloch
-from .serialize import csv_text, dumps
+from .moebius import (
+    ExtendedComplex,
+    _cartesian_grid,
+    _grid_phases,
+    concurrence_circle,
+    zeta_to_bloch,
+)
+from .serialize import csv_cell, csv_text, dumps
 from .superstate import (
     CoherentParams,
     SuperQubitParams,
+    _pole_probabilities_grid,
+    _super_qubit_grid,
     n_superparticle_state,
     pole_probabilities,
     super_coherent_state,
@@ -38,10 +48,10 @@ from .superstate import (
 )
 from .uncertainty import (
     GOLDEN_RATIO,
+    _variance_grid,
     fibonacci_record,
     quadrature_stats_closed,
     quadrature_stats_numeric,
-    variance_quadratures_closed,
 )
 from .verify import DEFAULT_SEED, DEFAULT_TOL, SUITE_NAMES, required_suite_dim, run_verify
 
@@ -81,7 +91,9 @@ class UsageError(ValueError):
     """Invalid flag combination or parameter value (exit code 2)."""
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="superq",
         description=(
@@ -408,33 +420,31 @@ def sweep_thetas(t_count: int) -> list[float]:
 
 
 def _emit_sweep(args) -> str:
+    """The sweep CSV, each column evaluated for the whole grid at once.
+
+    At alpha = 0 every state lives on boson levels 0 and 1, so the grid's
+    states are one (T*P, 2, 2) coefficient array; the oracle columns come
+    from it and the closed columns from the angles.
+    """
     t_count, p_count = args.grid
     thetas = sweep_thetas(t_count)
     phis = [2.0 * math.pi * j / p_count for j in range(p_count)]
     zeta_re, zeta_im = (math.inf, 0.0) if args.zeta_inf else _zeta_parts(args)
-    rows = []
-    for theta in thetas:
-        for phi in phis:
-            base = SuperQubitParams(theta, phi, args.zeta)
-            state = super_qubit_state(base, args.dim)
-            p0, p1 = pole_probabilities(state, args.zeta)
-            var_x, var_p = variance_quadratures_closed(CoherentParams(0.0, base))
-            rows.append(
-                [
-                    theta,
-                    phi,
-                    zeta_re,
-                    zeta_im,
-                    concurrence_superqubit(base.theta, args.zeta),
-                    concurrence_gram(state),
-                    entanglement_entropy_bits(state),
-                    p0,
-                    p1,
-                    var_x,
-                    var_p,
-                ]
-            )
-    return csv_text(SWEEP_HEADER, rows)
+    cos_phi, sin_phi = _grid_phases(thetas, phis)
+    coeffs = _super_qubit_grid(thetas, cos_phi, sin_phi, args.zeta, args.dim)
+    p0, p1 = _pole_probabilities_grid(coeffs, args.zeta)
+    var_x, var_p = _variance_grid(_cartesian_grid(thetas, cos_phi, sin_phi), args.zeta)
+    gram, entropy = _gram_grid(coeffs)
+    # theta, phi, zeta and the closed concurrence repeat down their columns,
+    # so each is formatted once and a row starts with their joined text
+    phi_cells = [csv_cell(phi) for phi in phis]
+    zeta_cells = f"{csv_cell(zeta_re)},{csv_cell(zeta_im)}"
+    theta_cells = [
+        (csv_cell(theta), csv_cell(concurrence_superqubit(theta, args.zeta))) for theta in thetas
+    ]
+    leads = [f"{t},{p},{zeta_cells},{c}" for t, c in theta_cells for p in phi_cells]
+    columns = zip(leads, gram, entropy, p0, p1, var_x, var_p)
+    return csv_text(SWEEP_HEADER, list(columns))
 
 
 def _emit_fibonacci(args) -> str:

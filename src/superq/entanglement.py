@@ -19,6 +19,7 @@ from .moebius import ExtendedComplex
 from .superstate import (
     CoherentParams,
     SuperVector,
+    _vdot_low,
     super_coherent_state,
     super_qubit_state,
 )
@@ -42,9 +43,9 @@ __all__ = [
 NORMALIZATION_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, unit-trace reduced state of the boson factor."""
+    """Hermitian, unit-trace reduced state of the boson factor; compares by identity."""
 
     mat: np.ndarray
 
@@ -135,8 +136,8 @@ def _concurrence(state: SuperVector, g00: float, g11: float, g01: np.complex128)
         big, small, g_big, overlap = c0, c1, g00, g01
     else:  # <psi1|psi0> is the conjugate of g01
         big, small, g_big, overlap = c1, c0, g11, g01.conjugate()
-    # numpy divides each part by the real g_big; complex / float in Python
-    # would round through a complex division
+    # numpy divides by g_big + 0j as each part times 1 / g_big; Python's
+    # complex / float would divide each part by g_big and round differently
     perpendicular = small - (overlap / g_big) * big
     det = g_big * float(np.vdot(perpendicular, perpendicular).real)
     return min(1.0, 2.0 * math.sqrt(det))
@@ -198,6 +199,38 @@ def entanglement_entropy_bits(state: SuperVector) -> float:
     g00, g11, g01 = _gram_entries(state)
     _require_normalized(g00 + g11)
     return _entropy_bits(np.linalg.eigvalsh(_gram(g00, g11, g01)))
+
+
+def _gram_grid(coeffs: np.ndarray) -> tuple[list[float], list[float]]:
+    """concurrence_gram and entanglement_entropy_bits of each state of a (K, 2, 2) array.
+
+    ``coeffs[k]`` holds levels 0 and 1 of a state zero above them, as
+    ``superstate._super_qubit_grid`` builds it.  Each Gram entry is computed
+    once per state, the normalization check runs on every state, and the
+    concurrence follows _concurrence step for step with numpy's own complex
+    division and multiply.  The spectra come from one stacked eigvalsh, which
+    runs the same LAPACK routine on each matrix.  For blocks of length >= 8
+    both columns equal the per-state functions bit for bit (see _vdot_low).
+    """
+    c0, c1 = coeffs[:, 0], coeffs[:, 1]
+    g00, g11 = _vdot_low(c0, c0).real, _vdot_low(c1, c1).real
+    g01 = _vdot_low(c0, c1)
+    norm_sq = g00 + g11
+    off = np.abs(norm_sq - 1.0) > NORMALIZATION_TOL
+    if off.any():
+        _require_normalized(float(norm_sq[off][0]))
+    first_big = g00 >= g11
+    big = np.where(first_big[:, None], c0, c1)
+    small = np.where(first_big[:, None], c1, c0)
+    g_big = np.where(first_big, g00, g11)
+    overlap = np.where(first_big, g01, g01.conj())
+    perpendicular = small - (overlap / g_big)[:, None] * big
+    det = g_big * _vdot_low(perpendicular, perpendicular).real
+    concurrence = np.minimum(1.0, 2.0 * np.sqrt(det))
+    gram = np.empty((len(coeffs), 2, 2), dtype=np.complex128)
+    gram[:, 0, 0], gram[:, 0, 1], gram[:, 1, 0], gram[:, 1, 1] = g00, g01, g01.conj(), g11
+    entropy = [_entropy_bits(eigenvalues) for eigenvalues in np.linalg.eigvalsh(gram).tolist()]
+    return concurrence.tolist(), entropy
 
 
 def entanglement_report(

@@ -50,9 +50,12 @@ DISPLACED_TAIL_TOL = 1e-13
 BosonOperator = np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FockVector:
-    """Complex amplitudes over |0..dim-1>, kept as a read-only complex128 copy."""
+    """Complex amplitudes over |0..dim-1>, kept as a read-only complex128 copy.
+
+    Compares and hashes by identity, as the package's other array-valued types do.
+    """
 
     coeffs: np.ndarray
 

@@ -12,6 +12,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "ExtendedComplex",
     "BlochPoint",
@@ -27,6 +29,8 @@ _TWO_PI = 2.0 * math.pi
 # so exactly) before normalizing: |u| and the norm of (|u|, |v|) stay finite.
 _HUGE = 2.0**1000
 _DOWNSCALE = 2.0**-64
+# Largest distance of |r|^2 from 1 that a Cartesian Bloch vector may have.
+_UNIT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -103,17 +107,44 @@ class BlochPoint:
     phi: float = 0.0
 
     def __post_init__(self):
-        theta = float(self.theta)
-        if not 0.0 <= theta <= math.pi:
-            raise ValueError(f"theta must lie in [0, pi], got {theta}")
-        phi = float(self.phi)
-        if not math.isfinite(phi):
-            raise ValueError(f"phi must be finite, got {phi}")
-        phi %= _TWO_PI
-        if theta == 0.0 or theta == math.pi:
+        theta = _checked_theta(self.theta)
+        phi = _reduced_phi(self.phi)
+        if _at_pole(theta):
             phi = 0.0
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "phi", phi)
+
+
+def _checked_theta(theta: float) -> float:
+    theta = float(theta)
+    if not 0.0 <= theta <= math.pi:
+        raise ValueError(f"theta must lie in [0, pi], got {theta}")
+    return theta
+
+
+def _reduced_phi(phi: float) -> float:
+    phi = float(phi)
+    if not math.isfinite(phi):
+        raise ValueError(f"phi must be finite, got {phi}")
+    return phi % _TWO_PI
+
+
+def _at_pole(theta: float) -> bool:
+    return theta == 0.0 or theta == math.pi
+
+
+def _grid_phases(thetas: list[float], phis: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of the canonical azimuth of each grid point (theta_i, phi_j), as (T, P) arrays.
+
+    Every theta and phi passes BlochPoint's checks, and the azimuth is the
+    one BlochPoint keeps: phi mod 2*pi, or 0 where theta is a pole.
+    math.cos and math.sin run once per phi.
+    """
+    at_pole = np.array([_at_pole(_checked_theta(theta)) for theta in thetas])[:, None]
+    reduced = [_reduced_phi(phi) for phi in phis]
+    cos_phi = np.where(at_pole, 1.0, [math.cos(phi) for phi in reduced])
+    sin_phi = np.where(at_pole, 0.0, [math.sin(phi) for phi in reduced])
+    return cos_phi, sin_phi
 
 
 @dataclass(frozen=True)
@@ -126,7 +157,7 @@ class CartesianBloch:
 
     def __post_init__(self):
         r_sq = self.x * self.x + self.y * self.y + self.z * self.z
-        if abs(r_sq - 1.0) > 1e-12:
+        if abs(r_sq - 1.0) > _UNIT_TOL:
             raise ValueError(f"(x, y, z) must be a unit vector, |r|^2 = {r_sq}")
 
 
@@ -155,6 +186,25 @@ def bloch_cartesian(point: BlochPoint) -> CartesianBloch:
         sin_theta * math.sin(point.phi),
         math.cos(point.theta),
     )
+
+
+def _cartesian_grid(
+    thetas: list[float], cos_phi: np.ndarray, sin_phi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """bloch_cartesian of each grid point: x and y as (T, P) arrays, z as a (T, 1) column.
+
+    ``cos_phi`` and ``sin_phi`` come from ``_grid_phases``.  The products
+    round as bloch_cartesian's do, and every point gets CartesianBloch's
+    unit-vector check.
+    """
+    sin_theta = np.array([math.sin(theta) for theta in thetas])[:, None]
+    z = np.array([math.cos(theta) for theta in thetas])[:, None]
+    x, y = sin_theta * cos_phi, sin_theta * sin_phi
+    off = np.abs(x * x + y * y + z * z - 1.0) > _UNIT_TOL
+    if off.any():
+        i, j = np.argwhere(off)[0]
+        CartesianBloch(float(x[i, j]), float(y[i, j]), float(z[i, 0]))
+    return x, y, z
 
 
 def concurrence_circle(theta1: float) -> tuple[float, float]:

@@ -8,7 +8,9 @@ byte-reproducible and exactly round-trippable.
 A real 2-d float64 array renders exactly as its nested list would, one
 bracketed row per line, but in a single '%'-format pass over the whole
 array; state blocks reach the serializer as their (dim, 2) [re, im] views.
-CSV rows are likewise formatted through one template per row layout.
+CSV rows are likewise formatted through one template per row layout; a
+value repeated down a column can be formatted once with ``csv_cell`` and
+passed as text.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 
 import numpy as np
 
-__all__ = ["dumps", "csv_text"]
+__all__ = ["dumps", "csv_text", "csv_cell"]
 
 _INDENT = 2
 _FLOAT = "%.17g"
@@ -95,6 +97,11 @@ def _cell_format(kind: type) -> str:
     if issubclass(kind, bool):
         raise TypeError("booleans do not belong in CSV output")
     return _FLOAT if issubclass(kind, float) else "%s"
+
+
+def csv_cell(value) -> str:
+    """One cell as csv_text writes it; a row may carry such text as a str cell."""
+    return _cell_format(type(value)) % value
 
 
 def csv_text(header: list[str], rows: list[list]) -> str:

@@ -58,13 +58,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SuperVector:
     """A composite state: its fermion-0 and fermion-1 Fock blocks as one array.
 
     ``coeffs`` is a read-only (2, dim) complex128 array whose rows are the
     blocks psi0 and psi1.  The constructor copies the array it is given and
-    refuses any shape other than (2, dim >= 1).
+    refuses any shape other than (2, dim >= 1).  Like every array-valued type
+    of the package it compares and hashes by identity.
     """
 
     coeffs: np.ndarray
@@ -433,6 +434,49 @@ def super_qubit_state(params: SuperQubitParams, dim: int) -> SuperVector:
     return SuperVector(coeffs)
 
 
+def _super_qubit_grid(
+    thetas: list[float], cos_phi: np.ndarray, sin_phi: np.ndarray, zeta: ExtendedComplex, dim: int
+) -> np.ndarray:
+    """Levels 0 and 1 of super_qubit_state at each grid point, as one (T*P, 2, 2) array.
+
+    ``coeffs[i * P + j, block, level]`` belongs to (theta_i, phi_j), whose
+    canonical azimuth has cosine and sine ``cos_phi[i, j]`` and
+    ``sin_phi[i, j]``.  super_qubit_state writes nothing above level 1, so
+    these are all of its nonzero entries, and they equal its entries bit for
+    bit: cmath.rect and Python's complex multiply are written out as the real
+    products they round.
+    """
+    if dim < 2:
+        raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
+    amp0 = np.array([math.cos(0.5 * theta) for theta in thetas])[:, None]
+    radius = np.array([math.sin(0.5 * theta) for theta in thetas])[:, None]
+    amp1_re, amp1_im = radius * cos_phi, radius * sin_phi
+    coeffs = np.zeros((*cos_phi.shape, 2, 2), dtype=np.complex128)
+    coeffs[:, :, 0, 0] = amp0
+    for (block, level), w in (((0, 1), zeta.v), ((1, 0), zeta.u)):
+        coeffs.real[:, :, block, level] = amp1_re * w.real - amp1_im * w.imag
+        coeffs.imag[:, :, block, level] = amp1_re * w.imag + amp1_im * w.real
+    return coeffs.reshape(-1, 2, 2)
+
+
+def _vdot_low(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """np.vdot(x, y) of blocks zero above level 1, over the last axis (levels 0 and 1).
+
+    Rounded as OpenBLAS's zdotc rounds np.vdot at length >= 8: four sums of
+    real products, each accumulated from +0.0, then (xr.yr + xi.yi) and
+    (xr.yi - xi.yr).  Below length 8 its tail loop fuses each product into
+    the running sum, which this does not.
+    """
+
+    def total(a, b):
+        return (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]) + 0.0
+
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape)[:-1], dtype=np.complex128)
+    out.real = total(x.real, y.real) + total(x.imag, y.imag)
+    out.imag = total(x.real, y.imag) - total(x.imag, y.real)
+    return out
+
+
 def _displace_low_levels(alpha: complex, state: SuperVector) -> SuperVector:
     """D(alpha) on both blocks of a state supported on boson levels 0 and 1.
 
@@ -495,6 +539,23 @@ def pole_probabilities(
         pole0 = _displace_low_levels(alpha, pole0)
         pole1 = _displace_low_levels(alpha, pole1)
     return abs(pole0.inner(state)) ** 2, abs(pole1.inner(state)) ** 2
+
+
+def _pole_probabilities_grid(
+    coeffs: np.ndarray, zeta: ExtendedComplex
+) -> tuple[list[float], list[float]]:
+    """pole_probabilities(state, zeta) of each state of a _super_qubit_grid array.
+
+    Still explicit overlaps with |0, zeta> and |1, zeta>, block by block; abs
+    and ** 2 run in Python, as they do for one state.
+    """
+    poles = np.zeros((2, 1, 2, 2), dtype=np.complex128)  # levels 0 and 1 of both poles
+    poles[0, 0, 0, 0] = 1.0
+    poles[1, 0, 0, 1] = zeta.v
+    poles[1, 0, 1, 0] = zeta.u
+    overlaps = _vdot_low(poles[:, :, 0], coeffs[:, 0]) + _vdot_low(poles[:, :, 1], coeffs[:, 1])
+    p0, p1 = ([abs(overlap) ** 2 for overlap in row] for row in overlaps.tolist())
+    return p0, p1
 
 
 def _guarded_count(dim: int, guard: int) -> int:

@@ -142,6 +142,24 @@ def variance_quadratures_closed(params: CoherentParams) -> tuple[float, float]:
     return var_x, var_p
 
 
+def _variance_grid(
+    cartesian: tuple[np.ndarray, np.ndarray, np.ndarray], zeta: ExtendedComplex
+) -> tuple[list[float], list[float]]:
+    """variance_quadratures_closed at each grid point, in row order.
+
+    ``cartesian`` is the (x, y, z) of ``moebius._cartesian_grid``; the
+    arithmetic is the per-point formula's, with ``** 2`` in Python.
+    """
+    x, y, z = cartesian
+    weight = zeta.v.real ** 2  # 1/(1+|zeta|^2)
+
+    def variance(coordinate):
+        squares = np.array([c**2 for c in coordinate.ravel().tolist()]).reshape(coordinate.shape)
+        return (0.5 * (1.0 + (1.0 - z - squares) * weight)).ravel().tolist()
+
+    return variance(x), variance(y)
+
+
 def quadrature_stats_closed(params: CoherentParams) -> QuadratureStats:
     """Closed-form moments packed with the uncertainty product."""
     mean_x, mean_p = mean_quadratures_closed(params)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superq import fock, verify
+from superq import cli, fock, verify
 from superq.cli import FIBONACCI_HEADER, SWEEP_HEADER, main as cli_main, sweep_thetas
 from superq.verify import required_suite_dim
 
@@ -85,6 +85,38 @@ class TestGoldenFiles:
         code, out, err = run_cli(argv)
         assert (code, err) == (0, "")
         assert out == (golden_dir / name).read_text()
+
+
+class TestParserCache:
+    ARGVS = [
+        ["sweep", "--zeta-re", "0.7", "--grid", "3,2", "--dim", "8"],
+        ["state", "--theta", "1.1", "--zeta-inf", "--dim", "4"],
+        ["sweep", "--zeta-re", "0.7", "--grid", "0,2", "--dim", "8"],
+        ["sweep", "--zeta-re", "0.7", "--grid"],
+        ["state", "--theta", "1.1", "--dim", "4"],
+        ["sweep", "--zeta-re", "0.7", "--grid", "3,2", "--dim", "8"],
+    ]
+
+    @staticmethod
+    def outcomes(capsys):
+        results = []
+        for argv in TestParserCache.ARGVS:
+            try:
+                code = cli_main(argv)
+            except SystemExit as exc:  # argparse's own usage errors
+                code = exc.code
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    def test_cached_parser_gives_fresh_parser_output(self, capsys, monkeypatch):
+        assert cli._build_parser() is cli._build_parser()
+        cached = self.outcomes(capsys)
+        assert [code for code, _, _ in cached] == [0, 0, 2, 2, 2, 0]
+        assert cached[0] == cached[-1]
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        assert cli._build_parser() is not cli._build_parser()
+        assert self.outcomes(capsys) == cached
 
 
 class TestStateEmission:

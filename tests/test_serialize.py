@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from superq.serialize import csv_text, dumps
+from superq.serialize import csv_cell, csv_text, dumps
 
 EDGE_FLOATS = (
     0.0,
@@ -136,3 +136,9 @@ class TestCsv:
 
     def test_no_rows_is_header_only(self):
         assert csv_text(["a", "b"], []) == "a,b"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(CELLS, min_size=1, max_size=6))
+    def test_preformatted_cells_give_the_same_text(self, row):
+        assert csv_text(["h"], [[",".join(map(csv_cell, row))]]) == csv_text(["h"], [row])
+        assert [csv_cell(cell) for cell in row] == [reference_cell(cell) for cell in row]

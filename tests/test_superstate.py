@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from superq import fock, superstate
+from superq.entanglement import reduced_boson_density
 from superq.errors import (
     InvalidDimensionError,
     SingularParameterError,
@@ -106,6 +107,24 @@ class TestSuperVector:
         again = SuperVector(state.coeffs)
         assert again.coeffs is not state.coeffs
         assert (again - state).norm() == 0.0
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: n_superparticle_state(1, ExtendedComplex.from_value(1.0), 4),
+        lambda: fock.basis_ket(1, 4),
+        lambda: reduced_boson_density(n_superparticle_state(1, ExtendedComplex.from_value(1.0), 4)),
+    ],
+    ids=["SuperVector", "FockVector", "DensityMatrix"],
+)
+def test_array_valued_types_compare_and_hash_by_identity(build):
+    # a field-wise dataclass __eq__ would raise on the truth value of the arrays
+    value, twin = build(), build()
+    assert value == value and not value != value
+    assert value != twin
+    assert hash(value) == hash(value)
+    assert len({value, twin, value}) == 2
 
 
 def _blocks(state):
