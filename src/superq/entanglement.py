@@ -85,7 +85,8 @@ class EntanglementReport:
 
 
 def _require_normalized(norm_sq: float) -> None:
-    if abs(norm_sq - 1.0) > NORMALIZATION_TOL:
+    # written so that a NaN norm^2, which compares false, is refused too
+    if not abs(norm_sq - 1.0) <= NORMALIZATION_TOL:
         raise NormalizationError(
             f"state norm^2 = {norm_sq} is not 1 within {NORMALIZATION_TOL}"
         )
@@ -216,7 +217,7 @@ def _gram_grid(coeffs: np.ndarray) -> tuple[list[float], list[float]]:
     g00, g11 = _vdot_low(c0, c0).real, _vdot_low(c1, c1).real
     g01 = _vdot_low(c0, c1)
     norm_sq = g00 + g11
-    off = np.abs(norm_sq - 1.0) > NORMALIZATION_TOL
+    off = ~(np.abs(norm_sq - 1.0) <= NORMALIZATION_TOL)
     if off.any():
         _require_normalized(float(norm_sq[off][0]))
     first_big = g00 >= g11

@@ -140,9 +140,9 @@ class BlockOperator:
     ``bands`` holds the blocks (ul, ur, ll, lr) as ``{offset: diagonal}``
     mappings of their nonzero diagonals, a zero block as the empty mapping.
     The constructor checks that each diagonal holds dim - |offset| entries
-    and keeps read-only copies of them.  ``@``, ``apply``, ``+``, ``-`` and
-    ``dagger`` work on the diagonals alone, in O(offsets^2 * dim), and never
-    form a dim x dim array.
+    and keeps read-only copies of them.  ``@``, ``apply`` (``apply_coeffs``
+    on a stack of states), ``+``, ``-`` and ``dagger`` work on the diagonals
+    alone, in O(offsets^2 * dim), and never form a dim x dim array.
 
     ``from_blocks`` builds an operator from four dense square matrices.
     ``op.ul`` (and ``ur``, ``ll``, ``lr``) reads a block back as a dense
@@ -195,11 +195,25 @@ class BlockOperator:
         return out
 
     def apply(self, state: SuperVector) -> SuperVector:
+        return SuperVector(self.apply_coeffs(state.coeffs))
+
+    def apply_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
+        """The operator applied to each state of a (..., 2, dim) coefficient stack.
+
+        Every state gets the arithmetic ``apply`` gives it alone, so each
+        result equals ``apply(SuperVector(state)).coeffs`` bit for bit.
+        """
+        if np.shape(coeffs)[-2:] != (2, self.dim):
+            raise InvalidDimensionError(
+                f"a dim-{self.dim} operator applies to (..., 2, {self.dim}) coefficients, "
+                f"got shape {np.shape(coeffs)}"
+            )
         ul, ur, ll, lr = self.bands
-        psi = state.coeffs
-        return SuperVector(
-            [_band_apply(zip((ul, ur), psi), self.dim), _band_apply(zip((ll, lr), psi), self.dim)]
-        )
+        blocks = (coeffs[..., 0, :], coeffs[..., 1, :])
+        out = np.zeros(np.shape(coeffs), dtype=np.complex128)
+        _band_apply(out[..., 0, :], zip((ul, ur), blocks))
+        _band_apply(out[..., 1, :], zip((ll, lr), blocks))
+        return out
 
     def dagger(self) -> "BlockOperator":
         ul, ur, ll, lr = (
@@ -289,14 +303,16 @@ def _fill(block: np.ndarray, band: Band) -> None:
         np.fill_diagonal(block[max(0, -offset) :, max(0, offset) :], diagonal)
 
 
-def _band_apply(terms, dim: int) -> np.ndarray:
-    """Sum of band @ psi over the (band, psi) terms, in term and offset order."""
-    out = np.zeros(dim, dtype=np.complex128)
+def _band_apply(out: np.ndarray, terms) -> None:
+    """Add band @ psi into a zeroed out over the (band, psi) terms, in term and offset order.
+
+    psi and out may carry the same leading stack axes; the band acts on the last.
+    """
+    dim = out.shape[-1]
     for band, psi in terms:
         for offset, diagonal in band.items():
             lo, hi = max(0, -offset), dim - max(0, offset)
-            out[lo:hi] += diagonal * psi[lo + offset : hi + offset]
-    return out
+            out[..., lo:hi] += diagonal * psi[..., lo + offset : hi + offset]
 
 
 def _band_matmul(pairs, dim: int) -> Band:
@@ -477,14 +493,16 @@ def _vdot_low(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _displace_low_levels(alpha: complex, state: SuperVector) -> SuperVector:
-    """D(alpha) on both blocks of a state supported on boson levels 0 and 1.
+def _displace_low_levels(alpha: complex, low: np.ndarray, dim: int) -> np.ndarray:
+    """D(alpha) on both blocks of states supported on boson levels 0 and 1.
 
+    ``low[..., block, level]`` holds levels 0 and 1 of each block, for one
+    state (2, 2) or a stack (..., 2, 2), as ``_super_qubit_grid`` builds it.
     Each block r0 |0> + r1 |1> becomes r0 D|0> + r1 D|1>, built from the
-    memoised closed-form columns elementwise, both rows at once.
+    memoised closed-form columns elementwise; the result is (..., 2, dim).
     """
-    d0, d1 = displaced_columns(alpha, state.dim)
-    return SuperVector(state.coeffs[:, :1] * d0 + state.coeffs[:, 1:2] * d1)
+    d0, d1 = displaced_columns(alpha, dim)
+    return low[..., :1] * d0 + low[..., 1:2] * d1
 
 
 def super_coherent_state(params: CoherentParams, dim: int) -> SuperVector:
@@ -497,7 +515,7 @@ def super_coherent_state(params: CoherentParams, dim: int) -> SuperVector:
     reference = super_qubit_state(params.base, dim)
     if params.alpha == 0:
         return reference
-    return _displace_low_levels(params.alpha, reference)
+    return SuperVector(_displace_low_levels(params.alpha, reference.coeffs[:, :2], dim))
 
 
 def flip_operator(dim: int) -> BlockOperator:
@@ -536,8 +554,9 @@ def pole_probabilities(
     pole0 = n_superparticle_state(0, zeta, dim)
     pole1 = n_superparticle_state(1, zeta, dim)
     if alpha != 0:
-        pole0 = _displace_low_levels(alpha, pole0)
-        pole1 = _displace_low_levels(alpha, pole1)
+        pole0, pole1 = (
+            SuperVector(_displace_low_levels(alpha, pole.coeffs[:, :2], dim)) for pole in (pole0, pole1)
+        )
     return abs(pole0.inner(state)) ** 2, abs(pole1.inner(state)) ** 2
 
 
@@ -588,9 +607,30 @@ def guarded_max_abs(full_matrix: np.ndarray, dim: int, guard: int = GUARD_BAND) 
 
 def guarded_norm(state: SuperVector, guard: int = GUARD_BAND) -> float:
     """Euclidean norm of a SuperVector restricted to the guarded levels."""
-    keep = _guarded_count(state.dim, guard)
-    # numpy ravels the rows, so the sum runs over psi0[:keep] then psi1[:keep]
-    return float(np.linalg.norm(state.coeffs[:, :keep]))
+    return float(_guarded_norms(state.coeffs, guard))
+
+
+def _guarded_norms(coeffs: np.ndarray, guard: int = GUARD_BAND) -> np.ndarray:
+    """guarded_norm of each state of a (..., 2, dim) coefficient stack.
+
+    Each state's guarded levels are ravelled, psi0[:keep] before psi1[:keep],
+    and the squares of their real and of their imaginary parts are summed by
+    one BLAS dot each (np.vecdot runs ndarray.dot's per row), as
+    np.linalg.norm sums them for one state.
+    """
+    keep = _guarded_count(coeffs.shape[-1], guard)
+    flat = coeffs[..., :keep].reshape(*coeffs.shape[:-2], 2 * keep)
+    return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
+
+
+def _norms(coeffs: np.ndarray) -> np.ndarray:
+    """SuperVector.norm of each state of a (..., 2, dim) coefficient stack.
+
+    np.vecdot runs np.vdot's BLAS dot on each block, so each norm equals the
+    state's own bit for bit.
+    """
+    block_norms_sq = np.vecdot(coeffs, coeffs).real
+    return np.sqrt(block_norms_sq[..., 0] + block_norms_sq[..., 1])
 
 
 @dataclass(frozen=True)

@@ -167,16 +167,29 @@ def quadrature_stats_closed(params: CoherentParams) -> QuadratureStats:
     return QuadratureStats(mean_x, mean_p, var_x, var_p, math.sqrt(var_x * var_p))
 
 
-def _block_moments(op: np.ndarray, blocks: np.ndarray) -> tuple[float, float]:
-    """<op> and ||op psi||^2 - <op>^2 of a Hermitian boson matrix acting on each block (row).
+def _quadrature_stats(x: np.ndarray, p: np.ndarray, states: np.ndarray) -> list[QuadratureStats]:
+    """The matrix-oracle moments of each state of a (K, 2, dim) coefficient stack.
 
-    Each sum runs block by block, psi0 before psi1, which fixes the rounding
-    of the golden Fibonacci table.
+    ``x`` and ``p`` are the dense matrices of :func:`_quadrature_matrices`.
+    Each block's image op @ psi is one BLAS matrix-vector product (a stacked
+    matmul runs the same gemv per block), <op^2> is ||op psi||^2 since op is
+    Hermitian, and each sum runs block by block from 0.0, psi0 before psi1,
+    with ``** 2`` in Python.  That fixes the rounding the golden Fibonacci
+    table records.
     """
-    images = [op @ psi for psi in blocks]
-    mean = sum(complex(np.vdot(psi, image)) for psi, image in zip(blocks, images)).real
-    second = sum(float(np.vdot(image, image).real) for image in images)
-    return mean, second - mean**2
+    moments = []
+    for op in (x, p):
+        images = np.matmul(op, states[..., None])[..., 0]
+        overlaps = np.vecdot(states, images).real
+        second = np.vecdot(images, images).real
+        means = ((0.0 + overlaps[:, 0]) + overlaps[:, 1]).tolist()
+        seconds = ((0.0 + second[:, 0]) + second[:, 1]).tolist()
+        moments.append((means, [total - mean**2 for total, mean in zip(seconds, means)]))
+    (mean_x, var_x), (mean_p, var_p) = moments
+    return [
+        QuadratureStats(mx, mp, vx, vp, math.sqrt(vx * vp))
+        for mx, vx, mp, vp in zip(mean_x, var_x, mean_p, var_p)
+    ]
 
 
 def quadrature_stats_numeric(params: CoherentParams, dim: int = DEFAULT_DIM) -> QuadratureStats:
@@ -190,10 +203,8 @@ def quadrature_stats_numeric(params: CoherentParams, dim: int = DEFAULT_DIM) -> 
     state = super_coherent_state(params, dim)
     if dim < 3:
         raise TruncationError(f"the quadrature oracle needs dim >= 3, got {dim}", required_dim=3)
-    x, p = _quadrature_matrices(dim)
-    mean_x, var_x = _block_moments(x, state.coeffs)
-    mean_p, var_p = _block_moments(p, state.coeffs)
-    return QuadratureStats(mean_x, mean_p, var_x, var_p, math.sqrt(var_x * var_p))
+    (stats,) = _quadrature_stats(*_quadrature_matrices(dim), state.coeffs[None])
+    return stats
 
 
 def fibonacci_number(n: int) -> int:

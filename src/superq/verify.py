@@ -21,6 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .entanglement import (
+    _gram_grid,
     collapse_probabilities,
     concurrence_gram,
     concurrence_n_state,
@@ -38,32 +39,35 @@ from .fock import (
     displacement_operator,
     required_displacement_dim,
 )
-from .moebius import ExtendedComplex, zeta_to_bloch
+from .moebius import ExtendedComplex, _grid_phases, zeta_to_bloch
 from .superstate import (
     BlockOperator,
     CoherentParams,
     SuperQubitParams,
     SuperVector,
+    _displace_low_levels,
+    _guarded_norms,
+    _norms,
+    _pole_probabilities_grid,
+    _super_qubit_grid,
     commutator_suite,
     flip_operator,
     flip_state,
-    guarded_norm,
     n_superparticle_state,
-    pole_probabilities,
     super_annihilation,
     super_annihilation_transposed,
-    super_coherent_state,
     super_creation_gate,
     super_number_operator,
     super_qubit_state,
 )
 from .uncertainty import (
     GOLDEN_RATIO,
+    _quadrature_matrices,
+    _quadrature_stats,
     fibonacci_number,
     fibonacci_record,
     quadrature_operators,
     quadrature_stats_closed,
-    quadrature_stats_numeric,
     variance_quadratures_closed,
 )
 
@@ -186,8 +190,31 @@ def _zeta_grid() -> list[ExtendedComplex]:
     ]
 
 
+def _angle_axes(stride: int = 1) -> tuple[list[float], list[float]]:
+    return list(_THETAS[::stride]), list(_PHIS[::stride])
+
+
 def _angle_grid(stride: int = 1) -> list[tuple[float, float]]:
-    return [(theta, phi) for theta in _THETAS[::stride] for phi in _PHIS[::stride]]
+    thetas, phis = _angle_axes(stride)
+    return [(theta, phi) for theta in thetas for phi in phis]
+
+
+def _qubit_grid(
+    thetas: list[float], phis: list[float], zeta: ExtendedComplex, dim: int
+) -> np.ndarray:
+    """Levels 0 and 1 of super_qubit_state at each (theta, phi), theta-major, as a (K, 2, 2) array.
+
+    Built by the sweep's kernels, so each row is the CLI's state bit for bit;
+    the state is zero above level 1.
+    """
+    return _super_qubit_grid(thetas, *_grid_phases(thetas, phis), zeta, dim)
+
+
+def _undisplaced(low: np.ndarray, dim: int) -> np.ndarray:
+    """The (K, 2, dim) coefficients of the states a (K, 2, 2) low-level array describes."""
+    states = np.zeros((*low.shape[:-1], dim), dtype=np.complex128)
+    states[..., :2] = low
+    return states
 
 
 def _random_super_vector(rng: np.random.Generator, dim: int) -> SuperVector:
@@ -262,34 +289,34 @@ def _suite_algebra(dim: int, tol: float) -> list[Check]:
     ]
 
 
-def _suite_eigen(dim: int, tol: float) -> list[Check]:
-    reference_residual = 0.0
-    for zeta in _zeta_grid():
-        a_op = super_annihilation(zeta, dim)
-        for theta, phi in _angle_grid():
-            state = super_qubit_state(SuperQubitParams(theta, phi, zeta), dim)
-            reference_residual = _worst(reference_residual, a_op.apply(state).norm())
+def _eigen_gaps(op: BlockOperator, alpha: complex, states: np.ndarray) -> list[float]:
+    """guarded ||op psi - alpha psi|| / ||psi|| of each state of a (K, 2, dim) stack."""
+    residual = op.apply_coeffs(states) - alpha * states
+    return (_guarded_norms(residual) / _norms(states)).tolist()
 
+
+def _suite_eigen(dim: int, tol: float) -> list[Check]:
+    # Each (alpha, zeta) angle grid is one stack of the CLI's states: the
+    # sweep's coefficients, displaced as super_coherent_state displaces them,
+    # and flipped by exchanging the block axis as flip_state does.
+    reference_residual = 0.0
     coherent_residual = 0.0
     flipped_residual = 0.0
+    for zeta in _zeta_grid():
+        low = _qubit_grid(*_angle_axes(), zeta, dim)
+        a_op = super_annihilation(zeta, dim)
+        at_op = super_annihilation_transposed(zeta, dim)
+        annihilated = a_op.apply_coeffs(_undisplaced(low, dim))
+        reference_residual = _worst(reference_residual, *_norms(annihilated).tolist())
+        for alpha in _EIGEN_ALPHAS:
+            coherent = _displace_low_levels(alpha, low, dim)
+            coherent_residual = _worst(coherent_residual, *_eigen_gaps(a_op, alpha, coherent))
+            flipped = coherent[:, ::-1]
+            flipped_residual = _worst(flipped_residual, *_eigen_gaps(at_op, alpha, flipped))
+
     column_gap = 0.0
     keep = dim - GUARD_BAND
     for alpha in _EIGEN_ALPHAS:
-        for zeta in _zeta_grid():
-            a_op = super_annihilation(zeta, dim)
-            at_op = super_annihilation_transposed(zeta, dim)
-            for theta, phi in _angle_grid():
-                params = CoherentParams(alpha, SuperQubitParams(theta, phi, zeta))
-                coherent = super_coherent_state(params, dim)
-                residual = a_op.apply(coherent) - alpha * coherent
-                coherent_residual = _worst(
-                    coherent_residual, guarded_norm(residual) / coherent.norm()
-                )
-                flipped = flip_state(coherent)
-                residual = at_op.apply(flipped) - alpha * flipped
-                flipped_residual = _worst(
-                    flipped_residual, guarded_norm(residual) / flipped.norm()
-                )
         oracle = displacement_operator(alpha, dim)[:, 0:2]
         closed = np.stack(displaced_columns(alpha, dim), axis=1)
         column_gap = _worst(column_gap, float(np.abs(closed - oracle)[:keep].max()))
@@ -327,16 +354,19 @@ def _suite_entangle(dim: int, tol: float, rng: np.random.Generator) -> list[Chec
             abs(height - math.cos(point.theta)),
         )
 
+    # The angle grids run through the sweep's kernels, which equal
+    # concurrence_gram and pole_probabilities bit for bit at dim >= 8.
+    lows = [_qubit_grid(*_angle_axes(), zeta, dim) for zeta in zetas]
+    grams = iter(_gram_grid(np.concatenate(lows))[0])
     superqubit_gap = 0.0
     probability_gap = 0.0
-    for zeta in zetas:
-        for theta, phi in _angle_grid():
-            state = super_qubit_state(SuperQubitParams(theta, phi, zeta), dim)
+    for zeta, low in zip(zetas, lows):
+        p0s, p1s = _pole_probabilities_grid(low, zeta)
+        # zip stops after the grid's angles, leaving the next zeta's grams
+        for (theta, _), gram, p0, p1 in zip(_angle_grid(), grams, p0s, p1s):
             superqubit_gap = _worst(
-                superqubit_gap,
-                abs(concurrence_gram(state) - concurrence_superqubit(theta, zeta)),
+                superqubit_gap, abs(gram - concurrence_superqubit(theta, zeta))
             )
-            p0, p1 = pole_probabilities(state, zeta)
             probability_gap = _worst(
                 probability_gap,
                 abs(p0 - math.cos(0.5 * theta) ** 2),
@@ -344,18 +374,18 @@ def _suite_entangle(dim: int, tol: float, rng: np.random.Generator) -> list[Chec
             )
 
     alpha_invariance = 0.0
-    flip_invariance = 0.0
     for zeta in zetas:
         for theta, phi in _angle_grid(stride=2):
             params = CoherentParams(_ENTANGLE_ALPHA, SuperQubitParams(theta, phi, zeta))
             alpha_invariance = _worst(
                 alpha_invariance, displacement_invariance_check(params, dim)
             )
-            state = super_qubit_state(params.base, dim)
-            flip_invariance = _worst(
-                flip_invariance,
-                abs(concurrence_gram(flip_state(state)) - concurrence_gram(state)),
-            )
+    halves = np.concatenate([_qubit_grid(*_angle_axes(2), zeta, dim) for zeta in zetas])
+    both = _gram_grid(np.concatenate([halves, halves[:, ::-1]]))[0]
+    count = len(halves)
+    flip_invariance = _worst(
+        0.0, *(abs(flipped - gram) for gram, flipped in zip(both[:count], both[count:]))
+    )
 
     gram_purity = 0.0
     rank_bound = 0.0
@@ -409,19 +439,26 @@ def _suite_entangle(dim: int, tol: float, rng: np.random.Generator) -> list[Chec
 
 
 def _suite_uncertainty(dim: int, tol: float) -> list[Check]:
+    # One pair of dense oracle matrices serves every state of the suite; each
+    # angle grid is one stack of the CLI's states, as in the eigen suite.
     zetas = _zeta_grid()
+    x_op, p_op = _quadrature_matrices(dim)
 
     mean_gap = 0.0
     var_gap = 0.0
     alpha_independence = 0.0
     for zeta in zetas:
-        for theta, phi in _angle_grid(stride=2):
+        low = _qubit_grid(*_angle_axes(2), zeta, dim)
+        at_zero = _quadrature_stats(x_op, p_op, _undisplaced(low, dim))
+        displaced = _quadrature_stats(
+            x_op, p_op, _displace_low_levels(_UNCERTAINTY_ALPHA, low, dim)
+        )
+        for (theta, phi), numeric_at_zero, numeric_displaced in zip(
+            _angle_grid(stride=2), at_zero, displaced
+        ):
             base = SuperQubitParams(theta, phi, zeta)
-            numeric_at_zero = quadrature_stats_numeric(CoherentParams(0.0, base), dim)
-            for alpha in (0.0, _UNCERTAINTY_ALPHA):
-                params = CoherentParams(alpha, base)
-                closed = quadrature_stats_closed(params)
-                numeric = quadrature_stats_numeric(params, dim)
+            for alpha, numeric in ((0.0, numeric_at_zero), (_UNCERTAINTY_ALPHA, numeric_displaced)):
+                closed = quadrature_stats_closed(CoherentParams(alpha, base))
                 mean_gap = _worst(
                     mean_gap,
                     abs(closed.mean_x - numeric.mean_x),
@@ -441,13 +478,14 @@ def _suite_uncertainty(dim: int, tol: float) -> list[Check]:
     symmetric_closed = 0.0
     symmetric_numeric = 0.0
     variance_floor = 0.0
+    thetas, phi = list(_THETAS), 0.25 * math.pi
     for zeta in zetas:
-        for theta in _THETAS:
-            params = CoherentParams(0.0, SuperQubitParams(theta, 0.25 * math.pi, zeta))
+        low = _qubit_grid(thetas, [phi], zeta, dim)
+        for theta, numeric in zip(thetas, _quadrature_stats(x_op, p_op, _undisplaced(low, dim))):
+            params = CoherentParams(0.0, SuperQubitParams(theta, phi, zeta))
             var_x, var_p = variance_quadratures_closed(params)
             symmetric_closed = _worst(symmetric_closed, abs(var_x - var_p))
             variance_floor = _worst(variance_floor, 0.5 - var_x, 0.5 - var_p)
-            numeric = quadrature_stats_numeric(params, dim)
             symmetric_numeric = _worst(symmetric_numeric, abs(numeric.var_x - numeric.var_p))
 
     fib_point = CoherentParams(
@@ -456,7 +494,9 @@ def _suite_uncertainty(dim: int, tol: float) -> list[Check]:
     )
     closed_58 = variance_quadratures_closed(fib_point)
     five_eighths_closed = _worst(abs(closed_58[0] - 0.625), abs(closed_58[1] - 0.625))
-    numeric_58 = quadrature_stats_numeric(fib_point, dim)
+    (numeric_58,) = _quadrature_stats(
+        x_op, p_op, super_qubit_state(fib_point.base, dim).coeffs[None]
+    )
     five_eighths_numeric = _worst(
         abs(numeric_58.var_x - 0.625), abs(numeric_58.var_p - 0.625)
     )
@@ -496,8 +536,11 @@ def _suite_fibonacci(dim: int, tol: float, n_max: int) -> list[Check]:
     previous_sign = None
     alternation_ok = True
     monotone_ok = True
+    record20 = None
     for n in range(3, n_max + 1):
         record = fibonacci_record(n, dim)
+        if n == 20:
+            record20 = record
         f_nm2 = fibonacci_number(n - 2)
         f_nm1 = fibonacci_number(n - 1)
         f_np1 = fibonacci_number(n + 1)
@@ -544,8 +587,7 @@ def _suite_fibonacci(dim: int, tol: float, n_max: int) -> list[Check]:
             0.0,
         )
     )
-    if n_max >= 20:
-        record20 = fibonacci_record(20, dim)
+    if record20 is not None:
         checks.append(
             Check(
                 "golden_gap_at_n20",

@@ -106,6 +106,14 @@ class TestConcurrenceGram:
         with pytest.raises(NormalizationError):
             concurrence_gram(SuperVector([[2.0], [0.0]]))
 
+    @pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.nan), math.inf])
+    @pytest.mark.parametrize("route", [concurrence_gram, entanglement_entropy_bits])
+    def test_non_finite_norm_rejected(self, route, bad):
+        # NaN compares false with everything, so a check written as
+        # `norm_sq off by more than tol` would let a NaN state through
+        with pytest.raises(NormalizationError, match="norm"):
+            route(SuperVector([[bad, 0.0], [0.0, 0.0]]))
+
     @pytest.mark.parametrize("alpha", [0.0, 1.3 - 0.4j])
     def test_pole_product_states_read_zero(self, alpha):
         # at zeta = infinity both blocks are multiples of one boson state;

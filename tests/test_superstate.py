@@ -169,6 +169,16 @@ class TestPerBlockReferences:
             reference = float(np.linalg.norm(np.concatenate([x0[:keep], x1[:keep]])))
             assert guarded_norm(x, guard) == reference
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 80), st.integers(0, 2**32 - 1))
+    def test_stacked_norms_equal_each_state(self, dim, seed):
+        stack = np.random.default_rng(seed).standard_normal((5, 2, dim, 2)) @ [1.0, 1j]
+        states = [SuperVector(coeffs) for coeffs in stack]
+        assert superstate._norms(stack).tolist() == [state.norm() for state in states]
+        for guard in {0, dim // 2, dim - 1}:
+            got = superstate._guarded_norms(stack, guard).tolist()
+            assert got == [float(np.linalg.norm(coeffs[:, : dim - guard])) for coeffs in stack]
+
     @settings(max_examples=100, deadline=None)
     @given(coherent_points())
     def test_super_coherent_state(self, point):
@@ -699,6 +709,22 @@ class TestBandedBlockOperator:
         op = BlockOperator.from_blocks(*operands[0])
         guard = guard % op.dim
         assert op.max_abs(guard) == superstate.guarded_max_abs(op.full(), op.dim, guard)
+
+    @settings(max_examples=100, deadline=None)
+    @given(banded_blocks(count=1), st.integers(0, 2**32 - 1))
+    def test_stacked_apply_equals_each_state_bit_for_bit(self, operands, seed):
+        op = BlockOperator.from_blocks(*operands[0])
+        stack = np.random.default_rng(seed).standard_normal((3, 2, 2, op.dim, 2)) @ [1.0, 1j]
+        applied = op.apply_coeffs(stack)
+        assert applied.shape == stack.shape
+        for index in np.ndindex(stack.shape[:2]):
+            assert applied[index].tobytes() == op.apply(SuperVector(stack[index])).coeffs.tobytes()
+
+    def test_apply_refuses_another_dim(self):
+        with pytest.raises(InvalidDimensionError, match=r"applies to \(\.\.\., 2, 4\) coefficients"):
+            flip_operator(4).apply_coeffs(np.zeros((3, 2, 5)))
+        with pytest.raises(InvalidDimensionError, match="got shape"):
+            flip_operator(4).apply(SuperVector(np.zeros((2, 5))))
 
     def test_zero_operator_has_empty_bands(self):
         op = BlockOperator.from_blocks(*(np.zeros((4, 4)) for _ in range(4)))

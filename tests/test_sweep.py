@@ -205,6 +205,15 @@ class TestGridKernels:
         with pytest.raises(NormalizationError, match="norm"):
             _gram_grid(coeffs)
 
+    @pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.nan)])
+    def test_non_finite_state_is_refused(self, bad):
+        # as concurrence_gram refuses it: a NaN norm is not within tol of 1
+        thetas = [0.3, 2.0]
+        coeffs = _super_qubit_grid(thetas, *_grid_phases(thetas, [0.0, 1.0]), zeta_label((1.0, 0.0)), 8)
+        coeffs[1, 1, 0] = bad
+        with pytest.raises(NormalizationError, match="norm"):
+            _gram_grid(coeffs)
+
     def test_non_unit_cartesian_point_is_refused(self):
         thetas = [0.3, 2.0]
         cos_phi, sin_phi = _grid_phases(thetas, [0.0, 1.0])

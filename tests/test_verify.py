@@ -1,13 +1,79 @@
+import cmath
 import dataclasses
 import json
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from superq import verify
+from superq.entanglement import _gram_grid, concurrence_gram
 from superq.errors import TruncationError
+from superq.fock import required_displacement_dim
+from superq.moebius import ExtendedComplex
 from superq.serialize import dumps
+from superq.superstate import (
+    CoherentParams,
+    SuperQubitParams,
+    SuperVector,
+    _displace_low_levels,
+    _guarded_norms,
+    _norms,
+    flip_state,
+    guarded_norm,
+    super_annihilation,
+    super_annihilation_transposed,
+    super_coherent_state,
+    super_qubit_state,
+)
+from superq.uncertainty import _quadrature_matrices, _quadrature_stats, quadrature_stats_numeric
 from superq.verify import SUITE_NAMES, Check, VerificationReport, required_suite_dim, run_verify
+
+
+# Every check of a default ``verify --suite all`` report, in order, with its tolerance.
+ALL_INVENTORY = [
+    ("commutator_number_lowering", 1e-10),
+    ("commutator_number_raising", 1e-10),
+    ("commutator_ladder", 1e-10),
+    ("flip_involution", 0.0),
+    ("flip_transposes_annihilation", 0.0),
+    ("super_number_tensor_split", 0.0),
+    ("flip_conjugates_fermion_number", 0.0),
+    ("creation_gate_raises_vacuum", 1e-12),
+    ("flip_commutes_with_displacement", 1e-12),
+    ("quadrature_hermiticity", 1e-14),
+    ("quadrature_canonical_commutator", 1e-12),
+    ("reference_annihilation", 1e-10),
+    ("coherent_eigenrelation", 1e-8),
+    ("flipped_coherent_eigenrelation", 1e-8),
+    ("closed_coherent_columns_vs_truncated_displacement", 1e-8),
+    ("n_state_concurrence_closed_vs_gram", 1e-10),
+    ("n_state_concurrence_n_independence", 1e-12),
+    ("superqubit_concurrence_closed_vs_gram", 1e-10),
+    ("alpha_invariance_of_concurrence", 1e-8),
+    ("flip_invariance_of_concurrence", 1e-12),
+    ("gram_purity_identity", 1e-10),
+    ("density_rank_bound", 1e-10),
+    ("spectral_entropy_matches_closed_form", 1e-9),
+    ("entropy_pole_values", 0.0),
+    ("geometric_concurrence_identity", 1e-12),
+    ("pole_probability_identity", 1e-12),
+    ("mean_quadratures_closed_vs_matrix", 1e-8),
+    ("variance_quadratures_closed_vs_matrix", 1e-8),
+    ("variance_alpha_independence", 1e-8),
+    ("symmetric_point_variance_equality_closed", 1e-12),
+    ("symmetric_point_variance_equality_numeric", 1e-8),
+    ("five_eighths_point_closed", 1e-15),
+    ("five_eighths_point_numeric", 1e-8),
+    ("variance_floor_on_symmetric_family", 1e-10),
+    ("golden_point_variance", 1e-14),
+    *((f"fibonacci_record[n={n}]", 1e-8) for n in range(3, 21)),
+    ("fibonacci_circle_sign_alternation", 0.0),
+    ("fibonacci_dispersion_monotone_convergence", 0.0),
+    ("golden_gap_at_n20", 1e-7),
+]
 
 
 def nan_number_lowering(monkeypatch):
@@ -67,6 +133,12 @@ class TestRunVerify:
         columns = report.checks[-1]
         assert columns.tolerance == report.tol
         assert 0.0 < columns.residual <= 1e-10
+
+    @pytest.mark.parametrize("dim", [36, 64])
+    def test_all_suites_check_inventory(self, dim):
+        report = run_verify("all", dim=dim)
+        assert [(check.name, check.tolerance) for check in report.checks] == ALL_INVENTORY
+        assert report.all_passed
 
     def test_fibonacci_check_inventory(self):
         report = run_verify("fibonacci", n_max=20)
@@ -194,3 +266,119 @@ class TestNonFiniteResiduals:
     def test_max_residual_of_no_checks_is_zero(self):
         report = VerificationReport("fibonacci", 36, 1e-8, 1, 20, (), 0.0, {})
         assert report.max_residual == 0.0
+
+
+def bits(stats):
+    """The fields of a QuadratureStats as exact float text, so -0.0 and 0.0 differ."""
+    return [value.hex() for value in dataclasses.astuple(stats)]
+
+
+# the pole, huge and tiny moduli, or a modulus log-uniform in [0.25, 4] with a uniform phase
+ZETAS = st.one_of(
+    st.sampled_from(
+        [ExtendedComplex.infinity(), ExtendedComplex.from_value(1e300), ExtendedComplex.from_value(-1e-300j)]
+    ),
+    st.builds(
+        lambda log_modulus, phase: ExtendedComplex.from_value(cmath.rect(math.exp(log_modulus), phase)),
+        st.floats(math.log(0.25), math.log(4.0)),
+        st.floats(0.0, 2.0 * math.pi),
+    ),
+)
+
+
+class TestBatchedSuites:
+    """The suites evaluate each angle grid as one stack of the CLI's own states."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        alpha=st.builds(complex, st.floats(-1.4, 1.4), st.floats(-1.4, 1.4)),
+        zeta=ZETAS,
+        dim=st.integers(36, 256),
+    )
+    def test_stacks_are_the_cli_states_bit_for_bit(self, alpha, zeta, dim):
+        assume(alpha != 0 and required_displacement_dim(alpha) <= dim)
+        low = verify._qubit_grid(*verify._angle_axes(), zeta, dim)
+        reference = verify._undisplaced(low, dim)
+        coherent = _displace_low_levels(alpha, low, dim)
+        flipped = coherent[:, ::-1]
+        a_op, at_op = super_annihilation(zeta, dim), super_annihilation_transposed(zeta, dim)
+        applied, flip_applied = a_op.apply_coeffs(coherent), at_op.apply_coeffs(flipped)
+        norms, guarded = _norms(coherent), _guarded_norms(applied - alpha * coherent)
+        grams = _gram_grid(low[:, ::-1])[0]
+        x_op, p_op = _quadrature_matrices(dim)
+        moments = _quadrature_stats(x_op, p_op, coherent)
+        for k, (theta, phi) in enumerate(verify._angle_grid()):
+            params = CoherentParams(alpha, SuperQubitParams(theta, phi, zeta))
+            state = super_coherent_state(params, dim)
+            flip = flip_state(state)
+            base = super_qubit_state(params.base, dim)
+            assert reference[k].tobytes() == base.coeffs.tobytes()
+            assert coherent[k].tobytes() == state.coeffs.tobytes()
+            assert flipped[k].tobytes() == flip.coeffs.tobytes()
+            assert applied[k].tobytes() == a_op.apply(state).coeffs.tobytes()
+            assert flip_applied[k].tobytes() == at_op.apply(flip).coeffs.tobytes()
+            assert norms[k] == state.norm()
+            assert guarded[k] == guarded_norm(a_op.apply(state) - alpha * state)
+            assert grams[k] == concurrence_gram(flip_state(base))
+            assert bits(moments[k]) == bits(quadrature_stats_numeric(params, dim))
+
+    def test_eigen_suite_builds_no_state_and_displaces_each_grid_once(self, monkeypatch):
+        built, displaced = [], Counter()
+        post_init = SuperVector.__post_init__
+        displace = verify._displace_low_levels
+
+        def counting_post_init(self):
+            built.append(self)
+            post_init(self)
+
+        def counting_displace(alpha, low, dim):
+            displaced[alpha, low.shape] += 1
+            return displace(alpha, low, dim)
+
+        monkeypatch.setattr(SuperVector, "__post_init__", counting_post_init)
+        monkeypatch.setattr(verify, "_displace_low_levels", counting_displace)
+        assert run_verify("eigen", dim=48).all_passed
+        assert built == []
+        assert displaced == {(alpha, (25, 2, 2)): 5 for alpha in verify._EIGEN_ALPHAS}
+
+    def test_uncertainty_suite_builds_the_oracle_matrices_once(self, monkeypatch):
+        builds, sizes = [], []
+        matrices, stats = verify._quadrature_matrices, verify._quadrature_stats
+
+        def counting_stats(x, p, states):
+            sizes.append(len(states))
+            return stats(x, p, states)
+
+        monkeypatch.setattr(verify, "_quadrature_matrices", lambda dim: builds.append(dim) or matrices(dim))
+        monkeypatch.setattr(verify, "_quadrature_stats", counting_stats)
+        assert run_verify("uncertainty", dim=40).all_passed
+        assert builds == [40]
+        # 45 points at alpha = 0 and displaced, 25 symmetric points, the 5/8 point
+        assert sum(sizes) == 45 * 2 + 25 + 1
+
+    def test_fibonacci_suite_builds_each_record_once(self, monkeypatch):
+        built = []
+        record = verify.fibonacci_record
+        monkeypatch.setattr(verify, "fibonacci_record", lambda n, dim: built.append(n) or record(n, dim))
+        report = run_verify("fibonacci", dim=40, n_max=20)
+        assert report.checks[-1].name == "golden_gap_at_n20"
+        assert built == list(range(3, 21))
+
+    def test_dense_oracles_stay(self, monkeypatch):
+        seen = Counter()
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
+
+            def counting(a, *args, _real=real, _name=name, **kwargs):
+                seen[_name, np.shape(a)] += 1
+                return _real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        assert run_verify("all", dim=48).all_passed
+        assert seen == {
+            ("eigh", (48, 48)): 4,  # the spectral D of the 4 amplitudes
+            ("eigvalsh", (48, 48)): 12,  # rho of the 12 random states
+            ("eigvalsh", (2, 2)): 5,  # the Gram spectra of |1, zeta>
+            ("eigvalsh", (125, 2, 2)): 1,  # the angle grids' Gram spectra
+            ("eigvalsh", (90, 2, 2)): 1,  # and those of the half grids and their flips
+        }
