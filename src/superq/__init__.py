@@ -77,6 +77,7 @@ from .uncertainty import (
     GOLDEN_RATIO,
     FibonacciRecord,
     QuadratureStats,
+    fibonacci_ladder,
     fibonacci_number,
     fibonacci_record,
     golden_limit,

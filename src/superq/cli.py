@@ -18,7 +18,9 @@ from dataclasses import asdict
 import numpy as np
 
 from .entanglement import (
-    _gram_grid,
+    _concurrence,
+    _entropies,
+    _normalized_gram_entries,
     collapse_probabilities,
     concurrence_gram,
     concurrence_n_state,
@@ -39,8 +41,9 @@ from .serialize import csv_cell, csv_text, dumps
 from .superstate import (
     CoherentParams,
     SuperQubitParams,
-    _pole_probabilities_grid,
+    _pole_probabilities,
     _super_qubit_grid,
+    _undisplaced,
     n_superparticle_state,
     pole_probabilities,
     super_coherent_state,
@@ -49,7 +52,7 @@ from .superstate import (
 from .uncertainty import (
     GOLDEN_RATIO,
     _variance_grid,
-    fibonacci_record,
+    fibonacci_ladder,
     quadrature_stats_closed,
     quadrature_stats_numeric,
 )
@@ -85,6 +88,12 @@ FIBONACCI_HEADER = [
 ]
 
 _CSV_COMMANDS = {"sweep", "fibonacci"}
+
+# BLAS sums a block of 8 or more entries in its blocked loop, a shorter one in
+# a tail loop that rounds differently.  The sweep pads its two-level states
+# with zeros to 8 levels, so its Gram and pole columns round alike at every
+# --dim, as the dim-64 golden sweeps record.
+_SWEEP_LEVELS = 8
 
 
 class UsageError(ValueError):
@@ -423,18 +432,21 @@ def _emit_sweep(args) -> str:
     """The sweep CSV, each column evaluated for the whole grid at once.
 
     At alpha = 0 every state lives on boson levels 0 and 1, so the grid's
-    states are one (T*P, 2, 2) coefficient array; the oracle columns come
-    from it and the closed columns from the angles.
+    states are one (T*P, 2, _SWEEP_LEVELS) coefficient stack; the oracle
+    columns come from it through the single-state commands' kernels and the
+    closed columns from the angles.
     """
     t_count, p_count = args.grid
     thetas = sweep_thetas(t_count)
     phis = [2.0 * math.pi * j / p_count for j in range(p_count)]
     zeta_re, zeta_im = (math.inf, 0.0) if args.zeta_inf else _zeta_parts(args)
     cos_phi, sin_phi = _grid_phases(thetas, phis)
-    coeffs = _super_qubit_grid(thetas, cos_phi, sin_phi, args.zeta, args.dim)
-    p0, p1 = _pole_probabilities_grid(coeffs, args.zeta)
+    low = _super_qubit_grid(thetas, cos_phi, sin_phi, args.zeta, args.dim)
+    coeffs = _undisplaced(low, _SWEEP_LEVELS)
+    p0, p1 = _pole_probabilities(coeffs, args.zeta)
     var_x, var_p = _variance_grid(_cartesian_grid(thetas, cos_phi, sin_phi), args.zeta)
-    gram, entropy = _gram_grid(coeffs)
+    entries = _normalized_gram_entries(coeffs)
+    gram, entropy = _concurrence(coeffs, *entries).tolist(), _entropies(*entries)
     # theta, phi, zeta and the closed concurrence repeat down their columns,
     # so each is formatted once and a row starts with their joined text
     phi_cells = [csv_cell(phi) for phi in phis]
@@ -448,21 +460,19 @@ def _emit_sweep(args) -> str:
 
 
 def _emit_fibonacci(args) -> str:
-    rows = []
-    for n in range(3, args.n_max + 1):
-        record = fibonacci_record(n, args.dim)
-        rows.append(
-            [
-                record.n,
-                record.fib_n,
-                record.zeta_sq.numerator,
-                record.zeta_sq.denominator,
-                record.dispersion_closed.numerator,
-                record.dispersion_closed.denominator,
-                record.dispersion_numeric,
-                abs(float(record.dispersion_closed) - 1.0 / GOLDEN_RATIO),
-            ]
-        )
+    rows = [
+        [
+            record.n,
+            record.fib_n,
+            record.zeta_sq.numerator,
+            record.zeta_sq.denominator,
+            record.dispersion_closed.numerator,
+            record.dispersion_closed.denominator,
+            record.dispersion_numeric,
+            abs(float(record.dispersion_closed) - 1.0 / GOLDEN_RATIO),
+        ]
+        for record in fibonacci_ladder(args.n_max, args.dim)
+    ]
     return csv_text(FIBONACCI_HEADER, rows)
 
 

@@ -5,6 +5,10 @@ Gram-determinant concurrence checks the closed concurrences, the reduced
 density matrix checks the Gram route, and the spectral entropy checks the
 closed entropy.  Reports carry both routes side by side; a discrepancy is a
 verification failure, never silently resolved in favor of either side.
+
+The Gram route is one kernel on (..., 2, L) coefficient stacks, run on
+``state.coeffs`` by the single-state functions and on whole grids by the
+sweep and ``verify``; the reduced density matrix never calls it.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from .moebius import ExtendedComplex
 from .superstate import (
     CoherentParams,
     SuperVector,
-    _vdot_low,
+    _block_norms_sq,
     super_coherent_state,
     super_qubit_state,
 )
@@ -53,9 +57,11 @@ class DensityMatrix:
         mat = np.array(self.mat, dtype=np.complex128)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("density matrix must be square")
-        if np.abs(mat - mat.conj().T).max() > 1e-12:
+        # written so that NaN entries, which compare false, are refused too
+        if not np.abs(mat - mat.conj().T).max() <= 1e-12:
             raise NumericalConsistencyError("density matrix is not Hermitian")
-        if abs(np.trace(mat).real - 1.0) > 1e-12 or abs(np.trace(mat).imag) > 1e-12:
+        trace = np.trace(mat)
+        if not (abs(trace.real - 1.0) <= 1e-12 and abs(trace.imag) <= 1e-12):
             raise NumericalConsistencyError("density matrix trace differs from 1")
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
@@ -84,31 +90,46 @@ class EntanglementReport:
     p1: float
 
 
-def _require_normalized(norm_sq: float) -> None:
-    # written so that a NaN norm^2, which compares false, is refused too
-    if not abs(norm_sq - 1.0) <= NORMALIZATION_TOL:
-        raise NormalizationError(
-            f"state norm^2 = {norm_sq} is not 1 within {NORMALIZATION_TOL}"
-        )
+def _require_normalized(norm_sq) -> None:
+    # refuses each norm^2 of an array; written so that a NaN norm^2, which
+    # compares false, is refused too
+    within = abs(norm_sq - 1.0) <= NORMALIZATION_TOL
+    if not np.all(within):
+        off = float(np.ravel(norm_sq)[~np.ravel(within)][0])
+        raise NormalizationError(f"state norm^2 = {off} is not 1 within {NORMALIZATION_TOL}")
 
 
-def _gram_entries(state: SuperVector) -> tuple[float, float, np.complex128]:
-    """g00 = <psi0|psi0>, g11 = <psi1|psi1> and g01 = <psi0|psi1>, one np.vdot each.
+def _gram_entries(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """g00 = <psi0|psi0>, g11 = <psi1|psi1> and g01 = <psi0|psi1> of a (..., 2, L) stack.
 
-    The one place the Gram entries are computed (the diagonal ones by
-    ``SuperVector.block_norms_sq``); the concurrence, the Gram matrix and the
-    spectral entropy all read them from here.
+    The one place the Gram entries are computed: the concurrence, the Gram
+    matrix and the spectral entropy of one state (``state.coeffs``) or of a
+    stack all read them from here.  g00 and g11 are the block norms^2 of
+    ``superstate._block_norms_sq``, which ``SuperVector.norm_sq`` reads too;
+    g01 is one np.vecdot, which runs np.vdot's BLAS dot on each pair of blocks.
     """
-    return (*state.block_norms_sq(), np.vdot(state.psi0, state.psi1))
+    block = _block_norms_sq(coeffs)
+    return block[..., 0], block[..., 1], np.vecdot(coeffs[..., 0, :], coeffs[..., 1, :])
 
 
-def _gram(g00: float, g11: float, g01: np.complex128) -> np.ndarray:
-    return np.array([[g00, g01], [g01.conjugate(), g11]], dtype=np.complex128)
+def _normalized_gram_entries(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_gram_entries, after refusing any state whose norm^2 g00 + g11 is not 1."""
+    g00, g11, g01 = _gram_entries(coeffs)
+    _require_normalized(g00 + g11)
+    return g00, g11, g01
+
+
+def _gram(g00, g11, g01) -> np.ndarray:
+    """The (..., 2, 2) Gram matrices with the given entries."""
+    gram = np.empty((*np.shape(g01), 2, 2), dtype=np.complex128)
+    gram[..., 0, 0], gram[..., 1, 1] = g00, g11
+    gram[..., 0, 1], gram[..., 1, 0] = g01, np.conj(g01)
+    return gram
 
 
 def gram_matrix(state: SuperVector) -> np.ndarray:
     """2x2 Gram matrix of the two fermion blocks in the boson Fock space."""
-    return _gram(*_gram_entries(state))
+    return _gram(*_gram_entries(state.coeffs))
 
 
 def reduced_boson_density(state: SuperVector) -> DensityMatrix:
@@ -126,22 +147,23 @@ def concurrence_gram(state: SuperVector) -> float:
     instead of subtracting |g01|^2 from g00 g11, so two parallel blocks give
     a determinant of rounding size squared, not rounding size.
     """
-    return _concurrence(state, *_gram_entries(state))
+    return float(_concurrence(state.coeffs, *_normalized_gram_entries(state.coeffs)))
 
 
-def _concurrence(state: SuperVector, g00: float, g11: float, g01: np.complex128) -> float:
-    """concurrence_gram of a state whose Gram entries are already computed."""
-    _require_normalized(g00 + g11)
-    c0, c1 = state.coeffs
-    if g00 >= g11:
-        big, small, g_big, overlap = c0, c1, g00, g01
-    else:  # <psi1|psi0> is the conjugate of g01
-        big, small, g_big, overlap = c1, c0, g11, g01.conjugate()
+def _concurrence(coeffs: np.ndarray, g00, g11, g01) -> np.ndarray:
+    """concurrence_gram of each state of a (..., 2, L) stack, given its Gram entries."""
+    first_big = g00 >= g11
+    c0, c1 = coeffs[..., 0, :], coeffs[..., 1, :]
+    big = np.where(first_big[..., None], c0, c1)
+    small = np.where(first_big[..., None], c1, c0)
+    g_big = np.where(first_big, g00, g11)
+    # <psi1|psi0> is the conjugate of g01
+    overlap = np.where(first_big, g01, np.conj(g01))
     # numpy divides by g_big + 0j as each part times 1 / g_big; Python's
     # complex / float would divide each part by g_big and round differently
-    perpendicular = small - (overlap / g_big) * big
-    det = g_big * float(np.vdot(perpendicular, perpendicular).real)
-    return min(1.0, 2.0 * math.sqrt(det))
+    perpendicular = small - (overlap / g_big)[..., None] * big
+    det = g_big * np.vecdot(perpendicular, perpendicular).real
+    return np.minimum(1.0, 2.0 * np.sqrt(det))
 
 
 def concurrence_n_state(zeta: ExtendedComplex) -> float:
@@ -197,41 +219,13 @@ def entanglement_entropy_bits(state: SuperVector) -> float:
     The reduced density matrix has rank <= 2 and its nonzero spectrum equals
     the spectrum of the 2x2 Gram matrix, so only that spectrum is computed.
     """
-    g00, g11, g01 = _gram_entries(state)
-    _require_normalized(g00 + g11)
-    return _entropy_bits(np.linalg.eigvalsh(_gram(g00, g11, g01)))
+    return _entropy_bits(np.linalg.eigvalsh(_gram(*_normalized_gram_entries(state.coeffs))))
 
 
-def _gram_grid(coeffs: np.ndarray) -> tuple[list[float], list[float]]:
-    """concurrence_gram and entanglement_entropy_bits of each state of a (K, 2, 2) array.
-
-    ``coeffs[k]`` holds levels 0 and 1 of a state zero above them, as
-    ``superstate._super_qubit_grid`` builds it.  Each Gram entry is computed
-    once per state, the normalization check runs on every state, and the
-    concurrence follows _concurrence step for step with numpy's own complex
-    division and multiply.  The spectra come from one stacked eigvalsh, which
-    runs the same LAPACK routine on each matrix.  For blocks of length >= 8
-    both columns equal the per-state functions bit for bit (see _vdot_low).
-    """
-    c0, c1 = coeffs[:, 0], coeffs[:, 1]
-    g00, g11 = _vdot_low(c0, c0).real, _vdot_low(c1, c1).real
-    g01 = _vdot_low(c0, c1)
-    norm_sq = g00 + g11
-    off = ~(np.abs(norm_sq - 1.0) <= NORMALIZATION_TOL)
-    if off.any():
-        _require_normalized(float(norm_sq[off][0]))
-    first_big = g00 >= g11
-    big = np.where(first_big[:, None], c0, c1)
-    small = np.where(first_big[:, None], c1, c0)
-    g_big = np.where(first_big, g00, g11)
-    overlap = np.where(first_big, g01, g01.conj())
-    perpendicular = small - (overlap / g_big)[:, None] * big
-    det = g_big * _vdot_low(perpendicular, perpendicular).real
-    concurrence = np.minimum(1.0, 2.0 * np.sqrt(det))
-    gram = np.empty((len(coeffs), 2, 2), dtype=np.complex128)
-    gram[:, 0, 0], gram[:, 0, 1], gram[:, 1, 0], gram[:, 1, 1] = g00, g01, g01.conj(), g11
-    entropy = [_entropy_bits(eigenvalues) for eigenvalues in np.linalg.eigvalsh(gram).tolist()]
-    return concurrence.tolist(), entropy
+def _entropies(g00, g11, g01) -> list[float]:
+    """entanglement_entropy_bits from each state's Gram entries; one stacked eigvalsh."""
+    spectra = np.linalg.eigvalsh(_gram(g00, g11, g01)).tolist()
+    return [_entropy_bits(spectrum) for spectrum in spectra]
 
 
 def entanglement_report(
@@ -241,15 +235,16 @@ def entanglement_report(
 
     Validates the internal identities that do not depend on which closed
     formula the caller supplied: probabilities sum to one, and the squared
-    Gram concurrence equals twice the linear entropy 1 - Tr rho^2.
+    Gram concurrence equals twice the linear entropy 1 - Tr rho^2.  Each
+    identity is written so that a NaN, which compares false, fails it.
     """
-    entries = _gram_entries(state)
-    c_gram = _concurrence(state, *entries)
+    entries = _normalized_gram_entries(state.coeffs)
+    c_gram = float(_concurrence(state.coeffs, *entries))
     eigenvalues = np.linalg.eigvalsh(_gram(*entries))
     purity = float(np.sum(eigenvalues**2))
-    if abs(p0 + p1 - 1.0) > 1e-12:
+    if not abs(p0 + p1 - 1.0) <= 1e-12:
         raise NumericalConsistencyError(f"p0 + p1 = {p0 + p1} differs from 1")
-    if abs(c_gram**2 - 2.0 * (1.0 - purity)) > 1e-10:
+    if not abs(c_gram**2 - 2.0 * (1.0 - purity)) <= 1e-10:
         raise NumericalConsistencyError(
             "squared concurrence does not match twice the linear entropy"
         )

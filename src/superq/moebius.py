@@ -157,7 +157,8 @@ class CartesianBloch:
 
     def __post_init__(self):
         r_sq = self.x * self.x + self.y * self.y + self.z * self.z
-        if abs(r_sq - 1.0) > _UNIT_TOL:
+        # written so that a NaN |r|^2, which compares false, is refused too
+        if not abs(r_sq - 1.0) <= _UNIT_TOL:
             raise ValueError(f"(x, y, z) must be a unit vector, |r|^2 = {r_sq}")
 
 
@@ -200,7 +201,7 @@ def _cartesian_grid(
     sin_theta = np.array([math.sin(theta) for theta in thetas])[:, None]
     z = np.array([math.cos(theta) for theta in thetas])[:, None]
     x, y = sin_theta * cos_phi, sin_theta * sin_phi
-    off = np.abs(x * x + y * y + z * z - 1.0) > _UNIT_TOL
+    off = ~(np.abs(x * x + y * y + z * z - 1.0) <= _UNIT_TOL)
     if off.any():
         i, j = np.argwhere(off)[0]
         CartesianBloch(float(x[i, j]), float(y[i, j]), float(z[i, 0]))

@@ -16,6 +16,10 @@ is -v/u, and both poles of the sphere come out of the same expressions.
 Each value type has one construction path, its dataclass constructor, which
 validates the arrays it is given and keeps read-only copies of them; the
 builders here fill fresh arrays and pass them to it once.
+
+The kernels behind one state also take stacks of them, as the sweep and
+``verify`` pass them: ``_undisplaced``, ``_displace_low_levels``,
+``_block_norms_sq`` and ``_pole_probabilities``.
 """
 
 from __future__ import annotations
@@ -100,9 +104,9 @@ class SuperVector:
         return self.coeffs.shape[1]
 
     def block_norms_sq(self) -> tuple[float, float]:
-        """<psi0|psi0> and <psi1|psi1>, one np.vdot each."""
-        c0, c1 = self.coeffs
-        return float(np.vdot(c0, c0).real), float(np.vdot(c1, c1).real)
+        """<psi0|psi0> and <psi1|psi1>, from ``_block_norms_sq``."""
+        g00, g11 = _block_norms_sq(self.coeffs).tolist()
+        return g00, g11
 
     def norm_sq(self) -> float:
         g00, g11 = self.block_norms_sq()
@@ -475,22 +479,15 @@ def _super_qubit_grid(
     return coeffs.reshape(-1, 2, 2)
 
 
-def _vdot_low(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """np.vdot(x, y) of blocks zero above level 1, over the last axis (levels 0 and 1).
+def _undisplaced(low: np.ndarray, dim: int) -> np.ndarray:
+    """The (..., 2, dim) coefficients of the states a (..., 2, 2) low-level array describes.
 
-    Rounded as OpenBLAS's zdotc rounds np.vdot at length >= 8: four sums of
-    real products, each accumulated from +0.0, then (xr.yr + xi.yi) and
-    (xr.yi - xi.yr).  Below length 8 its tail loop fuses each product into
-    the running sum, which this does not.
+    Levels 0 and 1 are copied and every level above is zero: the alpha = 0
+    counterpart of ``_displace_low_levels``.
     """
-
-    def total(a, b):
-        return (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]) + 0.0
-
-    out = np.empty(np.broadcast_shapes(x.shape, y.shape)[:-1], dtype=np.complex128)
-    out.real = total(x.real, y.real) + total(x.imag, y.imag)
-    out.imag = total(x.real, y.imag) - total(x.imag, y.real)
-    return out
+    states = np.zeros((*low.shape[:-1], dim), dtype=np.complex128)
+    states[..., :2] = low
+    return states
 
 
 def _displace_low_levels(alpha: complex, low: np.ndarray, dim: int) -> np.ndarray:
@@ -550,30 +547,29 @@ def pole_probabilities(
     Computed as explicit squared overlaps rather than from the Bloch angles,
     so they double as a verification of the angle parametrization.
     """
-    dim = state.dim
-    pole0 = n_superparticle_state(0, zeta, dim)
-    pole1 = n_superparticle_state(1, zeta, dim)
-    if alpha != 0:
-        pole0, pole1 = (
-            SuperVector(_displace_low_levels(alpha, pole.coeffs[:, :2], dim)) for pole in (pole0, pole1)
-        )
-    return abs(pole0.inner(state)) ** 2, abs(pole1.inner(state)) ** 2
+    (p0,), (p1,) = _pole_probabilities(state.coeffs[None], zeta, alpha)
+    return p0, p1
 
 
-def _pole_probabilities_grid(
-    coeffs: np.ndarray, zeta: ExtendedComplex
+def _pole_probabilities(
+    coeffs: np.ndarray, zeta: ExtendedComplex, alpha: complex = 0.0
 ) -> tuple[list[float], list[float]]:
-    """pole_probabilities(state, zeta) of each state of a _super_qubit_grid array.
+    """pole_probabilities of each state of a (K, 2, L) coefficient stack.
 
-    Still explicit overlaps with |0, zeta> and |1, zeta>, block by block; abs
-    and ** 2 run in Python, as they do for one state.
+    The poles |0, zeta> and |1, zeta> are one (2, 2, 2) array of their boson
+    levels 0 and 1, displaced to length L when alpha != 0 and zero-padded to
+    it otherwise.  Each overlap adds its two blocks' np.vecdot, psi0 first
+    (np.vecdot runs np.vdot's BLAS dot per block); abs and ** 2 run in Python.
     """
-    poles = np.zeros((2, 1, 2, 2), dtype=np.complex128)  # levels 0 and 1 of both poles
-    poles[0, 0, 0, 0] = 1.0
-    poles[1, 0, 0, 1] = zeta.v
-    poles[1, 0, 1, 0] = zeta.u
-    overlaps = _vdot_low(poles[:, :, 0], coeffs[:, 0]) + _vdot_low(poles[:, :, 1], coeffs[:, 1])
-    p0, p1 = ([abs(overlap) ** 2 for overlap in row] for row in overlaps.tolist())
+    dim = coeffs.shape[-1]
+    if dim < 2:
+        raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
+    # [pole, block, level]
+    low = np.array([[[1, 0], [0, 0]], [[0, zeta.v], [zeta.u, 0]]], dtype=np.complex128)
+    poles = _displace_low_levels(alpha, low, dim) if alpha != 0 else _undisplaced(low, dim)
+    blocks = np.vecdot(poles, coeffs[:, None])  # (K, pole, block)
+    overlaps = (blocks[..., 0] + blocks[..., 1]).T.tolist()
+    p0, p1 = ([abs(overlap) ** 2 for overlap in row] for row in overlaps)
     return p0, p1
 
 
@@ -623,14 +619,19 @@ def _guarded_norms(coeffs: np.ndarray, guard: int = GUARD_BAND) -> np.ndarray:
     return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
 
 
-def _norms(coeffs: np.ndarray) -> np.ndarray:
-    """SuperVector.norm of each state of a (..., 2, dim) coefficient stack.
+def _block_norms_sq(coeffs: np.ndarray) -> np.ndarray:
+    """<psi0|psi0> and <psi1|psi1> of each state of a (..., 2, dim) stack, as a (..., 2) array.
 
-    np.vecdot runs np.vdot's BLAS dot on each block, so each norm equals the
-    state's own bit for bit.
+    The one computation of the block norms.  np.vecdot runs np.vdot's BLAS
+    dot on each block, so one state's values are its np.vdot sums bit for bit.
     """
-    block_norms_sq = np.vecdot(coeffs, coeffs).real
-    return np.sqrt(block_norms_sq[..., 0] + block_norms_sq[..., 1])
+    return np.vecdot(coeffs, coeffs).real
+
+
+def _norms(coeffs: np.ndarray) -> np.ndarray:
+    """SuperVector.norm of each state of a (..., 2, dim) coefficient stack."""
+    block = _block_norms_sq(coeffs)
+    return np.sqrt(block[..., 0] + block[..., 1])
 
 
 @dataclass(frozen=True)

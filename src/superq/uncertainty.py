@@ -22,6 +22,7 @@ from .superstate import (
     CoherentParams,
     SuperQubitParams,
     super_coherent_state,
+    super_qubit_state,
 )
 
 __all__ = [
@@ -35,6 +36,7 @@ __all__ = [
     "quadrature_stats_numeric",
     "fibonacci_number",
     "fibonacci_record",
+    "fibonacci_ladder",
     "golden_limit",
 ]
 
@@ -175,8 +177,12 @@ def _quadrature_stats(x: np.ndarray, p: np.ndarray, states: np.ndarray) -> list[
     matmul runs the same gemv per block), <op^2> is ||op psi||^2 since op is
     Hermitian, and each sum runs block by block from 0.0, psi0 before psi1,
     with ``** 2`` in Python.  That fixes the rounding the golden Fibonacci
-    table records.
+    table records.  A state on levels 0 and 1 reaches level 2 under X and P,
+    so dim >= 3 is required.
     """
+    dim = states.shape[-1]
+    if dim < 3:
+        raise TruncationError(f"the quadrature oracle needs dim >= 3, got {dim}", required_dim=3)
     moments = []
     for op in (x, p):
         images = np.matmul(op, states[..., None])[..., 0]
@@ -201,8 +207,6 @@ def quadrature_stats_numeric(params: CoherentParams, dim: int = DEFAULT_DIM) -> 
     0 and 1, and X, P reach level 2, so dim >= 3 is required.
     """
     state = super_coherent_state(params, dim)
-    if dim < 3:
-        raise TruncationError(f"the quadrature oracle needs dim >= 3, got {dim}", required_dim=3)
     (stats,) = _quadrature_stats(*_quadrature_matrices(dim), state.coeffs[None])
     return stats
 
@@ -225,24 +229,32 @@ def fibonacci_record(n: int, dim: int = DEFAULT_DIM) -> FibonacciRecord:
     in rational arithmetic.  The oracle state uses the real positive root
     zeta_n = sqrt(|zeta_n|^2) (only the modulus enters) at alpha = 0.
     """
-    if n < 3:
-        raise ValueError(f"the ladder starts at n = 3, got {n}")
-    f_nm2 = fibonacci_number(n - 2)
-    f_nm1 = fibonacci_number(n - 1)
-    f_n = f_nm1 + f_nm2
-    f_np1 = f_n + f_nm1
-    zeta_sq = Fraction(f_nm1, f_nm2) - Fraction(1, 2)
-    dispersion = Fraction(f_n, f_np1)
-    zeta = ExtendedComplex.from_value(math.sqrt(zeta_sq))
-    params = CoherentParams(0.0, SuperQubitParams(0.5 * math.pi, 0.25 * math.pi, zeta))
-    numeric = quadrature_stats_numeric(params, dim).var_x
-    return FibonacciRecord(
-        n=n,
-        fib_n=f_n,
-        zeta_sq=zeta_sq,
-        dispersion_closed=dispersion,
-        dispersion_numeric=numeric,
-    )
+    (record,) = _fibonacci_records([n], dim)
+    return record
+
+
+def fibonacci_ladder(n_max: int, dim: int = DEFAULT_DIM) -> list[FibonacciRecord]:
+    """fibonacci_record(n, dim) for n = 3 .. n_max, one pair of dense X and P for all of them."""
+    return _fibonacci_records(range(3, n_max + 1), dim)
+
+
+def _fibonacci_records(ns, dim: int) -> list[FibonacciRecord]:
+    """fibonacci_record of each n, its oracle states one stack through _quadrature_stats."""
+    rows, states = [], []
+    for n in ns:
+        if n < 3:
+            raise ValueError(f"the ladder starts at n = 3, got {n}")
+        f_nm2 = fibonacci_number(n - 2)
+        f_nm1 = fibonacci_number(n - 1)
+        f_n = f_nm1 + f_nm2
+        f_np1 = f_n + f_nm1
+        zeta_sq = Fraction(f_nm1, f_nm2) - Fraction(1, 2)
+        zeta = ExtendedComplex.from_value(math.sqrt(zeta_sq))
+        base = SuperQubitParams(0.5 * math.pi, 0.25 * math.pi, zeta)
+        states.append(super_qubit_state(base, dim).coeffs)
+        rows.append((n, f_n, zeta_sq, Fraction(f_n, f_np1)))
+    stats = _quadrature_stats(*_quadrature_matrices(dim), np.reshape(states, (-1, 2, dim)))
+    return [FibonacciRecord(*row, numeric.var_x) for row, numeric in zip(rows, stats)]
 
 
 def golden_limit() -> tuple[float, float]:

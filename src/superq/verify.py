@@ -21,12 +21,12 @@ from fractions import Fraction
 import numpy as np
 
 from .entanglement import (
-    _gram_grid,
+    _concurrence,
+    _normalized_gram_entries,
     collapse_probabilities,
     concurrence_gram,
     concurrence_n_state,
     concurrence_superqubit,
-    displacement_invariance_check,
     entanglement_entropy_bits,
     entropy_from_z,
     reduced_boson_density,
@@ -48,8 +48,9 @@ from .superstate import (
     _displace_low_levels,
     _guarded_norms,
     _norms,
-    _pole_probabilities_grid,
+    _pole_probabilities,
     _super_qubit_grid,
+    _undisplaced,
     commutator_suite,
     flip_operator,
     flip_state,
@@ -64,8 +65,8 @@ from .uncertainty import (
     GOLDEN_RATIO,
     _quadrature_matrices,
     _quadrature_stats,
+    fibonacci_ladder,
     fibonacci_number,
-    fibonacci_record,
     quadrature_operators,
     quadrature_stats_closed,
     variance_quadratures_closed,
@@ -210,11 +211,9 @@ def _qubit_grid(
     return _super_qubit_grid(thetas, *_grid_phases(thetas, phis), zeta, dim)
 
 
-def _undisplaced(low: np.ndarray, dim: int) -> np.ndarray:
-    """The (K, 2, dim) coefficients of the states a (K, 2, 2) low-level array describes."""
-    states = np.zeros((*low.shape[:-1], dim), dtype=np.complex128)
-    states[..., :2] = low
-    return states
+def _concurrences(states: np.ndarray) -> np.ndarray:
+    """concurrence_gram of each state of a (K, 2, dim) stack."""
+    return _concurrence(states, *_normalized_gram_entries(states))
 
 
 def _random_super_vector(rng: np.random.Generator, dim: int) -> SuperVector:
@@ -354,15 +353,15 @@ def _suite_entangle(dim: int, tol: float, rng: np.random.Generator) -> list[Chec
             abs(height - math.cos(point.theta)),
         )
 
-    # The angle grids run through the sweep's kernels, which equal
-    # concurrence_gram and pole_probabilities bit for bit at dim >= 8.
-    lows = [_qubit_grid(*_angle_axes(), zeta, dim) for zeta in zetas]
-    grams = iter(_gram_grid(np.concatenate(lows))[0])
+    # Each angle grid is one stack of the CLI's states, and every concurrence
+    # and pole probability comes from the kernels concurrence_gram and
+    # pole_probabilities run on one state.
     superqubit_gap = 0.0
     probability_gap = 0.0
-    for zeta, low in zip(zetas, lows):
-        p0s, p1s = _pole_probabilities_grid(low, zeta)
-        # zip stops after the grid's angles, leaving the next zeta's grams
+    for zeta in zetas:
+        states = _undisplaced(_qubit_grid(*_angle_axes(), zeta, dim), dim)
+        grams = _concurrences(states).tolist()
+        p0s, p1s = _pole_probabilities(states, zeta)
         for (theta, _), gram, p0, p1 in zip(_angle_grid(), grams, p0s, p1s):
             superqubit_gap = _worst(
                 superqubit_gap, abs(gram - concurrence_superqubit(theta, zeta))
@@ -373,19 +372,15 @@ def _suite_entangle(dim: int, tol: float, rng: np.random.Generator) -> list[Chec
                 abs(p1 - math.sin(0.5 * theta) ** 2),
             )
 
-    alpha_invariance = 0.0
-    for zeta in zetas:
-        for theta, phi in _angle_grid(stride=2):
-            params = CoherentParams(_ENTANGLE_ALPHA, SuperQubitParams(theta, phi, zeta))
-            alpha_invariance = _worst(
-                alpha_invariance, displacement_invariance_check(params, dim)
-            )
+    # The stride-2 grids of every zeta, undisplaced, displaced as
+    # super_coherent_state displaces them, and flipped.
     halves = np.concatenate([_qubit_grid(*_angle_axes(2), zeta, dim) for zeta in zetas])
-    both = _gram_grid(np.concatenate([halves, halves[:, ::-1]]))[0]
-    count = len(halves)
-    flip_invariance = _worst(
-        0.0, *(abs(flipped - gram) for gram, flipped in zip(both[:count], both[count:]))
-    )
+    references = _undisplaced(halves, dim)
+    reference_grams = _concurrences(references)
+    displaced_grams = _concurrences(_displace_low_levels(_ENTANGLE_ALPHA, halves, dim))
+    flipped_grams = _concurrences(references[:, ::-1])
+    alpha_invariance = _worst(0.0, *np.abs(displaced_grams - reference_grams).tolist())
+    flip_invariance = _worst(0.0, *np.abs(flipped_grams - reference_grams).tolist())
 
     gram_purity = 0.0
     rank_bound = 0.0
@@ -536,11 +531,9 @@ def _suite_fibonacci(dim: int, tol: float, n_max: int) -> list[Check]:
     previous_sign = None
     alternation_ok = True
     monotone_ok = True
-    record20 = None
-    for n in range(3, n_max + 1):
-        record = fibonacci_record(n, dim)
-        if n == 20:
-            record20 = record
+    records = fibonacci_ladder(n_max, dim)
+    for record in records:
+        n = record.n
         f_nm2 = fibonacci_number(n - 2)
         f_nm1 = fibonacci_number(n - 1)
         f_np1 = fibonacci_number(n + 1)
@@ -573,28 +566,14 @@ def _suite_fibonacci(dim: int, tol: float, n_max: int) -> list[Check]:
             monotone_ok = False
         previous_r = r
 
-    checks.append(
-        Check(
-            "fibonacci_circle_sign_alternation",
-            _BOOL_PASS if alternation_ok else _BOOL_FAIL,
-            0.0,
-        )
-    )
-    checks.append(
-        Check(
-            "fibonacci_dispersion_monotone_convergence",
-            _BOOL_PASS if monotone_ok else _BOOL_FAIL,
-            0.0,
-        )
-    )
-    if record20 is not None:
-        checks.append(
-            Check(
-                "golden_gap_at_n20",
-                abs(float(record20.dispersion_closed) - 1.0 / GOLDEN_RATIO),
-                1e-7,
-            )
-        )
+    for name, ok in (
+        ("fibonacci_circle_sign_alternation", alternation_ok),
+        ("fibonacci_dispersion_monotone_convergence", monotone_ok),
+    ):
+        checks.append(Check(name, _BOOL_PASS if ok else _BOOL_FAIL, 0.0))
+    if n_max >= 20:  # records[17] is n = 20
+        gap = abs(float(records[17].dispersion_closed) - 1.0 / GOLDEN_RATIO)
+        checks.append(Check("golden_gap_at_n20", gap, 1e-7))
     return checks
 
 

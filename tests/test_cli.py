@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superq import cli, fock, verify
+from superq import cli, fock, uncertainty, verify
 from superq.cli import FIBONACCI_HEADER, SWEEP_HEADER, main as cli_main, sweep_thetas
 from superq.verify import required_suite_dim
 
@@ -78,6 +78,18 @@ class TestGoldenFiles:
             (
                 "sweep_zeta0.5-1.3i_grid9x7_dim64.csv",
                 ["sweep", "--zeta-re", "0.5", "--zeta-im", "-1.3", "--grid", "9,7", "--dim", "64"],
+            ),
+            # single-state Gram and pole sums on both sides of BLAS's
+            # length-8 block: dims 7, 8 and 9
+            (
+                "concurrence_n3_zeta0.6-0.8i_dim8.json",
+                ["concurrence", "--n", "3", "--zeta-re", "0.6", "--zeta-im=-0.8", "--dim", "8"],
+            ),
+            ("entropy_zeta2+0.5i_dim7.json", ["entropy", "--zeta-re", "2", "--zeta-im", "0.5", "--dim", "7"]),
+            (
+                "state_theta2.2_zeta0.3+1.1i_dim9.json",
+                ["state", "--theta", "2.2", "--phi", "0.4", "--zeta-re", "0.3", "--zeta-im", "1.1",
+                 "--dim", "9"],
             ),
         ],
     )
@@ -233,8 +245,9 @@ class TestClosedColumnWork:
         args = ["--theta=1.1", "--phi=0.4", "--zeta-re=0.8", "--zeta-im=0.3", "--alpha-re=2.1"]
         code, _, _ = run_cli(["coherent", *args, "--alpha-im=-1.7", "--dim", "96"])
         assert code == 0
-        # super_coherent_state builds; pole_probabilities reuses for both poles
-        assert (memo.cache_info().misses, memo.cache_info().hits) == (1, 2)
+        # super_coherent_state builds; pole_probabilities displaces both poles
+        # as one array, reusing the columns once
+        assert (memo.cache_info().misses, memo.cache_info().hits) == (1, 1)
 
 
 def _masked_verify(out):
@@ -470,6 +483,15 @@ class TestFibonacciCommand:
     def test_n_max_too_small(self, run_cli):
         code, _, err = run_cli(["fibonacci", "--n-max", "2"])
         assert code == 2
+
+    def test_builds_the_oracle_matrices_once(self, run_cli, monkeypatch):
+        builds = []
+        matrices = uncertainty._quadrature_matrices
+        monkeypatch.setattr(uncertainty, "_quadrature_matrices", lambda dim: builds.append(dim) or matrices(dim))
+        code, out, _ = run_cli(["fibonacci", "--n-max", "30", "--dim", "24"])
+        assert code == 0
+        assert len(out.strip().split("\n")) == 1 + 28
+        assert builds == [24]
 
 
 class TestVerifyCommand:

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from superq import entanglement, fock
 from superq.entanglement import (
+    DensityMatrix,
     collapse_probabilities,
     concurrence_gram,
     concurrence_n_state,
@@ -77,6 +78,40 @@ class TestReducedDensity:
         state = SuperVector([[1.0, 1.0], [0.0, 0.0]])
         with pytest.raises(NormalizationError):
             reduced_boson_density(state)
+
+    def test_non_finite_matrix_rejected(self):
+        # every entry of mat - mat^dag is NaN, and NaN compares false with 1e-12
+        with pytest.raises(NumericalConsistencyError, match="not Hermitian"):
+            DensityMatrix(np.full((2, 2), math.nan))
+
+
+class TestTwoRoutes:
+    """The Gram route and the dense reduced-density route share no code."""
+
+    @staticmethod
+    def refuse(*args, **kwargs):
+        raise AssertionError("the other route was called")
+
+    def state(self):
+        return random_state(np.random.default_rng(41), 9)
+
+    def test_density_route_runs_without_the_gram_kernel(self, monkeypatch):
+        state = self.state()
+        for name in ("_gram_entries", "_normalized_gram_entries", "_gram", "_concurrence", "_entropies"):
+            monkeypatch.setattr(entanglement, name, self.refuse)
+        with pytest.raises(AssertionError, match="other route"):
+            concurrence_gram(state)
+        rho = reduced_boson_density(state)
+        assert 0.5 <= rho.purity() <= 1.0
+        assert np.sort(rho.eigenvalues())[-2:].sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_gram_route_runs_without_the_density_matrix(self, monkeypatch):
+        state = self.state()
+        monkeypatch.setattr(entanglement, "DensityMatrix", self.refuse)
+        with pytest.raises(AssertionError, match="other route"):
+            reduced_boson_density(state)
+        assert 0.0 <= concurrence_gram(state) <= 1.0
+        assert 0.0 <= entanglement_entropy_bits(state) <= 1.0
 
 
 class TestConcurrenceGram:
@@ -280,3 +315,15 @@ class TestEntanglementReport:
         state = n_superparticle_state(1, ExtendedComplex.from_value(1.0), 8)
         with pytest.raises(NumericalConsistencyError):
             entanglement_report(state, 1.0, 0.7, 0.7)
+
+    @pytest.mark.parametrize("p0,p1", [(math.nan, 0.5), (0.5, math.nan)])
+    def test_nan_probability_rejected(self, p0, p1):
+        state = n_superparticle_state(1, ExtendedComplex.from_value(1.0), 8)
+        with pytest.raises(NumericalConsistencyError, match="p0 \\+ p1"):
+            entanglement_report(state, 0.0, p0, p1)
+
+    def test_nan_purity_rejected(self, monkeypatch):
+        state = n_superparticle_state(1, ExtendedComplex.from_value(1.0), 8)
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.full(np.shape(a)[:-1], math.nan))
+        with pytest.raises(NumericalConsistencyError, match="linear entropy"):
+            entanglement_report(state, 1.0, 0.5, 0.5)

@@ -181,6 +181,19 @@ class TestCartesian:
         with pytest.raises(ValueError):
             CartesianBloch(1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("coords", [(math.nan, 0.0, 0.0), (0.0, 0.0, math.inf)])
+    def test_non_finite_vector_rejected(self, coords):
+        # |r|^2 - 1 is NaN or inf here; a NaN compares false with the tolerance
+        with pytest.raises(ValueError, match="must be a unit vector"):
+            CartesianBloch(*coords)
+
+    def test_grid_rejects_a_non_finite_point(self):
+        thetas = [0.3, 2.0]
+        cos_phi, sin_phi = moebius._grid_phases(thetas, [0.0, 1.0])
+        cos_phi[-1, -1] = math.nan
+        with pytest.raises(ValueError, match="must be a unit vector"):
+            moebius._cartesian_grid(thetas, cos_phi, sin_phi)
+
 
 class TestConcurrenceCircle:
     def test_equator_is_maximally_entangled(self):

@@ -1,7 +1,8 @@
 """The batched sweep against the per-state functions it replaces, point by point.
 
-``superq sweep`` evaluates its grid as one (T*P, 2, 2) coefficient array.
-The reference here builds each point's state with ``super_qubit_state`` and
+``superq sweep`` evaluates its grid as one (T*P, 2, 8) coefficient stack,
+zero above level 1, through the kernels of the per-state functions.  The
+reference here builds each point's state with ``super_qubit_state`` and
 reads every column from the per-state functions.  For blocks of length >= 8
 each cell must be the same text (so the same bits); below that only the two
 Gram columns may move, by BLAS's fused tail rounding.
@@ -18,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from superq.cli import SWEEP_HEADER, main as cli_main, sweep_thetas
 from superq.entanglement import (
-    _gram_grid,
+    _normalized_gram_entries,
     concurrence_gram,
     concurrence_superqubit,
     entanglement_entropy_bits,
@@ -31,7 +32,7 @@ from superq.superstate import (
     SuperQubitParams,
     SuperVector,
     _super_qubit_grid,
-    _vdot_low,
+    _undisplaced,
     pole_probabilities,
     super_qubit_state,
 )
@@ -170,20 +171,6 @@ class TestGridKernels:
             assert not state.coeffs[:, 2:].any()
             assert got.tobytes() == state.coeffs[:, :2].tobytes()
 
-    @settings(max_examples=200, deadline=None)
-    @given(
-        parts=st.lists(
-            st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5]), st.floats(-3.0, 3.0)),
-            min_size=8,
-            max_size=8,
-        ),
-        dim=st.integers(8, 40),
-    )
-    def test_low_level_dot_rounds_as_blas(self, parts, dim):
-        x, y = np.zeros(dim, dtype=np.complex128), np.zeros(dim, dtype=np.complex128)
-        x.real[:2], x.imag[:2], y.real[:2], y.imag[:2] = np.reshape(parts, (4, 2))
-        assert _vdot_low(x[:2], y[:2]).tobytes() == np.complex128(np.vdot(x, y)).tobytes()
-
     def test_grid_refuses_what_one_point_refuses(self):
         with pytest.raises(ValueError, match=r"theta must lie in \[0, pi\], got 3.5"):
             _grid_phases([0.0, 1.0, 3.5], [0.0])
@@ -203,7 +190,7 @@ class TestGridKernels:
         coeffs = _super_qubit_grid(thetas, *_grid_phases(thetas, [0.0, 1.0]), zeta_label((1.0, 0.0)), 8)
         coeffs[-1, 0, 0] += 1e-9
         with pytest.raises(NormalizationError, match="norm"):
-            _gram_grid(coeffs)
+            _normalized_gram_entries(_undisplaced(coeffs, 8))
 
     @pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.nan)])
     def test_non_finite_state_is_refused(self, bad):
@@ -212,7 +199,7 @@ class TestGridKernels:
         coeffs = _super_qubit_grid(thetas, *_grid_phases(thetas, [0.0, 1.0]), zeta_label((1.0, 0.0)), 8)
         coeffs[1, 1, 0] = bad
         with pytest.raises(NormalizationError, match="norm"):
-            _gram_grid(coeffs)
+            _normalized_gram_entries(_undisplaced(coeffs, 8))
 
     def test_non_unit_cartesian_point_is_refused(self):
         thetas = [0.3, 2.0]

@@ -10,6 +10,7 @@ from superq.moebius import ExtendedComplex
 from superq.superstate import CoherentParams, SuperQubitParams, guarded_max_abs
 from superq.uncertainty import (
     GOLDEN_RATIO,
+    fibonacci_ladder,
     fibonacci_number,
     fibonacci_record,
     golden_limit,
@@ -204,6 +205,31 @@ class TestFibonacci:
     def test_gap_at_twenty(self):
         record = fibonacci_record(20, 64)
         assert abs(float(record.dispersion_closed) - 1.0 / GOLDEN_RATIO) <= 1e-7
+
+    @pytest.mark.parametrize("dim", [3, 8, 64, 200])
+    def test_ladder_equals_each_record_bit_for_bit(self, dim):
+        ladder = fibonacci_ladder(90, dim)
+        assert [record.n for record in ladder] == list(range(3, 91))
+        for record in ladder:
+            alone = fibonacci_record(record.n, dim)
+            assert record.dispersion_numeric.hex() == alone.dispersion_numeric.hex()
+            assert (record.fib_n, record.zeta_sq, record.dispersion_closed) == (
+                alone.fib_n,
+                alone.zeta_sq,
+                alone.dispersion_closed,
+            )
+
+    def test_ladder_builds_the_oracle_matrices_once(self, monkeypatch):
+        builds = []
+        matrices = uncertainty._quadrature_matrices
+        monkeypatch.setattr(uncertainty, "_quadrature_matrices", lambda dim: builds.append(dim) or matrices(dim))
+        assert len(fibonacci_ladder(40, 24)) == 38
+        assert builds == [24]
+
+    def test_ladder_refusals(self):
+        assert fibonacci_ladder(2, 64) == []
+        with pytest.raises(TruncationError, match="needs dim >= 3, got 2"):
+            fibonacci_ladder(10, 2)
 
 
 class TestGoldenLimit:

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from superq import verify
-from superq.entanglement import _gram_grid, concurrence_gram
+from superq import uncertainty, verify
+from superq.entanglement import concurrence_gram, concurrence_superqubit, displacement_invariance_check
 from superq.errors import TruncationError
 from superq.fock import required_displacement_dim
 from superq.moebius import ExtendedComplex
@@ -21,8 +21,10 @@ from superq.superstate import (
     _displace_low_levels,
     _guarded_norms,
     _norms,
+    _undisplaced,
     flip_state,
     guarded_norm,
+    pole_probabilities,
     super_annihilation,
     super_annihilation_transposed,
     super_coherent_state,
@@ -298,13 +300,13 @@ class TestBatchedSuites:
     def test_stacks_are_the_cli_states_bit_for_bit(self, alpha, zeta, dim):
         assume(alpha != 0 and required_displacement_dim(alpha) <= dim)
         low = verify._qubit_grid(*verify._angle_axes(), zeta, dim)
-        reference = verify._undisplaced(low, dim)
+        reference = _undisplaced(low, dim)
         coherent = _displace_low_levels(alpha, low, dim)
         flipped = coherent[:, ::-1]
         a_op, at_op = super_annihilation(zeta, dim), super_annihilation_transposed(zeta, dim)
         applied, flip_applied = a_op.apply_coeffs(coherent), at_op.apply_coeffs(flipped)
         norms, guarded = _norms(coherent), _guarded_norms(applied - alpha * coherent)
-        grams = _gram_grid(low[:, ::-1])[0]
+        grams = verify._concurrences(reference[:, ::-1])
         x_op, p_op = _quadrature_matrices(dim)
         moments = _quadrature_stats(x_op, p_op, coherent)
         for k, (theta, phi) in enumerate(verify._angle_grid()):
@@ -321,6 +323,31 @@ class TestBatchedSuites:
             assert guarded[k] == guarded_norm(a_op.apply(state) - alpha * state)
             assert grams[k] == concurrence_gram(flip_state(base))
             assert bits(moments[k]) == bits(quadrature_stats_numeric(params, dim))
+
+    @pytest.mark.parametrize("dim", [32, 64])
+    def test_entangle_grid_checks_equal_the_per_state_functions(self, dim):
+        # each stacked residual is the one the per-state functions give, bit for bit
+        superqubit = probability = alpha_drift = flip_drift = 0.0
+        for zeta in verify._zeta_grid():
+            for theta, phi in verify._angle_grid():
+                state = super_qubit_state(SuperQubitParams(theta, phi, zeta), dim)
+                p0, p1 = pole_probabilities(state, zeta)
+                superqubit = max(superqubit, abs(concurrence_gram(state) - concurrence_superqubit(theta, zeta)))
+                probability = max(
+                    probability,
+                    abs(p0 - math.cos(0.5 * theta) ** 2),
+                    abs(p1 - math.sin(0.5 * theta) ** 2),
+                )
+            for theta, phi in verify._angle_grid(stride=2):
+                params = CoherentParams(verify._ENTANGLE_ALPHA, SuperQubitParams(theta, phi, zeta))
+                state = super_qubit_state(params.base, dim)
+                alpha_drift = max(alpha_drift, displacement_invariance_check(params, dim))
+                flip_drift = max(flip_drift, abs(concurrence_gram(flip_state(state)) - concurrence_gram(state)))
+        residuals = {check.name: check.residual for check in run_verify("entangle", dim).checks}
+        assert residuals["superqubit_concurrence_closed_vs_gram"] == superqubit
+        assert residuals["pole_probability_identity"] == probability
+        assert residuals["alpha_invariance_of_concurrence"] == alpha_drift > 0.0
+        assert residuals["flip_invariance_of_concurrence"] == flip_drift
 
     def test_eigen_suite_builds_no_state_and_displaces_each_grid_once(self, monkeypatch):
         built, displaced = [], Counter()
@@ -357,12 +384,17 @@ class TestBatchedSuites:
         assert sum(sizes) == 45 * 2 + 25 + 1
 
     def test_fibonacci_suite_builds_each_record_once(self, monkeypatch):
-        built = []
-        record = verify.fibonacci_record
-        monkeypatch.setattr(verify, "fibonacci_record", lambda n, dim: built.append(n) or record(n, dim))
+        # one ladder call, one pair of dense X and P for its 18 states
+        ladders, builds = [], []
+        ladder, matrices = verify.fibonacci_ladder, uncertainty._quadrature_matrices
+        monkeypatch.setattr(
+            verify, "fibonacci_ladder", lambda n_max, dim: ladders.append((n_max, dim)) or ladder(n_max, dim)
+        )
+        monkeypatch.setattr(uncertainty, "_quadrature_matrices", lambda dim: builds.append(dim) or matrices(dim))
         report = run_verify("fibonacci", dim=40, n_max=20)
         assert report.checks[-1].name == "golden_gap_at_n20"
-        assert built == list(range(3, 21))
+        assert ladders == [(20, 40)]
+        assert builds == [40]
 
     def test_dense_oracles_stay(self, monkeypatch):
         seen = Counter()
@@ -379,6 +411,4 @@ class TestBatchedSuites:
             ("eigh", (48, 48)): 4,  # the spectral D of the 4 amplitudes
             ("eigvalsh", (48, 48)): 12,  # rho of the 12 random states
             ("eigvalsh", (2, 2)): 5,  # the Gram spectra of |1, zeta>
-            ("eigvalsh", (125, 2, 2)): 1,  # the angle grids' Gram spectra
-            ("eigvalsh", (90, 2, 2)): 1,  # and those of the half grids and their flips
         }
