@@ -61,16 +61,12 @@ from .superstate import (
 )
 from .entanglement import (
     DensityMatrix,
-    EntanglementReport,
     collapse_probabilities,
     concurrence_gram,
     concurrence_n_state,
     concurrence_superqubit,
-    displacement_invariance_check,
     entanglement_entropy_bits,
-    entanglement_report,
     entropy_from_z,
-    gram_matrix,
     reduced_boson_density,
 )
 from .uncertainty import (

@@ -50,9 +50,9 @@ from .superstate import (
     super_qubit_state,
 )
 from .uncertainty import (
-    GOLDEN_RATIO,
     _variance_grid,
     fibonacci_ladder,
+    golden_limit,
     quadrature_stats_closed,
     quadrature_stats_numeric,
 )
@@ -460,6 +460,7 @@ def _emit_sweep(args) -> str:
 
 
 def _emit_fibonacci(args) -> str:
+    _, dispersion = golden_limit()
     rows = [
         [
             record.n,
@@ -469,7 +470,7 @@ def _emit_fibonacci(args) -> str:
             record.dispersion_closed.numerator,
             record.dispersion_closed.denominator,
             record.dispersion_numeric,
-            abs(float(record.dispersion_closed) - 1.0 / GOLDEN_RATIO),
+            abs(float(record.dispersion_closed) - dispersion),
         ]
         for record in fibonacci_ladder(args.n_max, args.dim)
     ]

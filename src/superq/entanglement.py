@@ -3,7 +3,7 @@
 Every closed formula here has an independent matrix-level counterpart: the
 Gram-determinant concurrence checks the closed concurrences, the reduced
 density matrix checks the Gram route, and the spectral entropy checks the
-closed entropy.  Reports carry both routes side by side; a discrepancy is a
+closed entropy.  ``verify`` compares each pair; a discrepancy is a
 verification failure, never silently resolved in favor of either side.
 
 The Gram route is one kernel on (..., 2, L) coefficient stacks, run on
@@ -20,19 +20,11 @@ import numpy as np
 
 from .errors import NormalizationError, NumericalConsistencyError
 from .moebius import ExtendedComplex
-from .superstate import (
-    CoherentParams,
-    SuperVector,
-    _block_norms_sq,
-    super_coherent_state,
-    super_qubit_state,
-)
+from .superstate import SuperVector, _block_norms_sq
 
 __all__ = [
     "NORMALIZATION_TOL",
     "DensityMatrix",
-    "EntanglementReport",
-    "gram_matrix",
     "reduced_boson_density",
     "concurrence_gram",
     "concurrence_n_state",
@@ -40,8 +32,6 @@ __all__ = [
     "entropy_from_z",
     "collapse_probabilities",
     "entanglement_entropy_bits",
-    "entanglement_report",
-    "displacement_invariance_check",
 ]
 
 NORMALIZATION_TOL = 1e-12
@@ -78,18 +68,6 @@ class DensityMatrix:
         return np.linalg.eigvalsh(self.mat)
 
 
-@dataclass(frozen=True)
-class EntanglementReport:
-    """Closed-form and oracle entanglement figures for one state, side by side."""
-
-    concurrence_gram: float
-    concurrence_closed: float
-    purity: float
-    entropy_bits: float
-    p0: float
-    p1: float
-
-
 def _require_normalized(norm_sq) -> None:
     # refuses each norm^2 of an array; written so that a NaN norm^2, which
     # compares false, is refused too
@@ -102,11 +80,11 @@ def _require_normalized(norm_sq) -> None:
 def _gram_entries(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """g00 = <psi0|psi0>, g11 = <psi1|psi1> and g01 = <psi0|psi1> of a (..., 2, L) stack.
 
-    The one place the Gram entries are computed: the concurrence, the Gram
-    matrix and the spectral entropy of one state (``state.coeffs``) or of a
-    stack all read them from here.  g00 and g11 are the block norms^2 of
-    ``superstate._block_norms_sq``, which ``SuperVector.norm_sq`` reads too;
-    g01 is one np.vecdot, which runs np.vdot's BLAS dot on each pair of blocks.
+    The one place the Gram entries are computed: the concurrence and the
+    spectral entropy of one state or of a stack both read them from here.
+    g00 and g11 are the block norms^2 of ``superstate._block_norms_sq``, which
+    ``SuperVector.norm_sq`` reads too; g01 is one np.vecdot, which runs
+    np.vdot's BLAS dot on each pair of blocks.
     """
     block = _block_norms_sq(coeffs)
     return block[..., 0], block[..., 1], np.vecdot(coeffs[..., 0, :], coeffs[..., 1, :])
@@ -125,11 +103,6 @@ def _gram(g00, g11, g01) -> np.ndarray:
     gram[..., 0, 0], gram[..., 1, 1] = g00, g11
     gram[..., 0, 1], gram[..., 1, 0] = g01, np.conj(g01)
     return gram
-
-
-def gram_matrix(state: SuperVector) -> np.ndarray:
-    """2x2 Gram matrix of the two fermion blocks in the boson Fock space."""
-    return _gram(*_gram_entries(state.coeffs))
 
 
 def reduced_boson_density(state: SuperVector) -> DensityMatrix:
@@ -217,49 +190,14 @@ def entanglement_entropy_bits(state: SuperVector) -> float:
     """Spectral entanglement entropy of the reduced boson state, in bits.
 
     The reduced density matrix has rank <= 2 and its nonzero spectrum equals
-    the spectrum of the 2x2 Gram matrix, so only that spectrum is computed.
+    the spectrum of the 2x2 Gram matrix, so only that spectrum is computed,
+    by the sweep's kernel on a stack of one state.
     """
-    return _entropy_bits(np.linalg.eigvalsh(_gram(*_normalized_gram_entries(state.coeffs))))
+    (entropy,) = _entropies(*_normalized_gram_entries(state.coeffs))
+    return entropy
 
 
 def _entropies(g00, g11, g01) -> list[float]:
-    """entanglement_entropy_bits from each state's Gram entries; one stacked eigvalsh."""
-    spectra = np.linalg.eigvalsh(_gram(g00, g11, g01)).tolist()
+    """The spectral entropy from each state's Gram entries, in row order; one stacked eigvalsh."""
+    spectra = np.linalg.eigvalsh(_gram(g00, g11, g01).reshape(-1, 2, 2)).tolist()
     return [_entropy_bits(spectrum) for spectrum in spectra]
-
-
-def entanglement_report(
-    state: SuperVector, concurrence_closed: float, p0: float, p1: float
-) -> EntanglementReport:
-    """Assemble the oracle-side figures for a state next to the closed forms.
-
-    Validates the internal identities that do not depend on which closed
-    formula the caller supplied: probabilities sum to one, and the squared
-    Gram concurrence equals twice the linear entropy 1 - Tr rho^2.  Each
-    identity is written so that a NaN, which compares false, fails it.
-    """
-    entries = _normalized_gram_entries(state.coeffs)
-    c_gram = float(_concurrence(state.coeffs, *entries))
-    eigenvalues = np.linalg.eigvalsh(_gram(*entries))
-    purity = float(np.sum(eigenvalues**2))
-    if not abs(p0 + p1 - 1.0) <= 1e-12:
-        raise NumericalConsistencyError(f"p0 + p1 = {p0 + p1} differs from 1")
-    if not abs(c_gram**2 - 2.0 * (1.0 - purity)) <= 1e-10:
-        raise NumericalConsistencyError(
-            "squared concurrence does not match twice the linear entropy"
-        )
-    return EntanglementReport(
-        concurrence_gram=c_gram,
-        concurrence_closed=float(concurrence_closed),
-        purity=purity,
-        entropy_bits=_entropy_bits(eigenvalues),
-        p0=float(p0),
-        p1=float(p1),
-    )
-
-
-def displacement_invariance_check(params: CoherentParams, dim: int) -> float:
-    """Absolute concurrence drift between a reference state and its displacement."""
-    reference = super_qubit_state(params.base, dim)
-    displaced = super_coherent_state(params, dim)
-    return abs(concurrence_gram(displaced) - concurrence_gram(reference))

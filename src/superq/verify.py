@@ -39,7 +39,13 @@ from .fock import (
     displacement_operator,
     required_displacement_dim,
 )
-from .moebius import ExtendedComplex, _grid_phases, zeta_to_bloch
+from .moebius import (
+    ExtendedComplex,
+    _cartesian_grid,
+    _grid_phases,
+    concurrence_circle,
+    zeta_to_bloch,
+)
 from .superstate import (
     BlockOperator,
     CoherentParams,
@@ -62,11 +68,12 @@ from .superstate import (
     super_qubit_state,
 )
 from .uncertainty import (
-    GOLDEN_RATIO,
     _quadrature_matrices,
     _quadrature_stats,
+    _variance_grid,
     fibonacci_ladder,
     fibonacci_number,
+    golden_limit,
     quadrature_operators,
     quadrature_stats_closed,
     variance_quadratures_closed,
@@ -334,23 +341,31 @@ def _suite_entangle(dim: int, tol: float, rng: np.random.Generator) -> list[Chec
     closed_vs_gram = 0.0
     n_spread = 0.0
     geometric = 0.0
+    spectral_gap = 0.0
     for zeta in zetas:
-        values = []
-        for n in (1, 2, 5):
-            state = n_superparticle_state(n, zeta, dim)
-            gram = concurrence_gram(state)
-            values.append(gram)
-            closed_vs_gram = _worst(closed_vs_gram, abs(gram - concurrence_n_state(zeta)))
-        n_spread = _worst(n_spread, _worst(*values) - min(values))
         closed = concurrence_n_state(zeta)
-        point = zeta_to_bloch(zeta)
-        # z compared in the homogeneous form v^2 - |u|^2; the equivalent
-        # sqrt(1 - C^2) is ill-conditioned where C is close to 1
+        states = [n_superparticle_state(n, zeta, dim) for n in (1, 2, 5)]
+        values = [concurrence_gram(state) for state in states]
+        closed_vs_gram = _worst(closed_vs_gram, *(abs(gram - closed) for gram in values))
+        n_spread = _worst(n_spread, _worst(*values) - min(values))
+        spectral_gap = _worst(
+            spectral_gap,
+            abs(
+                entanglement_entropy_bits(states[0])
+                - entropy_from_z(math.sqrt(max(0.0, 1.0 - values[0] ** 2)))
+            ),
+        )
+        # The entropy command's circle point: the concurrence is its distance
+        # from the vertical axis, and the pole-collapse probabilities are half
+        # its heights 1 + z above the south pole and 1 - z below the north
+        # pole, the block weights of |1, zeta>.  z is compared in the
+        # homogeneous form v^2 - |u|^2; the equivalent sqrt(1 - C^2) is
+        # ill-conditioned where C is close to 1.
+        circle, z = concurrence_circle(zeta_to_bloch(zeta).theta)
         height = zeta.v.real**2 - abs(zeta.u) ** 2
+        (p0, p1), (w0, w1) = collapse_probabilities(z), states[0].block_norms_sq()
         geometric = _worst(
-            geometric,
-            abs(closed - math.sin(point.theta)),
-            abs(height - math.cos(point.theta)),
+            geometric, abs(closed - circle), abs(height - z), abs(p0 - w0), abs(p1 - w1)
         )
 
     # Each angle grid is one stack of the CLI's states, and every concurrence
@@ -384,7 +399,6 @@ def _suite_entangle(dim: int, tol: float, rng: np.random.Generator) -> list[Chec
 
     gram_purity = 0.0
     rank_bound = 0.0
-    spectral_gap = 0.0
     for _ in range(12):
         state = _random_super_vector(rng, dim)
         c_gram = concurrence_gram(state)
@@ -399,16 +413,6 @@ def _suite_entangle(dim: int, tol: float, rng: np.random.Generator) -> list[Chec
         spectral_gap = _worst(
             spectral_gap,
             abs(spectral - entropy_from_z(math.sqrt(max(0.0, 1.0 - c_gram**2)))),
-        )
-    for zeta in zetas:
-        state = n_superparticle_state(1, zeta, dim)
-        c_gram = concurrence_gram(state)
-        spectral_gap = _worst(
-            spectral_gap,
-            abs(
-                entanglement_entropy_bits(state)
-                - entropy_from_z(math.sqrt(max(0.0, 1.0 - c_gram**2)))
-            ),
         )
 
     pole_entropy = _worst(
@@ -442,14 +446,17 @@ def _suite_uncertainty(dim: int, tol: float) -> list[Check]:
     mean_gap = 0.0
     var_gap = 0.0
     alpha_independence = 0.0
+    thetas, phis = _angle_axes(2)
     for zeta in zetas:
-        low = _qubit_grid(*_angle_axes(2), zeta, dim)
+        low = _qubit_grid(thetas, phis, zeta, dim)
         at_zero = _quadrature_stats(x_op, p_op, _undisplaced(low, dim))
         displaced = _quadrature_stats(
             x_op, p_op, _displace_low_levels(_UNCERTAINTY_ALPHA, low, dim)
         )
-        for (theta, phi), numeric_at_zero, numeric_displaced in zip(
-            _angle_grid(stride=2), at_zero, displaced
+        # the sweep's closed variances of the grid, alpha-independent as the closed form's
+        sweep = _variance_grid(_cartesian_grid(thetas, *_grid_phases(thetas, phis)), zeta)
+        for (theta, phi), numeric_at_zero, numeric_displaced, sweep_x, sweep_p in zip(
+            _angle_grid(stride=2), at_zero, displaced, *sweep
         ):
             base = SuperQubitParams(theta, phi, zeta)
             for alpha, numeric in ((0.0, numeric_at_zero), (_UNCERTAINTY_ALPHA, numeric_displaced)):
@@ -463,6 +470,8 @@ def _suite_uncertainty(dim: int, tol: float) -> list[Check]:
                     var_gap,
                     abs(closed.var_x - numeric.var_x),
                     abs(closed.var_p - numeric.var_p),
+                    abs(sweep_x - numeric.var_x),
+                    abs(sweep_p - numeric.var_p),
                 )
                 alpha_independence = _worst(
                     alpha_independence,
@@ -496,14 +505,13 @@ def _suite_uncertainty(dim: int, tol: float) -> list[Check]:
         abs(numeric_58.var_x - 0.625), abs(numeric_58.var_p - 0.625)
     )
 
-    golden_zeta = ExtendedComplex.from_value(math.sqrt(GOLDEN_RATIO - 0.5))
+    zeta_sq, dispersion = golden_limit()
+    golden_zeta = ExtendedComplex.from_value(math.sqrt(zeta_sq))
     golden_params = CoherentParams(
         0.0, SuperQubitParams(0.5 * math.pi, 0.25 * math.pi, golden_zeta)
     )
     golden_var = variance_quadratures_closed(golden_params)
-    golden_gap = _worst(
-        abs(golden_var[0] - 1.0 / GOLDEN_RATIO), abs(golden_var[1] - 1.0 / GOLDEN_RATIO)
-    )
+    golden_gap = _worst(abs(golden_var[0] - dispersion), abs(golden_var[1] - dispersion))
 
     return [
         Check("mean_quadratures_closed_vs_matrix", mean_gap, tol),
@@ -572,7 +580,7 @@ def _suite_fibonacci(dim: int, tol: float, n_max: int) -> list[Check]:
     ):
         checks.append(Check(name, _BOOL_PASS if ok else _BOOL_FAIL, 0.0))
     if n_max >= 20:  # records[17] is n = 20
-        gap = abs(float(records[17].dispersion_closed) - 1.0 / GOLDEN_RATIO)
+        gap = abs(float(records[17].dispersion_closed) - golden_limit()[1])
         checks.append(Check("golden_gap_at_n20", gap, 1e-7))
     return checks
 

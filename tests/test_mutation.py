@@ -1,0 +1,87 @@
+"""Mutation gate for the two-route design: every emitted closed form is read by a check.
+
+Each function below is put off by 1e-6 relative (collapse_probabilities is
+swapped to (p1, p0) instead, since a relative error already breaks its
+p0 + p1 = 1) in every ``superq`` module namespace that binds it, the way the
+benchmark's tracer rebinds functions.  A default ``verify --suite all`` at
+dim 64 must then fail exactly the pinned checks.
+"""
+
+import importlib
+import sys
+
+import pytest
+
+import superq.cli  # noqa: F401  so that the CLI's bindings are rebound too
+from superq.verify import run_verify
+
+DIM = 64
+RELATIVE_ERROR = 1e-6
+
+# The paper claim each function emits, as the checks that fail when it is wrong.
+CAUGHT_BY = {
+    "moebius.concurrence_circle": ("geometric_concurrence_identity",),
+    "uncertainty.golden_limit": ("golden_point_variance", "golden_gap_at_n20"),
+    "entanglement._entropies": ("spectral_entropy_matches_closed_form",),
+    "uncertainty._variance_grid": ("variance_quadratures_closed_vs_matrix",),
+    "entanglement.collapse_probabilities": ("geometric_concurrence_identity",),
+    "entanglement.concurrence_n_state": (
+        "n_state_concurrence_closed_vs_gram",
+        "superqubit_concurrence_closed_vs_gram",
+        "geometric_concurrence_identity",
+    ),
+    "entanglement.entropy_from_z": (
+        "spectral_entropy_matches_closed_form",
+        "entropy_pole_values",
+    ),
+    "uncertainty.variance_quadratures_closed": (
+        "variance_quadratures_closed_vs_matrix",
+        "five_eighths_point_closed",
+        "golden_point_variance",
+    ),
+}
+
+
+def off(value):
+    """value times 1 + RELATIVE_ERROR, element by element in tuples and lists."""
+    if isinstance(value, (tuple, list)):
+        return type(value)(off(item) for item in value)
+    return value * (1.0 + RELATIVE_ERROR)
+
+
+def swapped(value):
+    p0, p1 = value
+    return p1, p0
+
+
+def mutant(func, mutation):
+    def wrapper(*args, **kwargs):
+        return mutation(func(*args, **kwargs))
+
+    return wrapper
+
+
+def rebind(monkeypatch, original, replacement) -> int:
+    """Replace ``original`` wherever a superq module binds it; return how many bindings."""
+    bound = 0
+    for name, module in list(sys.modules.items()):
+        if module is None or not (name == "superq" or name.startswith("superq.")):
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, replacement)
+                bound += 1
+    return bound
+
+
+def failed_checks() -> set[str]:
+    return {check.name for check in run_verify("all", DIM).checks if not check.passed}
+
+
+@pytest.mark.parametrize("qualified", sorted(CAUGHT_BY))
+def test_mutant_fails_the_pinned_checks(monkeypatch, qualified):
+    module_name, func_name = qualified.split(".")
+    original = getattr(importlib.import_module(f"superq.{module_name}"), func_name)
+    mutation = swapped if func_name == "collapse_probabilities" else off
+    assert rebind(monkeypatch, original, mutant(original, mutation)) >= 1
+    assert failed_checks() == set(CAUGHT_BY[qualified])
