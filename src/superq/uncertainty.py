@@ -1,9 +1,10 @@
 """Quadrature statistics of super-coherent states and the Fibonacci ladder.
 
-Closed-form means and dispersions are paired with a dense matrix-expectation
-oracle.  The Fibonacci records are exact integer/rational arithmetic,
-converted to floating point only where they meet the numeric oracle; their
-dispersions converge to the inverse Golden Ratio.
+Closed-form means and dispersions are paired with a matrix-expectation
+oracle that applies the banded X and P.  The Fibonacci records are exact
+integer/rational arithmetic, converted to floating point only where they
+meet the numeric oracle; their dispersions converge to the inverse Golden
+Ratio.
 """
 
 from __future__ import annotations
@@ -87,26 +88,11 @@ def _quadrature_entries(dim: int) -> np.ndarray:
     return np.sqrt(np.arange(1.0, dim)) * (1.0 / _SQRT2)
 
 
-def _quadrature_matrices(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dense boson matrices X = (a + a^dag)/sqrt2 and P = i (a^dag - a)/sqrt2.
-
-    Only the two off-diagonals are written, from :func:`_quadrature_entries`.
-    """
-    off = _quadrature_entries(dim)
-    x = np.zeros((dim, dim), dtype=np.complex128)
-    p = np.zeros((dim, dim), dtype=np.complex128)
-    upper, lower = slice(1, None, dim + 1), slice(dim, None, dim + 1)
-    x.flat[upper] = off
-    x.flat[lower] = off
-    p.flat[upper] = -1j * off
-    p.flat[lower] = 1j * off
-    return x, p
-
-
 def quadrature_operators(dim: int) -> tuple[BlockOperator, BlockOperator]:
-    """X and P on both fermion blocks, written as their two diagonals.
+    """X = (a + a^dag)/sqrt2 and P = i (a^dag - a)/sqrt2 on both fermion blocks.
 
-    The entries equal those of the dense oracle matrices bit for bit.
+    Each boson block is tridiagonal, so only its two off-diagonals are
+    stored; ``full()`` gives the dense matrix.
     """
     off = _quadrature_entries(dim)
     xd = off.astype(np.complex128)
@@ -169,23 +155,24 @@ def quadrature_stats_closed(params: CoherentParams) -> QuadratureStats:
     return QuadratureStats(mean_x, mean_p, var_x, var_p, math.sqrt(var_x * var_p))
 
 
-def _quadrature_stats(x: np.ndarray, p: np.ndarray, states: np.ndarray) -> list[QuadratureStats]:
+def _quadrature_stats(states: np.ndarray) -> list[QuadratureStats]:
     """The matrix-oracle moments of each state of a (K, 2, dim) coefficient stack.
 
-    ``x`` and ``p`` are the dense matrices of :func:`_quadrature_matrices`.
-    Each block's image op @ psi is one BLAS matrix-vector product (a stacked
-    matmul runs the same gemv per block), <op^2> is ||op psi||^2 since op is
-    Hermitian, and each sum runs block by block from 0.0, psi0 before psi1,
-    with ``** 2`` in Python.  That fixes the rounding the golden Fibonacci
-    table records.  A state on levels 0 and 1 reaches level 2 under X and P,
-    so dim >= 3 is required.
+    Each block's image op @ psi is the banded apply of X and P from
+    :func:`quadrature_operators`: a row holds two nonzero entries, so the
+    dense row sum in any order without FMA adds only exact zeros to the same
+    two rounded products, and the image is that dense product bit for bit.
+    <op^2> is ||op psi||^2 since op is Hermitian, and each sum runs block by
+    block from 0.0, psi0 before psi1, with ``** 2`` in Python.  That fixes
+    the rounding the golden Fibonacci table records.  A state on levels 0
+    and 1 reaches level 2 under X and P, so dim >= 3 is required.
     """
     dim = states.shape[-1]
     if dim < 3:
         raise TruncationError(f"the quadrature oracle needs dim >= 3, got {dim}", required_dim=3)
     moments = []
-    for op in (x, p):
-        images = np.matmul(op, states[..., None])[..., 0]
+    for op in quadrature_operators(dim):
+        images = op.apply_coeffs(states)
         overlaps = np.vecdot(states, images).real
         second = np.vecdot(images, images).real
         means = ((0.0 + overlaps[:, 0]) + overlaps[:, 1]).tolist()
@@ -201,13 +188,13 @@ def _quadrature_stats(x: np.ndarray, p: np.ndarray, states: np.ndarray) -> list[
 def quadrature_stats_numeric(params: CoherentParams, dim: int = DEFAULT_DIM) -> QuadratureStats:
     """Matrix-expectation oracle for the closed quadrature formulas.
 
-    Builds the state and the dense quadrature matrices, then evaluates
-    <X>, <X^2> - <X>^2 (and the same for P) directly; <X^2> is computed as
+    Builds the state, applies the banded X and P of
+    :func:`quadrature_operators` to it in O(dim), then evaluates <X>,
+    <X^2> - <X>^2 (and the same for P) directly; <X^2> is computed as
     ||X psi||^2 since X is Hermitian.  At alpha = 0 the state lives on levels
     0 and 1, and X, P reach level 2, so dim >= 3 is required.
     """
-    state = super_coherent_state(params, dim)
-    (stats,) = _quadrature_stats(*_quadrature_matrices(dim), state.coeffs[None])
+    (stats,) = _quadrature_stats(super_coherent_state(params, dim).coeffs[None])
     return stats
 
 
@@ -234,7 +221,7 @@ def fibonacci_record(n: int, dim: int = DEFAULT_DIM) -> FibonacciRecord:
 
 
 def fibonacci_ladder(n_max: int, dim: int = DEFAULT_DIM) -> list[FibonacciRecord]:
-    """fibonacci_record(n, dim) for n = 3 .. n_max, one pair of dense X and P for all of them."""
+    """fibonacci_record(n, dim) for n = 3 .. n_max, one X and P apply for all of them."""
     return _fibonacci_records(range(3, n_max + 1), dim)
 
 
@@ -253,7 +240,7 @@ def _fibonacci_records(ns, dim: int) -> list[FibonacciRecord]:
         base = SuperQubitParams(0.5 * math.pi, 0.25 * math.pi, zeta)
         states.append(super_qubit_state(base, dim).coeffs)
         rows.append((n, f_n, zeta_sq, Fraction(f_n, f_np1)))
-    stats = _quadrature_stats(*_quadrature_matrices(dim), np.reshape(states, (-1, 2, dim)))
+    stats = _quadrature_stats(np.reshape(states, (-1, 2, dim)))
     return [FibonacciRecord(*row, numeric.var_x) for row, numeric in zip(rows, stats)]
 
 

@@ -68,7 +68,6 @@ from .superstate import (
     super_qubit_state,
 )
 from .uncertainty import (
-    _quadrature_matrices,
     _quadrature_stats,
     _variance_grid,
     fibonacci_ladder,
@@ -438,10 +437,9 @@ def _suite_entangle(dim: int, tol: float, rng: np.random.Generator) -> list[Chec
 
 
 def _suite_uncertainty(dim: int, tol: float) -> list[Check]:
-    # One pair of dense oracle matrices serves every state of the suite; each
-    # angle grid is one stack of the CLI's states, as in the eigen suite.
+    # Each angle grid is one stack of the CLI's states, as in the eigen suite,
+    # and one O(dim) apply of the banded X and P gives the oracle moments.
     zetas = _zeta_grid()
-    x_op, p_op = _quadrature_matrices(dim)
 
     mean_gap = 0.0
     var_gap = 0.0
@@ -449,10 +447,8 @@ def _suite_uncertainty(dim: int, tol: float) -> list[Check]:
     thetas, phis = _angle_axes(2)
     for zeta in zetas:
         low = _qubit_grid(thetas, phis, zeta, dim)
-        at_zero = _quadrature_stats(x_op, p_op, _undisplaced(low, dim))
-        displaced = _quadrature_stats(
-            x_op, p_op, _displace_low_levels(_UNCERTAINTY_ALPHA, low, dim)
-        )
+        at_zero = _quadrature_stats(_undisplaced(low, dim))
+        displaced = _quadrature_stats(_displace_low_levels(_UNCERTAINTY_ALPHA, low, dim))
         # the sweep's closed variances of the grid, alpha-independent as the closed form's
         sweep = _variance_grid(_cartesian_grid(thetas, *_grid_phases(thetas, phis)), zeta)
         for (theta, phi), numeric_at_zero, numeric_displaced, sweep_x, sweep_p in zip(
@@ -470,6 +466,7 @@ def _suite_uncertainty(dim: int, tol: float) -> list[Check]:
                     var_gap,
                     abs(closed.var_x - numeric.var_x),
                     abs(closed.var_p - numeric.var_p),
+                    abs(closed.product - numeric.product),
                     abs(sweep_x - numeric.var_x),
                     abs(sweep_p - numeric.var_p),
                 )
@@ -485,7 +482,7 @@ def _suite_uncertainty(dim: int, tol: float) -> list[Check]:
     thetas, phi = list(_THETAS), 0.25 * math.pi
     for zeta in zetas:
         low = _qubit_grid(thetas, [phi], zeta, dim)
-        for theta, numeric in zip(thetas, _quadrature_stats(x_op, p_op, _undisplaced(low, dim))):
+        for theta, numeric in zip(thetas, _quadrature_stats(_undisplaced(low, dim))):
             params = CoherentParams(0.0, SuperQubitParams(theta, phi, zeta))
             var_x, var_p = variance_quadratures_closed(params)
             symmetric_closed = _worst(symmetric_closed, abs(var_x - var_p))
@@ -498,9 +495,7 @@ def _suite_uncertainty(dim: int, tol: float) -> list[Check]:
     )
     closed_58 = variance_quadratures_closed(fib_point)
     five_eighths_closed = _worst(abs(closed_58[0] - 0.625), abs(closed_58[1] - 0.625))
-    (numeric_58,) = _quadrature_stats(
-        x_op, p_op, super_qubit_state(fib_point.base, dim).coeffs[None]
-    )
+    (numeric_58,) = _quadrature_stats(super_qubit_state(fib_point.base, dim).coeffs[None])
     five_eighths_numeric = _worst(
         abs(numeric_58.var_x - 0.625), abs(numeric_58.var_p - 0.625)
     )

@@ -484,10 +484,10 @@ class TestFibonacciCommand:
         code, _, err = run_cli(["fibonacci", "--n-max", "2"])
         assert code == 2
 
-    def test_builds_the_oracle_matrices_once(self, run_cli, monkeypatch):
+    def test_builds_the_oracle_operators_once(self, run_cli, monkeypatch):
         builds = []
-        matrices = uncertainty._quadrature_matrices
-        monkeypatch.setattr(uncertainty, "_quadrature_matrices", lambda dim: builds.append(dim) or matrices(dim))
+        operators = uncertainty.quadrature_operators
+        monkeypatch.setattr(uncertainty, "quadrature_operators", lambda dim: builds.append(dim) or operators(dim))
         code, out, _ = run_cli(["fibonacci", "--n-max", "30", "--dim", "24"])
         assert code == 0
         assert len(out.strip().split("\n")) == 1 + 28

@@ -1,12 +1,16 @@
 """Mutation gate for the two-route design: every emitted closed form is read by a check.
 
-Each function below is put off by 1e-6 relative (collapse_probabilities is
-swapped to (p1, p0) instead, since a relative error already breaks its
-p0 + p1 = 1) in every ``superq`` module namespace that binds it, the way the
-benchmark's tracer rebinds functions.  A default ``verify --suite all`` at
-dim 64 must then fail exactly the pinned checks.
+Each function below is put off by 1e-6 relative in every ``superq`` module
+namespace that binds it, the way the benchmark's tracer rebinds functions.
+Three take a mutation of their own: collapse_probabilities is swapped to
+(p1, p0), since a relative error already breaks its p0 + p1 = 1;
+quadrature_stats_closed has only its ``product`` put off, the one field no
+other closed form produces; and the oracle kernel _quadrature_stats has every
+field of each returned QuadratureStats put off.  A default
+``verify --suite all`` at dim 64 must then fail exactly the pinned checks.
 """
 
+import dataclasses
 import importlib
 import sys
 
@@ -39,6 +43,13 @@ CAUGHT_BY = {
         "five_eighths_point_closed",
         "golden_point_variance",
     ),
+    "uncertainty.quadrature_stats_closed": ("variance_quadratures_closed_vs_matrix",),
+    "uncertainty._quadrature_stats": (
+        "mean_quadratures_closed_vs_matrix",
+        "variance_quadratures_closed_vs_matrix",
+        "five_eighths_point_numeric",
+        *(f"fibonacci_record[n={n}]" for n in range(3, 21)),
+    ),
 }
 
 
@@ -52,6 +63,21 @@ def off(value):
 def swapped(value):
     p0, p1 = value
     return p1, p0
+
+
+def product_off(stats):
+    return dataclasses.replace(stats, product=off(stats.product))
+
+
+def fields_off(stats_list):
+    return [type(stats)(*off(dataclasses.astuple(stats))) for stats in stats_list]
+
+
+MUTATIONS = {
+    "entanglement.collapse_probabilities": swapped,
+    "uncertainty.quadrature_stats_closed": product_off,
+    "uncertainty._quadrature_stats": fields_off,
+}
 
 
 def mutant(func, mutation):
@@ -82,6 +108,6 @@ def failed_checks() -> set[str]:
 def test_mutant_fails_the_pinned_checks(monkeypatch, qualified):
     module_name, func_name = qualified.split(".")
     original = getattr(importlib.import_module(f"superq.{module_name}"), func_name)
-    mutation = swapped if func_name == "collapse_probabilities" else off
+    mutation = MUTATIONS.get(qualified, off)
     assert rebind(monkeypatch, original, mutant(original, mutation)) >= 1
     assert failed_checks() == set(CAUGHT_BY[qualified])

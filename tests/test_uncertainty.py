@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,13 @@ import pytest
 from superq import uncertainty
 from superq.errors import TruncationError
 from superq.moebius import ExtendedComplex
-from superq.superstate import CoherentParams, SuperQubitParams, guarded_max_abs
+from superq.superstate import (
+    CoherentParams,
+    SuperQubitParams,
+    guarded_max_abs,
+    super_coherent_state,
+    super_qubit_state,
+)
 from superq.uncertainty import (
     GOLDEN_RATIO,
     fibonacci_ladder,
@@ -41,12 +48,39 @@ class TestQuadratureOperators:
 
     @pytest.mark.parametrize("dim", [2, 3, 17, 64])
     def test_blocks_equal_the_dense_oracle_matrices_bit_for_bit(self, dim):
-        x, p = uncertainty._quadrature_matrices(dim)
+        off = np.sqrt(np.arange(1.0, dim)) * (1.0 / math.sqrt(2.0))
+        x = (np.diag(off, 1) + np.diag(off, -1)).astype(complex)
+        p = np.diag(-1j * off, 1) + np.diag(1j * off, -1)
         x_op, p_op = quadrature_operators(dim)
         for op, dense in ((x_op, x), (p_op, p)):
             assert op.ul.tobytes() == dense.tobytes()
             assert op.lr.tobytes() == dense.tobytes()
             assert op.bands[1] == {} and op.bands[2] == {}
+
+    @pytest.mark.parametrize("dim", [3, 17, 64])
+    def test_banded_images_equal_the_exactly_summed_dense_product(self, dim):
+        # each dense row holds two nonzero entries, so adding its products in
+        # any order gives the banded image; the displaced state is cut from
+        # dim 64 so that every level is occupied
+        undisplaced = super_qubit_state(SYMMETRIC_POINT.base, dim).coeffs
+        displaced = super_coherent_state(params(1.2 - 0.7j, 1.1, 0.4, 0.6 + 0.3j), 64).coeffs[:, :dim]
+        for op in quadrature_operators(dim):
+            full = op.full()
+            for state in (undisplaced, displaced):
+                products = full * state.ravel()
+                reference = [complex(math.fsum(row.real), math.fsum(row.imag)) for row in products]
+                assert op.apply_coeffs(state).tobytes() == np.array(reference).tobytes()
+
+    def test_oracle_memory_is_linear_in_dim(self):
+        # a dense X and P pair at dim 2048 would take 2 * 2048**2 * 16 bytes = 128 MiB
+        point = params(0.9 + 0.4j, 1.1, 0.4, 0.6 + 0.3j)
+        tracemalloc.start()
+        try:
+            quadrature_stats_numeric(point, 2048)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_hermitian(self):
         for op in quadrature_operators(24):
@@ -219,10 +253,10 @@ class TestFibonacci:
                 alone.dispersion_closed,
             )
 
-    def test_ladder_builds_the_oracle_matrices_once(self, monkeypatch):
+    def test_ladder_builds_the_oracle_operators_once(self, monkeypatch):
         builds = []
-        matrices = uncertainty._quadrature_matrices
-        monkeypatch.setattr(uncertainty, "_quadrature_matrices", lambda dim: builds.append(dim) or matrices(dim))
+        operators = uncertainty.quadrature_operators
+        monkeypatch.setattr(uncertainty, "quadrature_operators", lambda dim: builds.append(dim) or operators(dim))
         assert len(fibonacci_ladder(40, 24)) == 38
         assert builds == [24]
 

@@ -30,7 +30,7 @@ from superq.superstate import (
     super_coherent_state,
     super_qubit_state,
 )
-from superq.uncertainty import _quadrature_matrices, _quadrature_stats, quadrature_stats_numeric
+from superq.uncertainty import _quadrature_stats, quadrature_stats_numeric
 from superq.verify import SUITE_NAMES, Check, VerificationReport, required_suite_dim, run_verify
 
 
@@ -307,8 +307,7 @@ class TestBatchedSuites:
         applied, flip_applied = a_op.apply_coeffs(coherent), at_op.apply_coeffs(flipped)
         norms, guarded = _norms(coherent), _guarded_norms(applied - alpha * coherent)
         grams = verify._concurrences(reference[:, ::-1])
-        x_op, p_op = _quadrature_matrices(dim)
-        moments = _quadrature_stats(x_op, p_op, coherent)
+        moments = _quadrature_stats(coherent)
         for k, (theta, phi) in enumerate(verify._angle_grid()):
             params = CoherentParams(alpha, SuperQubitParams(theta, phi, zeta))
             state = super_coherent_state(params, dim)
@@ -369,29 +368,30 @@ class TestBatchedSuites:
         assert built == []
         assert displaced == {(alpha, (25, 2, 2)): 5 for alpha in verify._EIGEN_ALPHAS}
 
-    def test_uncertainty_suite_builds_the_oracle_matrices_once(self, monkeypatch):
+    def test_uncertainty_suite_builds_the_oracle_operators_once_per_stack(self, monkeypatch):
         builds, sizes = [], []
-        matrices, stats = verify._quadrature_matrices, verify._quadrature_stats
+        operators, stats = uncertainty.quadrature_operators, verify._quadrature_stats
 
-        def counting_stats(x, p, states):
+        def counting_stats(states):
             sizes.append(len(states))
-            return stats(x, p, states)
+            return stats(states)
 
-        monkeypatch.setattr(verify, "_quadrature_matrices", lambda dim: builds.append(dim) or matrices(dim))
+        monkeypatch.setattr(uncertainty, "quadrature_operators", lambda dim: builds.append(dim) or operators(dim))
         monkeypatch.setattr(verify, "_quadrature_stats", counting_stats)
         assert run_verify("uncertainty", dim=40).all_passed
-        assert builds == [40]
+        # 5 zetas at alpha = 0 and displaced, 5 symmetric stacks, the 5/8 point
+        assert builds == [40] * len(sizes) == [40] * (5 * 2 + 5 + 1)
         # 45 points at alpha = 0 and displaced, 25 symmetric points, the 5/8 point
         assert sum(sizes) == 45 * 2 + 25 + 1
 
     def test_fibonacci_suite_builds_each_record_once(self, monkeypatch):
-        # one ladder call, one pair of dense X and P for its 18 states
+        # one ladder call, one banded X and P apply for its 18 states
         ladders, builds = [], []
-        ladder, matrices = verify.fibonacci_ladder, uncertainty._quadrature_matrices
+        ladder, operators = verify.fibonacci_ladder, uncertainty.quadrature_operators
         monkeypatch.setattr(
             verify, "fibonacci_ladder", lambda n_max, dim: ladders.append((n_max, dim)) or ladder(n_max, dim)
         )
-        monkeypatch.setattr(uncertainty, "_quadrature_matrices", lambda dim: builds.append(dim) or matrices(dim))
+        monkeypatch.setattr(uncertainty, "quadrature_operators", lambda dim: builds.append(dim) or operators(dim))
         report = run_verify("fibonacci", dim=40, n_max=20)
         assert report.checks[-1].name == "golden_gap_at_n20"
         assert ladders == [(20, 40)]
