@@ -10,6 +10,13 @@ level; :func:`displacement_operator` exponentiates the truncated generator
 densely and serves as the oracle for it.  Both respect
 :func:`required_displacement_dim`, which keeps the norm^2 the two closed
 columns lose past the truncation below 1e-13.
+
+Each route keeps a memo of its own, keyed on the bits of Re alpha and
+Im alpha and on dim.  :func:`displaced_columns` holds 8 closed column pairs.
+:func:`oracle_columns` holds the first two columns of 16 dense D(alpha),
+each a (dim, 2) copy of 32 * dim bytes, at most 256 KiB at dim 512.  The
+verification suites read no other column, so the full dim x dim D is never
+kept.  A miss of either memo calls only its own route.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ __all__ = [
     "ensure_displacement_dim",
     "displacement_operator",
     "displaced_columns",
+    "oracle_columns",
     "displaced_number_state",
 ]
 
@@ -217,6 +225,10 @@ def displacement_operator(alpha: complex, dim: int) -> BosonOperator:
     differ from the exact D(alpha)|0>, D(alpha)|1> by the truncation of the
     generator; :func:`displaced_columns` is the production route.  alpha = 0
     gives the identity at any dim >= 2, outside the displacement guard.
+
+    Each call runs a dense O(dim^3) ``eigh`` and returns a fresh, writable
+    dim x dim array; it is not memoised.  :func:`oracle_columns` memoises
+    the two columns that the verification suites read.
     """
     alpha = complex(alpha)
     _require_two_levels(dim)
@@ -263,6 +275,28 @@ def _memoised_columns(re_hex: str, im_hex: str, dim: int) -> tuple[np.ndarray, n
     d0.setflags(write=False)
     d1.setflags(write=False)
     return d0, d1
+
+
+def oracle_columns(alpha: complex, dim: int) -> np.ndarray:
+    """The first two columns of :func:`displacement_operator`, as a read-only (dim, 2) copy.
+
+    Memoised per exact (Re alpha, Im alpha, dim), with the key of
+    :func:`displaced_columns` but a cache of its own: a miss calls only
+    :func:`displacement_operator`, so the oracle shares no code with the
+    closed route it checks.  Repeated calls return the same array.
+    """
+    alpha = complex(alpha)
+    return _memoised_oracle_columns(alpha.real.hex(), alpha.imag.hex(), dim)
+
+
+# A report reads 4 fixed amplitudes at one dim; 16 entries keep them for 4
+# dims.  An entry holds 2 * dim complex numbers, 32 * dim bytes.
+@functools.lru_cache(maxsize=16)
+def _memoised_oracle_columns(re_hex: str, im_hex: str, dim: int) -> np.ndarray:
+    alpha = complex(float.fromhex(re_hex), float.fromhex(im_hex))
+    columns = np.array(displacement_operator(alpha, dim)[:, 0:2])
+    columns.setflags(write=False)
+    return columns
 
 
 def displaced_number_state(alpha: complex, m: int, dim: int) -> FockVector:

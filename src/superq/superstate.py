@@ -26,7 +26,9 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -132,7 +134,7 @@ class SuperVector:
 # A banded boson matrix: {offset k: the diagonal M[i, i + k]} over the rows
 # i = max(0, -k) .. dim - 1 - max(0, k), so the diagonal holds dim - |k|
 # entries.  The empty mapping is the zero matrix.
-Band = dict[int, np.ndarray]
+Band = Mapping[int, np.ndarray]
 
 _BLOCK_NAMES = ("ul", "ur", "ll", "lr")
 
@@ -144,9 +146,10 @@ class BlockOperator:
     ``bands`` holds the blocks (ul, ur, ll, lr) as ``{offset: diagonal}``
     mappings of their nonzero diagonals, a zero block as the empty mapping.
     The constructor checks that each diagonal holds dim - |offset| entries
-    and keeps read-only copies of them.  ``@``, ``apply`` (``apply_coeffs``
-    on a stack of states), ``+``, ``-`` and ``dagger`` work on the diagonals
-    alone, in O(offsets^2 * dim), and never form a dim x dim array.
+    and keeps read-only copies of them in read-only mappings.  ``@``,
+    ``apply`` (``apply_coeffs`` on a stack of states), ``+``, ``-`` and
+    ``dagger`` work on the diagonals alone, in O(offsets^2 * dim), and never
+    form a dim x dim array.
 
     ``from_blocks`` builds an operator from four dense square matrices.
     ``op.ul`` (and ``ur``, ``ll``, ``lr``) reads a block back as a dense
@@ -279,7 +282,7 @@ def _band_of(mat: np.ndarray) -> Band:
 
 
 def _checked_band(band: Band, dim: int) -> Band:
-    """Read-only complex128 copies of a band's diagonals, in the band's offset order.
+    """Read-only complex128 copies of a band's diagonals, in a read-only mapping in its offset order.
 
     Diagonal k must hold dim - |k| > 0 entries.
     """
@@ -293,7 +296,7 @@ def _checked_band(band: Band, dim: int) -> Band:
             )
         diagonal.setflags(write=False)
         checked[offset] = diagonal
-    return checked
+    return MappingProxyType(checked)
 
 
 def _scalar_band(scalar: complex, dim: int) -> Band:

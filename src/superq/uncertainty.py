@@ -9,6 +9,7 @@ Ratio.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -92,8 +93,16 @@ def quadrature_operators(dim: int) -> tuple[BlockOperator, BlockOperator]:
     """X = (a + a^dag)/sqrt2 and P = i (a^dag - a)/sqrt2 on both fermion blocks.
 
     Each boson block is tridiagonal, so only its two off-diagonals are
-    stored; ``full()`` gives the dense matrix.
+    stored, read-only; ``full()`` gives the dense matrix.  The pair is
+    memoised per dim: repeated calls return the same two operators.
     """
+    return _memoised_quadratures(dim)
+
+
+# A report or a command reads one dim; an entry holds 8 diagonals of dim - 1
+# complex numbers, 128 (dim - 1) bytes.
+@functools.lru_cache(maxsize=8)
+def _memoised_quadratures(dim: int) -> tuple[BlockOperator, BlockOperator]:
     off = _quadrature_entries(dim)
     xd = off.astype(np.complex128)
     x = {-1: xd, 1: xd}

@@ -484,14 +484,14 @@ class TestFibonacciCommand:
         code, _, err = run_cli(["fibonacci", "--n-max", "2"])
         assert code == 2
 
-    def test_builds_the_oracle_operators_once(self, run_cli, monkeypatch):
-        builds = []
+    def test_reads_the_oracle_operators_once(self, run_cli, monkeypatch):
+        calls = []
         operators = uncertainty.quadrature_operators
-        monkeypatch.setattr(uncertainty, "quadrature_operators", lambda dim: builds.append(dim) or operators(dim))
+        monkeypatch.setattr(uncertainty, "quadrature_operators", lambda dim: calls.append(dim) or operators(dim))
         code, out, _ = run_cli(["fibonacci", "--n-max", "30", "--dim", "24"])
         assert code == 0
         assert len(out.strip().split("\n")) == 1 + 28
-        assert builds == [24]
+        assert calls == [24]
 
 
 class TestVerifyCommand:

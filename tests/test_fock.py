@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import factorial
 
-from superq import fock
+from superq import fock, verify
 from superq.errors import InvalidDimensionError, TruncationError, UnsupportedLevelError
 
 
@@ -354,6 +354,56 @@ class TestColumnMemo:
         for k in range(40):
             fock.displaced_columns(0.01 * (k + 1), 24)
         assert fock._memoised_columns.cache_info().currsize <= fock._memoised_columns.cache_info().maxsize
+
+
+class TestOracleColumnMemo:
+    """oracle_columns memoises the dense D's first two columns per exact (Re alpha, Im alpha, dim) bits."""
+
+    ALPHAS = (verify._ALGEBRA_ALPHA, *verify._EIGEN_ALPHAS)
+
+    @pytest.mark.parametrize("dim", [36, 64, 128])
+    def test_columns_are_the_dense_oracle_bit_for_bit(self, dim):
+        for alpha in self.ALPHAS:
+            columns = fock.oracle_columns(alpha, dim)
+            assert columns.shape == (dim, 2)
+            assert columns.tobytes() == fock.displacement_operator(alpha, dim)[:, 0:2].tobytes()
+
+    def test_cached_columns_reject_writes_and_repeat(self):
+        columns = fock.oracle_columns(1.2 - 0.3j, 40)
+        with pytest.raises(ValueError):
+            columns[0, 0] = 7.0
+        assert fock.oracle_columns(1.2 - 0.3j, 40) is columns
+
+    def test_a_miss_runs_the_dense_oracle_once(self, monkeypatch):
+        calls = []
+        dense = fock.displacement_operator
+        monkeypatch.setattr(fock, "displacement_operator", lambda alpha, dim: calls.append((alpha, dim)) or dense(alpha, dim))
+        for _ in range(3):
+            fock.oracle_columns(0.9 + 0.4j, 48)
+        assert calls == [(0.9 + 0.4j, 48)]
+
+    def test_signed_zero_keys_are_distinct(self):
+        plus = fock.oracle_columns(complex(0.5, 0.0), 24)
+        minus = fock.oracle_columns(complex(0.5, -0.0), 24)
+        assert plus is not minus
+        assert fock._memoised_oracle_columns.cache_info().currsize == 2
+        assert fock.oracle_columns(complex(0.5, 0.0), 24) is plus
+        assert fock.oracle_columns(complex(0.5, -0.0), 24) is minus
+
+    def test_memo_holds_four_amplitudes_at_four_dims(self):
+        assert fock._memoised_oracle_columns.cache_info().maxsize >= 16
+        for k in range(40):
+            fock.oracle_columns(0.01 * (k + 1), 24)
+        assert fock._memoised_oracle_columns.cache_info().currsize <= fock._memoised_oracle_columns.cache_info().maxsize
+
+    def test_dense_operator_stays_fresh_full_and_writable(self):
+        fock.oracle_columns(1.2 - 0.3j, 40)
+        first = fock.displacement_operator(1.2 - 0.3j, 40)
+        second = fock.displacement_operator(1.2 - 0.3j, 40)
+        assert first.shape == (40, 40)
+        assert first is not second and not np.shares_memory(first, second)
+        first[0, 0] = 7.0
+        assert second[0, 0] != 7.0
 
 
 class TestArrayOwnership:

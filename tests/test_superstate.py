@@ -254,6 +254,8 @@ class TestBlockOperator:
         diagonal[0] = 9.0
         assert op.bands[0][0][0] == 0.0 and diagonal.flags.writeable
         for band in op.bands:
+            with pytest.raises(TypeError):
+                band[2] = np.ones(1)
             for stored in band.values():
                 assert stored.dtype == np.complex128
                 with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -81,6 +82,21 @@ class TestQuadratureOperators:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+    def test_memoised_per_dim_and_read_only(self):
+        x_op, p_op = quadrature_operators(24)
+        again = quadrature_operators(24)
+        assert again[0] is x_op and again[1] is p_op
+        assert quadrature_operators(25)[0] is not x_op
+        for op in (x_op, p_op):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                op.dim = 3
+            for band in op.bands:
+                with pytest.raises(TypeError):
+                    band[0] = np.zeros(24)
+                for diagonal in band.values():
+                    with pytest.raises(ValueError):
+                        diagonal[0] = 7.0
 
     def test_hermitian(self):
         for op in quadrature_operators(24):
@@ -253,12 +269,12 @@ class TestFibonacci:
                 alone.dispersion_closed,
             )
 
-    def test_ladder_builds_the_oracle_operators_once(self, monkeypatch):
-        builds = []
+    def test_ladder_reads_the_oracle_operators_once(self, monkeypatch):
+        calls = []
         operators = uncertainty.quadrature_operators
-        monkeypatch.setattr(uncertainty, "quadrature_operators", lambda dim: builds.append(dim) or operators(dim))
+        monkeypatch.setattr(uncertainty, "quadrature_operators", lambda dim: calls.append(dim) or operators(dim))
         assert len(fibonacci_ladder(40, 24)) == 38
-        assert builds == [24]
+        assert calls == [24]
 
     def test_ladder_refusals(self):
         assert fibonacci_ladder(2, 64) == []

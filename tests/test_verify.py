@@ -368,34 +368,41 @@ class TestBatchedSuites:
         assert built == []
         assert displaced == {(alpha, (25, 2, 2)): 5 for alpha in verify._EIGEN_ALPHAS}
 
-    def test_uncertainty_suite_builds_the_oracle_operators_once_per_stack(self, monkeypatch):
-        builds, sizes = [], []
+    def test_uncertainty_suite_reads_the_oracle_operators_once_per_stack(self, monkeypatch):
+        calls, sizes = [], []
         operators, stats = uncertainty.quadrature_operators, verify._quadrature_stats
 
         def counting_stats(states):
             sizes.append(len(states))
             return stats(states)
 
-        monkeypatch.setattr(uncertainty, "quadrature_operators", lambda dim: builds.append(dim) or operators(dim))
+        monkeypatch.setattr(uncertainty, "quadrature_operators", lambda dim: calls.append(dim) or operators(dim))
         monkeypatch.setattr(verify, "_quadrature_stats", counting_stats)
         assert run_verify("uncertainty", dim=40).all_passed
         # 5 zetas at alpha = 0 and displaced, 5 symmetric stacks, the 5/8 point
-        assert builds == [40] * len(sizes) == [40] * (5 * 2 + 5 + 1)
+        assert calls == [40] * len(sizes) == [40] * (5 * 2 + 5 + 1)
         # 45 points at alpha = 0 and displaced, 25 symmetric points, the 5/8 point
         assert sum(sizes) == 45 * 2 + 25 + 1
 
     def test_fibonacci_suite_builds_each_record_once(self, monkeypatch):
         # one ladder call, one banded X and P apply for its 18 states
-        ladders, builds = [], []
+        ladders, calls = [], []
         ladder, operators = verify.fibonacci_ladder, uncertainty.quadrature_operators
         monkeypatch.setattr(
             verify, "fibonacci_ladder", lambda n_max, dim: ladders.append((n_max, dim)) or ladder(n_max, dim)
         )
-        monkeypatch.setattr(uncertainty, "quadrature_operators", lambda dim: builds.append(dim) or operators(dim))
+        monkeypatch.setattr(uncertainty, "quadrature_operators", lambda dim: calls.append(dim) or operators(dim))
         report = run_verify("fibonacci", dim=40, n_max=20)
         assert report.checks[-1].name == "golden_gap_at_n20"
         assert ladders == [(20, 40)]
-        assert builds == [40]
+        assert calls == [40]
+
+    def test_algebra_states_live_on_levels_0_and_1(self):
+        # flip_commutes_with_displacement applies D's first two columns to psi[:2]
+        for zeta in verify._zeta_grid():
+            state = super_qubit_state(SuperQubitParams(1.3, 0.7, zeta), 48)
+            for coeffs in (state.coeffs, flip_state(state).coeffs):
+                assert not coeffs[:, 2:].any()
 
     def test_dense_oracles_stay(self, monkeypatch):
         seen = Counter()
@@ -407,9 +414,13 @@ class TestBatchedSuites:
                 return _real(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counting)
-        assert run_verify("all", dim=48).all_passed
-        assert seen == {
-            ("eigh", (48, 48)): 4,  # the spectral D of the 4 amplitudes
+        per_report = {
             ("eigvalsh", (48, 48)): 12,  # rho of the 12 random states
             ("eigvalsh", (1, 2, 2)): 5,  # the Gram spectra of |1, zeta>, each a stack of one
         }
+        assert run_verify("all", dim=48).all_passed
+        # the spectral D of the 4 amplitudes, on the first report at a dim only
+        assert seen == {("eigh", (48, 48)): 4, **per_report}
+        seen.clear()
+        assert run_verify("all", dim=48, seed=2).all_passed
+        assert seen == per_report
