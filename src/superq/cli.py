@@ -286,6 +286,8 @@ def _validate(args) -> None:
         if args.n_max < 3:
             raise UsageError(f"--n-max must be >= 3, got {args.n_max}")
         if args.command == "verify":
+            if args.seed < 0:
+                raise UsageError(f"--seed must be >= 0, got {args.seed}")
             required = required_suite_dim(args.suite)
             if args.dim < required:
                 raise UsageError(

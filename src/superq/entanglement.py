@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NormalizationError, NumericalConsistencyError
-from .moebius import ExtendedComplex
+from .moebius import ExtendedComplex, _checked_theta
 from .superstate import SuperVector, _block_norms_sq
 
 __all__ = [
@@ -150,9 +150,14 @@ def concurrence_n_state(zeta: ExtendedComplex) -> float:
 
 def concurrence_superqubit(theta: float, zeta: ExtendedComplex) -> float:
     """Closed concurrence sin^2(theta/2) * 2|zeta| / (1 + |zeta|^2)."""
-    if not 0.0 <= theta <= math.pi:
-        raise ValueError(f"theta must lie in [0, pi], got {theta}")
-    return math.sin(0.5 * theta) ** 2 * concurrence_n_state(zeta)
+    return math.sin(0.5 * _checked_theta(theta)) ** 2 * concurrence_n_state(zeta)
+
+
+def _checked_z(z: float) -> float:
+    z = float(z)
+    if not -1.0 <= z <= 1.0:
+        raise ValueError(f"z must lie in [-1, 1], got {z}")
+    return z
 
 
 def entropy_from_z(z: float) -> float:
@@ -162,9 +167,7 @@ def entropy_from_z(z: float) -> float:
     the binary entropy of p = (1 + z)/2.  The indeterminate endpoints
     z = +/-1 return their analytic limit 0.
     """
-    z = float(z)
-    if not -1.0 <= z <= 1.0:
-        raise ValueError(f"z must lie in [-1, 1], got {z}")
+    z = _checked_z(z)
     if z == 1.0 or z == -1.0:
         return 0.0
     return -0.5 * math.log2((1.0 - z * z) / 4.0) - 0.5 * z * math.log2(
@@ -174,9 +177,7 @@ def entropy_from_z(z: float) -> float:
 
 def collapse_probabilities(z: float) -> tuple[float, float]:
     """Pole-collapse probabilities ((1 + z)/2, (1 - z)/2) at height z."""
-    z = float(z)
-    if not -1.0 <= z <= 1.0:
-        raise ValueError(f"z must lie in [-1, 1], got {z}")
+    z = _checked_z(z)
     return 0.5 * (1.0 + z), 0.5 * (1.0 - z)
 
 

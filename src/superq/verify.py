@@ -94,8 +94,13 @@ DEFAULT_TOL = 1e-8
 # 5 x 5 x 5 reference grid: angles cover both poles, moduli span [0.25, 4].
 _THETAS = tuple(np.linspace(0.0, math.pi, 5))
 _PHIS = tuple(np.linspace(0.0, 2.0 * math.pi, 5, endpoint=False))
-_ZETA_MODULI = (0.25, 0.5, 1.0, 2.0, 4.0)
-_ZETA_PHASES = (0.0, 1.2, 2.5, 3.7, 5.0)
+_ZETAS = tuple(
+    ExtendedComplex.from_value(modulus * cmath.exp(1j * phase))
+    for modulus, phase in ((0.25, 0.0), (0.5, 1.2), (1.0, 2.5), (2.0, 3.7), (4.0, 5.0))
+)
+# The theta-major (theta, phi) pairs of the grid, and of its stride-2 half.
+_ANGLES = tuple((theta, phi) for theta in _THETAS for phi in _PHIS)
+_HALF_ANGLES = tuple((theta, phi) for theta in _THETAS[::2] for phi in _PHIS[::2])
 
 # Coherent amplitudes for eigenrelation checks, all with |alpha| <= 2.
 _EIGEN_ALPHAS = (1.2 - 0.3j, -0.7 + 1.8j, 1.9 + 0.6j)
@@ -190,24 +195,8 @@ def _finite_or_none(value: float) -> float | None:
     return value if math.isfinite(value) else None
 
 
-def _zeta_grid() -> list[ExtendedComplex]:
-    return [
-        ExtendedComplex.from_value(mod * cmath.exp(1j * phase))
-        for mod, phase in zip(_ZETA_MODULI, _ZETA_PHASES)
-    ]
-
-
-def _angle_axes(stride: int = 1) -> tuple[list[float], list[float]]:
-    return list(_THETAS[::stride]), list(_PHIS[::stride])
-
-
-def _angle_grid(stride: int = 1) -> list[tuple[float, float]]:
-    thetas, phis = _angle_axes(stride)
-    return [(theta, phi) for theta in thetas for phi in phis]
-
-
 def _qubit_grid(
-    thetas: list[float], phis: list[float], zeta: ExtendedComplex, dim: int
+    thetas: tuple[float, ...], phis: tuple[float, ...], zeta: ExtendedComplex, dim: int
 ) -> np.ndarray:
     """Levels 0 and 1 of super_qubit_state at each (theta, phi), theta-major, as a (K, 2, 2) array.
 
@@ -228,13 +217,12 @@ def _random_super_vector(rng: np.random.Generator, dim: int) -> SuperVector:
     return SuperVector(raw.reshape(2, dim))
 
 
-def _suite_algebra(dim: int, tol: float) -> list[Check]:
-    zetas = _zeta_grid() + [ExtendedComplex.infinity()]
+def _suite_algebra(dim: int, tol: float, seed: int, n_max: int) -> list[Check]:
     flip = flip_operator(dim)
     lowering = raising = ladder = 0.0
     transpose = 0.0
     gate = 0.0
-    for zeta in zetas:
+    for zeta in (*_ZETAS, ExtendedComplex.infinity()):
         residuals = commutator_suite(zeta, dim)
         lowering = _worst(lowering, residuals.number_lowering)
         raising = _worst(raising, residuals.number_raising)
@@ -266,7 +254,7 @@ def _suite_algebra(dim: int, tol: float) -> list[Check]:
     # columns of the dense D applied to psi[:2].
     d = oracle_columns(_ALGEBRA_ALPHA, dim)
     commute = 0.0
-    for zeta in _zeta_grid():
+    for zeta in _ZETAS:
         state = super_qubit_state(SuperQubitParams(1.3, 0.7, zeta), dim)
         displaced = SuperVector([d @ psi[:2] for psi in state.coeffs])
         displaced_flip = SuperVector([d @ psi[:2] for psi in flip_state(state).coeffs])
@@ -302,15 +290,15 @@ def _eigen_gaps(op: BlockOperator, alpha: complex, states: np.ndarray) -> list[f
     return (_guarded_norms(residual) / _norms(states)).tolist()
 
 
-def _suite_eigen(dim: int, tol: float) -> list[Check]:
+def _suite_eigen(dim: int, tol: float, seed: int, n_max: int) -> list[Check]:
     # Each (alpha, zeta) angle grid is one stack of the CLI's states: the
     # sweep's coefficients, displaced as super_coherent_state displaces them,
     # and flipped by exchanging the block axis as flip_state does.
     reference_residual = 0.0
     coherent_residual = 0.0
     flipped_residual = 0.0
-    for zeta in _zeta_grid():
-        low = _qubit_grid(*_angle_axes(), zeta, dim)
+    for zeta in _ZETAS:
+        low = _qubit_grid(_THETAS, _PHIS, zeta, dim)
         a_op = super_annihilation(zeta, dim)
         at_op = super_annihilation_transposed(zeta, dim)
         annihilated = a_op.apply_coeffs(_undisplaced(low, dim))
@@ -336,14 +324,12 @@ def _suite_eigen(dim: int, tol: float) -> list[Check]:
     ]
 
 
-def _suite_entangle(dim: int, tol: float, rng: np.random.Generator) -> list[Check]:
-    zetas = _zeta_grid()
-
+def _suite_entangle(dim: int, tol: float, seed: int, n_max: int) -> list[Check]:
     closed_vs_gram = 0.0
     n_spread = 0.0
     geometric = 0.0
     spectral_gap = 0.0
-    for zeta in zetas:
+    for zeta in _ZETAS:
         closed = concurrence_n_state(zeta)
         states = [n_superparticle_state(n, zeta, dim) for n in (1, 2, 5)]
         values = [concurrence_gram(state) for state in states]
@@ -374,11 +360,11 @@ def _suite_entangle(dim: int, tol: float, rng: np.random.Generator) -> list[Chec
     # pole_probabilities run on one state.
     superqubit_gap = 0.0
     probability_gap = 0.0
-    for zeta in zetas:
-        states = _undisplaced(_qubit_grid(*_angle_axes(), zeta, dim), dim)
+    for zeta in _ZETAS:
+        states = _undisplaced(_qubit_grid(_THETAS, _PHIS, zeta, dim), dim)
         grams = _concurrences(states).tolist()
         p0s, p1s = _pole_probabilities(states, zeta)
-        for (theta, _), gram, p0, p1 in zip(_angle_grid(), grams, p0s, p1s):
+        for (theta, _), gram, p0, p1 in zip(_ANGLES, grams, p0s, p1s):
             superqubit_gap = _worst(
                 superqubit_gap, abs(gram - concurrence_superqubit(theta, zeta))
             )
@@ -390,7 +376,7 @@ def _suite_entangle(dim: int, tol: float, rng: np.random.Generator) -> list[Chec
 
     # The stride-2 grids of every zeta, undisplaced, displaced as
     # super_coherent_state displaces them, and flipped.
-    halves = np.concatenate([_qubit_grid(*_angle_axes(2), zeta, dim) for zeta in zetas])
+    halves = np.concatenate([_qubit_grid(_THETAS[::2], _PHIS[::2], zeta, dim) for zeta in _ZETAS])
     references = _undisplaced(halves, dim)
     reference_grams = _concurrences(references)
     displaced_grams = _concurrences(_displace_low_levels(_ENTANGLE_ALPHA, halves, dim))
@@ -398,6 +384,7 @@ def _suite_entangle(dim: int, tol: float, rng: np.random.Generator) -> list[Chec
     alpha_invariance = _worst(0.0, *np.abs(displaced_grams - reference_grams).tolist())
     flip_invariance = _worst(0.0, *np.abs(flipped_grams - reference_grams).tolist())
 
+    rng = np.random.default_rng(seed)
     gram_purity = 0.0
     rank_bound = 0.0
     for _ in range(12):
@@ -438,23 +425,21 @@ def _suite_entangle(dim: int, tol: float, rng: np.random.Generator) -> list[Chec
     ]
 
 
-def _suite_uncertainty(dim: int, tol: float) -> list[Check]:
+def _suite_uncertainty(dim: int, tol: float, seed: int, n_max: int) -> list[Check]:
     # Each angle grid is one stack of the CLI's states, as in the eigen suite,
     # and one O(dim) apply of the banded X and P gives the oracle moments.
-    zetas = _zeta_grid()
-
     mean_gap = 0.0
     var_gap = 0.0
     alpha_independence = 0.0
-    thetas, phis = _angle_axes(2)
-    for zeta in zetas:
+    thetas, phis = _THETAS[::2], _PHIS[::2]
+    for zeta in _ZETAS:
         low = _qubit_grid(thetas, phis, zeta, dim)
         at_zero = _quadrature_stats(_undisplaced(low, dim))
         displaced = _quadrature_stats(_displace_low_levels(_UNCERTAINTY_ALPHA, low, dim))
         # the sweep's closed variances of the grid, alpha-independent as the closed form's
         sweep = _variance_grid(_cartesian_grid(thetas, *_grid_phases(thetas, phis)), zeta)
         for (theta, phi), numeric_at_zero, numeric_displaced, sweep_x, sweep_p in zip(
-            _angle_grid(stride=2), at_zero, displaced, *sweep
+            _HALF_ANGLES, at_zero, displaced, *sweep
         ):
             base = SuperQubitParams(theta, phi, zeta)
             for alpha, numeric in ((0.0, numeric_at_zero), (_UNCERTAINTY_ALPHA, numeric_displaced)):
@@ -481,10 +466,10 @@ def _suite_uncertainty(dim: int, tol: float) -> list[Check]:
     symmetric_closed = 0.0
     symmetric_numeric = 0.0
     variance_floor = 0.0
-    thetas, phi = list(_THETAS), 0.25 * math.pi
-    for zeta in zetas:
-        low = _qubit_grid(thetas, [phi], zeta, dim)
-        for theta, numeric in zip(thetas, _quadrature_stats(_undisplaced(low, dim))):
+    phi = 0.25 * math.pi
+    for zeta in _ZETAS:
+        low = _qubit_grid(_THETAS, (phi,), zeta, dim)
+        for theta, numeric in zip(_THETAS, _quadrature_stats(_undisplaced(low, dim))):
             params = CoherentParams(0.0, SuperQubitParams(theta, phi, zeta))
             var_x, var_p = variance_quadratures_closed(params)
             symmetric_closed = _worst(symmetric_closed, abs(var_x - var_p))
@@ -528,9 +513,7 @@ def _above_root5(r: Fraction) -> bool:
     return r > 0 and r * r > 5
 
 
-def _suite_fibonacci(dim: int, tol: float, n_max: int) -> list[Check]:
-    if n_max < 3:
-        raise ValueError(f"n_max must be >= 3, got {n_max}")
+def _suite_fibonacci(dim: int, tol: float, seed: int, n_max: int) -> list[Check]:
     checks = []
     previous_r = None
     previous_sign = None
@@ -582,29 +565,17 @@ def _suite_fibonacci(dim: int, tol: float, n_max: int) -> list[Check]:
     return checks
 
 
-# Per suite: the smallest dim it needs before any displacement, the amplitudes
-# it displaces by, and its runner (dim, tol, seed, n_max) -> checks.  algebra
-# and eigen compare on the levels below the guard band, entangle builds
-# |5, zeta>, and the quadrature oracle needs 3.  Each runner looks its
-# ``_suite_*`` function up when called, so a rebound function is the one run.
+# Per suite: the smallest dim it needs before any displacement, and the
+# amplitudes it displaces by.  algebra and eigen compare on the levels below
+# the guard band, entangle builds |5, zeta>, and the quadrature oracle needs 3.
+# Each suite runs as ``_suite_<name>(dim, tol, seed, n_max)``, looked up when
+# it runs, so a rebound function is the one run.
 _SUITES = {
-    "algebra": (
-        GUARD_BAND + 1,
-        (_ALGEBRA_ALPHA,),
-        lambda dim, tol, seed, n_max: _suite_algebra(dim, tol),
-    ),
-    "eigen": (GUARD_BAND + 1, _EIGEN_ALPHAS, lambda dim, tol, seed, n_max: _suite_eigen(dim, tol)),
-    "entangle": (
-        6,
-        (_ENTANGLE_ALPHA,),
-        lambda dim, tol, seed, n_max: _suite_entangle(dim, tol, np.random.default_rng(seed)),
-    ),
-    "uncertainty": (
-        3,
-        (_UNCERTAINTY_ALPHA,),
-        lambda dim, tol, seed, n_max: _suite_uncertainty(dim, tol),
-    ),
-    "fibonacci": (3, (), lambda dim, tol, seed, n_max: _suite_fibonacci(dim, tol, n_max)),
+    "algebra": (GUARD_BAND + 1, (_ALGEBRA_ALPHA,)),
+    "eigen": (GUARD_BAND + 1, _EIGEN_ALPHAS),
+    "entangle": (6, (_ENTANGLE_ALPHA,)),
+    "uncertainty": (3, (_UNCERTAINTY_ALPHA,)),
+    "fibonacci": (3, ()),
 }
 SUITE_NAMES = tuple(_SUITES)
 
@@ -627,7 +598,7 @@ def required_suite_dim(suite: str) -> int:
     """
     required = 0
     for name in _selected_suites(suite):
-        levels, alphas, _ = _SUITES[name]
+        levels, alphas = _SUITES[name]
         required = max(required, levels, *map(required_displacement_dim, alphas))
     return required
 
@@ -641,14 +612,20 @@ def run_verify(
 ) -> VerificationReport:
     """Run one named suite (or ``all``) and collect its checks.
 
-    Raises ValueError for an unknown suite name, and TruncationError for a
-    dim below :func:`required_suite_dim`.
+    Every argument is checked before the first suite runs: a ValueError names
+    an unknown suite, a tol that is not positive and finite, a negative seed or
+    an n_max below 3, and a TruncationError a dim below
+    :func:`required_suite_dim`.
     """
     selected = _selected_suites(suite)
     if dim < 2:
         raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    if n_max < 3:
+        raise ValueError(f"n_max must be >= 3, got {n_max}")
     required = required_suite_dim(suite)
     if dim < required:
         raise TruncationError(
@@ -660,8 +637,7 @@ def run_verify(
     timings_ms: dict[str, float] = {}
     for name in selected:
         suite_started = time.perf_counter()
-        _, _, run = _SUITES[name]
-        checks.extend(run(dim, tol, seed, n_max))
+        checks.extend(globals()[f"_suite_{name}"](dim, tol, seed, n_max))
         timings_ms[name] = (time.perf_counter() - suite_started) * 1000.0
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     return VerificationReport(

@@ -551,6 +551,15 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out)["seed"] == 7
 
+    @pytest.mark.parametrize("suite", ["all", "fibonacci"])
+    def test_negative_seed_exits_two_naming_the_flag(self, run_cli, monkeypatch, suite):
+        calls = []
+        for name in verify.SUITE_NAMES:
+            monkeypatch.setattr(verify, f"_suite_{name}", lambda *args, _name=name: calls.append(_name) or [])
+        code, out, err = run_cli(["verify", "--suite", suite, "--seed", "-1"])
+        assert (code, out, err) == (2, "", "superq: error: --seed must be >= 0, got -1\n")
+        assert calls == []
+
     def test_unknown_suite_exits_two(self, run_cli):
         code, _, err = run_cli(["verify", "--suite", "nope"])
         assert code == 2

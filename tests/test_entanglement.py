@@ -203,7 +203,7 @@ class TestClosedConcurrences:
         assert concurrence_superqubit(2.0, ExtendedComplex.infinity()) == 0.0
 
     def test_theta_range_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^theta must lie in \[0, pi\], got -1.0$"):
             concurrence_superqubit(-1.0, ExtendedComplex.from_value(1.0))
 
 
@@ -220,7 +220,7 @@ class TestEntropy:
         assert entropy_from_z(0.5) == pytest.approx(0.8112781244591328, abs=1e-12)
 
     def test_domain_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^z must lie in \[-1, 1\], got 1.0000001$"):
             entropy_from_z(1.0000001)
 
     @given(st.floats(min_value=-0.999999, max_value=0.999999))
@@ -266,7 +266,7 @@ class TestCollapseProbabilities:
         assert p1 == pytest.approx(closed[1], abs=1e-12)
 
     def test_domain_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^z must lie in \[-1, 1\], got -1.5$"):
             collapse_probabilities(-1.5)
 
 

@@ -47,6 +47,13 @@ CAUGHT_BY = {
     ),
     "uncertainty.quadrature_stats_closed": ("variance_quadratures_closed_vs_matrix",),
     "fock.displacement_operator": ("closed_coherent_columns_vs_truncated_displacement",),
+    "entanglement._concurrence": (
+        "n_state_concurrence_closed_vs_gram",
+        "superqubit_concurrence_closed_vs_gram",
+        "gram_purity_identity",
+        "spectral_entropy_matches_closed_form",
+    ),
+    "superstate._pole_probabilities": ("pole_probability_identity",),
     "uncertainty._quadrature_stats": (
         "mean_quadratures_closed_vs_matrix",
         "variance_quadratures_closed_vs_matrix",

@@ -182,7 +182,8 @@ class TestRunVerify:
     @pytest.mark.parametrize("suite", SUITE_NAMES)
     def test_dispatch_calls_the_module_suite_function(self, suite, monkeypatch):
         # the suite function is looked up on each run, so rebinding it (as a
-        # profiler wrapping ``verify._suite_*`` does) takes effect
+        # profiler wrapping ``verify._suite_*`` does) takes effect; every
+        # suite takes (dim, tol, seed, n_max)
         seen = []
 
         def replacement(*args):
@@ -190,15 +191,31 @@ class TestRunVerify:
             return [verify.Check("stub", 0.0, 0.0)]
 
         monkeypatch.setattr(verify, f"_suite_{suite}", replacement)
-        report = run_verify(suite, dim=48, seed=5, n_max=7)
+        report = run_verify(suite, dim=48, tol=1e-9, seed=5, n_max=7)
         assert [check.name for check in report.checks] == ["stub"]
-        assert len(seen) == 1 and seen[0][0] == 48
+        assert seen == [(48, 1e-9, 5, 7)]
 
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            run_verify("all", tol=0.0)
-        with pytest.raises(ValueError):
-            run_verify("fibonacci", n_max=2)
+    @pytest.mark.parametrize(
+        "suite,kwargs,message",
+        [
+            ("all", {"tol": 0.0}, "tol must be positive and finite, got 0.0"),
+            ("all", {"tol": math.nan}, "tol must be positive and finite, got nan"),
+            ("all", {"tol": math.inf}, "tol must be positive and finite, got inf"),
+            ("all", {"tol": -1e-8}, "tol must be positive and finite, got -1e-08"),
+            ("all", {"seed": -1}, "seed must be >= 0, got -1"),
+            ("fibonacci", {"seed": -1}, "seed must be >= 0, got -1"),
+            ("all", {"n_max": 2}, "n_max must be >= 3, got 2"),
+            ("fibonacci", {"n_max": 2}, "n_max must be >= 3, got 2"),
+        ],
+    )
+    def test_invalid_parameters_rejected(self, suite, kwargs, message, monkeypatch):
+        calls = []
+        for name in SUITE_NAMES:
+            monkeypatch.setattr(verify, f"_suite_{name}", lambda *args, _name=name: calls.append(_name) or [])
+        with pytest.raises(ValueError) as info:
+            run_verify(suite, dim=48, **kwargs)
+        assert str(info.value) == message
+        assert calls == []
 
 
 class TestSuiteDimFloor:
@@ -299,7 +316,7 @@ class TestBatchedSuites:
     )
     def test_stacks_are_the_cli_states_bit_for_bit(self, alpha, zeta, dim):
         assume(alpha != 0 and required_displacement_dim(alpha) <= dim)
-        low = verify._qubit_grid(*verify._angle_axes(), zeta, dim)
+        low = verify._qubit_grid(verify._THETAS, verify._PHIS, zeta, dim)
         reference = _undisplaced(low, dim)
         coherent = _displace_low_levels(alpha, low, dim)
         flipped = coherent[:, ::-1]
@@ -308,7 +325,7 @@ class TestBatchedSuites:
         norms, guarded = _norms(coherent), _guarded_norms(applied - alpha * coherent)
         grams = verify._concurrences(reference[:, ::-1])
         moments = _quadrature_stats(coherent)
-        for k, (theta, phi) in enumerate(verify._angle_grid()):
+        for k, (theta, phi) in enumerate(verify._ANGLES):
             params = CoherentParams(alpha, SuperQubitParams(theta, phi, zeta))
             state = super_coherent_state(params, dim)
             flip = flip_state(state)
@@ -327,8 +344,8 @@ class TestBatchedSuites:
     def test_entangle_grid_checks_equal_the_per_state_functions(self, dim):
         # each stacked residual is the one the per-state functions give, bit for bit
         superqubit = probability = alpha_drift = flip_drift = 0.0
-        for zeta in verify._zeta_grid():
-            for theta, phi in verify._angle_grid():
+        for zeta in verify._ZETAS:
+            for theta, phi in verify._ANGLES:
                 state = super_qubit_state(SuperQubitParams(theta, phi, zeta), dim)
                 p0, p1 = pole_probabilities(state, zeta)
                 superqubit = max(superqubit, abs(concurrence_gram(state) - concurrence_superqubit(theta, zeta)))
@@ -337,7 +354,7 @@ class TestBatchedSuites:
                     abs(p0 - math.cos(0.5 * theta) ** 2),
                     abs(p1 - math.sin(0.5 * theta) ** 2),
                 )
-            for theta, phi in verify._angle_grid(stride=2):
+            for theta, phi in verify._HALF_ANGLES:
                 params = CoherentParams(verify._ENTANGLE_ALPHA, SuperQubitParams(theta, phi, zeta))
                 state = super_qubit_state(params.base, dim)
                 displaced = concurrence_gram(super_coherent_state(params, dim))
@@ -399,7 +416,7 @@ class TestBatchedSuites:
 
     def test_algebra_states_live_on_levels_0_and_1(self):
         # flip_commutes_with_displacement applies D's first two columns to psi[:2]
-        for zeta in verify._zeta_grid():
+        for zeta in verify._ZETAS:
             state = super_qubit_state(SuperQubitParams(1.3, 0.7, zeta), 48)
             for coeffs in (state.coeffs, flip_state(state).coeffs):
                 assert not coeffs[:, 2:].any()
