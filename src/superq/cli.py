@@ -2,8 +2,8 @@
 
 Data goes to standard output with frozen JSON/CSV schemas; diagnostics go to
 standard error.  Exit codes: 0 emission or verification succeeded, 1
-verification or I/O failure, 2 invalid arguments (including parameter values
-the truncated space cannot support).
+verification, numerical or I/O failure, 2 invalid arguments (including
+values the truncated space cannot support and sizes too large to allocate).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from .entanglement import (
     _concurrence,
     _entropies,
-    _normalized_gram_entries,
+    _gram_entries,
     collapse_probabilities,
     concurrence_gram,
     concurrence_n_state,
@@ -28,12 +28,10 @@ from .entanglement import (
     entanglement_entropy_bits,
     entropy_from_z,
 )
-from .errors import NumericalConsistencyError
+from .errors import NormalizationError, NumericalConsistencyError
 from .fock import DEFAULT_DIM
 from .moebius import (
     ExtendedComplex,
-    _cartesian_grid,
-    _grid_phases,
     concurrence_circle,
     zeta_to_bloch,
 )
@@ -233,6 +231,9 @@ def _resolve_dim(args) -> int:
                 raise UsageError(f"{DIM_ENV_VAR} must be an integer, got {raw!r}")
     if dim < 2:
         raise UsageError(f"--dim must be >= 2, got {dim}")
+    # the largest dim for which numpy can describe a (2, dim) complex128 array
+    if dim > sys.maxsize // 32:
+        raise UsageError(f"--dim must be <= {sys.maxsize // 32}, got {dim}")
     return dim
 
 
@@ -442,12 +443,10 @@ def _emit_sweep(args) -> str:
     thetas = sweep_thetas(t_count)
     phis = [2.0 * math.pi * j / p_count for j in range(p_count)]
     zeta_re, zeta_im = (math.inf, 0.0) if args.zeta_inf else _zeta_parts(args)
-    cos_phi, sin_phi = _grid_phases(thetas, phis)
-    low = _super_qubit_grid(thetas, cos_phi, sin_phi, args.zeta, args.dim)
-    coeffs = _undisplaced(low, _SWEEP_LEVELS)
+    coeffs = _undisplaced(_super_qubit_grid(thetas, phis, args.zeta), _SWEEP_LEVELS)
     p0, p1 = _pole_probabilities(coeffs, args.zeta)
-    var_x, var_p = _variance_grid(_cartesian_grid(thetas, cos_phi, sin_phi), args.zeta)
-    entries = _normalized_gram_entries(coeffs)
+    var_x, var_p = _variance_grid(thetas, phis, args.zeta)
+    entries = _gram_entries(coeffs)
     gram, entropy = _concurrence(coeffs, *entries).tolist(), _entropies(*entries)
     # theta, phi, zeta and the closed concurrence repeat down their columns,
     # so each is formatted once and a row starts with their joined text
@@ -511,12 +510,17 @@ def main(argv=None) -> int:
             return _run_verify(args)
         print(_EMITTERS[args.command](args))
         return 0
+    except (NormalizationError, NumericalConsistencyError) as exc:
+        # the CLI normalizes only states it built: an unnormalized one is the program's fault
+        print(f"superq: numerical consistency failure: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:  # UsageError and the package's parameter and truncation errors
         print(f"superq: error: {exc}", file=sys.stderr)
         return 2
-    except NumericalConsistencyError as exc:
-        print(f"superq: numerical consistency failure: {exc}", file=sys.stderr)
-        return 1
+    except MemoryError as exc:
+        flag = "--grid" if args.command == "sweep" else "--dim"
+        print(f"superq: error: {flag} is too large to allocate: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"superq: I/O failure: {exc}", file=sys.stderr)
         return 1

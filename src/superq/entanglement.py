@@ -80,29 +80,15 @@ def _require_normalized(norm_sq) -> None:
 def _gram_entries(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """g00 = <psi0|psi0>, g11 = <psi1|psi1> and g01 = <psi0|psi1> of a (..., 2, L) stack.
 
-    The one place the Gram entries are computed: the concurrence and the
-    spectral entropy of one state or of a stack both read them from here.
+    The one place the Gram entries are computed and each norm^2 g00 + g11
+    checked: the concurrence and the spectral entropy read them from here.
     g00 and g11 are the block norms^2 of ``superstate._block_norms_sq``, which
     ``SuperVector.norm_sq`` reads too; g01 is one np.vecdot, which runs
     np.vdot's BLAS dot on each pair of blocks.
     """
     block = _block_norms_sq(coeffs)
+    _require_normalized(block[..., 0] + block[..., 1])
     return block[..., 0], block[..., 1], np.vecdot(coeffs[..., 0, :], coeffs[..., 1, :])
-
-
-def _normalized_gram_entries(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_gram_entries, after refusing any state whose norm^2 g00 + g11 is not 1."""
-    g00, g11, g01 = _gram_entries(coeffs)
-    _require_normalized(g00 + g11)
-    return g00, g11, g01
-
-
-def _gram(g00, g11, g01) -> np.ndarray:
-    """The (..., 2, 2) Gram matrices with the given entries."""
-    gram = np.empty((*np.shape(g01), 2, 2), dtype=np.complex128)
-    gram[..., 0, 0], gram[..., 1, 1] = g00, g11
-    gram[..., 0, 1], gram[..., 1, 0] = g01, np.conj(g01)
-    return gram
 
 
 def reduced_boson_density(state: SuperVector) -> DensityMatrix:
@@ -120,7 +106,7 @@ def concurrence_gram(state: SuperVector) -> float:
     instead of subtracting |g01|^2 from g00 g11, so two parallel blocks give
     a determinant of rounding size squared, not rounding size.
     """
-    return float(_concurrence(state.coeffs, *_normalized_gram_entries(state.coeffs)))
+    return float(_concurrence(state.coeffs, *_gram_entries(state.coeffs)))
 
 
 def _concurrence(coeffs: np.ndarray, g00, g11, g01) -> np.ndarray:
@@ -194,11 +180,14 @@ def entanglement_entropy_bits(state: SuperVector) -> float:
     the spectrum of the 2x2 Gram matrix, so only that spectrum is computed,
     by the sweep's kernel on a stack of one state.
     """
-    (entropy,) = _entropies(*_normalized_gram_entries(state.coeffs))
+    (entropy,) = _entropies(*_gram_entries(state.coeffs))
     return entropy
 
 
 def _entropies(g00, g11, g01) -> list[float]:
     """The spectral entropy from each state's Gram entries, in row order; one stacked eigvalsh."""
-    spectra = np.linalg.eigvalsh(_gram(g00, g11, g01).reshape(-1, 2, 2)).tolist()
+    gram = np.empty((*np.shape(g01), 2, 2), dtype=np.complex128)
+    gram[..., 0, 0], gram[..., 1, 1] = g00, g11
+    gram[..., 0, 1], gram[..., 1, 0] = g01, np.conj(g01)
+    spectra = np.linalg.eigvalsh(gram.reshape(-1, 2, 2)).tolist()
     return [_entropy_bits(spectrum) for spectrum in spectra]

@@ -38,7 +38,7 @@ from .fock import (
     _ladder_entries,
     displaced_columns,
 )
-from .moebius import BlochPoint, ExtendedComplex
+from .moebius import BlochPoint, ExtendedComplex, _grid_phases
 
 __all__ = [
     "SuperVector",
@@ -457,25 +457,20 @@ def super_qubit_state(params: SuperQubitParams, dim: int) -> SuperVector:
     return SuperVector(coeffs)
 
 
-def _super_qubit_grid(
-    thetas: list[float], cos_phi: np.ndarray, sin_phi: np.ndarray, zeta: ExtendedComplex, dim: int
-) -> np.ndarray:
-    """Levels 0 and 1 of super_qubit_state at each grid point, as one (T*P, 2, 2) array.
+def _super_qubit_grid(thetas: list[float], phis: list[float], zeta: ExtendedComplex) -> np.ndarray:
+    """Levels 0 and 1 of super_qubit_state at each (theta_i, phi_j), as one (T*P, 2, 2) array.
 
-    ``coeffs[i * P + j, block, level]`` belongs to (theta_i, phi_j), whose
-    canonical azimuth has cosine and sine ``cos_phi[i, j]`` and
-    ``sin_phi[i, j]``.  super_qubit_state writes nothing above level 1, so
-    these are all of its nonzero entries, and they equal its entries bit for
-    bit: cmath.rect and Python's complex multiply are written out as the real
-    products they round.
+    Row i * P + j belongs to (theta_i, phi_j), with the angle checks and
+    canonical azimuth of ``moebius._grid_phases``.  super_qubit_state writes
+    nothing above level 1, so these are all of its nonzero entries, equal to
+    its entries bit for bit: cmath.rect and Python's complex multiply are
+    written out as the real products they round.
     """
-    if dim < 2:
-        raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
-    amp0 = np.array([math.cos(0.5 * theta) for theta in thetas])[:, None]
+    cos_phi, sin_phi = _grid_phases(thetas, phis)
     radius = np.array([math.sin(0.5 * theta) for theta in thetas])[:, None]
     amp1_re, amp1_im = radius * cos_phi, radius * sin_phi
     coeffs = np.zeros((*cos_phi.shape, 2, 2), dtype=np.complex128)
-    coeffs[:, :, 0, 0] = amp0
+    coeffs[:, :, 0, 0] = np.array([math.cos(0.5 * theta) for theta in thetas])[:, None]
     for (block, level), w in (((0, 1), zeta.v), ((1, 0), zeta.u)):
         coeffs.real[:, :, block, level] = amp1_re * w.real - amp1_im * w.imag
         coeffs.imag[:, :, block, level] = amp1_re * w.imag + amp1_im * w.real

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InvalidDimensionError, TruncationError
 from .fock import DEFAULT_DIM
-from .moebius import BlochPoint, ExtendedComplex, bloch_cartesian
+from .moebius import BlochPoint, ExtendedComplex, _cartesian_grid, _grid_phases, bloch_cartesian
 from .superstate import (
     BlockOperator,
     CoherentParams,
@@ -140,14 +140,14 @@ def variance_quadratures_closed(params: CoherentParams) -> tuple[float, float]:
 
 
 def _variance_grid(
-    cartesian: tuple[np.ndarray, np.ndarray, np.ndarray], zeta: ExtendedComplex
+    thetas: list[float], phis: list[float], zeta: ExtendedComplex
 ) -> tuple[list[float], list[float]]:
-    """variance_quadratures_closed at each grid point, in row order.
+    """variance_quadratures_closed at each grid point (theta_i, phi_j), in row order.
 
-    ``cartesian`` is the (x, y, z) of ``moebius._cartesian_grid``; the
+    The (x, y, z) of each point is ``moebius._cartesian_grid``'s; the
     arithmetic is the per-point formula's, with ``** 2`` in Python.
     """
-    x, y, z = cartesian
+    x, y, z = _cartesian_grid(thetas, *_grid_phases(thetas, phis))
     weight = zeta.v.real ** 2  # 1/(1+|zeta|^2)
 
     def variance(coordinate):

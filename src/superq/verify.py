@@ -22,7 +22,7 @@ import numpy as np
 
 from .entanglement import (
     _concurrence,
-    _normalized_gram_entries,
+    _gram_entries,
     collapse_probabilities,
     concurrence_gram,
     concurrence_n_state,
@@ -41,8 +41,6 @@ from .fock import (
 )
 from .moebius import (
     ExtendedComplex,
-    _cartesian_grid,
-    _grid_phases,
     concurrence_circle,
     zeta_to_bloch,
 )
@@ -195,20 +193,9 @@ def _finite_or_none(value: float) -> float | None:
     return value if math.isfinite(value) else None
 
 
-def _qubit_grid(
-    thetas: tuple[float, ...], phis: tuple[float, ...], zeta: ExtendedComplex, dim: int
-) -> np.ndarray:
-    """Levels 0 and 1 of super_qubit_state at each (theta, phi), theta-major, as a (K, 2, 2) array.
-
-    Built by the sweep's kernels, so each row is the CLI's state bit for bit;
-    the state is zero above level 1.
-    """
-    return _super_qubit_grid(thetas, *_grid_phases(thetas, phis), zeta, dim)
-
-
 def _concurrences(states: np.ndarray) -> np.ndarray:
     """concurrence_gram of each state of a (K, 2, dim) stack."""
-    return _concurrence(states, *_normalized_gram_entries(states))
+    return _concurrence(states, *_gram_entries(states))
 
 
 def _random_super_vector(rng: np.random.Generator, dim: int) -> SuperVector:
@@ -298,7 +285,7 @@ def _suite_eigen(dim: int, tol: float, seed: int, n_max: int) -> list[Check]:
     coherent_residual = 0.0
     flipped_residual = 0.0
     for zeta in _ZETAS:
-        low = _qubit_grid(_THETAS, _PHIS, zeta, dim)
+        low = _super_qubit_grid(_THETAS, _PHIS, zeta)
         a_op = super_annihilation(zeta, dim)
         at_op = super_annihilation_transposed(zeta, dim)
         annihilated = a_op.apply_coeffs(_undisplaced(low, dim))
@@ -361,7 +348,7 @@ def _suite_entangle(dim: int, tol: float, seed: int, n_max: int) -> list[Check]:
     superqubit_gap = 0.0
     probability_gap = 0.0
     for zeta in _ZETAS:
-        states = _undisplaced(_qubit_grid(_THETAS, _PHIS, zeta, dim), dim)
+        states = _undisplaced(_super_qubit_grid(_THETAS, _PHIS, zeta), dim)
         grams = _concurrences(states).tolist()
         p0s, p1s = _pole_probabilities(states, zeta)
         for (theta, _), gram, p0, p1 in zip(_ANGLES, grams, p0s, p1s):
@@ -376,7 +363,7 @@ def _suite_entangle(dim: int, tol: float, seed: int, n_max: int) -> list[Check]:
 
     # The stride-2 grids of every zeta, undisplaced, displaced as
     # super_coherent_state displaces them, and flipped.
-    halves = np.concatenate([_qubit_grid(_THETAS[::2], _PHIS[::2], zeta, dim) for zeta in _ZETAS])
+    halves = np.concatenate([_super_qubit_grid(_THETAS[::2], _PHIS[::2], zeta) for zeta in _ZETAS])
     references = _undisplaced(halves, dim)
     reference_grams = _concurrences(references)
     displaced_grams = _concurrences(_displace_low_levels(_ENTANGLE_ALPHA, halves, dim))
@@ -433,11 +420,11 @@ def _suite_uncertainty(dim: int, tol: float, seed: int, n_max: int) -> list[Chec
     alpha_independence = 0.0
     thetas, phis = _THETAS[::2], _PHIS[::2]
     for zeta in _ZETAS:
-        low = _qubit_grid(thetas, phis, zeta, dim)
+        low = _super_qubit_grid(thetas, phis, zeta)
         at_zero = _quadrature_stats(_undisplaced(low, dim))
         displaced = _quadrature_stats(_displace_low_levels(_UNCERTAINTY_ALPHA, low, dim))
         # the sweep's closed variances of the grid, alpha-independent as the closed form's
-        sweep = _variance_grid(_cartesian_grid(thetas, *_grid_phases(thetas, phis)), zeta)
+        sweep = _variance_grid(thetas, phis, zeta)
         for (theta, phi), numeric_at_zero, numeric_displaced, sweep_x, sweep_p in zip(
             _HALF_ANGLES, at_zero, displaced, *sweep
         ):
@@ -468,7 +455,7 @@ def _suite_uncertainty(dim: int, tol: float, seed: int, n_max: int) -> list[Chec
     variance_floor = 0.0
     phi = 0.25 * math.pi
     for zeta in _ZETAS:
-        low = _qubit_grid(_THETAS, (phi,), zeta, dim)
+        low = _super_qubit_grid(_THETAS, (phi,), zeta)
         for theta, numeric in zip(_THETAS, _quadrature_stats(_undisplaced(low, dim))):
             params = CoherentParams(0.0, SuperQubitParams(theta, phi, zeta))
             var_x, var_p = variance_quadratures_closed(params)

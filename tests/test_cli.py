@@ -672,7 +672,54 @@ class TestArgumentHandling:
         assert excinfo.value.code == 2
 
 
+class TestHugeDim:
+    """A --dim too large to allocate exits 2 naming --dim, with no traceback.
+
+    Each size asks for more than a 64-bit address space, so the allocation is
+    refused before a page is touched.
+    """
+
+    COMMANDS = {
+        "state": ["--theta", "1", "--zeta-re", "1"],
+        "coherent": ["--theta", "1", "--zeta-re", "1", "--alpha-re", "0.5"],
+        "concurrence": ["--theta", "1", "--zeta-re", "1"],
+        "entropy": ["--zeta-re", "1"],
+        "uncertainty": ["--theta", "1", "--zeta-re", "1"],
+        "fibonacci": ["--n-max", "5"],
+        "verify": [],
+    }
+
+    @pytest.mark.parametrize("dim", [10**17, 10**18, 10**20])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_exits_two_naming_the_dim(self, run_cli, command, dim):
+        code, out, err = run_cli([command, *self.COMMANDS[command], "--dim", str(dim)])
+        assert (code, out) == (2, "")
+        # above the largest dim whose (2, dim) complex128 array numpy can describe
+        if dim > sys.maxsize // 32:
+            assert err == f"superq: error: --dim must be <= {sys.maxsize // 32}, got {dim}\n"
+        else:
+            assert err.startswith("superq: error: --dim is too large to allocate: Unable to allocate ")
+
+    def test_sweep_allocation_failure_names_the_grid(self, run_cli, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 1.00 EiB")
+
+        monkeypatch.setattr(cli, "_super_qubit_grid", refuse)
+        code, out, err = run_cli(["sweep", "--zeta-re", "1", "--grid", "3,3"])
+        assert (code, out) == (2, "")
+        assert err == "superq: error: --grid is too large to allocate: Unable to allocate 1.00 EiB\n"
+
+
 class TestEnvironment:
+    @pytest.mark.parametrize("from_env", [False, True])
+    def test_sweep_dim_below_two_exits_two(self, run_cli, monkeypatch, from_env):
+        argv = ["sweep", "--zeta-re", "1", "--grid", "3,3"]
+        if from_env:
+            monkeypatch.setenv("SUPERQ_DIM", "1")
+        else:
+            argv += ["--dim", "1"]
+        assert run_cli(argv) == (2, "", "superq: error: --dim must be >= 2, got 1\n")
+
     def test_env_dim_override(self, run_cli, monkeypatch):
         monkeypatch.setenv("SUPERQ_DIM", "6")
         code, out, _ = run_cli(["state", "--theta", "0.5", "--zeta-re", "1"])

@@ -94,7 +94,7 @@ class TestTwoRoutes:
 
     def test_density_route_runs_without_the_gram_kernel(self, monkeypatch):
         state = self.state()
-        for name in ("_gram_entries", "_normalized_gram_entries", "_gram", "_concurrence", "_entropies"):
+        for name in ("_gram_entries", "_concurrence", "_entropies"):
             monkeypatch.setattr(entanglement, name, self.refuse)
         with pytest.raises(AssertionError, match="other route"):
             concurrence_gram(state)

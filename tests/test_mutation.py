@@ -1,24 +1,37 @@
 """Mutation gate for the two-route design: every emitted closed form is read by a check.
 
 Each function below is put off by 1e-6 relative in every ``superq`` module
-namespace that binds it, the way the benchmark's tracer rebinds functions.
-Three take a mutation of their own: collapse_probabilities is swapped to
-(p1, p0), since a relative error already breaks its p0 + p1 = 1;
-quadrature_stats_closed has only its ``product`` put off, the one field no
-other closed form produces; and the oracle kernel _quadrature_stats has every
-field of each returned QuadratureStats put off.  The package's memos are
-cleared once the mutant is bound, so that no entry of the unmutated function
-can hide it.  A default ``verify --suite all`` at dim 64 must then fail
-exactly the pinned checks.
+namespace that binds it, the way the benchmark's tracer rebinds functions; a
+method is put off on its class.  Some take a mutation of their own:
+collapse_probabilities is swapped to (p1, p0), since a relative error already
+breaks its p0 + p1 = 1; quadrature_stats_closed has only its ``product`` put
+off, the one field no other closed form produces; the oracle kernel
+_quadrature_stats has every field of each returned QuadratureStats put off;
+each operator builder has every diagonal of its operators put off; and
+bloch_cartesian has x and y swapped, since a relative error would trip
+CartesianBloch's unit-vector check instead.  The package's memos are cleared
+once the mutant is bound, so that no entry of the unmutated function can hide
+it.  A default ``verify --suite all`` at dim 64 must then fail exactly the
+pinned checks.
+
+The block norms feed the normalization check in front of every Gram
+computation, so a mutant of ``_block_norms_sq`` fails no check: the CLI exits
+1 on the unnormalized state it built, a fault of the program, not of its
+arguments.
 """
 
+import contextlib
 import dataclasses
 import importlib
+import inspect
+import io
 import sys
 
 import pytest
 
 import superq.cli  # noqa: F401  so that the CLI's bindings are rebound too
+from superq import superstate
+from superq.cli import main as cli_main
 from superq.verify import run_verify
 
 DIM = 64
@@ -54,11 +67,50 @@ CAUGHT_BY = {
         "spectral_entropy_matches_closed_form",
     ),
     "superstate._pole_probabilities": ("pole_probability_identity",),
+    "entanglement._gram_entries": (
+        "n_state_concurrence_closed_vs_gram",
+        "superqubit_concurrence_closed_vs_gram",
+        "gram_purity_identity",
+        "spectral_entropy_matches_closed_form",
+    ),
     "uncertainty._quadrature_stats": (
         "mean_quadratures_closed_vs_matrix",
         "variance_quadratures_closed_vs_matrix",
         "five_eighths_point_numeric",
         *(f"fibonacci_record[n={n}]" for n in range(3, 21)),
+    ),
+    "superstate.super_annihilation": (
+        "coherent_eigenrelation",
+        "commutator_ladder",
+        "flip_transposes_annihilation",
+    ),
+    "superstate.super_annihilation_transposed": (
+        "flip_transposes_annihilation",
+        "flipped_coherent_eigenrelation",
+    ),
+    "superstate.super_creation_gate": ("creation_gate_raises_vacuum",),
+    "superstate.super_number_operator": (
+        "commutator_number_lowering",
+        "commutator_number_raising",
+        "super_number_tensor_split",
+    ),
+    "superstate.flip_operator": (
+        "flip_conjugates_fermion_number",
+        "flip_involution",
+        "flip_transposes_annihilation",
+    ),
+    "uncertainty.quadrature_operators": (
+        "mean_quadratures_closed_vs_matrix",
+        "variance_quadratures_closed_vs_matrix",
+        "five_eighths_point_numeric",
+        "quadrature_canonical_commutator",
+        *(f"fibonacci_record[n={n}]" for n in range(3, 21)),
+    ),
+    "entanglement.DensityMatrix.purity": ("gram_purity_identity",),
+    "entanglement.DensityMatrix.eigenvalues": ("spectral_entropy_matches_closed_form",),
+    "moebius.bloch_cartesian": (
+        "mean_quadratures_closed_vs_matrix",
+        "variance_quadratures_closed_vs_matrix",
     ),
 }
 
@@ -83,10 +135,33 @@ def fields_off(stats_list):
     return [type(stats)(*off(dataclasses.astuple(stats))) for stats in stats_list]
 
 
+def bands_off(value):
+    """Every diagonal of each BlockOperator, alone or in a tuple, times 1 + RELATIVE_ERROR."""
+    if isinstance(value, tuple):
+        return tuple(map(bands_off, value))
+    bands = tuple({offset: off(diagonal) for offset, diagonal in band.items()} for band in value.bands)
+    return type(value)(value.dim, bands)
+
+
+def xy_swapped(point):
+    return type(point)(point.y, point.x, point.z)
+
+
+BUILDERS = (
+    "superstate.super_annihilation",
+    "superstate.super_annihilation_transposed",
+    "superstate.super_creation_gate",
+    "superstate.super_number_operator",
+    "superstate.flip_operator",
+    "uncertainty.quadrature_operators",
+)
+
 MUTATIONS = {
     "entanglement.collapse_probabilities": swapped,
     "uncertainty.quadrature_stats_closed": product_off,
     "uncertainty._quadrature_stats": fields_off,
+    "moebius.bloch_cartesian": xy_swapped,
+    **dict.fromkeys(BUILDERS, bands_off),
 }
 
 
@@ -116,9 +191,34 @@ def failed_checks() -> set[str]:
 
 @pytest.mark.parametrize("qualified", sorted(CAUGHT_BY))
 def test_mutant_fails_the_pinned_checks(monkeypatch, cold_memos, qualified):
-    module_name, func_name = qualified.split(".")
-    original = getattr(importlib.import_module(f"superq.{module_name}"), func_name)
-    mutation = MUTATIONS.get(qualified, off)
-    assert rebind(monkeypatch, original, mutant(original, mutation)) >= 1
+    module_name, *path = qualified.split(".")
+    owner = importlib.import_module(f"superq.{module_name}")
+    for name in path[:-1]:
+        owner = getattr(owner, name)
+    original = getattr(owner, path[-1])
+    replacement = mutant(original, MUTATIONS.get(qualified, off))
+    if inspect.isclass(owner):
+        monkeypatch.setattr(owner, path[-1], replacement)
+    else:
+        assert rebind(monkeypatch, original, replacement) >= 1
     cold_memos()
     assert failed_checks() == set(CAUGHT_BY[qualified])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "all", "--dim", str(DIM)],
+        ["state", "--theta", "1", "--zeta-re", "1"],
+        ["sweep", "--zeta-re", "1", "--grid", "3,3"],
+    ],
+)
+def test_block_norms_mutant_exits_one(monkeypatch, cold_memos, argv):
+    original = superstate._block_norms_sq
+    assert rebind(monkeypatch, original, mutant(original, off)) >= 1
+    cold_memos()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    assert (code, out.getvalue()) == (1, "")
+    assert err.getvalue().startswith("superq: numerical consistency failure: state norm^2 = 1.000001")

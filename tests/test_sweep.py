@@ -19,12 +19,12 @@ from hypothesis import given, settings, strategies as st
 
 from superq.cli import SWEEP_HEADER, main as cli_main, sweep_thetas
 from superq.entanglement import (
-    _normalized_gram_entries,
+    _gram_entries,
     concurrence_gram,
     concurrence_superqubit,
     entanglement_entropy_bits,
 )
-from superq.errors import InvalidDimensionError, NormalizationError
+from superq.errors import NormalizationError
 from superq.moebius import ExtendedComplex, _cartesian_grid, _grid_phases
 from superq.serialize import csv_cell
 from superq.superstate import (
@@ -160,7 +160,7 @@ class TestGridKernels:
         thetas = sweep_thetas(27)
         phis = [2.0 * math.pi * j / 5 for j in range(5)] + [7.5, -0.0]
         label = zeta_label(zeta)
-        coeffs = _super_qubit_grid(thetas, *_grid_phases(thetas, phis), label, dim)
+        coeffs = _super_qubit_grid(thetas, phis, label)
         states = [
             super_qubit_state(SuperQubitParams(theta, phi, label), dim)
             for theta in thetas
@@ -176,8 +176,6 @@ class TestGridKernels:
             _grid_phases([0.0, 1.0, 3.5], [0.0])
         with pytest.raises(ValueError, match="phi must be finite, got nan"):
             _grid_phases([0.0, 1.0], [0.5, math.nan])
-        with pytest.raises(InvalidDimensionError, match="dim must be >= 2, got 1"):
-            _super_qubit_grid([1.0], *_grid_phases([1.0], [0.0]), ExtendedComplex.infinity(), 1)
 
     def test_pole_rows_take_azimuth_zero(self):
         cos_phi, sin_phi = _grid_phases([0.0, 1.0, math.pi], [1.0, 2.0 * math.pi + 0.5])
@@ -187,19 +185,19 @@ class TestGridKernels:
 
     def test_last_unnormalized_state_is_refused(self):
         thetas = [0.3, 2.0]
-        coeffs = _super_qubit_grid(thetas, *_grid_phases(thetas, [0.0, 1.0]), zeta_label((1.0, 0.0)), 8)
+        coeffs = _super_qubit_grid(thetas, [0.0, 1.0], zeta_label((1.0, 0.0)))
         coeffs[-1, 0, 0] += 1e-9
         with pytest.raises(NormalizationError, match="norm"):
-            _normalized_gram_entries(_undisplaced(coeffs, 8))
+            _gram_entries(_undisplaced(coeffs, 8))
 
     @pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.nan)])
     def test_non_finite_state_is_refused(self, bad):
         # as concurrence_gram refuses it: a NaN norm is not within tol of 1
         thetas = [0.3, 2.0]
-        coeffs = _super_qubit_grid(thetas, *_grid_phases(thetas, [0.0, 1.0]), zeta_label((1.0, 0.0)), 8)
+        coeffs = _super_qubit_grid(thetas, [0.0, 1.0], zeta_label((1.0, 0.0)))
         coeffs[1, 1, 0] = bad
         with pytest.raises(NormalizationError, match="norm"):
-            _normalized_gram_entries(_undisplaced(coeffs, 8))
+            _gram_entries(_undisplaced(coeffs, 8))
 
     def test_non_unit_cartesian_point_is_refused(self):
         thetas = [0.3, 2.0]

@@ -21,6 +21,7 @@ from superq.superstate import (
     _displace_low_levels,
     _guarded_norms,
     _norms,
+    _super_qubit_grid,
     _undisplaced,
     flip_state,
     guarded_norm,
@@ -316,7 +317,7 @@ class TestBatchedSuites:
     )
     def test_stacks_are_the_cli_states_bit_for_bit(self, alpha, zeta, dim):
         assume(alpha != 0 and required_displacement_dim(alpha) <= dim)
-        low = verify._qubit_grid(verify._THETAS, verify._PHIS, zeta, dim)
+        low = _super_qubit_grid(verify._THETAS, verify._PHIS, zeta)
         reference = _undisplaced(low, dim)
         coherent = _displace_low_levels(alpha, low, dim)
         flipped = coherent[:, ::-1]
