@@ -447,7 +447,6 @@ def _emit_sweep(args) -> str:
     p0, p1 = _pole_probabilities(coeffs, args.zeta)
     var_x, var_p = _variance_grid(thetas, phis, args.zeta)
     entries = _gram_entries(coeffs)
-    gram, entropy = _concurrence(coeffs, *entries).tolist(), _entropies(*entries)
     # theta, phi, zeta and the closed concurrence repeat down their columns,
     # so each is formatted once and a row starts with their joined text
     phi_cells = [csv_cell(phi) for phi in phis]
@@ -456,8 +455,8 @@ def _emit_sweep(args) -> str:
         (csv_cell(theta), csv_cell(concurrence_superqubit(theta, args.zeta))) for theta in thetas
     ]
     leads = [f"{t},{p},{zeta_cells},{c}" for t, c in theta_cells for p in phi_cells]
-    columns = zip(leads, gram, entropy, p0, p1, var_x, var_p)
-    return csv_text(SWEEP_HEADER, list(columns))
+    values = np.array([_concurrence(coeffs, *entries), _entropies(*entries), p0, p1, var_x, var_p])
+    return csv_text(SWEEP_HEADER, [leads, *values])
 
 
 def _emit_fibonacci(args) -> str:
@@ -475,7 +474,7 @@ def _emit_fibonacci(args) -> str:
         ]
         for record in fibonacci_ladder(args.n_max, args.dim)
     ]
-    return csv_text(FIBONACCI_HEADER, rows)
+    return csv_text(FIBONACCI_HEADER, list(zip(*rows)))
 
 
 def _run_verify(args) -> int:

@@ -167,12 +167,6 @@ def collapse_probabilities(z: float) -> tuple[float, float]:
     return 0.5 * (1.0 + z), 0.5 * (1.0 - z)
 
 
-def _entropy_bits(eigenvalues: np.ndarray) -> float:
-    """-sum lam log2 lam over the positive eigenvalues."""
-    # + 0.0 turns the empty/pure-state result -0.0 into plain 0.0
-    return float(-sum(lam * math.log2(lam) for lam in eigenvalues if lam > 0.0) + 0.0)
-
-
 def entanglement_entropy_bits(state: SuperVector) -> float:
     """Spectral entanglement entropy of the reduced boson state, in bits.
 
@@ -189,5 +183,15 @@ def _entropies(g00, g11, g01) -> list[float]:
     gram = np.empty((*np.shape(g01), 2, 2), dtype=np.complex128)
     gram[..., 0, 0], gram[..., 1, 1] = g00, g11
     gram[..., 0, 1], gram[..., 1, 0] = g01, np.conj(g01)
-    spectra = np.linalg.eigvalsh(gram.reshape(-1, 2, 2)).tolist()
-    return [_entropy_bits(spectrum) for spectrum in spectra]
+    log2 = math.log2
+    entropies = []
+    # -sum lam log2 lam over the positive eigenvalues, added in ascending order
+    for lo, hi in np.linalg.eigvalsh(gram.reshape(-1, 2, 2)).tolist():
+        total = 0
+        if lo > 0.0:
+            total += lo * log2(lo)
+        if hi > 0.0:
+            total += hi * log2(hi)
+        # + 0.0 turns the empty/pure-state result -0.0 into plain 0.0
+        entropies.append(-total + 0.0)
+    return entropies

@@ -8,9 +8,11 @@ byte-reproducible and exactly round-trippable.
 A real 2-d float64 array renders exactly as its nested list would, one
 bracketed row per line, but in a single '%'-format pass over the whole
 array; state blocks reach the serializer as their (dim, 2) [re, im] views.
-CSV rows are likewise formatted through one template per row layout; a
-value repeated down a column can be formatted once with ``csv_cell`` and
-passed as text.
+A CSV table is passed as columns.  The float64 array columns run '%.17g'
+once per distinct bit pattern, since a sweep grid repeats most of its
+values, and each cell takes the text of its pattern; a value repeated down
+a sequence column can be formatted once with ``csv_cell`` and passed as
+text.  Each row is then one ',' join of its cell texts.
 """
 
 from __future__ import annotations
@@ -104,18 +106,39 @@ def csv_cell(value) -> str:
     return _cell_format(type(value)) % value
 
 
-def csv_text(header: list[str], rows: list[list]) -> str:
-    """Render numeric rows under a frozen header (no trailing newline).
+def _float_texts(columns: list[np.ndarray]) -> list[list[str]]:
+    """The '%.17g' text of each cell of equal-length float64 columns.
 
-    Floats print as '%.17g' (``inf`` as ``inf``), ints and other cells as
-    ``str``, so ints stay exact at any size; booleans are refused.
+    Each distinct bit pattern is formatted once and its text gathered back to
+    every cell holding it; 0.0 and -0.0 are distinct patterns, as are NaN payloads.
     """
-    templates: dict[tuple[type, ...], str] = {}
-    lines = [",".join(header)]
-    for row in rows:
-        kinds = tuple(map(type, row))
-        template = templates.get(kinds)
-        if template is None:
-            template = templates[kinds] = ",".join(map(_cell_format, kinds))
-        lines.append(template % tuple(row))
-    return "\n".join(lines)
+    stacked = np.stack(columns)
+    keys, inverse = np.unique(stacked.view(np.int64), return_inverse=True)
+    texts = "\n".join([_FLOAT] * len(keys)) % tuple(keys.view(np.float64).tolist())
+    return np.array(texts.split("\n"), dtype=object)[inverse.reshape(stacked.shape)].tolist()
+
+
+def csv_text(header: list[str], columns: list) -> str:
+    """Render equal-length columns under a frozen header (no trailing newline).
+
+    A column is a 1-d float64 array or a sequence of cells.  Floats print as
+    '%.17g' (``inf`` as ``inf``), ints and other cells as ``str``, so ints
+    stay exact at any size; booleans are refused.
+    """
+    if len({len(column) for column in columns}) > 1:
+        raise ValueError("CSV columns must have equal lengths")
+    texts = list(columns)
+    arrays = []
+    for index, column in enumerate(columns):
+        if isinstance(column, np.ndarray):
+            if column.dtype != np.float64 or column.ndim != 1:
+                raise TypeError(
+                    f"cannot write a {column.dtype} array of shape {column.shape} as a CSV column"
+                )
+            arrays.append(index)
+        elif not set(map(type, column)) <= {str}:  # a str cell is its own text
+            texts[index] = list(map(csv_cell, column))
+    if arrays:
+        for index, column in zip(arrays, _float_texts([columns[index] for index in arrays])):
+            texts[index] = column
+    return "\n".join([",".join(header), *map(",".join, zip(*texts))])

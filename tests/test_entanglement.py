@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -244,6 +245,61 @@ class TestEntropy:
     def test_pure_state_entropy_is_zero(self):
         state = SuperVector([fock.basis_ket(0, 4).coeffs, np.zeros(4)])
         assert entanglement_entropy_bits(state) == 0.0
+
+
+def gram_spectra(g00, g11, g01):
+    """The ascending spectrum of each Gram matrix [[g00, g01], [conj g01, g11]]."""
+    gram = np.empty((len(g01), 2, 2), dtype=np.complex128)
+    gram[:, 0, 0], gram[:, 1, 1] = g00, g11
+    gram[:, 0, 1], gram[:, 1, 0] = g01, np.conj(g01)
+    return np.linalg.eigvalsh(gram).tolist()
+
+
+def summed_entropies(g00, g11, g01):
+    """The spectral entropy of each Gram matrix as one sum() expression, the loop's reference."""
+    return [
+        -sum(lam * math.log2(lam) for lam in s if lam > 0.0) + 0.0
+        for s in gram_spectra(g00, g11, g01)
+    ]
+
+
+def assert_bit_for_bit(g00, g11, g01):
+    got = entanglement._entropies(np.array(g00), np.array(g11), np.array(g01))
+    assert list(map(float.hex, got)) == list(map(float.hex, summed_entropies(g00, g11, g01)))
+
+
+def gram_entries(g00, fraction, phase):
+    """(g00, g11, g01) of a unit-trace Gram matrix with |g01| = fraction * sqrt(g00 g11)."""
+    return g00, 1.0 - g00, fraction * math.sqrt(g00 * (1.0 - g00)) * cmath.exp(1j * phase)
+
+
+GRAM_ENTRIES = st.builds(
+    gram_entries, st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(-math.pi, math.pi)
+)
+
+
+class TestEntropyLoop:
+    @given(st.lists(GRAM_ENTRIES, min_size=1, max_size=12))
+    def test_equals_the_summed_expression(self, entries):
+        assert_bit_for_bit(*map(list, zip(*entries)))
+
+    def test_pure_states(self):
+        # spectra exactly (0, 1): the sum is empty but for 1 log2 1, and reads +0.0
+        assert_bit_for_bit([1.0, 0.0], [0.0, 1.0], [0j, 0j])
+        got = entanglement._entropies(np.array([1.0]), np.array([0.0]), np.array([0j]))
+        assert float.hex(got[0]) == "0x0.0p+0"
+
+    def test_negative_eigenvalue_from_rounding(self):
+        # parallel blocks: the small eigenvalue is zero up to rounding, of either sign
+        rng = np.random.default_rng(0)
+        base = rng.standard_normal((200, 5)) + 1j * rng.standard_normal((200, 5))
+        scale = rng.standard_normal(200) + 1j * rng.standard_normal(200)
+        coeffs = np.stack([base, scale[:, None] * base], axis=1)
+        coeffs /= np.sqrt((abs(coeffs) ** 2).sum(axis=(1, 2)))[:, None, None]
+        g00, g11, g01 = entanglement._gram_entries(coeffs)
+        lows = [low for low, _ in gram_spectra(g00, g11, g01)]
+        assert min(lows) < 0.0 < max(lows)
+        assert_bit_for_bit(g00.tolist(), g11.tolist(), g01.tolist())
 
 
 class TestCollapseProbabilities:

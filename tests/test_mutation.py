@@ -44,6 +44,8 @@ CAUGHT_BY = {
     "entanglement._entropies": ("spectral_entropy_matches_closed_form",),
     "uncertainty._variance_grid": ("variance_quadratures_closed_vs_matrix",),
     "entanglement.collapse_probabilities": ("geometric_concurrence_identity",),
+    "entanglement.concurrence_superqubit": ("superqubit_concurrence_closed_vs_gram",),
+    "uncertainty.mean_quadratures_closed": ("mean_quadratures_closed_vs_matrix",),
     "entanglement.concurrence_n_state": (
         "n_state_concurrence_closed_vs_gram",
         "superqubit_concurrence_closed_vs_gram",

@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -113,16 +114,77 @@ CELLS = st.one_of(
 )
 
 
+def columns(rows: list[list]) -> list[list]:
+    """The columns of a rectangular table given as rows, the shape csv_text takes."""
+    return [list(column) for column in zip(*rows)]
+
+
+def reference_table(header: list[str], rows: list[list]) -> str:
+    return "\n".join([",".join(header)] + [",".join(map(reference_cell, row)) for row in rows])
+
+
+# rectangular tables of at least one column, cells mixed within each column
+TABLES = st.integers(1, 6).flatmap(
+    lambda width: st.lists(st.lists(CELLS, min_size=width, max_size=width), max_size=8)
+)
+
+
+def nan_with_payload(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# repeats across cells are the point: each float column draws from a small pool
+POOL_FLOATS = st.one_of(
+    st.sampled_from(
+        [
+            0.0,
+            -0.0,
+            math.inf,
+            -math.inf,
+            nan_with_payload(0x7FF8000000000000),
+            nan_with_payload(0xFFF8000000000123),
+            5e-324,
+            -2.2250738585072009e-308,
+            1e300,
+            -1e-300,
+        ]
+    ),
+    st.floats(),
+)
+STR_CELLS = st.text(alphabet="abc%s.", max_size=4)
+INT_CELLS = st.one_of(st.integers(-3, 3), st.integers(min_value=2**53, max_value=2**200))
+
+
+@st.composite
+def column_tables(draw):
+    """(columns, rows): float64 array, str and int columns of one length, and their rows."""
+    length = draw(st.integers(0, 12))
+
+    def cells(elements):
+        return st.lists(elements, min_size=length, max_size=length)
+
+    table, values = [], []
+    for kind in draw(st.lists(st.sampled_from(["float", "str", "int"]), min_size=1, max_size=7)):
+        if kind == "float":
+            pool = draw(st.lists(POOL_FLOATS, min_size=1, max_size=4))
+            column = draw(cells(st.sampled_from(pool)))
+            table.append(np.array(column, dtype=np.float64))
+        else:
+            column = draw(cells(STR_CELLS if kind == "str" else INT_CELLS))
+            table.append(column)
+        values.append(column)
+    return table, [list(row) for row in zip(*values)]
+
+
 class TestCsv:
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.lists(CELLS, min_size=0, max_size=6), max_size=8))
+    @given(TABLES)
     def test_matches_per_cell_join(self, rows):
-        expected = "\n".join(["x,y"] + [",".join(map(reference_cell, row)) for row in rows])
-        assert csv_text(["x", "y"], rows) == expected
+        assert csv_text(["x", "y"], columns(rows)) == reference_table(["x", "y"], rows)
 
     def test_mixed_int_float_rows(self):
         rows = [[3, 2**53 + 1, 0.1, -0.0], [4, 2**80, 1.0, 1e22], [5, 7, math.inf, 0.5]]
-        assert csv_text(["n", "f", "a", "b"], rows) == (
+        assert csv_text(["n", "f", "a", "b"], columns(rows)) == (
             "n,f,a,b\n"
             f"3,{2**53 + 1},0.10000000000000001,-0\n"
             f"4,{2**80},1,1e+22\n"
@@ -132,13 +194,37 @@ class TestCsv:
     @pytest.mark.parametrize("row", [[True], [1.0, False], [0, 1, True]])
     def test_bool_refused(self, row):
         with pytest.raises(TypeError, match="booleans do not belong in CSV output"):
-            csv_text(["h"], [row])
+            csv_text(["h"], columns([row]))
 
     def test_no_rows_is_header_only(self):
         assert csv_text(["a", "b"], []) == "a,b"
+        assert csv_text(["a", "b"], [np.empty(0), []]) == "a,b"
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(CELLS, min_size=1, max_size=6))
     def test_preformatted_cells_give_the_same_text(self, row):
-        assert csv_text(["h"], [[",".join(map(csv_cell, row))]]) == csv_text(["h"], [row])
+        assert csv_text(["h"], [[",".join(map(csv_cell, row))]]) == csv_text(["h"], columns([row]))
         assert [csv_cell(cell) for cell in row] == [reference_cell(cell) for cell in row]
+
+    @settings(max_examples=300, deadline=None)
+    @given(column_tables())
+    def test_array_columns_match_per_cell_join(self, table_and_rows):
+        table, rows = table_and_rows
+        assert csv_text(["h"], table) == reference_table(["h"], rows)
+
+    def test_signed_zeros_and_nan_payloads(self):
+        nans = [nan_with_payload(0x7FF8000000000000), nan_with_payload(0xFFF8000000000123)]
+        column = np.array([0.0, -0.0, *nans, -0.0, 0.0, 5e-324])
+        assert csv_text(["h"], [column]) == "h\n0\n-0\nnan\nnan\n-0\n0\n4.9406564584124654e-324"
+
+    @pytest.mark.parametrize(
+        "column",
+        [np.zeros(2, dtype=np.float32), np.zeros((2, 1)), np.array([1, 2]), np.array([True, False])],
+    )
+    def test_other_arrays_refused(self, column):
+        with pytest.raises(TypeError, match="as a CSV column"):
+            csv_text(["h"], [column])
+
+    def test_unequal_columns_refused(self):
+        with pytest.raises(ValueError, match="CSV columns must have equal lengths"):
+            csv_text(["a", "b"], [np.zeros(2), [1, 2, 3]])

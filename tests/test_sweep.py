@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from superq.cli import SWEEP_HEADER, main as cli_main, sweep_thetas
 from superq.entanglement import (
@@ -107,6 +107,9 @@ def sweep_rows(t_count, p_count, zeta, dim):
 
 @settings(max_examples=30, deadline=None)
 @given(t_count=COUNTS, p_count=COUNTS, zeta=ZETAS, dim=st.integers(8, 130))
+# the draws stop at 40 x 40: one large grid at the pole and at a generic zeta
+@example(t_count=100, p_count=100, zeta=None, dim=64)
+@example(t_count=100, p_count=100, zeta=(0.5, -1.3), dim=64)
 def test_every_cell_equals_the_per_state_reference(t_count, p_count, zeta, dim):
     got = sweep_rows(t_count, p_count, zeta, dim)
     assert got == reference_rows(t_count, p_count, zeta, dim)
