@@ -13,7 +13,6 @@ import functools
 import math
 import os
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
@@ -25,7 +24,6 @@ from .entanglement import (
     concurrence_gram,
     concurrence_n_state,
     concurrence_superqubit,
-    entanglement_entropy_bits,
     entropy_from_z,
 )
 from .errors import NormalizationError, NumericalConsistencyError
@@ -99,8 +97,11 @@ class UsageError(ValueError):
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and reused: parsing leaves it unchanged."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's subparser by name.
+
+    Built on the first call and reused: parsing leaves them unchanged.
+    """
     parser = argparse.ArgumentParser(
         prog="superq",
         description=(
@@ -110,6 +111,11 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
+
+    def add_command(name, help):
+        commands[name] = sub.add_parser(name, help=help)
+        return commands[name]
 
     def add_dim(p):
         p.add_argument(
@@ -144,47 +150,47 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha-re", type=float, default=0.0, help="Re alpha")
         p.add_argument("--alpha-im", type=float, default=0.0, help="Im alpha")
 
-    p_state = sub.add_parser("state", help="emit a super-qubit or n super-particle state")
+    p_state = add_command("state", help="emit a super-qubit or n super-particle state")
     add_zeta(p_state)
     add_angles(p_state)
     p_state.add_argument("--n", type=int, default=None, help="emit |n, zeta> instead")
     add_dim(p_state)
     add_output(p_state, "json")
 
-    p_coherent = sub.add_parser("coherent", help="emit a super-coherent state")
+    p_coherent = add_command("coherent", help="emit a super-coherent state")
     add_zeta(p_coherent)
     add_angles(p_coherent)
     add_alpha(p_coherent)
     add_dim(p_coherent)
     add_output(p_coherent, "json")
 
-    p_conc = sub.add_parser("concurrence", help="closed-form vs Gram concurrence")
+    p_conc = add_command("concurrence", help="closed-form vs Gram concurrence")
     add_zeta(p_conc)
     add_angles(p_conc)
     p_conc.add_argument("--n", type=int, default=None, help="use |n, zeta> instead")
     add_dim(p_conc)
     add_output(p_conc, "json")
 
-    p_entropy = sub.add_parser(
+    p_entropy = add_command(
         "entropy", help="one-super-particle sphere geometry: entropy and probabilities"
     )
     add_zeta(p_entropy)
     add_dim(p_entropy)
     add_output(p_entropy, "json")
 
-    p_unc = sub.add_parser("uncertainty", help="quadrature moments, closed vs matrix")
+    p_unc = add_command("uncertainty", help="quadrature moments, closed vs matrix")
     add_zeta(p_unc)
     add_angles(p_unc)
     add_alpha(p_unc)
     add_dim(p_unc)
     add_output(p_unc, "json")
 
-    p_fib = sub.add_parser("fibonacci", help="Fibonacci dispersion ladder as CSV")
+    p_fib = add_command("fibonacci", help="Fibonacci dispersion ladder as CSV")
     p_fib.add_argument("--n-max", type=int, default=20, help="last ladder index (>= 3)")
     add_dim(p_fib)
     add_output(p_fib, "csv")
 
-    p_sweep = sub.add_parser("sweep", help="CSV sweep over the (theta, phi) grid")
+    p_sweep = add_command("sweep", help="CSV sweep over the (theta, phi) grid")
     add_zeta(p_sweep)
     p_sweep.add_argument(
         "--grid", type=str, default="25,25", help="theta,phi point counts (default 25,25)"
@@ -192,7 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_dim(p_sweep)
     add_output(p_sweep, "csv")
 
-    p_verify = sub.add_parser("verify", help="run a verification suite")
+    p_verify = add_command("verify", help="run a verification suite")
     p_verify.add_argument(
         "--suite",
         default="all",
@@ -214,7 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n-max", type=int, default=20, help="Fibonacci ladder depth")
     add_output(p_verify, "json")
 
-    return parser
+    return parser, commands
 
 
 def _resolve_dim(args) -> int:
@@ -335,12 +341,25 @@ def _selected_state(args):
     return state, concurrence_superqubit(base.theta, args.zeta), params
 
 
+def _gram_measures(state) -> tuple[tuple[float, float], float, float]:
+    """The block norms^2, Gram concurrence and spectral entropy of a state.
+
+    One ``_gram_entries`` pass serves all three; each is bit for bit the value
+    of ``block_norms_sq``, ``concurrence_gram`` and ``entanglement_entropy_bits``.
+    """
+    entries = _gram_entries(state.coeffs)
+    (entropy,) = _entropies(*entries)
+    block_norms = float(entries[0]), float(entries[1])
+    return block_norms, float(_concurrence(state.coeffs, *entries)), entropy
+
+
 def _emit_state(args) -> str:
     state, closed, params = _selected_state(args)
     params["alpha"] = [args.alpha.real, args.alpha.imag]
+    (g00, g11), gram, entropy = _gram_measures(state)
     if args.n is not None:
         # fermion-sector weights = pole-collapse probabilities on the zeta sphere
-        p0, p1 = state.block_norms_sq()
+        p0, p1 = g00, g11
     else:
         p0, p1 = pole_probabilities(state, args.zeta, args.alpha)
     # each block as its (dim, 2) float64 [re, im] view
@@ -350,10 +369,10 @@ def _emit_state(args) -> str:
         "params": params,
         "psi0": pairs0,
         "psi1": pairs1,
-        "norm": state.norm(),
+        "norm": math.sqrt(g00 + g11),
         "concurrence_closed": closed,
-        "concurrence_gram": concurrence_gram(state),
-        "entropy_bits": entanglement_entropy_bits(state),
+        "concurrence_gram": gram,
+        "entropy_bits": entropy,
         "p0": p0,
         "p1": p1,
     }
@@ -376,7 +395,7 @@ def _emit_concurrence(args) -> str:
 def _emit_entropy(args) -> str:
     point = zeta_to_bloch(args.zeta)
     closed, z = concurrence_circle(point.theta)
-    state = n_superparticle_state(1, args.zeta, args.dim)
+    _, gram, entropy = _gram_measures(n_superparticle_state(1, args.zeta, args.dim))
     p0, p1 = collapse_probabilities(z)
     payload = {
         "dim": args.dim,
@@ -384,9 +403,9 @@ def _emit_entropy(args) -> str:
         "theta1": point.theta,
         "z": z,
         "concurrence_closed": closed,
-        "concurrence_gram": concurrence_gram(state),
+        "concurrence_gram": gram,
         "entropy_bits_closed": entropy_from_z(z),
-        "entropy_bits_spectral": entanglement_entropy_bits(state),
+        "entropy_bits_spectral": entropy,
         "p0": p0,
         "p1": p1,
     }
@@ -412,8 +431,9 @@ def _emit_uncertainty(args) -> str:
             "zeta": _zeta_payload(args),
             "alpha": [args.alpha.real, args.alpha.imag],
         },
-        "closed": asdict(closed),
-        "numeric": asdict(numeric),
+        # each instance dict holds the float fields in declaration order
+        "closed": vars(closed),
+        "numeric": vars(numeric),
         "max_abs_difference": gap,
     }
     return dumps(payload)
@@ -500,9 +520,33 @@ _EMITTERS = {
 }
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """argv parsed as the top-level parser would, the command's subparser reading argv[1:].
+
+    The top-level parser only picks the subparser named by argv[0], so an
+    argv that starts with a command skips it: its subparser parses the rest,
+    and leftover arguments are refused by the top-level parser, with its
+    usage line, as its own parse would refuse them.  Any other argv (empty,
+    -h, an unknown command) goes to the top-level parser.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _build_parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    return _run(_parse_args(argv))
+
+
+def _run(args: argparse.Namespace) -> int:
+    """Validate the parsed flags, run the command and map its failures to exit codes."""
     try:
         _validate(args)
         if args.command == "verify":

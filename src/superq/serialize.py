@@ -13,10 +13,13 @@ once per distinct bit pattern, since a sweep grid repeats most of its
 values, and each cell takes the text of its pattern; a value repeated down
 a sequence column can be formatted once with ``csv_cell`` and passed as
 text.  Each row is then one ',' join of its cell texts.
+
+A dict key's JSON text is memoised, since a few fixed schemas supply the keys.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 
@@ -51,6 +54,14 @@ def _render_rows(arr: np.ndarray, level: int) -> str:
     return template % tuple(flat.tolist())
 
 
+# A payload's keys come from a few fixed schemas, so a small memo serves every
+# dict of every payload.
+@functools.lru_cache(maxsize=256)
+def _key_text(key: str) -> str:
+    """The JSON text of a dict key, as json.dumps gives it."""
+    return json.dumps(key)
+
+
 def _render(value, level: int) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -72,7 +83,7 @@ def _render(value, level: int) -> str:
         if not value:
             return "{}"
         items = [
-            f"{inner}{json.dumps(str(key))}: {_render(item, level + 1)}"
+            f"{inner}{_key_text(str(key))}: {_render(item, level + 1)}"
             for key, item in value.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"

@@ -2,14 +2,20 @@ from pathlib import Path
 
 import pytest
 
-from superq import fock, uncertainty
+from superq import fock, serialize, uncertainty
 from superq.cli import main as cli_main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 # Every memo of the package; a test that counts work must not depend on
 # what an earlier test left in them.
-MEMOS = (fock._memoised_columns, fock._memoised_oracle_columns, uncertainty._memoised_quadratures)
+MEMOS = (
+    fock._memoised_columns,
+    fock._memoised_oracle_columns,
+    fock._log_factorials,
+    uncertainty._memoised_quadratures,
+    serialize._key_text,
+)
 
 
 def clear_memos():

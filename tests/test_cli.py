@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import dataclasses
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superq import cli, fock, uncertainty, verify
+from superq import cli, entanglement, fock, uncertainty, verify
 from superq.cli import FIBONACCI_HEADER, SWEEP_HEADER, main as cli_main, sweep_thetas
 from superq.verify import required_suite_dim
 
@@ -131,6 +132,109 @@ class TestParserCache:
         assert self.outcomes(capsys) == cached
 
 
+def _outcome(run, argv):
+    """(exit code, stdout, stderr) of run(argv), argparse's exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _top_level_route(argv):
+    """main with every argv parsed by the top-level parser, the oracle for the direct dispatch."""
+    parser, _ = cli._build_parser()
+    return cli._run(parser.parse_args(argv))
+
+
+_STATE = ["--theta", "1.1", "--zeta-re", "0.8", "--dim", "6"]
+_DISPATCH_CORPUS = [
+    # valid argv of every command
+    ["state", *_STATE],
+    ["state", "--n", "2", "--zeta-inf", "--dim", "4"],
+    ["coherent", *_STATE[:-1], "24", "--alpha-re=0.5", "--alpha-im=-0.2"],
+    ["concurrence", *_STATE, "--phi", "0.3"],
+    ["entropy", "--zeta-re", "2", "--zeta-im", "0.5", "--dim", "7"],
+    ["uncertainty", *_STATE[:-1], "24", "--alpha-re=0.3"],
+    ["fibonacci", "--n-max", "6", "--dim", "8"],
+    ["sweep", "--zeta-re", "0.7", "--grid", "3,2", "--dim", "4"],
+    ["verify", "--suite", "fibonacci", "--n-max", "5", "--dim", "8"],
+    ["verify", "--suite", "nope"],
+    ["state", "--theta", "9", "--zeta-re", "1"],
+    # help after a command, and its abbreviation
+    ["state", "-h"],
+    ["verify", "--help"],
+    ["sweep", "--zeta-re", "1", "-h"],
+    ["entropy", "--h"],
+    # unknown flags and stray words, refused by the top-level parser
+    ["state", "--bogus", *_STATE],
+    ["coherent", *_STATE, "extra", "--bogus=3"],
+    ["state", "junk"],
+    # a missing value, a bad float, a bad int, an invalid choice
+    ["state", "--theta"],
+    ["verify", "--dim"],
+    ["state", "--theta", "abc", "--zeta-re", "1"],
+    ["state", "--dim", "x"],
+    ["state", *_STATE, "--output", "xml"],
+    # abbreviations, one of them ambiguous
+    ["state", "--the=1", "--zeta-re", "1", "--dim", "4"],
+    ["coherent", *_STATE, "--alpha=1"],
+    # "--" before, inside and after a command's flags
+    ["state", "--", "--theta", "1"],
+    ["state", *_STATE, "--"],
+    ["--", "state", *_STATE],
+    ["--"],
+    # argv whose first token is not a command
+    [],
+    ["bogus"],
+    ["bogus", "--theta", "1"],
+    ["STATE", *_STATE],
+    ["-h"],
+    ["--help"],
+    ["--he"],
+    ["-x", "state"],
+    ["--dim", "4", "state"],
+]
+
+
+def _dispatch_outcomes(argv) -> tuple[bool, bool]:
+    """Whether main and the top-level route agree on (exit code, stderr) and on stdout.
+
+    A verify report is compared without its timings.
+    """
+    code, out, err = _outcome(cli_main, argv)
+    oracle_code, oracle_out, oracle_err = _outcome(_top_level_route, argv)
+    if argv[:1] == ["verify"] and out.startswith("{"):
+        out, oracle_out = _masked_verify(out), _masked_verify(oracle_out)
+    return (code, err) == (oracle_code, oracle_err), out == oracle_out
+
+
+class TestCommandDispatch:
+    """main hands argv[1:] to the subparser of argv[0]; the top-level parse is its oracle."""
+
+    @pytest.mark.parametrize("argv", _DISPATCH_CORPUS, ids=" ".join)
+    def test_same_outcome_as_top_level_parse(self, argv):
+        assert _dispatch_outcomes(argv) == (True, True)
+
+    @pytest.mark.parametrize(
+        "argv,parses",
+        [(["state", *_STATE], 0), (["state", "--bogus"], 0), ([], 1), (["bogus"], 1), (["-h"], 1)],
+    )
+    def test_top_level_parser_sees_only_non_commands(self, monkeypatch, argv, parses):
+        parser, _ = cli._build_parser()
+        seen = []
+
+        def recording(args=None, namespace=None):
+            seen.append(args)
+            return argparse.ArgumentParser.parse_known_args(parser, args, namespace)
+
+        monkeypatch.setattr(parser, "parse_known_args", recording)
+        _outcome(cli_main, argv)
+        assert len(seen) == parses
+
+
 class TestStateEmission:
     def test_json_round_trips_norm(self, run_cli):
         code, out, _ = run_cli(
@@ -200,6 +304,38 @@ class TestStateEmission:
         assert json.loads(out)["norm"] == pytest.approx(1.0, abs=1e-12)
 
 
+class TestGramWork:
+    """Each emitted state's norm, Gram concurrence and spectral entropy share one Gram-entry pass."""
+
+    @pytest.fixture
+    def gram_calls(self, monkeypatch):
+        calls = []
+        original = entanglement._gram_entries
+
+        def counting(coeffs):
+            calls.append(coeffs.shape)
+            return original(coeffs)
+
+        for module in (cli, entanglement):
+            monkeypatch.setattr(module, "_gram_entries", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["state", "--theta", "1.1", "--phi", "0.4", "--zeta-re", "0.8", "--dim", "16"],
+            ["state", "--n", "3", "--zeta-re", "0.8", "--zeta-im", "-0.3", "--dim", "16"],
+            ["coherent", "--theta", "1.1", "--zeta-re", "0.8", "--alpha-re=0.5", "--dim", "48"],
+            ["entropy", "--zeta-re", "2", "--zeta-im", "0.5", "--dim", "16"],
+            ["concurrence", "--theta", "1.1", "--zeta-re", "0.8", "--dim", "16"],
+        ],
+    )
+    def test_one_pass_per_emitted_state(self, run_cli, gram_calls, argv):
+        code, _, _ = run_cli(argv)
+        assert code == 0
+        assert gram_calls == [(2, int(argv[-1]))]
+
+
 class TestDenseSpectralWork:
     """The production path builds displaced states without any eigh."""
 
@@ -240,6 +376,16 @@ class TestClosedColumnWork:
         code, _, _ = run_cli(["verify", "--suite", "all"])
         assert code == 0
         assert memo.cache_info().misses == memo.cache_info().currsize == 5
+
+    def test_alternating_dims_rebuild_nothing_when_warm(self, run_cli, memo):
+        # a report reads 5 (alpha, dim) pairs; two dims' worth fit in the memo
+        reports = [["verify", "--suite", "all", "--dim", dim] for dim in ("64", "128")]
+        for argv in reports:
+            assert run_cli(argv)[0] == 0
+        assert memo.cache_info().misses == 10
+        for argv in reports * 2:
+            assert run_cli(argv)[0] == 0
+        assert memo.cache_info().misses == 10
 
     def test_coherent_builds_once(self, run_cli, memo):
         args = ["--theta=1.1", "--phi=0.4", "--zeta-re=0.8", "--zeta-im=0.3", "--alpha-re=2.1"]
@@ -364,6 +510,12 @@ class TestMainFuzz:
             assert all(math.isfinite(float(cell)) for row in rows[1:] for cell in row if cell != "inf")
         else:
             json.loads(out)
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(_argv(), st.lists(st.sampled_from(["--", "-h", "--bogus", "x", "--dim", "--the=1"]), max_size=2))
+    def test_direct_dispatch_matches_top_level_parse(self, argv, extra):
+        assert _dispatch_outcomes(argv + extra) == (True, True)
 
 
 class TestAnalysisCommands:

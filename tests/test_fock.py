@@ -356,6 +356,47 @@ class TestColumnMemo:
         assert fock._memoised_columns.cache_info().currsize <= fock._memoised_columns.cache_info().maxsize
 
 
+class TestLogFactorialTable:
+    """The closed columns read lgamma(n + 1), n < dim, from one table per dim."""
+
+    def test_registered_as_a_memo(self):
+        from conftest import MEMOS
+
+        assert fock._log_factorials in MEMOS
+
+    @pytest.mark.parametrize("dim", [1, 2, 64, 513, 4096])
+    def test_table_is_lgamma_bit_for_bit(self, dim):
+        table = fock._log_factorials(dim)
+        assert table.shape == (dim,) and not table.flags.writeable
+        assert [value.hex() for value in table.tolist()] == [
+            math.lgamma(n + 1.0).hex() for n in range(dim)
+        ]
+        assert fock._log_factorials(dim) is table
+
+    @pytest.mark.parametrize("alpha", [0.3 - 1.1j, 4.0, -2.5 + 2.5j, 1e-300])
+    def test_columns_match_the_untabled_moduli(self, alpha):
+        dim = 96
+        tabled = fock._log_coherent_moduli(abs(alpha), 0, dim, fock._log_factorials(dim))
+        assert tabled.tobytes() == fock._log_coherent_moduli(abs(alpha), 0, dim).tobytes()
+
+    def test_one_table_per_dim(self):
+        for k in range(5):
+            for dim in (40, 72):
+                fock.displaced_columns(0.25 * (k + 1), dim)
+        info = fock._log_factorials.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
+
+    def test_refused_displacement_builds_no_table(self, run_cli):
+        # the guard's tail scan runs past the floor |alpha|^2 + 6 |alpha| + 20,
+        # far past dim, and keeps its own lgamma window
+        code, out, err = run_cli(
+            ["coherent", "--alpha-re=30000", "--theta=1", "--zeta-re=1", "--dim", "100000"]
+        )
+        assert (code, out) == (2, "")
+        assert "needs dim >=" in err
+        assert fock._log_factorials.cache_info().currsize == 0
+
+
 class TestOracleColumnMemo:
     """oracle_columns memoises the dense D's first two columns per exact (Re alpha, Im alpha, dim) bits."""
 

@@ -7,9 +7,11 @@ collapse_probabilities is swapped to (p1, p0), since a relative error already
 breaks its p0 + p1 = 1; quadrature_stats_closed has only its ``product`` put
 off, the one field no other closed form produces; the oracle kernel
 _quadrature_stats has every field of each returned QuadratureStats put off;
-each operator builder has every diagonal of its operators put off; and
+each operator builder has every diagonal of its operators put off;
 bloch_cartesian has x and y swapped, since a relative error would trip
-CartesianBloch's unit-vector check instead.  The package's memos are cleared
+CartesianBloch's unit-vector check instead; zeta_to_bloch has its theta
+shrunk by 1e-6 relative, since a grown theta at the pole would leave
+[0, pi]; and fibonacci_number, exact integers, returns one more.  The package's memos are cleared
 once the mutant is bound, so that no entry of the unmutated function can hide
 it.  A default ``verify --suite all`` at dim 64 must then fail exactly the
 pinned checks.
@@ -114,6 +116,13 @@ CAUGHT_BY = {
         "mean_quadratures_closed_vs_matrix",
         "variance_quadratures_closed_vs_matrix",
     ),
+    "moebius.zeta_to_bloch": ("geometric_concurrence_identity",),
+    "uncertainty.fibonacci_number": (
+        *(f"fibonacci_record[n={n}]" for n in range(3, 21)),
+        "fibonacci_circle_sign_alternation",
+        "fibonacci_dispersion_monotone_convergence",
+        "golden_gap_at_n20",
+    ),
 }
 
 
@@ -149,6 +158,15 @@ def xy_swapped(point):
     return type(point)(point.y, point.x, point.z)
 
 
+def theta_shrunk(point):
+    """theta times 1 - RELATIVE_ERROR, which keeps it in [0, pi]."""
+    return dataclasses.replace(point, theta=point.theta * (1.0 - RELATIVE_ERROR))
+
+
+def plus_one(number):
+    return number + 1
+
+
 BUILDERS = (
     "superstate.super_annihilation",
     "superstate.super_annihilation_transposed",
@@ -163,6 +181,8 @@ MUTATIONS = {
     "uncertainty.quadrature_stats_closed": product_off,
     "uncertainty._quadrature_stats": fields_off,
     "moebius.bloch_cartesian": xy_swapped,
+    "moebius.zeta_to_bloch": theta_shrunk,
+    "uncertainty.fibonacci_number": plus_one,
     **dict.fromkeys(BUILDERS, bands_off),
 }
 
