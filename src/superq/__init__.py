@@ -13,14 +13,12 @@ from .errors import (
     NumericalConsistencyError,
     SingularParameterError,
     TruncationError,
-    UnsupportedLevelError,
 )
 from .moebius import (
     BlochPoint,
     CartesianBloch,
     ExtendedComplex,
     bloch_cartesian,
-    bloch_to_zeta,
     concurrence_circle,
     zeta_to_bloch,
 )
@@ -28,14 +26,10 @@ from .fock import (
     DEFAULT_DIM,
     GUARD_BAND,
     FockVector,
-    basis_ket,
     boson_annihilator,
-    boson_creator,
     displaced_columns,
-    displaced_number_state,
     displacement_operator,
     ensure_displacement_dim,
-    number_operator,
     required_displacement_dim,
 )
 from .superstate import (
@@ -47,8 +41,6 @@ from .superstate import (
     commutator_suite,
     flip_operator,
     flip_state,
-    flipped_super_coherent_state,
-    guarded_max_abs,
     guarded_norm,
     n_superparticle_state,
     pole_probabilities,

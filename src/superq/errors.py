@@ -19,10 +19,6 @@ class TruncationError(ValueError):
         self.required_dim = required_dim
 
 
-class UnsupportedLevelError(ValueError):
-    """Raised for displaced number states beyond the supported levels 0 and 1."""
-
-
 class SingularParameterError(ValueError):
     """Raised when a sphere label of zero would put a 1/zeta entry out of range."""
 

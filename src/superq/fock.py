@@ -31,23 +31,19 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidDimensionError, TruncationError, UnsupportedLevelError
+from .errors import InvalidDimensionError, TruncationError
 
 __all__ = [
     "DEFAULT_DIM",
     "GUARD_BAND",
     "BosonOperator",
     "FockVector",
-    "basis_ket",
     "boson_annihilator",
-    "boson_creator",
-    "number_operator",
     "required_displacement_dim",
     "ensure_displacement_dim",
     "displacement_operator",
     "displaced_columns",
     "oracle_columns",
-    "displaced_number_state",
 ]
 
 DEFAULT_DIM = 64
@@ -93,19 +89,6 @@ class FockVector:
         return abs(self.norm_sq() - 1.0) <= tol
 
 
-def basis_ket(n: int, dim: int) -> FockVector:
-    """Number state |n> in a dim-level space."""
-    if dim < 1:
-        raise InvalidDimensionError(f"dim must be >= 1, got {dim}")
-    if not 0 <= n < dim:
-        raise TruncationError(
-            f"|{n}> does not fit in {dim} levels", required_dim=n + 1
-        )
-    coeffs = np.zeros(dim, dtype=np.complex128)
-    coeffs[n] = 1.0
-    return FockVector(coeffs)
-
-
 def boson_annihilator(dim: int) -> BosonOperator:
     """Lowering operator a with entries a[n-1, n] = sqrt(n).
 
@@ -121,18 +104,6 @@ def _ladder_entries(dim: int) -> np.ndarray:
     if dim < 2:
         raise InvalidDimensionError(f"dim must be >= 2 for ladder operators, got {dim}")
     return np.sqrt(np.arange(1.0, dim)).astype(np.complex128)
-
-
-def boson_creator(dim: int) -> BosonOperator:
-    """Raising operator, the conjugate transpose of the annihilator."""
-    return boson_annihilator(dim).conj().T
-
-
-def number_operator(dim: int) -> BosonOperator:
-    """Diagonal occupation-number operator diag(0, 1, ..., dim-1)."""
-    if dim < 1:
-        raise InvalidDimensionError(f"dim must be >= 1, got {dim}")
-    return np.diag(np.arange(dim, dtype=np.float64)).astype(np.complex128)
 
 
 def _log_coherent_moduli(
@@ -314,10 +285,3 @@ def _memoised_oracle_columns(re_hex: str, im_hex: str, dim: int) -> np.ndarray:
     columns = np.array(displacement_operator(alpha, dim)[:, 0:2])
     columns.setflags(write=False)
     return columns
-
-
-def displaced_number_state(alpha: complex, m: int, dim: int) -> FockVector:
-    """D(alpha)|m> for m in {0, 1}, from the closed-form columns."""
-    if m not in (0, 1):
-        raise UnsupportedLevelError(f"only levels 0 and 1 are supported, got {m}")
-    return FockVector(displaced_columns(alpha, dim)[m])

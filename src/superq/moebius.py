@@ -19,7 +19,6 @@ __all__ = [
     "BlochPoint",
     "CartesianBloch",
     "zeta_to_bloch",
-    "bloch_to_zeta",
     "bloch_cartesian",
     "concurrence_circle",
 ]
@@ -79,21 +78,6 @@ class ExtendedComplex:
     @property
     def is_infinite(self) -> bool:
         return self.v == 0
-
-    @property
-    def value(self) -> complex:
-        """The finite value u/v; raises at the pole."""
-        if self.is_infinite:
-            raise ValueError("the point at infinity has no finite value")
-        return self.u / self.v
-
-    @property
-    def mod_sq(self) -> float:
-        """|zeta|^2, math.inf at the pole and wherever it exceeds the largest float."""
-        if self.is_infinite:
-            return math.inf
-        modulus = abs(self.u) / self.v.real
-        return modulus * modulus
 
 
 @dataclass(frozen=True)
@@ -168,15 +152,6 @@ def zeta_to_bloch(zeta: ExtendedComplex) -> BlochPoint:
     if zeta.u == 0 or zeta.is_infinite:
         return BlochPoint(theta, 0.0)
     return BlochPoint(theta, cmath.phase(zeta.u) % _TWO_PI)
-
-
-def bloch_to_zeta(point: BlochPoint) -> ExtendedComplex:
-    """Stereographic projection of a sphere point onto the extended plane."""
-    if point.theta == math.pi:
-        # cos(pi/2) rounds to 6.1e-17, not 0; the south pole is exactly the pole
-        return ExtendedComplex.infinity()
-    half = 0.5 * point.theta
-    return ExtendedComplex(cmath.rect(math.sin(half), point.phi), math.cos(half))
 
 
 def bloch_cartesian(point: BlochPoint) -> CartesianBloch:

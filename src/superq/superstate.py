@@ -55,11 +55,8 @@ __all__ = [
     "super_coherent_state",
     "flip_operator",
     "flip_state",
-    "flipped_super_coherent_state",
     "pole_probabilities",
     "commutator_suite",
-    "guarded_levels",
-    "guarded_max_abs",
     "guarded_norm",
 ]
 
@@ -117,13 +114,6 @@ class SuperVector:
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())
 
-    def is_normalized(self, tol: float = 1e-12) -> bool:
-        return abs(self.norm_sq() - 1.0) <= tol
-
-    def inner(self, other: "SuperVector") -> complex:
-        """<self|other>, conjugating the left argument; summed block by block."""
-        return complex(np.vdot(self.psi0, other.psi0)) + complex(np.vdot(self.psi1, other.psi1))
-
     def __sub__(self, other: "SuperVector") -> "SuperVector":
         return SuperVector(self.coeffs - other.coeffs)
 
@@ -151,7 +141,6 @@ class BlockOperator:
     ``dagger`` work on the diagonals alone, in O(offsets^2 * dim), and never
     form a dim x dim array.
 
-    ``from_blocks`` builds an operator from four dense square matrices.
     ``op.ul`` (and ``ur``, ``ll``, ``lr``) reads a block back as a dense
     read-only matrix and ``full()`` the whole 2*dim x 2*dim matrix; both are
     built on each call.
@@ -167,17 +156,6 @@ class BlockOperator:
             raise InvalidDimensionError(f"an operator has 4 blocks, got {len(self.bands)}")
         bands = tuple(_checked_band(band, self.dim) for band in self.bands)
         object.__setattr__(self, "bands", bands)
-
-    @classmethod
-    def from_blocks(cls, ul, ur, ll, lr) -> "BlockOperator":
-        """The operator whose blocks are four dense square matrices of one shape."""
-        blocks = [np.asarray(block, dtype=np.complex128) for block in (ul, ur, ll, lr)]
-        for name, block in zip(_BLOCK_NAMES, blocks):
-            if block.ndim != 2 or block.shape[0] != block.shape[1]:
-                raise InvalidDimensionError(f"block {name} must be a square matrix")
-        if any(block.shape != blocks[0].shape for block in blocks):
-            raise InvalidDimensionError("all four blocks must share one shape")
-        return cls(blocks[0].shape[0], tuple(map(_band_of, blocks)))
 
     @classmethod
     def fermion_diagonal(cls, upper: complex, lower: complex, dim: int) -> "BlockOperator":
@@ -273,12 +251,6 @@ class BlockOperator:
                 if count > 0:
                     maxima.append(np.abs(diagonal[:count]).max())
         return float(np.max(maxima))
-
-
-def _band_of(mat: np.ndarray) -> Band:
-    """The nonzero diagonals of a square matrix, as views, in ascending offset."""
-    rows, cols = np.nonzero(mat)
-    return {int(k): np.diagonal(mat, k) for k in np.unique(cols - rows)}
 
 
 def _checked_band(band: Band, dim: int) -> Band:
@@ -526,17 +498,6 @@ def flip_state(state: SuperVector) -> SuperVector:
     return SuperVector(state.coeffs[::-1])
 
 
-def flipped_super_coherent_state(params: CoherentParams, dim: int) -> SuperVector:
-    """Flip of the super-coherent state.
-
-    The displacement is block-diagonal and therefore commutes with the block
-    swap, so displacing the flipped reference gives the same vector; it is an
-    eigenstate of the transposed super-annihilation operator with eigenvalue
-    alpha.
-    """
-    return flip_state(super_coherent_state(params, dim))
-
-
 def pole_probabilities(
     state: SuperVector, zeta: ExtendedComplex, alpha: complex = 0.0
 ) -> tuple[float, float]:
@@ -576,27 +537,6 @@ def _guarded_count(dim: int, guard: int) -> int:
     if not 0 <= guard < dim:
         raise InvalidDimensionError(f"guard must satisfy 0 <= guard < dim, got {guard}")
     return dim - guard
-
-
-def guarded_levels(dim: int, guard: int = GUARD_BAND) -> np.ndarray:
-    """Stacked indices of both fermion blocks with boson level < dim - guard."""
-    keep = np.arange(_guarded_count(dim, guard))
-    return np.concatenate([keep, keep + dim])
-
-
-def guarded_max_abs(full_matrix: np.ndarray, dim: int, guard: int = GUARD_BAND) -> float:
-    """Max-norm of a 2*dim x 2*dim matrix restricted to the guarded sub-block.
-
-    The guarded sub-block is the four [:keep, :keep] corners of the fermion
-    blocks, keep = dim - guard: the entries ``guarded_levels`` indexes.
-    """
-    keep = _guarded_count(dim, guard)
-    corners = [
-        np.abs(full_matrix[row : row + keep, col : col + keep]).max()
-        for row in (0, dim)
-        for col in (0, dim)
-    ]
-    return float(np.max(corners))
 
 
 def guarded_norm(state: SuperVector, guard: int = GUARD_BAND) -> float:
@@ -644,9 +584,6 @@ class CommutatorResiduals:
     number_lowering: float
     number_raising: float
     ladder: float
-
-    def max(self) -> float:
-        return float(np.max([self.number_lowering, self.number_raising, self.ladder]))
 
 
 def commutator_suite(

@@ -73,6 +73,7 @@ from .uncertainty import (
     golden_limit,
     quadrature_operators,
     quadrature_stats_closed,
+    quadrature_stats_numeric,
     variance_quadratures_closed,
 )
 
@@ -469,7 +470,7 @@ def _suite_uncertainty(dim: int, tol: float, seed: int, n_max: int) -> list[Chec
     )
     closed_58 = variance_quadratures_closed(fib_point)
     five_eighths_closed = _worst(abs(closed_58[0] - 0.625), abs(closed_58[1] - 0.625))
-    (numeric_58,) = _quadrature_stats(super_qubit_state(fib_point.base, dim).coeffs[None])
+    numeric_58 = quadrature_stats_numeric(fib_point, dim)
     five_eighths_numeric = _worst(
         abs(numeric_58.var_x - 0.625), abs(numeric_58.var_p - 0.625)
     )

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from superq import entanglement, fock
+from superq import entanglement
 from superq.entanglement import (
     DensityMatrix,
     collapse_probabilities,
@@ -28,6 +28,8 @@ from superq.superstate import (
     super_qubit_state,
 )
 
+from conftest import basis_ket
+
 
 def binary_entropy(p):
     """Independent oracle: -p log2 p - (1-p) log2 (1-p)."""
@@ -44,7 +46,7 @@ def random_state(rng, dim):
 
 class TestReducedDensity:
     def test_product_state_is_rank_one_projector(self):
-        state = SuperVector([fock.basis_ket(0, 4).coeffs, np.zeros(4)])
+        state = SuperVector([basis_ket(0, 4), np.zeros(4)])
         rho = reduced_boson_density(state)
         expected = np.zeros((4, 4))
         expected[0, 0] = 1.0
@@ -53,7 +55,7 @@ class TestReducedDensity:
     def test_maximally_entangled_state_is_balanced(self):
         inv_sqrt2 = 1.0 / math.sqrt(2.0)
         state = SuperVector(
-            [inv_sqrt2 * fock.basis_ket(1, 4).coeffs, inv_sqrt2 * fock.basis_ket(0, 4).coeffs]
+            [inv_sqrt2 * basis_ket(1, 4), inv_sqrt2 * basis_ket(0, 4)]
         )
         rho = reduced_boson_density(state)
         np.testing.assert_allclose(np.diag(rho.mat), [0.5, 0.5, 0.0, 0.0], atol=1e-15)
@@ -123,7 +125,7 @@ class TestConcurrenceGram:
 
     def test_product_state_is_separable(self):
         lam = 0.5 * math.sqrt(2.0)
-        psi0 = lam * fock.basis_ket(2, 6).coeffs
+        psi0 = lam * basis_ket(2, 6)
         state = SuperVector([psi0, psi0])
         assert concurrence_gram(state) == 0.0
 
@@ -243,7 +245,7 @@ class TestEntropy:
             assert abs(entanglement_entropy_bits(state) - closed) <= 1e-9
 
     def test_pure_state_entropy_is_zero(self):
-        state = SuperVector([fock.basis_ket(0, 4).coeffs, np.zeros(4)])
+        state = SuperVector([basis_ket(0, 4), np.zeros(4)])
         assert entanglement_entropy_bits(state) == 0.0
 
 
@@ -313,8 +315,8 @@ class TestCollapseProbabilities:
         # cos(theta1) = 0.5 corresponds to zeta = tan(pi/6)
         zeta = ExtendedComplex.from_value(math.tan(math.pi / 6))
         state = n_superparticle_state(1, zeta, 8)
-        p0 = abs(SuperVector([fock.basis_ket(1, 8).coeffs, np.zeros(8)]).inner(state)) ** 2
-        p1 = abs(SuperVector([np.zeros(8), fock.basis_ket(0, 8).coeffs]).inner(state)) ** 2
+        p0 = abs(np.vdot([basis_ket(1, 8), np.zeros(8)], state.coeffs)) ** 2
+        p1 = abs(np.vdot([np.zeros(8), basis_ket(0, 8)], state.coeffs)) ** 2
         z = math.cos(zeta_to_bloch(zeta).theta)
         closed = collapse_probabilities(z)
         assert closed[0] == pytest.approx(0.75, abs=1e-12)

@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import factorial
 
 from superq import fock, verify
-from superq.errors import InvalidDimensionError, TruncationError, UnsupportedLevelError
+from superq.errors import InvalidDimensionError, TruncationError
+
+from conftest import basis_ket
 
 
 def coherent_coefficients(alpha, dim):
@@ -26,14 +28,14 @@ class TestLadderOperators:
 
     def test_annihilator_lowers_basis_ket(self):
         a = fock.boson_annihilator(4)
-        np.testing.assert_array_equal(a @ fock.basis_ket(1, 4).coeffs, fock.basis_ket(0, 4).coeffs)
+        np.testing.assert_array_equal(a @ basis_ket(1, 4), basis_ket(0, 4))
 
     def test_creator_raises_with_sqrt_factor(self):
         dim = 12
-        ad = fock.boson_creator(dim)
+        ad = fock.boson_annihilator(dim).conj().T
         for n in range(dim - 1):
-            expected = math.sqrt(n + 1) * fock.basis_ket(n + 1, dim).coeffs
-            np.testing.assert_array_equal(ad @ fock.basis_ket(n, dim).coeffs, expected)
+            expected = math.sqrt(n + 1) * basis_ket(n + 1, dim)
+            np.testing.assert_array_equal(ad @ basis_ket(n, dim), expected)
 
     def test_commutator_is_identity_below_truncation(self):
         dim = 16
@@ -42,24 +44,15 @@ class TestLadderOperators:
         np.testing.assert_allclose(comm[: dim - 1, : dim - 1], np.eye(dim - 1), atol=1e-13)
         assert comm[dim - 1, dim - 1] == pytest.approx(1 - dim, abs=1e-12)
 
-    def test_number_operator_diagonal(self):
-        np.testing.assert_array_equal(fock.number_operator(3), np.diag([0.0, 1.0, 2.0]))
-
     def test_number_matches_ladder_product(self):
         # sqrt(n) is rounded, so the product recovers n only to machine precision
         dim = 16
         a = fock.boson_annihilator(dim)
-        assert np.abs(a.conj().T @ a - fock.number_operator(dim)).max() <= 1e-14
-
-    def test_number_eigenvalue(self):
-        ket = fock.basis_ket(2, 5)
-        np.testing.assert_array_equal(fock.number_operator(5) @ ket.coeffs, 2.0 * ket.coeffs)
+        assert np.abs(a.conj().T @ a - np.diag(np.arange(dim))).max() <= 1e-14
 
     def test_small_dimensions_rejected(self):
         with pytest.raises(InvalidDimensionError):
             fock.boson_annihilator(1)
-        with pytest.raises(InvalidDimensionError):
-            fock.number_operator(0)
 
 
 class TestFockVector:
@@ -72,11 +65,11 @@ class TestFockVector:
         assert vec.inner(other) == pytest.approx(3.0 - 4.0j)
 
     def test_normalization_flag(self):
-        assert fock.basis_ket(0, 3).is_normalized()
+        assert fock.FockVector(basis_ket(0, 3)).is_normalized()
         assert not fock.FockVector([1.0, 1.0]).is_normalized()
 
     def test_coefficients_are_read_only(self):
-        vec = fock.basis_ket(0, 3)
+        vec = fock.FockVector(basis_ket(0, 3))
         with pytest.raises(ValueError):
             vec.coeffs[0] = 2.0
 
@@ -85,11 +78,6 @@ class TestFockVector:
             fock.FockVector(np.zeros((2, 2)))
         with pytest.raises(InvalidDimensionError):
             fock.FockVector([])
-
-    def test_basis_ket_out_of_range(self):
-        with pytest.raises(TruncationError) as excinfo:
-            fock.basis_ket(7, 4)
-        assert excinfo.value.required_dim == 8
 
 
 class TestDisplacement:
@@ -176,39 +164,35 @@ class TestDisplacement:
 
 class TestDisplacedNumberStates:
     def test_zero_displacement_gives_basis_ket(self):
-        state = fock.displaced_number_state(0.0, 1, 24)
-        np.testing.assert_array_equal(state.coeffs, fock.basis_ket(1, 24).coeffs)
+        np.testing.assert_array_equal(fock.displaced_columns(0.0, 24)[1], basis_ket(1, 24))
 
     def test_displaced_vacuum_is_coherent_vector(self):
-        state = fock.displaced_number_state(1.0, 0, 64)
-        assert np.abs(state.coeffs - coherent_coefficients(1.0, 64)).max() <= 1e-10
+        column = fock.displaced_columns(1.0, 64)[0]
+        assert np.abs(column - coherent_coefficients(1.0, 64)).max() <= 1e-10
 
     def test_displaced_one_matches_shifted_creator(self):
         # D a^dag D^dag = a^dag - conj(alpha), so D|1> = (a^dag - conj(alpha)) D|0>
         alpha = 1.0
         dim = 64
-        coherent = fock.displaced_number_state(alpha, 0, dim).coeffs
-        expected = (fock.boson_creator(dim) - np.conj(alpha) * np.eye(dim)) @ coherent
-        state = fock.displaced_number_state(alpha, 1, dim)
-        assert np.abs(state.coeffs - expected).max() <= 1e-9
+        coherent = fock.displaced_columns(alpha, dim)[0]
+        expected = (fock.boson_annihilator(dim).conj().T - np.conj(alpha) * np.eye(dim)) @ coherent
+        column = fock.displaced_columns(alpha, dim)[1]
+        assert np.abs(column - expected).max() <= 1e-9
 
     @pytest.mark.parametrize("alpha,m", [(0.7, 0), (1.1 - 0.4j, 1)])
     def test_normalized(self, alpha, m):
-        assert abs(fock.displaced_number_state(alpha, m, 64).norm() - 1.0) <= 1e-10
-
-    def test_higher_levels_rejected(self):
-        with pytest.raises(UnsupportedLevelError):
-            fock.displaced_number_state(0.5, 2, 64)
+        column = fock.displaced_columns(alpha, 64)[m]
+        assert abs(np.vdot(column, column).real - 1.0) <= 1e-10
 
     def test_guard_violation_carries_required_dim(self):
         with pytest.raises(TruncationError) as excinfo:
-            fock.displaced_number_state(8.0, 1, 132)
+            fock.displaced_columns(8.0, 132)
         assert excinfo.value.required_dim == 138
 
     @pytest.mark.parametrize("alpha", [8.0, -5.0 + 6.0j, 7.5j])
     def test_vacuum_column_is_exact_where_spectral_route_drifts(self, alpha):
         dim = fock.required_displacement_dim(alpha)
-        closed = fock.displaced_number_state(alpha, 0, dim).coeffs
+        closed = fock.displaced_columns(alpha, dim)[0]
         expected = coherent_coefficients(alpha, dim)
         assert np.abs(closed - expected).max() <= 1e-13
 
@@ -217,10 +201,10 @@ class TestDisplacedNumberStates:
         alpha = 40.0 * np.exp(0.3j)
         dim = fock.required_displacement_dim(alpha)
         for m in (0, 1):
-            coeffs = fock.displaced_number_state(alpha, m, dim).coeffs
+            coeffs = fock.displaced_columns(alpha, dim)[m]
             assert np.all(np.isfinite(coeffs))
             assert abs(np.vdot(coeffs, coeffs).real - 1.0) <= 1e-12
-        vacuum = fock.displaced_number_state(alpha, 0, dim).coeffs
+        vacuum = fock.displaced_columns(alpha, dim)[0]
         # Poisson weights with integer mean 1600 peak at 1599 and 1600 alike
         assert np.argmax(np.abs(vacuum)) in (1599, 1600)
 
@@ -232,8 +216,8 @@ class TestDisplacedNumberStates:
     def test_closed_columns_orthonormal_and_eigen(self, modulus, phase):
         alpha = complex(modulus * math.cos(phase), modulus * math.sin(phase))
         dim = fock.required_displacement_dim(alpha)
-        d0 = fock.displaced_number_state(alpha, 0, dim).coeffs
-        d1 = fock.displaced_number_state(alpha, 1, dim).coeffs
+        d0 = fock.displaced_columns(alpha, dim)[0]
+        d1 = fock.displaced_columns(alpha, dim)[1]
         assert abs(np.vdot(d0, d0).real - 1.0) <= 1e-12
         assert abs(np.vdot(d1, d1).real - 1.0) <= 1e-12
         assert abs(np.vdot(d0, d1)) <= 1e-12
@@ -248,8 +232,7 @@ class TestUndisplacedColumns:
     @pytest.mark.parametrize("dim", [2, 3, 8])
     def test_zero_alpha_gives_basis_columns_at_small_dim(self, dim):
         for m in (0, 1):
-            state = fock.displaced_number_state(0, m, dim)
-            np.testing.assert_array_equal(state.coeffs, fock.basis_ket(m, dim).coeffs)
+            np.testing.assert_array_equal(fock.displaced_columns(0, dim)[m], basis_ket(m, dim))
 
     @pytest.mark.parametrize("dim", [2, 8])
     def test_zero_alpha_operator_is_identity_at_small_dim(self, dim):

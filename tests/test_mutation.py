@@ -11,7 +11,11 @@ each operator builder has every diagonal of its operators put off;
 bloch_cartesian has x and y swapped, since a relative error would trip
 CartesianBloch's unit-vector check instead; zeta_to_bloch has its theta
 shrunk by 1e-6 relative, since a grown theta at the pole would leave
-[0, pi]; and fibonacci_number, exact integers, returns one more.  The package's memos are cleared
+[0, pi]; fibonacci_number, exact integers, returns one more;
+quadrature_stats_numeric has only its ``var_x`` put off; and the state
+builders super_qubit_state, super_coherent_state and flip_state have boson
+level 1 of both blocks turned by the phase e^{i 1e-6}, which keeps the norm
+that the Gram kernel checks.  The package's memos are cleared
 once the mutant is bound, so that no entry of the unmutated function can hide
 it.  A default ``verify --suite all`` at dim 64 must then fail exactly the
 pinned checks.
@@ -22,6 +26,7 @@ computation, so a mutant of ``_block_norms_sq`` fails no check: the CLI exits
 arguments.
 """
 
+import cmath
 import contextlib
 import dataclasses
 import importlib
@@ -29,6 +34,7 @@ import inspect
 import io
 import sys
 
+import numpy as np
 import pytest
 
 import superq.cli  # noqa: F401  so that the CLI's bindings are rebound too
@@ -123,6 +129,13 @@ CAUGHT_BY = {
         "fibonacci_dispersion_monotone_convergence",
         "golden_gap_at_n20",
     ),
+    "uncertainty.quadrature_stats_numeric": ("five_eighths_point_numeric",),
+    "superstate.super_qubit_state": (
+        *(f"fibonacci_record[n={n}]" for n in range(3, 21)),
+        "five_eighths_point_numeric",
+    ),
+    "superstate.super_coherent_state": ("five_eighths_point_numeric",),
+    "superstate.flip_state": ("flip_commutes_with_displacement",),
 }
 
 
@@ -167,6 +180,17 @@ def plus_one(number):
     return number + 1
 
 
+def var_x_off(stats):
+    return dataclasses.replace(stats, var_x=off(stats.var_x))
+
+
+def level_one_phased(state):
+    """Boson level 1 of both blocks times e^{i RELATIVE_ERROR}, which keeps the norm."""
+    coeffs = np.array(state.coeffs)
+    coeffs[:, 1] *= cmath.exp(1j * RELATIVE_ERROR)
+    return type(state)(coeffs)
+
+
 BUILDERS = (
     "superstate.super_annihilation",
     "superstate.super_annihilation_transposed",
@@ -176,6 +200,12 @@ BUILDERS = (
     "uncertainty.quadrature_operators",
 )
 
+STATE_BUILDERS = (
+    "superstate.super_qubit_state",
+    "superstate.super_coherent_state",
+    "superstate.flip_state",
+)
+
 MUTATIONS = {
     "entanglement.collapse_probabilities": swapped,
     "uncertainty.quadrature_stats_closed": product_off,
@@ -183,6 +213,8 @@ MUTATIONS = {
     "moebius.bloch_cartesian": xy_swapped,
     "moebius.zeta_to_bloch": theta_shrunk,
     "uncertainty.fibonacci_number": plus_one,
+    "uncertainty.quadrature_stats_numeric": var_x_off,
+    **dict.fromkeys(STATE_BUILDERS, level_one_phased),
     **dict.fromkeys(BUILDERS, bands_off),
 }
 

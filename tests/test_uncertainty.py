@@ -12,7 +12,6 @@ from superq.moebius import ExtendedComplex
 from superq.superstate import (
     CoherentParams,
     SuperQubitParams,
-    guarded_max_abs,
     super_coherent_state,
     super_qubit_state,
 )
@@ -28,6 +27,8 @@ from superq.uncertainty import (
     quadrature_stats_numeric,
     variance_quadratures_closed,
 )
+
+from conftest import guarded_max_abs
 
 
 def params(alpha, theta, phi, zeta_value):

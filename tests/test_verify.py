@@ -260,6 +260,25 @@ class TestNonFiniteResiduals:
         assert not report.all_passed
         assert math.isnan(report.max_residual)
 
+    @pytest.mark.parametrize("field", ["number_lowering", "number_raising", "ladder"])
+    @pytest.mark.parametrize("at_pole", [False, True], ids=["first_zeta", "pole"])
+    def test_nan_at_one_zeta_fails_only_its_check(self, monkeypatch, field, at_pole):
+        # The suite folds each zeta into a running worst that starts at 0.0,
+        # where the builtin max would drop a NaN; the pole is the last zeta.
+        real = verify.commutator_suite
+        first = verify._ZETAS[0]
+
+        def patched(zeta, *args, **kwargs):
+            residuals = real(zeta, *args, **kwargs)
+            hit = zeta.is_infinite if at_pole else zeta == first
+            return dataclasses.replace(residuals, **{field: math.nan}) if hit else residuals
+
+        monkeypatch.setattr(verify, "commutator_suite", patched)
+        report = run_verify("algebra", 36)
+        failed = [check for check in report.checks if not check.passed]
+        assert [check.name for check in failed] == [f"commutator_{field}"]
+        assert math.isnan(failed[0].residual)
+
     def test_nan_residual_serializes_as_null(self, monkeypatch):
         nan_number_lowering(monkeypatch)
         payload = json.loads(dumps(run_verify("algebra", 36).to_payload()))
@@ -395,7 +414,9 @@ class TestBatchedSuites:
             return stats(states)
 
         monkeypatch.setattr(uncertainty, "quadrature_operators", lambda dim: calls.append(dim) or operators(dim))
-        monkeypatch.setattr(verify, "_quadrature_stats", counting_stats)
+        # the 5/8 point reads the oracle through quadrature_stats_numeric, the uncertainty command's
+        for module in (verify, uncertainty):
+            monkeypatch.setattr(module, "_quadrature_stats", counting_stats)
         assert run_verify("uncertainty", dim=40).all_passed
         # 5 zetas at alpha = 0 and displaced, 5 symmetric stacks, the 5/8 point
         assert calls == [40] * len(sizes) == [40] * (5 * 2 + 5 + 1)
