@@ -43,7 +43,6 @@ from .superstate import (
     n_superparticle_state,
     pole_probabilities,
     super_coherent_state,
-    super_qubit_state,
 )
 from .uncertainty import (
     _variance_grid,
@@ -83,8 +82,6 @@ FIBONACCI_HEADER = [
     "golden_gap",
 ]
 
-_CSV_COMMANDS = {"sweep", "fibonacci"}
-
 # BLAS sums a block of 8 or more entries in its blocked loop, a shorter one in
 # a tail loop that rounds differently.  The sweep pads its two-level states
 # with zeros to 8 levels, so its Gram and pole columns round alike at every
@@ -96,9 +93,63 @@ class UsageError(ValueError):
     """Invalid flag combination or parameter value (exit code 2)."""
 
 
+# The flag groups _COMMANDS names, and --dim, which every command reads, as add_argument calls.
+_FLAG_GROUPS = {
+    "zeta": (
+        ("--zeta-re", dict(type=float, default=None, help="Re zeta")),
+        ("--zeta-im", dict(type=float, default=None, help="Im zeta")),
+        (
+            "--zeta-inf",
+            dict(action="store_true", help="place zeta at the pole of the extended complex plane"),
+        ),
+    ),
+    "angles": (
+        ("--theta", dict(type=float, default=None, help="polar angle in [0, pi]")),
+        ("--phi", dict(type=float, default=0.0, help="azimuth, reduced mod 2*pi")),
+    ),
+    "alpha": (
+        ("--alpha-re", dict(type=float, default=0.0, help="Re alpha")),
+        ("--alpha-im", dict(type=float, default=0.0, help="Im alpha")),
+    ),
+    "n": (("--n", dict(type=int, default=None, help="use |n, zeta> instead of --theta/--phi")),),
+    "n_max": (("--n-max", dict(type=int, default=20, help="last Fibonacci ladder index (>= 3)")),),
+    "grid": (
+        ("--grid", dict(type=str, default="25,25", help="theta,phi point counts (default 25,25)")),
+    ),
+    "suite": (
+        (
+            "--suite",
+            dict(default="all", help=f"one of all, {', '.join(SUITE_NAMES)} (default all)"),
+        ),
+        (
+            "--tol",
+            dict(
+                type=float,
+                default=DEFAULT_TOL,
+                help=(
+                    "tolerance for closed-vs-oracle numeric comparisons "
+                    "(structural identities keep pinned tolerances)"
+                ),
+            ),
+        ),
+        ("--seed", dict(type=int, default=DEFAULT_SEED, help="seed for random-state checks")),
+    ),
+    "dim": (
+        (
+            "--dim",
+            dict(
+                type=int,
+                default=None,
+                help=f"Fock truncation size (default {DEFAULT_DIM}, or ${DIM_ENV_VAR})",
+            ),
+        ),
+    ),
+}
+
+
 @functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and each command's subparser by name.
+    """The top-level parser and each command's subparser by name, built from _COMMANDS.
 
     Built on the first call and reused: parsing leaves them unchanged.
     """
@@ -112,114 +163,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     )
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {}
-
-    def add_command(name, help):
-        commands[name] = sub.add_parser(name, help=help)
-        return commands[name]
-
-    def add_dim(p):
-        p.add_argument(
-            "--dim",
-            type=int,
-            default=None,
-            help=f"Fock truncation size (default {DEFAULT_DIM}, or ${DIM_ENV_VAR})",
-        )
-
-    def add_output(p, default):
-        p.add_argument(
-            "--output",
-            choices=("json", "csv"),
-            default=default,
-            help=f"output format (this command supports only {default})",
-        )
-
-    def add_zeta(p):
-        p.add_argument("--zeta-re", type=float, default=None, help="Re zeta")
-        p.add_argument("--zeta-im", type=float, default=None, help="Im zeta")
-        p.add_argument(
-            "--zeta-inf",
-            action="store_true",
-            help="place zeta at the pole of the extended complex plane",
-        )
-
-    def add_angles(p):
-        p.add_argument("--theta", type=float, default=None, help="polar angle in [0, pi]")
-        p.add_argument("--phi", type=float, default=0.0, help="azimuth, reduced mod 2*pi")
-
-    def add_alpha(p):
-        p.add_argument("--alpha-re", type=float, default=0.0, help="Re alpha")
-        p.add_argument("--alpha-im", type=float, default=0.0, help="Im alpha")
-
-    p_state = add_command("state", help="emit a super-qubit or n super-particle state")
-    add_zeta(p_state)
-    add_angles(p_state)
-    p_state.add_argument("--n", type=int, default=None, help="emit |n, zeta> instead")
-    add_dim(p_state)
-    add_output(p_state, "json")
-
-    p_coherent = add_command("coherent", help="emit a super-coherent state")
-    add_zeta(p_coherent)
-    add_angles(p_coherent)
-    add_alpha(p_coherent)
-    add_dim(p_coherent)
-    add_output(p_coherent, "json")
-
-    p_conc = add_command("concurrence", help="closed-form vs Gram concurrence")
-    add_zeta(p_conc)
-    add_angles(p_conc)
-    p_conc.add_argument("--n", type=int, default=None, help="use |n, zeta> instead")
-    add_dim(p_conc)
-    add_output(p_conc, "json")
-
-    p_entropy = add_command(
-        "entropy", help="one-super-particle sphere geometry: entropy and probabilities"
-    )
-    add_zeta(p_entropy)
-    add_dim(p_entropy)
-    add_output(p_entropy, "json")
-
-    p_unc = add_command("uncertainty", help="quadrature moments, closed vs matrix")
-    add_zeta(p_unc)
-    add_angles(p_unc)
-    add_alpha(p_unc)
-    add_dim(p_unc)
-    add_output(p_unc, "json")
-
-    p_fib = add_command("fibonacci", help="Fibonacci dispersion ladder as CSV")
-    p_fib.add_argument("--n-max", type=int, default=20, help="last ladder index (>= 3)")
-    add_dim(p_fib)
-    add_output(p_fib, "csv")
-
-    p_sweep = add_command("sweep", help="CSV sweep over the (theta, phi) grid")
-    add_zeta(p_sweep)
-    p_sweep.add_argument(
-        "--grid", type=str, default="25,25", help="theta,phi point counts (default 25,25)"
-    )
-    add_dim(p_sweep)
-    add_output(p_sweep, "csv")
-
-    p_verify = add_command("verify", help="run a verification suite")
-    p_verify.add_argument(
-        "--suite",
-        default="all",
-        help=f"one of all, {', '.join(SUITE_NAMES)} (default all)",
-    )
-    add_dim(p_verify)
-    p_verify.add_argument(
-        "--tol",
-        type=float,
-        default=DEFAULT_TOL,
-        help=(
-            "tolerance for closed-vs-oracle numeric comparisons "
-            "(structural identities keep pinned tolerances)"
-        ),
-    )
-    p_verify.add_argument(
-        "--seed", type=int, default=DEFAULT_SEED, help="seed for random-state checks"
-    )
-    p_verify.add_argument("--n-max", type=int, default=20, help="Fibonacci ladder depth")
-    add_output(p_verify, "json")
-
+    for name, (help, _, groups) in _COMMANDS.items():
+        command = commands[name] = sub.add_parser(name, help=help)
+        for group in (*groups, "dim"):
+            for flag, spec in _FLAG_GROUPS[group]:
+                command.add_argument(flag, **spec)
     return parser, commands
 
 
@@ -282,30 +230,29 @@ def _parse_grid(raw: str) -> tuple[int, int]:
 
 
 def _validate(args) -> None:
-    """Check the parsed flags and store the resolved dim, zeta, alpha and grid on args."""
-    expected_output = "csv" if args.command in _CSV_COMMANDS else "json"
-    if args.output != expected_output:
-        raise UsageError(f"command {args.command!r} emits {expected_output}, not {args.output}")
+    """Check the parsed flags and store the resolved dim, zeta, alpha and grid on args.
+
+    Each check runs when the command has the flag it reads, in a fixed
+    order, so an argv that breaks several rules is refused for the first.
+    """
     args.dim = _resolve_dim(args)
-    if args.command in ("verify", "fibonacci"):
-        if args.command == "verify" and not 0 < args.tol < math.inf:
-            raise UsageError(f"--tol must be positive and finite, got {args.tol}")
-        if args.n_max < 3:
-            raise UsageError(f"--n-max must be >= 3, got {args.n_max}")
-        if args.command == "verify":
-            if args.seed < 0:
-                raise UsageError(f"--seed must be >= 0, got {args.seed}")
-            required = required_suite_dim(args.suite)
-            if args.dim < required:
-                raise UsageError(
-                    f"--dim must be >= {required} for verify --suite {args.suite}, "
-                    f"got {args.dim}"
-                )
-        return
-    args.zeta = _resolve_zeta(args)
-    if args.command == "sweep":
+    if hasattr(args, "tol") and not 0 < args.tol < math.inf:
+        raise UsageError(f"--tol must be positive and finite, got {args.tol}")
+    if hasattr(args, "n_max") and args.n_max < 3:
+        raise UsageError(f"--n-max must be >= 3, got {args.n_max}")
+    if hasattr(args, "seed"):
+        if args.seed < 0:
+            raise UsageError(f"--seed must be >= 0, got {args.seed}")
+        required = required_suite_dim(args.suite)
+        if args.dim < required:
+            raise UsageError(
+                f"--dim must be >= {required} for verify --suite {args.suite}, got {args.dim}"
+            )
+    if hasattr(args, "zeta_inf"):
+        args.zeta = _resolve_zeta(args)
+    if hasattr(args, "grid"):
         args.grid = _parse_grid(args.grid)
-    if args.command in ("sweep", "entropy"):
+    if not hasattr(args, "theta"):
         return
     for flag in ("theta", "phi", "alpha_re", "alpha_im"):
         _require_finite("--" + flag.replace("_", "-"), getattr(args, flag, None))
@@ -327,16 +274,14 @@ def _zeta_payload(args):
 def _selected_state(args):
     """The state picked by --n or --theta/--phi, its closed concurrence and its params.
 
-    coherent displaces the super-qubit state by alpha.
+    The super-qubit state is displaced by alpha, which is 0 for a command
+    without --alpha-re/--alpha-im; super_coherent_state leaves it as it is then.
     """
     if args.n is not None:
         state = n_superparticle_state(args.n, args.zeta, args.dim)
         return state, concurrence_n_state(args.zeta), {"n": args.n, "zeta": _zeta_payload(args)}
     base = SuperQubitParams(args.theta, args.phi, args.zeta)
-    if args.command == "coherent":
-        state = super_coherent_state(CoherentParams(args.alpha, base), args.dim)
-    else:
-        state = super_qubit_state(base, args.dim)
+    state = super_coherent_state(CoherentParams(args.alpha, base), args.dim)
     params = {"theta": base.theta, "phi": base.phi, "zeta": _zeta_payload(args)}
     return state, concurrence_superqubit(base.theta, args.zeta), params
 
@@ -509,14 +454,26 @@ def _run_verify(args) -> int:
     return 0
 
 
-_EMITTERS = {
-    "state": _emit_state,
-    "coherent": _emit_state,
-    "concurrence": _emit_concurrence,
-    "entropy": _emit_entropy,
-    "uncertainty": _emit_uncertainty,
-    "sweep": _emit_sweep,
-    "fibonacci": _emit_fibonacci,
+# Each command: its help line, the function that runs it and the flag groups
+# of _FLAG_GROUPS it reads besides --dim.  verify's function prints its report
+# and returns the exit code; every other one returns the text to print.
+_COMMANDS = {
+    "state": ("emit a super-qubit or n super-particle state", _emit_state, ("zeta", "angles", "n")),
+    "coherent": ("emit a super-coherent state", _emit_state, ("zeta", "angles", "alpha")),
+    "concurrence": ("closed-form vs Gram concurrence", _emit_concurrence, ("zeta", "angles", "n")),
+    "entropy": (
+        "one-super-particle sphere geometry: entropy and probabilities",
+        _emit_entropy,
+        ("zeta",),
+    ),
+    "uncertainty": (
+        "quadrature moments, closed vs matrix",
+        _emit_uncertainty,
+        ("zeta", "angles", "alpha"),
+    ),
+    "fibonacci": ("Fibonacci dispersion ladder as CSV", _emit_fibonacci, ("n_max",)),
+    "sweep": ("CSV sweep over the (theta, phi) grid", _emit_sweep, ("zeta", "grid")),
+    "verify": ("run a verification suite", _run_verify, ("suite", "n_max")),
 }
 
 
@@ -549,9 +506,10 @@ def _run(args: argparse.Namespace) -> int:
     """Validate the parsed flags, run the command and map its failures to exit codes."""
     try:
         _validate(args)
+        _, run, _ = _COMMANDS[args.command]
         if args.command == "verify":
-            return _run_verify(args)
-        print(_EMITTERS[args.command](args))
+            return run(args)
+        print(run(args))
         return 0
     except (NormalizationError, NumericalConsistencyError) as exc:
         # the CLI normalizes only states it built: an unnormalized one is the program's fault

@@ -61,6 +61,7 @@ from .superstate import (
     n_superparticle_state,
     super_annihilation,
     super_annihilation_transposed,
+    super_coherent_state,
     super_creation_gate,
     super_number_operator,
     super_qubit_state,
@@ -281,20 +282,26 @@ def _eigen_gaps(op: BlockOperator, alpha: complex, states: np.ndarray) -> list[f
 def _suite_eigen(dim: int, tol: float, seed: int, n_max: int) -> list[Check]:
     # Each (alpha, zeta) angle grid is one stack of the CLI's states: the
     # sweep's coefficients, displaced as super_coherent_state displaces them,
-    # and flipped by exchanging the block axis as flip_state does.
+    # and flipped by exchanging the block axis as flip_state does.  Each stack
+    # ends with one grid point more, built by the state builders the CLI
+    # emits, so that a fault confined to one of them fails a check too.
     reference_residual = 0.0
     coherent_residual = 0.0
     flipped_residual = 0.0
     for zeta in _ZETAS:
         low = _super_qubit_grid(_THETAS, _PHIS, zeta)
+        base = SuperQubitParams(_THETAS[2], _PHIS[1], zeta)
         a_op = super_annihilation(zeta, dim)
         at_op = super_annihilation_transposed(zeta, dim)
-        annihilated = a_op.apply_coeffs(_undisplaced(low, dim))
+        references = np.concatenate([_undisplaced(low, dim), [super_qubit_state(base, dim).coeffs]])
+        annihilated = a_op.apply_coeffs(references)
         reference_residual = _worst(reference_residual, *_norms(annihilated).tolist())
         for alpha in _EIGEN_ALPHAS:
-            coherent = _displace_low_levels(alpha, low, dim)
+            grid = _displace_low_levels(alpha, low, dim)
+            state = super_coherent_state(CoherentParams(alpha, base), dim)
+            coherent = np.concatenate([grid, [state.coeffs]])
             coherent_residual = _worst(coherent_residual, *_eigen_gaps(a_op, alpha, coherent))
-            flipped = coherent[:, ::-1]
+            flipped = np.concatenate([grid[:, ::-1], [flip_state(state).coeffs]])
             flipped_residual = _worst(flipped_residual, *_eigen_gaps(at_op, alpha, flipped))
 
     column_gap = 0.0

@@ -172,12 +172,13 @@ _DISPATCH_CORPUS = [
     ["state", "--bogus", *_STATE],
     ["coherent", *_STATE, "extra", "--bogus=3"],
     ["state", "junk"],
-    # a missing value, a bad float, a bad int, an invalid choice
+    ["state", *_STATE, "--output", "json"],
+    ["state", *_STATE, "--output", "xml"],
+    # a missing value, a bad float, a bad int
     ["state", "--theta"],
     ["verify", "--dim"],
     ["state", "--theta", "abc", "--zeta-re", "1"],
     ["state", "--dim", "x"],
-    ["state", *_STATE, "--output", "xml"],
     # abbreviations, one of them ambiguous
     ["state", "--the=1", "--zeta-re", "1", "--dim", "4"],
     ["coherent", *_STATE, "--alpha=1"],
@@ -747,11 +748,6 @@ class TestArgumentHandling:
         assert code == 2
         assert "theta" in err
 
-    def test_output_mismatch_rejected(self, run_cli):
-        code, _, err = run_cli(["state", "--theta", "1", "--zeta-re", "1", "--output", "csv"])
-        assert code == 2
-        assert "emits" in err
-
     @pytest.mark.parametrize(
         "argv,message",
         [
@@ -761,8 +757,8 @@ class TestArgumentHandling:
             ),
             (["state", "--theta", "1", "--n", "-1", "--zeta-re", "1"], "supply either --theta or --n, not both"),
             (
-                ["state", "--theta", "1", "--zeta-re", "1", "--zeta-inf", "--output", "csv"],
-                "command 'state' emits json, not csv",
+                ["state", "--theta", "1", "--zeta-re", "1", "--zeta-inf", "--dim", "1"],
+                "--dim must be >= 2, got 1",
             ),
         ],
     )

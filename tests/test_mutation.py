@@ -15,7 +15,9 @@ shrunk by 1e-6 relative, since a grown theta at the pole would leave
 quadrature_stats_numeric has only its ``var_x`` put off; and the state
 builders super_qubit_state, super_coherent_state and flip_state have boson
 level 1 of both blocks turned by the phase e^{i 1e-6}, which keeps the norm
-that the Gram kernel checks.  The package's memos are cleared
+that the Gram kernel checks.  BLOCK_ONE_CAUGHT_BY pins the same builders
+once more, each with its whole fermion-1 block turned by that phase, which
+keeps every quantity read block by block.  The package's memos are cleared
 once the mutant is bound, so that no entry of the unmutated function can hide
 it.  A default ``verify --suite all`` at dim 64 must then fail exactly the
 pinned checks.
@@ -133,9 +135,27 @@ CAUGHT_BY = {
     "superstate.super_qubit_state": (
         *(f"fibonacci_record[n={n}]" for n in range(3, 21)),
         "five_eighths_point_numeric",
+        "coherent_eigenrelation",
+        "flipped_coherent_eigenrelation",
+        "reference_annihilation",
     ),
-    "superstate.super_coherent_state": ("five_eighths_point_numeric",),
-    "superstate.flip_state": ("flip_commutes_with_displacement",),
+    "superstate.super_coherent_state": (
+        "five_eighths_point_numeric",
+        "coherent_eigenrelation",
+        "flipped_coherent_eigenrelation",
+    ),
+    "superstate.flip_state": ("flip_commutes_with_displacement", "flipped_coherent_eigenrelation"),
+}
+
+# The state builders with the whole fermion-1 block turned by e^{i 1e-6}.
+BLOCK_ONE_CAUGHT_BY = {
+    "superstate.super_qubit_state": (
+        "coherent_eigenrelation",
+        "flipped_coherent_eigenrelation",
+        "reference_annihilation",
+    ),
+    "superstate.super_coherent_state": ("coherent_eigenrelation", "flipped_coherent_eigenrelation"),
+    "superstate.flip_state": ("flipped_coherent_eigenrelation",),
 }
 
 
@@ -191,6 +211,13 @@ def level_one_phased(state):
     return type(state)(coeffs)
 
 
+def block_one_phased(state):
+    """The whole fermion-1 block times e^{i RELATIVE_ERROR}, which keeps both block norms."""
+    coeffs = np.array(state.coeffs)
+    coeffs[1] *= cmath.exp(1j * RELATIVE_ERROR)
+    return type(state)(coeffs)
+
+
 BUILDERS = (
     "superstate.super_annihilation",
     "superstate.super_annihilation_transposed",
@@ -243,20 +270,32 @@ def failed_checks() -> set[str]:
     return {check.name for check in run_verify("all", DIM).checks if not check.passed}
 
 
-@pytest.mark.parametrize("qualified", sorted(CAUGHT_BY))
-def test_mutant_fails_the_pinned_checks(monkeypatch, cold_memos, qualified):
+def bind_mutant(monkeypatch, qualified, mutation) -> None:
+    """Bind the mutant of the function named ``module.name`` (or ``module.Class.name``)."""
     module_name, *path = qualified.split(".")
     owner = importlib.import_module(f"superq.{module_name}")
     for name in path[:-1]:
         owner = getattr(owner, name)
     original = getattr(owner, path[-1])
-    replacement = mutant(original, MUTATIONS.get(qualified, off))
+    replacement = mutant(original, mutation)
     if inspect.isclass(owner):
         monkeypatch.setattr(owner, path[-1], replacement)
     else:
         assert rebind(monkeypatch, original, replacement) >= 1
+
+
+@pytest.mark.parametrize("qualified", sorted(CAUGHT_BY))
+def test_mutant_fails_the_pinned_checks(monkeypatch, cold_memos, qualified):
+    bind_mutant(monkeypatch, qualified, MUTATIONS.get(qualified, off))
     cold_memos()
     assert failed_checks() == set(CAUGHT_BY[qualified])
+
+
+@pytest.mark.parametrize("qualified", sorted(BLOCK_ONE_CAUGHT_BY))
+def test_block_one_phase_fails_the_pinned_checks(monkeypatch, cold_memos, qualified):
+    bind_mutant(monkeypatch, qualified, block_one_phased)
+    cold_memos()
+    assert failed_checks() == set(BLOCK_ONE_CAUGHT_BY[qualified])
 
 
 @pytest.mark.parametrize(

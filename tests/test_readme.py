@@ -1,13 +1,21 @@
 """The README's library quickstart runs, and every value its comments state holds.
 
 Each commented expression is checked within a stated tolerance, not by its
-repr: the BLAS kernel can move the last bit of a Gram sum.
+repr: the BLAS kernel can move the last bit of a Gram sum.  Each of the
+README's CLI examples runs too, and prints JSON or CSV that parses.
 """
 
 import ast
+import csv
+import io
+import json
+import re
+import shlex
 from fractions import Fraction
 
-from conftest import quickstart_source
+import pytest
+
+from conftest import README, quickstart_source
 
 # Each commented expression of the quickstart: the value it states, and how far off it may be.
 STATED = {
@@ -41,3 +49,24 @@ def test_every_commented_value_holds():
         value = values[expression]
         assert type(value) is type(stated), expression
         assert abs(value - stated) <= tolerance, (expression, value)
+
+
+def cli_examples() -> list[str]:
+    """The lines of the README's sh block of superq commands."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.DOTALL)
+    (examples,) = [block for block in blocks if block.startswith("superq ")]
+    return examples.splitlines()
+
+
+@pytest.mark.parametrize("line", cli_examples())
+def test_cli_example_runs(run_cli, line):
+    # the example's "> file" redirect is dropped; run_cli captures stdout
+    command, *argv = shlex.split(line.partition(" > ")[0])
+    assert command == "superq"
+    code, out, err = run_cli(argv)
+    assert (code, err) == (0, "")
+    if argv[0] in ("sweep", "fibonacci"):
+        rows = list(csv.reader(io.StringIO(out)))
+        assert len(rows) > 1 and len({len(row) for row in rows}) == 1
+    else:
+        json.loads(out)

@@ -386,7 +386,7 @@ class TestBatchedSuites:
         assert residuals["alpha_invariance_of_concurrence"] == alpha_drift > 0.0
         assert residuals["flip_invariance_of_concurrence"] == flip_drift
 
-    def test_eigen_suite_builds_no_state_and_displaces_each_grid_once(self, monkeypatch):
+    def test_eigen_suite_builds_only_its_builder_rows_and_displaces_each_grid_once(self, monkeypatch):
         built, displaced = [], Counter()
         post_init = SuperVector.__post_init__
         displace = verify._displace_low_levels
@@ -402,7 +402,9 @@ class TestBatchedSuites:
         monkeypatch.setattr(SuperVector, "__post_init__", counting_post_init)
         monkeypatch.setattr(verify, "_displace_low_levels", counting_displace)
         assert run_verify("eigen", dim=48).all_passed
-        assert built == []
+        # per zeta one super_qubit_state, and per alpha one super_coherent_state,
+        # which builds its reference first, and one flip_state of it
+        assert len(built) == len(verify._ZETAS) * (1 + 3 * len(verify._EIGEN_ALPHAS))
         assert displaced == {(alpha, (25, 2, 2)): 5 for alpha in verify._EIGEN_ALPHAS}
 
     def test_uncertainty_suite_reads_the_oracle_operators_once_per_stack(self, monkeypatch):
