@@ -41,7 +41,6 @@ from .superstate import (
     commutator_suite,
     flip_operator,
     flip_state,
-    guarded_norm,
     n_superparticle_state,
     pole_probabilities,
     super_annihilation,

@@ -14,14 +14,13 @@ values, and each cell takes the text of its pattern; a value repeated down
 a sequence column can be formatted once with ``csv_cell`` and passed as
 text.  Each row is then one ',' join of its cell texts.
 
-A dict key's JSON text is memoised, since a few fixed schemas supply the keys.
+Dict keys and str values are escaped by the function json.dumps runs on a str.
 """
 
 from __future__ import annotations
 
-import functools
-import json
 import math
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -54,21 +53,13 @@ def _render_rows(arr: np.ndarray, level: int) -> str:
     return template % tuple(flat.tolist())
 
 
-# A payload's keys come from a few fixed schemas, so a small memo serves every
-# dict of every payload.
-@functools.lru_cache(maxsize=256)
-def _key_text(key: str) -> str:
-    """The JSON text of a dict key, as json.dumps gives it."""
-    return json.dumps(key)
-
-
 def _render(value, level: int) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if value is None:
         return "null"
     if isinstance(value, str):
-        return json.dumps(value)
+        return encode_basestring_ascii(value)
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
@@ -83,7 +74,7 @@ def _render(value, level: int) -> str:
         if not value:
             return "{}"
         items = [
-            f"{inner}{_key_text(str(key))}: {_render(item, level + 1)}"
+            f"{inner}{encode_basestring_ascii(str(key))}: {_render(item, level + 1)}"
             for key, item in value.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"

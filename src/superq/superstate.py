@@ -57,7 +57,6 @@ __all__ = [
     "flip_state",
     "pole_probabilities",
     "commutator_suite",
-    "guarded_norm",
 ]
 
 
@@ -242,7 +241,9 @@ class BlockOperator:
         Entries off the diagonals are exactly zero, so this equals the max
         over the dense guarded sub-block; a zero operator gives 0.0.
         """
-        keep = _guarded_count(self.dim, guard)
+        if not 0 <= guard < self.dim:
+            raise InvalidDimensionError(f"guard must satisfy 0 <= guard < dim, got {guard}")
+        keep = self.dim - guard
         maxima = [0.0]
         for band in self.bands:
             for offset, diagonal in band.items():
@@ -532,31 +533,6 @@ def _pole_probabilities(
     return p0, p1
 
 
-def _guarded_count(dim: int, guard: int) -> int:
-    """Number of boson levels below the guard band, dim - guard."""
-    if not 0 <= guard < dim:
-        raise InvalidDimensionError(f"guard must satisfy 0 <= guard < dim, got {guard}")
-    return dim - guard
-
-
-def guarded_norm(state: SuperVector, guard: int = GUARD_BAND) -> float:
-    """Euclidean norm of a SuperVector restricted to the guarded levels."""
-    return float(_guarded_norms(state.coeffs, guard))
-
-
-def _guarded_norms(coeffs: np.ndarray, guard: int = GUARD_BAND) -> np.ndarray:
-    """guarded_norm of each state of a (..., 2, dim) coefficient stack.
-
-    Each state's guarded levels are ravelled, psi0[:keep] before psi1[:keep],
-    and the squares of their real and of their imaginary parts are summed by
-    one BLAS dot each (np.vecdot runs ndarray.dot's per row), as
-    np.linalg.norm sums them for one state.
-    """
-    keep = _guarded_count(coeffs.shape[-1], guard)
-    flat = coeffs[..., :keep].reshape(*coeffs.shape[:-2], 2 * keep)
-    return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
-
-
 def _block_norms_sq(coeffs: np.ndarray) -> np.ndarray:
     """<psi0|psi0> and <psi1|psi1> of each state of a (..., 2, dim) stack, as a (..., 2) array.
 
@@ -586,9 +562,7 @@ class CommutatorResiduals:
     ladder: float
 
 
-def commutator_suite(
-    zeta: ExtendedComplex, dim: int, guard: int = GUARD_BAND
-) -> CommutatorResiduals:
+def commutator_suite(zeta: ExtendedComplex, dim: int) -> CommutatorResiduals:
     """Residuals of the three defining commutation relations for a given zeta."""
     a_op = super_annihilation(zeta, dim)
     a_dag = a_op.dagger()
@@ -599,5 +573,5 @@ def commutator_suite(
     raising = n_op @ a_dag - a_dag @ n_op - a_dag
     ladder = a_op @ a_dag - a_dag @ a_op - ladder_target
     return CommutatorResiduals(
-        lowering.max_abs(guard), raising.max_abs(guard), ladder.max_abs(guard)
+        lowering.max_abs(GUARD_BAND), raising.max_abs(GUARD_BAND), ladder.max_abs(GUARD_BAND)
     )

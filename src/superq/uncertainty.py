@@ -225,23 +225,25 @@ def fibonacci_record(n: int, dim: int = DEFAULT_DIM) -> FibonacciRecord:
     in rational arithmetic.  The oracle state uses the real positive root
     zeta_n = sqrt(|zeta_n|^2) (only the modulus enters) at alpha = 0.
     """
-    (record,) = _fibonacci_records([n], dim)
+    (record,) = _fibonacci_records(n, n, dim)
     return record
 
 
 def fibonacci_ladder(n_max: int, dim: int = DEFAULT_DIM) -> list[FibonacciRecord]:
     """fibonacci_record(n, dim) for n = 3 .. n_max, one X and P apply for all of them."""
-    return _fibonacci_records(range(3, n_max + 1), dim)
+    return _fibonacci_records(3, n_max, dim)
 
 
-def _fibonacci_records(ns, dim: int) -> list[FibonacciRecord]:
-    """fibonacci_record of each n, its oracle states one stack through _quadrature_stats."""
+def _fibonacci_records(first: int, last: int, dim: int) -> list[FibonacciRecord]:
+    """fibonacci_record of each n = first .. last, the oracle states one _quadrature_stats stack.
+
+    The rows walk the recurrence from F_{first-2} and F_{first-1}, computed once.
+    """
+    if first < 3:
+        raise ValueError(f"the ladder starts at n = 3, got {first}")
+    f_nm2, f_nm1 = fibonacci_number(first - 2), fibonacci_number(first - 1)
     rows, states = [], []
-    for n in ns:
-        if n < 3:
-            raise ValueError(f"the ladder starts at n = 3, got {n}")
-        f_nm2 = fibonacci_number(n - 2)
-        f_nm1 = fibonacci_number(n - 1)
+    for n in range(first, last + 1):
         f_n = f_nm1 + f_nm2
         f_np1 = f_n + f_nm1
         zeta_sq = Fraction(f_nm1, f_nm2) - Fraction(1, 2)
@@ -249,6 +251,7 @@ def _fibonacci_records(ns, dim: int) -> list[FibonacciRecord]:
         base = SuperQubitParams(0.5 * math.pi, 0.25 * math.pi, zeta)
         states.append(super_qubit_state(base, dim).coeffs)
         rows.append((n, f_n, zeta_sq, Fraction(f_n, f_np1)))
+        f_nm2, f_nm1 = f_nm1, f_n
     stats = _quadrature_stats(np.reshape(states, (-1, 2, dim)))
     return [FibonacciRecord(*row, numeric.var_x) for row, numeric in zip(rows, stats)]
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from superq import fock, serialize, uncertainty
+from superq import fock, uncertainty
 from superq.cli import main as cli_main
 from superq.moebius import BlochPoint, ExtendedComplex
 from superq.superstate import BlockOperator
@@ -20,7 +20,6 @@ MEMOS = (
     fock._memoised_oracle_columns,
     fock._log_factorials,
     uncertainty._memoised_quadratures,
-    serialize._key_text,
 )
 
 
@@ -84,6 +83,12 @@ def guarded_max_abs(full_matrix: np.ndarray, dim: int, guard: int = fock.GUARD_B
     """Max-norm of a dense 2*dim x 2*dim matrix over both blocks' boson levels below dim - guard."""
     keep = np.r_[0 : dim - guard, dim : 2 * dim - guard]
     return float(np.abs(full_matrix[np.ix_(keep, keep)]).max())
+
+
+def guarded_norm(state, guard: int = fock.GUARD_BAND) -> float:
+    """Euclidean norm of a SuperVector over both blocks' boson levels below dim - guard."""
+    keep = state.dim - guard
+    return float(np.linalg.norm(np.concatenate([state.psi0[:keep], state.psi1[:keep]])))
 
 
 def bloch_to_zeta(point: BlochPoint) -> ExtendedComplex:

@@ -28,7 +28,6 @@ from superq.superstate import (
     commutator_suite,
     flip_operator,
     flip_state,
-    guarded_norm,
     n_superparticle_state,
     super_annihilation,
     super_annihilation_transposed,
@@ -41,6 +40,8 @@ from superq.uncertainty import (
     quadrature_stats_numeric,
     variance_quadratures_closed,
 )
+
+from conftest import guarded_norm
 
 THETAS = tuple(np.linspace(0.0, math.pi, 5))
 PHIS = tuple(np.linspace(0.0, 2.0 * math.pi, 5, endpoint=False))

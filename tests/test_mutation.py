@@ -26,6 +26,11 @@ The block norms feed the normalization check in front of every Gram
 computation, so a mutant of ``_block_norms_sq`` fails no check: the CLI exits
 1 on the unnormalized state it built, a fault of the program, not of its
 arguments.
+
+The pins are complete by construction: ``verify --suite all`` and one argv of
+each emitting command run under ``sys.setprofile``, and every superq function
+they reach outside ``cli``, ``serialize`` and ``errors`` must be pinned above
+or named in ``EXEMPT`` with its reason.
 """
 
 import cmath
@@ -34,11 +39,14 @@ import dataclasses
 import importlib
 import inspect
 import io
+import pkgutil
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import superq
 import superq.cli  # noqa: F401  so that the CLI's bindings are rebound too
 from superq import superstate
 from superq.cli import main as cli_main
@@ -125,12 +133,9 @@ CAUGHT_BY = {
         "variance_quadratures_closed_vs_matrix",
     ),
     "moebius.zeta_to_bloch": ("geometric_concurrence_identity",),
-    "uncertainty.fibonacci_number": (
-        *(f"fibonacci_record[n={n}]" for n in range(3, 21)),
-        "fibonacci_circle_sign_alternation",
-        "fibonacci_dispersion_monotone_convergence",
-        "golden_gap_at_n20",
-    ),
+    # one more seeds the ladder with F_1 + 1 = F_2 + 1 = 2, so it holds 2 F_n:
+    # its ratios, and so the sign, convergence and golden-gap checks, stay exact
+    "uncertainty.fibonacci_number": tuple(f"fibonacci_record[n={n}]" for n in range(3, 21)),
     "uncertainty.quadrature_stats_numeric": ("five_eighths_point_numeric",),
     "superstate.super_qubit_state": (
         *(f"fibonacci_record[n={n}]" for n in range(3, 21)),
@@ -156,6 +161,83 @@ BLOCK_ONE_CAUGHT_BY = {
     ),
     "superstate.super_coherent_state": ("coherent_eigenrelation", "flipped_coherent_eigenrelation"),
     "superstate.flip_state": ("flipped_coherent_eigenrelation",),
+}
+
+
+# Functions an emitting command reaches that no mutation above pins, each with
+# the reason it needs none, or why it has none yet.
+CHECKER = "verify's own arithmetic: only verify reaches it, and no command emits it"
+POST_INIT = "a dataclass __post_init__: it checks its fields and keeps a canonical copy"
+VALIDATOR = "a validator: it returns its input, canonical, or raises"
+GUARD = "the displacement guard: it accepts a dim or raises TruncationError"
+NORM_STOP = (
+    "off by 1e-6 it unnormalizes the displaced or grid states, and verify stops on the norm"
+    " check (exit 1) before a check can fail, as a _block_norms_sq mutant does"
+)
+CHECKER_FUNCTIONS = {
+    "superstate.BlockOperator": (
+        "__add__", "__sub__", "__matmul__", "_entrywise", "apply", "dagger", "fermion_diagonal", "full", "max_abs",
+    ),
+    "superstate.SuperVector": ("__sub__", "block_norms_sq", "norm", "norm_sq"),
+    "superstate": ("_band_matmul", "_fill", "_norms", "commutator_suite"),
+    "verify.Check": ("passed",),
+    "verify.VerificationReport": ("all_passed", "max_residual", "passed", "to_payload", "total"),
+    "verify": (
+        *(f"_suite_{suite}" for suite in ("algebra", "eigen", "entangle", "uncertainty", "fibonacci")),
+        "_above_root5", "_concurrences", "_eigen_gaps", "_finite_or_none", "_random_super_vector",
+        "_selected_suites", "_worst", "required_suite_dim", "run_verify",
+    ),
+}
+EXEMPT = {
+    "entanglement.DensityMatrix.__post_init__": POST_INIT,
+    "entanglement._checked_z": VALIDATOR,
+    "entanglement._require_normalized": "the norm check in front of the Gram kernel; it raises or returns None",
+    "entanglement.concurrence_gram": "the one-state wrapper of the pinned _gram_entries and _concurrence",
+    "entanglement.entanglement_entropy_bits": "the one-state wrapper of the pinned _gram_entries and _entropies",
+    "entanglement.reduced_boson_density": "the rho oracle, which only verify reaches; the checks read its pinned methods",
+    "fock._guard_floor": GUARD,
+    "fock.required_displacement_dim": GUARD,
+    "fock.ensure_displacement_dim": GUARD,
+    "fock._require_two_levels": VALIDATOR,
+    "fock._ladder_entries": "the sqrt(n) entries of the pinned operator builders and of boson_annihilator",
+    "fock.boson_annihilator": "the dense a that the pinned displacement_operator exponentiates",
+    "fock._log_coherent_moduli": NORM_STOP,
+    "fock._log_factorials": NORM_STOP,
+    "fock._memoised_columns": NORM_STOP,
+    "fock.displaced_columns": NORM_STOP,
+    "fock.oracle_columns": "the memo of the pinned displacement_operator's first two columns",
+    "fock._memoised_oracle_columns": "the memo of the pinned displacement_operator's first two columns",
+    "moebius.BlochPoint.__post_init__": POST_INIT,
+    "moebius.CartesianBloch.__post_init__": POST_INIT,
+    "moebius.ExtendedComplex.__post_init__": POST_INIT,
+    "moebius.ExtendedComplex.from_value": "a constructor of the zeta value type",
+    "moebius.ExtendedComplex.infinity": "a constructor of the zeta value type",
+    "moebius.ExtendedComplex.is_infinite": "the pole test v == 0 of the zeta value type",
+    "moebius._at_pole": VALIDATOR,
+    "moebius._checked_theta": VALIDATOR,
+    "moebius._reduced_phi": VALIDATOR,
+    "moebius._cartesian_grid": "the grid twin of the pinned bloch_cartesian, read by the pinned _variance_grid",
+    "moebius._grid_phases": NORM_STOP,
+    "superstate.BlockOperator.__post_init__": POST_INIT,
+    "superstate._checked_band": "the field check and copy behind BlockOperator.__post_init__",
+    "superstate.CoherentParams.__post_init__": POST_INIT,
+    "superstate.SuperQubitParams.__post_init__": POST_INIT,
+    "superstate.SuperVector.__post_init__": POST_INIT,
+    "superstate.BlockOperator.apply_coeffs": "the banded apply inside the pinned _quadrature_stats and the eigen checks",
+    "superstate._band_apply": "the banded apply inside the pinned _quadrature_stats and the eigen checks",
+    "superstate._scalar_band": "a scalar diagonal of the pinned operator builders",
+    "superstate._minus_inverse": "the -1/zeta entry of the pinned super_annihilation and its transpose",
+    "superstate._block_norms_sq": "mutated, verify, state and sweep exit 1 on the norm check (test_block_norms_mutant_exits_one)",
+    "superstate._displace_low_levels": NORM_STOP,
+    "superstate._super_qubit_grid": NORM_STOP,
+    "superstate._undisplaced": NORM_STOP,
+    "superstate.pole_probabilities": "the one-state wrapper of the pinned _pole_probabilities",
+    "superstate.n_superparticle_state": "not pinned yet: its level-1 phase fails creation_gate_raises_vacuum alone",
+    "uncertainty._quadrature_entries": "the sqrt(n)/sqrt2 entries of the pinned quadrature_operators",
+    "uncertainty._memoised_quadratures": "the memo behind the pinned quadrature_operators",
+    "uncertainty.fibonacci_ladder": "not pinned yet: its rows are records, which take no relative error",
+    "uncertainty._fibonacci_records": "not pinned yet: its rows are records, which take no relative error",
+    **{f"{owner}.{name}": CHECKER for owner, names in CHECKER_FUNCTIONS.items() for name in names},
 }
 
 
@@ -315,3 +397,66 @@ def test_block_norms_mutant_exits_one(monkeypatch, cold_memos, argv):
         code = cli_main(argv)
     assert (code, out.getvalue()) == (1, "")
     assert err.getvalue().startswith("superq: numerical consistency failure: state norm^2 = 1.000001")
+
+
+# verify --suite all and one argv of each emitting command.
+EMITTING_ARGVS = [
+    ["verify", "--suite", "all", "--dim", str(DIM)],
+    ["state", "--theta", "1", "--zeta-re", "1"],
+    ["coherent", "--theta", "1", "--zeta-re", "1", "--alpha-re", "0.5"],
+    ["concurrence", "--theta", "1", "--zeta-re", "1"],
+    ["entropy", "--zeta-re", "1"],
+    ["uncertainty", "--theta", "1", "--zeta-re", "1", "--alpha-re", "0.5"],
+    ["fibonacci", "--n-max", "5"],
+    ["sweep", "--zeta-re", "1", "--grid", "3,3"],
+]
+
+
+def function_names() -> dict:
+    """module.name (or module.Class.name) of each function the package's source defines, by code object.
+
+    A memo counts as the function it wraps; a nested function has no name of
+    its own and counts as part of the function that defines it.
+    """
+    package = Path(superq.__file__).parent
+    names = {}
+    for info in pkgutil.iter_modules(superq.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"superq.{info.name}")
+        for attr, value in vars(module).items():
+            members = [(attr, value)]
+            if inspect.isclass(value) and value.__module__ == module.__name__:
+                members = [(f"{attr}.{name}", member) for name, member in vars(value).items()]
+            for name, member in members:
+                # a property's getter, a classmethod's function
+                func = inspect.unwrap(getattr(member, "fget", None) or getattr(member, "__func__", member))
+                code = getattr(func, "__code__", None)
+                # the module that defines it, not one that imports it
+                if code is not None and Path(code.co_filename) == package / f"{info.name}.py":
+                    names[code] = f"{info.name}.{name}"
+    return names
+
+
+def test_every_traced_function_is_pinned_or_exempt():
+    names, reached = function_names(), set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            reached.add(names[frame.f_code])
+
+    for argv in EMITTING_ARGVS:
+        out = io.StringIO()
+        sys.setprofile(profile)
+        try:
+            with contextlib.redirect_stdout(out):
+                code = cli_main(argv)
+        finally:
+            sys.setprofile(None)
+        assert code == 0, argv
+    reached = {name for name in reached if name.split(".")[0] not in ("cli", "serialize", "errors")}
+    pinned = set(CAUGHT_BY) | set(BLOCK_ONE_CAUGHT_BY)
+    assert not pinned & set(EXEMPT)
+    assert reached - pinned - set(EXEMPT) == set()
+    # every entry names a function that an emitting command still reaches
+    assert set(EXEMPT) - reached == set() and pinned - reached == set()

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from superq import serialize
 from superq.serialize import csv_cell, csv_text, dumps
 
 EDGE_FLOATS = (
@@ -231,26 +230,28 @@ class TestCsv:
             csv_text(["a", "b"], [np.zeros(2), [1, 2, 3]])
 
 
-class TestKeyMemo:
-    """Each dict key's JSON text is memoised, and is json.dumps's text."""
+class TestStringEscaper:
+    """Dict keys and str values render as json.dumps renders them."""
 
-    KEYS = ['plain', 'quote"d', "back\\slash", "tab\tnew\nline\x00\x1f\x7f", "zéta ψ₀ 🙂", "\ud800", ""]
+    STRINGS = ['plain', 'quote"d', "back\\slash", "tab\tnew\nline\x00\x1f\x7f", "zéta ψ₀ 🙂", "\ud800", ""]
 
-    @pytest.mark.parametrize("key", KEYS)
-    def test_key_text_is_json_dumps(self, key):
-        expected = json.dumps(key)
-        assert serialize._key_text(key) == expected
-        assert serialize._key_text(key) == expected
-        assert serialize._key_text.cache_info().hits == 1
-        assert dumps({key: 1}) == "{\n  " + expected + ": 1\n}"
-        assert json.loads(dumps({key: 1})) == {key: 1}
+    @pytest.mark.parametrize(
+        "key, text",
+        [
+            *((key, json.dumps(key)) for key in STRINGS),
+            # 1, True and 1.0 hash alike; each key renders as its own str
+            (1, '"1"'),
+            (True, '"True"'),
+            (1.0, '"1.0"'),
+        ],
+    )
+    def test_key_and_value_render_as_json_dumps(self, key, text):
+        assert dumps({key: 0}) == "{\n  " + text + ": 0\n}"
+        if isinstance(key, str):
+            assert dumps({key: key}) == "{\n  " + text + ": " + text + "\n}"
+            assert json.loads(dumps({key: key})) == {key: key}
 
     @given(st.text(max_size=12))
     def test_any_text_key(self, key):
         text = json.dumps(key)
         assert dumps({key: [key]}) == dumps({key: [key]}) == "{\n  " + text + ": [" + text + "]\n}"
-
-    def test_equal_keys_of_other_types_stay_apart(self):
-        # 1, 1.0 and True hash alike; the memo is keyed on their str
-        texts = [dumps({key: 0}) for key in (1, True, 1.0)]
-        assert texts == ['{\n  "1": 0\n}', '{\n  "True": 0\n}', '{\n  "1.0": 0\n}']

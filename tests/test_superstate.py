@@ -25,7 +25,6 @@ from superq.superstate import (
     commutator_suite,
     flip_operator,
     flip_state,
-    guarded_norm,
     n_superparticle_state,
     pole_probabilities,
     super_annihilation,
@@ -167,8 +166,8 @@ class TestPerBlockReferences:
         assert flip_state(x).coeffs.tobytes() == np.concatenate([x1, x0]).tobytes()
         for guard in {0, dim // 2, dim - 1}:
             keep = dim - guard
-            reference = float(np.linalg.norm(np.concatenate([x0[:keep], x1[:keep]])))
-            assert guarded_norm(x, guard) == reference
+            g00, g11 = (float(np.vdot(block[:keep], block[:keep]).real) for block in (x0, x1))
+            assert superstate._norms(x.coeffs[:, :keep]) == math.sqrt(g00 + g11)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(1, 80), st.integers(0, 2**32 - 1))
@@ -177,8 +176,8 @@ class TestPerBlockReferences:
         states = [SuperVector(coeffs) for coeffs in stack]
         assert superstate._norms(stack).tolist() == [state.norm() for state in states]
         for guard in {0, dim // 2, dim - 1}:
-            got = superstate._guarded_norms(stack, guard).tolist()
-            assert got == [float(np.linalg.norm(coeffs[:, : dim - guard])) for coeffs in stack]
+            got = superstate._norms(stack[..., : dim - guard]).tolist()
+            assert got == [SuperVector(coeffs[:, : dim - guard]).norm() for coeffs in stack]
 
     @settings(max_examples=100, deadline=None)
     @given(coherent_points())
@@ -556,25 +555,6 @@ class TestCommutatorSuite:
         with pytest.raises(SingularParameterError):
             commutator_suite(ExtendedComplex.from_value(0.0), 16)
 
-    def test_guarded_norm_drops_top_levels(self):
-        coeffs = np.zeros(8, dtype=complex)
-        coeffs[7] = 1.0
-        state = SuperVector([coeffs, np.zeros(8)])
-        assert guarded_norm(state, guard=2) == 0.0
-        assert guarded_norm(state, guard=0) == 1.0
-
-    @pytest.mark.parametrize("dim,guard", [(2, 0), (2, 1), (9, 8), (48, 8), (64, 3)])
-    def test_guarded_norm_matches_indexed_reference(self, dim, guard):
-        state = random_state(np.random.default_rng(dim + guard), dim)
-        keep = dim - guard
-        reference = float(np.linalg.norm(np.concatenate([state.psi0[:keep], state.psi1[:keep]])))
-        assert guarded_norm(state, guard) == reference
-
-    @pytest.mark.parametrize("guard", [-1, 8, 9])
-    def test_guarded_norm_rejects_guard_outside_dim(self, guard):
-        with pytest.raises(InvalidDimensionError, match="guard must satisfy"):
-            guarded_norm(n_superparticle_state(0, ExtendedComplex.from_value(1.0), 8), guard)
-
 
 class TestParams:
     def test_phi_canonical_at_poles(self):
@@ -731,9 +711,10 @@ class TestBandedBlockOperator:
         assert not (op @ op).full().any()
         assert not op.apply(random_state(np.random.default_rng(1), 4)).coeffs.any()
 
-    def test_max_abs_rejects_guard_outside_dim(self):
+    @pytest.mark.parametrize("guard", [-1, 4, 5])
+    def test_max_abs_rejects_guard_outside_dim(self, guard):
         with pytest.raises(InvalidDimensionError, match="guard must satisfy"):
-            flip_operator(4).max_abs(4)
+            flip_operator(4).max_abs(guard)
 
     def test_storage_is_o_dim(self):
         # one dense 2048 x 2048 complex block is 64 MiB

@@ -20,7 +20,6 @@ PACKAGE = Path(superq.__file__).parent
 # Public names that nothing above reads, each kept for a reason of its own.
 EXEMPT = {
     "fock.FockVector": "the benchmark's per-layer report reads its span fock.FockVector (ROADMAP item 1)",
-    "superstate.guarded_norm": "the one-state spelling of _guarded_norms, which verify reads",
 }
 
 

@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import json
 import math
+import sys
 from collections import Counter
 
 import numpy as np
@@ -11,20 +12,19 @@ from hypothesis import assume, given, settings, strategies as st
 from superq import uncertainty, verify
 from superq.entanglement import concurrence_gram, concurrence_superqubit
 from superq.errors import TruncationError
-from superq.fock import required_displacement_dim
+from superq.fock import GUARD_BAND, required_displacement_dim
 from superq.moebius import ExtendedComplex
 from superq.serialize import dumps
 from superq.superstate import (
+    BlockOperator,
     CoherentParams,
     SuperQubitParams,
     SuperVector,
     _displace_low_levels,
-    _guarded_norms,
     _norms,
     _super_qubit_grid,
     _undisplaced,
     flip_state,
-    guarded_norm,
     pole_probabilities,
     super_annihilation,
     super_annihilation_transposed,
@@ -33,6 +33,8 @@ from superq.superstate import (
 )
 from superq.uncertainty import _quadrature_stats, quadrature_stats_numeric
 from superq.verify import SUITE_NAMES, Check, VerificationReport, required_suite_dim, run_verify
+
+from conftest import guarded_norm
 
 
 # Every check of a default ``verify --suite all`` report, in order, with its tolerance.
@@ -342,7 +344,8 @@ class TestBatchedSuites:
         flipped = coherent[:, ::-1]
         a_op, at_op = super_annihilation(zeta, dim), super_annihilation_transposed(zeta, dim)
         applied, flip_applied = a_op.apply_coeffs(coherent), at_op.apply_coeffs(flipped)
-        norms, guarded = _norms(coherent), _guarded_norms(applied - alpha * coherent)
+        keep = dim - GUARD_BAND
+        norms, guarded = _norms(coherent), _norms((applied - alpha * coherent)[..., :keep])
         grams = verify._concurrences(reference[:, ::-1])
         moments = _quadrature_stats(coherent)
         for k, (theta, phi) in enumerate(verify._ANGLES):
@@ -356,7 +359,8 @@ class TestBatchedSuites:
             assert applied[k].tobytes() == a_op.apply(state).coeffs.tobytes()
             assert flip_applied[k].tobytes() == at_op.apply(flip).coeffs.tobytes()
             assert norms[k] == state.norm()
-            assert guarded[k] == guarded_norm(a_op.apply(state) - alpha * state)
+            residual = a_op.apply(state) - alpha * state
+            assert guarded[k] == SuperVector(residual.coeffs[:, :keep]).norm()
             assert grams[k] == concurrence_gram(flip_state(base))
             assert bits(moments[k]) == bits(quadrature_stats_numeric(params, dim))
 
@@ -437,6 +441,36 @@ class TestBatchedSuites:
         assert report.checks[-1].name == "golden_gap_at_n20"
         assert ladders == [(20, 40)]
         assert calls == [40]
+
+    @pytest.mark.parametrize("n_max", [3, 20, 200])
+    def test_fibonacci_numbers_are_computed_twice_per_ladder(self, monkeypatch, n_max):
+        # the ladder seeds its recurrence once; the suite walks its own from F_1 = F_2 = 1
+        calls = []
+        number = uncertainty.fibonacci_number
+
+        def counting(n):
+            calls.append(n)
+            return number(n)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "superq" and getattr(module, "fibonacci_number", None) is number:
+                monkeypatch.setattr(module, "fibonacci_number", counting)
+        assert len(uncertainty.fibonacci_ladder(n_max, 8)) == n_max - 2
+        assert calls == [1, 2]
+        calls.clear()
+        assert run_verify("fibonacci", dim=8, n_max=n_max).all_passed
+        assert calls == [1, 2]
+
+    @pytest.mark.parametrize("dim", [GUARD_BAND + 1, 48, 64])
+    def test_eigen_gaps_read_the_levels_below_the_guard_band(self, dim):
+        # the identity at alpha = 0 leaves each state as its own residual
+        identity = BlockOperator.fermion_diagonal(1.0, 1.0, dim)
+        states = np.random.default_rng(dim).standard_normal((4, 2, dim, 2)) @ [1.0, 1j]
+        expected = [guarded_norm(SuperVector(coeffs)) / np.linalg.norm(coeffs) for coeffs in states]
+        np.testing.assert_allclose(verify._eigen_gaps(identity, 0.0, states), expected, rtol=1e-14)
+        top_only = np.zeros((1, 2, dim))
+        top_only[0, 0, 0], top_only[0, 1, dim - 1] = 3.0, 4.0
+        assert verify._eigen_gaps(identity, 0.0, top_only) == [0.6]
 
     def test_algebra_states_live_on_levels_0_and_1(self):
         # flip_commutes_with_displacement applies D's first two columns to psi[:2]
