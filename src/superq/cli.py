@@ -93,6 +93,11 @@ class UsageError(ValueError):
     """Invalid flag combination or parameter value (exit code 2)."""
 
 
+# The largest --n-max: row n prints F_{n+1} as a decimal integer, and F_20578
+# is the first Fibonacci number longer than the 4,300 digits Python converts
+# between int and str by default (sys.int_info.default_max_str_digits).
+_N_MAX_LIMIT = 20576
+
 # The flag groups _COMMANDS names, and --dim, which every command reads, as add_argument calls.
 _FLAG_GROUPS = {
     "zeta": (
@@ -112,7 +117,12 @@ _FLAG_GROUPS = {
         ("--alpha-im", dict(type=float, default=0.0, help="Im alpha")),
     ),
     "n": (("--n", dict(type=int, default=None, help="use |n, zeta> instead of --theta/--phi")),),
-    "n_max": (("--n-max", dict(type=int, default=20, help="last Fibonacci ladder index (>= 3)")),),
+    "n_max": (
+        (
+            "--n-max",
+            dict(type=int, default=20, help=f"last Fibonacci ladder index (3 to {_N_MAX_LIMIT})"),
+        ),
+    ),
     "grid": (
         ("--grid", dict(type=str, default="25,25", help="theta,phi point counts (default 25,25)")),
     ),
@@ -238,8 +248,8 @@ def _validate(args) -> None:
     args.dim = _resolve_dim(args)
     if hasattr(args, "tol") and not 0 < args.tol < math.inf:
         raise UsageError(f"--tol must be positive and finite, got {args.tol}")
-    if hasattr(args, "n_max") and args.n_max < 3:
-        raise UsageError(f"--n-max must be >= 3, got {args.n_max}")
+    if hasattr(args, "n_max") and not 3 <= args.n_max <= _N_MAX_LIMIT:
+        raise UsageError(f"--n-max must be in [3, {_N_MAX_LIMIT}], got {args.n_max}")
     if hasattr(args, "seed"):
         if args.seed < 0:
             raise UsageError(f"--seed must be >= 0, got {args.seed}")

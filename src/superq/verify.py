@@ -58,6 +58,7 @@ from .superstate import (
     flip_operator,
     flip_state,
     n_superparticle_state,
+    pole_probabilities,
     super_annihilation,
     super_annihilation_transposed,
     super_coherent_state,
@@ -111,9 +112,14 @@ _BOOL_PASS = 0.0
 _BOOL_FAIL = 1.0
 
 
-def _worst(*residuals: float) -> float:
-    """The largest residual, or NaN when any is NaN (the builtin max(0.0, nan) is 0.0)."""
-    return math.nan if any(map(math.isnan, residuals)) else max(residuals)
+def _worst(residuals: float | list | np.ndarray) -> float:
+    """The max of 0.0 and every residual, NaN when any residual is NaN.
+
+    residuals is a float, a list of floats, or an array or a list of arrays
+    of one shape.  np.max keeps a NaN wherever it sits; the builtin
+    max(0.0, nan) is 0.0.
+    """
+    return float(np.max(residuals, initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -153,7 +159,7 @@ class VerificationReport:
     @property
     def max_residual(self) -> float:
         """The largest residual, NaN when any residual is NaN, 0.0 without checks."""
-        return _worst(0.0, *(check.residual for check in self.checks))
+        return _worst([check.residual for check in self.checks])
 
     @property
     def all_passed(self) -> bool:
@@ -206,75 +212,61 @@ def _random_super_vector(rng: np.random.Generator, dim: int) -> SuperVector:
 
 def _suite_algebra(dim: int, tol: float, seed: int, n_max: int) -> list[Check]:
     flip = flip_operator(dim)
-    lowering = raising = ladder = 0.0
-    transpose = 0.0
-    gate = 0.0
+    brackets, transpose, gate = [], [], []
     for zeta in (*_ZETAS, ExtendedComplex.infinity()):
-        residuals = commutator_suite(zeta, dim)
-        lowering = _worst(lowering, residuals.number_lowering)
-        raising = _worst(raising, residuals.number_raising)
-        ladder = _worst(ladder, residuals.ladder)
+        brackets.append(commutator_suite(zeta, dim))
         conjugated = flip @ super_annihilation(zeta, dim) @ flip
-        transpose = _worst(
-            transpose, (conjugated - super_annihilation_transposed(zeta, dim)).max_abs()
-        )
+        transpose.append((conjugated - super_annihilation_transposed(zeta, dim)).max_abs())
         raised = super_creation_gate(zeta, dim).apply(n_superparticle_state(0, zeta, dim))
-        gate = _worst(gate, (raised - n_superparticle_state(1, zeta, dim)).norm())
+        gate.append((raised - n_superparticle_state(1, zeta, dim)).norm())
 
-    involution = float(np.abs((flip @ flip).full() - np.eye(2 * dim)).max())
+    involution = np.abs((flip @ flip).full() - np.eye(2 * dim)).max()
 
     boson_eye = np.eye(dim)
-    tensor_split = float(
-        np.abs(
-            super_number_operator(dim).full()
-            - np.kron(np.diag([0.0, 1.0]), boson_eye)
-            - np.kron(np.eye(2), np.diag(np.arange(dim)))
-        ).max()
-    )
+    tensor_split = np.abs(
+        super_number_operator(dim).full()
+        - np.kron(np.diag([0.0, 1.0]), boson_eye)
+        - np.kron(np.eye(2), np.diag(np.arange(dim)))
+    ).max()
     fermion_number = BlockOperator.fermion_diagonal(0.0, 1.0, dim)
     flipped_number = (flip @ fermion_number @ flip).full()
-    number_conjugation = float(
-        np.abs(flipped_number - np.kron(np.diag([1.0, 0.0]), boson_eye)).max()
-    )
+    number_conjugation = np.abs(flipped_number - np.kron(np.diag([1.0, 0.0]), boson_eye)).max()
 
     # The five states live on boson levels 0 and 1, so D psi is the first two
     # columns of the dense D applied to psi[:2].
     d = oracle_columns(_ALGEBRA_ALPHA, dim)
-    commute = 0.0
+    commute = []
     for zeta in _ZETAS:
         state = super_qubit_state(SuperQubitParams(1.3, 0.7, zeta), dim)
         displaced = SuperVector([d @ psi[:2] for psi in state.coeffs])
         displaced_flip = SuperVector([d @ psi[:2] for psi in flip_state(state).coeffs])
-        commute = _worst(commute, (flip_state(displaced) - displaced_flip).norm())
+        commute.append((flip_state(displaced) - displaced_flip).norm())
 
     x_op, p_op = quadrature_operators(dim)
-    hermiticity = _worst(
-        float(np.abs(x_op.full() - x_op.full().conj().T).max()),
-        float(np.abs(p_op.full() - p_op.full().conj().T).max()),
-    )
+    hermiticity = [np.abs(op.full() - op.full().conj().T).max() for op in (x_op, p_op)]
     canonical = (
         x_op @ p_op - p_op @ x_op - BlockOperator.fermion_diagonal(1j, 1j, dim)
     ).max_abs(GUARD_BAND)
 
     return [
-        Check("commutator_number_lowering", lowering, 1e-10),
-        Check("commutator_number_raising", raising, 1e-10),
-        Check("commutator_ladder", ladder, 1e-10),
-        Check("flip_involution", involution, 0.0),
-        Check("flip_transposes_annihilation", transpose, 0.0),
-        Check("super_number_tensor_split", tensor_split, 0.0),
-        Check("flip_conjugates_fermion_number", number_conjugation, 0.0),
-        Check("creation_gate_raises_vacuum", gate, 1e-12),
-        Check("flip_commutes_with_displacement", commute, 1e-12),
-        Check("quadrature_hermiticity", hermiticity, 1e-14),
-        Check("quadrature_canonical_commutator", canonical, 1e-12),
+        Check("commutator_number_lowering", _worst([b.number_lowering for b in brackets]), 1e-10),
+        Check("commutator_number_raising", _worst([b.number_raising for b in brackets]), 1e-10),
+        Check("commutator_ladder", _worst([b.ladder for b in brackets]), 1e-10),
+        Check("flip_involution", _worst(involution), 0.0),
+        Check("flip_transposes_annihilation", _worst(transpose), 0.0),
+        Check("super_number_tensor_split", _worst(tensor_split), 0.0),
+        Check("flip_conjugates_fermion_number", _worst(number_conjugation), 0.0),
+        Check("creation_gate_raises_vacuum", _worst(gate), 1e-12),
+        Check("flip_commutes_with_displacement", _worst(commute), 1e-12),
+        Check("quadrature_hermiticity", _worst(hermiticity), 1e-14),
+        Check("quadrature_canonical_commutator", _worst(canonical), 1e-12),
     ]
 
 
-def _eigen_gaps(op: BlockOperator, alpha: complex, states: np.ndarray) -> list[float]:
+def _eigen_gaps(op: BlockOperator, alpha: complex, states: np.ndarray) -> np.ndarray:
     """guarded ||op psi - alpha psi|| / ||psi|| of each state of a (K, 2, dim) stack."""
     residual = op.apply_coeffs(states) - alpha * states
-    return (_norms(residual[..., : states.shape[-1] - GUARD_BAND]) / _norms(states)).tolist()
+    return _norms(residual[..., : states.shape[-1] - GUARD_BAND]) / _norms(states)
 
 
 def _suite_eigen(dim: int, tol: float, seed: int, n_max: int) -> list[Check]:
@@ -283,58 +275,45 @@ def _suite_eigen(dim: int, tol: float, seed: int, n_max: int) -> list[Check]:
     # and flipped by exchanging the block axis as flip_state does.  Each stack
     # ends with one grid point more, built by the state builders the CLI
     # emits, so that a fault confined to one of them fails a check too.
-    reference_residual = 0.0
-    coherent_residual = 0.0
-    flipped_residual = 0.0
+    annihilated, coherent_gaps, flipped_gaps = [], [], []
     for zeta in _ZETAS:
         low = _super_qubit_grid(_THETAS, _PHIS, zeta)
         base = SuperQubitParams(_THETAS[2], _PHIS[1], zeta)
         a_op = super_annihilation(zeta, dim)
         at_op = super_annihilation_transposed(zeta, dim)
         references = np.concatenate([_undisplaced(low, dim), [super_qubit_state(base, dim).coeffs]])
-        annihilated = a_op.apply_coeffs(references)
-        reference_residual = _worst(reference_residual, *_norms(annihilated).tolist())
+        annihilated.append(_norms(a_op.apply_coeffs(references)))
         for alpha in _EIGEN_ALPHAS:
             grid = _displace_low_levels(alpha, low, dim)
             state = super_coherent_state(CoherentParams(alpha, base), dim)
             coherent = np.concatenate([grid, [state.coeffs]])
-            coherent_residual = _worst(coherent_residual, *_eigen_gaps(a_op, alpha, coherent))
+            coherent_gaps.append(_eigen_gaps(a_op, alpha, coherent))
             flipped = np.concatenate([grid[:, ::-1], [flip_state(state).coeffs]])
-            flipped_residual = _worst(flipped_residual, *_eigen_gaps(at_op, alpha, flipped))
+            flipped_gaps.append(_eigen_gaps(at_op, alpha, flipped))
 
-    column_gap = 0.0
-    keep = dim - GUARD_BAND
+    column_gaps = []
     for alpha in _EIGEN_ALPHAS:
-        oracle = oracle_columns(alpha, dim)
         closed = np.stack(displaced_columns(alpha, dim), axis=1)
-        column_gap = _worst(column_gap, float(np.abs(closed - oracle)[:keep].max()))
+        column_gaps.append(np.abs(closed - oracle_columns(alpha, dim))[: dim - GUARD_BAND].max())
 
     return [
-        Check("reference_annihilation", reference_residual, 1e-10),
-        Check("coherent_eigenrelation", coherent_residual, tol),
-        Check("flipped_coherent_eigenrelation", flipped_residual, tol),
-        Check("closed_coherent_columns_vs_truncated_displacement", column_gap, tol),
+        Check("reference_annihilation", _worst(annihilated), 1e-10),
+        Check("coherent_eigenrelation", _worst(coherent_gaps), tol),
+        Check("flipped_coherent_eigenrelation", _worst(flipped_gaps), tol),
+        Check("closed_coherent_columns_vs_truncated_displacement", _worst(column_gaps), tol),
     ]
 
 
 def _suite_entangle(dim: int, tol: float, seed: int, n_max: int) -> list[Check]:
-    closed_vs_gram = 0.0
-    n_spread = 0.0
-    geometric = 0.0
-    spectral_gap = 0.0
+    closed_vs_gram, n_spread, geometric, spectral_gap = [], [], [], []
     for zeta in _ZETAS:
         closed = concurrence_n_state(zeta)
         states = [n_superparticle_state(n, zeta, dim) for n in (1, 2, 5)]
         values = [concurrence_gram(state) for state in states]
-        closed_vs_gram = _worst(closed_vs_gram, *(abs(gram - closed) for gram in values))
-        n_spread = _worst(n_spread, _worst(*values) - min(values))
-        spectral_gap = _worst(
-            spectral_gap,
-            abs(
-                entanglement_entropy_bits(states[0])
-                - entropy_from_z(math.sqrt(max(0.0, 1.0 - values[0] ** 2)))
-            ),
-        )
+        closed_vs_gram += [abs(gram - closed) for gram in values]
+        n_spread.append(_worst(values) - min(values))
+        z_gram = math.sqrt(max(0.0, 1.0 - values[0] ** 2))
+        spectral_gap.append(abs(entanglement_entropy_bits(states[0]) - entropy_from_z(z_gram)))
         # The entropy command's circle point: the concurrence is its distance
         # from the vertical axis, and the pole-collapse probabilities are half
         # its heights 1 + z above the south pole and 1 - z below the north
@@ -344,86 +323,73 @@ def _suite_entangle(dim: int, tol: float, seed: int, n_max: int) -> list[Check]:
         circle, z = concurrence_circle(zeta_to_bloch(zeta).theta)
         height = zeta.v.real**2 - abs(zeta.u) ** 2
         (p0, p1), (w0, w1) = collapse_probabilities(z), states[0].block_norms_sq()
-        geometric = _worst(
-            geometric, abs(closed - circle), abs(height - z), abs(p0 - w0), abs(p1 - w1)
-        )
+        geometric += [abs(closed - circle), abs(height - z), abs(p0 - w0), abs(p1 - w1)]
 
     # Each angle grid is one stack of the CLI's states, and every concurrence
     # and pole probability comes from the kernels concurrence_gram and
-    # pole_probabilities run on one state.
-    superqubit_gap = 0.0
-    probability_gap = 0.0
+    # pole_probabilities run on one state.  One more row per zeta runs
+    # pole_probabilities itself, which state and coherent print, on a state
+    # from the state builder.
+    superqubit_gap, probability_gap = [], []
+    base = (_THETAS[2], _PHIS[1])
     for zeta in _ZETAS:
-        states = _undisplaced(_super_qubit_grid(_THETAS, _PHIS, zeta), dim)
-        grams = _concurrences(states).tolist()
-        p0s, p1s = _pole_probabilities(states, zeta)
-        for (theta, _), gram, p0, p1 in zip(_ANGLES, grams, p0s, p1s):
-            superqubit_gap = _worst(
-                superqubit_gap, abs(gram - concurrence_superqubit(theta, zeta))
-            )
-            probability_gap = _worst(
-                probability_gap,
-                abs(p0 - math.cos(0.5 * theta) ** 2),
-                abs(p1 - math.sin(0.5 * theta) ** 2),
-            )
+        grid = _undisplaced(_super_qubit_grid(_THETAS, _PHIS, zeta), dim)
+        for (theta, _), gram in zip(_ANGLES, _concurrences(grid).tolist()):
+            superqubit_gap.append(abs(gram - concurrence_superqubit(theta, zeta)))
+        state = super_qubit_state(SuperQubitParams(*base, zeta), dim)
+        poles = [*zip(*_pole_probabilities(grid, zeta)), pole_probabilities(state, zeta)]
+        for (theta, _), (p0, p1) in zip((*_ANGLES, base), poles):
+            cos_sq, sin_sq = math.cos(0.5 * theta) ** 2, math.sin(0.5 * theta) ** 2
+            probability_gap += [abs(p0 - cos_sq), abs(p1 - sin_sq)]
 
     # The stride-2 grids of every zeta, undisplaced, displaced as
     # super_coherent_state displaces them, and flipped.
     halves = np.concatenate([_super_qubit_grid(_THETAS[::2], _PHIS[::2], zeta) for zeta in _ZETAS])
     references = _undisplaced(halves, dim)
     reference_grams = _concurrences(references)
-    displaced_grams = _concurrences(_displace_low_levels(_ENTANGLE_ALPHA, halves, dim))
-    flipped_grams = _concurrences(references[:, ::-1])
-    alpha_invariance = _worst(0.0, *np.abs(displaced_grams - reference_grams).tolist())
-    flip_invariance = _worst(0.0, *np.abs(flipped_grams - reference_grams).tolist())
+    displaced = _displace_low_levels(_ENTANGLE_ALPHA, halves, dim)
+    alpha_invariance = np.abs(_concurrences(displaced) - reference_grams)
+    flip_invariance = np.abs(_concurrences(references[:, ::-1]) - reference_grams)
 
     rng = np.random.default_rng(seed)
-    gram_purity = 0.0
-    rank_bound = 0.0
+    gram_purity, rank_bound = [], []
     for _ in range(12):
         state = _random_super_vector(rng, dim)
         c_gram = concurrence_gram(state)
         rho = reduced_boson_density(state)
-        gram_purity = _worst(gram_purity, abs(c_gram**2 - 2.0 * (1.0 - rho.purity())))
+        gram_purity.append(abs(c_gram**2 - 2.0 * (1.0 - rho.purity())))
         eigenvalues = np.sort(rho.eigenvalues())[::-1]
-        if dim > 2:
-            rank_bound = _worst(rank_bound, float(abs(eigenvalues[2])))
-        spectral = float(
-            -sum(lam * math.log2(lam) for lam in eigenvalues if lam > 1e-16)
-        )
-        spectral_gap = _worst(
-            spectral_gap,
-            abs(spectral - entropy_from_z(math.sqrt(max(0.0, 1.0 - c_gram**2)))),
-        )
+        rank_bound.append(abs(eigenvalues[2]))
+        spectral = -sum(lam * math.log2(lam) for lam in eigenvalues if lam > 1e-16)
+        z_gram = math.sqrt(max(0.0, 1.0 - c_gram**2))
+        spectral_gap.append(abs(spectral - entropy_from_z(z_gram)))
 
-    pole_entropy = _worst(
+    pole_entropy = [
         abs(entropy_from_z(0.0) - 1.0),
         abs(entropy_from_z(1.0)),
         abs(entropy_from_z(-1.0)),
         abs(sum(collapse_probabilities(0.37)) - 1.0),
-    )
+    ]
 
     return [
-        Check("n_state_concurrence_closed_vs_gram", closed_vs_gram, 1e-10),
-        Check("n_state_concurrence_n_independence", n_spread, 1e-12),
-        Check("superqubit_concurrence_closed_vs_gram", superqubit_gap, 1e-10),
-        Check("alpha_invariance_of_concurrence", alpha_invariance, tol),
-        Check("flip_invariance_of_concurrence", flip_invariance, 1e-12),
-        Check("gram_purity_identity", gram_purity, 1e-10),
-        Check("density_rank_bound", rank_bound, 1e-10),
-        Check("spectral_entropy_matches_closed_form", spectral_gap, 1e-9),
-        Check("entropy_pole_values", pole_entropy, 0.0),
-        Check("geometric_concurrence_identity", geometric, 1e-12),
-        Check("pole_probability_identity", probability_gap, 1e-12),
+        Check("n_state_concurrence_closed_vs_gram", _worst(closed_vs_gram), 1e-10),
+        Check("n_state_concurrence_n_independence", _worst(n_spread), 1e-12),
+        Check("superqubit_concurrence_closed_vs_gram", _worst(superqubit_gap), 1e-10),
+        Check("alpha_invariance_of_concurrence", _worst(alpha_invariance), tol),
+        Check("flip_invariance_of_concurrence", _worst(flip_invariance), 1e-12),
+        Check("gram_purity_identity", _worst(gram_purity), 1e-10),
+        Check("density_rank_bound", _worst(rank_bound), 1e-10),
+        Check("spectral_entropy_matches_closed_form", _worst(spectral_gap), 1e-9),
+        Check("entropy_pole_values", _worst(pole_entropy), 0.0),
+        Check("geometric_concurrence_identity", _worst(geometric), 1e-12),
+        Check("pole_probability_identity", _worst(probability_gap), 1e-12),
     ]
 
 
 def _suite_uncertainty(dim: int, tol: float, seed: int, n_max: int) -> list[Check]:
     # Each angle grid is one stack of the CLI's states, as in the eigen suite,
     # and one O(dim) apply of the banded X and P gives the oracle moments.
-    mean_gap = 0.0
-    var_gap = 0.0
-    alpha_independence = 0.0
+    mean_gap, var_gap, alpha_independence = [], [], []
     thetas, phis = _THETAS[::2], _PHIS[::2]
     for zeta in _ZETAS:
         low = _super_qubit_grid(thetas, phis, zeta)
@@ -437,67 +403,54 @@ def _suite_uncertainty(dim: int, tol: float, seed: int, n_max: int) -> list[Chec
             base = SuperQubitParams(theta, phi, zeta)
             for alpha, numeric in ((0.0, numeric_at_zero), (_UNCERTAINTY_ALPHA, numeric_displaced)):
                 closed = quadrature_stats_closed(CoherentParams(alpha, base))
-                mean_gap = _worst(
-                    mean_gap,
-                    abs(closed.mean_x - numeric.mean_x),
-                    abs(closed.mean_p - numeric.mean_p),
-                )
-                var_gap = _worst(
-                    var_gap,
+                mean_gap += [
+                    abs(closed.mean_x - numeric.mean_x), abs(closed.mean_p - numeric.mean_p)
+                ]
+                var_gap += [
                     abs(closed.var_x - numeric.var_x),
                     abs(closed.var_p - numeric.var_p),
                     abs(closed.product - numeric.product),
                     abs(sweep_x - numeric.var_x),
                     abs(sweep_p - numeric.var_p),
-                )
-                alpha_independence = _worst(
-                    alpha_independence,
+                ]
+                alpha_independence += [
                     abs(numeric.var_x - numeric_at_zero.var_x),
                     abs(numeric.var_p - numeric_at_zero.var_p),
-                )
+                ]
 
-    symmetric_closed = 0.0
-    symmetric_numeric = 0.0
-    variance_floor = 0.0
+    symmetric_closed, symmetric_numeric, variance_floor = [], [], []
     phi = 0.25 * math.pi
     for zeta in _ZETAS:
         low = _super_qubit_grid(_THETAS, (phi,), zeta)
         for theta, numeric in zip(_THETAS, _quadrature_stats(_undisplaced(low, dim))):
             params = CoherentParams(0.0, SuperQubitParams(theta, phi, zeta))
             var_x, var_p = variance_quadratures_closed(params)
-            symmetric_closed = _worst(symmetric_closed, abs(var_x - var_p))
-            variance_floor = _worst(variance_floor, 0.5 - var_x, 0.5 - var_p)
-            symmetric_numeric = _worst(symmetric_numeric, abs(numeric.var_x - numeric.var_p))
+            symmetric_closed.append(abs(var_x - var_p))
+            variance_floor += [0.5 - var_x, 0.5 - var_p]
+            symmetric_numeric.append(abs(numeric.var_x - numeric.var_p))
 
-    fib_point = CoherentParams(
-        0.0,
-        SuperQubitParams(0.5 * math.pi, 0.25 * math.pi, ExtendedComplex.from_value(1.0)),
-    )
-    closed_58 = variance_quadratures_closed(fib_point)
-    five_eighths_closed = _worst(abs(closed_58[0] - 0.625), abs(closed_58[1] - 0.625))
-    numeric_58 = quadrature_stats_numeric(fib_point, dim)
-    five_eighths_numeric = _worst(
-        abs(numeric_58.var_x - 0.625), abs(numeric_58.var_p - 0.625)
-    )
-
+    # The symmetric point theta = pi/2, phi = pi/4 at zeta = 1, where both
+    # variances are 5/8, and at the golden zeta, where both are the limit.
     zeta_sq, dispersion = golden_limit()
-    golden_zeta = ExtendedComplex.from_value(math.sqrt(zeta_sq))
-    golden_params = CoherentParams(
-        0.0, SuperQubitParams(0.5 * math.pi, 0.25 * math.pi, golden_zeta)
+    five_eighths, golden = (
+        CoherentParams(0.0, SuperQubitParams(0.5 * math.pi, phi, ExtendedComplex.from_value(z)))
+        for z in (1.0, math.sqrt(zeta_sq))
     )
-    golden_var = variance_quadratures_closed(golden_params)
-    golden_gap = _worst(abs(golden_var[0] - dispersion), abs(golden_var[1] - dispersion))
+    closed_58 = [abs(v - 0.625) for v in variance_quadratures_closed(five_eighths)]
+    stats_58 = quadrature_stats_numeric(five_eighths, dim)
+    numeric_58 = [abs(stats_58.var_x - 0.625), abs(stats_58.var_p - 0.625)]
+    golden_gap = [abs(v - dispersion) for v in variance_quadratures_closed(golden)]
 
     return [
-        Check("mean_quadratures_closed_vs_matrix", mean_gap, tol),
-        Check("variance_quadratures_closed_vs_matrix", var_gap, tol),
-        Check("variance_alpha_independence", alpha_independence, tol),
-        Check("symmetric_point_variance_equality_closed", symmetric_closed, 1e-12),
-        Check("symmetric_point_variance_equality_numeric", symmetric_numeric, tol),
-        Check("five_eighths_point_closed", five_eighths_closed, 1e-15),
-        Check("five_eighths_point_numeric", five_eighths_numeric, tol),
-        Check("variance_floor_on_symmetric_family", variance_floor, 1e-10),
-        Check("golden_point_variance", golden_gap, 1e-14),
+        Check("mean_quadratures_closed_vs_matrix", _worst(mean_gap), tol),
+        Check("variance_quadratures_closed_vs_matrix", _worst(var_gap), tol),
+        Check("variance_alpha_independence", _worst(alpha_independence), tol),
+        Check("symmetric_point_variance_equality_closed", _worst(symmetric_closed), 1e-12),
+        Check("symmetric_point_variance_equality_numeric", _worst(symmetric_numeric), tol),
+        Check("five_eighths_point_closed", _worst(closed_58), 1e-15),
+        Check("five_eighths_point_numeric", _worst(numeric_58), tol),
+        Check("variance_floor_on_symmetric_family", _worst(variance_floor), 1e-10),
+        Check("golden_point_variance", _worst(golden_gap), 1e-14),
     ]
 
 

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from superq import cli, entanglement, fock, uncertainty, verify
 from superq.cli import FIBONACCI_HEADER, SWEEP_HEADER, main as cli_main, sweep_thetas
+from superq.serialize import csv_cell
 from superq.verify import required_suite_dim
 
 
@@ -636,6 +637,33 @@ class TestFibonacciCommand:
     def test_n_max_too_small(self, run_cli):
         code, _, err = run_cli(["fibonacci", "--n-max", "2"])
         assert code == 2
+
+    @pytest.mark.parametrize("command", [["fibonacci"], ["verify", "--suite", "fibonacci"]])
+    def test_n_max_past_the_printable_ladder_is_refused_before_any_work(self, run_cli, monkeypatch, command):
+        # at the bound the command reaches the ladder, here its first 18 rows
+        # (the whole ladder takes ~10 s); one past the bound it never does
+        ladders, ladder = [], uncertainty.fibonacci_ladder
+        for module in (cli, verify):
+            monkeypatch.setattr(
+                module, "fibonacci_ladder", lambda n_max, dim: ladders.append(n_max) or ladder(20, dim)
+            )
+        code, out, _ = run_cli([*command, "--n-max", "20576", "--dim", "8"])
+        assert (code, ladders) == (0, [20576]) and out
+        code, out, err = run_cli([*command, "--n-max", "20577", "--dim", "8"])
+        assert (code, out, ladders) == (2, "", [20576])
+        assert err == "superq: error: --n-max must be in [3, 20576], got 20577\n"
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
+    def test_n_max_bound_is_the_last_row_python_prints(self):
+        # row n prints F_{n+1}: F_20577 has 4,300 digits, Python's default limit
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+        try:
+            assert len(csv_cell(uncertainty.fibonacci_number(cli._N_MAX_LIMIT + 1))) == 4300
+            with pytest.raises(ValueError, match="integer string conversion"):
+                csv_cell(uncertainty.fibonacci_number(cli._N_MAX_LIMIT + 2))
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_reads_the_oracle_operators_once(self, run_cli, monkeypatch):
         calls = []

@@ -87,6 +87,7 @@ CAUGHT_BY = {
         "spectral_entropy_matches_closed_form",
     ),
     "superstate._pole_probabilities": ("pole_probability_identity",),
+    "superstate.pole_probabilities": ("pole_probability_identity",),
     "entanglement._gram_entries": (
         "n_state_concurrence_closed_vs_gram",
         "superqubit_concurrence_closed_vs_gram",
@@ -231,7 +232,6 @@ EXEMPT = {
     "superstate._displace_low_levels": NORM_STOP,
     "superstate._super_qubit_grid": NORM_STOP,
     "superstate._undisplaced": NORM_STOP,
-    "superstate.pole_probabilities": "the one-state wrapper of the pinned _pole_probabilities",
     "superstate.n_superparticle_state": "not pinned yet: its level-1 phase fails creation_gate_raises_vacuum alone",
     "uncertainty._quadrature_entries": "the sqrt(n)/sqrt2 entries of the pinned quadrature_operators",
     "uncertainty._memoised_quadratures": "the memo behind the pinned quadrature_operators",

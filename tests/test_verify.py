@@ -265,7 +265,7 @@ class TestNonFiniteResiduals:
     @pytest.mark.parametrize("field", ["number_lowering", "number_raising", "ladder"])
     @pytest.mark.parametrize("at_pole", [False, True], ids=["first_zeta", "pole"])
     def test_nan_at_one_zeta_fails_only_its_check(self, monkeypatch, field, at_pole):
-        # The suite folds each zeta into a running worst that starts at 0.0,
+        # The suite reduces every zeta's residuals to their max with 0.0,
         # where the builtin max would drop a NaN; the pole is the last zeta.
         real = verify.commutator_suite
         first = verify._ZETAS[0]
@@ -280,6 +280,43 @@ class TestNonFiniteResiduals:
         failed = [check for check in report.checks if not check.passed]
         assert [check.name for check in failed] == [f"commutator_{field}"]
         assert math.isnan(failed[0].residual)
+
+    @pytest.mark.parametrize("position", [0, -1], ids=["first_entry", "last_entry"])
+    @pytest.mark.parametrize(
+        "kernel, suite, readers",
+        [
+            (
+                "_norms",
+                "eigen",
+                {"reference_annihilation", "coherent_eigenrelation", "flipped_coherent_eigenrelation"},
+            ),
+            (
+                "_concurrence",
+                "entangle",
+                {
+                    "superqubit_concurrence_closed_vs_gram",
+                    "alpha_invariance_of_concurrence",
+                    "flip_invariance_of_concurrence",
+                },
+            ),
+        ],
+    )
+    def test_nan_in_a_stacked_residual_fails_the_checks_reading_it(
+        self, monkeypatch, kernel, suite, readers, position
+    ):
+        # Each call of the stacked kernel verify reads returns a NaN at one end
+        # of its stack; the builtin max keeps a NaN only in first place.
+        real = getattr(verify, kernel)
+
+        def patched(*args):
+            values = np.array(real(*args))
+            values[position] = math.nan
+            return values
+
+        monkeypatch.setattr(verify, kernel, patched)
+        failed = [check for check in run_verify(suite, 36).checks if not check.passed]
+        assert {check.name for check in failed} == readers
+        assert all(math.isnan(check.residual) for check in failed)
 
     def test_nan_residual_serializes_as_null(self, monkeypatch):
         nan_number_lowering(monkeypatch)
