@@ -56,10 +56,6 @@ class DensityMatrix:
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
 
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
     def purity(self) -> float:
         """Tr rho^2, via the Frobenius norm (rho is Hermitian)."""
         return float(np.vdot(self.mat, self.mat).real)

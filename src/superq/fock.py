@@ -36,7 +36,6 @@ from .errors import InvalidDimensionError, TruncationError
 __all__ = [
     "DEFAULT_DIM",
     "GUARD_BAND",
-    "BosonOperator",
     "FockVector",
     "boson_annihilator",
     "required_displacement_dim",
@@ -50,9 +49,6 @@ DEFAULT_DIM = 64
 GUARD_BAND = 8
 # Largest norm^2 that D|0> and D|1> together may lose past the truncation.
 DISPLACED_TAIL_TOL = 1e-13
-
-# Dense complex matrix acting on the truncated number basis.
-BosonOperator = np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,25 +67,8 @@ class FockVector:
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
 
-    @property
-    def dim(self) -> int:
-        return self.coeffs.size
 
-    def norm_sq(self) -> float:
-        return float(np.vdot(self.coeffs, self.coeffs).real)
-
-    def norm(self) -> float:
-        return math.sqrt(self.norm_sq())
-
-    def inner(self, other: "FockVector") -> complex:
-        """<self|other>, conjugating the left argument."""
-        return complex(np.vdot(self.coeffs, other.coeffs))
-
-    def is_normalized(self, tol: float = 1e-12) -> bool:
-        return abs(self.norm_sq() - 1.0) <= tol
-
-
-def boson_annihilator(dim: int) -> BosonOperator:
+def boson_annihilator(dim: int) -> np.ndarray:
     """Lowering operator a with entries a[n-1, n] = sqrt(n).
 
     Its conjugate transpose is the raising operator; [a, a^dag] equals the
@@ -202,7 +181,7 @@ def _require_two_levels(dim: int) -> None:
         raise InvalidDimensionError(f"displacement needs dim >= 2, got {dim}")
 
 
-def displacement_operator(alpha: complex, dim: int) -> BosonOperator:
+def displacement_operator(alpha: complex, dim: int) -> np.ndarray:
     """exp(alpha a^dag - conj(alpha) a) on the truncated space, the dense oracle.
 
     The anti-Hermitian generator is exponentiated through the spectral

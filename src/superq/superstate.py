@@ -87,20 +87,6 @@ class SuperVector:
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
 
-    @property
-    def psi0(self) -> np.ndarray:
-        """The fermion-0 block, a read-only view of row 0."""
-        return self.coeffs[0]
-
-    @property
-    def psi1(self) -> np.ndarray:
-        """The fermion-1 block, a read-only view of row 1."""
-        return self.coeffs[1]
-
-    @property
-    def dim(self) -> int:
-        return self.coeffs.shape[1]
-
     def block_norms_sq(self) -> tuple[float, float]:
         """<psi0|psi0> and <psi1|psi1>, from ``_block_norms_sq``."""
         g00, g11 = _block_norms_sq(self.coeffs).tolist()
@@ -405,9 +391,7 @@ def n_superparticle_state(n: int, zeta: ExtendedComplex, dim: int) -> SuperVecto
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if n >= dim:
-        raise TruncationError(
-            f"|{n}, zeta> does not fit in {dim} levels", required_dim=n + 1
-        )
+        raise TruncationError(f"|{n}, zeta> needs dim >= {n + 1}, got {dim}", required_dim=n + 1)
     coeffs = np.zeros((2, dim), dtype=np.complex128)
     if n == 0:
         coeffs[0, 0] = 1.0

@@ -246,7 +246,7 @@ def _fibonacci_records(first: int, last: int, dim: int) -> list[FibonacciRecord]
     for n in range(first, last + 1):
         f_n = f_nm1 + f_nm2
         f_np1 = f_n + f_nm1
-        zeta_sq = Fraction(f_nm1, f_nm2) - Fraction(1, 2)
+        zeta_sq = Fraction(2 * f_nm1 - f_nm2, 2 * f_nm2)  # F_{n-1}/F_{n-2} - 1/2
         zeta = ExtendedComplex.from_value(math.sqrt(zeta_sq))
         base = SuperQubitParams(0.5 * math.pi, 0.25 * math.pi, zeta)
         states.append(super_qubit_state(base, dim).coeffs)

@@ -16,7 +16,6 @@ import cmath
 import math
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -312,16 +311,17 @@ def _suite_entangle(dim: int, tol: float, seed: int, n_max: int) -> list[Check]:
         values = [concurrence_gram(state) for state in states]
         closed_vs_gram += [abs(gram - closed) for gram in values]
         n_spread.append(_worst(values) - min(values))
-        z_gram = math.sqrt(max(0.0, 1.0 - values[0] ** 2))
-        spectral_gap.append(abs(entanglement_entropy_bits(states[0]) - entropy_from_z(z_gram)))
         # The entropy command's circle point: the concurrence is its distance
         # from the vertical axis, and the pole-collapse probabilities are half
         # its heights 1 + z above the south pole and 1 - z below the north
         # pole, the block weights of |1, zeta>.  z is compared in the
         # homogeneous form v^2 - |u|^2; the equivalent sqrt(1 - C^2) is
-        # ill-conditioned where C is close to 1.
+        # ill-conditioned where C is close to 1.  The closed entropy of
+        # |1, zeta> is read at that height, not from the Gram kernel that the
+        # spectral entropy reads.
         circle, z = concurrence_circle(zeta_to_bloch(zeta).theta)
         height = zeta.v.real**2 - abs(zeta.u) ** 2
+        spectral_gap.append(abs(entanglement_entropy_bits(states[0]) - entropy_from_z(height)))
         (p0, p1), (w0, w1) = collapse_probabilities(z), states[0].block_norms_sq()
         geometric += [abs(closed - circle), abs(height - z), abs(p0 - w0), abs(p1 - w1)]
 
@@ -454,57 +454,54 @@ def _suite_uncertainty(dim: int, tol: float, seed: int, n_max: int) -> list[Chec
     ]
 
 
-def _above_root5(r: Fraction) -> bool:
-    """r > sqrt(5), decided exactly (a rational never equals sqrt(5))."""
-    return r > 0 and r * r > 5
+def _above_root5(num: int, den: int) -> bool:
+    """num / den > sqrt(5) for den > 0, decided exactly (a rational never equals sqrt(5))."""
+    return num > 0 and num * num > 5 * den * den
 
 
 def _suite_fibonacci(dim: int, tol: float, seed: int, n_max: int) -> list[Check]:
-    checks = []
-    previous_r = None
-    previous_sign = None
-    alternation_ok = True
-    monotone_ok = True
+    checks, above, radii = [], [], []
     records = fibonacci_ladder(n_max, dim)
     # The references walk their own recurrence from F_1 = F_2 = 1, so that a
-    # fault of the ladder's Fibonacci numbers cannot reach them too.
+    # fault of the ladder's Fibonacci numbers cannot reach them too.  Each
+    # exact identity is an integer cross-product of the records' lowest terms
+    # p/q = |zeta_n|^2 and a/b = F_n/F_{n+1}.
     f_nm2, f_nm1 = 1, 1
     for record in records:
-        n = record.n
         f_n = f_nm1 + f_nm2
         f_np1 = f_n + f_nm1
+        p, q = record.zeta_sq.numerator, record.zeta_sq.denominator
+        a, b = record.dispersion_closed.numerator, record.dispersion_closed.denominator
         exact_ok = (
             record.fib_n == f_n
-            and record.zeta_sq == Fraction(f_nm1, f_nm2) - Fraction(1, 2)
-            and record.dispersion_closed == Fraction(f_n, f_np1)
-            and (1 + Fraction(1, 2) / (1 + record.zeta_sq)) / 2
-            == record.dispersion_closed
+            # p/q = F_{n-1}/F_{n-2} - 1/2
+            and 2 * f_nm2 * p == (2 * f_nm1 - f_nm2) * q
+            and f_np1 * a == f_n * b
+            # a/b = (1 + (1/2) / (1 + p/q)) / 2
+            and (2 * p + 3 * q) * b == 4 * (p + q) * a
         )
         f_nm2, f_nm1 = f_nm1, f_n
-        numeric_gap = abs(record.dispersion_numeric - float(record.dispersion_closed))
-        residual = numeric_gap if exact_ok else _BOOL_FAIL
-        checks.append(Check(f"fibonacci_record[n={n}]", residual, tol))
-
+        # The closed side is the references' F_n / F_{n+1}, the same rational
+        # as a/b once exact_ok holds; int / int rounds as float(Fraction) does.
+        residual = abs(record.dispersion_numeric - f_n / f_np1) if exact_ok else _BOOL_FAIL
+        checks.append(Check(f"fibonacci_record[n={record.n}]", residual, tol))
         # Decided in exact arithmetic: from n ~ 40 on, the radius and the gap
         # sit within float rounding of their limits.  |zeta_n|^2 > phi - 1/2
         # reads 2 |zeta_n|^2 > sqrt(5).
-        sign = 1 if _above_root5(2 * record.zeta_sq) else -1
-        if previous_sign is not None and sign == previous_sign:
-            alternation_ok = False
-        previous_sign = sign
-        # The gap |F_n/F_{n+1} - 1/phi| is |r - sqrt(5)| / 2.  It fails to shrink
-        # when r repeats, or when sqrt(5) lies on the previous r's side of
-        # their midpoint.
-        r = 2 * record.dispersion_closed + 1
-        if previous_r is not None and (
-            r == previous_r or (r > previous_r) == _above_root5((r + previous_r) / 2)
-        ):
-            monotone_ok = False
-        previous_r = r
+        above.append(_above_root5(2 * p, q))
+        radii.append((2 * a + b, b))
 
+    # The gap |a/b - 1/phi| is |r - sqrt(5)| / 2 with r = (2a + b) / b.  It fails
+    # to shrink when r repeats, or when sqrt(5) lies on the previous r's side of
+    # their midpoint (n1 d0 + n0 d1) / (2 d0 d1).
+    alternates = all(x != y for x, y in zip(above, above[1:]))
+    converges = all(
+        n1 * d0 != n0 * d1 and (n1 * d0 > n0 * d1) != _above_root5(n1 * d0 + n0 * d1, 2 * d0 * d1)
+        for (n0, d0), (n1, d1) in zip(radii, radii[1:])
+    )
     for name, ok in (
-        ("fibonacci_circle_sign_alternation", alternation_ok),
-        ("fibonacci_dispersion_monotone_convergence", monotone_ok),
+        ("fibonacci_circle_sign_alternation", alternates),
+        ("fibonacci_dispersion_monotone_convergence", converges),
     ):
         checks.append(Check(name, _BOOL_PASS if ok else _BOOL_FAIL, 0.0))
     if n_max >= 20:  # records[17] is n = 20

@@ -1,10 +1,17 @@
 import cmath
+import contextlib
+import importlib
+import inspect
+import io
 import math
+import pkgutil
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import superq
 from superq import fock, uncertainty
 from superq.cli import main as cli_main
 from superq.moebius import BlochPoint, ExtendedComplex
@@ -61,6 +68,85 @@ def quickstart_source() -> str:
     return section[start : section.index("```", start)]
 
 
+def exec_quickstart() -> None:
+    """Run the README quickstart, which prints nothing, in a fresh namespace."""
+    exec(compile(quickstart_source(), "README.md", "exec"), {})
+
+
+# The package's reach: verify --suite all and one argv of each emitting command.
+EMITTING_ARGVS = [
+    ["verify", "--suite", "all", "--dim", "64"],
+    ["state", "--theta", "1", "--zeta-re", "1"],
+    ["coherent", "--theta", "1", "--zeta-re", "1", "--alpha-re", "0.5"],
+    ["concurrence", "--theta", "1", "--zeta-re", "1"],
+    ["entropy", "--zeta-re", "1"],
+    ["uncertainty", "--theta", "1", "--zeta-re", "1", "--alpha-re", "0.5"],
+    ["fibonacci", "--n-max", "5"],
+    ["sweep", "--zeta-re", "1", "--grid", "3,3"],
+]
+
+
+def cli_run(argv):
+    """A call that runs the CLI on argv, discards its stdout and requires exit 0."""
+
+    def run():
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli_main(argv)
+        assert code == 0, argv
+
+    return run
+
+
+def function_names() -> dict:
+    """module.name (or module.Class.name) of each function the package's source defines, by code object.
+
+    A memo counts as the function it wraps; a nested function has no name of
+    its own and counts as part of the function that defines it.
+    """
+    package = Path(superq.__file__).parent
+    names = {}
+    for info in pkgutil.iter_modules(superq.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"superq.{info.name}")
+        for attr, value in vars(module).items():
+            members = [(attr, value)]
+            if inspect.isclass(value) and value.__module__ == module.__name__:
+                members = [(f"{attr}.{name}", member) for name, member in vars(value).items()]
+            for name, member in members:
+                # a property's getter, a classmethod's function
+                func = inspect.unwrap(getattr(member, "fget", None) or getattr(member, "__func__", member))
+                code = getattr(func, "__code__", None)
+                # the module that defines it, not one that imports it
+                if code is not None and Path(code.co_filename) == package / f"{info.name}.py":
+                    names[code] = f"{info.name}.{name}"
+    return names
+
+
+def reached_functions(calls) -> set[str]:
+    """The function_names of every superq function that running the calls reaches, under sys.setprofile."""
+    names, found = function_names(), set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            found.add(names[frame.f_code])
+
+    for call in calls:
+        sys.setprofile(profile)
+        try:
+            call()
+        finally:
+            sys.setprofile(None)
+    return found
+
+
+@pytest.fixture(scope="session")
+def emitting_reach() -> frozenset[str]:
+    """reached_functions of EMITTING_ARGVS from cold memos, traced once per session."""
+    clear_memos()
+    return frozenset(reached_functions(map(cli_run, EMITTING_ARGVS)))
+
+
 # Independent references the tests build without the package's own routes.
 
 
@@ -87,8 +173,7 @@ def guarded_max_abs(full_matrix: np.ndarray, dim: int, guard: int = fock.GUARD_B
 
 def guarded_norm(state, guard: int = fock.GUARD_BAND) -> float:
     """Euclidean norm of a SuperVector over both blocks' boson levels below dim - guard."""
-    keep = state.dim - guard
-    return float(np.linalg.norm(np.concatenate([state.psi0[:keep], state.psi1[:keep]])))
+    return float(np.linalg.norm(state.coeffs[:, : state.coeffs.shape[1] - guard]))
 
 
 def bloch_to_zeta(point: BlochPoint) -> ExtendedComplex:

@@ -281,6 +281,15 @@ class TestStateEmission:
         assert payload["concurrence_closed"] == pytest.approx(1.0, abs=1e-12)
         assert payload["p0"] == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("command", ["state", "concurrence"])
+    @pytest.mark.parametrize("n,dim", [(5, 4), (5, 5), (2, 2)])
+    def test_n_past_the_truncation_names_dim(self, run_cli, command, n, dim):
+        code, out, err = run_cli([command, "--n", str(n), "--zeta-re", "1", "--dim", str(dim)])
+        assert (code, out) == (2, "")
+        assert err == f"superq: error: |{n}, zeta> needs dim >= {n + 1}, got {dim}\n"
+        code, _, _ = run_cli([command, "--n", str(n), "--zeta-re", "1", "--dim", str(n + 1)])
+        assert code == 0
+
     def test_coherent_matches_displaced_reference(self, run_cli):
         args = ["--theta", "0.9", "--phi", "0.3", "--zeta-re", "1.2", "--zeta-im", "0.5", "--dim", "48"]
         code, out, _ = run_cli(["coherent", *args, "--alpha-re", "0.7", "--alpha-im", "-0.2"])

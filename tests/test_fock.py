@@ -56,18 +56,6 @@ class TestLadderOperators:
 
 
 class TestFockVector:
-    def test_norm_and_inner(self):
-        vec = fock.FockVector([3.0, 4.0j])
-        assert vec.norm() == 5.0
-        assert vec.inner(vec) == pytest.approx(25.0)
-        other = fock.FockVector([1.0, 1.0])
-        # left argument is conjugated
-        assert vec.inner(other) == pytest.approx(3.0 - 4.0j)
-
-    def test_normalization_flag(self):
-        assert fock.FockVector(basis_ket(0, 3)).is_normalized()
-        assert not fock.FockVector([1.0, 1.0]).is_normalized()
-
     def test_coefficients_are_read_only(self):
         vec = fock.FockVector(basis_ket(0, 3))
         with pytest.raises(ValueError):

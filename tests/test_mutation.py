@@ -13,11 +13,12 @@ CartesianBloch's unit-vector check instead; zeta_to_bloch has its theta
 shrunk by 1e-6 relative, since a grown theta at the pole would leave
 [0, pi]; fibonacci_number, exact integers, returns one more;
 quadrature_stats_numeric has only its ``var_x`` put off; and the state
-builders super_qubit_state, super_coherent_state and flip_state have boson
-level 1 of both blocks turned by the phase e^{i 1e-6}, which keeps the norm
-that the Gram kernel checks.  BLOCK_ONE_CAUGHT_BY pins the same builders
-once more, each with its whole fermion-1 block turned by that phase, which
-keeps every quantity read block by block.  The package's memos are cleared
+builders super_qubit_state, super_coherent_state, flip_state and
+n_superparticle_state have boson level 1 of both blocks turned by the phase
+e^{i 1e-6}, which keeps the norm that the Gram kernel checks.
+BLOCK_ONE_CAUGHT_BY pins the same builders once more, each with its whole
+fermion-1 block turned by that phase, which keeps every quantity read block
+by block.  The package's memos are cleared
 once the mutant is bound, so that no entry of the unmutated function can hide
 it.  A default ``verify --suite all`` at dim 64 must then fail exactly the
 pinned checks.
@@ -28,7 +29,8 @@ computation, so a mutant of ``_block_norms_sq`` fails no check: the CLI exits
 arguments.
 
 The pins are complete by construction: ``verify --suite all`` and one argv of
-each emitting command run under ``sys.setprofile``, and every superq function
+each emitting command run under ``sys.setprofile`` (the tracer of
+``conftest``, which the surface audit shares), and every superq function
 they reach outside ``cli``, ``serialize`` and ``errors`` must be pinned above
 or named in ``EXEMPT`` with its reason.
 """
@@ -39,14 +41,11 @@ import dataclasses
 import importlib
 import inspect
 import io
-import pkgutil
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import superq
 import superq.cli  # noqa: F401  so that the CLI's bindings are rebound too
 from superq import superstate
 from superq.cli import main as cli_main
@@ -151,6 +150,7 @@ CAUGHT_BY = {
         "flipped_coherent_eigenrelation",
     ),
     "superstate.flip_state": ("flip_commutes_with_displacement", "flipped_coherent_eigenrelation"),
+    "superstate.n_superparticle_state": ("creation_gate_raises_vacuum",),
 }
 
 # The state builders with the whole fermion-1 block turned by e^{i 1e-6}.
@@ -162,6 +162,7 @@ BLOCK_ONE_CAUGHT_BY = {
     ),
     "superstate.super_coherent_state": ("coherent_eigenrelation", "flipped_coherent_eigenrelation"),
     "superstate.flip_state": ("flipped_coherent_eigenrelation",),
+    "superstate.n_superparticle_state": ("creation_gate_raises_vacuum",),
 }
 
 
@@ -232,7 +233,6 @@ EXEMPT = {
     "superstate._displace_low_levels": NORM_STOP,
     "superstate._super_qubit_grid": NORM_STOP,
     "superstate._undisplaced": NORM_STOP,
-    "superstate.n_superparticle_state": "not pinned yet: its level-1 phase fails creation_gate_raises_vacuum alone",
     "uncertainty._quadrature_entries": "the sqrt(n)/sqrt2 entries of the pinned quadrature_operators",
     "uncertainty._memoised_quadratures": "the memo behind the pinned quadrature_operators",
     "uncertainty.fibonacci_ladder": "not pinned yet: its rows are records, which take no relative error",
@@ -313,6 +313,7 @@ STATE_BUILDERS = (
     "superstate.super_qubit_state",
     "superstate.super_coherent_state",
     "superstate.flip_state",
+    "superstate.n_superparticle_state",
 )
 
 MUTATIONS = {
@@ -399,62 +400,8 @@ def test_block_norms_mutant_exits_one(monkeypatch, cold_memos, argv):
     assert err.getvalue().startswith("superq: numerical consistency failure: state norm^2 = 1.000001")
 
 
-# verify --suite all and one argv of each emitting command.
-EMITTING_ARGVS = [
-    ["verify", "--suite", "all", "--dim", str(DIM)],
-    ["state", "--theta", "1", "--zeta-re", "1"],
-    ["coherent", "--theta", "1", "--zeta-re", "1", "--alpha-re", "0.5"],
-    ["concurrence", "--theta", "1", "--zeta-re", "1"],
-    ["entropy", "--zeta-re", "1"],
-    ["uncertainty", "--theta", "1", "--zeta-re", "1", "--alpha-re", "0.5"],
-    ["fibonacci", "--n-max", "5"],
-    ["sweep", "--zeta-re", "1", "--grid", "3,3"],
-]
-
-
-def function_names() -> dict:
-    """module.name (or module.Class.name) of each function the package's source defines, by code object.
-
-    A memo counts as the function it wraps; a nested function has no name of
-    its own and counts as part of the function that defines it.
-    """
-    package = Path(superq.__file__).parent
-    names = {}
-    for info in pkgutil.iter_modules(superq.__path__):
-        if info.name == "__main__":
-            continue
-        module = importlib.import_module(f"superq.{info.name}")
-        for attr, value in vars(module).items():
-            members = [(attr, value)]
-            if inspect.isclass(value) and value.__module__ == module.__name__:
-                members = [(f"{attr}.{name}", member) for name, member in vars(value).items()]
-            for name, member in members:
-                # a property's getter, a classmethod's function
-                func = inspect.unwrap(getattr(member, "fget", None) or getattr(member, "__func__", member))
-                code = getattr(func, "__code__", None)
-                # the module that defines it, not one that imports it
-                if code is not None and Path(code.co_filename) == package / f"{info.name}.py":
-                    names[code] = f"{info.name}.{name}"
-    return names
-
-
-def test_every_traced_function_is_pinned_or_exempt():
-    names, reached = function_names(), set()
-
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code in names:
-            reached.add(names[frame.f_code])
-
-    for argv in EMITTING_ARGVS:
-        out = io.StringIO()
-        sys.setprofile(profile)
-        try:
-            with contextlib.redirect_stdout(out):
-                code = cli_main(argv)
-        finally:
-            sys.setprofile(None)
-        assert code == 0, argv
-    reached = {name for name in reached if name.split(".")[0] not in ("cli", "serialize", "errors")}
+def test_every_traced_function_is_pinned_or_exempt(emitting_reach):
+    reached = {name for name in emitting_reach if name.split(".")[0] not in ("cli", "serialize", "errors")}
     pinned = set(CAUGHT_BY) | set(BLOCK_ONE_CAUGHT_BY)
     assert not pinned & set(EXEMPT)
     assert reached - pinned - set(EXEMPT) == set()

@@ -67,7 +67,7 @@ class TestSuperVector:
         coeffs[0, 0] = 9.0
         assert state.coeffs[0, 0] == 0.6 and coeffs.flags.writeable
         assert state.coeffs.dtype == np.complex128 and state.coeffs.shape == (2, 2)
-        for view in (state.coeffs, state.psi0, state.psi1):
+        for view in (state.coeffs, state.coeffs[0], state.coeffs[1]):
             with pytest.raises(ValueError):
                 view[0] = 1.0
 
@@ -87,17 +87,16 @@ class TestSuperVector:
         state = SuperVector([[0.6, 0.0], [0.0, 0.8j]])
         g00, g11 = state.block_norms_sq()
         assert (g00, g11) == (
-            float(np.vdot(state.psi0, state.psi0).real),
-            float(np.vdot(state.psi1, state.psi1).real),
+            float(np.vdot(state.coeffs[0], state.coeffs[0]).real),
+            float(np.vdot(state.coeffs[1], state.coeffs[1]).real),
         )
         assert state.norm_sq() == g00 + g11
 
     def test_blocks_are_row_views(self):
         state = random_state(np.random.default_rng(2), 5)
-        assert state.dim == 5
-        assert np.shares_memory(state.psi0, state.coeffs)
-        np.testing.assert_array_equal(state.psi0, state.coeffs[0])
-        np.testing.assert_array_equal(state.psi1, state.coeffs[1])
+        assert state.coeffs.shape == (2, 5)
+        assert np.shares_memory(state.coeffs[0], state.coeffs)
+        assert np.shares_memory(state.coeffs[1], state.coeffs)
 
     def test_norm_splits_over_blocks(self):
         state = SuperVector([[0.6, 0.0], [0.0, 0.8]])
@@ -131,7 +130,7 @@ def test_array_valued_types_compare_and_hash_by_identity(build):
 
 def _blocks(state):
     """The two blocks of a state as separate contiguous arrays, as the per-block code held them."""
-    return np.array(state.psi0), np.array(state.psi1)
+    return np.array(state.coeffs[0]), np.array(state.coeffs[1])
 
 
 @st.composite
@@ -322,20 +321,20 @@ class TestNSuperparticleState:
     def test_zero_state_ignores_zeta(self):
         for zeta in ZETA_SAMPLES + [ExtendedComplex.infinity()]:
             state = n_superparticle_state(0, zeta, 4)
-            np.testing.assert_array_equal(state.psi0, basis_ket(0, 4))
-            assert not state.psi1.any()
+            np.testing.assert_array_equal(state.coeffs[0], basis_ket(0, 4))
+            assert not state.coeffs[1].any()
 
     def test_one_state_at_unit_zeta(self):
         state = n_superparticle_state(1, ExtendedComplex.from_value(1.0), 4)
         inv_sqrt2 = 1.0 / math.sqrt(2.0)
-        assert state.psi0[1] == pytest.approx(inv_sqrt2, abs=1e-15)
-        assert state.psi1[0] == pytest.approx(inv_sqrt2, abs=1e-15)
+        assert state.coeffs[0, 1] == pytest.approx(inv_sqrt2, abs=1e-15)
+        assert state.coeffs[1, 0] == pytest.approx(inv_sqrt2, abs=1e-15)
         assert abs(state.norm_sq() - 1.0) <= 1e-12
 
     def test_pole_keeps_only_fermion_block(self):
         state = n_superparticle_state(2, ExtendedComplex.infinity(), 4)
-        assert not state.psi0.any()
-        np.testing.assert_array_equal(state.psi1, basis_ket(1, 4))
+        assert not state.coeffs[0].any()
+        np.testing.assert_array_equal(state.coeffs[1], basis_ket(1, 4))
 
     def test_truncation_rejected(self):
         with pytest.raises(TruncationError) as excinfo:
@@ -360,18 +359,18 @@ class TestSuperQubitState:
         state = super_qubit_state(
             SuperQubitParams(theta, phi, ExtendedComplex.from_value(0.0)), 8
         )
-        assert not state.psi1.any()
-        assert state.psi0[0] == pytest.approx(math.cos(theta / 2))
-        assert state.psi0[1] == pytest.approx(cmath.rect(math.sin(theta / 2), phi))
+        assert not state.coeffs[1].any()
+        assert state.coeffs[0, 0] == pytest.approx(math.cos(theta / 2))
+        assert state.coeffs[0, 1] == pytest.approx(cmath.rect(math.sin(theta / 2), phi))
 
     def test_pole_zeta_is_fermionic_product(self):
         theta, phi = 1.2, 0.8
         state = super_qubit_state(
             SuperQubitParams(theta, phi, ExtendedComplex.infinity()), 8
         )
-        assert state.psi0[0] == pytest.approx(math.cos(theta / 2))
-        assert state.psi1[0] == pytest.approx(cmath.rect(math.sin(theta / 2), phi))
-        assert abs(state.psi0[1]) == 0.0
+        assert state.coeffs[0, 0] == pytest.approx(math.cos(theta / 2))
+        assert state.coeffs[1, 0] == pytest.approx(cmath.rect(math.sin(theta / 2), phi))
+        assert abs(state.coeffs[0, 1]) == 0.0
 
     @pytest.mark.parametrize("theta,phi", [(0.0, 0.0), (0.9, 2.2), (math.pi, 0.0)])
     def test_normalized(self, theta, phi):
@@ -424,8 +423,8 @@ class TestSuperCoherentState:
         amp1 = cmath.rect(math.sin(theta / 2), phi)
         psi0 = math.cos(theta / 2) * d0 + amp1 * zeta.v * d1
         psi1 = amp1 * zeta.u * d0
-        assert np.abs(state.psi0 - psi0).max() <= 1e-10
-        assert np.abs(state.psi1 - psi1).max() <= 1e-10
+        assert np.abs(state.coeffs[0] - psi0).max() <= 1e-10
+        assert np.abs(state.coeffs[1] - psi1).max() <= 1e-10
 
     def test_guard_violation(self):
         base = SuperQubitParams(0.5, 0.0, ExtendedComplex.from_value(1.0))
@@ -452,8 +451,8 @@ class TestFlip:
         rng = np.random.default_rng(3)
         state = random_state(rng, 6)
         flipped = flip_operator(6).apply(state)
-        np.testing.assert_array_equal(flipped.psi0, state.psi1)
-        np.testing.assert_array_equal(flipped.psi1, state.psi0)
+        np.testing.assert_array_equal(flipped.coeffs[0], state.coeffs[1])
+        np.testing.assert_array_equal(flipped.coeffs[1], state.coeffs[0])
         direct = flip_state(state)
         assert (flipped - direct).norm() == 0.0
 
@@ -491,8 +490,8 @@ class TestFlippedCoherent:
             super_coherent_state(CoherentParams(0.0, SuperQubitParams(math.pi, 0.0, zeta)), 24)
         )
         inv_sqrt2 = 1.0 / math.sqrt(2.0)
-        assert state.psi0[0] == pytest.approx(inv_sqrt2, abs=1e-15)
-        assert state.psi1[1] == pytest.approx(inv_sqrt2, abs=1e-15)
+        assert state.coeffs[0, 0] == pytest.approx(inv_sqrt2, abs=1e-15)
+        assert state.coeffs[1, 1] == pytest.approx(inv_sqrt2, abs=1e-15)
 
     def test_transposed_eigenvalue_relation(self):
         # quoted residual point: alpha = 0.8i, zeta = 1 + i, theta = 2, phi = 1
@@ -528,8 +527,8 @@ class TestFlippedCoherent:
         low = _super_qubit_grid([theta], [phi], zeta)
         stack = _undisplaced(low, dim) if alpha == 0 else _displace_low_levels(alpha, low, dim)
         reference = stack[0, ::-1]
-        assert flipped.psi0.tobytes() == reference[0].tobytes()
-        assert flipped.psi1.tobytes() == reference[1].tobytes()
+        assert flipped.coeffs[0].tobytes() == reference[0].tobytes()
+        assert flipped.coeffs[1].tobytes() == reference[1].tobytes()
 
 
 class TestCommutatorSuite:
@@ -621,10 +620,10 @@ class TestBlockOperatorOwnership:
             applied = x.apply(state)
             expected0 = matvec(x.ul, psi0) + matvec(x.ur, psi1)
             expected1 = matvec(x.ll, psi0) + matvec(x.lr, psi1)
-            np.testing.assert_array_equal(applied.psi0, expected0)
-            np.testing.assert_array_equal(applied.psi1, expected1)
+            np.testing.assert_array_equal(applied.coeffs[0], expected0)
+            np.testing.assert_array_equal(applied.coeffs[1], expected1)
             np.testing.assert_allclose(
-                applied.psi0, x.ul @ psi0 + x.ur @ psi1, rtol=1e-15, atol=1e-15
+                applied.coeffs[0], x.ul @ psi0 + x.ur @ psi1, rtol=1e-15, atol=1e-15
             )
             for y in ops:
                 product = x @ y
@@ -730,7 +729,7 @@ class TestBandedBlockOperator:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
-        assert sorted(product.bands[0]) == [0] and applied.dim == dim
+        assert sorted(product.bands[0]) == [0] and applied.coeffs.shape == (2, dim)
 
     @pytest.mark.parametrize("zeta", ZETA_SAMPLES + [ExtendedComplex.infinity()])
     @pytest.mark.parametrize("dim", [2, 3, 9])

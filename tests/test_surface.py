@@ -1,4 +1,4 @@
-"""Every public name of a superq module has a reader.
+"""Every public name of a superq module has a reader, and every public class member runs.
 
 The library surface is what ``cli`` and ``verify`` read, what the modules
 read of each other, and what the README quickstart uses.  A public name is
@@ -6,6 +6,12 @@ one in the module's ``__all__`` (every top-level class and function of a
 module without one).  It passes when another superq module reads it (the
 package's ``__init__`` re-exports do not count), when its own module reads
 it beyond its definition, or when the quickstart reads it.
+
+A public class member is a method or property without a leading underscore
+that a superq class defines.  It passes when the emitting commands of
+``conftest.EMITTING_ARGVS`` or the quickstart call it, traced under
+``sys.setprofile``; the emitting commands' reach is the one the mutation
+gate's coverage test reads, traced once per session.
 """
 
 import ast
@@ -13,7 +19,7 @@ from pathlib import Path
 
 import superq
 
-from conftest import quickstart_source
+from conftest import exec_quickstart, function_names, quickstart_source, reached_functions
 
 PACKAGE = Path(superq.__file__).parent
 
@@ -69,3 +75,16 @@ def unread_public_names() -> set[str]:
 
 def test_every_public_name_has_a_reader():
     assert unread_public_names() == set(EXEMPT)
+
+
+def public_members() -> set[str]:
+    """module.Class.name of each public method and property a superq class defines."""
+    return {
+        name
+        for name in function_names().values()
+        if name.count(".") == 2 and not name.rsplit(".", 1)[1].startswith("_")
+    }
+
+
+def test_every_public_class_member_is_reached(emitting_reach):
+    assert public_members() - emitting_reach - reached_functions([exec_quickstart]) == set()
