@@ -30,6 +30,7 @@ from .errors import NormalizationError, NumericalConsistencyError
 from .fock import DEFAULT_DIM
 from .moebius import (
     ExtendedComplex,
+    _grid_phases,
     concurrence_circle,
     zeta_to_bloch,
 )
@@ -38,14 +39,14 @@ from .superstate import (
     CoherentParams,
     SuperQubitParams,
     _pole_probabilities,
-    _super_qubit_grid,
+    _super_qubit_grid_at,
     _undisplaced,
     n_superparticle_state,
     pole_probabilities,
     super_coherent_state,
 )
 from .uncertainty import (
-    _variance_grid,
+    _variance_grid_at,
     fibonacci_ladder,
     golden_limit,
     quadrature_stats_closed,
@@ -303,9 +304,8 @@ def _gram_measures(state) -> tuple[tuple[float, float], float, float]:
     of ``block_norms_sq``, ``concurrence_gram`` and ``entanglement_entropy_bits``.
     """
     entries = _gram_entries(state.coeffs)
-    (entropy,) = _entropies(*entries)
     block_norms = float(entries[0]), float(entries[1])
-    return block_norms, float(_concurrence(state.coeffs, *entries)), entropy
+    return block_norms, float(_concurrence(entries[3])), float(_entropies(*entries)[0])
 
 
 def _emit_state(args) -> str:
@@ -418,9 +418,10 @@ def _emit_sweep(args) -> str:
     thetas = sweep_thetas(t_count)
     phis = [2.0 * math.pi * j / p_count for j in range(p_count)]
     zeta_re, zeta_im = (math.inf, 0.0) if args.zeta_inf else _zeta_parts(args)
-    coeffs = _undisplaced(_super_qubit_grid(thetas, phis, args.zeta), _SWEEP_LEVELS)
+    phases = _grid_phases(thetas, phis)
+    coeffs = _undisplaced(_super_qubit_grid_at(thetas, *phases, args.zeta), _SWEEP_LEVELS)
     p0, p1 = _pole_probabilities(coeffs, args.zeta)
-    var_x, var_p = _variance_grid(thetas, phis, args.zeta)
+    var_x, var_p = _variance_grid_at(thetas, *phases, args.zeta)
     entries = _gram_entries(coeffs)
     # theta, phi, zeta and the closed concurrence repeat down their columns,
     # so each is formatted once and a row starts with their joined text
@@ -430,8 +431,8 @@ def _emit_sweep(args) -> str:
         (csv_cell(theta), csv_cell(concurrence_superqubit(theta, args.zeta))) for theta in thetas
     ]
     leads = [f"{t},{p},{zeta_cells},{c}" for t, c in theta_cells for p in phi_cells]
-    values = np.array([_concurrence(coeffs, *entries), _entropies(*entries), p0, p1, var_x, var_p])
-    return csv_text(SWEEP_HEADER, [leads, *values])
+    columns = [_concurrence(entries[3]), _entropies(*entries), p0, p1, var_x, var_p]
+    return csv_text(SWEEP_HEADER, [leads, *columns])
 
 
 def _emit_fibonacci(args) -> str:

@@ -73,18 +73,33 @@ def _require_normalized(norm_sq) -> None:
         raise NormalizationError(f"state norm^2 = {off} is not 1 within {NORMALIZATION_TOL}")
 
 
-def _gram_entries(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """g00 = <psi0|psi0>, g11 = <psi1|psi1> and g01 = <psi0|psi1> of a (..., 2, L) stack.
+def _gram_entries(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """g00 = <psi0|psi0>, g11 = <psi1|psi1>, g01 = <psi0|psi1> and det G of a (..., 2, L) stack.
 
-    The one place the Gram entries are computed and each norm^2 g00 + g11
-    checked: the concurrence and the spectral entropy read them from here.
-    g00 and g11 are the block norms^2 of ``superstate._block_norms_sq``, which
-    ``SuperVector.norm_sq`` reads too; g01 is one np.vecdot, which runs
-    np.vdot's BLAS dot on each pair of blocks.
+    The one Gram pass: the concurrence and the spectral entropy read it, and
+    each norm^2 g00 + g11 is checked here.  g00 and g11 are the block norms^2
+    of ``superstate._block_norms_sq``, which ``SuperVector.norm_sq`` reads
+    too; g01 is one np.vecdot, which runs np.vdot's BLAS dot on each pair of
+    blocks.  det G = g_big ||small - (<big|small> / g_big) big||^2, where big
+    is the block of larger norm: the smaller block is projected off the
+    larger one instead of subtracting |g01|^2 from g00 g11, so two parallel
+    blocks give a determinant of rounding size squared, not rounding size.
     """
     block = _block_norms_sq(coeffs)
     _require_normalized(block[..., 0] + block[..., 1])
-    return block[..., 0], block[..., 1], np.vecdot(coeffs[..., 0, :], coeffs[..., 1, :])
+    g00, g11 = block[..., 0], block[..., 1]
+    c0, c1 = coeffs[..., 0, :], coeffs[..., 1, :]
+    g01 = np.vecdot(c0, c1)
+    first_big = g00 >= g11
+    big = np.where(first_big[..., None], c0, c1)
+    small = np.where(first_big[..., None], c1, c0)
+    g_big = np.where(first_big, g00, g11)
+    # <psi1|psi0> is the conjugate of g01
+    overlap = np.where(first_big, g01, np.conj(g01))
+    # numpy divides by g_big + 0j as each part times 1 / g_big; Python's
+    # complex / float would divide each part by g_big and round differently
+    perpendicular = small - (overlap / g_big)[..., None] * big
+    return g00, g11, g01, g_big * np.vecdot(perpendicular, perpendicular).real
 
 
 def reduced_boson_density(state: SuperVector) -> DensityMatrix:
@@ -95,29 +110,12 @@ def reduced_boson_density(state: SuperVector) -> DensityMatrix:
 
 
 def concurrence_gram(state: SuperVector) -> float:
-    """Concurrence 2 sqrt(det G) from the Gram determinant of the blocks.
-
-    det G = g_big ||small - (<big|small> / g_big) big||^2, where big is the
-    block of larger norm: the smaller block is projected off the larger one
-    instead of subtracting |g01|^2 from g00 g11, so two parallel blocks give
-    a determinant of rounding size squared, not rounding size.
-    """
-    return float(_concurrence(state.coeffs, *_gram_entries(state.coeffs)))
+    """Concurrence 2 sqrt(det G) from the Gram determinant of the blocks, capped at 1."""
+    return float(_concurrence(_gram_entries(state.coeffs)[3]))
 
 
-def _concurrence(coeffs: np.ndarray, g00, g11, g01) -> np.ndarray:
-    """concurrence_gram of each state of a (..., 2, L) stack, given its Gram entries."""
-    first_big = g00 >= g11
-    c0, c1 = coeffs[..., 0, :], coeffs[..., 1, :]
-    big = np.where(first_big[..., None], c0, c1)
-    small = np.where(first_big[..., None], c1, c0)
-    g_big = np.where(first_big, g00, g11)
-    # <psi1|psi0> is the conjugate of g01
-    overlap = np.where(first_big, g01, np.conj(g01))
-    # numpy divides by g_big + 0j as each part times 1 / g_big; Python's
-    # complex / float would divide each part by g_big and round differently
-    perpendicular = small - (overlap / g_big)[..., None] * big
-    det = g_big * np.vecdot(perpendicular, perpendicular).real
+def _concurrence(det: np.ndarray) -> np.ndarray:
+    """concurrence_gram of each state of a stack, given its Gram determinant."""
     return np.minimum(1.0, 2.0 * np.sqrt(det))
 
 
@@ -170,24 +168,22 @@ def entanglement_entropy_bits(state: SuperVector) -> float:
     the spectrum of the 2x2 Gram matrix, so only that spectrum is computed,
     by the sweep's kernel on a stack of one state.
     """
-    (entropy,) = _entropies(*_gram_entries(state.coeffs))
-    return entropy
+    return float(_entropies(*_gram_entries(state.coeffs))[0])
 
 
-def _entropies(g00, g11, g01) -> list[float]:
-    """The spectral entropy from each state's Gram entries, in row order; one stacked eigvalsh."""
-    gram = np.empty((*np.shape(g01), 2, 2), dtype=np.complex128)
-    gram[..., 0, 0], gram[..., 1, 1] = g00, g11
-    gram[..., 0, 1], gram[..., 1, 0] = g01, np.conj(g01)
+def _entropies(g00, g11, g01, det) -> np.ndarray:
+    """The spectral entropy of each state of a stack, from its Gram pass, in row order.
+
+    The 2x2 Hermitian spectrum in closed form: lam+ = (g00 + g11 + sqrt((g00 -
+    g11)^2 + 4|g01|^2)) / 2 >= 1/2, and lam- = det G / lam+, which keeps the
+    projected determinant's accuracy near a pure state where g00 + g11 - sqrt(...)
+    would cancel.  -(lam- log2 lam- + lam+ log2 lam+) runs per state with
+    math.log2, lam- skipped when it is 0; + 0.0 turns a pure state's -0.0
+    into 0.0.
+    """
+    high = 0.5 * (g00 + g11 + np.sqrt((g00 - g11) ** 2 + 4.0 * (g01.real**2 + g01.imag**2)))
     log2 = math.log2
-    entropies = []
-    # -sum lam log2 lam over the positive eigenvalues, added in ascending order
-    for lo, hi in np.linalg.eigvalsh(gram.reshape(-1, 2, 2)).tolist():
-        total = 0
-        if lo > 0.0:
-            total += lo * log2(lo)
-        if hi > 0.0:
-            total += hi * log2(hi)
-        # + 0.0 turns the empty/pure-state result -0.0 into plain 0.0
-        entropies.append(-total + 0.0)
-    return entropies
+    return np.array([
+        -((lo * log2(lo) if lo > 0.0 else 0.0) + hi * log2(hi)) + 0.0
+        for lo, hi in zip(np.ravel(det / high).tolist(), np.ravel(high).tolist())
+    ])

@@ -418,12 +418,20 @@ def _super_qubit_grid(thetas: list[float], phis: list[float], zeta: ExtendedComp
     """Levels 0 and 1 of super_qubit_state at each (theta_i, phi_j), as one (T*P, 2, 2) array.
 
     Row i * P + j belongs to (theta_i, phi_j), with the angle checks and
-    canonical azimuth of ``moebius._grid_phases``.  super_qubit_state writes
-    nothing above level 1, so these are all of its nonzero entries, equal to
-    its entries bit for bit: cmath.rect and Python's complex multiply are
-    written out as the real products they round.
+    canonical azimuth of ``moebius._grid_phases``.
     """
-    cos_phi, sin_phi = _grid_phases(thetas, phis)
+    return _super_qubit_grid_at(thetas, *_grid_phases(thetas, phis), zeta)
+
+
+def _super_qubit_grid_at(
+    thetas: list[float], cos_phi: np.ndarray, sin_phi: np.ndarray, zeta: ExtendedComplex
+) -> np.ndarray:
+    """_super_qubit_grid from the grid's ``moebius._grid_phases``, for a caller that reads them twice.
+
+    super_qubit_state writes nothing above level 1, so these are all of its
+    nonzero entries, equal to its entries bit for bit: cmath.rect and
+    Python's complex multiply are written out as the real products they round.
+    """
     radius = np.array([math.sin(0.5 * theta) for theta in thetas])[:, None]
     amp1_re, amp1_im = radius * cos_phi, radius * sin_phi
     coeffs = np.zeros((*cos_phi.shape, 2, 2), dtype=np.complex128)
@@ -491,14 +499,11 @@ def pole_probabilities(
     Computed as explicit squared overlaps rather than from the Bloch angles,
     so they double as a verification of the angle parametrization.
     """
-    (p0,), (p1,) = _pole_probabilities(state.coeffs[None], zeta, alpha)
-    return p0, p1
+    return tuple(_pole_probabilities(state.coeffs[None], zeta, alpha)[:, 0].tolist())
 
 
-def _pole_probabilities(
-    coeffs: np.ndarray, zeta: ExtendedComplex, alpha: complex = 0.0
-) -> tuple[list[float], list[float]]:
-    """pole_probabilities of each state of a (K, 2, L) coefficient stack.
+def _pole_probabilities(coeffs: np.ndarray, zeta: ExtendedComplex, alpha: complex = 0.0) -> np.ndarray:
+    """pole_probabilities of each state of a (K, 2, L) coefficient stack, as the rows of a (2, K) array.
 
     The poles |0, zeta> and |1, zeta> are one (2, 2, 2) array of their boson
     levels 0 and 1, displaced to length L when alpha != 0 and zero-padded to
@@ -513,8 +518,7 @@ def _pole_probabilities(
     poles = _displace_low_levels(alpha, low, dim) if alpha != 0 else _undisplaced(low, dim)
     blocks = np.vecdot(poles, coeffs[:, None])  # (K, pole, block)
     overlaps = (blocks[..., 0] + blocks[..., 1]).T.tolist()
-    p0, p1 = ([abs(overlap) ** 2 for overlap in row] for row in overlaps)
-    return p0, p1
+    return np.array([[abs(overlap) ** 2 for overlap in row] for row in overlaps])
 
 
 def _block_norms_sq(coeffs: np.ndarray) -> np.ndarray:

@@ -141,18 +141,25 @@ def variance_quadratures_closed(params: CoherentParams) -> tuple[float, float]:
 
 def _variance_grid(
     thetas: list[float], phis: list[float], zeta: ExtendedComplex
-) -> tuple[list[float], list[float]]:
-    """variance_quadratures_closed at each grid point (theta_i, phi_j), in row order.
+) -> tuple[np.ndarray, np.ndarray]:
+    """variance_quadratures_closed at each grid point (theta_i, phi_j), in row order."""
+    return _variance_grid_at(thetas, *_grid_phases(thetas, phis), zeta)
+
+
+def _variance_grid_at(
+    thetas: list[float], cos_phi: np.ndarray, sin_phi: np.ndarray, zeta: ExtendedComplex
+) -> tuple[np.ndarray, np.ndarray]:
+    """_variance_grid from the grid's ``moebius._grid_phases``, for a caller that reads them twice.
 
     The (x, y, z) of each point is ``moebius._cartesian_grid``'s; the
     arithmetic is the per-point formula's, with ``** 2`` in Python.
     """
-    x, y, z = _cartesian_grid(thetas, *_grid_phases(thetas, phis))
+    x, y, z = _cartesian_grid(thetas, cos_phi, sin_phi)
     weight = zeta.v.real ** 2  # 1/(1+|zeta|^2)
 
     def variance(coordinate):
         squares = np.array([c**2 for c in coordinate.ravel().tolist()]).reshape(coordinate.shape)
-        return (0.5 * (1.0 + (1.0 - z - squares) * weight)).ravel().tolist()
+        return (0.5 * (1.0 + (1.0 - z - squares) * weight)).ravel()
 
     return variance(x), variance(y)
 

@@ -200,7 +200,7 @@ def _finite_or_none(value: float) -> float | None:
 
 def _concurrences(states: np.ndarray) -> np.ndarray:
     """concurrence_gram of each state of a (K, 2, dim) stack."""
-    return _concurrence(states, *_gram_entries(states))
+    return _concurrence(_gram_entries(states)[3])
 
 
 def _random_super_vector(rng: np.random.Generator, dim: int) -> SuperVector:

@@ -5,8 +5,11 @@ import dataclasses
 import io
 import json
 import math
+import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,6 +102,52 @@ class TestGoldenFiles:
         code, out, err = run_cli(argv)
         assert (code, err) == (0, "")
         assert out == (golden_dir / name).read_text()
+
+
+# Prints the name of the kernel OpenBLAS loaded for numpy, or nothing when it
+# cannot be read: numpy's OpenBLAS is found among the process's mapped files,
+# and wheel builds prefix and suffix its symbols.
+OPENBLAS_CORE = """
+import ctypes, numpy
+paths = {line.split()[-1] for line in open("/proc/self/maps") if "openblas" in line}
+for path in sorted(paths):
+    for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename64_", "openblas_get_corename"):
+        corename = getattr(ctypes.CDLL(path), symbol, None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            print(corename().decode())
+            raise SystemExit
+"""
+
+
+class TestBlasKernel:
+    """The golden cases in a child process under OpenBLAS's Prescott kernel, which has no FMA."""
+
+    # Files whose bytes still read a BLAS kernel's rounding (ROADMAP item 3).
+    MOVE_WITH_BLAS = {
+        "coherent_theta2.3_alpha-1.2_dim128.json": "its concurrence_gram reads a BLAS dot at dim 128",
+        "uncertainty_alpha0.3_dim24.json": "its quadrature moments read BLAS dots",
+    }
+
+    def test_only_the_blas_bound_files_move_under_prescott(self):
+        env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott"}
+        core = subprocess.run(
+            [sys.executable, "-c", OPENBLAS_CORE], env=env, capture_output=True, text=True
+        ).stdout.strip()
+        # an x86-64 DYNAMIC_ARCH build aliases the Katmai kernel to Prescott's and names it first
+        if core not in ("Prescott", "Katmai"):
+            pytest.skip(f"OpenBLAS does not switch to Prescott here (core {core or 'unknown'})")
+        completed = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", f"{__file__}::TestGoldenFiles"],
+            env=env,
+            capture_output=True,
+            text=True,
+            cwd=Path(__file__).parent.parent,
+        )
+        # a parametrized case names its file first in its id
+        failed = re.findall(r"^FAILED \S+::(\w+)(?:\[(\S+?)-argv\d+\])?", completed.stdout, re.MULTILINE)
+        assert {name or test for test, name in failed} <= set(self.MOVE_WITH_BLAS), completed.stdout
+        assert f"{15 - len(failed)} passed" in completed.stdout, completed.stdout
 
 
 class TestParserCache:
@@ -889,7 +938,7 @@ class TestHugeDim:
         def refuse(*args, **kwargs):
             raise MemoryError("Unable to allocate 1.00 EiB")
 
-        monkeypatch.setattr(cli, "_super_qubit_grid", refuse)
+        monkeypatch.setattr(cli, "_super_qubit_grid_at", refuse)
         code, out, err = run_cli(["sweep", "--zeta-re", "1", "--grid", "3,3"])
         assert (code, out) == (2, "")
         assert err == "superq: error: --grid is too large to allocate: Unable to allocate 1.00 EiB\n"

@@ -1,5 +1,6 @@
-import cmath
+import decimal
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,10 +19,13 @@ from superq.entanglement import (
 )
 from superq.errors import NormalizationError, NumericalConsistencyError
 from superq.moebius import ExtendedComplex, zeta_to_bloch
+from superq.cli import sweep_thetas
 from superq.superstate import (
     CoherentParams,
     SuperQubitParams,
     SuperVector,
+    _super_qubit_grid,
+    _undisplaced,
     flip_state,
     n_superparticle_state,
     super_coherent_state,
@@ -249,59 +253,75 @@ class TestEntropy:
         assert entanglement_entropy_bits(state) == 0.0
 
 
-def gram_spectra(g00, g11, g01):
-    """The ascending spectrum of each Gram matrix [[g00, g01], [conj g01, g11]]."""
-    gram = np.empty((len(g01), 2, 2), dtype=np.complex128)
-    gram[:, 0, 0], gram[:, 1, 1] = g00, g11
-    gram[:, 0, 1], gram[:, 1, 0] = g01, np.conj(g01)
-    return np.linalg.eigvalsh(gram).tolist()
+def exact_entropy(coeffs) -> float:
+    """The spectral entropy of one (2, L) state, computed from its own float coefficients.
+
+    The Gram entries and det G are exact Fractions; the square root and the
+    logarithms run in decimal at 60 digits.  No library spectrum is read.
+    """
+    (re0, im0), (re1, im1) = ([list(map(Fraction, part.tolist())) for part in (row.real, row.imag)] for row in coeffs)
+    g00 = sum(a * a + b * b for a, b in zip(re0, im0))
+    g11 = sum(a * a + b * b for a, b in zip(re1, im1))
+    g01_re = sum(a0 * a1 + b0 * b1 for a0, b0, a1, b1 in zip(re0, im0, re1, im1))
+    g01_im = sum(a0 * b1 - b0 * a1 for a0, b0, a1, b1 in zip(re0, im0, re1, im1))
+    mod_sq = g01_re * g01_re + g01_im * g01_im
+    with decimal.localcontext() as context:
+        context.prec = 60
+
+        def dec(value):
+            return decimal.Decimal(value.numerator) / value.denominator
+
+        high = (dec(g00 + g11) + dec((g00 - g11) ** 2 + 4 * mod_sq).sqrt()) / 2
+        low = dec(g00 * g11 - mod_sq) / high
+        total = sum(lam * lam.ln() for lam in (low, high) if lam > 0)
+        return float(-total / decimal.Decimal(2).ln())
 
 
-def summed_entropies(g00, g11, g01):
-    """The spectral entropy of each Gram matrix as one sum() expression, the loop's reference."""
-    return [
-        -sum(lam * math.log2(lam) for lam in s if lam > 0.0) + 0.0
-        for s in gram_spectra(g00, g11, g01)
-    ]
+def worst_entropy_error(coeffs) -> float:
+    """The largest |_entropies - exact_entropy| over a (K, 2, L) stack."""
+    got = entanglement._entropies(*entanglement._gram_entries(coeffs))
+    return max(abs(value - exact_entropy(state)) for value, state in zip(got.tolist(), coeffs))
 
 
-def assert_bit_for_bit(g00, g11, g01):
-    got = entanglement._entropies(np.array(g00), np.array(g11), np.array(g01))
-    assert list(map(float.hex, got)) == list(map(float.hex, summed_entropies(g00, g11, g01)))
+def normalized(coeffs):
+    return coeffs / np.sqrt(np.vecdot(coeffs, coeffs).real.sum(axis=-1))[:, None, None]
 
 
-def gram_entries(g00, fraction, phase):
-    """(g00, g11, g01) of a unit-trace Gram matrix with |g01| = fraction * sqrt(g00 g11)."""
-    return g00, 1.0 - g00, fraction * math.sqrt(g00 * (1.0 - g00)) * cmath.exp(1j * phase)
+class TestSpectralEntropyAccuracy:
+    """The closed 2x2 spectrum against the exact entropy of each state's coefficients."""
 
+    TOL = 1e-15
 
-GRAM_ENTRIES = st.builds(
-    gram_entries, st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(-math.pi, math.pi)
-)
+    @pytest.mark.parametrize(
+        "zeta, grid", [(ExtendedComplex.from_value(0.5 - 1.3j), (49, 30)), (ExtendedComplex.infinity(), (25, 25))]
+    )
+    def test_sweep_grids(self, zeta, grid):
+        # the sweep's stacks, two levels padded with zeros to 8
+        t_count, p_count = grid
+        phis = [2.0 * math.pi * j / p_count for j in range(p_count)]
+        coeffs = _undisplaced(_super_qubit_grid(sweep_thetas(t_count), phis, zeta), 8)
+        assert worst_entropy_error(coeffs) <= self.TOL
 
+    def test_random_states(self):
+        rng = np.random.default_rng(3)
+        coeffs = normalized(rng.standard_normal((300, 2, 16)) + 1j * rng.standard_normal((300, 2, 16)))
+        assert worst_entropy_error(coeffs) <= self.TOL
 
-class TestEntropyLoop:
-    @given(st.lists(GRAM_ENTRIES, min_size=1, max_size=12))
-    def test_equals_the_summed_expression(self, entries):
-        assert_bit_for_bit(*map(list, zip(*entries)))
+    def test_near_parallel_blocks(self):
+        # second block = c * first + eps * random: lam- ~ eps^2, where
+        # g00 + g11 - sqrt(...) would cancel
+        rng = np.random.default_rng(4)
+        first = rng.standard_normal((280, 16)) + 1j * rng.standard_normal((280, 16))
+        noise = rng.standard_normal((280, 16)) + 1j * rng.standard_normal((280, 16))
+        scale = rng.standard_normal((280, 1)) + 1j * rng.standard_normal((280, 1))
+        eps = np.repeat(10.0 ** -np.arange(1, 8), 40)[:, None]
+        coeffs = normalized(np.stack([first, scale * first + eps * noise], axis=1))
+        assert worst_entropy_error(coeffs) <= self.TOL
 
     def test_pure_states(self):
-        # spectra exactly (0, 1): the sum is empty but for 1 log2 1, and reads +0.0
-        assert_bit_for_bit([1.0, 0.0], [0.0, 1.0], [0j, 0j])
-        got = entanglement._entropies(np.array([1.0]), np.array([0.0]), np.array([0j]))
-        assert float.hex(got[0]) == "0x0.0p+0"
-
-    def test_negative_eigenvalue_from_rounding(self):
-        # parallel blocks: the small eigenvalue is zero up to rounding, of either sign
-        rng = np.random.default_rng(0)
-        base = rng.standard_normal((200, 5)) + 1j * rng.standard_normal((200, 5))
-        scale = rng.standard_normal(200) + 1j * rng.standard_normal(200)
-        coeffs = np.stack([base, scale[:, None] * base], axis=1)
-        coeffs /= np.sqrt((abs(coeffs) ** 2).sum(axis=(1, 2)))[:, None, None]
-        g00, g11, g01 = entanglement._gram_entries(coeffs)
-        lows = [low for low, _ in gram_spectra(g00, g11, g01)]
-        assert min(lows) < 0.0 < max(lows)
-        assert_bit_for_bit(g00.tolist(), g11.tolist(), g01.tolist())
+        # spectra exactly (0, 1): the sum is 1 log2 1 alone, and reads +0.0
+        got = entanglement._entropies(*entanglement._gram_entries(np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1j]]])))
+        assert list(map(float.hex, got.tolist())) == ["0x0.0p+0"] * 2
 
 
 class TestCollapseProbabilities:

@@ -60,6 +60,7 @@ CAUGHT_BY = {
     "uncertainty.golden_limit": ("golden_point_variance", "golden_gap_at_n20"),
     "entanglement._entropies": ("spectral_entropy_matches_closed_form",),
     "uncertainty._variance_grid": ("variance_quadratures_closed_vs_matrix",),
+    "uncertainty._variance_grid_at": ("variance_quadratures_closed_vs_matrix",),
     "entanglement.collapse_probabilities": ("geometric_concurrence_identity",),
     "entanglement.concurrence_superqubit": ("superqubit_concurrence_closed_vs_gram",),
     "uncertainty.mean_quadratures_closed": ("mean_quadratures_closed_vs_matrix",),
@@ -232,6 +233,7 @@ EXEMPT = {
     "superstate._block_norms_sq": "mutated, verify, state and sweep exit 1 on the norm check (test_block_norms_mutant_exits_one)",
     "superstate._displace_low_levels": NORM_STOP,
     "superstate._super_qubit_grid": NORM_STOP,
+    "superstate._super_qubit_grid_at": NORM_STOP,
     "superstate._undisplaced": NORM_STOP,
     "uncertainty._quadrature_entries": "the sqrt(n)/sqrt2 entries of the pinned quadrature_operators",
     "uncertainty._memoised_quadratures": "the memo behind the pinned quadrature_operators",

@@ -136,7 +136,8 @@ def test_output_does_not_depend_on_dim(zeta):
     assert all(other == rows[0] for other in rows[1:])
 
 
-def test_one_stacked_eigvalsh_and_no_states(monkeypatch):
+def test_no_eigvalsh_and_no_states(monkeypatch):
+    # the Gram spectrum is read in closed form from the Gram pass
     shapes, built = [], []
     eigvalsh = np.linalg.eigvalsh
     post_init = SuperVector.__post_init__
@@ -152,7 +153,7 @@ def test_one_stacked_eigvalsh_and_no_states(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     monkeypatch.setattr(SuperVector, "__post_init__", counting_post_init)
     assert len(sweep_rows(6, 7, (0.5, 0.25), 64)) == 42
-    assert shapes == [(42, 2, 2)]
+    assert shapes == []
     assert built == []
 
 

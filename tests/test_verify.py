@@ -526,10 +526,8 @@ class TestBatchedSuites:
                 return _real(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counting)
-        per_report = {
-            ("eigvalsh", (48, 48)): 12,  # rho of the 12 random states
-            ("eigvalsh", (1, 2, 2)): 5,  # the Gram spectra of |1, zeta>, each a stack of one
-        }
+        # rho of the 12 random states; the Gram spectra of |1, zeta> are closed forms
+        per_report = {("eigvalsh", (48, 48)): 12}
         assert run_verify("all", dim=48).all_passed
         # the spectral D of the 4 amplitudes, on the first report at a dim only
         assert seen == {("eigh", (48, 48)): 4, **per_report}
