@@ -6,9 +6,9 @@ density matrix checks the Gram route, and the spectral entropy checks the
 closed entropy.  ``verify`` compares each pair; a discrepancy is a
 verification failure, never silently resolved in favor of either side.
 
-The Gram route is one kernel on (..., 2, L) coefficient stacks, run on
-``state.coeffs`` by the single-state functions and on whole grids by the
-sweep and ``verify``; the reduced density matrix never calls it.
+The Gram route is one pass on (..., 2, L) coefficient stacks, one state's or
+a whole grid's, from which the concurrence and the 2x2 spectrum are read in
+closed form; the reduced density matrix never calls it.
 """
 
 from __future__ import annotations
@@ -86,8 +86,8 @@ def _gram_entries(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     blocks give a determinant of rounding size squared, not rounding size.
     """
     block = _block_norms_sq(coeffs)
-    _require_normalized(block[..., 0] + block[..., 1])
     g00, g11 = block[..., 0], block[..., 1]
+    _require_normalized(g00 + g11)
     c0, c1 = coeffs[..., 0, :], coeffs[..., 1, :]
     g01 = np.vecdot(c0, c1)
     first_big = g00 >= g11
@@ -166,7 +166,7 @@ def entanglement_entropy_bits(state: SuperVector) -> float:
 
     The reduced density matrix has rank <= 2 and its nonzero spectrum equals
     the spectrum of the 2x2 Gram matrix, so only that spectrum is computed,
-    by the sweep's kernel on a stack of one state.
+    in closed form by the sweep's kernel on one state.
     """
     return float(_entropies(*_gram_entries(state.coeffs))[0])
 
@@ -176,10 +176,11 @@ def _entropies(g00, g11, g01, det) -> np.ndarray:
 
     The 2x2 Hermitian spectrum in closed form: lam+ = (g00 + g11 + sqrt((g00 -
     g11)^2 + 4|g01|^2)) / 2 >= 1/2, and lam- = det G / lam+, which keeps the
-    projected determinant's accuracy near a pure state where g00 + g11 - sqrt(...)
-    would cancel.  -(lam- log2 lam- + lam+ log2 lam+) runs per state with
-    math.log2, lam- skipped when it is 0; + 0.0 turns a pure state's -0.0
-    into 0.0.
+    projected determinant's accuracy near a pure state, where g00 + g11 -
+    sqrt(...) would cancel.  |g01|^2 is re^2 + im^2 and the logarithms are
+    math.log2, since numpy's complex abs and its log2 round differently at
+    different SIMD levels.  lam- = 0 adds no term, and + 0.0 turns a pure
+    state's -0.0 into 0.0.
     """
     high = 0.5 * (g00 + g11 + np.sqrt((g00 - g11) ** 2 + 4.0 * (g01.real**2 + g01.imag**2)))
     log2 = math.log2

@@ -337,7 +337,7 @@ def _suite_entangle(dim: int, tol: float, seed: int, n_max: int) -> list[Check]:
         for (theta, _), gram in zip(_ANGLES, _concurrences(grid).tolist()):
             superqubit_gap.append(abs(gram - concurrence_superqubit(theta, zeta)))
         state = super_qubit_state(SuperQubitParams(*base, zeta), dim)
-        poles = [*zip(*_pole_probabilities(grid, zeta)), pole_probabilities(state, zeta)]
+        poles = [*zip(*_pole_probabilities(grid, zeta).tolist()), pole_probabilities(state, zeta)]
         for (theta, _), (p0, p1) in zip((*_ANGLES, base), poles):
             cos_sq, sin_sq = math.cos(0.5 * theta) ** 2, math.sin(0.5 * theta) ** 2
             probability_gap += [abs(p0 - cos_sq), abs(p1 - sin_sq)]
@@ -398,7 +398,7 @@ def _suite_uncertainty(dim: int, tol: float, seed: int, n_max: int) -> list[Chec
         # the sweep's closed variances of the grid, alpha-independent as the closed form's
         sweep = _variance_grid(thetas, phis, zeta)
         for (theta, phi), numeric_at_zero, numeric_displaced, sweep_x, sweep_p in zip(
-            _HALF_ANGLES, at_zero, displaced, *sweep
+            _HALF_ANGLES, at_zero, displaced, *np.array(sweep).tolist()
         ):
             base = SuperQubitParams(theta, phi, zeta)
             for alpha, numeric in ((0.0, numeric_at_zero), (_UNCERTAINTY_ALPHA, numeric_displaced)):

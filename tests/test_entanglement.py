@@ -293,7 +293,9 @@ class TestSpectralEntropyAccuracy:
     TOL = 1e-15
 
     @pytest.mark.parametrize(
-        "zeta, grid", [(ExtendedComplex.from_value(0.5 - 1.3j), (49, 30)), (ExtendedComplex.infinity(), (25, 25))]
+        "zeta, grid",
+        [(ExtendedComplex.from_value(0.5 - 1.3j), (49, 30)), (ExtendedComplex.infinity(), (25, 25))],
+        ids=["generic_49x30", "pole_25x25"],
     )
     def test_sweep_grids(self, zeta, grid):
         # the sweep's stacks, two levels padded with zeros to 8
