@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from superq import entanglement
+from superq.cli import sweep_thetas
 from superq.entanglement import (
     DensityMatrix,
     collapse_probabilities,
@@ -19,7 +20,6 @@ from superq.entanglement import (
 )
 from superq.errors import NormalizationError, NumericalConsistencyError
 from superq.moebius import ExtendedComplex, zeta_to_bloch
-from superq.cli import sweep_thetas
 from superq.superstate import (
     CoherentParams,
     SuperQubitParams,
@@ -259,7 +259,9 @@ def exact_entropy(coeffs) -> float:
     The Gram entries and det G are exact Fractions; the square root and the
     logarithms run in decimal at 60 digits.  No library spectrum is read.
     """
-    (re0, im0), (re1, im1) = ([list(map(Fraction, part.tolist())) for part in (row.real, row.imag)] for row in coeffs)
+    (re0, im0), (re1, im1) = (
+        [list(map(Fraction, part.tolist())) for part in (row.real, row.imag)] for row in coeffs
+    )
     g00 = sum(a * a + b * b for a, b in zip(re0, im0))
     g11 = sum(a * a + b * b for a, b in zip(re1, im1))
     g01_re = sum(a0 * a1 + b0 * b1 for a0, b0, a1, b1 in zip(re0, im0, re1, im1))
@@ -322,7 +324,8 @@ class TestSpectralEntropyAccuracy:
 
     def test_pure_states(self):
         # spectra exactly (0, 1): the sum is 1 log2 1 alone, and reads +0.0
-        got = entanglement._entropies(*entanglement._gram_entries(np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1j]]])))
+        pure = np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1j]]])
+        got = entanglement._entropies(*entanglement._gram_entries(pure))
         assert list(map(float.hex, got.tolist())) == ["0x0.0p+0"] * 2
 
 
