@@ -39,14 +39,14 @@ from .superstate import (
     CoherentParams,
     SuperQubitParams,
     _pole_probabilities,
-    _super_qubit_grid_at,
+    _super_qubit_grid,
     _undisplaced,
     n_superparticle_state,
     pole_probabilities,
     super_coherent_state,
 )
 from .uncertainty import (
-    _variance_grid_at,
+    _variance_grid,
     fibonacci_ladder,
     golden_limit,
     quadrature_stats_closed,
@@ -419,9 +419,9 @@ def _emit_sweep(args) -> str:
     phis = [2.0 * math.pi * j / p_count for j in range(p_count)]
     zeta_re, zeta_im = (math.inf, 0.0) if args.zeta_inf else _zeta_parts(args)
     phases = _grid_phases(thetas, phis)
-    coeffs = _undisplaced(_super_qubit_grid_at(thetas, *phases, args.zeta), _SWEEP_LEVELS)
+    coeffs = _undisplaced(_super_qubit_grid(thetas, *phases, args.zeta), _SWEEP_LEVELS)
     p0, p1 = _pole_probabilities(coeffs, args.zeta)
-    var_x, var_p = _variance_grid_at(thetas, *phases, args.zeta)
+    var_x, var_p = _variance_grid(thetas, *phases, args.zeta)
     entries = _gram_entries(coeffs)
     # theta, phi, zeta and the closed concurrence repeat down their columns,
     # so each is formatted once and a row starts with their joined text

@@ -179,10 +179,13 @@ def _entropies(g00, g11, g01, det) -> np.ndarray:
     projected determinant's accuracy near a pure state, where g00 + g11 -
     sqrt(...) would cancel.  |g01|^2 is re^2 + im^2 and the logarithms are
     math.log2, since numpy's complex abs and its log2 round differently at
-    different SIMD levels.  lam- = 0 adds no term, and + 0.0 turns a pure
-    state's -0.0 into 0.0.
+    different SIMD levels.  Each square is x * x, which rounds the same for
+    one state's numpy scalars as for a stack; ``** 2`` of a numpy scalar
+    calls libm's pow, which can round differently.  lam- = 0 adds no term,
+    and + 0.0 turns a pure state's -0.0 into 0.0.
     """
-    high = 0.5 * (g00 + g11 + np.sqrt((g00 - g11) ** 2 + 4.0 * (g01.real**2 + g01.imag**2)))
+    gap, re, im = g00 - g11, g01.real, g01.imag
+    high = 0.5 * (g00 + g11 + np.sqrt(gap * gap + 4.0 * (re * re + im * im)))
     log2 = math.log2
     return np.array([
         -((lo * log2(lo) if lo > 0.0 else 0.0) + hi * log2(hi)) + 0.0

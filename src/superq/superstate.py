@@ -38,7 +38,7 @@ from .fock import (
     _ladder_entries,
     displaced_columns,
 )
-from .moebius import BlochPoint, ExtendedComplex, _grid_phases
+from .moebius import BlochPoint, ExtendedComplex
 
 __all__ = [
     "SuperVector",
@@ -414,23 +414,18 @@ def super_qubit_state(params: SuperQubitParams, dim: int) -> SuperVector:
     return SuperVector(coeffs)
 
 
-def _super_qubit_grid(thetas: list[float], phis: list[float], zeta: ExtendedComplex) -> np.ndarray:
-    """Levels 0 and 1 of super_qubit_state at each (theta_i, phi_j), as one (T*P, 2, 2) array.
-
-    Row i * P + j belongs to (theta_i, phi_j), with the angle checks and
-    canonical azimuth of ``moebius._grid_phases``.
-    """
-    return _super_qubit_grid_at(thetas, *_grid_phases(thetas, phis), zeta)
-
-
-def _super_qubit_grid_at(
+def _super_qubit_grid(
     thetas: list[float], cos_phi: np.ndarray, sin_phi: np.ndarray, zeta: ExtendedComplex
 ) -> np.ndarray:
-    """_super_qubit_grid from the grid's ``moebius._grid_phases``, for a caller that reads them twice.
+    """Levels 0 and 1 of super_qubit_state at each (theta_i, phi_j), as one (T*P, 2, 2) array.
 
-    super_qubit_state writes nothing above level 1, so these are all of its
-    nonzero entries, equal to its entries bit for bit: cmath.rect and
-    Python's complex multiply are written out as the real products they round.
+    Row i * P + j belongs to (theta_i, phi_j).  ``cos_phi`` and ``sin_phi``
+    are ``moebius._grid_phases(thetas, phis)``, which runs the angle checks
+    and gives the canonical azimuths; a caller computes them once per angle
+    grid and passes them to every zeta.  super_qubit_state writes nothing
+    above level 1, so these are all of its nonzero entries, equal to its
+    entries bit for bit: cmath.rect and Python's complex multiply are
+    written out as the real products they round.
     """
     radius = np.array([math.sin(0.5 * theta) for theta in thetas])[:, None]
     amp1_re, amp1_im = radius * cos_phi, radius * sin_phi
@@ -457,9 +452,10 @@ def _displace_low_levels(alpha: complex, low: np.ndarray, dim: int) -> np.ndarra
     """D(alpha) on both blocks of states supported on boson levels 0 and 1.
 
     ``low[..., block, level]`` holds levels 0 and 1 of each block, for one
-    state (2, 2) or a stack (..., 2, 2), as ``_super_qubit_grid`` builds it.
-    Each block r0 |0> + r1 |1> becomes r0 D|0> + r1 D|1>, built from the
-    memoised closed-form columns elementwise; the result is (..., 2, dim).
+    state (2, 2), as super_coherent_state reads it, or a stack (..., 2, 2),
+    as ``_super_qubit_grid`` builds it.  Each block r0 |0> + r1 |1> becomes
+    r0 D|0> + r1 D|1>, built from the memoised closed-form columns
+    elementwise; the result is (..., 2, dim).
     """
     d0, d1 = displaced_columns(alpha, dim)
     return low[..., :1] * d0 + low[..., 1:2] * d1

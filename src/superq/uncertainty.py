@@ -16,9 +16,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidDimensionError, TruncationError
-from .fock import DEFAULT_DIM
-from .moebius import BlochPoint, ExtendedComplex, _cartesian_grid, _grid_phases, bloch_cartesian
+from .errors import TruncationError
+from .fock import DEFAULT_DIM, _ladder_entries
+from .moebius import BlochPoint, ExtendedComplex, _cartesian_grid, bloch_cartesian
 from .superstate import (
     BlockOperator,
     CoherentParams,
@@ -78,17 +78,6 @@ class FibonacciRecord:
     dispersion_numeric: float
 
 
-def _quadrature_entries(dim: int) -> np.ndarray:
-    """Off-diagonal entries sqrt(n) * (1/sqrt2), n = 1..dim-1, of X and P.
-
-    numpy's complex division by sqrt2 rounds the same way, and the golden
-    Fibonacci table records that rounding.
-    """
-    if dim < 2:
-        raise InvalidDimensionError(f"dim must be >= 2 for quadratures, got {dim}")
-    return np.sqrt(np.arange(1.0, dim)) * (1.0 / _SQRT2)
-
-
 def quadrature_operators(dim: int) -> tuple[BlockOperator, BlockOperator]:
     """X = (a + a^dag)/sqrt2 and P = i (a^dag - a)/sqrt2 on both fermion blocks.
 
@@ -103,9 +92,10 @@ def quadrature_operators(dim: int) -> tuple[BlockOperator, BlockOperator]:
 # complex numbers, 128 (dim - 1) bytes.
 @functools.lru_cache(maxsize=8)
 def _memoised_quadratures(dim: int) -> tuple[BlockOperator, BlockOperator]:
-    off = _quadrature_entries(dim)
-    xd = off.astype(np.complex128)
-    x = {-1: xd, 1: xd}
+    # sqrt(n) / sqrt2 as numpy's complex division by sqrt2 rounds it, which
+    # the golden Fibonacci table records
+    off = _ladder_entries(dim) * (1.0 / _SQRT2)
+    x = {-1: off, 1: off}
     p = {-1: 1j * off, 1: -1j * off}
     return BlockOperator(dim, (x, {}, {}, x)), BlockOperator(dim, (p, {}, {}, p))
 
@@ -140,19 +130,14 @@ def variance_quadratures_closed(params: CoherentParams) -> tuple[float, float]:
 
 
 def _variance_grid(
-    thetas: list[float], phis: list[float], zeta: ExtendedComplex
-) -> tuple[np.ndarray, np.ndarray]:
-    """variance_quadratures_closed at each grid point (theta_i, phi_j), in row order."""
-    return _variance_grid_at(thetas, *_grid_phases(thetas, phis), zeta)
-
-
-def _variance_grid_at(
     thetas: list[float], cos_phi: np.ndarray, sin_phi: np.ndarray, zeta: ExtendedComplex
 ) -> tuple[np.ndarray, np.ndarray]:
-    """_variance_grid from the grid's ``moebius._grid_phases``, for a caller that reads them twice.
+    """variance_quadratures_closed at each grid point (theta_i, phi_j), in row order.
 
-    The (x, y, z) of each point is ``moebius._cartesian_grid``'s; the
-    arithmetic is the per-point formula's, with ``** 2`` in Python.
+    ``cos_phi`` and ``sin_phi`` are ``moebius._grid_phases(thetas, phis)``,
+    as ``superstate._super_qubit_grid`` reads them.  The (x, y, z) of each
+    point is ``moebius._cartesian_grid``'s; the arithmetic is the per-point
+    formula's, with ``** 2`` in Python.
     """
     x, y, z = _cartesian_grid(thetas, cos_phi, sin_phi)
     weight = zeta.v.real ** 2  # 1/(1+|zeta|^2)

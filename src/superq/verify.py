@@ -40,6 +40,7 @@ from .fock import (
 )
 from .moebius import (
     ExtendedComplex,
+    _grid_phases,
     concurrence_circle,
     zeta_to_bloch,
 )
@@ -275,8 +276,9 @@ def _suite_eigen(dim: int, tol: float, seed: int, n_max: int) -> list[Check]:
     # ends with one grid point more, built by the state builders the CLI
     # emits, so that a fault confined to one of them fails a check too.
     annihilated, coherent_gaps, flipped_gaps = [], [], []
+    phases = _grid_phases(_THETAS, _PHIS)
     for zeta in _ZETAS:
-        low = _super_qubit_grid(_THETAS, _PHIS, zeta)
+        low = _super_qubit_grid(_THETAS, *phases, zeta)
         base = SuperQubitParams(_THETAS[2], _PHIS[1], zeta)
         a_op = super_annihilation(zeta, dim)
         at_op = super_annihilation_transposed(zeta, dim)
@@ -332,8 +334,9 @@ def _suite_entangle(dim: int, tol: float, seed: int, n_max: int) -> list[Check]:
     # from the state builder.
     superqubit_gap, probability_gap = [], []
     base = (_THETAS[2], _PHIS[1])
+    phases = _grid_phases(_THETAS, _PHIS)
     for zeta in _ZETAS:
-        grid = _undisplaced(_super_qubit_grid(_THETAS, _PHIS, zeta), dim)
+        grid = _undisplaced(_super_qubit_grid(_THETAS, *phases, zeta), dim)
         for (theta, _), gram in zip(_ANGLES, _concurrences(grid).tolist()):
             superqubit_gap.append(abs(gram - concurrence_superqubit(theta, zeta)))
         state = super_qubit_state(SuperQubitParams(*base, zeta), dim)
@@ -344,7 +347,8 @@ def _suite_entangle(dim: int, tol: float, seed: int, n_max: int) -> list[Check]:
 
     # The stride-2 grids of every zeta, undisplaced, displaced as
     # super_coherent_state displaces them, and flipped.
-    halves = np.concatenate([_super_qubit_grid(_THETAS[::2], _PHIS[::2], zeta) for zeta in _ZETAS])
+    half_phases = _grid_phases(_THETAS[::2], _PHIS[::2])
+    halves = np.concatenate([_super_qubit_grid(_THETAS[::2], *half_phases, zeta) for zeta in _ZETAS])
     references = _undisplaced(halves, dim)
     reference_grams = _concurrences(references)
     displaced = _displace_low_levels(_ENTANGLE_ALPHA, halves, dim)
@@ -390,13 +394,14 @@ def _suite_uncertainty(dim: int, tol: float, seed: int, n_max: int) -> list[Chec
     # Each angle grid is one stack of the CLI's states, as in the eigen suite,
     # and one O(dim) apply of the banded X and P gives the oracle moments.
     mean_gap, var_gap, alpha_independence = [], [], []
-    thetas, phis = _THETAS[::2], _PHIS[::2]
+    thetas = _THETAS[::2]
+    phases = _grid_phases(thetas, _PHIS[::2])
     for zeta in _ZETAS:
-        low = _super_qubit_grid(thetas, phis, zeta)
+        low = _super_qubit_grid(thetas, *phases, zeta)
         at_zero = _quadrature_stats(_undisplaced(low, dim))
         displaced = _quadrature_stats(_displace_low_levels(_UNCERTAINTY_ALPHA, low, dim))
         # the sweep's closed variances of the grid, alpha-independent as the closed form's
-        sweep = _variance_grid(thetas, phis, zeta)
+        sweep = _variance_grid(thetas, *phases, zeta)
         for (theta, phi), numeric_at_zero, numeric_displaced, sweep_x, sweep_p in zip(
             _HALF_ANGLES, at_zero, displaced, *np.array(sweep).tolist()
         ):
@@ -420,8 +425,9 @@ def _suite_uncertainty(dim: int, tol: float, seed: int, n_max: int) -> list[Chec
 
     symmetric_closed, symmetric_numeric, variance_floor = [], [], []
     phi = 0.25 * math.pi
+    phases = _grid_phases(_THETAS, (phi,))
     for zeta in _ZETAS:
-        low = _super_qubit_grid(_THETAS, (phi,), zeta)
+        low = _super_qubit_grid(_THETAS, *phases, zeta)
         for theta, numeric in zip(_THETAS, _quadrature_stats(_undisplaced(low, dim))):
             params = CoherentParams(0.0, SuperQubitParams(theta, phi, zeta))
             var_x, var_p = variance_quadratures_closed(params)

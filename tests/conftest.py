@@ -35,6 +35,19 @@ def clear_memos():
         memo.cache_clear()
 
 
+def rebind(monkeypatch, original, replacement) -> int:
+    """Replace ``original`` wherever a superq module binds it; return how many bindings."""
+    bound = 0
+    for name, module in list(sys.modules.items()):
+        if module is None or not (name == "superq" or name.startswith("superq.")):
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, replacement)
+                bound += 1
+    return bound
+
+
 @pytest.fixture(autouse=True)
 def cold_memos():
     """Each test starts, and leaves, with every memo empty; the value clears them again."""

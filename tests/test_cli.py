@@ -121,22 +121,27 @@ for path in sorted(paths):
 
 
 class TestBlasKernel:
-    """The golden cases in a child process under OpenBLAS's Prescott kernel, which has no FMA."""
+    """The golden cases in a child process under a second BLAS kernel or SIMD level."""
 
     # Files whose bytes still read a BLAS kernel's rounding (ROADMAP item 3).
     MOVE_WITH_BLAS = {
         "coherent_theta2.3_alpha-1.2_dim128.json": "its concurrence_gram reads a BLAS dot at dim 128",
         "uncertainty_alpha0.3_dim24.json": "its quadrature moments read BLAS dots",
     }
+    # numpy's dispatch down to its X86_V2 baseline: no AVX2, FMA3 or AVX-512 loops
+    X86_V2 = "X86_V3,X86_V4,AVX512_ICL,AVX512_SPR"
+    # Files whose bytes still read numpy's SIMD level (ROADMAP item 3): its complex
+    # multiply is fused at AVX-512 and not at X86_V2.
+    MOVE_WITH_SIMD = {
+        "coherent_theta1.1_alpha0.5_dim24.json": "psi0 and psi1, and what is computed from them",
+        "coherent_theta2.3_alpha-1.2_dim128.json": "psi0 and psi1, and what is computed from them",
+        "sweep_zetainf_grid14x5_dim64.csv": "the projected determinant in concurrence_gram and entropy_bits",
+        "sweep_zeta0.5-1.3i_grid9x7_dim64.csv": "the projected determinant in concurrence_gram and entropy_bits",
+    }
 
-    def test_only_the_blas_bound_files_move_under_prescott(self):
-        env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott"}
-        core = subprocess.run(
-            [sys.executable, "-c", OPENBLAS_CORE], env=env, capture_output=True, text=True
-        ).stdout.strip()
-        # an x86-64 DYNAMIC_ARCH build aliases the Katmai kernel to Prescott's and names it first
-        if core not in ("Prescott", "Katmai"):
-            pytest.skip(f"OpenBLAS does not switch to Prescott here (core {core or 'unknown'})")
+    @staticmethod
+    def golden_failures(env) -> set[str]:
+        """The golden files (or test names) that fail in a child pytest run under env."""
         completed = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", f"{__file__}::TestGoldenFiles"],
             env=env,
@@ -146,8 +151,32 @@ class TestBlasKernel:
         )
         # a parametrized case names its file first in its id
         failed = re.findall(r"^FAILED \S+::(\w+)(?:\[(\S+?)-argv\d+\])?", completed.stdout, re.MULTILINE)
-        assert {name or test for test, name in failed} <= set(self.MOVE_WITH_BLAS), completed.stdout
         assert f"{15 - len(failed)} passed" in completed.stdout, completed.stdout
+        return {name or test for test, name in failed}
+
+    def test_only_the_blas_bound_files_move_under_prescott(self):
+        env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott"}
+        core = subprocess.run(
+            [sys.executable, "-c", OPENBLAS_CORE], env=env, capture_output=True, text=True
+        ).stdout.strip()
+        # an x86-64 DYNAMIC_ARCH build aliases the Katmai kernel to Prescott's and names it first
+        if core not in ("Prescott", "Katmai"):
+            pytest.skip(f"OpenBLAS does not switch to Prescott here (core {core or 'unknown'})")
+        assert self.golden_failures(env) <= set(self.MOVE_WITH_BLAS)
+
+    def test_only_the_simd_bound_files_move_at_x86_v2(self):
+        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": self.X86_V2}
+        # numpy refuses features that its build does not dispatch, or that are its baseline
+        refused = subprocess.run(
+            [sys.executable, "-W", "error::ImportWarning", "-c", "import numpy"],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        if refused.returncode != 0:
+            reason = refused.stderr.strip().splitlines()[-1]
+            pytest.skip(f"numpy refuses NPY_DISABLE_CPU_FEATURES={self.X86_V2}: {reason}")
+        assert self.golden_failures(env) <= set(self.MOVE_WITH_SIMD)
 
 
 class TestParserCache:
@@ -938,7 +967,7 @@ class TestHugeDim:
         def refuse(*args, **kwargs):
             raise MemoryError("Unable to allocate 1.00 EiB")
 
-        monkeypatch.setattr(cli, "_super_qubit_grid_at", refuse)
+        monkeypatch.setattr(cli, "_super_qubit_grid", refuse)
         code, out, err = run_cli(["sweep", "--zeta-re", "1", "--grid", "3,3"])
         assert (code, out) == (2, "")
         assert err == "superq: error: --grid is too large to allocate: Unable to allocate 1.00 EiB\n"

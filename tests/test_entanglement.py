@@ -19,7 +19,7 @@ from superq.entanglement import (
     reduced_boson_density,
 )
 from superq.errors import NormalizationError, NumericalConsistencyError
-from superq.moebius import ExtendedComplex, zeta_to_bloch
+from superq.moebius import ExtendedComplex, _grid_phases, zeta_to_bloch
 from superq.superstate import (
     CoherentParams,
     SuperQubitParams,
@@ -302,8 +302,9 @@ class TestSpectralEntropyAccuracy:
     def test_sweep_grids(self, zeta, grid):
         # the sweep's stacks, two levels padded with zeros to 8
         t_count, p_count = grid
+        thetas = sweep_thetas(t_count)
         phis = [2.0 * math.pi * j / p_count for j in range(p_count)]
-        coeffs = _undisplaced(_super_qubit_grid(sweep_thetas(t_count), phis, zeta), 8)
+        coeffs = _undisplaced(_super_qubit_grid(thetas, *_grid_phases(thetas, phis), zeta), 8)
         assert worst_entropy_error(coeffs) <= self.TOL
 
     def test_random_states(self):

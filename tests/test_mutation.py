@@ -12,10 +12,13 @@ bloch_cartesian has x and y swapped, since a relative error would trip
 CartesianBloch's unit-vector check instead; zeta_to_bloch has its theta
 shrunk by 1e-6 relative, since a grown theta at the pole would leave
 [0, pi]; fibonacci_number, exact integers, returns one more;
-quadrature_stats_numeric has only its ``var_x`` put off; and the state
+quadrature_stats_numeric has only its ``var_x`` put off; the state
 builders super_qubit_state, super_coherent_state, flip_state and
 n_superparticle_state have boson level 1 of both blocks turned by the phase
-e^{i 1e-6}, which keeps the norm that the Gram kernel checks.
+e^{i 1e-6}, which keeps the norm that the Gram kernel checks, and so do the
+stacks of the grid kernels _super_qubit_grid, _undisplaced and
+_displace_low_levels and both closed columns of displaced_columns; and
+_grid_phases has every azimuth turned by 1e-6.
 BLOCK_ONE_CAUGHT_BY pins the same builders once more, each with its whole
 fermion-1 block turned by that phase, which keeps every quantity read block
 by block.  The package's memos are cleared
@@ -41,7 +44,7 @@ import dataclasses
 import importlib
 import inspect
 import io
-import sys
+import math
 
 import numpy as np
 import pytest
@@ -50,6 +53,8 @@ import superq.cli  # noqa: F401  so that the CLI's bindings are rebound too
 from superq import superstate
 from superq.cli import main as cli_main
 from superq.verify import run_verify
+
+from conftest import rebind
 
 DIM = 64
 RELATIVE_ERROR = 1e-6
@@ -60,7 +65,6 @@ CAUGHT_BY = {
     "uncertainty.golden_limit": ("golden_point_variance", "golden_gap_at_n20"),
     "entanglement._entropies": ("spectral_entropy_matches_closed_form",),
     "uncertainty._variance_grid": ("variance_quadratures_closed_vs_matrix",),
-    "uncertainty._variance_grid_at": ("variance_quadratures_closed_vs_matrix",),
     "entanglement.collapse_probabilities": ("geometric_concurrence_identity",),
     "entanglement.concurrence_superqubit": ("superqubit_concurrence_closed_vs_gram",),
     "uncertainty.mean_quadratures_closed": ("mean_quadratures_closed_vs_matrix",),
@@ -152,6 +156,43 @@ CAUGHT_BY = {
     ),
     "superstate.flip_state": ("flip_commutes_with_displacement", "flipped_coherent_eigenrelation"),
     "superstate.n_superparticle_state": ("creation_gate_raises_vacuum",),
+    # the grid and column kernels, each with level 1 turned as the state builders' is
+    "superstate._super_qubit_grid": (
+        "reference_annihilation",
+        "coherent_eigenrelation",
+        "flipped_coherent_eigenrelation",
+        "mean_quadratures_closed_vs_matrix",
+        "variance_quadratures_closed_vs_matrix",
+        "symmetric_point_variance_equality_numeric",
+    ),
+    "superstate._undisplaced": (
+        "reference_annihilation",
+        "mean_quadratures_closed_vs_matrix",
+        "variance_quadratures_closed_vs_matrix",
+        "variance_alpha_independence",
+        "symmetric_point_variance_equality_numeric",
+    ),
+    "superstate._displace_low_levels": (
+        "coherent_eigenrelation",
+        "flipped_coherent_eigenrelation",
+        "mean_quadratures_closed_vs_matrix",
+        "variance_quadratures_closed_vs_matrix",
+        "variance_alpha_independence",
+    ),
+    "fock.displaced_columns": (
+        "closed_coherent_columns_vs_truncated_displacement",
+        "coherent_eigenrelation",
+        "flipped_coherent_eigenrelation",
+        "mean_quadratures_closed_vs_matrix",
+        "variance_quadratures_closed_vs_matrix",
+        "variance_alpha_independence",
+    ),
+    # phi turned by RELATIVE_ERROR at every grid point
+    "moebius._grid_phases": (
+        "mean_quadratures_closed_vs_matrix",
+        "variance_quadratures_closed_vs_matrix",
+        "symmetric_point_variance_equality_numeric",
+    ),
 }
 
 # The state builders with the whole fermion-1 block turned by e^{i 1e-6}.
@@ -174,8 +215,8 @@ POST_INIT = "a dataclass __post_init__: it checks its fields and keeps a canonic
 VALIDATOR = "a validator: it returns its input, canonical, or raises"
 GUARD = "the displacement guard: it accepts a dim or raises TruncationError"
 NORM_STOP = (
-    "off by 1e-6 it unnormalizes the displaced or grid states, and verify stops on the norm"
-    " check (exit 1) before a check can fail, as a _block_norms_sq mutant does"
+    "off by 1e-6 it unnormalizes the closed columns, and verify stops on the norm check (exit 1)"
+    " before a check can fail, as a _block_norms_sq mutant does; the pinned displaced_columns reads it"
 )
 CHECKER_FUNCTIONS = {
     "superstate.BlockOperator": (
@@ -207,7 +248,6 @@ EXEMPT = {
     "fock._log_coherent_moduli": NORM_STOP,
     "fock._log_factorials": NORM_STOP,
     "fock._memoised_columns": NORM_STOP,
-    "fock.displaced_columns": NORM_STOP,
     "fock.oracle_columns": "the memo of the pinned displacement_operator's first two columns",
     "fock._memoised_oracle_columns": "the memo of the pinned displacement_operator's first two columns",
     "moebius.BlochPoint.__post_init__": POST_INIT,
@@ -220,7 +260,6 @@ EXEMPT = {
     "moebius._checked_theta": VALIDATOR,
     "moebius._reduced_phi": VALIDATOR,
     "moebius._cartesian_grid": "the grid twin of the pinned bloch_cartesian, read by the pinned _variance_grid",
-    "moebius._grid_phases": NORM_STOP,
     "superstate.BlockOperator.__post_init__": POST_INIT,
     "superstate._checked_band": "the field check and copy behind BlockOperator.__post_init__",
     "superstate.CoherentParams.__post_init__": POST_INIT,
@@ -231,11 +270,6 @@ EXEMPT = {
     "superstate._scalar_band": "a scalar diagonal of the pinned operator builders",
     "superstate._minus_inverse": "the -1/zeta entry of the pinned super_annihilation and its transpose",
     "superstate._block_norms_sq": "mutated, verify, state and sweep exit 1 on the norm check (test_block_norms_mutant_exits_one)",
-    "superstate._displace_low_levels": NORM_STOP,
-    "superstate._super_qubit_grid": NORM_STOP,
-    "superstate._super_qubit_grid_at": NORM_STOP,
-    "superstate._undisplaced": NORM_STOP,
-    "uncertainty._quadrature_entries": "the sqrt(n)/sqrt2 entries of the pinned quadrature_operators",
     "uncertainty._memoised_quadratures": "the memo behind the pinned quadrature_operators",
     "uncertainty.fibonacci_ladder": "not pinned yet: its rows are records, which take no relative error",
     "uncertainty._fibonacci_records": "not pinned yet: its rows are records, which take no relative error",
@@ -288,11 +322,28 @@ def var_x_off(stats):
     return dataclasses.replace(stats, var_x=off(stats.var_x))
 
 
+def stack_level_one_phased(coeffs):
+    """Boson level 1 (the last axis) of every block times e^{i RELATIVE_ERROR}, which keeps each norm."""
+    coeffs = np.array(coeffs)
+    coeffs[..., 1] *= cmath.exp(1j * RELATIVE_ERROR)
+    return coeffs
+
+
 def level_one_phased(state):
-    """Boson level 1 of both blocks times e^{i RELATIVE_ERROR}, which keeps the norm."""
-    coeffs = np.array(state.coeffs)
-    coeffs[:, 1] *= cmath.exp(1j * RELATIVE_ERROR)
-    return type(state)(coeffs)
+    """Boson level 1 of both blocks of a state times e^{i RELATIVE_ERROR}."""
+    return type(state)(stack_level_one_phased(state.coeffs))
+
+
+def columns_level_one_phased(columns):
+    """Level 1 of both closed columns D|0> and D|1> times e^{i RELATIVE_ERROR}."""
+    return tuple(map(stack_level_one_phased, columns))
+
+
+def phi_turned(phases):
+    """Each (cos phi, sin phi) of the grid rotated to phi + RELATIVE_ERROR."""
+    cos_phi, sin_phi = phases
+    c, s = math.cos(RELATIVE_ERROR), math.sin(RELATIVE_ERROR)
+    return cos_phi * c - sin_phi * s, sin_phi * c + cos_phi * s
 
 
 def block_one_phased(state):
@@ -318,6 +369,12 @@ STATE_BUILDERS = (
     "superstate.n_superparticle_state",
 )
 
+STACK_KERNELS = (
+    "superstate._super_qubit_grid",
+    "superstate._undisplaced",
+    "superstate._displace_low_levels",
+)
+
 MUTATIONS = {
     "entanglement.collapse_probabilities": swapped,
     "uncertainty.quadrature_stats_closed": product_off,
@@ -327,6 +384,9 @@ MUTATIONS = {
     "uncertainty.fibonacci_number": plus_one,
     "uncertainty.quadrature_stats_numeric": var_x_off,
     **dict.fromkeys(STATE_BUILDERS, level_one_phased),
+    **dict.fromkeys(STACK_KERNELS, stack_level_one_phased),
+    "fock.displaced_columns": columns_level_one_phased,
+    "moebius._grid_phases": phi_turned,
     **dict.fromkeys(BUILDERS, bands_off),
 }
 
@@ -336,19 +396,6 @@ def mutant(func, mutation):
         return mutation(func(*args, **kwargs))
 
     return wrapper
-
-
-def rebind(monkeypatch, original, replacement) -> int:
-    """Replace ``original`` wherever a superq module binds it; return how many bindings."""
-    bound = 0
-    for name, module in list(sys.modules.items()):
-        if module is None or not (name == "superq" or name.startswith("superq.")):
-            continue
-        for attr, value in list(vars(module).items()):
-            if value is original:
-                monkeypatch.setattr(module, attr, replacement)
-                bound += 1
-    return bound
 
 
 def failed_checks() -> set[str]:

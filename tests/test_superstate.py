@@ -13,7 +13,7 @@ from superq.errors import (
     SingularParameterError,
     TruncationError,
 )
-from superq.moebius import ExtendedComplex
+from superq.moebius import ExtendedComplex, _grid_phases
 from superq.superstate import (
     BlockOperator,
     CoherentParams,
@@ -524,7 +524,7 @@ class TestFlippedCoherent:
         dim = 40
         params = CoherentParams(alpha, SuperQubitParams(theta, phi, zeta))
         flipped = flip_state(super_coherent_state(params, dim))
-        low = _super_qubit_grid([theta], [phi], zeta)
+        low = _super_qubit_grid([theta], *_grid_phases([theta], [phi]), zeta)
         stack = _undisplaced(low, dim) if alpha == 0 else _displace_low_levels(alpha, low, dim)
         reference = stack[0, ::-1]
         assert flipped.coeffs[0].tobytes() == reference[0].tobytes()

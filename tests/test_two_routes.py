@@ -36,7 +36,7 @@ from superq.entanglement import (
     reduced_boson_density,
 )
 from superq.fock import displaced_columns, oracle_columns
-from superq.moebius import ExtendedComplex, concurrence_circle, zeta_to_bloch
+from superq.moebius import ExtendedComplex, _grid_phases, concurrence_circle, zeta_to_bloch
 from superq.superstate import (
     CoherentParams,
     SuperQubitParams,
@@ -65,14 +65,16 @@ from superq.verify import SUITE_NAMES, _concurrences, _eigen_gaps, run_verify
 
 from conftest import clear_memos, reached_functions
 
-# The sample point: a one-point angle grid at (1.3, 0.7), as verify's stacks
-# hold it, and the state builders' state at the same point.
+# The sample point: a one-point angle grid at (1.3, 0.7), its phases as verify
+# computes them once per angle grid, the grid's levels as verify's stacks hold
+# them, and the state builders' state at the same point.
 DIM = 64
 ZETA = ExtendedComplex.from_value(2.0 * cmath.exp(3.7j))
 BASE = SuperQubitParams(1.3, 0.7, ZETA)
 ALPHA = 1.2 - 0.3j
 COHERENT = CoherentParams(ALPHA, BASE)
-LOW = _super_qubit_grid([BASE.theta], [BASE.phi], ZETA)
+PHASES = _grid_phases([BASE.theta], [BASE.phi])
+LOW = _super_qubit_grid([BASE.theta], *PHASES, ZETA)
 REFERENCES = np.concatenate([_undisplaced(LOW, DIM), [super_qubit_state(BASE, DIM).coeffs]])
 DISPLACED = super_coherent_state(COHERENT, DIM)
 COHERENT_STACK = np.concatenate([_displace_low_levels(ALPHA, LOW, DIM), [DISPLACED.coeffs]])
@@ -101,7 +103,7 @@ ROUTES = {
         lambda: oracle_columns(ALPHA, DIM),
     ),
     "reference_annihilation": (
-        lambda: (_undisplaced(_super_qubit_grid([BASE.theta], [BASE.phi], ZETA), DIM), super_qubit_state(BASE, DIM)),
+        lambda: (_undisplaced(_super_qubit_grid([BASE.theta], *PHASES, ZETA), DIM), super_qubit_state(BASE, DIM)),
         lambda: _norms(super_annihilation(ZETA, DIM).apply_coeffs(REFERENCES)),
     ),
     "coherent_eigenrelation": (
@@ -122,7 +124,7 @@ ROUTES = {
     ),
     "superqubit_concurrence_closed_vs_gram": (
         lambda: concurrence_superqubit(BASE.theta, ZETA),
-        lambda: _concurrences(_undisplaced(_super_qubit_grid([BASE.theta], [BASE.phi], ZETA), DIM)),
+        lambda: _concurrences(_undisplaced(_super_qubit_grid([BASE.theta], *PHASES, ZETA), DIM)),
     ),
     "gram_purity_identity": (
         lambda: concurrence_gram(RANDOM),
@@ -152,7 +154,7 @@ ROUTES = {
         lambda: (
             quadrature_stats_closed(CoherentParams(0.0, BASE)),
             quadrature_stats_closed(COHERENT),
-            _variance_grid([BASE.theta], [BASE.phi], ZETA),
+            _variance_grid([BASE.theta], *PHASES, ZETA),
         ),
         quadrature_oracle,
     ),
@@ -173,10 +175,6 @@ SHARED = {
     "fock.required_displacement_dim": GUARD,
     "fock.ensure_displacement_dim": GUARD,
     "fock._require_two_levels": "a validator: it accepts dim >= 2 or raises",
-    "moebius._checked_theta": (
-        "a validator: it accepts theta in [0, pi] or raises; the grid reads only whether its"
-        " theta is a pole, not its value"
-    ),
     "fock._log_coherent_moduli": (
         "the closed columns' kernel, which the guard's tail scan reads too: it decides whether"
         " the oracle refuses an alpha, not the oracle's values"

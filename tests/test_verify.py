@@ -2,18 +2,17 @@ import cmath
 import dataclasses
 import json
 import math
-import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from superq import uncertainty, verify
+from superq import moebius, uncertainty, verify
 from superq.entanglement import concurrence_gram, concurrence_superqubit
 from superq.errors import TruncationError
 from superq.fock import GUARD_BAND, required_displacement_dim
-from superq.moebius import ExtendedComplex
+from superq.moebius import ExtendedComplex, _grid_phases
 from superq.serialize import dumps
 from superq.superstate import (
     BlockOperator,
@@ -34,7 +33,7 @@ from superq.superstate import (
 from superq.uncertainty import _quadrature_stats, quadrature_stats_numeric
 from superq.verify import SUITE_NAMES, Check, VerificationReport, required_suite_dim, run_verify
 
-from conftest import guarded_norm
+from conftest import guarded_norm, rebind
 
 
 # Every check of a default ``verify --suite all`` report, in order, with its tolerance.
@@ -375,7 +374,7 @@ class TestBatchedSuites:
     )
     def test_stacks_are_the_cli_states_bit_for_bit(self, alpha, zeta, dim):
         assume(alpha != 0 and required_displacement_dim(alpha) <= dim)
-        low = _super_qubit_grid(verify._THETAS, verify._PHIS, zeta)
+        low = _super_qubit_grid(verify._THETAS, *_grid_phases(verify._THETAS, verify._PHIS), zeta)
         reference = _undisplaced(low, dim)
         coherent = _displace_low_levels(alpha, low, dim)
         flipped = coherent[:, ::-1]
@@ -448,6 +447,21 @@ class TestBatchedSuites:
         assert len(built) == len(verify._ZETAS) * (1 + 3 * len(verify._EIGEN_ALPHAS))
         assert displaced == {(alpha, (25, 2, 2)): 5 for alpha in verify._EIGEN_ALPHAS}
 
+    def test_each_suite_computes_each_angle_grids_phases_once(self, monkeypatch):
+        calls = []
+        phases = moebius._grid_phases
+
+        def counting_phases(thetas, phis):
+            calls.append((tuple(thetas), tuple(phis)))
+            return phases(thetas, phis)
+
+        assert rebind(monkeypatch, phases, counting_phases) >= 1
+        assert run_verify("all", dim=64).all_passed
+        # eigen: the 5 x 5 grid; entangle: the 5 x 5 grid and its stride-2 half;
+        # uncertainty: the stride-2 half and the 5 x 1 symmetric column
+        full, half = (verify._THETAS, verify._PHIS), (verify._THETAS[::2], verify._PHIS[::2])
+        assert calls == [full, full, half, half, (verify._THETAS, (0.25 * math.pi,))]
+
     def test_uncertainty_suite_reads_the_oracle_operators_once_per_stack(self, monkeypatch):
         calls, sizes = [], []
         operators, stats = uncertainty.quadrature_operators, verify._quadrature_stats
@@ -489,9 +503,7 @@ class TestBatchedSuites:
             calls.append(n)
             return number(n)
 
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "superq" and getattr(module, "fibonacci_number", None) is number:
-                monkeypatch.setattr(module, "fibonacci_number", counting)
+        assert rebind(monkeypatch, number, counting) >= 1
         assert len(uncertainty.fibonacci_ladder(n_max, 8)) == n_max - 2
         assert calls == [1, 2]
         calls.clear()
