@@ -130,7 +130,8 @@ def concurrence_n_state(zeta: ExtendedComplex) -> float:
 
 def concurrence_superqubit(theta: float, zeta: ExtendedComplex) -> float:
     """Closed concurrence sin^2(theta/2) * 2|zeta| / (1 + |zeta|^2)."""
-    return math.sin(0.5 * _checked_theta(theta)) ** 2 * concurrence_n_state(zeta)
+    half_sin = math.sin(0.5 * _checked_theta(theta))
+    return half_sin * half_sin * concurrence_n_state(zeta)
 
 
 def _checked_z(z: float) -> float:
@@ -179,10 +180,8 @@ def _entropies(g00, g11, g01, det) -> np.ndarray:
     projected determinant's accuracy near a pure state, where g00 + g11 -
     sqrt(...) would cancel.  |g01|^2 is re^2 + im^2 and the logarithms are
     math.log2, since numpy's complex abs and its log2 round differently at
-    different SIMD levels.  Each square is x * x, which rounds the same for
-    one state's numpy scalars as for a stack; ``** 2`` of a numpy scalar
-    calls libm's pow, which can round differently.  lam- = 0 adds no term,
-    and + 0.0 turns a pure state's -0.0 into 0.0.
+    different SIMD levels.  lam- = 0 adds no term, and + 0.0 turns a pure
+    state's -0.0 into 0.0.
     """
     gap, re, im = g00 - g11, g01.real, g01.imag
     high = 0.5 * (g00 + g11 + np.sqrt(gap * gap + 4.0 * (re * re + im * im)))

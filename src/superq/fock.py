@@ -123,7 +123,8 @@ def _guard_floor(alpha: complex) -> int:
         floor = math.inf
     if floor < math.inf:
         return math.ceil(floor)
-    mod_sq = math.ceil(Fraction(alpha.real) ** 2 + Fraction(alpha.imag) ** 2)
+    re, im = Fraction(alpha.real), Fraction(alpha.imag)
+    mod_sq = math.ceil(re * re + im * im)
     return mod_sq + 6 * (math.isqrt(mod_sq) + 1) + 20
 
 
@@ -145,7 +146,7 @@ def required_displacement_dim(alpha: complex) -> int:
     moduli = np.exp(_log_coherent_moduli(a, floor - 1, stop))  # |<n|D|0>| from n = floor-1
     # |<n|D|1>| = |sqrt(n) |<n-1|D|0>| - |alpha| |<n|D|0>||
     shifted = np.sqrt(np.arange(floor, stop, dtype=np.float64)) * moduli[:-1] - a * moduli[1:]
-    weights = moduli[1:] ** 2 + shifted**2
+    weights = moduli[1:] * moduli[1:] + shifted * shifted
     tails = np.cumsum(weights[::-1])[::-1]  # tails[k] = mass on levels >= floor + k
     return floor + int(np.argmax(tails <= DISPLACED_TAIL_TOL))
 

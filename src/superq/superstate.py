@@ -502,19 +502,29 @@ def _pole_probabilities(coeffs: np.ndarray, zeta: ExtendedComplex, alpha: comple
     """pole_probabilities of each state of a (K, 2, L) coefficient stack, as the rows of a (2, K) array.
 
     The poles |0, zeta> and |1, zeta> are one (2, 2, 2) array of their boson
-    levels 0 and 1, displaced to length L when alpha != 0 and zero-padded to
-    it otherwise.  Each overlap adds its two blocks' np.vecdot, psi0 first
-    (np.vecdot runs np.vdot's BLAS dot per block); abs and ** 2 run in Python.
+    levels 0 and 1, displaced to length L when alpha != 0; at alpha = 0 only
+    levels 0 and 1 of the states are read, since the poles have no other.
+    Re and Im of each block's overlap are sums of real products, (Re p, Im p)
+    and (-Im p, Re p) against (Re psi, Im psi) at each level, added along the
+    level axis in numpy's pairwise order; the overlap adds the two blocks,
+    psi0 first.  No BLAS kernel and no SIMD level chooses that rounding.
     """
     dim = coeffs.shape[-1]
     if dim < 2:
         raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
     # [pole, block, level]
-    low = np.array([[[1, 0], [0, 0]], [[0, zeta.v], [zeta.u, 0]]], dtype=np.complex128)
-    poles = _displace_low_levels(alpha, low, dim) if alpha != 0 else _undisplaced(low, dim)
-    blocks = np.vecdot(poles, coeffs[:, None])  # (K, pole, block)
-    overlaps = (blocks[..., 0] + blocks[..., 1]).T.tolist()
-    return np.array([[abs(overlap) ** 2 for overlap in row] for row in overlaps])
+    poles = np.array([[[1, 0], [0, 0]], [[0, zeta.v], [zeta.u, 0]]], dtype=np.complex128)
+    if alpha != 0:
+        poles = _displace_low_levels(alpha, poles, dim)
+    else:
+        coeffs = coeffs[..., :2]
+    # 1j * p is (-Im p, Re p) exactly; [part, pole, block, 2 * level + (re, im)]
+    weights = np.array([poles, 1j * poles]).view(np.float64)
+    # [state, part, pole, block]
+    blocks = (weights * coeffs.view(np.float64)[:, None, None]).sum(axis=-1)
+    overlaps = blocks[..., 0] + blocks[..., 1]
+    squares = overlaps * overlaps
+    return (squares[:, 0] + squares[:, 1]).T
 
 
 def _block_norms_sq(coeffs: np.ndarray) -> np.ndarray:
@@ -551,7 +561,8 @@ def commutator_suite(zeta: ExtendedComplex, dim: int) -> CommutatorResiduals:
     a_op = super_annihilation(zeta, dim)
     a_dag = a_op.dagger()
     n_op = super_number_operator(dim)
-    inv_mod_sq = (abs(zeta.v) / abs(zeta.u)) ** 2  # 1/|zeta|^2, zero at the pole
+    inv_mod = abs(zeta.v) / abs(zeta.u)  # 1/|zeta|, zero at the pole
+    inv_mod_sq = inv_mod * inv_mod
     ladder_target = BlockOperator.fermion_diagonal(1.0 + inv_mod_sq, 1.0 - inv_mod_sq, dim)
     lowering = n_op @ a_op - a_op @ n_op + a_op
     raising = n_op @ a_dag - a_dag @ n_op - a_dag

@@ -123,10 +123,14 @@ def variance_quadratures_closed(params: CoherentParams) -> tuple[float, float]:
     (theta, phi).
     """
     cart = bloch_cartesian(BlochPoint(params.base.theta, params.base.phi))
-    weight = params.base.zeta.v.real ** 2  # 1/(1+|zeta|^2)
-    var_x = 0.5 * (1.0 + (1.0 - cart.z - cart.x**2) * weight)
-    var_p = 0.5 * (1.0 + (1.0 - cart.z - cart.y**2) * weight)
-    return var_x, var_p
+    v = params.base.zeta.v.real
+    weight = v * v  # 1/(1+|zeta|^2)
+    return _closed_variance(cart.x, cart.z, weight), _closed_variance(cart.y, cart.z, weight)
+
+
+def _closed_variance(coordinate, z, weight):
+    """(1 + (1 - z - coordinate^2) * weight) / 2 on floats or on arrays of grid points."""
+    return 0.5 * (1.0 + (1.0 - z - coordinate * coordinate) * weight)
 
 
 def _variance_grid(
@@ -136,17 +140,12 @@ def _variance_grid(
 
     ``cos_phi`` and ``sin_phi`` are ``moebius._grid_phases(thetas, phis)``,
     as ``superstate._super_qubit_grid`` reads them.  The (x, y, z) of each
-    point is ``moebius._cartesian_grid``'s; the arithmetic is the per-point
-    formula's, with ``** 2`` in Python.
+    point is ``moebius._cartesian_grid``'s.
     """
     x, y, z = _cartesian_grid(thetas, cos_phi, sin_phi)
-    weight = zeta.v.real ** 2  # 1/(1+|zeta|^2)
-
-    def variance(coordinate):
-        squares = np.array([c**2 for c in coordinate.ravel().tolist()]).reshape(coordinate.shape)
-        return (0.5 * (1.0 + (1.0 - z - squares) * weight)).ravel()
-
-    return variance(x), variance(y)
+    v = zeta.v.real
+    weight = v * v  # 1/(1+|zeta|^2)
+    return _closed_variance(x, z, weight).ravel(), _closed_variance(y, z, weight).ravel()
 
 
 def quadrature_stats_closed(params: CoherentParams) -> QuadratureStats:
@@ -164,9 +163,9 @@ def _quadrature_stats(states: np.ndarray) -> list[QuadratureStats]:
     dense row sum in any order without FMA adds only exact zeros to the same
     two rounded products, and the image is that dense product bit for bit.
     <op^2> is ||op psi||^2 since op is Hermitian, and each sum runs block by
-    block from 0.0, psi0 before psi1, with ``** 2`` in Python.  That fixes
-    the rounding the golden Fibonacci table records.  A state on levels 0
-    and 1 reaches level 2 under X and P, so dim >= 3 is required.
+    block from 0.0, psi0 before psi1.  That fixes the rounding the golden
+    Fibonacci table records.  A state on levels 0 and 1 reaches level 2
+    under X and P, so dim >= 3 is required.
     """
     dim = states.shape[-1]
     if dim < 3:
@@ -176,9 +175,9 @@ def _quadrature_stats(states: np.ndarray) -> list[QuadratureStats]:
         images = op.apply_coeffs(states)
         overlaps = np.vecdot(states, images).real
         second = np.vecdot(images, images).real
-        means = ((0.0 + overlaps[:, 0]) + overlaps[:, 1]).tolist()
-        seconds = ((0.0 + second[:, 0]) + second[:, 1]).tolist()
-        moments.append((means, [total - mean**2 for total, mean in zip(seconds, means)]))
+        means = (0.0 + overlaps[:, 0]) + overlaps[:, 1]
+        seconds = (0.0 + second[:, 0]) + second[:, 1]
+        moments.append((means.tolist(), (seconds - means * means).tolist()))
     (mean_x, var_x), (mean_p, var_p) = moments
     return [
         QuadratureStats(mx, mp, vx, vp, math.sqrt(vx * vp))

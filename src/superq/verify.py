@@ -322,7 +322,8 @@ def _suite_entangle(dim: int, tol: float, seed: int, n_max: int) -> list[Check]:
         # |1, zeta> is read at that height, not from the Gram kernel that the
         # spectral entropy reads.
         circle, z = concurrence_circle(zeta_to_bloch(zeta).theta)
-        height = zeta.v.real**2 - abs(zeta.u) ** 2
+        v, u = zeta.v.real, abs(zeta.u)
+        height = v * v - u * u
         spectral_gap.append(abs(entanglement_entropy_bits(states[0]) - entropy_from_z(height)))
         (p0, p1), (w0, w1) = collapse_probabilities(z), states[0].block_norms_sq()
         geometric += [abs(closed - circle), abs(height - z), abs(p0 - w0), abs(p1 - w1)]
@@ -342,8 +343,8 @@ def _suite_entangle(dim: int, tol: float, seed: int, n_max: int) -> list[Check]:
         state = super_qubit_state(SuperQubitParams(*base, zeta), dim)
         poles = [*zip(*_pole_probabilities(grid, zeta).tolist()), pole_probabilities(state, zeta)]
         for (theta, _), (p0, p1) in zip((*_ANGLES, base), poles):
-            cos_sq, sin_sq = math.cos(0.5 * theta) ** 2, math.sin(0.5 * theta) ** 2
-            probability_gap += [abs(p0 - cos_sq), abs(p1 - sin_sq)]
+            half_cos, half_sin = math.cos(0.5 * theta), math.sin(0.5 * theta)
+            probability_gap += [abs(p0 - half_cos * half_cos), abs(p1 - half_sin * half_sin)]
 
     # The stride-2 grids of every zeta, undisplaced, displaced as
     # super_coherent_state displaces them, and flipped.
@@ -361,11 +362,11 @@ def _suite_entangle(dim: int, tol: float, seed: int, n_max: int) -> list[Check]:
         state = _random_super_vector(rng, dim)
         c_gram = concurrence_gram(state)
         rho = reduced_boson_density(state)
-        gram_purity.append(abs(c_gram**2 - 2.0 * (1.0 - rho.purity())))
+        gram_purity.append(abs(c_gram * c_gram - 2.0 * (1.0 - rho.purity())))
         eigenvalues = np.sort(rho.eigenvalues())[::-1]
         rank_bound.append(abs(eigenvalues[2]))
         spectral = -sum(lam * math.log2(lam) for lam in eigenvalues if lam > 1e-16)
-        z_gram = math.sqrt(max(0.0, 1.0 - c_gram**2))
+        z_gram = math.sqrt(max(0.0, 1.0 - c_gram * c_gram))
         spectral_gap.append(abs(spectral - entropy_from_z(z_gram)))
 
     pole_entropy = [

@@ -528,6 +528,21 @@ class TestHugeAlpha:
         assert (code, out) == (2, "")
         assert err.startswith("superq: error: displacement by alpha") and named in err
 
+    # The closed moduli sum terms of size ~|alpha|^2 that cancel to O(log |alpha|),
+    # so at |alpha| = 40 and its guard dim the state's norm^2 leaves 1e-12 (ROADMAP item 5).
+    @pytest.mark.xfail(
+        strict=True,
+        reason="coherent --theta 1 --zeta-re 1 --alpha-re=-31.440249851161607"
+        " --alpha-im=24.728742169720903 --dim 1927 must exit 0;"
+        " it exits 1 with norm^2 = 1.0000000000012381",
+    )
+    def test_valid_alpha_at_its_guard_dim_exits_zero(self, run_cli):
+        code, _, err = run_cli(
+            ["coherent", "--theta", "1", "--zeta-re", "1", "--alpha-re=-31.440249851161607",
+             "--alpha-im=24.728742169720903", "--dim", "1927"]
+        )
+        assert (code, err) == (0, "")
+
 
 _HUGE = [1e154, -1e200, 1.7e308, -1.7e308, 5e307]
 _FLOATS = st.one_of(

@@ -17,8 +17,9 @@ builders super_qubit_state, super_coherent_state, flip_state and
 n_superparticle_state have boson level 1 of both blocks turned by the phase
 e^{i 1e-6}, which keeps the norm that the Gram kernel checks, and so do the
 stacks of the grid kernels _super_qubit_grid, _undisplaced and
-_displace_low_levels and both closed columns of displaced_columns; and
-_grid_phases has every azimuth turned by 1e-6.
+_displace_low_levels and both closed columns of displaced_columns and of
+its memo _memoised_columns; and _grid_phases has every azimuth turned by
+1e-6.
 BLOCK_ONE_CAUGHT_BY pins the same builders once more, each with its whole
 fermion-1 block turned by that phase, which keeps every quantity read block
 by block.  The package's memos are cleared
@@ -78,6 +79,11 @@ CAUGHT_BY = {
         "entropy_pole_values",
     ),
     "uncertainty.variance_quadratures_closed": (
+        "variance_quadratures_closed_vs_matrix",
+        "five_eighths_point_closed",
+        "golden_point_variance",
+    ),
+    "uncertainty._closed_variance": (
         "variance_quadratures_closed_vs_matrix",
         "five_eighths_point_closed",
         "golden_point_variance",
@@ -179,13 +185,16 @@ CAUGHT_BY = {
         "variance_quadratures_closed_vs_matrix",
         "variance_alpha_independence",
     ),
-    "fock.displaced_columns": (
-        "closed_coherent_columns_vs_truncated_displacement",
-        "coherent_eigenrelation",
-        "flipped_coherent_eigenrelation",
-        "mean_quadratures_closed_vs_matrix",
-        "variance_quadratures_closed_vs_matrix",
-        "variance_alpha_independence",
+    **dict.fromkeys(
+        ("fock.displaced_columns", "fock._memoised_columns"),
+        (
+            "closed_coherent_columns_vs_truncated_displacement",
+            "coherent_eigenrelation",
+            "flipped_coherent_eigenrelation",
+            "mean_quadratures_closed_vs_matrix",
+            "variance_quadratures_closed_vs_matrix",
+            "variance_alpha_independence",
+        ),
     ),
     # phi turned by RELATIVE_ERROR at every grid point
     "moebius._grid_phases": (
@@ -247,7 +256,6 @@ EXEMPT = {
     "fock.boson_annihilator": "the dense a that the pinned displacement_operator exponentiates",
     "fock._log_coherent_moduli": NORM_STOP,
     "fock._log_factorials": NORM_STOP,
-    "fock._memoised_columns": NORM_STOP,
     "fock.oracle_columns": "the memo of the pinned displacement_operator's first two columns",
     "fock._memoised_oracle_columns": "the memo of the pinned displacement_operator's first two columns",
     "moebius.BlochPoint.__post_init__": POST_INIT,
@@ -386,6 +394,7 @@ MUTATIONS = {
     **dict.fromkeys(STATE_BUILDERS, level_one_phased),
     **dict.fromkeys(STACK_KERNELS, stack_level_one_phased),
     "fock.displaced_columns": columns_level_one_phased,
+    "fock._memoised_columns": columns_level_one_phased,
     "moebius._grid_phases": phi_turned,
     **dict.fromkeys(BUILDERS, bands_off),
 }

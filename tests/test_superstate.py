@@ -1,12 +1,14 @@
 import cmath
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from superq import fock, superstate
+from superq.cli import sweep_thetas
 from superq.entanglement import reduced_boson_density
 from superq.errors import (
     InvalidDimensionError,
@@ -20,6 +22,7 @@ from superq.superstate import (
     SuperQubitParams,
     SuperVector,
     _displace_low_levels,
+    _pole_probabilities,
     _super_qubit_grid,
     _undisplaced,
     commutator_suite,
@@ -390,6 +393,70 @@ class TestSuperQubitState:
         for zeta in ZETA_SAMPLES + [ExtendedComplex.infinity()]:
             raised = super_creation_gate(zeta, 8).apply(n_superparticle_state(0, zeta, 8))
             assert (raised - n_superparticle_state(1, zeta, 8)).norm() <= 1e-12
+
+
+def pole_overlaps(coeffs, zeta) -> list[list[tuple[float, float]]]:
+    """(Re, Im) of <pole|psi> per pole and per state of an undisplaced stack, in the pole kernel's order.
+
+    Python floats on levels 0 and 1 of each block: Re sums Re p Re psi and
+    Im p Im psi, Im sums -Im p Re psi and Re p Im psi, level by level; the
+    overlap adds the two blocks, psi0 first.
+    """
+    poles = [[[1, 0], [0, 0]], [[0, zeta.v], [zeta.u, 0]]]
+    rows = []
+    for pole in poles:
+        row = []
+        for state in coeffs.tolist():
+            blocks = []
+            for p_block, c_block in zip(pole, state):
+                re_terms, im_terms = [], []
+                for p, c in zip(map(complex, p_block), c_block[:2]):
+                    re_terms += [p.real * c.real, p.imag * c.imag]
+                    im_terms += [-p.imag * c.real, p.real * c.imag]
+                blocks.append((sum(re_terms), sum(im_terms)))
+            (re0, im0), (re1, im1) = blocks
+            row.append((re0 + re1, im0 + im1))
+        rows.append(row)
+    return rows
+
+
+class TestPoleProbabilityAccuracy:
+    """Each pole probability against |overlap|^2 computed exactly from the float overlap."""
+
+    ULPS = 1.5
+
+    @staticmethod
+    def sweep_stack(zeta, t_count, p_count):
+        thetas = sweep_thetas(t_count)
+        phis = [2.0 * math.pi * j / p_count for j in range(p_count)]
+        return _undisplaced(_super_qubit_grid(thetas, *_grid_phases(thetas, phis), zeta), 8)
+
+    def assert_squares_accurate(self, coeffs, zeta):
+        got = _pole_probabilities(coeffs, zeta).tolist()
+        overlaps = pole_overlaps(coeffs, zeta)
+        worst = Fraction(0)
+        for got_row, overlap_row in zip(got, overlaps):
+            for value, (re, im) in zip(got_row, overlap_row):
+                exact = Fraction(re) * Fraction(re) + Fraction(im) * Fraction(im)
+                worst = max(worst, abs(Fraction(value) - exact) / Fraction(math.ulp(float(exact))))
+        assert worst <= self.ULPS, f"{float(worst):.3f} ulp"
+        # the kernel sums the overlap in the order above and squares each part as x * x
+        assert got == [[re * re + im * im for re, im in row] for row in overlaps]
+
+    @pytest.mark.parametrize(
+        "zeta, grid",
+        [(ExtendedComplex.infinity(), (14, 5)), (ExtendedComplex.from_value(0.5 - 1.3j), (9, 7))],
+        ids=["golden_pole_14x5", "golden_generic_9x7"],
+    )
+    def test_golden_sweep_grids(self, zeta, grid):
+        self.assert_squares_accurate(self.sweep_stack(zeta, *grid), zeta)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_sweep_grids(self, seed):
+        rng = np.random.default_rng(seed)
+        zeta = ExtendedComplex.from_value(cmath.rect(10.0 ** rng.uniform(-1, 1), rng.uniform(0, 2 * math.pi)))
+        t_count, p_count = rng.integers(10, 41, size=2)
+        self.assert_squares_accurate(self.sweep_stack(zeta, int(t_count), int(p_count)), zeta)
 
 
 class TestSuperCoherentState:

@@ -12,6 +12,9 @@ that a superq class defines.  It passes when the emitting commands of
 ``conftest.EMITTING_ARGVS`` or the quickstart call it, traced under
 ``sys.setprofile``; the emitting commands' reach is the one the mutation
 gate's coverage test reads, traced once per session.
+
+The package also writes every square one way, as ``x * x``; no module
+holds a ``** 2``.
 """
 
 import ast
@@ -88,3 +91,21 @@ def public_members() -> set[str]:
 
 def test_every_public_class_member_is_reached(emitting_reach):
     assert public_members() - emitting_reach - reached_functions([exec_quickstart]) == set()
+
+
+def squares_by_power() -> list[str]:
+    """module:line of each ``x ** 2`` in a superq module, where every square is x * x (README)."""
+    return sorted(
+        f"{path.stem}:{node.lineno}"
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Pow)
+        and isinstance(node.right, ast.Constant)
+        and node.right.value == 2
+    )
+
+
+def test_every_square_is_a_product():
+    sites = squares_by_power()
+    assert not sites, f"** 2 at {', '.join(sites)}"
