@@ -38,11 +38,12 @@ from .serialize import csv_cell, csv_text, dumps
 from .superstate import (
     CoherentParams,
     SuperQubitParams,
+    _pole_levels,
     _pole_probabilities,
+    _state_and_poles,
     _super_qubit_grid,
     _undisplaced,
     n_superparticle_state,
-    pole_probabilities,
     super_coherent_state,
 )
 from .uncertainty import (
@@ -282,19 +283,16 @@ def _zeta_payload(args):
     return "inf" if args.zeta_inf else list(_zeta_parts(args))
 
 
-def _selected_state(args):
-    """The state picked by --n or --theta/--phi, its closed concurrence and its params.
+def _selection(args):
+    """The --theta/--phi point as CoherentParams (None for --n), its closed concurrence and its params.
 
-    The super-qubit state is displaced by alpha, which is 0 for a command
-    without --alpha-re/--alpha-im; super_coherent_state leaves it as it is then.
+    alpha is 0 for a command without --alpha-re/--alpha-im.
     """
     if args.n is not None:
-        state = n_superparticle_state(args.n, args.zeta, args.dim)
-        return state, concurrence_n_state(args.zeta), {"n": args.n, "zeta": _zeta_payload(args)}
+        return None, concurrence_n_state(args.zeta), {"n": args.n, "zeta": _zeta_payload(args)}
     base = SuperQubitParams(args.theta, args.phi, args.zeta)
-    state = super_coherent_state(CoherentParams(args.alpha, base), args.dim)
     params = {"theta": base.theta, "phi": base.phi, "zeta": _zeta_payload(args)}
-    return state, concurrence_superqubit(base.theta, args.zeta), params
+    return CoherentParams(args.alpha, base), concurrence_superqubit(base.theta, args.zeta), params
 
 
 def _gram_measures(state) -> tuple[tuple[float, float], float, float]:
@@ -309,14 +307,16 @@ def _gram_measures(state) -> tuple[tuple[float, float], float, float]:
 
 
 def _emit_state(args) -> str:
-    state, closed, params = _selected_state(args)
+    coherent, closed, params = _selection(args)
     params["alpha"] = [args.alpha.real, args.alpha.imag]
-    (g00, g11), gram, entropy = _gram_measures(state)
-    if args.n is not None:
-        # fermion-sector weights = pole-collapse probabilities on the zeta sphere
-        p0, p1 = g00, g11
+    if coherent is None:
+        state = n_superparticle_state(args.n, args.zeta, args.dim)
     else:
-        p0, p1 = pole_probabilities(state, args.zeta, args.alpha)
+        state, poles = _state_and_poles(coherent, args.dim)
+        probabilities = _pole_probabilities(state.coeffs[None], poles)[:, 0].tolist()
+    (g00, g11), gram, entropy = _gram_measures(state)
+    # --n prints the fermion-sector weights, the pole-collapse probabilities on the zeta sphere
+    p0, p1 = (g00, g11) if coherent is None else probabilities
     # each block as its (dim, 2) float64 [re, im] view
     pairs0, pairs1 = state.coeffs.view(np.float64).reshape(2, -1, 2)
     payload = {
@@ -335,7 +335,11 @@ def _emit_state(args) -> str:
 
 
 def _emit_concurrence(args) -> str:
-    state, closed, params = _selected_state(args)
+    coherent, closed, params = _selection(args)
+    if coherent is None:
+        state = n_superparticle_state(args.n, args.zeta, args.dim)
+    else:
+        state = super_coherent_state(coherent, args.dim)
     gram = concurrence_gram(state)
     payload = {
         "dim": args.dim,
@@ -368,10 +372,10 @@ def _emit_entropy(args) -> str:
 
 
 def _emit_uncertainty(args) -> str:
-    base = SuperQubitParams(args.theta, args.phi, args.zeta)
-    params = CoherentParams(args.alpha, base)
-    closed = quadrature_stats_closed(params)
-    numeric = quadrature_stats_numeric(params, args.dim)
+    coherent, _, params = _selection(args)
+    params["alpha"] = [args.alpha.real, args.alpha.imag]
+    closed = quadrature_stats_closed(coherent)
+    numeric = quadrature_stats_numeric(coherent, args.dim)
     gap = max(
         abs(closed.mean_x - numeric.mean_x),
         abs(closed.mean_p - numeric.mean_p),
@@ -380,12 +384,7 @@ def _emit_uncertainty(args) -> str:
     )
     payload = {
         "dim": args.dim,
-        "params": {
-            "theta": base.theta,
-            "phi": base.phi,
-            "zeta": _zeta_payload(args),
-            "alpha": [args.alpha.real, args.alpha.imag],
-        },
+        "params": params,
         # each instance dict holds the float fields in declaration order
         "closed": vars(closed),
         "numeric": vars(numeric),
@@ -419,8 +418,8 @@ def _emit_sweep(args) -> str:
     phis = [2.0 * math.pi * j / p_count for j in range(p_count)]
     zeta_re, zeta_im = (math.inf, 0.0) if args.zeta_inf else _zeta_parts(args)
     phases = _grid_phases(thetas, phis)
-    coeffs = _undisplaced(_super_qubit_grid(thetas, *phases, args.zeta), _SWEEP_LEVELS)
-    p0, p1 = _pole_probabilities(coeffs, args.zeta)
+    coeffs = _undisplaced(_super_qubit_grid(thetas, *phases, [args.zeta]), _SWEEP_LEVELS)
+    p0, p1 = _pole_probabilities(coeffs, _pole_levels(args.zeta))
     var_x, var_p = _variance_grid(thetas, *phases, args.zeta)
     entries = _gram_entries(coeffs)
     # theta, phi, zeta and the closed concurrence repeat down their columns,

@@ -17,9 +17,9 @@ Each value type has one construction path, its dataclass constructor, which
 validates the arrays it is given and keeps read-only copies of them; the
 builders here fill fresh arrays and pass them to it once.
 
-The kernels behind one state also take stacks of them, as the sweep and
-``verify`` pass them: ``_undisplaced``, ``_displace_low_levels``,
-``_block_norms_sq`` and ``_pole_probabilities``.
+Every super-qubit and super-coherent state, and each pole, is its boson levels
+0 and 1 (``_low_levels``, ``_pole_levels``, ``_super_qubit_grid``) finished
+by ``_undisplaced`` or ``_displace_low_levels``, on one state or a stack.
 """
 
 from __future__ import annotations
@@ -403,59 +403,62 @@ def n_superparticle_state(n: int, zeta: ExtendedComplex, dim: int) -> SuperVecto
 
 def super_qubit_state(params: SuperQubitParams, dim: int) -> SuperVector:
     """Superposition cos(theta/2) |0, zeta> + sin(theta/2) e^{i phi} |1, zeta>."""
-    if dim < 2:
-        raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
-    amp0 = math.cos(0.5 * params.theta)
-    amp1 = cmath.rect(math.sin(0.5 * params.theta), params.phi)
-    coeffs = np.zeros((2, dim), dtype=np.complex128)
-    coeffs[0, 0] = amp0
-    coeffs[0, 1] = amp1 * params.zeta.v
-    coeffs[1, 0] = amp1 * params.zeta.u
-    return SuperVector(coeffs)
+    return SuperVector(_undisplaced(_low_levels(params), dim))
+
+
+def _low_levels(params: SuperQubitParams) -> np.ndarray:
+    """Levels 0 and 1 of super_qubit_state, all its nonzero entries, as a (2, 2) array [block, level]."""
+    amp0, amp1 = math.cos(0.5 * params.theta), cmath.rect(math.sin(0.5 * params.theta), params.phi)
+    return np.array([[amp0, amp1 * params.zeta.v], [amp1 * params.zeta.u, 0.0]], dtype=np.complex128)
+
+
+def _pole_levels(zeta: ExtendedComplex) -> np.ndarray:
+    """Levels 0 and 1 of the poles |0, zeta> and |1, zeta>, as a (2, 2, 2) array [pole, block, level]."""
+    return np.array([[[1, 0], [0, 0]], [[0, zeta.v], [zeta.u, 0]]], dtype=np.complex128)
 
 
 def _super_qubit_grid(
-    thetas: list[float], cos_phi: np.ndarray, sin_phi: np.ndarray, zeta: ExtendedComplex
+    thetas: list[float], cos_phi: np.ndarray, sin_phi: np.ndarray, zetas: list[ExtendedComplex]
 ) -> np.ndarray:
-    """Levels 0 and 1 of super_qubit_state at each (theta_i, phi_j), as one (T*P, 2, 2) array.
+    """``_low_levels`` at each (zeta_k, theta_i, phi_j), as row (k*T + i)*P + j of a (Z*T*P, 2, 2) array.
 
-    Row i * P + j belongs to (theta_i, phi_j).  ``cos_phi`` and ``sin_phi``
-    are ``moebius._grid_phases(thetas, phis)``, which runs the angle checks
-    and gives the canonical azimuths; a caller computes them once per angle
-    grid and passes them to every zeta.  super_qubit_state writes nothing
-    above level 1, so these are all of its nonzero entries, equal to its
-    entries bit for bit: cmath.rect and Python's complex multiply are
-    written out as the real products they round.
+    ``cos_phi`` and ``sin_phi`` are ``moebius._grid_phases(thetas, phis)``,
+    which runs the angle checks and gives the canonical azimuths, computed
+    once per angle grid.  Each row equals its point's ``_low_levels`` bit for
+    bit: cmath.rect and Python's complex multiply are written out as the
+    real products they round.
     """
     radius = np.array([math.sin(0.5 * theta) for theta in thetas])[:, None]
     amp1_re, amp1_im = radius * cos_phi, radius * sin_phi
-    coeffs = np.zeros((*cos_phi.shape, 2, 2), dtype=np.complex128)
-    coeffs[:, :, 0, 0] = np.array([math.cos(0.5 * theta) for theta in thetas])[:, None]
-    for (block, level), w in (((0, 1), zeta.v), ((1, 0), zeta.u)):
-        coeffs.real[:, :, block, level] = amp1_re * w.real - amp1_im * w.imag
-        coeffs.imag[:, :, block, level] = amp1_re * w.imag + amp1_im * w.real
+    coeffs = np.zeros((len(zetas), *cos_phi.shape, 2, 2), dtype=np.complex128)
+    coeffs[..., 0, 0] = np.array([math.cos(0.5 * theta) for theta in thetas])[:, None]
+    for (block, level), w in (((0, 1), [z.v for z in zetas]), ((1, 0), [z.u for z in zetas])):
+        w = np.array(w)[:, None, None]
+        coeffs.real[..., block, level] = amp1_re * w.real - amp1_im * w.imag
+        coeffs.imag[..., block, level] = amp1_re * w.imag + amp1_im * w.real
     return coeffs.reshape(-1, 2, 2)
 
 
 def _undisplaced(low: np.ndarray, dim: int) -> np.ndarray:
-    """The (..., 2, dim) coefficients of the states a (..., 2, 2) low-level array describes.
+    """The (..., 2, dim) states of a (..., 2, 2) low-level array, zero above level 1.
 
-    Levels 0 and 1 are copied and every level above is zero: the alpha = 0
-    counterpart of ``_displace_low_levels``.
+    The alpha = 0 counterpart of ``_displace_low_levels``.
     """
-    states = np.zeros((*low.shape[:-1], dim), dtype=np.complex128)
+    if dim < 2:
+        raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
+    try:
+        states = np.zeros((*low.shape[:-1], dim), dtype=np.complex128)
+    except ValueError as exc:  # a stack numpy cannot describe ("array is too big")
+        raise MemoryError(f"Unable to allocate the states: {exc}") from None
     states[..., :2] = low
     return states
 
 
 def _displace_low_levels(alpha: complex, low: np.ndarray, dim: int) -> np.ndarray:
-    """D(alpha) on both blocks of states supported on boson levels 0 and 1.
+    """D(alpha) on both blocks of the states a (..., 2, 2) low-level array describes, as (..., 2, dim).
 
-    ``low[..., block, level]`` holds levels 0 and 1 of each block, for one
-    state (2, 2), as super_coherent_state reads it, or a stack (..., 2, 2),
-    as ``_super_qubit_grid`` builds it.  Each block r0 |0> + r1 |1> becomes
-    r0 D|0> + r1 D|1>, built from the memoised closed-form columns
-    elementwise; the result is (..., 2, dim).
+    Each block r0 |0> + r1 |1> becomes r0 D|0> + r1 D|1>, built from the
+    memoised closed-form columns elementwise.
     """
     d0, d1 = displaced_columns(alpha, dim)
     return low[..., :1] * d0 + low[..., 1:2] * d1
@@ -468,10 +471,22 @@ def super_coherent_state(params: CoherentParams, dim: int) -> SuperVector:
     alpha = 0 returns the reference super-qubit state exactly, at any dim >= 2:
     nothing is displaced, so the displacement guard does not apply.
     """
-    reference = super_qubit_state(params.base, dim)
+    low = _low_levels(params.base)
     if params.alpha == 0:
-        return reference
-    return SuperVector(_displace_low_levels(params.alpha, reference.coeffs[:, :2], dim))
+        return SuperVector(_undisplaced(low, dim))
+    return SuperVector(_displace_low_levels(params.alpha, low, dim))
+
+
+def _state_and_poles(params: CoherentParams, dim: int) -> tuple[SuperVector, np.ndarray]:
+    """super_coherent_state and the poles for ``_pole_probabilities``, displaced with it in one call.
+
+    At alpha = 0 nothing is displaced, and the poles keep the two levels they have.
+    """
+    poles = _pole_levels(params.base.zeta)
+    if params.alpha == 0:
+        return super_coherent_state(params, dim), poles
+    states = _displace_low_levels(params.alpha, np.concatenate([[_low_levels(params.base)], poles]), dim)
+    return SuperVector(states[0]), states[1:]
 
 
 def flip_operator(dim: int) -> BlockOperator:
@@ -495,33 +510,29 @@ def pole_probabilities(
     Computed as explicit squared overlaps rather than from the Bloch angles,
     so they double as a verification of the angle parametrization.
     """
-    return tuple(_pole_probabilities(state.coeffs[None], zeta, alpha)[:, 0].tolist())
-
-
-def _pole_probabilities(coeffs: np.ndarray, zeta: ExtendedComplex, alpha: complex = 0.0) -> np.ndarray:
-    """pole_probabilities of each state of a (K, 2, L) coefficient stack, as the rows of a (2, K) array.
-
-    The poles |0, zeta> and |1, zeta> are one (2, 2, 2) array of their boson
-    levels 0 and 1, displaced to length L when alpha != 0; at alpha = 0 only
-    levels 0 and 1 of the states are read, since the poles have no other.
-    Re and Im of each block's overlap are sums of real products, (Re p, Im p)
-    and (-Im p, Re p) against (Re psi, Im psi) at each level, added along the
-    level axis in numpy's pairwise order; the overlap adds the two blocks,
-    psi0 first.  No BLAS kernel and no SIMD level chooses that rounding.
-    """
-    dim = coeffs.shape[-1]
-    if dim < 2:
-        raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
-    # [pole, block, level]
-    poles = np.array([[[1, 0], [0, 0]], [[0, zeta.v], [zeta.u, 0]]], dtype=np.complex128)
+    poles = _pole_levels(zeta)
     if alpha != 0:
-        poles = _displace_low_levels(alpha, poles, dim)
-    else:
-        coeffs = coeffs[..., :2]
+        poles = _displace_low_levels(alpha, poles, state.coeffs.shape[-1])
+    return tuple(_pole_probabilities(state.coeffs[None], poles)[:, 0].tolist())
+
+
+def _pole_probabilities(coeffs: np.ndarray, poles: np.ndarray) -> np.ndarray:
+    """Collapse probabilities of each state of a (K, 2, dim) stack onto the poles, as a (2, K) array.
+
+    ``poles`` is |0, zeta> and |1, zeta> as a (2, 2, L) array [pole, block,
+    level], ``_pole_levels``'s or displaced to L = dim; the first L levels of
+    each state are read.  Re and Im of each block's overlap are sums of real
+    products, (Re p, Im p) and (-Im p, Re p) against (Re psi, Im psi) at each
+    level, added along the level axis in numpy's pairwise order; the overlap
+    adds the two blocks, psi0 first.  No BLAS kernel and no SIMD level
+    chooses that rounding.
+    """
+    if coeffs.shape[-1] < poles.shape[-1]:
+        raise InvalidDimensionError(f"dim must be >= {poles.shape[-1]}, got {coeffs.shape[-1]}")
     # 1j * p is (-Im p, Re p) exactly; [part, pole, block, 2 * level + (re, im)]
     weights = np.array([poles, 1j * poles]).view(np.float64)
     # [state, part, pole, block]
-    blocks = (weights * coeffs.view(np.float64)[:, None, None]).sum(axis=-1)
+    blocks = (weights * coeffs[..., : poles.shape[-1]].view(np.float64)[:, None, None]).sum(axis=-1)
     overlaps = blocks[..., 0] + blocks[..., 1]
     squares = overlaps * overlaps
     return (squares[:, 0] + squares[:, 1]).T

@@ -18,13 +18,13 @@ import numpy as np
 
 from .errors import TruncationError
 from .fock import DEFAULT_DIM, _ladder_entries
-from .moebius import BlochPoint, ExtendedComplex, _cartesian_grid, bloch_cartesian
+from .moebius import BlochPoint, ExtendedComplex, _cartesian_grid, _grid_phases, bloch_cartesian
 from .superstate import (
     BlockOperator,
     CoherentParams,
-    SuperQubitParams,
+    _super_qubit_grid,
+    _undisplaced,
     super_coherent_state,
-    super_qubit_state,
 )
 
 __all__ = [
@@ -233,17 +233,17 @@ def _fibonacci_records(first: int, last: int, dim: int) -> list[FibonacciRecord]
     if first < 3:
         raise ValueError(f"the ladder starts at n = 3, got {first}")
     f_nm2, f_nm1 = fibonacci_number(first - 2), fibonacci_number(first - 1)
-    rows, states = [], []
+    rows, zetas = [], []
     for n in range(first, last + 1):
         f_n = f_nm1 + f_nm2
         f_np1 = f_n + f_nm1
         zeta_sq = Fraction(2 * f_nm1 - f_nm2, 2 * f_nm2)  # F_{n-1}/F_{n-2} - 1/2
-        zeta = ExtendedComplex.from_value(math.sqrt(zeta_sq))
-        base = SuperQubitParams(0.5 * math.pi, 0.25 * math.pi, zeta)
-        states.append(super_qubit_state(base, dim).coeffs)
+        zetas.append(ExtendedComplex.from_value(math.sqrt(zeta_sq)))
         rows.append((n, f_n, zeta_sq, Fraction(f_n, f_np1)))
         f_nm2, f_nm1 = f_nm1, f_n
-    stats = _quadrature_stats(np.reshape(states, (-1, 2, dim)))
+    thetas = [0.5 * math.pi]
+    low = _super_qubit_grid(thetas, *_grid_phases(thetas, [0.25 * math.pi]), zetas)
+    stats = _quadrature_stats(_undisplaced(low, dim))
     return [FibonacciRecord(*row, numeric.var_x) for row, numeric in zip(rows, stats)]
 
 

@@ -52,13 +52,13 @@ from .superstate import (
     _displace_low_levels,
     _norms,
     _pole_probabilities,
+    _state_and_poles,
     _super_qubit_grid,
     _undisplaced,
     commutator_suite,
     flip_operator,
     flip_state,
     n_superparticle_state,
-    pole_probabilities,
     super_annihilation,
     super_annihilation_transposed,
     super_coherent_state,
@@ -278,7 +278,7 @@ def _suite_eigen(dim: int, tol: float, seed: int, n_max: int) -> list[Check]:
     annihilated, coherent_gaps, flipped_gaps = [], [], []
     phases = _grid_phases(_THETAS, _PHIS)
     for zeta in _ZETAS:
-        low = _super_qubit_grid(_THETAS, *phases, zeta)
+        low = _super_qubit_grid(_THETAS, *phases, [zeta])
         base = SuperQubitParams(_THETAS[2], _PHIS[1], zeta)
         a_op = super_annihilation(zeta, dim)
         at_op = super_annihilation_transposed(zeta, dim)
@@ -329,27 +329,26 @@ def _suite_entangle(dim: int, tol: float, seed: int, n_max: int) -> list[Check]:
         geometric += [abs(closed - circle), abs(height - z), abs(p0 - w0), abs(p1 - w1)]
 
     # Each angle grid is one stack of the CLI's states, and every concurrence
-    # and pole probability comes from the kernels concurrence_gram and
-    # pole_probabilities run on one state.  One more row per zeta runs
-    # pole_probabilities itself, which state and coherent print, on a state
-    # from the state builder.
+    # and pole probability comes from the kernels the commands run.  One more
+    # row per zeta is the state and the poles as state --theta builds them,
+    # and the grid's rows are read against those poles.
     superqubit_gap, probability_gap = [], []
     base = (_THETAS[2], _PHIS[1])
     phases = _grid_phases(_THETAS, _PHIS)
     for zeta in _ZETAS:
-        grid = _undisplaced(_super_qubit_grid(_THETAS, *phases, zeta), dim)
+        grid = _undisplaced(_super_qubit_grid(_THETAS, *phases, [zeta]), dim)
         for (theta, _), gram in zip(_ANGLES, _concurrences(grid).tolist()):
             superqubit_gap.append(abs(gram - concurrence_superqubit(theta, zeta)))
-        state = super_qubit_state(SuperQubitParams(*base, zeta), dim)
-        poles = [*zip(*_pole_probabilities(grid, zeta).tolist()), pole_probabilities(state, zeta)]
-        for (theta, _), (p0, p1) in zip((*_ANGLES, base), poles):
+        state, poles = _state_and_poles(CoherentParams(0.0, SuperQubitParams(*base, zeta)), dim)
+        rows = _pole_probabilities(np.concatenate([grid, [state.coeffs]]), poles).tolist()
+        for (theta, _), (p0, p1) in zip((*_ANGLES, base), zip(*rows)):
             half_cos, half_sin = math.cos(0.5 * theta), math.sin(0.5 * theta)
             probability_gap += [abs(p0 - half_cos * half_cos), abs(p1 - half_sin * half_sin)]
 
     # The stride-2 grids of every zeta, undisplaced, displaced as
     # super_coherent_state displaces them, and flipped.
     half_phases = _grid_phases(_THETAS[::2], _PHIS[::2])
-    halves = np.concatenate([_super_qubit_grid(_THETAS[::2], *half_phases, zeta) for zeta in _ZETAS])
+    halves = _super_qubit_grid(_THETAS[::2], *half_phases, _ZETAS)
     references = _undisplaced(halves, dim)
     reference_grams = _concurrences(references)
     displaced = _displace_low_levels(_ENTANGLE_ALPHA, halves, dim)
@@ -398,7 +397,7 @@ def _suite_uncertainty(dim: int, tol: float, seed: int, n_max: int) -> list[Chec
     thetas = _THETAS[::2]
     phases = _grid_phases(thetas, _PHIS[::2])
     for zeta in _ZETAS:
-        low = _super_qubit_grid(thetas, *phases, zeta)
+        low = _super_qubit_grid(thetas, *phases, [zeta])
         at_zero = _quadrature_stats(_undisplaced(low, dim))
         displaced = _quadrature_stats(_displace_low_levels(_UNCERTAINTY_ALPHA, low, dim))
         # the sweep's closed variances of the grid, alpha-independent as the closed form's
@@ -428,7 +427,7 @@ def _suite_uncertainty(dim: int, tol: float, seed: int, n_max: int) -> list[Chec
     phi = 0.25 * math.pi
     phases = _grid_phases(_THETAS, (phi,))
     for zeta in _ZETAS:
-        low = _super_qubit_grid(_THETAS, *phases, zeta)
+        low = _super_qubit_grid(_THETAS, *phases, [zeta])
         for theta, numeric in zip(_THETAS, _quadrature_stats(_undisplaced(low, dim))):
             params = CoherentParams(0.0, SuperQubitParams(theta, phi, zeta))
             var_x, var_p = variance_quadratures_closed(params)

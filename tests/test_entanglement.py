@@ -304,7 +304,7 @@ class TestSpectralEntropyAccuracy:
         t_count, p_count = grid
         thetas = sweep_thetas(t_count)
         phis = [2.0 * math.pi * j / p_count for j in range(p_count)]
-        coeffs = _undisplaced(_super_qubit_grid(thetas, *_grid_phases(thetas, phis), zeta), 8)
+        coeffs = _undisplaced(_super_qubit_grid(thetas, *_grid_phases(thetas, phis), [zeta]), 8)
         assert worst_entropy_error(coeffs) <= self.TOL
 
     def test_random_states(self):

@@ -16,10 +16,11 @@ quadrature_stats_numeric has only its ``var_x`` put off; the state
 builders super_qubit_state, super_coherent_state, flip_state and
 n_superparticle_state have boson level 1 of both blocks turned by the phase
 e^{i 1e-6}, which keeps the norm that the Gram kernel checks, and so do the
-stacks of the grid kernels _super_qubit_grid, _undisplaced and
-_displace_low_levels and both closed columns of displaced_columns and of
-its memo _memoised_columns; and _grid_phases has every azimuth turned by
-1e-6.
+scalar low levels _low_levels, the stacks of the grid kernels
+_super_qubit_grid, _undisplaced and _displace_low_levels and both closed
+columns of displaced_columns and of its memo _memoised_columns;
+_state_and_poles has that phase on its state and its poles put off;
+and _grid_phases has every azimuth turned by 1e-6.
 BLOCK_ONE_CAUGHT_BY pins the same builders once more, each with its whole
 fermion-1 block turned by that phase, which keeps every quantity read block
 by block.  The package's memos are cleared
@@ -97,7 +98,9 @@ CAUGHT_BY = {
         "spectral_entropy_matches_closed_form",
     ),
     "superstate._pole_probabilities": ("pole_probability_identity",),
-    "superstate.pole_probabilities": ("pole_probability_identity",),
+    # the pole literal, and the state with the poles displaced with it, as state --theta and coherent read them
+    "superstate._pole_levels": ("pole_probability_identity",),
+    "superstate._state_and_poles": ("pole_probability_identity",),
     "entanglement._gram_entries": (
         "n_state_concurrence_closed_vs_gram",
         "superqubit_concurrence_closed_vs_gram",
@@ -148,13 +151,8 @@ CAUGHT_BY = {
     # its ratios, and so the sign, convergence and golden-gap checks, stay exact
     "uncertainty.fibonacci_number": tuple(f"fibonacci_record[n={n}]" for n in range(3, 21)),
     "uncertainty.quadrature_stats_numeric": ("five_eighths_point_numeric",),
-    "superstate.super_qubit_state": (
-        *(f"fibonacci_record[n={n}]" for n in range(3, 21)),
-        "five_eighths_point_numeric",
-        "coherent_eigenrelation",
-        "flipped_coherent_eigenrelation",
-        "reference_annihilation",
-    ),
+    # the eigen suite's builder row; super_coherent_state and the ladder build from _low_levels
+    "superstate.super_qubit_state": ("reference_annihilation",),
     "superstate.super_coherent_state": (
         "five_eighths_point_numeric",
         "coherent_eigenrelation",
@@ -162,8 +160,16 @@ CAUGHT_BY = {
     ),
     "superstate.flip_state": ("flip_commutes_with_displacement", "flipped_coherent_eigenrelation"),
     "superstate.n_superparticle_state": ("creation_gate_raises_vacuum",),
-    # the grid and column kernels, each with level 1 turned as the state builders' is
+    # the scalar low levels, and the grid and column kernels, each with level 1
+    # turned as the state builders' is
+    "superstate._low_levels": (
+        "five_eighths_point_numeric",
+        "coherent_eigenrelation",
+        "flipped_coherent_eigenrelation",
+        "reference_annihilation",
+    ),
     "superstate._super_qubit_grid": (
+        *(f"fibonacci_record[n={n}]" for n in range(3, 21)),
         "reference_annihilation",
         "coherent_eigenrelation",
         "flipped_coherent_eigenrelation",
@@ -172,6 +178,8 @@ CAUGHT_BY = {
         "symmetric_point_variance_equality_numeric",
     ),
     "superstate._undisplaced": (
+        *(f"fibonacci_record[n={n}]" for n in range(3, 21)),
+        "five_eighths_point_numeric",
         "reference_annihilation",
         "mean_quadratures_closed_vs_matrix",
         "variance_quadratures_closed_vs_matrix",
@@ -198,6 +206,7 @@ CAUGHT_BY = {
     ),
     # phi turned by RELATIVE_ERROR at every grid point
     "moebius._grid_phases": (
+        *(f"fibonacci_record[n={n}]" for n in range(3, 21)),
         "mean_quadratures_closed_vs_matrix",
         "variance_quadratures_closed_vs_matrix",
         "symmetric_point_variance_equality_numeric",
@@ -206,11 +215,7 @@ CAUGHT_BY = {
 
 # The state builders with the whole fermion-1 block turned by e^{i 1e-6}.
 BLOCK_ONE_CAUGHT_BY = {
-    "superstate.super_qubit_state": (
-        "coherent_eigenrelation",
-        "flipped_coherent_eigenrelation",
-        "reference_annihilation",
-    ),
+    "superstate.super_qubit_state": ("reference_annihilation",),
     "superstate.super_coherent_state": ("coherent_eigenrelation", "flipped_coherent_eigenrelation"),
     "superstate.flip_state": ("flipped_coherent_eigenrelation",),
     "superstate.n_superparticle_state": ("creation_gate_raises_vacuum",),
@@ -354,6 +359,12 @@ def phi_turned(phases):
     return cos_phi * c - sin_phi * s, sin_phi * c + cos_phi * s
 
 
+def state_and_poles_off(value):
+    """The state with its level-1 phase, and the poles times 1 + RELATIVE_ERROR."""
+    state, poles = value
+    return level_one_phased(state), off(poles)
+
+
 def block_one_phased(state):
     """The whole fermion-1 block times e^{i RELATIVE_ERROR}, which keeps both block norms."""
     coeffs = np.array(state.coeffs)
@@ -393,9 +404,11 @@ MUTATIONS = {
     "uncertainty.quadrature_stats_numeric": var_x_off,
     **dict.fromkeys(STATE_BUILDERS, level_one_phased),
     **dict.fromkeys(STACK_KERNELS, stack_level_one_phased),
+    "superstate._low_levels": stack_level_one_phased,
     "fock.displaced_columns": columns_level_one_phased,
     "fock._memoised_columns": columns_level_one_phased,
     "moebius._grid_phases": phi_turned,
+    "superstate._state_and_poles": state_and_poles_off,
     **dict.fromkeys(BUILDERS, bands_off),
 }
 

@@ -22,6 +22,7 @@ STATED = {
     "concurrence_gram(state)": (0.5, 1e-15),
     "concurrence_superqubit(base.theta, zeta)": (0.5, 1e-15),
     "residual.norm()": (0.0, 1e-14),
+    "pole_probabilities(coherent, zeta, params.alpha)[0]": (0.5, 1e-15),
     "quadrature_stats_closed(params).var_x": (0.625, 1e-15),
     "quadrature_stats_numeric(params, dim=96).var_x": (0.625, 1e-15),
     "fibonacci_record(5, dim=64).dispersion_closed": (Fraction(5, 8), 0),

@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from superq.superstate import (
     SuperQubitParams,
     SuperVector,
     _displace_low_levels,
+    _pole_levels,
     _pole_probabilities,
     _super_qubit_grid,
     _undisplaced,
@@ -429,10 +431,10 @@ class TestPoleProbabilityAccuracy:
     def sweep_stack(zeta, t_count, p_count):
         thetas = sweep_thetas(t_count)
         phis = [2.0 * math.pi * j / p_count for j in range(p_count)]
-        return _undisplaced(_super_qubit_grid(thetas, *_grid_phases(thetas, phis), zeta), 8)
+        return _undisplaced(_super_qubit_grid(thetas, *_grid_phases(thetas, phis), [zeta]), 8)
 
     def assert_squares_accurate(self, coeffs, zeta):
-        got = _pole_probabilities(coeffs, zeta).tolist()
+        got = _pole_probabilities(coeffs, _pole_levels(zeta)).tolist()
         overlaps = pole_overlaps(coeffs, zeta)
         worst = Fraction(0)
         for got_row, overlap_row in zip(got, overlaps):
@@ -492,6 +494,25 @@ class TestSuperCoherentState:
         psi1 = amp1 * zeta.u * d0
         assert np.abs(state.coeffs[0] - psi0).max() <= 1e-10
         assert np.abs(state.coeffs[1] - psi1).max() <= 1e-10
+
+    @pytest.mark.parametrize("dim", [0, 1])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_builders_refuse_a_dim_below_two(self, dim, alpha):
+        base = SuperQubitParams(0.9, 0.3, ExtendedComplex.from_value(1.5))
+        with pytest.raises(InvalidDimensionError):
+            super_qubit_state(base, dim)
+        with pytest.raises(InvalidDimensionError):
+            super_coherent_state(CoherentParams(alpha, base), dim)
+
+    def test_pole_probabilities_refuse_fewer_levels_than_the_poles(self):
+        state = SuperVector(np.array([[0.6], [0.8]]))
+        with pytest.raises(InvalidDimensionError, match="dim must be >= 2, got 1"):
+            pole_probabilities(state, ExtendedComplex.from_value(1.0))
+
+    def test_a_stack_too_large_to_describe_is_too_large_to_allocate(self):
+        # numpy refuses to describe four (2, maxsize // 32) states, where it describes one
+        with pytest.raises(MemoryError, match="^Unable to allocate"):
+            _undisplaced(np.zeros((4, 2, 2)), sys.maxsize // 32)
 
     def test_guard_violation(self):
         base = SuperQubitParams(0.5, 0.0, ExtendedComplex.from_value(1.0))
@@ -591,7 +612,7 @@ class TestFlippedCoherent:
         dim = 40
         params = CoherentParams(alpha, SuperQubitParams(theta, phi, zeta))
         flipped = flip_state(super_coherent_state(params, dim))
-        low = _super_qubit_grid([theta], *_grid_phases([theta], [phi]), zeta)
+        low = _super_qubit_grid([theta], *_grid_phases([theta], [phi]), [zeta])
         stack = _undisplaced(low, dim) if alpha == 0 else _displace_low_levels(alpha, low, dim)
         reference = stack[0, ::-1]
         assert flipped.coeffs[0].tobytes() == reference[0].tobytes()

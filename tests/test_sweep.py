@@ -167,7 +167,7 @@ class TestGridKernels:
         thetas = sweep_thetas(27)
         phis = [2.0 * math.pi * j / 5 for j in range(5)] + [7.5, -0.0]
         label = zeta_label(zeta)
-        coeffs = _super_qubit_grid(thetas, *_grid_phases(thetas, phis), label)
+        coeffs = _super_qubit_grid(thetas, *_grid_phases(thetas, phis), [label])
         states = [
             super_qubit_state(SuperQubitParams(theta, phi, label), dim)
             for theta in thetas
@@ -177,6 +177,15 @@ class TestGridKernels:
         for got, state in zip(coeffs, states):
             assert not state.coeffs[:, 2:].any()
             assert got.tobytes() == state.coeffs[:, :2].tobytes()
+
+    def test_labels_are_the_outer_rows(self):
+        # one call over several labels is the labels' own grids in label order, bit for bit
+        thetas, phis = sweep_thetas(6), [0.0, 2.5, 7.5]
+        phases = _grid_phases(thetas, phis)
+        labels = [zeta_label(zeta) for zeta in (None, (0.0, 0.0), (-0.4, 2.2), (1e300, -1e-300))]
+        each = np.concatenate([_super_qubit_grid(thetas, *phases, [label]) for label in labels])
+        assert _super_qubit_grid(thetas, *phases, labels).tobytes() == each.tobytes()
+        assert _super_qubit_grid(thetas, *phases, []).shape == (0, 2, 2)
 
     def test_grid_refuses_what_one_point_refuses(self):
         with pytest.raises(ValueError, match=r"theta must lie in \[0, pi\], got 3.5"):
@@ -192,7 +201,7 @@ class TestGridKernels:
 
     def test_last_unnormalized_state_is_refused(self):
         thetas = [0.3, 2.0]
-        coeffs = _super_qubit_grid(thetas, *_grid_phases(thetas, [0.0, 1.0]), zeta_label((1.0, 0.0)))
+        coeffs = _super_qubit_grid(thetas, *_grid_phases(thetas, [0.0, 1.0]), [zeta_label((1.0, 0.0))])
         coeffs[-1, 0, 0] += 1e-9
         with pytest.raises(NormalizationError, match="norm"):
             _gram_entries(_undisplaced(coeffs, 8))
@@ -201,7 +210,7 @@ class TestGridKernels:
     def test_non_finite_state_is_refused(self, bad):
         # as concurrence_gram refuses it: a NaN norm is not within tol of 1
         thetas = [0.3, 2.0]
-        coeffs = _super_qubit_grid(thetas, *_grid_phases(thetas, [0.0, 1.0]), zeta_label((1.0, 0.0)))
+        coeffs = _super_qubit_grid(thetas, *_grid_phases(thetas, [0.0, 1.0]), [zeta_label((1.0, 0.0))])
         coeffs[1, 1, 0] = bad
         with pytest.raises(NormalizationError, match="norm"):
             _gram_entries(_undisplaced(coeffs, 8))

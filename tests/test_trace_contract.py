@@ -76,8 +76,8 @@ def test_uninstall_restores_the_package(harness):
         # none: a sweep's states are one coefficient array for the whole grid
         (["sweep", "--zeta-re", "0.8", "--grid", "3,4", "--dim", "8"], 0),
         (["sweep", "--zeta-inf", "--grid", "1,5", "--dim", "4"], 0),
-        # the reference and its displacement; the pole states are one array
-        (["coherent", "--zeta-re", "1", "--theta", "1.1", "--alpha-re", "0.5", "--dim", "24"], 2),
+        # the displaced state alone: its low levels and the poles' are displaced as one array
+        (["coherent", "--zeta-re", "1", "--theta", "1.1", "--alpha-re", "0.5", "--dim", "24"], 1),
         (["state", "--zeta-re", "1", "--n", "2", "--dim", "4"], 1),
     ],
 )

@@ -74,7 +74,7 @@ BASE = SuperQubitParams(1.3, 0.7, ZETA)
 ALPHA = 1.2 - 0.3j
 COHERENT = CoherentParams(ALPHA, BASE)
 PHASES = _grid_phases([BASE.theta], [BASE.phi])
-LOW = _super_qubit_grid([BASE.theta], *PHASES, ZETA)
+LOW = _super_qubit_grid([BASE.theta], *PHASES, [ZETA])
 REFERENCES = np.concatenate([_undisplaced(LOW, DIM), [super_qubit_state(BASE, DIM).coeffs]])
 DISPLACED = super_coherent_state(COHERENT, DIM)
 COHERENT_STACK = np.concatenate([_displace_low_levels(ALPHA, LOW, DIM), [DISPLACED.coeffs]])
@@ -103,7 +103,7 @@ ROUTES = {
         lambda: oracle_columns(ALPHA, DIM),
     ),
     "reference_annihilation": (
-        lambda: (_undisplaced(_super_qubit_grid([BASE.theta], *PHASES, ZETA), DIM), super_qubit_state(BASE, DIM)),
+        lambda: (_undisplaced(_super_qubit_grid([BASE.theta], *PHASES, [ZETA]), DIM), super_qubit_state(BASE, DIM)),
         lambda: _norms(super_annihilation(ZETA, DIM).apply_coeffs(REFERENCES)),
     ),
     "coherent_eigenrelation": (
@@ -124,7 +124,7 @@ ROUTES = {
     ),
     "superqubit_concurrence_closed_vs_gram": (
         lambda: concurrence_superqubit(BASE.theta, ZETA),
-        lambda: _concurrences(_undisplaced(_super_qubit_grid([BASE.theta], *PHASES, ZETA), DIM)),
+        lambda: _concurrences(_undisplaced(_super_qubit_grid([BASE.theta], *PHASES, [ZETA]), DIM)),
     ),
     "gram_purity_identity": (
         lambda: concurrence_gram(RANDOM),

@@ -8,7 +8,7 @@ import pytest
 
 from superq import uncertainty
 from superq.errors import TruncationError
-from superq.moebius import ExtendedComplex
+from superq.moebius import ExtendedComplex, _grid_phases
 from superq.superstate import (
     CoherentParams,
     SuperQubitParams,
@@ -276,6 +276,25 @@ class TestFibonacci:
         monkeypatch.setattr(uncertainty, "quadrature_operators", lambda dim: calls.append(dim) or operators(dim))
         assert len(fibonacci_ladder(40, 24)) == 38
         assert calls == [24]
+
+    def test_ladder_builds_its_states_in_one_grid_call(self, monkeypatch):
+        calls = []
+        grid = uncertainty._super_qubit_grid
+
+        def counting_grid(thetas, cos_phi, sin_phi, zetas):
+            calls.append((list(thetas), cos_phi.shape, list(zetas)))
+            return grid(thetas, cos_phi, sin_phi, zetas)
+
+        monkeypatch.setattr(uncertainty, "_super_qubit_grid", counting_grid)
+        ladder = fibonacci_ladder(40, 24)
+        # the one-point grid (pi/2, pi/4) over every row's label
+        ((thetas, shape, zetas),) = calls
+        assert (thetas, shape, len(zetas)) == ([0.5 * math.pi], (1, 1), len(ladder))
+        rows = grid(thetas, *_grid_phases(thetas, [0.25 * math.pi]), zetas)
+        for row, zeta, record in zip(rows, zetas, ladder):
+            assert zeta == ExtendedComplex.from_value(math.sqrt(record.zeta_sq))
+            state = super_qubit_state(SuperQubitParams(0.5 * math.pi, 0.25 * math.pi, zeta), 24)
+            assert row.tobytes() == state.coeffs[:, :2].tobytes()
 
     def test_ladder_refusals(self):
         assert fibonacci_ladder(2, 64) == []

@@ -23,6 +23,7 @@ from superq.superstate import (
     _norms,
     _super_qubit_grid,
     _undisplaced,
+    commutator_suite,
     flip_state,
     pole_probabilities,
     super_annihilation,
@@ -30,7 +31,7 @@ from superq.superstate import (
     super_coherent_state,
     super_qubit_state,
 )
-from superq.uncertainty import _quadrature_stats, quadrature_stats_numeric
+from superq.uncertainty import _quadrature_stats, quadrature_operators, quadrature_stats_numeric
 from superq.verify import SUITE_NAMES, Check, VerificationReport, required_suite_dim, run_verify
 
 from conftest import guarded_norm, rebind
@@ -251,6 +252,42 @@ class TestSuiteDimFloor:
             required_suite_dim("spectra")
 
 
+def canonical_commutator(dim):
+    """quadrature_canonical_commutator's residual, as the algebra suite computes it, on the bands alone."""
+    x_op, p_op = quadrature_operators(dim)
+    return (x_op @ p_op - p_op @ x_op - BlockOperator.fermion_diagonal(1j, 1j, dim)).max_abs(GUARD_BAND)
+
+
+def number_lowering(dim):
+    """commutator_number_lowering's residual: the worst over the suite's labels and the pole."""
+    return max(commutator_suite(zeta, dim).number_lowering for zeta in (*verify._ZETAS, ExtendedComplex.infinity()))
+
+
+class TestAlgebraAtLargeDims:
+    """The algebra suite's banded residuals past the dims tier-1 runs a report at (ROADMAP item 10).
+
+    Each stored entry of X and P is fl(fl(sqrt n) * fl(1/sqrt2)), and the
+    residuals grow as n * eps on the guarded levels.  The dense matrices of
+    a whole report take ~340 MB at dim 2304, so these compute the two banded
+    residuals alone, in O(dim).
+    """
+
+    def test_the_banded_residuals_are_the_reports(self):
+        residuals = {check.name: check.residual for check in run_verify("algebra", dim=64).checks}
+        assert residuals["quadrature_canonical_commutator"] == canonical_commutator(64)
+        assert residuals["commutator_number_lowering"] == number_lowering(64)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 10: reads 1.36e-12 against its tolerance 1e-12")
+    def test_canonical_commutator_holds_at_dim_2304(self):
+        tolerances = {check.name: check.tolerance for check in run_verify("algebra", dim=36).checks}
+        assert canonical_commutator(2304) <= tolerances["quadrature_canonical_commutator"]
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 10: reads 1.16e-10 against its tolerance 1e-10")
+    def test_number_lowering_holds_at_dim_8192(self):
+        tolerances = {check.name: check.tolerance for check in run_verify("algebra", dim=36).checks}
+        assert number_lowering(8192) <= tolerances["commutator_number_lowering"]
+
+
 class TestNonFiniteResiduals:
     def test_nan_residual_fails_its_check(self, monkeypatch):
         nan_number_lowering(monkeypatch)
@@ -374,7 +411,7 @@ class TestBatchedSuites:
     )
     def test_stacks_are_the_cli_states_bit_for_bit(self, alpha, zeta, dim):
         assume(alpha != 0 and required_displacement_dim(alpha) <= dim)
-        low = _super_qubit_grid(verify._THETAS, *_grid_phases(verify._THETAS, verify._PHIS), zeta)
+        low = _super_qubit_grid(verify._THETAS, *_grid_phases(verify._THETAS, verify._PHIS), [zeta])
         reference = _undisplaced(low, dim)
         coherent = _displace_low_levels(alpha, low, dim)
         flipped = coherent[:, ::-1]
@@ -442,9 +479,9 @@ class TestBatchedSuites:
         monkeypatch.setattr(SuperVector, "__post_init__", counting_post_init)
         monkeypatch.setattr(verify, "_displace_low_levels", counting_displace)
         assert run_verify("eigen", dim=48).all_passed
-        # per zeta one super_qubit_state, and per alpha one super_coherent_state,
-        # which builds its reference first, and one flip_state of it
-        assert len(built) == len(verify._ZETAS) * (1 + 3 * len(verify._EIGEN_ALPHAS))
+        # per zeta one super_qubit_state, and per alpha one super_coherent_state
+        # and one flip_state of it
+        assert len(built) == len(verify._ZETAS) * (1 + 2 * len(verify._EIGEN_ALPHAS))
         assert displaced == {(alpha, (25, 2, 2)): 5 for alpha in verify._EIGEN_ALPHAS}
 
     def test_each_suite_computes_each_angle_grids_phases_once(self, monkeypatch):
@@ -458,9 +495,11 @@ class TestBatchedSuites:
         assert rebind(monkeypatch, phases, counting_phases) >= 1
         assert run_verify("all", dim=64).all_passed
         # eigen: the 5 x 5 grid; entangle: the 5 x 5 grid and its stride-2 half;
-        # uncertainty: the stride-2 half and the 5 x 1 symmetric column
+        # uncertainty: the stride-2 half and the 5 x 1 symmetric column;
+        # fibonacci: the ladder's one point
         full, half = (verify._THETAS, verify._PHIS), (verify._THETAS[::2], verify._PHIS[::2])
-        assert calls == [full, full, half, half, (verify._THETAS, (0.25 * math.pi,))]
+        column, point = (verify._THETAS, (0.25 * math.pi,)), ((0.5 * math.pi,), (0.25 * math.pi,))
+        assert calls == [full, full, half, half, column, point]
 
     def test_uncertainty_suite_reads_the_oracle_operators_once_per_stack(self, monkeypatch):
         calls, sizes = [], []
