@@ -14,7 +14,7 @@ closed form; the reduced density matrix never calls it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,29 +39,32 @@ NORMALIZATION_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, unit-trace reduced state of the boson factor; compares by identity."""
+    """The reduced boson state rho = F F^dag, held as its (dim, 2) factor F; compares by identity."""
 
-    mat: np.ndarray
+    factor: np.ndarray
+    _spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        mat = np.array(self.mat, dtype=np.complex128)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError("density matrix must be square")
-        # written so that NaN entries, which compare false, are refused too
-        if not np.abs(mat - mat.conj().T).max() <= 1e-12:
-            raise NumericalConsistencyError("density matrix is not Hermitian")
-        trace = np.trace(mat)
-        if not (abs(trace.real - 1.0) <= 1e-12 and abs(trace.imag) <= 1e-12):
+        factor = np.array(self.factor, dtype=np.complex128)
+        if factor.ndim != 2 or factor.shape[1] != 2:
+            raise ValueError("density factor must have shape (dim, 2)")
+        # Tr rho = ||F||^2, written so that NaN entries, which compare false, are refused too
+        if not abs(np.vdot(factor, factor).real - 1.0) <= 1e-12:
             raise NumericalConsistencyError("density matrix trace differs from 1")
-        mat.setflags(write=False)
-        object.__setattr__(self, "mat", mat)
+        # rho's nonzero spectrum, descending, from one SVD: no code shared with the Gram pass
+        singular = np.linalg.svd(factor, compute_uv=False)
+        spectrum = singular * singular
+        factor.setflags(write=False)
+        spectrum.setflags(write=False)
+        object.__setattr__(self, "factor", factor)
+        object.__setattr__(self, "_spectrum", spectrum)
 
     def purity(self) -> float:
-        """Tr rho^2, via the Frobenius norm (rho is Hermitian)."""
-        return float(np.vdot(self.mat, self.mat).real)
+        """Tr rho^2, the sum of the squared eigenvalues."""
+        return float(sum(lam * lam for lam in self.eigenvalues()))
 
     def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.mat)
+        return self._spectrum
 
 
 def _require_normalized(norm_sq) -> None:
@@ -103,10 +106,9 @@ def _gram_entries(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def reduced_boson_density(state: SuperVector) -> DensityMatrix:
-    """Partial trace over the fermion: |psi0><psi0| + |psi1><psi1|."""
+    """Partial trace over the fermion, |psi0><psi0| + |psi1><psi1|, as its factor [psi0 psi1]."""
     _require_normalized(state.norm_sq())
-    c0, c1 = state.coeffs
-    return DensityMatrix(np.outer(c0, c0.conj()) + np.outer(c1, c1.conj()))
+    return DensityMatrix(state.coeffs.T)
 
 
 def concurrence_gram(state: SuperVector) -> float:

@@ -362,9 +362,10 @@ def _suite_entangle(dim: int, tol: float, seed: int, n_max: int) -> list[Check]:
         c_gram = concurrence_gram(state)
         rho = reduced_boson_density(state)
         gram_purity.append(abs(c_gram * c_gram - 2.0 * (1.0 - rho.purity())))
-        eigenvalues = np.sort(rho.eigenvalues())[::-1]
-        rank_bound.append(abs(eigenvalues[2]))
-        spectral = -sum(lam * math.log2(lam) for lam in eigenvalues if lam > 1e-16)
+        # rho >= 0, so its trace ||F||^2 less the two leading eigenvalues bounds every other one
+        high, low = rho.eigenvalues()
+        rank_bound.append(abs(np.vdot(rho.factor, rho.factor).real - high - low))
+        spectral = -sum(lam * math.log2(lam) for lam in (high, low) if lam > 1e-16)
         z_gram = math.sqrt(max(0.0, 1.0 - c_gram * c_gram))
         spectral_gap.append(abs(spectral - entropy_from_z(z_gram)))
 

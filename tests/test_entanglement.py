@@ -48,13 +48,19 @@ def random_state(rng, dim):
     return SuperVector(raw.reshape(2, -1))
 
 
+def dense_rho(rho):
+    """The dim x dim matrix F F^dag of a DensityMatrix's factor, formed here only."""
+    return rho.factor @ rho.factor.conj().T
+
+
 class TestReducedDensity:
     def test_product_state_is_rank_one_projector(self):
         state = SuperVector([basis_ket(0, 4), np.zeros(4)])
         rho = reduced_boson_density(state)
         expected = np.zeros((4, 4))
         expected[0, 0] = 1.0
-        np.testing.assert_allclose(rho.mat, expected, atol=1e-15)
+        np.testing.assert_allclose(dense_rho(rho), expected, atol=1e-15)
+        np.testing.assert_allclose(rho.eigenvalues(), [1.0, 0.0], atol=1e-15)
 
     def test_maximally_entangled_state_is_balanced(self):
         inv_sqrt2 = 1.0 / math.sqrt(2.0)
@@ -62,21 +68,37 @@ class TestReducedDensity:
             [inv_sqrt2 * basis_ket(1, 4), inv_sqrt2 * basis_ket(0, 4)]
         )
         rho = reduced_boson_density(state)
-        np.testing.assert_allclose(np.diag(rho.mat), [0.5, 0.5, 0.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(np.diag(dense_rho(rho)), [0.5, 0.5, 0.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(rho.eigenvalues(), [0.5, 0.5], atol=1e-15)
 
     def test_unit_trace_and_hermitian_for_random_states(self):
         rng = np.random.default_rng(23)
         for _ in range(5):
-            rho = reduced_boson_density(random_state(rng, 12))
-            assert abs(np.trace(rho.mat) - 1.0) <= 1e-12
-            assert np.abs(rho.mat - rho.mat.conj().T).max() <= 1e-14
+            state = random_state(rng, 12)
+            rho = reduced_boson_density(state)
+            assert rho.factor.shape == (12, 2) and not rho.factor.flags.writeable
+            assert (rho.factor == state.coeffs.T).all()
+            mat = dense_rho(rho)
+            assert abs(np.trace(mat) - 1.0) <= 1e-12
+            assert np.abs(mat - mat.conj().T).max() <= 1e-14
 
     def test_positive_semidefinite_rank_two(self):
         rng = np.random.default_rng(29)
         rho = reduced_boson_density(random_state(rng, 10))
-        eigenvalues = np.sort(rho.eigenvalues())
-        assert eigenvalues[0] >= -1e-12
-        assert np.abs(eigenvalues[:-2]).max() <= 1e-10
+        eigenvalues = rho.eigenvalues()
+        assert eigenvalues.shape == (2,) and eigenvalues[0] >= eigenvalues[1] >= -1e-12
+        # the trace left outside the two eigenvalues bounds every other eigenvalue of rho >= 0
+        assert abs(np.vdot(rho.factor, rho.factor).real - eigenvalues.sum()) <= 1e-10
+
+    @pytest.mark.parametrize("dim", [2, 9, 64, 512])
+    def test_spectrum_and_purity_equal_a_dense_reference(self, dim):
+        rng = np.random.default_rng(dim)
+        for _ in range(6):
+            rho = reduced_boson_density(random_state(rng, dim))
+            dense = np.linalg.eigvalsh(dense_rho(rho))[::-1]
+            np.testing.assert_allclose(rho.eigenvalues(), dense[:2], rtol=0.0, atol=1e-15)
+            assert np.abs(dense[2:]).max(initial=0.0) <= 1e-15
+            assert abs(rho.purity() - np.sum(dense * dense)) <= 1e-15
 
     def test_unnormalized_input_rejected(self):
         state = SuperVector([[1.0, 1.0], [0.0, 0.0]])
@@ -84,13 +106,17 @@ class TestReducedDensity:
             reduced_boson_density(state)
 
     def test_non_finite_matrix_rejected(self):
-        # every entry of mat - mat^dag is NaN, and NaN compares false with 1e-12
-        with pytest.raises(NumericalConsistencyError, match="not Hermitian"):
+        # ||F||^2 is NaN, and NaN compares false with 1e-12
+        with pytest.raises(NumericalConsistencyError, match="trace differs from 1"):
             DensityMatrix(np.full((2, 2), math.nan))
+
+    def test_factor_of_two_columns_only(self):
+        with pytest.raises(ValueError, match=r"\(dim, 2\)"):
+            DensityMatrix(np.eye(3) / math.sqrt(3.0))
 
 
 class TestTwoRoutes:
-    """The Gram route and the dense reduced-density route share no code."""
+    """The Gram route and the reduced-density route share no code."""
 
     @staticmethod
     def refuse(*args, **kwargs):

@@ -141,7 +141,12 @@ CAUGHT_BY = {
         *(f"fibonacci_record[n={n}]" for n in range(3, 21)),
     ),
     "entanglement.DensityMatrix.purity": ("gram_purity_identity",),
-    "entanglement.DensityMatrix.eigenvalues": ("spectral_entropy_matches_closed_form",),
+    # purity reads eigenvalues, and the rank bound subtracts them from the trace
+    "entanglement.DensityMatrix.eigenvalues": (
+        "gram_purity_identity",
+        "density_rank_bound",
+        "spectral_entropy_matches_closed_form",
+    ),
     "moebius.bloch_cartesian": (
         "mean_quadratures_closed_vs_matrix",
         "variance_quadratures_closed_vs_matrix",
@@ -247,7 +252,10 @@ CHECKER_FUNCTIONS = {
     ),
 }
 EXEMPT = {
-    "entanglement.DensityMatrix.__post_init__": POST_INIT,
+    "entanglement.DensityMatrix.__post_init__": (
+        "a dataclass __post_init__: it checks the trace and keeps the factor and its SVD spectrum,"
+        " which the pinned eigenvalues returns"
+    ),
     "entanglement._checked_z": VALIDATOR,
     "entanglement._require_normalized": "the norm check in front of the Gram kernel; it raises or returns None",
     "entanglement.concurrence_gram": "the one-state wrapper of the pinned _gram_entries and _concurrence",

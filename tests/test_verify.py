@@ -164,6 +164,15 @@ class TestRunVerify:
         assert by_name["fibonacci_dispersion_monotone_convergence"].residual == 0.0
         assert report.all_passed, [c.name for c in report.checks if not c.passed]
 
+    @pytest.mark.parametrize("seed", [12345, 7])
+    @pytest.mark.parametrize("dim", [64, 128, 512])
+    def test_spectral_entropy_reads_rounding_only(self, dim, seed):
+        # rho's two eigenvalues come from its (dim, 2) factor; a dense eigvalsh
+        # adds a -lam log2 lam term for each rounding-level eigenvalue above 1e-16
+        report = run_verify("entangle", dim=dim, seed=seed)
+        by_name = {check.name: check for check in report.checks}
+        assert by_name["spectral_entropy_matches_closed_form"].residual <= 1e-14
+
     def test_payload_is_consistent(self):
         report = run_verify("algebra", dim=32)
         payload = report.to_payload()
@@ -569,7 +578,7 @@ class TestBatchedSuites:
 
     def test_dense_oracles_stay(self, monkeypatch):
         seen = Counter()
-        for name in ("eigh", "eigvalsh"):
+        for name in ("eigh", "eigvalsh", "svd"):
             real = getattr(np.linalg, name)
 
             def counting(a, *args, _real=real, _name=name, **kwargs):
@@ -577,8 +586,9 @@ class TestBatchedSuites:
                 return _real(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counting)
-        # rho of the 12 random states; the Gram spectra of |1, zeta> are closed forms
-        per_report = {("eigvalsh", (48, 48)): 12}
+        # one SVD of the (dim, 2) factor of rho per random state, and no eigvalsh:
+        # the Gram spectra of |1, zeta> are closed forms
+        per_report = {("svd", (48, 2)): 12}
         assert run_verify("all", dim=48).all_passed
         # the spectral D of the 4 amplitudes, on the first report at a dim only
         assert seen == {("eigh", (48, 48)): 4, **per_report}
