@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NormalizationError, NumericalConsistencyError
+from .errors import NormalizationError
 from .moebius import ExtendedComplex, _checked_theta
 from .superstate import SuperVector, _block_norms_sq
 
@@ -48,9 +48,8 @@ class DensityMatrix:
         factor = np.array(self.factor, dtype=np.complex128)
         if factor.ndim != 2 or factor.shape[1] != 2:
             raise ValueError("density factor must have shape (dim, 2)")
-        # Tr rho = ||F||^2, written so that NaN entries, which compare false, are refused too
-        if not abs(np.vdot(factor, factor).real - 1.0) <= 1e-12:
-            raise NumericalConsistencyError("density matrix trace differs from 1")
+        # Tr rho = ||F||^2 = ||psi||^2, the one norm check on the rho route
+        _require_normalized(np.vdot(factor, factor).real)
         # rho's nonzero spectrum, descending, from one SVD: no code shared with the Gram pass
         singular = np.linalg.svd(factor, compute_uv=False)
         spectrum = singular * singular
@@ -107,7 +106,6 @@ def _gram_entries(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 def reduced_boson_density(state: SuperVector) -> DensityMatrix:
     """Partial trace over the fermion, |psi0><psi0| + |psi1><psi1|, as its factor [psi0 psi1]."""
-    _require_normalized(state.norm_sq())
     return DensityMatrix(state.coeffs.T)
 
 

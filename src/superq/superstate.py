@@ -5,8 +5,8 @@ A composite vector splits by fermion occupation into two Fock-space blocks
 boson blocks with the fermion index as the outer block index, so its full
 matrix is 2*dim x 2*dim.  Every block the package builds is banded (a,
 a^dag, N, I, X, P all have bandwidth <= 1), so ``BlockOperator`` stores each
-block as its nonzero diagonals and multiplies, applies, adds and adjoins in
-O(dim); only ``full()`` and the dense block accessors form dim x dim arrays.
+block as its nonzero diagonals and multiplies, applies, adds, adjoins and
+compares in O(dim); only the dense block accessors form dim x dim arrays.
 
 The one-super-particle label zeta enters every construction through its
 homogeneous coordinates (u, v): the pair of blocks of |n, zeta> is
@@ -127,8 +127,7 @@ class BlockOperator:
     form a dim x dim array.
 
     ``op.ul`` (and ``ur``, ``ll``, ``lr``) reads a block back as a dense
-    read-only matrix and ``full()`` the whole 2*dim x 2*dim matrix; both are
-    built on each call.
+    read-only matrix, built on each call.
     """
 
     dim: int
@@ -148,21 +147,14 @@ class BlockOperator:
         return cls(dim, (_scalar_band(upper, dim), {}, {}, _scalar_band(lower, dim)))
 
     def __getattr__(self, name: str) -> np.ndarray:
-        # the dense block accessors ul, ur, ll, lr
+        # the dense block accessors ul, ur, ll, lr; no superq module reads them, and they
+        # stay only for the benchmark's matmul probe until it reads op.dim (ROADMAP item 1)
         if name not in _BLOCK_NAMES:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         block = np.zeros((self.dim, self.dim), dtype=np.complex128)
         _fill(block, self.bands[_BLOCK_NAMES.index(name)])
         block.setflags(write=False)
         return block
-
-    def full(self) -> np.ndarray:
-        """Dense 2*dim x 2*dim matrix."""
-        dim = self.dim
-        out = np.zeros((2 * dim, 2 * dim), dtype=np.complex128)
-        for (row, col), band in zip(((0, 0), (0, dim), (dim, 0), (dim, dim)), self.bands):
-            _fill(out[row : row + dim, col : col + dim], band)
-        return out
 
     def apply(self, state: SuperVector) -> SuperVector:
         return SuperVector(self.apply_coeffs(state.coeffs))

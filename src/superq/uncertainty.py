@@ -82,8 +82,9 @@ def quadrature_operators(dim: int) -> tuple[BlockOperator, BlockOperator]:
     """X = (a + a^dag)/sqrt2 and P = i (a^dag - a)/sqrt2 on both fermion blocks.
 
     Each boson block is tridiagonal, so only its two off-diagonals are
-    stored, read-only; ``full()`` gives the dense matrix.  The pair is
-    memoised per dim: repeated calls return the same two operators.
+    stored, read-only, and the operators are applied, multiplied and adjoined
+    on those diagonals.  The pair is memoised per dim: repeated calls return
+    the same two operators.
     """
     return _memoised_quadratures(dim)
 

@@ -220,17 +220,19 @@ def _suite_algebra(dim: int, tol: float, seed: int, n_max: int) -> list[Check]:
         raised = super_creation_gate(zeta, dim).apply(n_superparticle_state(0, zeta, dim))
         gate.append((raised - n_superparticle_state(1, zeta, dim)).norm())
 
-    involution = np.abs((flip @ flip).full() - np.eye(2 * dim)).max()
-
-    boson_eye = np.eye(dim)
-    tensor_split = np.abs(
-        super_number_operator(dim).full()
-        - np.kron(np.diag([0.0, 1.0]), boson_eye)
-        - np.kron(np.eye(2), np.diag(np.arange(dim)))
-    ).max()
+    # Each reference is written out here in band form: I, the split
+    # N_f (x) I + I (x) N_b, and the complement of N_f.
+    involution = (flip @ flip - BlockOperator.fermion_diagonal(1.0, 1.0, dim)).max_abs()
     fermion_number = BlockOperator.fermion_diagonal(0.0, 1.0, dim)
-    flipped_number = (flip @ fermion_number @ flip).full()
-    number_conjugation = np.abs(flipped_number - np.kron(np.diag([1.0, 0.0]), boson_eye)).max()
+    boson_number = {0: np.arange(dim)}
+    tensor_split = (
+        super_number_operator(dim)
+        - fermion_number
+        - BlockOperator(dim, (boson_number, {}, {}, boson_number))
+    ).max_abs()
+    number_conjugation = (
+        flip @ fermion_number @ flip - BlockOperator.fermion_diagonal(1.0, 0.0, dim)
+    ).max_abs()
 
     # The five states live on boson levels 0 and 1, so D psi is the first two
     # columns of the dense D applied to psi[:2].
@@ -243,7 +245,8 @@ def _suite_algebra(dim: int, tol: float, seed: int, n_max: int) -> list[Check]:
         commute.append((flip_state(displaced) - displaced_flip).norm())
 
     x_op, p_op = quadrature_operators(dim)
-    hermiticity = [np.abs(op.full() - op.full().conj().T).max() for op in (x_op, p_op)]
+    # a dagger that returns its operator unchanged fails the commutators, which read it for A^dag
+    hermiticity = [(op - op.dagger()).max_abs() for op in (x_op, p_op)]
     canonical = (
         x_op @ p_op - p_op @ x_op - BlockOperator.fermion_diagonal(1j, 1j, dim)
     ).max_abs(GUARD_BAND)

@@ -178,6 +178,11 @@ def block_operator(ul, ur, ll, lr) -> BlockOperator:
     return BlockOperator(blocks[0].shape[0], tuple(bands))
 
 
+def dense(op: BlockOperator) -> np.ndarray:
+    """The dense 2*dim x 2*dim matrix of a BlockOperator, from its dense block accessors."""
+    return np.block([[op.ul, op.ur], [op.ll, op.lr]])
+
+
 def guarded_max_abs(full_matrix: np.ndarray, dim: int, guard: int = fock.GUARD_BAND) -> float:
     """Max-norm of a dense 2*dim x 2*dim matrix over both blocks' boson levels below dim - guard."""
     keep = np.r_[0 : dim - guard, dim : 2 * dim - guard]

@@ -41,7 +41,7 @@ from superq.uncertainty import (
     variance_quadratures_closed,
 )
 
-from conftest import guarded_norm
+from conftest import dense, guarded_norm
 
 THETAS = tuple(np.linspace(0.0, math.pi, 5))
 PHIS = tuple(np.linspace(0.0, 2.0 * math.pi, 5, endpoint=False))
@@ -259,10 +259,10 @@ def test_criterion_10_transposed_operator_relations():
     flip = flip_operator(dim)
     matrix_gap = 0.0
     for zeta in ZETAS:
-        conjugated = (flip @ super_annihilation(zeta, dim) @ flip).full()
+        conjugated = dense(flip @ super_annihilation(zeta, dim) @ flip)
         matrix_gap = max(
             matrix_gap,
-            float(np.abs(conjugated - super_annihilation_transposed(zeta, dim).full()).max()),
+            float(np.abs(conjugated - dense(super_annihilation_transposed(zeta, dim))).max()),
         )
     eigen_dim = 96
     worst_eigen = 0.0

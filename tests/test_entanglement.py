@@ -18,7 +18,7 @@ from superq.entanglement import (
     entropy_from_z,
     reduced_boson_density,
 )
-from superq.errors import NormalizationError, NumericalConsistencyError
+from superq.errors import NormalizationError
 from superq.moebius import ExtendedComplex, _grid_phases, zeta_to_bloch
 from superq.superstate import (
     CoherentParams,
@@ -107,7 +107,7 @@ class TestReducedDensity:
 
     def test_non_finite_matrix_rejected(self):
         # ||F||^2 is NaN, and NaN compares false with 1e-12
-        with pytest.raises(NumericalConsistencyError, match="trace differs from 1"):
+        with pytest.raises(NormalizationError, match="norm\\^2 = nan"):
             DensityMatrix(np.full((2, 2), math.nan))
 
     def test_factor_of_two_columns_only(self):

@@ -239,10 +239,10 @@ NORM_STOP = (
 )
 CHECKER_FUNCTIONS = {
     "superstate.BlockOperator": (
-        "__add__", "__sub__", "__matmul__", "_entrywise", "apply", "dagger", "fermion_diagonal", "full", "max_abs",
+        "__add__", "__sub__", "__matmul__", "_entrywise", "apply", "dagger", "fermion_diagonal", "max_abs",
     ),
     "superstate.SuperVector": ("__sub__", "block_norms_sq", "norm", "norm_sq"),
-    "superstate": ("_band_matmul", "_fill", "_norms", "commutator_suite"),
+    "superstate": ("_band_matmul", "_norms", "commutator_suite"),
     "verify.Check": ("passed",),
     "verify.VerificationReport": ("all_passed", "max_residual", "passed", "to_payload", "total"),
     "verify": (
@@ -253,11 +253,11 @@ CHECKER_FUNCTIONS = {
 }
 EXEMPT = {
     "entanglement.DensityMatrix.__post_init__": (
-        "a dataclass __post_init__: it checks the trace and keeps the factor and its SVD spectrum,"
+        "a dataclass __post_init__: it checks the factor's norm and keeps the factor and its SVD spectrum,"
         " which the pinned eigenvalues returns"
     ),
     "entanglement._checked_z": VALIDATOR,
-    "entanglement._require_normalized": "the norm check in front of the Gram kernel; it raises or returns None",
+    "entanglement._require_normalized": "the norm check in front of the Gram kernel and of rho; it raises or returns None",
     "entanglement.concurrence_gram": "the one-state wrapper of the pinned _gram_entries and _concurrence",
     "entanglement.entanglement_entropy_bits": "the one-state wrapper of the pinned _gram_entries and _entropies",
     "entanglement.reduced_boson_density": "the rho oracle, which only verify reaches; the checks read its pinned methods",

@@ -40,7 +40,7 @@ from superq.superstate import (
     super_qubit_state,
 )
 
-from conftest import basis_ket, block_operator, guarded_max_abs
+from conftest import basis_ket, block_operator, dense, guarded_max_abs
 
 ZETA_SAMPLES = [
     ExtendedComplex.from_value(0.4),
@@ -200,7 +200,7 @@ class TestBlockOperator:
     def test_full_layout(self):
         op = block_operator(np.eye(2), 2 * np.eye(2), 3 * np.eye(2), 4 * np.eye(2))
         expected = np.kron(np.array([[1, 2], [3, 4]]), np.eye(2))
-        np.testing.assert_array_equal(op.full(), expected)
+        np.testing.assert_array_equal(dense(op), expected)
 
     def test_apply_matches_full_matrix(self):
         rng = np.random.default_rng(11)
@@ -209,7 +209,7 @@ class TestBlockOperator:
         op = block_operator(*blocks)
         state = random_state(rng, dim)
         np.testing.assert_allclose(
-            op.apply(state).coeffs.ravel(), op.full() @ state.coeffs.ravel(), atol=1e-14
+            op.apply(state).coeffs.ravel(), dense(op) @ state.coeffs.ravel(), atol=1e-14
         )
 
     def test_matmul_matches_full_product(self):
@@ -220,7 +220,7 @@ class TestBlockOperator:
             blocks = [rng.standard_normal((dim, dim)) for _ in range(4)]
             ops.append(block_operator(*blocks))
         np.testing.assert_allclose(
-            (ops[0] @ ops[1]).full(), ops[0].full() @ ops[1].full(), atol=1e-12
+            dense(ops[0] @ ops[1]), dense(ops[0]) @ dense(ops[1]), atol=1e-12
         )
 
     def test_dagger_matches_full_adjoint(self):
@@ -228,7 +228,7 @@ class TestBlockOperator:
         dim = 4
         blocks = [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)) for _ in range(4)]
         op = block_operator(*blocks)
-        np.testing.assert_array_equal(op.dagger().full(), op.full().conj().T)
+        np.testing.assert_array_equal(dense(op.dagger()), dense(op).conj().T)
 
     @pytest.mark.parametrize(
         "band",
@@ -271,7 +271,7 @@ class TestSuperNumber:
 
     def test_matches_tensor_construction(self):
         dim = 12
-        direct = super_number_operator(dim).full()
+        direct = dense(super_number_operator(dim))
         tensor = np.kron(np.diag([0.0, 1.0]), np.eye(dim)) + np.kron(
             np.eye(2), np.diag(np.arange(dim, dtype=float))
         )
@@ -533,7 +533,7 @@ class TestSuperCoherentState:
 class TestFlip:
     def test_involution_exact(self):
         flip = flip_operator(6)
-        assert np.abs((flip @ flip).full() - np.eye(12)).max() == 0.0
+        assert np.abs(dense(flip @ flip) - np.eye(12)).max() == 0.0
 
     def test_swaps_blocks(self):
         rng = np.random.default_rng(3)
@@ -548,13 +548,13 @@ class TestFlip:
         dim = 16
         flip = flip_operator(dim)
         for zeta in ZETA_SAMPLES + [ExtendedComplex.infinity()]:
-            conjugated = (flip @ super_annihilation(zeta, dim) @ flip).full()
-            target = super_annihilation_transposed(zeta, dim).full()
+            conjugated = dense(flip @ super_annihilation(zeta, dim) @ flip)
+            target = dense(super_annihilation_transposed(zeta, dim))
             assert np.abs(conjugated - target).max() == 0.0
 
     def test_conjugation_flips_fermion_number(self):
         dim = 5
-        flip = flip_operator(dim).full()
+        flip = dense(flip_operator(dim))
         n_f = np.kron(np.diag([0.0, 1.0]), np.eye(dim))
         flipped = flip @ n_f @ flip
         assert np.abs(flipped - np.kron(np.diag([1.0, 0.0]), np.eye(dim))).max() == 0.0
@@ -664,7 +664,7 @@ class TestBlockOperatorOwnership:
         op = block_operator(*blocks)
         for block in blocks:
             block[0, 0] = -9.0
-        np.testing.assert_array_equal(op.full(), np.kron(np.array([[1, 2], [3, 4]]), np.eye(3)))
+        np.testing.assert_array_equal(dense(op), np.kron(np.array([[1, 2], [3, 4]]), np.eye(3)))
         assert all(block.flags.writeable for block in blocks)
 
     def test_blocks_of_derived_operators_are_read_only(self):
@@ -758,22 +758,22 @@ class TestBandedBlockOperator:
         x, y = (block_operator(*blocks) for blocks in operands)
         dense_x, dense_y = (np.block([blocks[:2], blocks[2:]]) for blocks in operands)
         assert [sorted(band) for band in x.bands] == [_offsets(block) for block in operands[0]]
-        np.testing.assert_array_equal(x.full(), dense_x)
-        np.testing.assert_allclose((x @ y).full(), dense_x @ dense_y, rtol=1e-13, atol=1e-13)
+        np.testing.assert_array_equal(dense(x), dense_x)
+        np.testing.assert_allclose(dense(x @ y), dense_x @ dense_y, rtol=1e-13, atol=1e-13)
         state = random_state(np.random.default_rng(x.dim), x.dim)
         np.testing.assert_allclose(
             x.apply(state).coeffs.ravel(), dense_x @ state.coeffs.ravel(), rtol=1e-13, atol=1e-13
         )
-        np.testing.assert_array_equal((x + y).full(), dense_x + dense_y)
-        np.testing.assert_array_equal((x - y).full(), dense_x - dense_y)
-        np.testing.assert_array_equal(x.dagger().full(), dense_x.conj().T)
+        np.testing.assert_array_equal(dense(x + y), dense_x + dense_y)
+        np.testing.assert_array_equal(dense(x - y), dense_x - dense_y)
+        np.testing.assert_array_equal(dense(x.dagger()), dense_x.conj().T)
 
     @settings(max_examples=100, deadline=None)
     @given(banded_blocks(count=1), st.integers(0, 63))
     def test_max_abs_equals_dense_guarded_max(self, operands, guard):
         op = block_operator(*operands[0])
         guard = guard % op.dim
-        assert op.max_abs(guard) == guarded_max_abs(op.full(), op.dim, guard)
+        assert op.max_abs(guard) == guarded_max_abs(dense(op), op.dim, guard)
 
     @settings(max_examples=100, deadline=None)
     @given(banded_blocks(count=1), st.integers(0, 2**32 - 1))
@@ -795,7 +795,7 @@ class TestBandedBlockOperator:
         op = block_operator(*(np.zeros((4, 4)) for _ in range(4)))
         assert op.bands == ({}, {}, {}, {})
         assert op.max_abs() == 0.0
-        assert not (op @ op).full().any()
+        assert not dense(op @ op).any()
         assert not op.apply(random_state(np.random.default_rng(1), 4)).coeffs.any()
 
     @pytest.mark.parametrize("guard", [-1, 4, 5])
@@ -845,17 +845,22 @@ class TestBandedBlockOperator:
             "flip": (flip_operator(dim), [[zeros, eye], [eye, zeros]]),
         }
         for name, (op, blocks) in expected.items():
-            np.testing.assert_array_equal(op.full(), np.block(blocks), err_msg=name)
+            np.testing.assert_array_equal(dense(op), np.block(blocks), err_msg=name)
             assert all(all(d.any() for d in band.values()) for band in op.bands), name
 
     def test_fermion_diagonal(self):
         op = BlockOperator.fermion_diagonal(0.0, 2.5j, 3)
-        np.testing.assert_array_equal(op.full(), np.kron(np.diag([0.0, 2.5j]), np.eye(3)))
+        np.testing.assert_array_equal(dense(op), np.kron(np.diag([0.0, 2.5j]), np.eye(3)))
         assert op.bands[0] == {}
 
-    def test_dense_accessors_match_full(self):
-        op = super_annihilation(ExtendedComplex.from_value(0.4 + 1.1j), 5)
-        np.testing.assert_array_equal(np.block([[op.ul, op.ur], [op.ll, op.lr]]), op.full())
+    def test_dense_accessors_match_diagonal_construction(self):
+        zeta = ExtendedComplex.from_value(0.4 + 1.1j)
+        op = super_annihilation(zeta, 5)
+        a = np.diag(np.sqrt([1.0, 2.0, 3.0, 4.0]), 1)
+        coeff = np.diag(np.full(5, -(zeta.v / zeta.u)))
+        for block, expected in zip((op.ul, op.ur, op.ll, op.lr), (a, coeff, np.zeros((5, 5)), a)):
+            assert block.dtype == np.complex128 and block.shape == (5, 5)
+            np.testing.assert_array_equal(block, expected)
         with pytest.raises(AttributeError):
             op.missing  # noqa: B018
 

@@ -181,10 +181,6 @@ SHARED = {
     ),
     "superstate.SuperVector.__post_init__": "the state type's constructor: it checks the shape and keeps a copy",
     "entanglement._require_normalized": "the norm check in front of the Gram kernel and of rho: it raises or passes",
-    "superstate._block_norms_sq": (
-        "rho reads it only through its norm check, which raises or passes; rho's factor is"
-        " the blocks themselves, and its spectrum their singular values"
-    ),
 }
 
 

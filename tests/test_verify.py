@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import json
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 from superq import moebius, uncertainty, verify
 from superq.entanglement import concurrence_gram, concurrence_superqubit
 from superq.errors import TruncationError
-from superq.fock import GUARD_BAND, required_displacement_dim
+from superq.fock import GUARD_BAND, oracle_columns, required_displacement_dim
 from superq.moebius import ExtendedComplex, _grid_phases
 from superq.serialize import dumps
 from superq.superstate import (
@@ -276,10 +277,22 @@ class TestAlgebraAtLargeDims:
     """The algebra suite's banded residuals past the dims tier-1 runs a report at (ROADMAP item 10).
 
     Each stored entry of X and P is fl(fl(sqrt n) * fl(1/sqrt2)), and the
-    residuals grow as n * eps on the guarded levels.  The dense matrices of
-    a whole report take ~340 MB at dim 2304, so these compute the two banded
+    residuals grow as n * eps on the guarded levels.  A whole report also
+    builds the dense D oracle, O(dim^3), so these compute the two banded
     residuals alone, in O(dim).
     """
+
+    def test_suite_memory_is_linear_in_dim(self):
+        # one dense (2 dim)^2 complex matrix is 16 MiB at dim 512; the D oracle's
+        # columns, which the suite reads from their memo, are built first
+        oracle_columns(verify._ALGEBRA_ALPHA, 512)
+        tracemalloc.start()
+        try:
+            verify._suite_algebra(512, verify.DEFAULT_TOL, verify.DEFAULT_SEED, 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_the_banded_residuals_are_the_reports(self):
         residuals = {check.name: check.residual for check in run_verify("algebra", dim=64).checks}
