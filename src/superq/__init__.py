@@ -10,7 +10,6 @@ oracles.
 from .errors import (
     InvalidDimensionError,
     NormalizationError,
-    NumericalConsistencyError,
     SingularParameterError,
     TruncationError,
 )

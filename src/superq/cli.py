@@ -26,7 +26,7 @@ from .entanglement import (
     concurrence_superqubit,
     entropy_from_z,
 )
-from .errors import NormalizationError, NumericalConsistencyError
+from .errors import NormalizationError
 from .fock import DEFAULT_DIM
 from .moebius import (
     ExtendedComplex,
@@ -42,7 +42,6 @@ from .superstate import (
     _pole_probabilities,
     _state_and_poles,
     _super_qubit_grid,
-    _undisplaced,
     n_superparticle_state,
     super_coherent_state,
 )
@@ -83,13 +82,6 @@ FIBONACCI_HEADER = [
     "dispersion_numeric",
     "golden_gap",
 ]
-
-# BLAS sums a block of 8 or more entries in its blocked loop, a shorter one in
-# a tail loop that rounds differently.  The sweep pads its two-level states
-# with zeros to 8 levels, so its Gram and pole columns round alike at every
-# --dim, as the dim-64 golden sweeps record.
-_SWEEP_LEVELS = 8
-
 
 class UsageError(ValueError):
     """Invalid flag combination or parameter value (exit code 2)."""
@@ -409,16 +401,16 @@ def _emit_sweep(args) -> str:
     """The sweep CSV, each column evaluated for the whole grid at once.
 
     At alpha = 0 every state lives on boson levels 0 and 1, so the grid's
-    states are one (T*P, 2, _SWEEP_LEVELS) coefficient stack; the oracle
-    columns come from it through the single-state commands' kernels and the
-    closed columns from the angles.
+    states are their (T*P, 2, 2) low levels at any --dim; the oracle columns
+    come from them through the single-state commands' kernels (whose dots pad
+    them to 8 levels) and the closed columns from the angles.
     """
     t_count, p_count = args.grid
     thetas = sweep_thetas(t_count)
     phis = [2.0 * math.pi * j / p_count for j in range(p_count)]
     zeta_re, zeta_im = (math.inf, 0.0) if args.zeta_inf else _zeta_parts(args)
     phases = _grid_phases(thetas, phis)
-    coeffs = _undisplaced(_super_qubit_grid(thetas, *phases, [args.zeta]), _SWEEP_LEVELS)
+    coeffs = _super_qubit_grid(thetas, *phases, [args.zeta])
     p0, p1 = _pole_probabilities(coeffs, _pole_levels(args.zeta))
     var_x, var_p = _variance_grid(thetas, *phases, args.zeta)
     entries = _gram_entries(coeffs)
@@ -521,7 +513,7 @@ def _run(args: argparse.Namespace) -> int:
             return run(args)
         print(run(args))
         return 0
-    except (NormalizationError, NumericalConsistencyError) as exc:
+    except NormalizationError as exc:
         # the CLI normalizes only states it built: an unnormalized one is the program's fault
         print(f"superq: numerical consistency failure: {exc}", file=sys.stderr)
         return 1

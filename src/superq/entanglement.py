@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import NormalizationError
 from .moebius import ExtendedComplex, _checked_theta
-from .superstate import SuperVector, _block_norms_sq
+from .superstate import SuperVector, _block_norms_sq, _vecdot
 
 __all__ = [
     "NORMALIZATION_TOL",
@@ -80,18 +80,18 @@ def _gram_entries(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
     The one Gram pass: the concurrence and the spectral entropy read it, and
     each norm^2 g00 + g11 is checked here.  g00 and g11 are the block norms^2
-    of ``superstate._block_norms_sq``, which ``SuperVector.norm_sq`` reads
-    too; g01 is one np.vecdot, which runs np.vdot's BLAS dot on each pair of
-    blocks.  det G = g_big ||small - (<big|small> / g_big) big||^2, where big
-    is the block of larger norm: the smaller block is projected off the
-    larger one instead of subtracting |g01|^2 from g00 g11, so two parallel
-    blocks give a determinant of rounding size squared, not rounding size.
+    that ``SuperVector.norm_sq`` reads too; they, g01 and the norm^2 below
+    are each one ``superstate._vecdot``, which pads an L below 8 to 8.
+    det G = g_big ||small - (<big|small> / g_big) big||^2, where big is the
+    block of larger norm: the smaller block is projected off the larger one
+    instead of subtracting |g01|^2 from g00 g11, so two parallel blocks give
+    a determinant of rounding size squared, not rounding size.
     """
     block = _block_norms_sq(coeffs)
     g00, g11 = block[..., 0], block[..., 1]
     _require_normalized(g00 + g11)
     c0, c1 = coeffs[..., 0, :], coeffs[..., 1, :]
-    g01 = np.vecdot(c0, c1)
+    g01 = _vecdot(c0, c1)
     first_big = g00 >= g11
     big = np.where(first_big[..., None], c0, c1)
     small = np.where(first_big[..., None], c1, c0)
@@ -101,7 +101,7 @@ def _gram_entries(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     # numpy divides by g_big + 0j as each part times 1 / g_big; Python's
     # complex / float would divide each part by g_big and round differently
     perpendicular = small - (overlap / g_big)[..., None] * big
-    return g00, g11, g01, g_big * np.vecdot(perpendicular, perpendicular).real
+    return g00, g11, g01, g_big * _vecdot(perpendicular, perpendicular).real
 
 
 def reduced_boson_density(state: SuperVector) -> DensityMatrix:

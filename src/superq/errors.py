@@ -25,7 +25,3 @@ class SingularParameterError(ValueError):
 
 class NormalizationError(ValueError):
     """Raised when an operation requires a normalized state vector."""
-
-
-class NumericalConsistencyError(ArithmeticError):
-    """Raised when floating-point results violate a mathematical bound."""

@@ -530,13 +530,25 @@ def _pole_probabilities(coeffs: np.ndarray, poles: np.ndarray) -> np.ndarray:
     return (squares[:, 0] + squares[:, 1]).T
 
 
-def _block_norms_sq(coeffs: np.ndarray) -> np.ndarray:
-    """<psi0|psi0> and <psi1|psi1> of each state of a (..., 2, dim) stack, as a (..., 2) array.
+def _vecdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """np.vecdot of two (..., L) stacks of one shape, the package's one BLAS reduction.
 
-    The one computation of the block norms.  np.vecdot runs np.vdot's BLAS
-    dot on each block, so one state's values are its np.vdot sums bit for bit.
+    BLAS sums fewer than 8 entries in a tail loop that rounds unlike its blocked
+    loop, so a shorter row is padded with zeros to 8 entries, each operand once.
     """
-    return np.vecdot(coeffs, coeffs).real
+    if x.shape != y.shape:
+        raise ValueError(f"a dot needs operands of one shape, got {x.shape} and {y.shape}")
+    if x.shape[-1] < 8:
+        operands = (x,) if y is x else (x, y)
+        padded = np.zeros((len(operands), *x.shape[:-1], 8), dtype=np.complex128)
+        padded[..., : x.shape[-1]] = operands
+        x, y = padded[0], padded[-1]
+    return np.vecdot(x, y)
+
+
+def _block_norms_sq(coeffs: np.ndarray) -> np.ndarray:
+    """<psi0|psi0> and <psi1|psi1> of each state of a (..., 2, dim) stack, one ``_vecdot`` each."""
+    return _vecdot(coeffs, coeffs).real
 
 
 def _norms(coeffs: np.ndarray) -> np.ndarray:

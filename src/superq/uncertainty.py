@@ -24,6 +24,7 @@ from .superstate import (
     CoherentParams,
     _super_qubit_grid,
     _undisplaced,
+    _vecdot,
     super_coherent_state,
 )
 
@@ -163,10 +164,10 @@ def _quadrature_stats(states: np.ndarray) -> list[QuadratureStats]:
     :func:`quadrature_operators`: a row holds two nonzero entries, so the
     dense row sum in any order without FMA adds only exact zeros to the same
     two rounded products, and the image is that dense product bit for bit.
-    <op^2> is ||op psi||^2 since op is Hermitian, and each sum runs block by
-    block from 0.0, psi0 before psi1.  That fixes the rounding the golden
-    Fibonacci table records.  A state on levels 0 and 1 reaches level 2
-    under X and P, so dim >= 3 is required.
+    <op^2> is ||op psi||^2 since op is Hermitian; each is one ``_vecdot`` per
+    block, summed from 0.0, psi0 before psi1, which fixes the rounding of the
+    golden Fibonacci table at every dim.  A state on levels 0 and 1 reaches
+    level 2 under X and P, so dim >= 3 is required.
     """
     dim = states.shape[-1]
     if dim < 3:
@@ -174,8 +175,8 @@ def _quadrature_stats(states: np.ndarray) -> list[QuadratureStats]:
     moments = []
     for op in quadrature_operators(dim):
         images = op.apply_coeffs(states)
-        overlaps = np.vecdot(states, images).real
-        second = np.vecdot(images, images).real
+        overlaps = _vecdot(states, images).real
+        second = _vecdot(images, images).real
         means = (0.0 + overlaps[:, 0]) + overlaps[:, 1]
         seconds = (0.0 + second[:, 0]) + second[:, 1]
         moments.append((means.tolist(), (seconds - means * means).tolist()))

@@ -154,15 +154,24 @@ class TestBlasKernel:
         assert f"{15 - len(failed)} passed" in completed.stdout, completed.stdout
         return {name or test for test, name in failed}
 
-    def test_only_the_blas_bound_files_move_under_prescott(self):
-        env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott"}
+    @staticmethod
+    def blas_env(coretype, names):
+        """os.environ with OPENBLAS_CORETYPE set; skips unless OpenBLAS then loads a kernel of those names."""
+        env = {**os.environ, "OPENBLAS_CORETYPE": coretype}
         core = subprocess.run(
             [sys.executable, "-c", OPENBLAS_CORE], env=env, capture_output=True, text=True
         ).stdout.strip()
+        if core not in names:
+            pytest.skip(f"OpenBLAS does not switch to {coretype} here (core {core or 'unknown'})")
+        return env
+
+    def test_only_the_blas_bound_files_move_under_prescott(self):
         # an x86-64 DYNAMIC_ARCH build aliases the Katmai kernel to Prescott's and names it first
-        if core not in ("Prescott", "Katmai"):
-            pytest.skip(f"OpenBLAS does not switch to Prescott here (core {core or 'unknown'})")
+        env = self.blas_env("Prescott", ("Prescott", "Katmai"))
         assert self.golden_failures(env) <= set(self.MOVE_WITH_BLAS)
+
+    def test_every_file_holds_under_haswell(self):
+        assert self.golden_failures(self.blas_env("Haswell", ("Haswell",))) == set()
 
     def test_only_the_simd_bound_files_move_at_x86_v2(self):
         env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": self.X86_V2}
@@ -177,6 +186,49 @@ class TestBlasKernel:
             reason = refused.stderr.strip().splitlines()[-1]
             pytest.skip(f"numpy refuses NPY_DISABLE_CPU_FEATURES={self.X86_V2}: {reason}")
         assert self.golden_failures(env) <= set(self.MOVE_WITH_SIMD)
+
+
+class TestDimIndependence:
+    """An undisplaced state lives on levels 0 and 1, so no printed value but dim, psi0 and psi1 reads dim.
+
+    Every dot pads a row shorter than BLAS's 8-entry block with zeros, so the
+    small dims print what dim 64 prints, byte for byte.
+    """
+
+    # (theta, phi, zeta_re, zeta_im), drawn once
+    POINTS = np.random.default_rng(29).uniform([0.0, 0.0, -2.0, -2.0], [math.pi, 7.0, 2.0, 2.0], (20, 4)).tolist()
+    # uncertainty's oracle needs dim >= 3
+    SMALL_DIMS = {**dict.fromkeys(("state", "concurrence", "entropy"), range(2, 10)), "uncertainty": range(3, 10)}
+
+    @staticmethod
+    def printed(argv, dims):
+        """{dim: the output at dim} for each dim, JSON without dim, psi0 and psi1, or CSV text whole."""
+        printed = {}
+        for dim in dims:
+            code, out, err = _outcome(cli_main, [*argv, "--dim", str(dim)])
+            assert (code, err) == (0, ""), argv
+            if argv[0] != "fibonacci":
+                payload = json.loads(out)
+                for name in ("dim", "psi0", "psi1"):
+                    payload.pop(name, None)
+                out = json.dumps(payload)
+            printed[dim] = out
+        return printed
+
+    @pytest.mark.parametrize("command", sorted(SMALL_DIMS))
+    def test_small_dims_print_what_dim_64_prints(self, command):
+        # the entropy command reads zeta alone; the others the undisplaced super-qubit state
+        for theta, phi, zeta_re, zeta_im in self.POINTS:
+            argv = [command, f"--zeta-re={zeta_re!r}", f"--zeta-im={zeta_im!r}"]
+            if command != "entropy":
+                argv += ["--theta", repr(theta), "--phi", repr(phi)]
+            (want,) = self.printed(argv, [64]).values()
+            assert self.printed(argv, self.SMALL_DIMS[command]) == dict.fromkeys(self.SMALL_DIMS[command], want)
+
+    def test_fibonacci_ladder_does_not_read_dim(self):
+        argv = ["fibonacci", "--n-max", "60"]
+        (want,) = self.printed(argv, [64]).values()
+        assert self.printed(argv, range(3, 10)) == dict.fromkeys(range(3, 10), want)
 
 
 class TestParserCache:

@@ -12,8 +12,9 @@ bloch_cartesian has x and y swapped, since a relative error would trip
 CartesianBloch's unit-vector check instead; zeta_to_bloch has its theta
 shrunk by 1e-6 relative, since a grown theta at the pole would leave
 [0, pi]; fibonacci_number, exact integers, returns one more;
-quadrature_stats_numeric has only its ``var_x`` put off; the state
-builders super_qubit_state, super_coherent_state, flip_state and
+quadrature_stats_numeric has only its ``var_x`` put off, and the Fibonacci
+rows of fibonacci_ladder and _fibonacci_records their ``dispersion_numeric``;
+the state builders super_qubit_state, super_coherent_state, flip_state and
 n_superparticle_state have boson level 1 of both blocks turned by the phase
 e^{i 1e-6}, which keeps the norm that the Gram kernel checks, and so do the
 scalar low levels _low_levels, the stacks of the grid kernels
@@ -29,9 +30,9 @@ it.  A default ``verify --suite all`` at dim 64 must then fail exactly the
 pinned checks.
 
 The block norms feed the normalization check in front of every Gram
-computation, so a mutant of ``_block_norms_sq`` fails no check: the CLI exits
-1 on the unnormalized state it built, a fault of the program, not of its
-arguments.
+computation, so a mutant of ``_block_norms_sq``, or of the dot kernel
+``_vecdot`` they read, fails no check: the CLI exits 1 on the unnormalized
+state it built, a fault of the program, not of its arguments.
 
 The pins are complete by construction: ``verify --suite all`` and one argv of
 each emitting command run under ``sys.setprofile`` (the tracer of
@@ -156,6 +157,10 @@ CAUGHT_BY = {
     # its ratios, and so the sign, convergence and golden-gap checks, stay exact
     "uncertainty.fibonacci_number": tuple(f"fibonacci_record[n={n}]" for n in range(3, 21)),
     "uncertainty.quadrature_stats_numeric": ("five_eighths_point_numeric",),
+    **dict.fromkeys(
+        ("uncertainty.fibonacci_ladder", "uncertainty._fibonacci_records"),
+        tuple(f"fibonacci_record[n={n}]" for n in range(3, 21)),
+    ),
     # the eigen suite's builder row; super_coherent_state and the ladder build from _low_levels
     "superstate.super_qubit_state": ("reference_annihilation",),
     "superstate.super_coherent_state": (
@@ -290,10 +295,11 @@ EXEMPT = {
     "superstate._band_apply": "the banded apply inside the pinned _quadrature_stats and the eigen checks",
     "superstate._scalar_band": "a scalar diagonal of the pinned operator builders",
     "superstate._minus_inverse": "the -1/zeta entry of the pinned super_annihilation and its transpose",
-    "superstate._block_norms_sq": "mutated, verify, state and sweep exit 1 on the norm check (test_block_norms_mutant_exits_one)",
+    **dict.fromkeys(
+        ("superstate._block_norms_sq", "superstate._vecdot"),
+        "mutated, verify, state and sweep exit 1 on the norm check (test_block_norms_mutant_exits_one)",
+    ),
     "uncertainty._memoised_quadratures": "the memo behind the pinned quadrature_operators",
-    "uncertainty.fibonacci_ladder": "not pinned yet: its rows are records, which take no relative error",
-    "uncertainty._fibonacci_records": "not pinned yet: its rows are records, which take no relative error",
     **{f"{owner}.{name}": CHECKER for owner, names in CHECKER_FUNCTIONS.items() for name in names},
 }
 
@@ -341,6 +347,11 @@ def plus_one(number):
 
 def var_x_off(stats):
     return dataclasses.replace(stats, var_x=off(stats.var_x))
+
+
+def dispersions_off(records):
+    """Each Fibonacci record with its dispersion_numeric times 1 + RELATIVE_ERROR."""
+    return [dataclasses.replace(record, dispersion_numeric=off(record.dispersion_numeric)) for record in records]
 
 
 def stack_level_one_phased(coeffs):
@@ -410,6 +421,8 @@ MUTATIONS = {
     "moebius.zeta_to_bloch": theta_shrunk,
     "uncertainty.fibonacci_number": plus_one,
     "uncertainty.quadrature_stats_numeric": var_x_off,
+    "uncertainty.fibonacci_ladder": dispersions_off,
+    "uncertainty._fibonacci_records": dispersions_off,
     **dict.fromkeys(STATE_BUILDERS, level_one_phased),
     **dict.fromkeys(STACK_KERNELS, stack_level_one_phased),
     "superstate._low_levels": stack_level_one_phased,
@@ -460,6 +473,7 @@ def test_block_one_phase_fails_the_pinned_checks(monkeypatch, cold_memos, qualif
     assert failed_checks() == set(BLOCK_ONE_CAUGHT_BY[qualified])
 
 
+@pytest.mark.parametrize("kernel", ["_block_norms_sq", "_vecdot"])
 @pytest.mark.parametrize(
     "argv",
     [
@@ -468,8 +482,8 @@ def test_block_one_phase_fails_the_pinned_checks(monkeypatch, cold_memos, qualif
         ["sweep", "--zeta-re", "1", "--grid", "3,3"],
     ],
 )
-def test_block_norms_mutant_exits_one(monkeypatch, cold_memos, argv):
-    original = superstate._block_norms_sq
+def test_block_norms_mutant_exits_one(monkeypatch, cold_memos, argv, kernel):
+    original = getattr(superstate, kernel)
     assert rebind(monkeypatch, original, mutant(original, off)) >= 1
     cold_memos()
     out, err = io.StringIO(), io.StringIO()

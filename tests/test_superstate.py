@@ -138,6 +138,18 @@ def _blocks(state):
     return np.array(state.coeffs[0]), np.array(state.coeffs[1])
 
 
+def _vdot_norm_sq(block):
+    """np.vdot of a block with itself, the block padded with zeros to 8 entries when shorter.
+
+    BLAS sums fewer than 8 entries in a tail loop that rounds unlike its
+    blocked loop; the package pads short rows so that a state's sums do not
+    depend on dim.
+    """
+    padded = np.zeros(max(len(block), 8), dtype=np.complex128)
+    padded[: len(block)] = block
+    return float(np.vdot(padded, padded).real)
+
+
 @st.composite
 def coherent_points(draw):
     """A super-coherent parameter point and a dim at or above its displacement guard."""
@@ -166,11 +178,11 @@ class TestPerBlockReferences:
         rng = np.random.default_rng(seed)
         x = SuperVector(rng.standard_normal((2, dim, 2)) @ [1.0, 1j])
         x0, x1 = _blocks(x)
-        assert x.norm_sq() == float(np.vdot(x0, x0).real) + float(np.vdot(x1, x1).real)
+        assert x.norm_sq() == _vdot_norm_sq(x0) + _vdot_norm_sq(x1)
         assert flip_state(x).coeffs.tobytes() == np.concatenate([x1, x0]).tobytes()
         for guard in {0, dim // 2, dim - 1}:
             keep = dim - guard
-            g00, g11 = (float(np.vdot(block[:keep], block[:keep]).real) for block in (x0, x1))
+            g00, g11 = (_vdot_norm_sq(block[:keep]) for block in (x0, x1))
             assert superstate._norms(x.coeffs[:, :keep]) == math.sqrt(g00 + g11)
 
     @settings(max_examples=50, deadline=None)
@@ -194,6 +206,23 @@ class TestPerBlockReferences:
         else:
             expected = np.concatenate([r0[0] * d0 + r0[1] * d1, r1[0] * d0 + r1[1] * d1])
         assert super_coherent_state(params, dim).coeffs.tobytes() == expected.tobytes()
+
+
+class TestVecdot:
+    """The one dot kernel: np.vecdot, with rows shorter than 8 padded with zeros to 8."""
+
+    @pytest.mark.parametrize("length", [1, 2, 7, 8, 9, 64])
+    def test_short_rows_round_as_padded_rows(self, length):
+        rng = np.random.default_rng(length)
+        x, y = rng.standard_normal((2, 3, 2, length, 2)) @ [1.0, 1j]
+        padded = np.zeros((2, 3, 2, max(length, 8)), dtype=np.complex128)
+        padded[..., :length] = x, y
+        assert superstate._vecdot(x, y).tobytes() == np.vecdot(*padded).tobytes()
+        assert superstate._vecdot(x, x).tobytes() == superstate._vecdot(x, x.copy()).tobytes()
+
+    def test_operands_of_two_shapes_are_refused(self):
+        with pytest.raises(ValueError, match=r"one shape, got \(2, 3\) and \(3,\)"):
+            superstate._vecdot(np.ones((2, 3)), np.ones(3))
 
 
 class TestBlockOperator:

@@ -14,7 +14,9 @@ that a superq class defines.  It passes when the emitting commands of
 gate's coverage test reads, traced once per session.
 
 The package also writes every square one way, as ``x * x``; no module
-holds a ``** 2``.
+holds a ``** 2``.  Its one BLAS reduction is ``superstate._vecdot``, the
+only reader of ``np.vecdot``, and every exception class of ``errors`` is
+raised somewhere.
 """
 
 import ast
@@ -30,6 +32,11 @@ PACKAGE = Path(superq.__file__).parent
 EXEMPT = {
     "fock.FockVector": "the benchmark's per-layer report reads its span fock.FockVector (ROADMAP item 1)",
 }
+
+
+def modules() -> dict[str, ast.Module]:
+    """Each superq module's parsed source, by module name."""
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
 
 
 def public_names(tree: ast.Module) -> list[str]:
@@ -59,11 +66,7 @@ def reads(tree: ast.Module, modules) -> set[str]:
 
 
 def unread_public_names() -> set[str]:
-    trees = {
-        path.stem: ast.parse(path.read_text(encoding="utf-8"))
-        for path in sorted(PACKAGE.glob("*.py"))
-        if path.stem != "__init__"
-    }
+    trees = {name: tree for name, tree in modules().items() if name != "__init__"}
     # a definition is no read, and neither is an __all__ entry, a string
     reached = reads(ast.parse(quickstart_source()), trees).union(
         *(reads(tree, trees) for tree in trees.values())
@@ -109,3 +112,37 @@ def squares_by_power() -> list[str]:
 def test_every_square_is_a_product():
     sites = squares_by_power()
     assert not sites, f"** 2 at {', '.join(sites)}"
+
+
+def vecdot_sites() -> list[str]:
+    """module.function of each vecdot a superq module reads, by the top-level definition that holds it."""
+    return [
+        f"{module}.{getattr(node, 'name', node.lineno)}"
+        for module, tree in modules().items()
+        for node in tree.body
+        for inner in ast.walk(node)
+        if (isinstance(inner, ast.Attribute) and inner.attr == "vecdot")
+        or (isinstance(inner, ast.alias) and inner.name == "vecdot")
+    ]
+
+
+def test_one_dot_kernel():
+    # BLAS rounds a dot shorter than 8 entries in its tail loop; the kernel pads them
+    assert vecdot_sites() == ["superstate._vecdot"]
+
+
+def unraised_exceptions() -> set[str]:
+    """The exception classes of errors.py that no raise statement of a superq module names."""
+    trees = modules()
+    declared = {node.name for node in trees["errors"].body if isinstance(node, ast.ClassDef)}
+    raised = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None))
+    return declared - raised
+
+
+def test_every_exception_class_is_raised():
+    assert unraised_exceptions() == set()
