@@ -17,9 +17,7 @@ import sys
 import numpy as np
 
 from .entanglement import (
-    _concurrence,
-    _entropies,
-    _gram_entries,
+    _gram_measures,
     collapse_probabilities,
     concurrence_gram,
     concurrence_n_state,
@@ -287,17 +285,6 @@ def _selection(args):
     return CoherentParams(args.alpha, base), concurrence_superqubit(base.theta, args.zeta), params
 
 
-def _gram_measures(state) -> tuple[tuple[float, float], float, float]:
-    """The block norms^2, Gram concurrence and spectral entropy of a state.
-
-    One ``_gram_entries`` pass serves all three; each is bit for bit the value
-    of ``block_norms_sq``, ``concurrence_gram`` and ``entanglement_entropy_bits``.
-    """
-    entries = _gram_entries(state.coeffs)
-    block_norms = float(entries[0]), float(entries[1])
-    return block_norms, float(_concurrence(entries[3])), float(_entropies(*entries)[0])
-
-
 def _emit_state(args) -> str:
     coherent, closed, params = _selection(args)
     params["alpha"] = [args.alpha.real, args.alpha.imag]
@@ -306,7 +293,7 @@ def _emit_state(args) -> str:
     else:
         state, poles = _state_and_poles(coherent, args.dim)
         probabilities = _pole_probabilities(state.coeffs[None], poles)[:, 0].tolist()
-    (g00, g11), gram, entropy = _gram_measures(state)
+    g00, g11, gram, entropy = map(float, _gram_measures(state.coeffs))
     # --n prints the fermion-sector weights, the pole-collapse probabilities on the zeta sphere
     p0, p1 = (g00, g11) if coherent is None else probabilities
     # each block as its (dim, 2) float64 [re, im] view
@@ -346,7 +333,8 @@ def _emit_concurrence(args) -> str:
 def _emit_entropy(args) -> str:
     point = zeta_to_bloch(args.zeta)
     closed, z = concurrence_circle(point.theta)
-    _, gram, entropy = _gram_measures(n_superparticle_state(1, args.zeta, args.dim))
+    state = n_superparticle_state(1, args.zeta, args.dim)
+    _, _, gram, entropy = map(float, _gram_measures(state.coeffs))
     p0, p1 = collapse_probabilities(z)
     payload = {
         "dim": args.dim,
@@ -413,7 +401,7 @@ def _emit_sweep(args) -> str:
     coeffs = _super_qubit_grid(thetas, *phases, [args.zeta])
     p0, p1 = _pole_probabilities(coeffs, _pole_levels(args.zeta))
     var_x, var_p = _variance_grid(thetas, *phases, args.zeta)
-    entries = _gram_entries(coeffs)
+    _, _, gram, entropy = _gram_measures(coeffs)
     # theta, phi, zeta and the closed concurrence repeat down their columns,
     # so each is formatted once and a row starts with their joined text
     phi_cells = [csv_cell(phi) for phi in phis]
@@ -422,7 +410,7 @@ def _emit_sweep(args) -> str:
         (csv_cell(theta), csv_cell(concurrence_superqubit(theta, args.zeta))) for theta in thetas
     ]
     leads = [f"{t},{p},{zeta_cells},{c}" for t, c in theta_cells for p in phi_cells]
-    columns = [_concurrence(entries[3]), _entropies(*entries), p0, p1, var_x, var_p]
+    columns = [gram, entropy, p0, p1, var_x, var_p]
     return csv_text(SWEEP_HEADER, [leads, *columns])
 
 

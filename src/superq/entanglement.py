@@ -8,7 +8,8 @@ verification failure, never silently resolved in favor of either side.
 
 The Gram route is one pass on (..., 2, L) coefficient stacks, one state's or
 a whole grid's, from which the concurrence and the 2x2 spectrum are read in
-closed form; the reduced density matrix never calls it.
+closed form; ``_gram_measures`` is the one reader of its kernels outside
+this module, and the reduced density matrix never calls it.
 """
 
 from __future__ import annotations
@@ -73,6 +74,18 @@ def _require_normalized(norm_sq) -> None:
     if not np.all(within):
         off = float(np.ravel(norm_sq)[~np.ravel(within)][0])
         raise NormalizationError(f"state norm^2 = {off} is not 1 within {NORMALIZATION_TOL}")
+
+
+def _gram_measures(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """g00, g11, the Gram concurrence and the spectral entropy of each state of a (..., 2, L) stack.
+
+    Each has the stack's shape (...), and all four come from one Gram pass;
+    for one state they are bit for bit its block norms^2, ``concurrence_gram``
+    and ``entanglement_entropy_bits``.  ``verify`` and every command but
+    ``concurrence``, which prints no entropy, read the Gram route here.
+    """
+    g00, g11, g01, det = _gram_entries(coeffs)
+    return g00, g11, _concurrence(det), _entropies(g00, g11, g01, det).reshape(np.shape(det))
 
 
 def _gram_entries(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

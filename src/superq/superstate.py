@@ -87,13 +87,9 @@ class SuperVector:
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
 
-    def block_norms_sq(self) -> tuple[float, float]:
-        """<psi0|psi0> and <psi1|psi1>, from ``_block_norms_sq``."""
-        g00, g11 = _block_norms_sq(self.coeffs).tolist()
-        return g00, g11
-
     def norm_sq(self) -> float:
-        g00, g11 = self.block_norms_sq()
+        """<psi0|psi0> + <psi1|psi1>, from ``_block_norms_sq``."""
+        g00, g11 = _block_norms_sq(self.coeffs).tolist()
         return g00 + g11
 
     def norm(self) -> float:

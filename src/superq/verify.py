@@ -20,13 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import (
-    _concurrence,
-    _gram_entries,
+    _gram_measures,
     collapse_probabilities,
-    concurrence_gram,
     concurrence_n_state,
     concurrence_superqubit,
-    entanglement_entropy_bits,
     entropy_from_z,
     reduced_boson_density,
 )
@@ -199,11 +196,6 @@ def _finite_or_none(value: float) -> float | None:
     return value if math.isfinite(value) else None
 
 
-def _concurrences(states: np.ndarray) -> np.ndarray:
-    """concurrence_gram of each state of a (K, 2, dim) stack."""
-    return _concurrence(_gram_entries(states)[3])
-
-
 def _random_super_vector(rng: np.random.Generator, dim: int) -> SuperVector:
     raw = rng.standard_normal(2 * dim) + 1j * rng.standard_normal(2 * dim)
     raw /= np.linalg.norm(raw)
@@ -218,7 +210,7 @@ def _suite_algebra(dim: int, tol: float, seed: int, n_max: int) -> list[Check]:
         conjugated = flip @ super_annihilation(zeta, dim) @ flip
         transpose.append((conjugated - super_annihilation_transposed(zeta, dim)).max_abs())
         raised = super_creation_gate(zeta, dim).apply(n_superparticle_state(0, zeta, dim))
-        gate.append((raised - n_superparticle_state(1, zeta, dim)).norm())
+        gate.append(raised.coeffs - n_superparticle_state(1, zeta, dim).coeffs)
 
     # Each reference is written out here in band form: I, the split
     # N_f (x) I + I (x) N_b, and the complement of N_f.
@@ -241,8 +233,8 @@ def _suite_algebra(dim: int, tol: float, seed: int, n_max: int) -> list[Check]:
     for zeta in _ZETAS:
         state = super_qubit_state(SuperQubitParams(1.3, 0.7, zeta), dim)
         displaced = SuperVector([d @ psi[:2] for psi in state.coeffs])
-        displaced_flip = SuperVector([d @ psi[:2] for psi in flip_state(state).coeffs])
-        commute.append((flip_state(displaced) - displaced_flip).norm())
+        displaced_flip = np.array([d @ psi[:2] for psi in flip_state(state).coeffs])
+        commute.append(flip_state(displaced).coeffs - displaced_flip)
 
     x_op, p_op = quadrature_operators(dim)
     # a dagger that returns its operator unchanged fails the commutators, which read it for A^dag
@@ -259,8 +251,8 @@ def _suite_algebra(dim: int, tol: float, seed: int, n_max: int) -> list[Check]:
         Check("flip_transposes_annihilation", _worst(transpose), 0.0),
         Check("super_number_tensor_split", _worst(tensor_split), 0.0),
         Check("flip_conjugates_fermion_number", _worst(number_conjugation), 0.0),
-        Check("creation_gate_raises_vacuum", _worst(gate), 1e-12),
-        Check("flip_commutes_with_displacement", _worst(commute), 1e-12),
+        Check("creation_gate_raises_vacuum", _worst(_norms(np.array(gate))), 1e-12),
+        Check("flip_commutes_with_displacement", _worst(_norms(np.array(commute))), 1e-12),
         Check("quadrature_hermiticity", _worst(hermiticity), 1e-14),
         Check("quadrature_canonical_commutator", _worst(canonical), 1e-12),
     ]
@@ -309,11 +301,17 @@ def _suite_eigen(dim: int, tol: float, seed: int, n_max: int) -> list[Check]:
 
 
 def _suite_entangle(dim: int, tol: float, seed: int, n_max: int) -> list[Check]:
+    # Each stack below takes one Gram pass: the |n, zeta> states, the angle
+    # grids, the three stride-2 stacks and the random states.
+    n_states = np.array(
+        [[n_superparticle_state(n, zeta, dim).coeffs for n in (1, 2, 5)] for zeta in _ZETAS]
+    )
+    g00, g11, n_grams, n_entropies = _gram_measures(n_states)
+    # the |1, zeta> row's block weights and spectral entropy
+    ones = (g00[:, 0].tolist(), g11[:, 0].tolist(), n_entropies[:, 0].tolist())
     closed_vs_gram, n_spread, geometric, spectral_gap = [], [], [], []
-    for zeta in _ZETAS:
+    for zeta, values, w0, w1, entropy in zip(_ZETAS, n_grams.tolist(), *ones):
         closed = concurrence_n_state(zeta)
-        states = [n_superparticle_state(n, zeta, dim) for n in (1, 2, 5)]
-        values = [concurrence_gram(state) for state in states]
         closed_vs_gram += [abs(gram - closed) for gram in values]
         n_spread.append(_worst(values) - min(values))
         # The entropy command's circle point: the concurrence is its distance
@@ -327,20 +325,22 @@ def _suite_entangle(dim: int, tol: float, seed: int, n_max: int) -> list[Check]:
         circle, z = concurrence_circle(zeta_to_bloch(zeta).theta)
         v, u = zeta.v.real, abs(zeta.u)
         height = v * v - u * u
-        spectral_gap.append(abs(entanglement_entropy_bits(states[0]) - entropy_from_z(height)))
-        (p0, p1), (w0, w1) = collapse_probabilities(z), states[0].block_norms_sq()
+        spectral_gap.append(abs(entropy - entropy_from_z(height)))
+        p0, p1 = collapse_probabilities(z)
         geometric += [abs(closed - circle), abs(height - z), abs(p0 - w0), abs(p1 - w1)]
 
-    # Each angle grid is one stack of the CLI's states, and every concurrence
-    # and pole probability comes from the kernels the commands run.  One more
-    # row per zeta is the state and the poles as state --theta builds them,
-    # and the grid's rows are read against those poles.
+    # The angle grids of every zeta are one stack of the CLI's states, and
+    # every concurrence and pole probability comes from the kernels the
+    # commands run.  One more row per zeta is the state and the poles as
+    # state --theta builds them, and the grid's rows are read against those
+    # poles.
     superqubit_gap, probability_gap = [], []
     base = (_THETAS[2], _PHIS[1])
     phases = _grid_phases(_THETAS, _PHIS)
-    for zeta in _ZETAS:
-        grid = _undisplaced(_super_qubit_grid(_THETAS, *phases, [zeta]), dim)
-        for (theta, _), gram in zip(_ANGLES, _concurrences(grid).tolist()):
+    grids = _undisplaced(_super_qubit_grid(_THETAS, *phases, _ZETAS), dim)
+    grids = grids.reshape(len(_ZETAS), len(_ANGLES), 2, dim)
+    for zeta, grid, grams in zip(_ZETAS, grids, _gram_measures(grids)[2].tolist()):
+        for (theta, _), gram in zip(_ANGLES, grams):
             superqubit_gap.append(abs(gram - concurrence_superqubit(theta, zeta)))
         state, poles = _state_and_poles(CoherentParams(0.0, SuperQubitParams(*base, zeta)), dim)
         rows = _pole_probabilities(np.concatenate([grid, [state.coeffs]]), poles).tolist()
@@ -353,16 +353,16 @@ def _suite_entangle(dim: int, tol: float, seed: int, n_max: int) -> list[Check]:
     half_phases = _grid_phases(_THETAS[::2], _PHIS[::2])
     halves = _super_qubit_grid(_THETAS[::2], *half_phases, _ZETAS)
     references = _undisplaced(halves, dim)
-    reference_grams = _concurrences(references)
+    reference_grams = _gram_measures(references)[2]
     displaced = _displace_low_levels(_ENTANGLE_ALPHA, halves, dim)
-    alpha_invariance = np.abs(_concurrences(displaced) - reference_grams)
-    flip_invariance = np.abs(_concurrences(references[:, ::-1]) - reference_grams)
+    alpha_invariance = np.abs(_gram_measures(displaced)[2] - reference_grams)
+    flip_invariance = np.abs(_gram_measures(references[:, ::-1])[2] - reference_grams)
 
     rng = np.random.default_rng(seed)
+    randoms = [_random_super_vector(rng, dim) for _ in range(12)]
+    random_grams = _gram_measures(np.array([state.coeffs for state in randoms]))[2].tolist()
     gram_purity, rank_bound = [], []
-    for _ in range(12):
-        state = _random_super_vector(rng, dim)
-        c_gram = concurrence_gram(state)
+    for state, c_gram in zip(randoms, random_grams):
         rho = reduced_boson_density(state)
         gram_purity.append(abs(c_gram * c_gram - 2.0 * (1.0 - rho.purity())))
         # rho >= 0, so its trace ||F||^2 less the two leading eigenvalues bounds every other one

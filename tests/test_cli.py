@@ -446,7 +446,10 @@ class TestStateEmission:
 
 
 class TestGramWork:
-    """Each emitted state's norm, Gram concurrence and spectral entropy share one Gram-entry pass."""
+    """Each emitted state's norm, Gram concurrence and spectral entropy share one Gram-entry pass.
+
+    So does each stack of verify's entangle suite.
+    """
 
     @pytest.fixture
     def gram_calls(self, monkeypatch):
@@ -457,8 +460,7 @@ class TestGramWork:
             calls.append(coeffs.shape)
             return original(coeffs)
 
-        for module in (cli, entanglement):
-            monkeypatch.setattr(module, "_gram_entries", counting)
+        monkeypatch.setattr(entanglement, "_gram_entries", counting)
         return calls
 
     @pytest.mark.parametrize(
@@ -475,6 +477,13 @@ class TestGramWork:
         code, _, _ = run_cli(argv)
         assert code == 0
         assert gram_calls == [(2, int(argv[-1]))]
+
+    def test_one_pass_per_stack_of_the_entangle_suite(self, run_cli, gram_calls):
+        # the |n, zeta> states, the angle grids, the three stride-2 stacks and the random states
+        code, _, _ = run_cli(["verify", "--suite", "entangle", "--dim", "32"])
+        assert code == 0
+        halves = (45, 2, 32)
+        assert gram_calls == [(5, 3, 2, 32), (5, 25, 2, 32), halves, halves, halves, (12, 2, 32)]
 
 
 class TestDenseSpectralWork:

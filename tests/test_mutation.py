@@ -102,11 +102,16 @@ CAUGHT_BY = {
     # the pole literal, and the state with the poles displaced with it, as state --theta and coherent read them
     "superstate._pole_levels": ("pole_probability_identity",),
     "superstate._state_and_poles": ("pole_probability_identity",),
-    "entanglement._gram_entries": (
-        "n_state_concurrence_closed_vs_gram",
-        "superqubit_concurrence_closed_vs_gram",
-        "gram_purity_identity",
-        "spectral_entropy_matches_closed_form",
+    # the block weights of |1, zeta> are the Gram pass's g00 and g11
+    **dict.fromkeys(
+        ("entanglement._gram_entries", "entanglement._gram_measures"),
+        (
+            "n_state_concurrence_closed_vs_gram",
+            "superqubit_concurrence_closed_vs_gram",
+            "gram_purity_identity",
+            "spectral_entropy_matches_closed_form",
+            "geometric_concurrence_identity",
+        ),
     ),
     "uncertainty._quadrature_stats": (
         "mean_quadratures_closed_vs_matrix",
@@ -246,13 +251,12 @@ CHECKER_FUNCTIONS = {
     "superstate.BlockOperator": (
         "__add__", "__sub__", "__matmul__", "_entrywise", "apply", "dagger", "fermion_diagonal", "max_abs",
     ),
-    "superstate.SuperVector": ("__sub__", "block_norms_sq", "norm", "norm_sq"),
     "superstate": ("_band_matmul", "_norms", "commutator_suite"),
     "verify.Check": ("passed",),
     "verify.VerificationReport": ("all_passed", "max_residual", "passed", "to_payload", "total"),
     "verify": (
         *(f"_suite_{suite}" for suite in ("algebra", "eigen", "entangle", "uncertainty", "fibonacci")),
-        "_above_root5", "_concurrences", "_eigen_gaps", "_finite_or_none", "_random_super_vector",
+        "_above_root5", "_eigen_gaps", "_finite_or_none", "_random_super_vector",
         "_selected_suites", "_worst", "required_suite_dim", "run_verify",
     ),
 }
@@ -264,7 +268,6 @@ EXEMPT = {
     "entanglement._checked_z": VALIDATOR,
     "entanglement._require_normalized": "the norm check in front of the Gram kernel and of rho; it raises or returns None",
     "entanglement.concurrence_gram": "the one-state wrapper of the pinned _gram_entries and _concurrence",
-    "entanglement.entanglement_entropy_bits": "the one-state wrapper of the pinned _gram_entries and _entropies",
     "entanglement.reduced_boson_density": "the rho oracle, which only verify reaches; the checks read its pinned methods",
     "fock._guard_floor": GUARD,
     "fock.required_displacement_dim": GUARD,

@@ -90,7 +90,7 @@ class TestSuperVector:
 
     def test_block_norms_sq_sum_to_norm_sq(self):
         state = SuperVector([[0.6, 0.0], [0.0, 0.8j]])
-        g00, g11 = state.block_norms_sq()
+        g00, g11 = superstate._block_norms_sq(state.coeffs).tolist()
         assert (g00, g11) == (
             float(np.vdot(state.coeffs[0], state.coeffs[0]).real),
             float(np.vdot(state.coeffs[1], state.coeffs[1]).real),

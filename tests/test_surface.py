@@ -15,8 +15,9 @@ gate's coverage test reads, traced once per session.
 
 The package also writes every square one way, as ``x * x``; no module
 holds a ``** 2``.  Its one BLAS reduction is ``superstate._vecdot``, the
-only reader of ``np.vecdot``, and every exception class of ``errors`` is
-raised somewhere.
+only reader of ``np.vecdot``; ``entanglement`` alone reads its Gram kernels,
+which the other modules reach through ``_gram_measures``; and every
+exception class of ``errors`` is raised somewhere.
 """
 
 import ast
@@ -31,6 +32,9 @@ PACKAGE = Path(superq.__file__).parent
 # Public names that nothing above reads, each kept for a reason of its own.
 EXEMPT = {
     "fock.FockVector": "the benchmark's per-layer report reads its span fock.FockVector (ROADMAP item 1)",
+    "entanglement.entanglement_entropy_bits": (
+        "the benchmark's per-layer report reads its span entanglement.entanglement_entropy_bits (ROADMAP item 1)"
+    ),
 }
 
 
@@ -129,6 +133,16 @@ def vecdot_sites() -> list[str]:
 def test_one_dot_kernel():
     # BLAS rounds a dot shorter than 8 entries in its tail loop; the kernel pads them
     assert vecdot_sites() == ["superstate._vecdot"]
+
+
+GRAM_KERNELS = {"_gram_entries", "_concurrence", "_entropies"}
+
+
+def test_one_gram_kernel():
+    # the Gram pass and the two quantities read from it, outside their module only through _gram_measures
+    trees = modules()
+    readers = {module for module, tree in trees.items() if reads(tree, trees) & GRAM_KERNELS}
+    assert readers == {"entanglement"}
 
 
 def unraised_exceptions() -> set[str]:

@@ -27,11 +27,10 @@ import numpy as np
 import pytest
 
 from superq.entanglement import (
+    _gram_measures,
     collapse_probabilities,
-    concurrence_gram,
     concurrence_n_state,
     concurrence_superqubit,
-    entanglement_entropy_bits,
     entropy_from_z,
     reduced_boson_density,
 )
@@ -61,7 +60,7 @@ from superq.uncertainty import (
     quadrature_stats_closed,
     variance_quadratures_closed,
 )
-from superq.verify import SUITE_NAMES, _concurrences, _eigen_gaps, run_verify
+from superq.verify import SUITE_NAMES, _eigen_gaps, run_verify
 
 from conftest import clear_memos, reached_functions
 
@@ -120,22 +119,22 @@ ROUTES = {
     ),
     "n_state_concurrence_closed_vs_gram": (
         lambda: concurrence_n_state(ZETA),
-        lambda: concurrence_gram(n_superparticle_state(2, ZETA, DIM)),
+        lambda: _gram_measures(n_superparticle_state(2, ZETA, DIM).coeffs),
     ),
     "superqubit_concurrence_closed_vs_gram": (
         lambda: concurrence_superqubit(BASE.theta, ZETA),
-        lambda: _concurrences(_undisplaced(_super_qubit_grid([BASE.theta], *PHASES, [ZETA]), DIM)),
+        lambda: _gram_measures(_undisplaced(_super_qubit_grid([BASE.theta], *PHASES, [ZETA]), DIM)),
     ),
     "gram_purity_identity": (
-        lambda: concurrence_gram(RANDOM),
+        lambda: _gram_measures(RANDOM.coeffs),
         lambda: reduced_boson_density(RANDOM).purity(),
     ),
     "spectral_entropy_matches_closed_form[n_state]": (
         lambda: entropy_from_z(HEIGHT),
-        lambda: entanglement_entropy_bits(ONE),
+        lambda: _gram_measures(ONE.coeffs),
     ),
     "spectral_entropy_matches_closed_form[random]": (
-        lambda: entropy_from_z(math.sqrt(max(0.0, 1.0 - concurrence_gram(RANDOM) ** 2))),
+        lambda: entropy_from_z(math.sqrt(max(0.0, 1.0 - _gram_measures(RANDOM.coeffs)[2] ** 2))),
         lambda: reduced_boson_density(RANDOM).eigenvalues(),
     ),
     "geometric_concurrence_identity[circle]": (
@@ -143,7 +142,7 @@ ROUTES = {
         lambda: concurrence_circle(zeta_to_bloch(ZETA).theta),
     ),
     "geometric_concurrence_identity[poles]": (
-        lambda: n_superparticle_state(1, ZETA, DIM).block_norms_sq(),
+        lambda: _gram_measures(n_superparticle_state(1, ZETA, DIM).coeffs),
         lambda: collapse_probabilities(concurrence_circle(zeta_to_bloch(ZETA).theta)[1]),
     ),
     "mean_quadratures_closed_vs_matrix": (

@@ -10,7 +10,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from superq import moebius, uncertainty, verify
-from superq.entanglement import concurrence_gram, concurrence_superqubit
+from superq.entanglement import (
+    _gram_measures,
+    concurrence_gram,
+    concurrence_superqubit,
+    entanglement_entropy_bits,
+)
 from superq.errors import TruncationError
 from superq.fock import GUARD_BAND, oracle_columns, required_displacement_dim
 from superq.moebius import ExtendedComplex, _grid_phases
@@ -20,12 +25,14 @@ from superq.superstate import (
     CoherentParams,
     SuperQubitParams,
     SuperVector,
+    _block_norms_sq,
     _displace_low_levels,
     _norms,
     _super_qubit_grid,
     _undisplaced,
     commutator_suite,
     flip_state,
+    n_superparticle_state,
     pole_probabilities,
     super_annihilation,
     super_annihilation_transposed,
@@ -341,40 +348,59 @@ class TestNonFiniteResiduals:
 
     @pytest.mark.parametrize("position", [0, -1], ids=["first_entry", "last_entry"])
     @pytest.mark.parametrize(
-        "kernel, suite, readers",
+        "kernel, suite, field, readers",
         [
             (
                 "_norms",
                 "eigen",
+                None,
                 {"reference_annihilation", "coherent_eigenrelation", "flipped_coherent_eigenrelation"},
             ),
             (
-                "_concurrence",
+                # the Gram concurrence of each stack
+                "_gram_measures",
                 "entangle",
+                2,
                 {
+                    "n_state_concurrence_closed_vs_gram",
+                    "n_state_concurrence_n_independence",
                     "superqubit_concurrence_closed_vs_gram",
                     "alpha_invariance_of_concurrence",
                     "flip_invariance_of_concurrence",
+                    "gram_purity_identity",
+                    "spectral_entropy_matches_closed_form",
                 },
             ),
         ],
     )
     def test_nan_in_a_stacked_residual_fails_the_checks_reading_it(
-        self, monkeypatch, kernel, suite, readers, position
+        self, monkeypatch, kernel, suite, field, readers, position
     ):
         # Each call of the stacked kernel verify reads returns a NaN at one end
-        # of its stack; the builtin max keeps a NaN only in first place.
+        # of its stack (of the output named by field, where it returns several);
+        # the builtin max keeps a NaN only in first place.
         real = getattr(verify, kernel)
 
-        def patched(*args):
-            values = np.array(real(*args))
+        def poisoned(values):
+            values = np.array(values)
             values[position] = math.nan
             return values
+
+        def patched(*args):
+            result = real(*args)
+            if field is None:
+                return poisoned(result)
+            return (*result[:field], poisoned(result[field]), *result[field + 1 :])
 
         monkeypatch.setattr(verify, kernel, patched)
         failed = [check for check in run_verify(suite, 36).checks if not check.passed]
         assert {check.name for check in failed} == readers
-        assert all(math.isnan(check.residual) for check in failed)
+        # The random rows read z = sqrt(max(0, 1 - C^2)), where max(0.0, nan) is
+        # 0.0: a NaN concurrence is read as C = 1, and the entropy check fails
+        # on a finite gap.
+        finite = {"spectral_entropy_matches_closed_form"}
+        assert all(math.isnan(check.residual) for check in failed if check.name not in finite)
+        assert all(math.isfinite(check.residual) for check in failed if check.name in finite)
 
     def test_nan_residual_serializes_as_null(self, monkeypatch):
         nan_number_lowering(monkeypatch)
@@ -441,7 +467,7 @@ class TestBatchedSuites:
         applied, flip_applied = a_op.apply_coeffs(coherent), at_op.apply_coeffs(flipped)
         keep = dim - GUARD_BAND
         norms, guarded = _norms(coherent), _norms((applied - alpha * coherent)[..., :keep])
-        grams = verify._concurrences(reference[:, ::-1])
+        grams = _gram_measures(reference[:, ::-1])[2]
         moments = _quadrature_stats(coherent)
         for k, (theta, phi) in enumerate(verify._ANGLES):
             params = CoherentParams(alpha, SuperQubitParams(theta, phi, zeta))
@@ -460,8 +486,16 @@ class TestBatchedSuites:
             assert bits(moments[k]) == bits(quadrature_stats_numeric(params, dim))
 
     @pytest.mark.parametrize("dim", [32, 64])
-    def test_entangle_grid_checks_equal_the_per_state_functions(self, dim):
+    def test_entangle_grid_checks_equal_the_per_state_functions(self, monkeypatch, dim):
         # each stacked residual is the one the per-state functions give, bit for bit
+        passes = []
+
+        def recording(coeffs):
+            measures = _gram_measures(coeffs)
+            passes.append((coeffs, measures))
+            return measures
+
+        monkeypatch.setattr(verify, "_gram_measures", recording)
         superqubit = probability = alpha_drift = flip_drift = 0.0
         for zeta in verify._ZETAS:
             for theta, phi in verify._ANGLES:
@@ -484,6 +518,20 @@ class TestBatchedSuites:
         assert residuals["pole_probability_identity"] == probability
         assert residuals["alpha_invariance_of_concurrence"] == alpha_drift > 0.0
         assert residuals["flip_invariance_of_concurrence"] == flip_drift
+        # the first pass is the |n, zeta> states, zeta-major, and the last the seeded random states
+        rng = np.random.default_rng(verify.DEFAULT_SEED)
+        stacks = {
+            0: [n_superparticle_state(n, zeta, dim) for zeta in verify._ZETAS for n in (1, 2, 5)],
+            -1: [verify._random_super_vector(rng, dim) for _ in range(12)],
+        }
+        for which, states in stacks.items():
+            coeffs, measures = passes[which]
+            rows = zip(coeffs.reshape(-1, 2, dim), *(np.ravel(m).tolist() for m in measures))
+            for state, (row, g00, g11, gram, entropy) in zip(states, rows, strict=True):
+                assert row.tobytes() == state.coeffs.tobytes()
+                assert [g00, g11] == _block_norms_sq(state.coeffs).tolist()
+                assert gram == concurrence_gram(state)
+                assert entropy == entanglement_entropy_bits(state)
 
     def test_eigen_suite_builds_only_its_builder_rows_and_displaces_each_grid_once(self, monkeypatch):
         built, displaced = [], Counter()
