@@ -24,7 +24,7 @@ from .entanglement import (
     concurrence_superqubit,
     entropy_from_z,
 )
-from .errors import NormalizationError
+from .errors import NormalizationError, TruncationError
 from .fock import DEFAULT_DIM
 from .moebius import (
     ExtendedComplex,
@@ -50,7 +50,7 @@ from .uncertainty import (
     quadrature_stats_closed,
     quadrature_stats_numeric,
 )
-from .verify import DEFAULT_SEED, DEFAULT_TOL, SUITE_NAMES, required_suite_dim, run_verify
+from .verify import DEFAULT_SEED, DEFAULT_TOL, SUITE_NAMES, run_verify
 
 __all__ = ["main"]
 
@@ -242,14 +242,9 @@ def _validate(args) -> None:
         raise UsageError(f"--tol must be positive and finite, got {args.tol}")
     if hasattr(args, "n_max") and not 3 <= args.n_max <= _N_MAX_LIMIT:
         raise UsageError(f"--n-max must be in [3, {_N_MAX_LIMIT}], got {args.n_max}")
-    if hasattr(args, "seed"):
-        if args.seed < 0:
-            raise UsageError(f"--seed must be >= 0, got {args.seed}")
-        required = required_suite_dim(args.suite)
-        if args.dim < required:
-            raise UsageError(
-                f"--dim must be >= {required} for verify --suite {args.suite}, got {args.dim}"
-            )
+    # verify's last check, --dim against its suite's floor, is run_verify's own
+    if hasattr(args, "seed") and args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     if hasattr(args, "zeta_inf"):
         args.zeta = _resolve_zeta(args)
     if hasattr(args, "grid"):
@@ -433,9 +428,14 @@ def _emit_fibonacci(args) -> str:
 
 
 def _run_verify(args) -> int:
-    report = run_verify(
-        suite=args.suite, dim=args.dim, tol=args.tol, seed=args.seed, n_max=args.n_max
-    )
+    try:
+        report = run_verify(
+            suite=args.suite, dim=args.dim, tol=args.tol, seed=args.seed, n_max=args.n_max
+        )
+    except TruncationError as exc:  # raised before any suite runs, for a dim below the suite's floor
+        raise UsageError(
+            f"--dim must be >= {exc.required_dim} for verify --suite {args.suite}, got {args.dim}"
+        ) from None
     print(dumps(report.to_payload()))
     if not report.all_passed:
         failed = [check.name for check in report.checks if not check.passed]

@@ -7,6 +7,9 @@ matrix is 2*dim x 2*dim.  Every block the package builds is banded (a,
 a^dag, N, I, X, P all have bandwidth <= 1), so ``BlockOperator`` stores each
 block as its nonzero diagonals and multiplies, applies, adds, adjoins and
 compares in O(dim); only the dense block accessors form dim x dim arrays.
+An operator stack (``BlockOperator.stack``, built by ``_stacked``) holds
+the operators of several zeta as rows of its diagonals and takes them
+through one pass of that arithmetic, each row as it would go alone.
 
 The one-super-particle label zeta enters every construction through its
 homogeneous coordinates (u, v): the pair of blocks of |n, zeta> is
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -117,24 +120,33 @@ class BlockOperator:
     ``bands`` holds the blocks (ul, ur, ll, lr) as ``{offset: diagonal}``
     mappings of their nonzero diagonals, a zero block as the empty mapping.
     The constructor checks that each diagonal holds dim - |offset| entries
-    and keeps read-only copies of them in read-only mappings.  ``@``,
-    ``apply`` (``apply_coeffs`` on a stack of states), ``+``, ``-`` and
-    ``dagger`` work on the diagonals alone, in O(offsets^2 * dim), and never
-    form a dim x dim array.
+    on its last axis and keeps read-only copies of them in read-only
+    mappings.  ``@``, ``apply`` (``apply_coeffs`` on a stack of states),
+    ``+``, ``-`` and ``dagger`` work on the diagonals alone, in
+    O(offsets^2 * dim), and never form a dim x dim array.
+
+    ``stack`` makes the operator a stack of operators, () for one operator:
+    a diagonal may then carry that leading shape, (*stack, dim - |offset|),
+    row r belonging to operator r, or stay 1-d and be shared by every row.
+    The operations act row by row with the per-entry arithmetic of one
+    operator, so each row equals that operator's result entry for entry, a
+    diagonal that the operator lacks reading as 0; ``max_abs`` returns one
+    max per row.
 
     ``op.ul`` (and ``ur``, ``ll``, ``lr``) reads a block back as a dense
-    read-only matrix, built on each call.
+    read-only (..., dim, dim) matrix stack, built on each call.
     """
 
     dim: int
     bands: tuple[Band, Band, Band, Band]
+    stack: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.dim < 1:
             raise InvalidDimensionError(f"dim must be >= 1, got {self.dim}")
         if len(self.bands) != 4:
             raise InvalidDimensionError(f"an operator has 4 blocks, got {len(self.bands)}")
-        bands = tuple(_checked_band(band, self.dim) for band in self.bands)
+        bands = tuple(_checked_band(band, self.dim, self.stack) for band in self.bands)
         object.__setattr__(self, "bands", bands)
 
     @classmethod
@@ -147,7 +159,7 @@ class BlockOperator:
         # stay only for the benchmark's matmul probe until it reads op.dim (ROADMAP item 1)
         if name not in _BLOCK_NAMES:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        block = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        block = np.zeros((*self.stack, self.dim, self.dim), dtype=np.complex128)
         _fill(block, self.bands[_BLOCK_NAMES.index(name)])
         block.setflags(write=False)
         return block
@@ -159,16 +171,20 @@ class BlockOperator:
         """The operator applied to each state of a (..., 2, dim) coefficient stack.
 
         Every state gets the arithmetic ``apply`` gives it alone, so each
-        result equals ``apply(SuperVector(state)).coeffs`` bit for bit.
+        result equals ``apply(SuperVector(state)).coeffs`` bit for bit.  The
+        rows of an operator stack broadcast against the states' leading axes.
         """
-        if np.shape(coeffs)[-2:] != (2, self.dim):
+        shape = np.shape(coeffs)
+        if shape[-2:] != (2, self.dim):
             raise InvalidDimensionError(
                 f"a dim-{self.dim} operator applies to (..., 2, {self.dim}) coefficients, "
-                f"got shape {np.shape(coeffs)}"
+                f"got shape {shape}"
             )
+        if self.stack:
+            shape = np.broadcast_shapes((*self.stack, 2, self.dim), shape)
         ul, ur, ll, lr = self.bands
         blocks = (coeffs[..., 0, :], coeffs[..., 1, :])
-        out = np.zeros(np.shape(coeffs), dtype=np.complex128)
+        out = np.zeros(shape, dtype=np.complex128)
         _band_apply(out[..., 0, :], zip((ul, ur), blocks))
         _band_apply(out[..., 1, :], zip((ll, lr), blocks))
         return out
@@ -177,21 +193,28 @@ class BlockOperator:
         ul, ur, ll, lr = (
             {-offset: diagonal.conj() for offset, diagonal in band.items()} for band in self.bands
         )
-        return BlockOperator(self.dim, (ul, ll, ur, lr))
+        return BlockOperator(self.dim, (ul, ll, ur, lr), self.stack)
 
     def __matmul__(self, other: "BlockOperator") -> "BlockOperator":
         a, b, c, d = self.bands
         e, f, g, h = other.bands
-        dim = self.dim
+        dim, stack = self.dim, self._joint_stack(other)
         return BlockOperator(
             dim,
             (
-                _band_matmul(((a, e), (b, g)), dim),
-                _band_matmul(((a, f), (b, h)), dim),
-                _band_matmul(((c, e), (d, g)), dim),
-                _band_matmul(((c, f), (d, h)), dim),
+                _band_matmul(((a, e), (b, g)), dim, stack),
+                _band_matmul(((a, f), (b, h)), dim, stack),
+                _band_matmul(((c, e), (d, g)), dim, stack),
+                _band_matmul(((c, f), (d, h)), dim, stack),
             ),
+            stack,
         )
+
+    def _joint_stack(self, other: "BlockOperator") -> tuple[int, ...]:
+        """The stack of a product or sum: the operands' stack, where a single operator joins any."""
+        if self.stack and other.stack and self.stack != other.stack:
+            raise InvalidDimensionError(f"operator stacks {self.stack} and {other.stack} differ")
+        return self.stack or other.stack
 
     def __add__(self, other: "BlockOperator") -> "BlockOperator":
         return self._entrywise(other, np.add)
@@ -207,39 +230,42 @@ class BlockOperator:
             for offset, diagonal in y.items():
                 band[offset] = ufunc(x.get(offset, 0.0), diagonal)
             bands.append(band)
-        return BlockOperator(self.dim, tuple(bands))
+        return BlockOperator(self.dim, tuple(bands), self._joint_stack(other))
 
-    def max_abs(self, guard: int = 0) -> float:
+    def max_abs(self, guard: int = 0) -> float | np.ndarray:
         """Max-norm over the boson levels below dim - guard of every block.
 
         Entries off the diagonals are exactly zero, so this equals the max
-        over the dense guarded sub-block; a zero operator gives 0.0.
+        over the dense guarded sub-block; a zero operator gives 0.0.  An
+        operator stack gives an array of one max per row; a NaN entry makes
+        its row's max NaN.
         """
         if not 0 <= guard < self.dim:
             raise InvalidDimensionError(f"guard must satisfy 0 <= guard < dim, got {guard}")
         keep = self.dim - guard
-        maxima = [0.0]
+        maxima = np.zeros(self.stack)
         for band in self.bands:
             for offset, diagonal in band.items():
                 # rows i < keep whose column i + offset is < keep too
                 count = min(keep, keep - offset) - max(0, -offset)
                 if count > 0:
-                    maxima.append(np.abs(diagonal[:count]).max())
-        return float(np.max(maxima))
+                    maxima = np.maximum(maxima, np.abs(diagonal[..., :count]).max(axis=-1))
+        return maxima if self.stack else float(maxima)
 
 
-def _checked_band(band: Band, dim: int) -> Band:
+def _checked_band(band: Band, dim: int, stack: tuple[int, ...]) -> Band:
     """Read-only complex128 copies of a band's diagonals, in a read-only mapping in its offset order.
 
-    Diagonal k must hold dim - |k| > 0 entries.
+    Diagonal k must have shape (dim - |k|,) or (*stack, dim - |k|), dim - |k| > 0.
     """
     checked = {}
     for offset, diagonal in band.items():
         diagonal = np.array(diagonal, dtype=np.complex128)
-        if not abs(offset) < dim or diagonal.shape != (dim - abs(offset),):
+        size = dim - abs(offset)
+        if not size > 0 or diagonal.shape not in ((size,), (*stack, size)):
+            shapes = " or ".join(map(str, dict.fromkeys([(size,), (*stack, size)])))
             raise InvalidDimensionError(
-                f"diagonal {offset} of a dim-{dim} block needs shape ({dim - abs(offset)},), "
-                f"got {diagonal.shape}"
+                f"diagonal {offset} of a dim-{dim} block needs shape {shapes}, got {diagonal.shape}"
             )
         diagonal.setflags(write=False)
         checked[offset] = diagonal
@@ -252,9 +278,31 @@ def _scalar_band(scalar: complex, dim: int) -> Band:
 
 
 def _fill(block: np.ndarray, band: Band) -> None:
-    """Write the diagonals of a band into a zeroed square matrix (or a view of one)."""
+    """Write the diagonals of a band into a zeroed (..., dim, dim) stack of square matrices."""
+    dim = block.shape[-1]
     for offset, diagonal in band.items():
-        np.fill_diagonal(block[max(0, -offset) :, max(0, offset) :], diagonal)
+        rows = np.arange(max(0, -offset), dim - max(0, offset))
+        block[..., rows, rows + offset] = diagonal
+
+
+def _stacked(ops: Sequence[BlockOperator]) -> BlockOperator:
+    """Single operators of one dim as one operator stack, row k operator k.
+
+    A diagonal that an operator lacks is a row of zeros, which the stack's
+    arithmetic reads as the 0 that the operator's own arithmetic skips; each
+    band keeps its offsets in the order in which they first appear.
+    """
+    dim = ops[0].dim
+    if any(op.dim != dim or op.stack for op in ops):
+        raise InvalidDimensionError("a stack holds single operators of one dim")
+    bands = []
+    for block in zip(*(op.bands for op in ops)):
+        band = {}
+        for offset in dict.fromkeys(offset for rows in block for offset in rows):
+            zero = np.zeros(dim - abs(offset), dtype=np.complex128)
+            band[offset] = [rows.get(offset, zero) for rows in block]
+        bands.append(band)
+    return BlockOperator(dim, tuple(bands), (len(ops),))
 
 
 def _band_apply(out: np.ndarray, terms) -> None:
@@ -269,12 +317,12 @@ def _band_apply(out: np.ndarray, terms) -> None:
             out[..., lo:hi] += diagonal * psi[..., lo + offset : hi + offset]
 
 
-def _band_matmul(pairs, dim: int) -> Band:
+def _band_matmul(pairs, dim: int, stack: tuple[int, ...]) -> Band:
     """Sum of x @ y over the (x, y) pairs of bands, in pair order, then the bands' offset order.
 
     Diagonal p of x times diagonal q of y lands on diagonal s = p + q, at the
     rows i where both factors X[i, i + p] and Y[i + p, i + s] lie inside the
-    matrix.
+    matrix.  Each output diagonal carries the operands' stack shape.
     """
     out: Band = {}
     for x, y in pairs:
@@ -286,9 +334,9 @@ def _band_matmul(pairs, dim: int) -> Band:
                 if lo >= hi:
                     continue
                 if s not in out:
-                    out[s] = np.zeros(dim - abs(s), dtype=np.complex128)
+                    out[s] = np.zeros((*stack, dim - abs(s)), dtype=np.complex128)
                 y0, s0 = max(0, -q) - p, max(0, -s)
-                out[s][lo - s0 : hi - s0] += xd[lo - x0 : hi - x0] * yd[lo - y0 : hi - y0]
+                out[s][..., lo - s0 : hi - s0] += xd[..., lo - x0 : hi - x0] * yd[..., lo - y0 : hi - y0]
     return out
 
 
@@ -555,26 +603,35 @@ def _norms(coeffs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CommutatorResiduals:
-    """Guarded max-norm residuals of the super-oscillator algebra.
+    """Guarded max-norm residuals of the super-oscillator algebra, one per zeta, in zeta order.
 
     number_lowering:  [N_super, A] + A
     number_raising:   [N_super, A^dag] - A^dag
     ladder:           [A, A^dag] - I - (1/|zeta|^2) sigma_3 (x) I
     """
 
-    number_lowering: float
-    number_raising: float
-    ladder: float
+    number_lowering: np.ndarray
+    number_raising: np.ndarray
+    ladder: np.ndarray
 
 
-def commutator_suite(zeta: ExtendedComplex, dim: int) -> CommutatorResiduals:
-    """Residuals of the three defining commutation relations for a given zeta."""
-    a_op = super_annihilation(zeta, dim)
+def commutator_suite(zetas: Sequence[ExtendedComplex], dim: int) -> CommutatorResiduals:
+    """Residuals of the three defining commutation relations at each zeta.
+
+    One pass over the stack of the zetas' ``super_annihilation`` operators:
+    each row is the residual that zeta's operators give alone.
+    """
+    a_op = _stacked([super_annihilation(zeta, dim) for zeta in zetas])
     a_dag = a_op.dagger()
     n_op = super_number_operator(dim)
-    inv_mod = abs(zeta.v) / abs(zeta.u)  # 1/|zeta|, zero at the pole
-    inv_mod_sq = inv_mod * inv_mod
-    ladder_target = BlockOperator.fermion_diagonal(1.0 + inv_mod_sq, 1.0 - inv_mod_sq, dim)
+    inv_mods = np.array([abs(zeta.v) / abs(zeta.u) for zeta in zetas])  # 1/|zeta|, zero at the pole
+    inv_mod_sq = inv_mods * inv_mods
+    ones = np.ones(dim)
+    ladder_target = BlockOperator(
+        dim,
+        ({0: np.multiply.outer(1.0 + inv_mod_sq, ones)}, {}, {}, {0: np.multiply.outer(1.0 - inv_mod_sq, ones)}),
+        a_op.stack,
+    )
     lowering = n_op @ a_op - a_op @ n_op + a_op
     raising = n_op @ a_dag - a_dag @ n_op - a_dag
     ladder = a_op @ a_dag - a_dag @ a_op - ladder_target

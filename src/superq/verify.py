@@ -49,6 +49,7 @@ from .superstate import (
     _displace_low_levels,
     _norms,
     _pole_probabilities,
+    _stacked,
     _state_and_poles,
     _super_qubit_grid,
     _undisplaced,
@@ -203,14 +204,18 @@ def _random_super_vector(rng: np.random.Generator, dim: int) -> SuperVector:
 
 
 def _suite_algebra(dim: int, tol: float, seed: int, n_max: int) -> list[Check]:
+    # One pass over the grid zetas and the pole: each operator below is the
+    # stack of the single-zeta builders' operators, a row per zeta.
+    zetas = (*_ZETAS, ExtendedComplex.infinity())
+    brackets = commutator_suite(zetas, dim)
     flip = flip_operator(dim)
-    brackets, transpose, gate = [], [], []
-    for zeta in (*_ZETAS, ExtendedComplex.infinity()):
-        brackets.append(commutator_suite(zeta, dim))
-        conjugated = flip @ super_annihilation(zeta, dim) @ flip
-        transpose.append((conjugated - super_annihilation_transposed(zeta, dim)).max_abs())
-        raised = super_creation_gate(zeta, dim).apply(n_superparticle_state(0, zeta, dim))
-        gate.append(raised.coeffs - n_superparticle_state(1, zeta, dim).coeffs)
+    a_op, at_op, gate_op = (
+        _stacked([builder(zeta, dim) for zeta in zetas])
+        for builder in (super_annihilation, super_annihilation_transposed, super_creation_gate)
+    )
+    transpose = (flip @ a_op @ flip - at_op).max_abs()
+    vacua, raised = (np.array([n_superparticle_state(n, zeta, dim).coeffs for zeta in zetas]) for n in (0, 1))
+    gate = gate_op.apply_coeffs(vacua) - raised
 
     # Each reference is written out here in band form: I, the split
     # N_f (x) I + I (x) N_b, and the complement of N_f.
@@ -244,14 +249,14 @@ def _suite_algebra(dim: int, tol: float, seed: int, n_max: int) -> list[Check]:
     ).max_abs(GUARD_BAND)
 
     return [
-        Check("commutator_number_lowering", _worst([b.number_lowering for b in brackets]), 1e-10),
-        Check("commutator_number_raising", _worst([b.number_raising for b in brackets]), 1e-10),
-        Check("commutator_ladder", _worst([b.ladder for b in brackets]), 1e-10),
+        Check("commutator_number_lowering", _worst(brackets.number_lowering), 1e-10),
+        Check("commutator_number_raising", _worst(brackets.number_raising), 1e-10),
+        Check("commutator_ladder", _worst(brackets.ladder), 1e-10),
         Check("flip_involution", _worst(involution), 0.0),
         Check("flip_transposes_annihilation", _worst(transpose), 0.0),
         Check("super_number_tensor_split", _worst(tensor_split), 0.0),
         Check("flip_conjugates_fermion_number", _worst(number_conjugation), 0.0),
-        Check("creation_gate_raises_vacuum", _worst(_norms(np.array(gate))), 1e-12),
+        Check("creation_gate_raises_vacuum", _worst(_norms(gate)), 1e-12),
         Check("flip_commutes_with_displacement", _worst(_norms(np.array(commute))), 1e-12),
         Check("quadrature_hermiticity", _worst(hermiticity), 1e-14),
         Check("quadrature_canonical_commutator", _worst(canonical), 1e-12),
@@ -369,8 +374,11 @@ def _suite_entangle(dim: int, tol: float, seed: int, n_max: int) -> list[Check]:
         high, low = rho.eigenvalues()
         rank_bound.append(abs(np.vdot(rho.factor, rho.factor).real - high - low))
         spectral = -sum(lam * math.log2(lam) for lam in (high, low) if lam > 1e-16)
-        z_gram = math.sqrt(max(0.0, 1.0 - c_gram * c_gram))
-        spectral_gap.append(abs(spectral - entropy_from_z(z_gram)))
+        # z = sqrt(1 - C^2) clamped at 0; the builtin max(0.0, nan) is 0.0, which
+        # would read a NaN C as C = 1, so a non-finite C gives a NaN gap
+        z_sq = 1.0 - c_gram * c_gram
+        closed = entropy_from_z(math.sqrt(max(0.0, z_sq))) if math.isfinite(z_sq) else math.nan
+        spectral_gap.append(abs(spectral - closed))
 
     pole_entropy = [
         abs(entropy_from_z(0.0) - 1.0),
@@ -396,14 +404,17 @@ def _suite_entangle(dim: int, tol: float, seed: int, n_max: int) -> list[Check]:
 
 def _suite_uncertainty(dim: int, tol: float, seed: int, n_max: int) -> list[Check]:
     # Each angle grid is one stack of the CLI's states, as in the eigen suite,
-    # and one O(dim) apply of the banded X and P gives the oracle moments.
+    # and one O(dim) apply of the banded X and P gives the oracle moments: per
+    # zeta, of the grid at alpha = 0 and displaced together.
     mean_gap, var_gap, alpha_independence = [], [], []
     thetas = _THETAS[::2]
     phases = _grid_phases(thetas, _PHIS[::2])
     for zeta in _ZETAS:
         low = _super_qubit_grid(thetas, *phases, [zeta])
-        at_zero = _quadrature_stats(_undisplaced(low, dim))
-        displaced = _quadrature_stats(_displace_low_levels(_UNCERTAINTY_ALPHA, low, dim))
+        stats = _quadrature_stats(
+            np.concatenate([_undisplaced(low, dim), _displace_low_levels(_UNCERTAINTY_ALPHA, low, dim)])
+        )
+        at_zero, displaced = stats[: len(low)], stats[len(low) :]
         # the sweep's closed variances of the grid, alpha-independent as the closed form's
         sweep = _variance_grid(thetas, *phases, zeta)
         for (theta, phi), numeric_at_zero, numeric_displaced, sweep_x, sweep_p in zip(
@@ -427,17 +438,17 @@ def _suite_uncertainty(dim: int, tol: float, seed: int, n_max: int) -> list[Chec
                     abs(numeric.var_p - numeric_at_zero.var_p),
                 ]
 
+    # The symmetric family of every zeta, one zeta-major moment stack.
     symmetric_closed, symmetric_numeric, variance_floor = [], [], []
     phi = 0.25 * math.pi
-    phases = _grid_phases(_THETAS, (phi,))
-    for zeta in _ZETAS:
-        low = _super_qubit_grid(_THETAS, *phases, [zeta])
-        for theta, numeric in zip(_THETAS, _quadrature_stats(_undisplaced(low, dim))):
-            params = CoherentParams(0.0, SuperQubitParams(theta, phi, zeta))
-            var_x, var_p = variance_quadratures_closed(params)
-            symmetric_closed.append(abs(var_x - var_p))
-            variance_floor += [0.5 - var_x, 0.5 - var_p]
-            symmetric_numeric.append(abs(numeric.var_x - numeric.var_p))
+    low = _super_qubit_grid(_THETAS, *_grid_phases(_THETAS, (phi,)), _ZETAS)
+    points = ((zeta, theta) for zeta in _ZETAS for theta in _THETAS)
+    for (zeta, theta), numeric in zip(points, _quadrature_stats(_undisplaced(low, dim))):
+        params = CoherentParams(0.0, SuperQubitParams(theta, phi, zeta))
+        var_x, var_p = variance_quadratures_closed(params)
+        symmetric_closed.append(abs(var_x - var_p))
+        variance_floor += [0.5 - var_x, 0.5 - var_p]
+        symmetric_numeric.append(abs(numeric.var_x - numeric.var_p))
 
     # The symmetric point theta = pi/2, phi = pi/4 at zeta = 1, where both
     # variances are 5/8, and at the golden zeta, where both are the limit.

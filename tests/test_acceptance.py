@@ -99,7 +99,7 @@ def test_criterion_2_coherent_eigenrelation():
 
 def test_criterion_3_commutator_algebra():
     dim = 64
-    worst = float(np.max([dataclasses.astuple(commutator_suite(zeta, dim)) for zeta in ZETAS]))
+    worst = float(np.max(dataclasses.astuple(commutator_suite(ZETAS, dim))))
     _criterion(3, worst <= 1e-10, f"max guarded commutator residual = {worst:.3e} <= 1e-10")
 
 

@@ -856,10 +856,14 @@ class TestVerifyCommand:
         assert payload["summary"]["passed"] < payload["summary"]["total"]
 
     def test_nan_residual_exits_one_naming_its_check(self, run_cli, monkeypatch):
+        # a NaN in the first zeta's row of the commutator stack
         real = verify.commutator_suite
 
         def patched(*args, **kwargs):
-            return dataclasses.replace(real(*args, **kwargs), number_lowering=math.nan)
+            residuals = real(*args, **kwargs)
+            lowering = np.array(residuals.number_lowering)
+            lowering[0] = math.nan
+            return dataclasses.replace(residuals, number_lowering=lowering)
 
         monkeypatch.setattr(verify, "commutator_suite", patched)
         code, out, err = run_cli(["verify", "--suite", "algebra", "--dim", "36"])
@@ -883,6 +887,13 @@ class TestVerifyCommand:
         assert (code, out) == (2, "")
         message = f"--dim must be >= {floor} for verify --suite {suite}, got {dim}"
         assert err == f"superq: error: {message}\n"
+
+    @pytest.mark.parametrize("dim", [8, 36])
+    def test_suite_floor_is_computed_once_per_command(self, run_cli, monkeypatch, dim):
+        calls, real = [], verify.required_suite_dim
+        monkeypatch.setattr(verify, "required_suite_dim", lambda suite: calls.append(suite) or real(suite))
+        code, _, _ = run_cli(["verify", "--suite", "algebra", "--dim", str(dim)])
+        assert (code, calls) == (2 if dim < real("algebra") else 0, ["algebra"])
 
     def test_suite_floor_dim_runs(self, run_cli):
         floor = required_suite_dim("algebra")

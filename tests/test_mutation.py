@@ -249,9 +249,9 @@ NORM_STOP = (
 )
 CHECKER_FUNCTIONS = {
     "superstate.BlockOperator": (
-        "__add__", "__sub__", "__matmul__", "_entrywise", "apply", "dagger", "fermion_diagonal", "max_abs",
+        "__add__", "__sub__", "__matmul__", "_entrywise", "_joint_stack", "dagger", "fermion_diagonal", "max_abs",
     ),
-    "superstate": ("_band_matmul", "_norms", "commutator_suite"),
+    "superstate": ("_band_matmul", "_norms", "_stacked", "commutator_suite"),
     "verify.Check": ("passed",),
     "verify.VerificationReport": ("all_passed", "max_residual", "passed", "to_payload", "total"),
     "verify": (

@@ -25,6 +25,7 @@ from superq.superstate import (
     _displace_low_levels,
     _pole_levels,
     _pole_probabilities,
+    _stacked,
     _super_qubit_grid,
     _undisplaced,
     commutator_suite,
@@ -658,18 +659,19 @@ class TestCommutatorSuite:
         ],
     )
     def test_residuals_small(self, zeta, dim):
-        residuals = commutator_suite(zeta, dim)
-        assert residuals.number_lowering <= 1e-10
-        assert residuals.number_raising <= 1e-10
-        assert residuals.ladder <= 1e-10
+        residuals = commutator_suite((zeta,), dim)
+        assert residuals.number_lowering.shape == (1,)
+        assert residuals.number_lowering[0] <= 1e-10
+        assert residuals.number_raising[0] <= 1e-10
+        assert residuals.ladder[0] <= 1e-10
 
     def test_pole_reduces_to_bosonic_algebra(self):
-        residuals = commutator_suite(ExtendedComplex.infinity(), 64)
-        assert residuals.ladder <= 1e-10
+        residuals = commutator_suite((ExtendedComplex.infinity(),), 64)
+        assert residuals.ladder[0] <= 1e-10
 
     def test_zero_zeta_singular(self):
         with pytest.raises(SingularParameterError):
-            commutator_suite(ExtendedComplex.from_value(0.0), 16)
+            commutator_suite((ExtendedComplex.from_value(1.0), ExtendedComplex.from_value(0.0)), 16)
 
 
 class TestParams:
@@ -892,6 +894,102 @@ class TestBandedBlockOperator:
             np.testing.assert_array_equal(block, expected)
         with pytest.raises(AttributeError):
             op.missing  # noqa: B018
+
+
+ZETA_OR_POLE = st.one_of(
+    st.just(ExtendedComplex.infinity()),
+    st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0, allow_nan=False, allow_infinity=False).map(
+        ExtendedComplex.from_value
+    ),
+)
+
+
+def assert_rows(stack, singles):
+    """Each row of an operator stack equals its single operator entry for entry, a diagonal it lacks reading as 0."""
+    assert stack.stack == (len(singles),)
+    for row, single in enumerate(singles):
+        for band, single_band in zip(stack.bands, single.bands):
+            assert set(single_band) <= set(band)
+            for offset, diagonal in band.items():
+                entries = np.broadcast_to(diagonal, (*stack.stack, diagonal.shape[-1]))[row]
+                np.testing.assert_array_equal(entries, single_band.get(offset, np.zeros_like(entries)))
+
+
+class TestOperatorStacks:
+    """A stack of the single-zeta builders' operators, one row per zeta, against each operator alone."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(ZETA_OR_POLE, min_size=1, max_size=4),
+        st.integers(2, 40),
+        st.integers(0, 39),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_each_row_equals_its_single_operator(self, zetas, dim, guard, seed):
+        builders = (super_annihilation, super_annihilation_transposed, super_creation_gate)
+        singles = [[builder(zeta, dim) for zeta in zetas] for builder in builders]
+        stacks = [_stacked(ops) for ops in singles]
+        # operands shared by every row, as N_super and the flip are in the algebra suite
+        shared = [([op] * len(zetas), op) for op in (super_number_operator(dim), flip_operator(dim))]
+        states = np.random.default_rng(seed).standard_normal((len(zetas), 2, dim, 2)) @ [1.0, 1j]
+        guard %= dim
+        for ops, stack in zip(singles, stacks):
+            assert_rows(stack, ops)
+            assert_rows(stack.dagger(), [op.dagger() for op in ops])
+            for others, other in [*zip(singles, stacks), *shared]:
+                assert_rows(stack @ other, [x @ y for x, y in zip(ops, others)])
+                assert_rows(other @ stack, [y @ x for x, y in zip(ops, others)])
+                assert_rows(stack + other, [x + y for x, y in zip(ops, others)])
+                assert_rows(stack - other, [x - y for x, y in zip(ops, others)])
+            applied = stack.apply_coeffs(states)
+            for row, op in enumerate(ops):
+                assert applied[row].tobytes() == op.apply_coeffs(states[row]).tobytes()
+            residual = stack @ stack.dagger() - stack.dagger() @ stack
+            expected = [(x @ x.dagger() - x.dagger() @ x).max_abs(guard) for x in ops]
+            assert [m.hex() for m in residual.max_abs(guard).tolist()] == [m.hex() for m in expected]
+
+    def test_single_operator_has_no_stack(self):
+        op = super_annihilation(ExtendedComplex.from_value(0.5), 4)
+        assert op.stack == () and isinstance(op.max_abs(), float)
+
+    def test_the_pole_row_of_the_minus_inverse_diagonal_is_zero(self):
+        zetas = (ExtendedComplex.from_value(0.5), ExtendedComplex.infinity())
+        stack = _stacked([super_annihilation(zeta, 4) for zeta in zetas])
+        assert super_annihilation(zetas[1], 4).bands[1] == {}
+        np.testing.assert_array_equal(stack.bands[1][0][1], np.zeros(4))
+
+    def test_dense_accessors_return_the_stack_of_blocks(self):
+        ops = [super_annihilation(zeta, 4) for zeta in (ExtendedComplex.from_value(0.5), ExtendedComplex.infinity())]
+        stack = _stacked(ops)
+        for name in ("ul", "ur", "ll", "lr"):
+            block = getattr(stack, name)
+            assert block.shape == (2, 4, 4) and not block.flags.writeable
+            for row, op in enumerate(ops):
+                np.testing.assert_array_equal(block[row], getattr(op, name))
+
+    def test_a_stack_applies_to_one_state_per_row_or_to_one_state_for_all(self):
+        zetas = (ExtendedComplex.from_value(0.5), ExtendedComplex.from_value(2j), ExtendedComplex.infinity())
+        ops = [super_creation_gate(zeta, 6) for zeta in zetas]
+        state = random_state(np.random.default_rng(4), 6)
+        applied = _stacked(ops).apply_coeffs(state.coeffs)
+        assert applied.shape == (3, 2, 6)
+        for row, op in enumerate(ops):
+            assert applied[row].tobytes() == op.apply(state).coeffs.tobytes()
+
+    def test_refuses_mixed_stacks_and_dims(self):
+        zeta = ExtendedComplex.from_value(0.5)
+        two = _stacked([super_annihilation(zeta, 4)] * 2)
+        three = _stacked([super_annihilation(zeta, 4)] * 3)
+        with pytest.raises(InvalidDimensionError, match="differ"):
+            two @ three  # noqa: B018
+        with pytest.raises(InvalidDimensionError, match=r"needs shape \(4,\) or \(2, 4\), got \(3, 4\)"):
+            BlockOperator(4, ({1: np.ones((2, 3))}, {0: np.ones((3, 4))}, {}, {}), (2,))
+        with pytest.raises(InvalidDimensionError, match=r"needs shape \(3,\), got \(2, 3\)"):
+            BlockOperator(4, ({1: np.ones((2, 3))}, {}, {}, {}))
+        with pytest.raises(InvalidDimensionError, match="one dim"):
+            _stacked([super_annihilation(zeta, 4), super_annihilation(zeta, 5)])
+        with pytest.raises(InvalidDimensionError, match="one dim"):
+            _stacked([two])
 
 
 class TestGuardedMaxAbs:

@@ -42,6 +42,7 @@ from superq.superstate import (
     SuperVector,
     _displace_low_levels,
     _norms,
+    _stacked,
     _super_qubit_grid,
     _undisplaced,
     flip_state,
@@ -115,7 +116,7 @@ ROUTES = {
     ),
     "creation_gate_raises_vacuum": (
         lambda: n_superparticle_state(1, ZETA, DIM),
-        lambda: super_creation_gate(ZETA, DIM).apply(VACUUM),
+        lambda: _stacked([super_creation_gate(ZETA, DIM)]).apply_coeffs(VACUUM.coeffs[None]),
     ),
     "n_state_concurrence_closed_vs_gram": (
         lambda: concurrence_n_state(ZETA),
@@ -178,7 +179,6 @@ SHARED = {
         "the closed columns' kernel, which the guard's tail scan reads too: it decides whether"
         " the oracle refuses an alpha, not the oracle's values"
     ),
-    "superstate.SuperVector.__post_init__": "the state type's constructor: it checks the shape and keeps a copy",
     "entanglement._require_normalized": "the norm check in front of the Gram kernel and of rho: it raises or passes",
 }
 

@@ -89,12 +89,15 @@ ALL_INVENTORY = [
 ]
 
 
-def nan_number_lowering(monkeypatch):
-    """Make every commutator_suite call in verify report a NaN number_lowering residual."""
+def nan_at_one_zeta(monkeypatch, field="number_lowering", row=0):
+    """Make verify's commutator_suite report a NaN residual ``field`` in one zeta row of its stack."""
     real = verify.commutator_suite
 
-    def patched(*args, **kwargs):
-        return dataclasses.replace(real(*args, **kwargs), number_lowering=math.nan)
+    def patched(zetas, *args, **kwargs):
+        residuals = real(zetas, *args, **kwargs)
+        poisoned = np.array(getattr(residuals, field))
+        poisoned[row] = math.nan
+        return dataclasses.replace(residuals, **{field: poisoned})
 
     monkeypatch.setattr(verify, "commutator_suite", patched)
 
@@ -277,7 +280,7 @@ def canonical_commutator(dim):
 
 def number_lowering(dim):
     """commutator_number_lowering's residual: the worst over the suite's labels and the pole."""
-    return max(commutator_suite(zeta, dim).number_lowering for zeta in (*verify._ZETAS, ExtendedComplex.infinity()))
+    return float(commutator_suite((*verify._ZETAS, ExtendedComplex.infinity()), dim).number_lowering.max())
 
 
 class TestAlgebraAtLargeDims:
@@ -319,7 +322,7 @@ class TestAlgebraAtLargeDims:
 
 class TestNonFiniteResiduals:
     def test_nan_residual_fails_its_check(self, monkeypatch):
-        nan_number_lowering(monkeypatch)
+        nan_at_one_zeta(monkeypatch)
         report = run_verify("algebra", 36)
         failed = [check.name for check in report.checks if not check.passed]
         assert failed == ["commutator_number_lowering"]
@@ -330,17 +333,10 @@ class TestNonFiniteResiduals:
     @pytest.mark.parametrize("field", ["number_lowering", "number_raising", "ladder"])
     @pytest.mark.parametrize("at_pole", [False, True], ids=["first_zeta", "pole"])
     def test_nan_at_one_zeta_fails_only_its_check(self, monkeypatch, field, at_pole):
-        # The suite reduces every zeta's residuals to their max with 0.0,
-        # where the builtin max would drop a NaN; the pole is the last zeta.
-        real = verify.commutator_suite
-        first = verify._ZETAS[0]
-
-        def patched(zeta, *args, **kwargs):
-            residuals = real(zeta, *args, **kwargs)
-            hit = zeta.is_infinite if at_pole else zeta == first
-            return dataclasses.replace(residuals, **{field: math.nan}) if hit else residuals
-
-        monkeypatch.setattr(verify, "commutator_suite", patched)
+        # The suite reduces the stack's residuals, one row per zeta, to their
+        # max with 0.0, where the builtin max would drop a NaN; the pole is
+        # the last row.
+        nan_at_one_zeta(monkeypatch, field, -1 if at_pole else 0)
         report = run_verify("algebra", 36)
         failed = [check for check in report.checks if not check.passed]
         assert [check.name for check in failed] == [f"commutator_{field}"]
@@ -395,15 +391,26 @@ class TestNonFiniteResiduals:
         monkeypatch.setattr(verify, kernel, patched)
         failed = [check for check in run_verify(suite, 36).checks if not check.passed]
         assert {check.name for check in failed} == readers
-        # The random rows read z = sqrt(max(0, 1 - C^2)), where max(0.0, nan) is
-        # 0.0: a NaN concurrence is read as C = 1, and the entropy check fails
-        # on a finite gap.
-        finite = {"spectral_entropy_matches_closed_form"}
-        assert all(math.isnan(check.residual) for check in failed if check.name not in finite)
-        assert all(math.isfinite(check.residual) for check in failed if check.name in finite)
+        assert all(math.isnan(check.residual) for check in failed)
+
+    def test_nan_gram_concurrence_fails_the_entropy_check_with_null(self, monkeypatch):
+        # Each random state's closed entropy is read at z = sqrt(1 - C^2) of its
+        # Gram concurrence; the builtin max(0.0, nan) is 0.0, which would read a
+        # NaN C as C = 1 and report a finite gap.
+        real = verify._gram_measures
+
+        def patched(coeffs):
+            g00, g11, concurrences, entropies = real(coeffs)
+            return g00, g11, np.full_like(concurrences, math.nan), entropies
+
+        monkeypatch.setattr(verify, "_gram_measures", patched)
+        payload = json.loads(dumps(run_verify("entangle", 36).to_payload()))
+        (check,) = [c for c in payload["checks"] if c["name"] == "spectral_entropy_matches_closed_form"]
+        assert check["residual"] is None
+        assert check["pass"] is False
 
     def test_nan_residual_serializes_as_null(self, monkeypatch):
-        nan_number_lowering(monkeypatch)
+        nan_at_one_zeta(monkeypatch)
         payload = json.loads(dumps(run_verify("algebra", 36).to_payload()))
         assert payload["checks"][0]["residual"] is None
         assert payload["checks"][0]["pass"] is False
@@ -584,8 +591,10 @@ class TestBatchedSuites:
         for module in (verify, uncertainty):
             monkeypatch.setattr(module, "_quadrature_stats", counting_stats)
         assert run_verify("uncertainty", dim=40).all_passed
-        # 5 zetas at alpha = 0 and displaced, 5 symmetric stacks, the 5/8 point
-        assert calls == [40] * len(sizes) == [40] * (5 * 2 + 5 + 1)
+        # per zeta the grid at alpha = 0 and displaced in one stack, the symmetric
+        # family of all 5 zetas in one, the 5/8 point
+        assert calls == [40] * len(sizes) == [40] * (5 + 1 + 1)
+        assert sizes == [2 * 9] * 5 + [5 * 5, 1]
         # 45 points at alpha = 0 and displaced, 25 symmetric points, the 5/8 point
         assert sum(sizes) == 45 * 2 + 25 + 1
 
