@@ -351,19 +351,16 @@ def _emit_uncertainty(args) -> str:
     params["alpha"] = [args.alpha.real, args.alpha.imag]
     closed = quadrature_stats_closed(coherent)
     numeric = quadrature_stats_numeric(coherent, args.dim)
-    gap = max(
-        abs(closed.mean_x - numeric.mean_x),
-        abs(closed.mean_p - numeric.mean_p),
-        abs(closed.var_x - numeric.var_x),
-        abs(closed.var_p - numeric.var_p),
-    )
+    # np.max keeps a NaN gap wherever it sits; the builtin max drops one that is not first
+    fields = ("mean_x", "mean_p", "var_x", "var_p")
+    gaps = [abs(getattr(closed, name) - getattr(numeric, name)) for name in fields]
     payload = {
         "dim": args.dim,
         "params": params,
         # each instance dict holds the float fields in declaration order
         "closed": vars(closed),
         "numeric": vars(numeric),
-        "max_abs_difference": gap,
+        "max_abs_difference": float(np.max(gaps)),
     }
     return dumps(payload)
 
@@ -395,7 +392,7 @@ def _emit_sweep(args) -> str:
     phases = _grid_phases(thetas, phis)
     coeffs = _super_qubit_grid(thetas, *phases, [args.zeta])
     p0, p1 = _pole_probabilities(coeffs, _pole_levels(args.zeta))
-    var_x, var_p = _variance_grid(thetas, *phases, args.zeta)
+    var_x, var_p = _variance_grid(thetas, *phases, [args.zeta])
     _, _, gram, entropy = _gram_measures(coeffs)
     # theta, phi, zeta and the closed concurrence repeat down their columns,
     # so each is formatted once and a row starts with their joined text

@@ -156,7 +156,7 @@ class BlockOperator:
 
     def __getattr__(self, name: str) -> np.ndarray:
         # the dense block accessors ul, ur, ll, lr; no superq module reads them, and they
-        # stay only for the benchmark's matmul probe until it reads op.dim (ROADMAP item 1)
+        # stay only for the benchmark's matmul probe until it reads op.dim (ROADMAP item 13)
         if name not in _BLOCK_NAMES:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         block = np.zeros((*self.stack, self.dim, self.dim), dtype=np.complex128)

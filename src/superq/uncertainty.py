@@ -136,16 +136,16 @@ def _closed_variance(coordinate, z, weight):
 
 
 def _variance_grid(
-    thetas: list[float], cos_phi: np.ndarray, sin_phi: np.ndarray, zeta: ExtendedComplex
+    thetas: list[float], cos_phi: np.ndarray, sin_phi: np.ndarray, zetas: list[ExtendedComplex]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """variance_quadratures_closed at each grid point (theta_i, phi_j), in row order.
+    """variance_quadratures_closed at each (zeta_k, theta_i, phi_j), in ``_super_qubit_grid``'s row order.
 
     ``cos_phi`` and ``sin_phi`` are ``moebius._grid_phases(thetas, phis)``,
     as ``superstate._super_qubit_grid`` reads them.  The (x, y, z) of each
-    point is ``moebius._cartesian_grid``'s.
+    point is ``moebius._cartesian_grid``'s, computed once for every zeta.
     """
     x, y, z = _cartesian_grid(thetas, cos_phi, sin_phi)
-    v = zeta.v.real
+    v = np.array([zeta.v.real for zeta in zetas])[:, None, None]
     weight = v * v  # 1/(1+|zeta|^2)
     return _closed_variance(x, z, weight).ravel(), _closed_variance(y, z, weight).ravel()
 

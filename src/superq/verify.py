@@ -272,13 +272,13 @@ def _eigen_gaps(op: BlockOperator, alpha: complex, states: np.ndarray) -> np.nda
 def _suite_eigen(dim: int, tol: float, seed: int, n_max: int) -> list[Check]:
     # Each (alpha, zeta) angle grid is one stack of the CLI's states: the
     # sweep's coefficients, displaced as super_coherent_state displaces them,
-    # and flipped by exchanging the block axis as flip_state does.  Each stack
-    # ends with one grid point more, built by the state builders the CLI
-    # emits, so that a fault confined to one of them fails a check too.
+    # and flipped by exchanging the block axis as flip_state does, a row block
+    # of one zeta-major _super_qubit_grid call.  Each stack ends with one grid
+    # point more, built by the state builders the CLI emits, so that a fault
+    # confined to one of them fails a check too.
     annihilated, coherent_gaps, flipped_gaps = [], [], []
-    phases = _grid_phases(_THETAS, _PHIS)
-    for zeta in _ZETAS:
-        low = _super_qubit_grid(_THETAS, *phases, [zeta])
+    lows = _super_qubit_grid(_THETAS, *_grid_phases(_THETAS, _PHIS), _ZETAS)
+    for zeta, low in zip(_ZETAS, lows.reshape(len(_ZETAS), -1, 2, 2)):
         base = SuperQubitParams(_THETAS[2], _PHIS[1], zeta)
         a_op = super_annihilation(zeta, dim)
         at_op = super_annihilation_transposed(zeta, dim)
@@ -314,11 +314,12 @@ def _suite_entangle(dim: int, tol: float, seed: int, n_max: int) -> list[Check]:
     g00, g11, n_grams, n_entropies = _gram_measures(n_states)
     # the |1, zeta> row's block weights and spectral entropy
     ones = (g00[:, 0].tolist(), g11[:, 0].tolist(), n_entropies[:, 0].tolist())
-    closed_vs_gram, n_spread, geometric, spectral_gap = [], [], [], []
+    # the spread of each zeta's row, NaN wherever one of its concurrences is
+    n_spread = n_grams.max(axis=1) - n_grams.min(axis=1)
+    closed_vs_gram, geometric, spectral_gap = [], [], []
     for zeta, values, w0, w1, entropy in zip(_ZETAS, n_grams.tolist(), *ones):
         closed = concurrence_n_state(zeta)
         closed_vs_gram += [abs(gram - closed) for gram in values]
-        n_spread.append(_worst(values) - min(values))
         # The entropy command's circle point: the concurrence is its distance
         # from the vertical axis, and the pole-collapse probabilities are half
         # its heights 1 + z above the south pole and 1 - z below the north
@@ -405,20 +406,21 @@ def _suite_entangle(dim: int, tol: float, seed: int, n_max: int) -> list[Check]:
 def _suite_uncertainty(dim: int, tol: float, seed: int, n_max: int) -> list[Check]:
     # Each angle grid is one stack of the CLI's states, as in the eigen suite,
     # and one O(dim) apply of the banded X and P gives the oracle moments: per
-    # zeta, of the grid at alpha = 0 and displaced together.
+    # zeta, of the grid at alpha = 0 and displaced together.  One zeta-major
+    # _super_qubit_grid call and one _variance_grid call (the sweep's closed
+    # variances, alpha-independent as the closed form's) give each zeta's rows.
     mean_gap, var_gap, alpha_independence = [], [], []
     thetas = _THETAS[::2]
     phases = _grid_phases(thetas, _PHIS[::2])
-    for zeta in _ZETAS:
-        low = _super_qubit_grid(thetas, *phases, [zeta])
+    lows = _super_qubit_grid(thetas, *phases, _ZETAS).reshape(len(_ZETAS), -1, 2, 2)
+    sweeps = (var.reshape(len(_ZETAS), -1).tolist() for var in _variance_grid(thetas, *phases, _ZETAS))
+    for zeta, low, sweep_xs, sweep_ps in zip(_ZETAS, lows, *sweeps):
         stats = _quadrature_stats(
             np.concatenate([_undisplaced(low, dim), _displace_low_levels(_UNCERTAINTY_ALPHA, low, dim)])
         )
         at_zero, displaced = stats[: len(low)], stats[len(low) :]
-        # the sweep's closed variances of the grid, alpha-independent as the closed form's
-        sweep = _variance_grid(thetas, *phases, zeta)
         for (theta, phi), numeric_at_zero, numeric_displaced, sweep_x, sweep_p in zip(
-            _HALF_ANGLES, at_zero, displaced, *np.array(sweep).tolist()
+            _HALF_ANGLES, at_zero, displaced, sweep_xs, sweep_ps
         ):
             base = SuperQubitParams(theta, phi, zeta)
             for alpha, numeric in ((0.0, numeric_at_zero), (_UNCERTAINTY_ALPHA, numeric_displaced)):

@@ -14,10 +14,13 @@ that a superq class defines.  It passes when the emitting commands of
 gate's coverage test reads, traced once per session.
 
 The package also writes every square one way, as ``x * x``; no module
-holds a ``** 2``.  Its one BLAS reduction is ``superstate._vecdot``, the
-only reader of ``np.vecdot``; ``entanglement`` alone reads its Gram kernels,
-which the other modules reach through ``_gram_measures``; and every
-exception class of ``errors`` is raised somewhere.
+holds a ``** 2``.  A builtin ``max`` or ``min`` drops a NaN that is not its
+first argument, so each one sits on integers or on values checked finite,
+as ``BUILTIN_EXTREMA`` lists; a float reduction goes through numpy.  Its
+one BLAS reduction is ``superstate._vecdot``, the only reader of
+``np.vecdot``; ``entanglement`` alone reads its Gram kernels, which the
+other modules reach through ``_gram_measures``; and every exception class
+of ``errors`` is raised somewhere.
 """
 
 import ast
@@ -31,9 +34,10 @@ PACKAGE = Path(superq.__file__).parent
 
 # Public names that nothing above reads, each kept for a reason of its own.
 EXEMPT = {
-    "fock.FockVector": "the benchmark's per-layer report reads its span fock.FockVector (ROADMAP item 1)",
+    "fock.FockVector": "the benchmark's per-layer report reads its span fock.FockVector (ROADMAP item 13)",
     "entanglement.entanglement_entropy_bits": (
-        "the benchmark's per-layer report reads its span entanglement.entanglement_entropy_bits (ROADMAP item 1)"
+        "the benchmark's per-layer report reads its span entanglement.entanglement_entropy_bits"
+        " (ROADMAP item 13)"
     ),
 }
 
@@ -116,6 +120,49 @@ def squares_by_power() -> list[str]:
 def test_every_square_is_a_product():
     sites = squares_by_power()
     assert not sites, f"** 2 at {', '.join(sites)}"
+
+
+INDEX = "integer index and size arithmetic"
+# Each builtin max or min call of a superq module, by (module.function, builtin), with why no NaN reaches it.
+BUILTIN_EXTREMA = {
+    ("cli.sweep_thetas", "max"): INDEX,
+    ("fock.required_displacement_dim", "min"): INDEX,
+    ("superstate.BlockOperator.max_abs", "max"): INDEX,
+    ("superstate.BlockOperator.max_abs", "min"): INDEX,
+    ("superstate._fill", "max"): INDEX,
+    ("superstate._band_apply", "max"): INDEX,
+    ("superstate._band_matmul", "max"): INDEX,
+    ("superstate._band_matmul", "min"): INDEX,
+    ("verify.required_suite_dim", "max"): INDEX,
+    ("moebius.ExtendedComplex.__post_init__", "max"): "the scale test, after u and v are checked finite",
+    ("verify._suite_entangle", "max"): "the clamp max(0.0, z_sq), behind a math.isfinite(z_sq) test",
+}
+
+
+def builtin_extrema() -> set[tuple[str, str]]:
+    """(module.function, builtin) of each builtin max or min call in a superq module.
+
+    The function is the innermost named definition that holds the call,
+    with its class: ``superstate.BlockOperator.max_abs``.
+    """
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id in {"max", "min"}:
+                found.add((scope, child.func.id))
+            visit(child, scope)
+
+    for module, tree in modules().items():
+        visit(tree, module)
+    return found
+
+
+def test_every_builtin_max_and_min_has_a_reason():
+    assert builtin_extrema() == set(BUILTIN_EXTREMA)
 
 
 def vecdot_sites() -> list[str]:

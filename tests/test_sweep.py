@@ -34,7 +34,7 @@ from superq.superstate import (
     pole_probabilities,
     super_qubit_state,
 )
-from superq.uncertainty import variance_quadratures_closed
+from superq.uncertainty import _variance_grid, variance_quadratures_closed
 
 # (--zeta-re, --zeta-im), or None for --zeta-inf
 EDGE_ZETAS = [
@@ -168,6 +168,16 @@ class TestGridKernels:
         each = np.concatenate([_super_qubit_grid(thetas, *phases, [label]) for label in labels])
         assert _super_qubit_grid(thetas, *phases, labels).tobytes() == each.tobytes()
         assert _super_qubit_grid(thetas, *phases, []).shape == (0, 2, 2)
+        # and the closed variances take the same rows: row (k*T + i)*P + j is
+        # variance_quadratures_closed at (zeta_k, theta_i, phi_j), bit for bit
+        points = [
+            variance_quadratures_closed(CoherentParams(0.0, SuperQubitParams(theta, phi, label)))
+            for label in labels
+            for theta in thetas
+            for phi in phis
+        ]
+        assert np.stack(_variance_grid(thetas, *phases, labels), axis=1).tobytes() == np.array(points).tobytes()
+        assert [var.shape for var in _variance_grid(thetas, *phases, [])] == [(0,), (0,)]
 
     def test_grid_refuses_what_one_point_refuses(self):
         with pytest.raises(ValueError, match=r"theta must lie in \[0, pi\], got 3.5"):

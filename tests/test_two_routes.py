@@ -154,7 +154,7 @@ ROUTES = {
         lambda: (
             quadrature_stats_closed(CoherentParams(0.0, BASE)),
             quadrature_stats_closed(COHERENT),
-            _variance_grid([BASE.theta], *PHASES, ZETA),
+            _variance_grid([BASE.theta], *PHASES, [ZETA]),
         ),
         quadrature_oracle,
     ),

@@ -578,6 +578,34 @@ class TestBatchedSuites:
         column, point = (verify._THETAS, (0.25 * math.pi,)), ((0.5 * math.pi,), (0.25 * math.pi,))
         assert calls == [full, full, half, half, column, point]
 
+    def test_each_angle_grid_is_one_grid_kernel_call_for_every_zeta(self, monkeypatch):
+        calls = []
+
+        def recording(kernel):
+            def record(thetas, cos_phi, sin_phi, zetas):
+                calls.append((kernel.__name__, cos_phi.shape, tuple(zetas)))
+                return kernel(thetas, cos_phi, sin_phi, zetas)
+
+            return record
+
+        for kernel in (_super_qubit_grid, uncertainty._variance_grid):
+            assert rebind(monkeypatch, kernel, recording(kernel)) >= 1
+        assert run_verify("all", dim=64).all_passed
+        # no suite loops over zeta around a kernel: the same six angle grids
+        # as the phases above, each with all five zetas, and the ladder's
+        # one point with the zeta of each of its 18 rows
+        grid, variances, zetas = "_super_qubit_grid", "_variance_grid", verify._ZETAS
+        assert calls[:-1] == [
+            (grid, (5, 5), zetas),
+            (grid, (5, 5), zetas),
+            (grid, (3, 3), zetas),
+            (grid, (3, 3), zetas),
+            (variances, (3, 3), zetas),
+            (grid, (5, 1), zetas),
+        ]
+        name, shape, ladder = calls[-1]
+        assert (name, shape, len(ladder)) == (grid, (1, 1), 18)
+
     def test_uncertainty_suite_reads_the_oracle_operators_once_per_stack(self, monkeypatch):
         calls, sizes = [], []
         operators, stats = uncertainty.quadrature_operators, verify._quadrature_stats
