@@ -38,9 +38,9 @@ from .superstate import (
     SuperQubitParams,
     _pole_levels,
     _pole_probabilities,
-    _state_and_poles,
     _super_qubit_grid,
     n_superparticle_state,
+    pole_probabilities,
     super_coherent_state,
 )
 from .uncertainty import (
@@ -280,17 +280,20 @@ def _selection(args):
     return CoherentParams(args.alpha, base), concurrence_superqubit(base.theta, args.zeta), params
 
 
+def _selected_state(args, coherent: CoherentParams | None):
+    """The state the flags select: |n, zeta> for --n, else the super-coherent state of coherent."""
+    if coherent is None:
+        return n_superparticle_state(args.n, args.zeta, args.dim)
+    return super_coherent_state(coherent, args.dim)
+
+
 def _emit_state(args) -> str:
     coherent, closed, params = _selection(args)
     params["alpha"] = [args.alpha.real, args.alpha.imag]
-    if coherent is None:
-        state = n_superparticle_state(args.n, args.zeta, args.dim)
-    else:
-        state, poles = _state_and_poles(coherent, args.dim)
-        probabilities = _pole_probabilities(state.coeffs[None], poles)[:, 0].tolist()
+    state = _selected_state(args, coherent)
     g00, g11, gram, entropy = map(float, _gram_measures(state.coeffs))
     # --n prints the fermion-sector weights, the pole-collapse probabilities on the zeta sphere
-    p0, p1 = (g00, g11) if coherent is None else probabilities
+    p0, p1 = (g00, g11) if coherent is None else pole_probabilities(state, args.zeta, coherent.alpha)
     # each block as its (dim, 2) float64 [re, im] view
     pairs0, pairs1 = state.coeffs.view(np.float64).reshape(2, -1, 2)
     payload = {
@@ -310,11 +313,7 @@ def _emit_state(args) -> str:
 
 def _emit_concurrence(args) -> str:
     coherent, closed, params = _selection(args)
-    if coherent is None:
-        state = n_superparticle_state(args.n, args.zeta, args.dim)
-    else:
-        state = super_coherent_state(coherent, args.dim)
-    gram = concurrence_gram(state)
+    gram = concurrence_gram(_selected_state(args, coherent))
     payload = {
         "dim": args.dim,
         "params": params,

@@ -22,7 +22,10 @@ builders here fill fresh arrays and pass them to it once.
 
 Every super-qubit and super-coherent state, and each pole, is its boson levels
 0 and 1 (``_low_levels``, ``_pole_levels``, ``_super_qubit_grid``) finished
-by ``_undisplaced`` or ``_displace_low_levels``, on one state or a stack.
+by ``_undisplaced`` or ``_displace_low_levels``, on one state or a stack.  A
+single state has one route: ``super_coherent_state``, which is
+``super_qubit_state`` at alpha = 0, and ``pole_probabilities`` for its poles,
+displaced by the same alpha.
 """
 
 from __future__ import annotations
@@ -504,25 +507,12 @@ def super_coherent_state(params: CoherentParams, dim: int) -> SuperVector:
     """Displaced super-qubit state, an eigenstate of the super-annihilation operator.
 
     The displacement acts as the boson displacement on both fermion blocks.
-    alpha = 0 returns the reference super-qubit state exactly, at any dim >= 2:
+    alpha = 0 returns ``super_qubit_state`` of the base, at any dim >= 2:
     nothing is displaced, so the displacement guard does not apply.
     """
-    low = _low_levels(params.base)
     if params.alpha == 0:
-        return SuperVector(_undisplaced(low, dim))
-    return SuperVector(_displace_low_levels(params.alpha, low, dim))
-
-
-def _state_and_poles(params: CoherentParams, dim: int) -> tuple[SuperVector, np.ndarray]:
-    """super_coherent_state and the poles for ``_pole_probabilities``, displaced with it in one call.
-
-    At alpha = 0 nothing is displaced, and the poles keep the two levels they have.
-    """
-    poles = _pole_levels(params.base.zeta)
-    if params.alpha == 0:
-        return super_coherent_state(params, dim), poles
-    states = _displace_low_levels(params.alpha, np.concatenate([[_low_levels(params.base)], poles]), dim)
-    return SuperVector(states[0]), states[1:]
+        return super_qubit_state(params.base, dim)
+    return SuperVector(_displace_low_levels(params.alpha, _low_levels(params.base), dim))
 
 
 def flip_operator(dim: int) -> BlockOperator:

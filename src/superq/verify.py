@@ -48,15 +48,16 @@ from .superstate import (
     SuperVector,
     _displace_low_levels,
     _norms,
+    _pole_levels,
     _pole_probabilities,
     _stacked,
-    _state_and_poles,
     _super_qubit_grid,
     _undisplaced,
     commutator_suite,
     flip_operator,
     flip_state,
     n_superparticle_state,
+    pole_probabilities,
     super_annihilation,
     super_annihilation_transposed,
     super_coherent_state,
@@ -307,7 +308,7 @@ def _suite_eigen(dim: int, tol: float, seed: int, n_max: int) -> list[Check]:
 
 def _suite_entangle(dim: int, tol: float, seed: int, n_max: int) -> list[Check]:
     # Each stack below takes one Gram pass: the |n, zeta> states, the angle
-    # grids, the three stride-2 stacks and the random states.
+    # grids, the two stride-2 stacks and the random states.
     n_states = np.array(
         [[n_superparticle_state(n, zeta, dim).coeffs for n in (1, 2, 5)] for zeta in _ZETAS]
     )
@@ -337,29 +338,30 @@ def _suite_entangle(dim: int, tol: float, seed: int, n_max: int) -> list[Check]:
 
     # The angle grids of every zeta are one stack of the CLI's states, and
     # every concurrence and pole probability comes from the kernels the
-    # commands run.  One more row per zeta is the state and the poles as
-    # state --theta builds them, and the grid's rows are read against those
-    # poles.
+    # commands run.  One more row per zeta is the state and its poles as
+    # state --theta reads them, through super_coherent_state and
+    # pole_probabilities.
     superqubit_gap, probability_gap = [], []
     base = (_THETAS[2], _PHIS[1])
-    phases = _grid_phases(_THETAS, _PHIS)
-    grids = _undisplaced(_super_qubit_grid(_THETAS, *phases, _ZETAS), dim)
-    grids = grids.reshape(len(_ZETAS), len(_ANGLES), 2, dim)
-    for zeta, grid, grams in zip(_ZETAS, grids, _gram_measures(grids)[2].tolist()):
-        for (theta, _), gram in zip(_ANGLES, grams):
+    lows = _super_qubit_grid(_THETAS, *_grid_phases(_THETAS, _PHIS), _ZETAS)
+    grids = _undisplaced(lows, dim).reshape(len(_ZETAS), len(_ANGLES), 2, dim)
+    grams = _gram_measures(grids)[2]
+    for zeta, grid, zeta_grams in zip(_ZETAS, grids, grams.tolist()):
+        for (theta, _), gram in zip(_ANGLES, zeta_grams):
             superqubit_gap.append(abs(gram - concurrence_superqubit(theta, zeta)))
-        state, poles = _state_and_poles(CoherentParams(0.0, SuperQubitParams(*base, zeta)), dim)
-        rows = _pole_probabilities(np.concatenate([grid, [state.coeffs]]), poles).tolist()
-        for (theta, _), (p0, p1) in zip((*_ANGLES, base), zip(*rows)):
+        state = super_coherent_state(CoherentParams(0.0, SuperQubitParams(*base, zeta)), dim)
+        rows = zip(*_pole_probabilities(grid, _pole_levels(zeta)).tolist())
+        for (theta, _), (p0, p1) in zip((*_ANGLES, base), [*rows, pole_probabilities(state, zeta)]):
             half_cos, half_sin = math.cos(0.5 * theta), math.sin(0.5 * theta)
             probability_gap += [abs(p0 - half_cos * half_cos), abs(p1 - half_sin * half_sin)]
 
-    # The stride-2 grids of every zeta, undisplaced, displaced as
-    # super_coherent_state displaces them, and flipped.
-    half_phases = _grid_phases(_THETAS[::2], _PHIS[::2])
-    halves = _super_qubit_grid(_THETAS[::2], *half_phases, _ZETAS)
-    references = _undisplaced(halves, dim)
-    reference_grams = _gram_measures(references)[2]
+    # The stride-2 half of every zeta's grid, [:, ::2, ::2] of its (zeta,
+    # theta, phi) layout, undisplaced, displaced as super_coherent_state
+    # displaces it, and flipped.
+    layout = (len(_ZETAS), len(_THETAS), len(_PHIS))
+    halves = lows.reshape(*layout, 2, 2)[:, ::2, ::2].reshape(-1, 2, 2)
+    references = grids.reshape(*layout, 2, dim)[:, ::2, ::2].reshape(-1, 2, dim)
+    reference_grams = grams.reshape(layout)[:, ::2, ::2].ravel()
     displaced = _displace_low_levels(_ENTANGLE_ALPHA, halves, dim)
     alpha_invariance = np.abs(_gram_measures(displaced)[2] - reference_grams)
     flip_invariance = np.abs(_gram_measures(references[:, ::-1])[2] - reference_grams)

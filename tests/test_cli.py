@@ -20,6 +20,8 @@ from superq.cli import FIBONACCI_HEADER, SWEEP_HEADER, main as cli_main, sweep_t
 from superq.serialize import csv_cell
 from superq.verify import required_suite_dim
 
+from conftest import cli_run, reached_functions
+
 
 class TestGoldenFiles:
     def test_state_json_bytes(self, run_cli, golden_dir):
@@ -479,11 +481,30 @@ class TestGramWork:
         assert gram_calls == [(2, int(argv[-1]))]
 
     def test_one_pass_per_stack_of_the_entangle_suite(self, run_cli, gram_calls):
-        # the |n, zeta> states, the angle grids, the three stride-2 stacks and the random states
+        # the |n, zeta> states, the angle grids, the two stride-2 stacks and the random states;
+        # the undisplaced stride-2 half reads its concurrences from the angle grids' pass
         code, _, _ = run_cli(["verify", "--suite", "entangle", "--dim", "32"])
         assert code == 0
         halves = (45, 2, 32)
-        assert gram_calls == [(5, 3, 2, 32), (5, 25, 2, 32), halves, halves, halves, (12, 2, 32)]
+        assert gram_calls == [(5, 3, 2, 32), (5, 25, 2, 32), halves, halves, (12, 2, 32)]
+
+
+class TestOneStateRoute:
+    """The single-state commands build through the public state and pole functions."""
+
+    def test_commands_reach_the_public_builders(self):
+        reach = {
+            argv[0]: reached_functions([cli_run(argv)])
+            for argv in (
+                ["state", "--theta", "1", "--zeta-re", "1"],
+                ["coherent", "--theta", "1", "--zeta-re", "1", "--alpha-re", "0.5"],
+                ["concurrence", "--theta", "1", "--zeta-re", "1"],
+            )
+        }
+        # state --theta is the super-coherent state at alpha = 0, the super-qubit state itself
+        assert {"superstate.super_qubit_state", "superstate.pole_probabilities"} <= reach["state"]
+        assert {"superstate.super_coherent_state", "superstate.pole_probabilities"} <= reach["coherent"]
+        assert "superstate.super_coherent_state" in reach["concurrence"]
 
 
 class TestDenseSpectralWork:
@@ -541,8 +562,8 @@ class TestClosedColumnWork:
         args = ["--theta=1.1", "--phi=0.4", "--zeta-re=0.8", "--zeta-im=0.3", "--alpha-re=2.1"]
         code, _, _ = run_cli(["coherent", *args, "--alpha-im=-1.7", "--dim", "96"])
         assert code == 0
-        # the state's low levels and the two poles' are displaced in one call
-        assert (memo.cache_info().misses, memo.cache_info().hits) == (1, 0)
+        # super_coherent_state builds the columns, and pole_probabilities reads them again
+        assert (memo.cache_info().misses, memo.cache_info().hits) == (1, 1)
 
 
 def _masked_verify(out):

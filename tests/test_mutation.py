@@ -20,7 +20,6 @@ e^{i 1e-6}, which keeps the norm that the Gram kernel checks, and so do the
 scalar low levels _low_levels, the stacks of the grid kernels
 _super_qubit_grid, _undisplaced and _displace_low_levels and both closed
 columns of displaced_columns and of its memo _memoised_columns;
-_state_and_poles has that phase on its state and its poles put off;
 and _grid_phases has every azimuth turned by 1e-6.
 BLOCK_ONE_CAUGHT_BY pins the same builders once more, each with its whole
 fermion-1 block turned by that phase, which keeps every quantity read block
@@ -99,9 +98,9 @@ CAUGHT_BY = {
         "spectral_entropy_matches_closed_form",
     ),
     "superstate._pole_probabilities": ("pole_probability_identity",),
-    # the pole literal, and the state with the poles displaced with it, as state --theta and coherent read them
+    # the pole literal, and the probabilities of one state as state --theta and coherent read them
     "superstate._pole_levels": ("pole_probability_identity",),
-    "superstate._state_and_poles": ("pole_probability_identity",),
+    "superstate.pole_probabilities": ("pole_probability_identity",),
     # the block weights of |1, zeta> are the Gram pass's g00 and g11
     **dict.fromkeys(
         ("entanglement._gram_entries", "entanglement._gram_measures"),
@@ -166,8 +165,8 @@ CAUGHT_BY = {
         ("uncertainty.fibonacci_ladder", "uncertainty._fibonacci_records"),
         tuple(f"fibonacci_record[n={n}]" for n in range(3, 21)),
     ),
-    # the eigen suite's builder row; super_coherent_state and the ladder build from _low_levels
-    "superstate.super_qubit_state": ("reference_annihilation",),
+    # the eigen suite's builder row, and the 5/8 point, which super_coherent_state builds here at alpha = 0
+    "superstate.super_qubit_state": ("five_eighths_point_numeric", "reference_annihilation"),
     "superstate.super_coherent_state": (
         "five_eighths_point_numeric",
         "coherent_eigenrelation",
@@ -381,12 +380,6 @@ def phi_turned(phases):
     return cos_phi * c - sin_phi * s, sin_phi * c + cos_phi * s
 
 
-def state_and_poles_off(value):
-    """The state with its level-1 phase, and the poles times 1 + RELATIVE_ERROR."""
-    state, poles = value
-    return level_one_phased(state), off(poles)
-
-
 def block_one_phased(state):
     """The whole fermion-1 block times e^{i RELATIVE_ERROR}, which keeps both block norms."""
     coeffs = np.array(state.coeffs)
@@ -432,7 +425,6 @@ MUTATIONS = {
     "fock.displaced_columns": columns_level_one_phased,
     "fock._memoised_columns": columns_level_one_phased,
     "moebius._grid_phases": phi_turned,
-    "superstate._state_and_poles": state_and_poles_off,
     **dict.fromkeys(BUILDERS, bands_off),
 }
 

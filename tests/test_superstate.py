@@ -491,6 +491,40 @@ class TestPoleProbabilityAccuracy:
         self.assert_squares_accurate(self.sweep_stack(zeta, int(t_count), int(p_count)), zeta)
 
 
+class TestOneStateRoute:
+    """super_coherent_state and pole_probabilities give the bits of one displaced (3, 2, 2) stack.
+
+    Displacement works level by level, so the state and its poles displaced
+    in two calls equal the three rows displaced as one stack.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        theta=st.floats(0.0, math.pi),
+        phi=st.floats(-7.0, 7.0),
+        zeta=st.one_of(
+            st.just(ExtendedComplex.infinity()),
+            st.builds(
+                lambda re, im: ExtendedComplex.from_value(complex(re, im)), st.floats(-4, 4), st.floats(-4, 4)
+            ),
+        ),
+        alpha=st.one_of(st.just(0j), st.builds(complex, st.floats(-3, 3), st.floats(-3, 3))),
+        dim=st.integers(20, 160),
+    )
+    def test_state_and_its_poles_equal_the_one_stack_route(self, theta, phi, zeta, alpha, dim):
+        params = CoherentParams(alpha, SuperQubitParams(theta, phi, zeta))
+        dim = max(dim, fock.required_displacement_dim(alpha))
+        low, poles = superstate._low_levels(params.base), _pole_levels(zeta)
+        if alpha == 0:
+            state = _undisplaced(low, dim)
+        else:
+            state, *poles = _displace_low_levels(alpha, np.concatenate([[low], poles]), dim)
+        expected = _pole_probabilities(state[None], np.array(poles))[:, 0].tolist()
+        coherent = super_coherent_state(params, dim)
+        assert coherent.coeffs.tobytes() == state.tobytes()
+        assert [p.hex() for p in pole_probabilities(coherent, zeta, alpha)] == [p.hex() for p in expected]
+
+
 class TestSuperCoherentState:
     def test_zero_alpha_returns_reference_exactly(self):
         base = SuperQubitParams(0.9, 0.3, ExtendedComplex.from_value(1.5))

@@ -571,12 +571,12 @@ class TestBatchedSuites:
 
         assert rebind(monkeypatch, phases, counting_phases) >= 1
         assert run_verify("all", dim=64).all_passed
-        # eigen: the 5 x 5 grid; entangle: the 5 x 5 grid and its stride-2 half;
+        # eigen: the 5 x 5 grid; entangle: the 5 x 5 grid, whose stride-2 half it slices;
         # uncertainty: the stride-2 half and the 5 x 1 symmetric column;
         # fibonacci: the ladder's one point
         full, half = (verify._THETAS, verify._PHIS), (verify._THETAS[::2], verify._PHIS[::2])
         column, point = (verify._THETAS, (0.25 * math.pi,)), ((0.5 * math.pi,), (0.25 * math.pi,))
-        assert calls == [full, full, half, half, column, point]
+        assert calls == [full, full, half, column, point]
 
     def test_each_angle_grid_is_one_grid_kernel_call_for_every_zeta(self, monkeypatch):
         calls = []
@@ -591,14 +591,13 @@ class TestBatchedSuites:
         for kernel in (_super_qubit_grid, uncertainty._variance_grid):
             assert rebind(monkeypatch, kernel, recording(kernel)) >= 1
         assert run_verify("all", dim=64).all_passed
-        # no suite loops over zeta around a kernel: the same six angle grids
+        # no suite loops over zeta around a kernel: the same five angle grids
         # as the phases above, each with all five zetas, and the ladder's
         # one point with the zeta of each of its 18 rows
         grid, variances, zetas = "_super_qubit_grid", "_variance_grid", verify._ZETAS
         assert calls[:-1] == [
             (grid, (5, 5), zetas),
             (grid, (5, 5), zetas),
-            (grid, (3, 3), zetas),
             (grid, (3, 3), zetas),
             (variances, (3, 3), zetas),
             (grid, (5, 1), zetas),
