@@ -6,19 +6,33 @@ versions; emitting every float through a fixed '%.17g' keeps output
 byte-reproducible and exactly round-trippable.
 
 A real 2-d float64 array renders exactly as its nested list would, one
-bracketed row per line, but in a single '%'-format pass over the whole
-array; state blocks reach the serializer as their (dim, 2) [re, im] views.
-A CSV table is passed as columns.  The float64 array columns run '%.17g'
-once per distinct bit pattern, since a sweep grid repeats most of its
-values, and each cell takes the text of its pattern; a value repeated down
-a sequence column can be formatted once with ``csv_cell`` and passed as
-text.  Each row is then one ',' join of its cell texts.
+bracketed row per line; state blocks reach the serializer as their (dim, 2)
+[re, im] views.  ``dumps`` gathers the values of every such array in a
+payload and formats them in one ``_float17_join`` pass, which lays out each
+value's text and the ', ' or row break after it.  A CSV table is passed as
+columns.  The float64 array columns are formatted once per distinct bit
+pattern, through the same pass, since a sweep grid repeats most of its
+values, and each cell takes the text of its pattern; a value repeated down a
+sequence column can be formatted once with ``csv_cell`` and passed as text.
+Each row is then one ',' join of its cell texts.
+
+``_float17_join`` gives each element of a finite float64 array the text
+'%.17g' gives it.  Exact zeros print as '0' or '-0' without '%'.  Below
+``_KERNEL_MIN`` nonzero values the others take one CPython '%' pass; from
+there on they go through one vectorized kernel: an exact power-of-two
+scaling and a double-double power of ten (Dekker's error-free product) give
+each value's 17-digit integer, whose text is laid out from 4-digit tables in
+byte matrices.  A value whose 17th digit may be a tie, or whose decimal
+exponent the log10 estimate may have missed, goes back to '%' (approximate,
+verify, fall back, as Loitsch's integer printing does), so the kernel's text
+is the text of '%' itself.  Scalars are formatted by '%'.
 
 Dict keys and str values are escaped by the function json.dumps runs on a str.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from json.encoder import encode_basestring_ascii
 
@@ -28,6 +42,33 @@ __all__ = ["dumps", "csv_text", "csv_cell"]
 
 _INDENT = 2
 _FLOAT = "%.17g"
+# An array's place in a rendered document until its rows are formatted, and
+# the end of its rows in the kernel's text; no other text holds a NUL, since
+# JSON escapes every control character.
+_SLOT = "\0"
+
+# The measured crossover: below this many nonzero values one '%' pass is
+# faster than the kernel's fixed cost (coherent payloads inside cli.main:
+# '%' faster at 192 values, the kernel at 224 and beyond).
+_KERNEL_MIN = 224
+
+# The kernel's decimal exponents k = floor(log10 |x|) of the finite doubles.
+_LOW_K, _HIGH_K = -324, 308
+_VELTKAMP = 134217729.0  # 2**27 + 1 splits a double into two 26-bit halves
+# A text is the kept cells of its source row, in order: sign, the '0.000'
+# before a small fraction, the digits before the point, the point, the
+# digits after it, 'e+-' and three exponent digits, or else '%.17g' itself;
+# then the cells of the separators that follow the texts.
+_SOURCE = b"-0.000" + b"0" * 17 + b"." + b"0" * 17 + b"e+-000" + _FLOAT.encode()
+_WHOLE, _FRACTION, _POWER = 6, 24, 44
+# The decimal exponents in fixed notation, then e-XX, e-XXX, e+XX, e+XXX.
+_EXPONENT_CLASSES = np.array([*range(-4, 17), -5, -100, 17, 100])
+# The code of 0 and -0 (exponent 0, one digit), and of a value left to '%'.
+_ZERO = 4 * 17
+_NEGATIVE_ZERO = _ZERO + len(_EXPONENT_CLASSES) * 17
+_PERCENT = 2 * len(_EXPONENT_CLASSES) * 17
+# Where each 4-digit group of the last 16 digits starts.
+_GROUP_STARTS = np.array([1, 5, 9, 13])
 
 
 def _non_finite(value) -> ValueError:
@@ -38,22 +79,229 @@ def _is_scalar(value) -> bool:
     return value is None or isinstance(value, (bool, int, float, str))
 
 
-def _render_rows(arr: np.ndarray, level: int) -> str:
-    """A real 2-d array as the JSON of arr.tolist(), formatted in one pass."""
+def _percent(template: str, values: np.ndarray) -> str:
+    """The template with each '%.17g' in it filled from values, by CPython's '%'."""
+    return template % tuple(values.tolist())
+
+
+def _layouts() -> np.ndarray:
+    """Which _SOURCE cells the text of each (sign, exponent class, digits) code keeps.
+
+    Rows run over the sign, then the exponent class, then the significant
+    digits left after stripping trailing zeros (1 to 17); the last row,
+    _PERCENT, keeps '%.17g'.
+    """
+    negative = np.array([False, True]).reshape(2, 1, 1, 1)
+    x = _EXPONENT_CLASSES.reshape(1, -1, 1, 1)
+    digits = np.arange(1, 18).reshape(1, 1, -1, 1)
+    places = np.arange(17)
+    scientific = (x < -4) | (x >= 17)
+    small = (x < 0) & ~scientific
+    # how many digits stand before the point: 1 in scientific notation, none below 1
+    point = np.where(scientific, 1, np.where(small, 0, x + 1))
+    cells = [
+        negative,
+        small & (np.arange(5) < 1 - x),
+        places < point,
+        (digits > point) & ~small,
+        (places >= point) & (places < digits),
+        scientific,
+        scientific & (x > 0),
+        scientific & (x < 0),
+        scientific & (abs(x) >= 100),
+        scientific,
+        scientific,
+        np.zeros((1, 1, 1, len(_FLOAT)), bool),
+    ]
+    shape = (2, len(_EXPONENT_CLASSES), 17)
+    keep = np.concatenate([np.broadcast_to(cell, (*shape, cell.shape[-1])) for cell in cells], axis=-1)
+    percent = np.zeros(len(_SOURCE), bool)
+    percent[-len(_FLOAT) :] = True
+    return np.vstack([keep.reshape(-1, len(_SOURCE)), percent])
+
+
+@functools.cache
+def _kernel_tables():
+    """The kernel's tables, built exactly from integers on its first call.
+
+    powers: (hi, lo) with 10**(16 - k) = (hi + lo) * 2**shift, hi in [1, 2],
+        and hi's two Veltkamp halves, one row per k; shifts: those shifts.
+    quads: the ASCII text of 0..9999 as 4-digit uint32 words; significant:
+        the digits of each word left after stripping trailing zeros (a
+        negative number for 0000).
+    classes: 17 times the exponent class of each k, the start of its codes;
+    layouts: the kept cells of each code (``_layouts``).
+    """
+    mantissas, shifts = [], []
+    for power in range(16 - _LOW_K, 15 - _HIGH_K, -1):
+        # 10**power = 5**power * 2**power, with 120 bits of 5**power kept
+        if power >= 0:
+            five = 5**power
+            bits = 120 - five.bit_length()
+            mantissas.append(five << bits if bits >= 0 else five >> -bits)
+            shifts.append(power - bits + 119)
+        else:
+            five = 5**-power
+            mantissas.append((1 << (five.bit_length() + 119)) // five)
+            shifts.append(power - five.bit_length())
+    heads = [float(mantissa) for mantissa in mantissas]
+    hi = np.ldexp(heads, -119)
+    lo = np.ldexp([float(mantissa - int(head)) for mantissa, head in zip(mantissas, heads)], -119)
+    veltkamp = hi * _VELTKAMP
+    hi_head = veltkamp - (veltkamp - hi)
+    # the 4-digit texts of 0..9999 in order are every choice of 4 digits
+    quads = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), axis=-1).reshape(-1, 4)
+    zeros = np.argmax(quads[:, ::-1] != 48, axis=1).astype(np.int8)
+    significant = np.where((quads != 48).any(axis=1), 4 - zeros, np.int8(-17))
+    ks = np.arange(_LOW_K, _HIGH_K + 1)
+    classes = np.select([ks <= -100, ks < -4, ks < 17, ks < 100], [22, 21, np.clip(ks, -4, 16) + 4, 23], 24)
+    return (
+        np.stack([hi, lo, hi_head, hi - hi_head], axis=1),
+        np.array(shifts, np.int32),
+        quads.view(np.uint32).ravel(),
+        significant,
+        classes * 17,
+        _layouts(),
+    )
+
+
+def _scaled(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """k - _LOW_K, and |x| * 10**(16 - k) as big + small, of each nonzero finite value.
+
+    k = floor(log10 |x|) is estimated; big is an integer when k is right.
+    """
+    powers, shifts = _kernel_tables()[:2]
+    magnitudes = np.abs(values)
+    # |x| = f * 2**e exactly
+    f, e = np.frexp(magnitudes)
+    k = np.floor(np.log10(magnitudes)).astype(np.intp) - _LOW_K
+    hi, lo, hi_head, hi_tail = powers.take(k, axis=0).T
+    # Dekker's two-product f * hi = head + tail, then f * lo
+    head = f * hi
+    veltkamp = f * _VELTKAMP
+    f_head = veltkamp - (veltkamp - f)
+    f_tail = f - f_head
+    tail = ((f_head * hi_head - head) + f_head * hi_tail + f_tail * hi_head) + f_tail * hi_tail + f * lo
+    big = head + tail
+    small = tail - (big - head)
+    scale = e + shifts[k]
+    return k, np.ldexp(big, scale), np.ldexp(small, scale)
+
+
+def _kernel_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The layout code, 17 ASCII digits and 3 ASCII exponent digits of each nonzero finite value.
+
+    A value whose 17th digit may be a tie, or whose decimal exponent the
+    log10 estimate may have missed, gets the code _PERCENT.
+    """
+    quads, significant, classes = _kernel_tables()[2:5]
+    count = len(values)
+    k, big, small = _scaled(values)
+    nearest = np.rint(small)
+    fallback = (
+        (big < 1e16 + 16) | (big >= 1e17 - 16) | (np.abs(np.abs(small - nearest) - 0.5) < 2.0**-30)
+    )
+    integer = big.astype(np.int64) + nearest.astype(np.int64)
+    integer[fallback] = 0
+    # a leading digit and four 4-digit groups
+    upper = integer // 10**8
+    lead = upper // 10**8
+    halves = np.stack([upper - lead * 10**8, integer - upper * 10**8], axis=1)
+    high = halves // 10**4
+    groups = np.stack([high, halves - high * 10**4], axis=2).reshape(count, 4)
+    ends = significant.take(groups) + _GROUP_STARTS
+    kept = np.maximum(np.maximum(ends[:, 0], ends[:, 1]), np.maximum(ends[:, 2], ends[:, 3]))
+    code = classes[k] + np.maximum(kept, 1) - 1 + np.signbit(values) * (_PERCENT // 2)
+    code[fallback] = _PERCENT
+    digits = np.empty((count, 17), np.uint8)
+    digits[:, 0] = lead + 48
+    digits[:, 1:] = quads.take(groups).view(np.uint8)
+    exponents = quads.take(np.abs(k + _LOW_K)).view(np.uint8).reshape(count, 4)[:, 1:]
+    return code, digits, exponents
+
+
+def _float17_join(values: np.ndarray, separators: list[str], picks: np.ndarray) -> str:
+    """'%.17g' % v of each element of a finite 1-d float64 array, each followed by separators[picks[i]].
+
+    The one pass that formats array values: exact zeros print as '0' or '-0'
+    without '%'; below _KERNEL_MIN nonzero values the others take one '%'
+    pass, and from there on the kernel's text, with '%' left only the values
+    it sends back.  No separator may hold a '%'.
+    """
+    nonzero = np.flatnonzero(values)
+    if len(nonzero) < _KERNEL_MIN:
+        kinds = np.signbit(values).view(np.uint8) + 1
+        kinds[nonzero] = 0
+        formats = [text + separator for separator in separators for text in (_FLOAT, "0", "-0")]
+        template = "".join(map(formats.__getitem__, (picks * 3 + kinds).tolist()))
+        return _percent(template, values[nonzero])
+    code, digits, exponents = _kernel_digits(values[nonzero])
+    layouts = _kernel_tables()[-1]
+    count = len(values)
+    ends = "".join(separators).encode("ascii")
+    width = len(_SOURCE) + len(ends)
+    source = np.frombuffer(bytearray((_SOURCE + ends) * count), np.uint8).reshape(count, width)
+    rows = nonzero if len(nonzero) < count else slice(None)
+    source[rows, _WHOLE : _WHOLE + 17] = digits
+    source[rows, _FRACTION : _FRACTION + 17] = digits
+    source[rows, _POWER : _POWER + 3] = exponents
+    codes = np.where(np.signbit(values), _NEGATIVE_ZERO, _ZERO)
+    codes[rows] = code
+    starts = np.cumsum([0, *map(len, separators)])
+    separated = (np.arange(len(ends)) >= starts[:-1, None]) & (np.arange(len(ends)) < starts[1:, None])
+    keep = np.empty((count, width), bool)
+    keep[:, : len(_SOURCE)] = layouts.take(codes, axis=0)
+    keep[:, len(_SOURCE) :] = separated.take(picks, axis=0)
+    text = source[keep].tobytes().decode("ascii")
+    redo = nonzero[code == _PERCENT]
+    return _percent(text, values[redo]) if len(redo) else text
+
+
+def _float17_texts(values: np.ndarray) -> list[str]:
+    """'%.17g' % v of each element of a finite 1-d float64 array, through _float17_join."""
+    texts = _float17_join(values, ["\n"], np.zeros(len(values), np.intp)).split("\n")
+    texts.pop()  # after the last end
+    return texts
+
+
+def _render_rows(arr: np.ndarray, level: int, floats: list) -> str:
+    """A real 2-d array as the JSON of arr.tolist(), its rows left to ``_array_rows``.
+
+    The text holds a _SLOT for the rows, and floats gains the values, the
+    number of columns and the text between two rows.
+    """
     flat = arr.ravel()
     if not np.isfinite(flat).all():
         raise _non_finite(float(flat[~np.isfinite(flat)][0]))
     rows, cols = arr.shape
     if not rows:
         return "[]"
-    row = "[" + ", ".join([_FLOAT] * cols) + "]"
     pad = " " * (_INDENT * level)
     inner = " " * (_INDENT * (level + 1))
-    template = "[\n" + inner + (",\n" + inner).join([row] * rows) + "\n" + pad + "]"
-    return template % tuple(flat.tolist())
+    if not cols:
+        return "[\n" + inner + (",\n" + inner).join(["[]"] * rows) + "\n" + pad + "]"
+    floats.append((flat, cols, "],\n" + inner + "["))
+    return "[\n" + inner + "[" + _SLOT + "]\n" + pad + "]"
 
 
-def _render(value, level: int) -> str:
+def _array_rows(floats: list) -> list[str]:
+    """The rows of each array _render_rows left a _SLOT for, from one _float17_join pass."""
+    values = np.concatenate([flat for flat, _, _ in floats])
+    separators = [", ", _SLOT]
+    picks = np.zeros(len(values), np.intp)
+    stop = 0
+    for flat, cols, between in floats:
+        if between not in separators:
+            separators.append(between)
+        start, stop = stop, stop + len(flat)
+        picks[start + cols - 1 : stop : cols] = separators.index(between)
+        picks[stop - 1] = 1
+    rows = _float17_join(values, separators, picks).split(_SLOT)
+    rows.pop()  # after the last array
+    return rows
+
+
+def _render(value, level: int, floats: list) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if value is None:
@@ -67,14 +315,14 @@ def _render(value, level: int) -> str:
             raise _non_finite(value)
         return _FLOAT % value
     if isinstance(value, np.ndarray) and value.ndim == 2 and value.dtype == np.float64:
-        return _render_rows(value, level)
+        return _render_rows(value, level, floats)
     pad = " " * (_INDENT * level)
     inner = " " * (_INDENT * (level + 1))
     if isinstance(value, dict):
         if not value:
             return "{}"
         items = [
-            f"{inner}{encode_basestring_ascii(str(key))}: {_render(item, level + 1)}"
+            f"{inner}{encode_basestring_ascii(str(key))}: {_render(item, level + 1, floats)}"
             for key, item in value.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
@@ -82,8 +330,8 @@ def _render(value, level: int) -> str:
         if not len(value):
             return "[]"
         if all(_is_scalar(item) for item in value):
-            return "[" + ", ".join(_render(item, level + 1) for item in value) + "]"
-        items = [f"{inner}{_render(item, level + 1)}" for item in value]
+            return "[" + ", ".join(_render(item, level + 1, floats) for item in value) + "]"
+        items = [f"{inner}{_render(item, level + 1, floats)}" for item in value]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
@@ -92,9 +340,18 @@ def dumps(payload) -> str:
     """Render a payload as deterministic, indented JSON (no trailing newline).
 
     Besides JSON scalars, lists, tuples and dicts, a payload may hold real 2-d
-    float64 arrays; each renders as the list of its rows.
+    float64 arrays; each renders as the list of its rows, and the values of
+    all of them are formatted in one ``_float17_join`` pass.
     """
-    return _render(payload, 0)
+    floats: list = []
+    text = _render(payload, 0, floats)
+    if not floats:
+        return text
+    pieces = text.split(_SLOT)
+    parts = [pieces[0]]
+    for rows, piece in zip(_array_rows(floats), pieces[1:]):
+        parts += (rows, piece)
+    return "".join(parts)
 
 
 def _cell_format(kind: type) -> str:
@@ -116,8 +373,12 @@ def _float_texts(columns: list[np.ndarray]) -> list[list[str]]:
     """
     stacked = np.stack(columns)
     keys, inverse = np.unique(stacked.view(np.int64), return_inverse=True)
-    texts = "\n".join([_FLOAT] * len(keys)) % tuple(keys.view(np.float64).tolist())
-    return np.array(texts.split("\n"), dtype=object)[inverse.reshape(stacked.shape)].tolist()
+    values = keys.view(np.float64)
+    finite = np.isfinite(values)
+    texts = np.empty(len(keys), dtype=object)
+    texts[finite] = _float17_texts(values[finite])
+    texts[~finite] = [_FLOAT % value for value in values[~finite].tolist()]  # inf, -inf and nan
+    return texts[inverse.reshape(stacked.shape)].tolist()
 
 
 def csv_text(header: list[str], columns: list) -> str:

@@ -163,6 +163,25 @@ def emitting_reach() -> frozenset[str]:
 # Independent references the tests build without the package's own routes.
 
 
+def float17_corpus() -> np.ndarray:
+    """Values at the edges of the kernel: every power of 2 and of 10 and their neighbours, ties."""
+    tens = np.array([float(f"1e{exponent}") for exponent in range(-323, 309)])
+    corpus = [
+        [0.0, -0.0, np.finfo(np.float64).max, -np.finfo(np.float64).max],
+        np.ldexp(1.0, np.arange(-1074, 1024)),
+        tens,
+        np.nextafter(tens, 0.0),
+        np.nextafter(tens, np.inf),
+        # integers about 10**16 and 10**17, where the 17 digits carry into an 18th
+        10.0**16 + np.arange(-40, 41),
+        10.0**17 + 16 * np.arange(-40, 41),
+        # the 17th digit of each is a tie: half-even gives ...12 and ...38
+        [562949953421312.125, 562949953421312.375],
+    ]
+    values = np.concatenate(corpus)
+    return np.concatenate([values, -values])
+
+
 def basis_ket(n: int, dim: int) -> np.ndarray:
     """The number state |n> of a dim-level space, as a complex128 vector."""
     return np.eye(1, dim, n, dtype=np.complex128)[0]

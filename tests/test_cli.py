@@ -15,12 +15,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superq import cli, entanglement, fock, uncertainty, verify
+from superq import cli, entanglement, fock, serialize, uncertainty, verify
 from superq.cli import FIBONACCI_HEADER, SWEEP_HEADER, main as cli_main, sweep_thetas
 from superq.serialize import csv_cell
 from superq.verify import required_suite_dim
 
-from conftest import cli_run, reached_functions
+from conftest import cli_run, float17_corpus, reached_functions
 
 
 class TestGoldenFiles:
@@ -122,6 +122,14 @@ for path in sorted(paths):
 """
 
 
+# Prints serialize._float17_texts of the float64 values on stdin, one a line.
+FLOAT_TEXTS = """
+import sys, numpy
+from superq.serialize import _float17_texts
+sys.stdout.write("\\n".join(_float17_texts(numpy.frombuffer(sys.stdin.buffer.read()))))
+"""
+
+
 class TestBlasKernel:
     """The golden cases in a child process under a second BLAS kernel or SIMD level."""
 
@@ -188,6 +196,44 @@ class TestBlasKernel:
             reason = refused.stderr.strip().splitlines()[-1]
             pytest.skip(f"numpy refuses NPY_DISABLE_CPU_FEATURES={self.X86_V2}: {reason}")
         assert self.golden_failures(env) <= set(self.MOVE_WITH_SIMD)
+
+    @staticmethod
+    def float_texts(env) -> str:
+        """The array texts of float17_corpus and 4,096 tiny values, formatted in a child run under env.
+
+        The serializer's kernel reads np.log10 only as an estimate of each
+        decimal exponent, and reads no BLAS routine, so its bytes move with neither.
+        """
+        rng = np.random.default_rng(34)
+        values = np.concatenate([float17_corpus(), rng.integers(1, 2**53, 4096) * 1e-300])
+        completed = subprocess.run(
+            [sys.executable, "-c", FLOAT_TEXTS],
+            input=values.tobytes(),
+            env=env,
+            capture_output=True,
+            check=True,
+            cwd=Path(__file__).parent.parent,
+        )
+        texts = completed.stdout.decode("ascii")
+        assert texts.split("\n") == [format(value, ".17g") for value in values.tolist()]
+        return texts
+
+    def test_float_kernel_holds_under_prescott(self):
+        env = self.blas_env("Prescott", ("Prescott", "Katmai"))
+        assert self.float_texts(env) == self.float_texts(dict(os.environ))
+
+    def test_float_kernel_holds_at_x86_v2(self):
+        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": self.X86_V2}
+        refused = subprocess.run(
+            [sys.executable, "-W", "error::ImportWarning", "-c", "import numpy"],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        if refused.returncode != 0:
+            reason = refused.stderr.strip().splitlines()[-1]
+            pytest.skip(f"numpy refuses NPY_DISABLE_CPU_FEATURES={self.X86_V2}: {reason}")
+        assert self.float_texts(env) == self.float_texts(dict(os.environ))
 
 
 class TestDimIndependence:
@@ -564,6 +610,71 @@ class TestClosedColumnWork:
         assert code == 0
         # super_coherent_state builds the columns, and pole_probabilities reads them again
         assert (memo.cache_info().misses, memo.cache_info().hits) == (1, 1)
+
+
+class TestSerializerWork:
+    """A payload's arrays take one formatting pass, and '%' formats only what the kernel leaves it."""
+
+    COHERENT = ["coherent", "--theta", "1", "--zeta-re", "0.5", "--alpha-re=2.5", "--alpha-im=-1"]
+    STATE = ["state", "--theta", "1.1", "--phi", "0.4", "--zeta-re", "0.8", "--zeta-im", "0.3"]
+
+    @pytest.fixture
+    def work(self, monkeypatch):
+        """Counts: join passes, kernel passes, and the values '%' formats for them."""
+        counts = {"joins": 0, "kernels": 0, "percent": []}
+        join, kernel, percent = serialize._float17_join, serialize._kernel_digits, serialize._percent
+
+        def counted_join(values, separators, picks):
+            counts["joins"] += 1
+            return join(values, separators, picks)
+
+        def counted_kernel(values):
+            counts["kernels"] += 1
+            return kernel(values)
+
+        def counted_percent(template, values):
+            counts["percent"].extend(values.tolist())
+            return percent(template, values)
+
+        monkeypatch.setattr(serialize, "_float17_join", counted_join)
+        monkeypatch.setattr(serialize, "_kernel_digits", counted_kernel)
+        monkeypatch.setattr(serialize, "_percent", counted_percent)
+        return counts
+
+    def test_coherent_payload_is_one_kernel_pass(self, run_cli, work):
+        code, out, _ = run_cli([*self.COHERENT, "--dim", "512"])
+        assert code == 0
+        assert (work["joins"], work["kernels"]) == (1, 1)
+        # only a possible tie or a missed exponent goes back to '%'
+        assert len(work["percent"]) <= 4
+        payload = json.loads(out, parse_int=float)
+        values = np.array([payload["psi0"], payload["psi1"]]).ravel()
+        assert np.count_nonzero(values) >= serialize._KERNEL_MIN
+
+    def test_zeros_of_a_state_never_reach_percent(self, run_cli, work):
+        code, out, _ = run_cli([*self.STATE, "--dim", "512"])
+        assert code == 0
+        # alpha = 0: levels 0 and 1 hold the state, below the crossover
+        assert (work["joins"], work["kernels"]) == (1, 0)
+        payload = json.loads(out, parse_int=float)
+        values = np.array([payload["psi0"], payload["psi1"]]).ravel()
+        assert np.count_nonzero(values) <= 8
+        assert sorted(map(abs, work["percent"])) == sorted(abs(values[values != 0]))
+
+    def test_scalar_payloads_take_no_pass(self, run_cli, work):
+        for argv in (["verify", "--suite", "fibonacci", "--n-max", "5"], ["entropy", "--zeta-re", "1"]):
+            assert run_cli(argv)[0] == 0
+        assert (work["joins"], work["kernels"], work["percent"]) == (0, 0, [])
+
+    def test_import_builds_no_table(self):
+        probe = (
+            "import superq, superq.cli; from superq import serialize; "
+            "serialize.dumps({'x': [0.5, 1.0]}); print(serialize._kernel_tables.cache_info().currsize)"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True, cwd=Path(__file__).parent.parent
+        )
+        assert completed.stdout == "0\n"
 
 
 def _masked_verify(out):

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import float17_corpus
+from superq import serialize
 from superq.serialize import csv_cell, csv_text, dumps
 
 EDGE_FLOATS = (
@@ -23,11 +25,17 @@ EDGE_FLOATS = (
     0.1,
 )
 FINITE = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+# up to three columns of up to twice the kernel's crossover in rows, so many
+# arrays reach the kernel and many stay below it
 ARRAYS = hnp.arrays(
     np.float64,
-    hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=9),
+    st.tuples(st.integers(0, 2 * serialize._KERNEL_MIN), st.integers(0, 3)),
     elements=FINITE,
 )
+
+
+def percent_texts(values) -> list[str]:
+    return [format(value, ".17g") for value in np.asarray(values).tolist()]
 
 
 class TestArrays:
@@ -53,7 +61,9 @@ class TestArrays:
         assert dumps(pairs).splitlines()[2] == f"  [-0, {format(2e-310, '.17g')}],"
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("shape,index", [((1, 1), (0, 0)), ((4, 2), (3, 1)), ((3, 5), (1, 2))])
+    @pytest.mark.parametrize(
+        "shape,index", [((1, 1), (0, 0)), ((4, 2), (3, 1)), ((3, 5), (1, 2)), ((300, 2), (299, 0)), ((250, 1), (7, 0))]
+    )
     def test_non_finite_array_raises_like_the_list(self, bad, shape, index):
         arr = np.arange(float(np.prod(shape))).reshape(shape)
         arr[index] = bad
@@ -68,6 +78,10 @@ class TestArrays:
         arr = np.array([[1.0, -math.inf], [math.nan, 2.0]])
         with pytest.raises(ValueError, match="non-finite float -inf"):
             dumps(arr)
+        # a finite block past the crossover before it changes nothing
+        finite = np.linspace(0.1, 1.0, 2 * serialize._KERNEL_MIN).reshape(-1, 2)
+        with pytest.raises(ValueError, match="non-finite float -inf"):
+            dumps({"psi0": finite, "psi1": np.vstack([finite, arr])})
 
     @pytest.mark.parametrize(
         "arr", [np.zeros((2, 2), dtype=np.complex128), np.zeros(3), np.zeros((2, 2), dtype=np.int64)]
@@ -75,6 +89,64 @@ class TestArrays:
     def test_other_arrays_refused(self, arr):
         with pytest.raises(TypeError, match="cannot serialize ndarray"):
             dumps(arr)
+
+
+class TestFloatKernel:
+    """_float17_texts gives each array value the text of '%.17g', below the crossover and past it."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        hnp.arrays(
+            np.uint64,
+            st.integers(serialize._KERNEL_MIN, 3 * serialize._KERNEL_MIN),
+            elements=st.integers(0, 2**64 - 1),
+        )
+    )
+    def test_raw_bit_patterns(self, bits):
+        values = bits.view(np.float64)
+        values = values[np.isfinite(values)]
+        assert serialize._float17_texts(values) == percent_texts(values)
+
+    def test_corpus(self):
+        corpus = float17_corpus()
+        assert serialize._float17_texts(corpus) == percent_texts(corpus)
+
+    @pytest.mark.parametrize("shift", [-1.0, 1.0])
+    def test_a_missed_exponent_goes_to_percent(self, monkeypatch, shift):
+        # the kernel reads log10 only as an estimate, which a SIMD level may round either way
+        values = np.geomspace(1e-300, 1e300, 2 * serialize._KERNEL_MIN)
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda x: log10(x) + shift)
+        assert serialize._float17_texts(values) == percent_texts(values)
+
+    def test_ties_go_to_percent(self, monkeypatch):
+        sent = []
+        percent = serialize._percent
+
+        def counted(template, values):
+            sent.extend(values.tolist())
+            return percent(template, values)
+
+        monkeypatch.setattr(serialize, "_percent", counted)
+        ties = [562949953421312.125, 562949953421312.375]
+        values = np.array([*ties, *np.linspace(0.5, 1.5, serialize._KERNEL_MIN)])
+        texts = serialize._float17_texts(values)
+        assert texts[:2] == ["562949953421312.12", "562949953421312.38"]
+        assert texts == percent_texts(values)
+        assert sent == ties
+
+    @pytest.mark.parametrize("count", [serialize._KERNEL_MIN - 1, serialize._KERNEL_MIN])
+    def test_both_sides_of_the_crossover(self, count, monkeypatch):
+        kernels = []
+        kernel = serialize._kernel_digits
+        monkeypatch.setattr(serialize, "_kernel_digits", lambda values: kernels.append(len(values)) or kernel(values))
+        # count nonzero values, and two zeros that do not count
+        values = np.geomspace(1e-300, 1.0, count) * np.resize([1.0, -1.0], count)
+        values = np.insert(values, [0, count // 2], [0.0, -0.0])
+        assert serialize._float17_texts(values) == percent_texts(values)
+        column = values[:, None]
+        assert dumps({"psi0": column}) == dumps({"psi0": column.tolist()})
+        assert kernels == ([count] * 2 if count >= serialize._KERNEL_MIN else [])
 
 
 class TestScalars:
