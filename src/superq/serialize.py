@@ -17,15 +17,18 @@ sequence column can be formatted once with ``csv_cell`` and passed as text.
 Each row is then one ',' join of its cell texts.
 
 ``_float17_join`` gives each element of a finite float64 array the text
-'%.17g' gives it.  Exact zeros print as '0' or '-0' without '%'.  Below
-``_KERNEL_MIN`` nonzero values the others take one CPython '%' pass; from
-there on they go through one vectorized kernel: an exact power-of-two
-scaling and a double-double power of ten (Dekker's error-free product) give
-each value's 17-digit integer, whose text is laid out from 4-digit tables in
-byte matrices.  A value whose 17th digit may be a tie, or whose decimal
-exponent the log10 estimate may have missed, goes back to '%' (approximate,
-verify, fall back, as Loitsch's integer printing does), so the kernel's text
-is the text of '%' itself.  Scalars are formatted by '%'.
+'%.17g' gives it.  Below ``_KERNEL_MIN`` nonzero values it is one CPython
+'%' per array over its repeated row template; when more than half the values
+are 0, as at a state's high levels, the zeros are written in the template
+as '0' and '-0' and '%' formats only the others.  From there on the nonzero
+values go through one vectorized kernel: an exact power-of-two scaling and
+a double-double power of ten (Dekker's error-free product) give each
+value's 17-digit integer, whose text is laid out from 4-digit tables in
+byte matrices, beside the zeros' texts.  A value whose 17th digit may be a
+tie, or whose decimal exponent the log10 estimate may have missed, goes
+back to '%' (approximate, verify, fall back, as Loitsch's integer printing
+does), so the kernel's text is the text of '%' itself.  Scalars are
+formatted by '%'.
 
 Dict keys and str values are escaped by the function json.dumps runs on a str.
 """
@@ -49,8 +52,8 @@ _SLOT = "\0"
 
 # The measured crossover: below this many nonzero values one '%' pass is
 # faster than the kernel's fixed cost (coherent payloads inside cli.main:
-# '%' faster at 192 values, the kernel at 224 and beyond).
-_KERNEL_MIN = 224
+# '%' faster at 256 values, the kernel at 288 and beyond).
+_KERNEL_MIN = 288
 
 # The kernel's decimal exponents k = floor(log10 |x|) of the finite doubles.
 _LOW_K, _HIGH_K = -324, 308
@@ -79,9 +82,9 @@ def _is_scalar(value) -> bool:
     return value is None or isinstance(value, (bool, int, float, str))
 
 
-def _percent(template: str, values: np.ndarray) -> str:
+def _percent(template: str, values: list[float]) -> str:
     """The template with each '%.17g' in it filled from values, by CPython's '%'."""
-    return template % tuple(values.tolist())
+    return template % tuple(values)
 
 
 def _layouts() -> np.ndarray:
@@ -151,16 +154,16 @@ def _kernel_tables():
     hi_head = veltkamp - (veltkamp - hi)
     # the 4-digit texts of 0..9999 in order are every choice of 4 digits
     quads = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), axis=-1).reshape(-1, 4)
-    zeros = np.argmax(quads[:, ::-1] != 48, axis=1).astype(np.int8)
-    significant = np.where((quads != 48).any(axis=1), 4 - zeros, np.int8(-17))
-    ks = np.arange(_LOW_K, _HIGH_K + 1)
-    classes = np.select([ks <= -100, ks < -4, ks < 17, ks < 100], [22, 21, np.clip(ks, -4, 16) + 4, 23], 24)
+    significant = (4 - np.argmax(quads[:, ::-1] != 48, axis=1)).astype(np.int8)
+    significant[0] = -17  # 0000
+    # e-XXX, e-XX, the fixed-notation exponents -4..16, e+XX, e+XXX, as in _EXPONENT_CLASSES
+    classes = [22 if k <= -100 else 21 if k < -4 else k + 4 if k < 17 else 23 if k < 100 else 24 for k in range(_LOW_K, _HIGH_K + 1)]
     return (
         np.stack([hi, lo, hi_head, hi - hi_head], axis=1),
         np.array(shifts, np.int32),
         quads.view(np.uint32).ravel(),
         significant,
-        classes * 17,
+        np.array(classes) * 17,
         _layouts(),
     )
 
@@ -220,27 +223,77 @@ def _kernel_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return code, digits, exponents
 
 
-def _float17_join(values: np.ndarray, separators: list[str], picks: np.ndarray) -> str:
-    """'%.17g' % v of each element of a finite 1-d float64 array, each followed by separators[picks[i]].
+def _template(flat: np.ndarray, cols: int, between: str, others: np.ndarray | None) -> tuple[str, list[float]]:
+    """A block's rows as a '%' template, and the values that fill it.
 
-    The one pass that formats array values: exact zeros print as '0' or '-0'
-    without '%'; below _KERNEL_MIN nonzero values the others take one '%'
-    pass, and from there on the kernel's text, with '%' left only the values
-    it sends back.  No separator may hold a '%'.
+    With others, the indices of the values whose bits are not all zero, each
+    0 is written in the template as '0' and each -0 as '-0', and only the
+    nonzero values fill it.
     """
-    nonzero = np.flatnonzero(values)
-    if len(nonzero) < _KERNEL_MIN:
-        kinds = np.signbit(values).view(np.uint8) + 1
-        kinds[nonzero] = 0
-        formats = [text + separator for separator in separators for text in (_FLOAT, "0", "-0")]
-        template = "".join(map(formats.__getitem__, (picks * 3 + kinds).tolist()))
-        return _percent(template, values[nonzero])
+    rows = len(flat) // cols
+    if others is None:
+        return between.join([", ".join([_FLOAT] * cols)] * rows), flat.tolist()
+    text = between.join([", ".join("0" * cols)] * rows)
+    values = flat[others].tolist()
+    pieces, start = [], 0
+    for index, value in zip(others.tolist(), values):
+        # each '0' is one character; ', ' follows it within a row, between after a row
+        at = 3 * index + (len(between) - 2) * (index // cols)
+        pieces += (text[start:at], _FLOAT if value else "-0")
+        start = at + 1
+    pieces.append(text[start:])
+    return "".join(pieces), [value for value in values if value]
+
+
+def _float17_join(blocks: list) -> list[str]:
+    """'%.17g' % v of each value of finite float64 blocks, one text per block of its rows.
+
+    A block is (flat, cols, between): ', ' follows each value but the last
+    of a row, and between each row but the last.  The one pass that formats
+    array values.  From _KERNEL_MIN nonzero values on it is the kernel's
+    text, exact zeros laid out with it, and '%' is left the values the
+    kernel sends back.  Below, it is one '%' per block over a row template;
+    when more than half the values are 0, the zeros are written in the
+    templates and '%' fills only the nonzero values.  No between may hold a
+    '%' or a _SLOT.
+    """
+    count = sum(len(flat) for flat, _, _ in blocks)
+    others = [None] * len(blocks)
+    # finding the zeros costs a pass over the values; below _KERNEL_MIN
+    # values it is made only when a block ends in 0, as a state's high levels do
+    if count >= _KERNEL_MIN or not all(flat[-1] for flat, _, _ in blocks):
+        # the values whose bits are not all zero: every value but 0
+        found = [np.flatnonzero(flat.view(np.int64)) for flat, _, _ in blocks]
+        total = sum(map(len, found))
+        if total >= _KERNEL_MIN:
+            values = np.concatenate([flat for flat, _, _ in blocks])
+            nonzero = np.flatnonzero(values)
+            if len(nonzero) >= _KERNEL_MIN:
+                return _kernel_join(blocks, values, nonzero).split(_SLOT)[:-1]
+        if 2 * total < count:
+            others = found
+    return [
+        _percent(*_template(flat, cols, between, indices)) for (flat, cols, between), indices in zip(blocks, others)
+    ]
+
+
+def _kernel_join(blocks: list, values: np.ndarray, nonzero: np.ndarray) -> str:
+    """The kernel's text of the blocks' values, each block's rows ending in a _SLOT."""
+    count = len(values)
+    separators = [", ", _SLOT]
+    picks = np.zeros(count, np.intp)
+    stop = 0
+    for flat, cols, between in blocks:
+        if between not in separators:
+            separators.append(between)
+        start, stop = stop, stop + len(flat)
+        picks[start + cols - 1 : stop : cols] = separators.index(between)
+        picks[stop - 1] = 1
     code, digits, exponents = _kernel_digits(values[nonzero])
     layouts = _kernel_tables()[-1]
-    count = len(values)
     ends = "".join(separators).encode("ascii")
     width = len(_SOURCE) + len(ends)
-    source = np.frombuffer(bytearray((_SOURCE + ends) * count), np.uint8).reshape(count, width)
+    source = np.frombuffer(bytearray(_SOURCE + ends) * count, np.uint8).reshape(count, width)
     rows = nonzero if len(nonzero) < count else slice(None)
     source[rows, _WHOLE : _WHOLE + 17] = digits
     source[rows, _FRACTION : _FRACTION + 17] = digits
@@ -250,29 +303,32 @@ def _float17_join(values: np.ndarray, separators: list[str], picks: np.ndarray) 
     starts = np.cumsum([0, *map(len, separators)])
     separated = (np.arange(len(ends)) >= starts[:-1, None]) & (np.arange(len(ends)) < starts[1:, None])
     keep = np.empty((count, width), bool)
-    keep[:, : len(_SOURCE)] = layouts.take(codes, axis=0)
-    keep[:, len(_SOURCE) :] = separated.take(picks, axis=0)
+    # 'clip' lets take write straight into keep; every code and pick is in range
+    layouts.take(codes, axis=0, out=keep[:, : len(_SOURCE)], mode="clip")
+    separated.take(picks, axis=0, out=keep[:, len(_SOURCE) :], mode="clip")
     text = source[keep].tobytes().decode("ascii")
     redo = nonzero[code == _PERCENT]
-    return _percent(text, values[redo]) if len(redo) else text
+    return _percent(text, values[redo].tolist()) if len(redo) else text
 
 
 def _float17_texts(values: np.ndarray) -> list[str]:
     """'%.17g' % v of each element of a finite 1-d float64 array, through _float17_join."""
-    texts = _float17_join(values, ["\n"], np.zeros(len(values), np.intp)).split("\n")
-    texts.pop()  # after the last end
-    return texts
+    if not len(values):
+        return []
+    return _float17_join([(values, 1, "\n")])[0].split("\n")
 
 
-def _render_rows(arr: np.ndarray, level: int, floats: list) -> str:
-    """A real 2-d array as the JSON of arr.tolist(), its rows left to ``_array_rows``.
+def _render_rows(arr: np.ndarray, level: int, blocks: list) -> str:
+    """A real 2-d array as the JSON of arr.tolist(), its rows left to ``_float17_join``.
 
-    The text holds a _SLOT for the rows, and floats gains the values, the
+    The text holds a _SLOT for the rows, and blocks gains the values, the
     number of columns and the text between two rows.
     """
     flat = arr.ravel()
-    if not np.isfinite(flat).all():
-        raise _non_finite(float(flat[~np.isfinite(flat)][0]))
+    finite = np.isfinite(flat)
+    # count_nonzero costs half of finite.all() on a state's few hundred values
+    if np.count_nonzero(finite) < len(flat):
+        raise _non_finite(float(flat[~finite][0]))
     rows, cols = arr.shape
     if not rows:
         return "[]"
@@ -280,28 +336,16 @@ def _render_rows(arr: np.ndarray, level: int, floats: list) -> str:
     inner = " " * (_INDENT * (level + 1))
     if not cols:
         return "[\n" + inner + (",\n" + inner).join(["[]"] * rows) + "\n" + pad + "]"
-    floats.append((flat, cols, "],\n" + inner + "["))
+    blocks.append((flat, cols, "],\n" + inner + "["))
     return "[\n" + inner + "[" + _SLOT + "]\n" + pad + "]"
 
 
-def _array_rows(floats: list) -> list[str]:
-    """The rows of each array _render_rows left a _SLOT for, from one _float17_join pass."""
-    values = np.concatenate([flat for flat, _, _ in floats])
-    separators = [", ", _SLOT]
-    picks = np.zeros(len(values), np.intp)
-    stop = 0
-    for flat, cols, between in floats:
-        if between not in separators:
-            separators.append(between)
-        start, stop = stop, stop + len(flat)
-        picks[start + cols - 1 : stop : cols] = separators.index(between)
-        picks[stop - 1] = 1
-    rows = _float17_join(values, separators, picks).split(_SLOT)
-    rows.pop()  # after the last array
-    return rows
-
-
-def _render(value, level: int, floats: list) -> str:
+def _render(value, level: int, blocks: list) -> str:
+    # floats first: most scalars of a payload are floats, and no bool is one
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise _non_finite(value)
+        return _FLOAT % value
     if isinstance(value, bool):
         return "true" if value else "false"
     if value is None:
@@ -310,19 +354,15 @@ def _render(value, level: int, floats: list) -> str:
         return encode_basestring_ascii(value)
     if isinstance(value, int):
         return str(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise _non_finite(value)
-        return _FLOAT % value
     if isinstance(value, np.ndarray) and value.ndim == 2 and value.dtype == np.float64:
-        return _render_rows(value, level, floats)
+        return _render_rows(value, level, blocks)
     pad = " " * (_INDENT * level)
     inner = " " * (_INDENT * (level + 1))
     if isinstance(value, dict):
         if not value:
             return "{}"
         items = [
-            f"{inner}{encode_basestring_ascii(str(key))}: {_render(item, level + 1, floats)}"
+            f"{inner}{encode_basestring_ascii(str(key))}: {_render(item, level + 1, blocks)}"
             for key, item in value.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
@@ -330,8 +370,8 @@ def _render(value, level: int, floats: list) -> str:
         if not len(value):
             return "[]"
         if all(_is_scalar(item) for item in value):
-            return "[" + ", ".join(_render(item, level + 1, floats) for item in value) + "]"
-        items = [f"{inner}{_render(item, level + 1, floats)}" for item in value]
+            return "[" + ", ".join(_render(item, level + 1, blocks) for item in value) + "]"
+        items = [f"{inner}{_render(item, level + 1, blocks)}" for item in value]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
@@ -343,13 +383,13 @@ def dumps(payload) -> str:
     float64 arrays; each renders as the list of its rows, and the values of
     all of them are formatted in one ``_float17_join`` pass.
     """
-    floats: list = []
-    text = _render(payload, 0, floats)
-    if not floats:
+    blocks: list = []
+    text = _render(payload, 0, blocks)
+    if not blocks:
         return text
     pieces = text.split(_SLOT)
     parts = [pieces[0]]
-    for rows, piece in zip(_array_rows(floats), pieces[1:]):
+    for rows, piece in zip(_float17_join(blocks), pieces[1:]):
         parts += (rows, piece)
     return "".join(parts)
 

@@ -624,16 +624,16 @@ class TestSerializerWork:
         counts = {"joins": 0, "kernels": 0, "percent": []}
         join, kernel, percent = serialize._float17_join, serialize._kernel_digits, serialize._percent
 
-        def counted_join(values, separators, picks):
+        def counted_join(blocks):
             counts["joins"] += 1
-            return join(values, separators, picks)
+            return join(blocks)
 
         def counted_kernel(values):
             counts["kernels"] += 1
             return kernel(values)
 
         def counted_percent(template, values):
-            counts["percent"].extend(values.tolist())
+            counts["percent"].extend(values)
             return percent(template, values)
 
         monkeypatch.setattr(serialize, "_float17_join", counted_join)

@@ -25,11 +25,11 @@ EDGE_FLOATS = (
     0.1,
 )
 FINITE = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
-# up to three columns of up to twice the kernel's crossover in rows, so many
+# up to nine columns, and up to twice the kernel's crossover in rows, so many
 # arrays reach the kernel and many stay below it
 ARRAYS = hnp.arrays(
     np.float64,
-    st.tuples(st.integers(0, 2 * serialize._KERNEL_MIN), st.integers(0, 3)),
+    st.tuples(st.integers(0, 2 * serialize._KERNEL_MIN), st.integers(0, 9)),
     elements=FINITE,
 )
 
@@ -62,7 +62,7 @@ class TestArrays:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
-        "shape,index", [((1, 1), (0, 0)), ((4, 2), (3, 1)), ((3, 5), (1, 2)), ((300, 2), (299, 0)), ((250, 1), (7, 0))]
+        "shape,index", [((1, 1), (0, 0)), ((4, 2), (3, 1)), ((3, 5), (1, 2)), ((300, 2), (299, 0)), ((400, 1), (7, 0))]
     )
     def test_non_finite_array_raises_like_the_list(self, bad, shape, index):
         arr = np.arange(float(np.prod(shape))).reshape(shape)
@@ -124,7 +124,7 @@ class TestFloatKernel:
         percent = serialize._percent
 
         def counted(template, values):
-            sent.extend(values.tolist())
+            sent.extend(values)
             return percent(template, values)
 
         monkeypatch.setattr(serialize, "_percent", counted)
@@ -134,6 +134,36 @@ class TestFloatKernel:
         assert texts[:2] == ["562949953421312.12", "562949953421312.38"]
         assert texts == percent_texts(values)
         assert sent == ties
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 9),
+        st.integers(1, 120),
+        st.lists(st.tuples(st.integers(0, 2000), st.sampled_from([-0.0, *EDGE_FLOATS])), max_size=40),
+    )
+    def test_zeros_written_in_the_template(self, cols, rows, specials):
+        # mostly 0, ending in 0, with -0 and other values anywhere, beside a one-column block
+        arr = np.zeros((rows, cols))
+        for index, value in specials:
+            arr.flat[index % arr.size] = value
+        arr.flat[-1] = 0.0
+        column = arr.ravel()[::-1, None].copy()
+        sent = []
+        percent = serialize._percent
+
+        def counted(template, values):
+            sent.extend(values)
+            return percent(template, values)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(serialize, "_percent", counted)
+            text = dumps({"psi0": arr, "psi1": column})
+        assert text == dumps({"psi0": arr.tolist(), "psi1": column.tolist()})
+        values = np.concatenate([arr.ravel(), column.ravel()])
+        nonzero = values[values != 0]
+        if 2 * np.count_nonzero(values.view(np.int64)) < values.size and len(nonzero) < serialize._KERNEL_MIN:
+            # the zeros are written in, and '%' fills only the nonzero values
+            assert sent == nonzero.tolist()
 
     @pytest.mark.parametrize("count", [serialize._KERNEL_MIN - 1, serialize._KERNEL_MIN])
     def test_both_sides_of_the_crossover(self, count, monkeypatch):
