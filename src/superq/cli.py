@@ -4,6 +4,12 @@ Data goes to standard output with frozen JSON/CSV schemas; diagnostics go to
 standard error.  Exit codes: 0 emission or verification succeeded, 1
 verification, numerical or I/O failure, 2 invalid arguments (including
 values the truncated space cannot support and sizes too large to allocate).
+
+A command's flags are parsed straight from its table of declared flags when
+every token is an exact flag with a value argparse would read the same way;
+every other argv (help, abbreviations, unknown or malformed flags) goes to
+argparse, the one source of help text and usage errors, whose parser is
+built only then.
 """
 
 from __future__ import annotations
@@ -165,12 +171,70 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     )
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {}
-    for name, (help, _, groups) in _COMMANDS.items():
+    for name, (help, _, _) in _COMMANDS.items():
         command = commands[name] = sub.add_parser(name, help=help)
-        for group in (*groups, "dim"):
-            for flag, spec in _FLAG_GROUPS[group]:
-                command.add_argument(flag, **spec)
+        for flag, spec in _flag_specs(name):
+            command.add_argument(flag, **spec)
     return parser, commands
+
+
+def _flag_specs(command: str) -> list[tuple[str, dict]]:
+    """command's (flag, add_argument keywords) pairs: its _COMMANDS groups, then --dim."""
+    _, _, groups = _COMMANDS[command]
+    return [pair for group in (*groups, "dim") for pair in _FLAG_GROUPS[group]]
+
+
+@functools.cache
+def _flag_table(command: str) -> tuple[dict[str, tuple[str, type | None, bool]], dict[str, object]]:
+    """command's flags as _parse_direct reads them, and the namespace argparse starts from.
+
+    Each flag maps to its dest, its declared type (None where it declares
+    none) and whether it is a store_true flag; the defaults are argparse's:
+    False for a store_true flag, else the declared default or None.  Built
+    from _flag_specs, as its subparser is.
+    """
+    flags, defaults = {}, {}
+    for flag, spec in _flag_specs(command):
+        dest = flag[2:].replace("-", "_")
+        store_true = spec.get("action") == "store_true"
+        flags[flag] = dest, spec.get("type"), store_true
+        defaults[dest] = False if store_true else spec.get("default")
+    return flags, defaults
+
+
+def _parse_direct(command: str, tokens: list[str]) -> argparse.Namespace | None:
+    """tokens parsed from command's flag table, or None for an argv argparse must parse.
+
+    Reads only exact declared flags: a store_true flag alone, any other as
+    --flag=value or as --flag value with a value that does not start with
+    "-", and each value through its flag's type.  On that subset argparse
+    gives the same namespace; anything else (-h, an abbreviation, an unknown
+    flag or word, "--", a missing or "-"-led value, a failed conversion) is
+    None, and argparse parses it with its own help and errors.
+    """
+    flags, defaults = _flag_table(command)
+    values = dict(defaults)
+    tokens = iter(tokens)
+    for token in tokens:
+        flag, sep, raw = token.partition("=")
+        if flag not in flags:
+            return None
+        dest, convert, store_true = flags[flag]
+        if store_true:
+            if sep:
+                return None
+            values[dest] = True
+            continue
+        if not sep:
+            # a missing value reads as "-", declined as a "-"-led value is
+            raw = next(tokens, "-")
+            if raw.startswith("-"):
+                return None
+        try:
+            values[dest] = raw if convert is None else convert(raw)
+        except ValueError:
+            return None
+    return argparse.Namespace(**values)
 
 
 def _resolve_dim(args) -> int:
@@ -464,23 +528,26 @@ _COMMANDS = {
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    """argv parsed as the top-level parser would, the command's subparser reading argv[1:].
+    """argv parsed as the top-level parser would; argv[1:] is read for the command argv[0] names.
 
     The top-level parser only picks the subparser named by argv[0], so an
-    argv that starts with a command skips it: its subparser parses the rest,
-    and leftover arguments are refused by the top-level parser, with its
-    usage line, as its own parse would refuse them.  Any other argv (empty,
-    -h, an unknown command) goes to the top-level parser.
+    argv that starts with a command skips it: _parse_direct reads the rest,
+    and where it declines, the command's subparser does, and leftover
+    arguments are refused by the top-level parser, with its usage line, as
+    its own parse would refuse them.  Any other argv (empty, -h, an unknown
+    command) goes to the top-level parser.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser, commands = _build_parser()
-    command = commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args, extras = command.parse_known_args(argv[1:])
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    args.command = argv[0]
+    command = argv[0] if argv else None
+    args = _parse_direct(command, argv[1:]) if command in _COMMANDS else None
+    if args is None:
+        parser, commands = _build_parser()
+        if command not in commands:
+            return parser.parse_args(argv)
+        args, extras = commands[command].parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = command
     return args
 
 

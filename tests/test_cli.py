@@ -358,6 +358,16 @@ _DISPATCH_CORPUS = [
     ["verify", "--dim"],
     ["state", "--theta", "abc", "--zeta-re", "1"],
     ["state", "--dim", "x"],
+    ["state", "--theta=", "--zeta-re", "1"],
+    # values led by "-" as separate tokens, which argparse alone reads: -1 as a negative
+    # number, -1e-05 as a flag where its negative-number pattern has no exponent
+    ["state", "--theta", "-1", "--zeta-re", "1"],
+    ["coherent", *_STATE, "--alpha-re", "-1e-05"],
+    # a store_true flag given a value
+    ["state", "--theta", "1", "--zeta-inf=1"],
+    # a repeated flag, the last one read; an empty value
+    ["state", *_STATE[:-2], "--dim", "4", "--dim", "6"],
+    ["sweep", "--zeta-re", "0.7", "--grid", "", "--dim", "4"],
     # abbreviations, one of them ambiguous
     ["state", "--the=1", "--zeta-re", "1", "--dim", "4"],
     ["coherent", *_STATE, "--alpha=1"],
@@ -398,6 +408,11 @@ class TestCommandDispatch:
     def test_same_outcome_as_top_level_parse(self, argv):
         assert _dispatch_outcomes(argv) == (True, True)
 
+    @pytest.mark.parametrize("argv", [["state", *_STATE[:-2]], ["state", *_STATE]], ids=" ".join)
+    def test_same_outcome_under_dim_env(self, monkeypatch, argv):
+        monkeypatch.setenv("SUPERQ_DIM", "5")
+        assert _dispatch_outcomes(argv) == (True, True)
+
     @pytest.mark.parametrize(
         "argv,parses",
         [(["state", *_STATE], 0), (["state", "--bogus"], 0), ([], 1), (["bogus"], 1), (["-h"], 1)],
@@ -413,6 +428,152 @@ class TestCommandDispatch:
         monkeypatch.setattr(parser, "parse_known_args", recording)
         _outcome(cli_main, argv)
         assert len(seen) == parses
+
+
+def _record_parses(monkeypatch, parsers) -> list:
+    """The parsers' prog, once per parse_known_args call each makes from now on."""
+    seen = []
+    for parser in parsers:
+
+        def recording(args=None, namespace=None, parser=parser):
+            seen.append(parser.prog)
+            return argparse.ArgumentParser.parse_known_args(parser, args, namespace)
+
+        monkeypatch.setattr(parser, "parse_known_args", recording)
+    return seen
+
+
+def _namespace_items(args) -> list:
+    """A namespace's (dest, repr of value) pairs in order; repr tells -0.0 from 0.0 and nan from nan."""
+    return [(dest, repr(value)) for dest, value in vars(args).items()]
+
+
+_DECLARED_FLAGS = sorted({flag for pairs in cli._FLAG_GROUPS.values() for flag, _ in pairs})
+_VALUES = ["", " 1.5", "1_0", "inf", "nan", "-1", "-1e-05", "0x1", "abc", "3,2", "7", "0.25", "1 2", "-"]
+# values int, float and str all read
+_READ_BY_EVERY_TYPE = ["7", "1_0", " 12 "]
+# help, abbreviations, the separator, unknown flags and bare words
+_NOISE = ["-h", "--help", "--", "--the", "--alpha", "--n-m", "--di", "--bogus", "-x", "junk", "state"]
+
+
+@st.composite
+def _command_tokens(draw):
+    """A command and a token list of its own flags, into which one token of any kind may be put.
+
+    Each flag comes as --flag value or --flag=value (a store_true flag
+    alone), its value mostly one every type reads; the extra token is any
+    declared flag (alone or with =value), a value or noise.
+    """
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    value = st.sampled_from(_READ_BY_EVERY_TYPE) | st.sampled_from(_VALUES)
+    tokens = []
+    for flag, spec in draw(st.lists(st.sampled_from(cli._flag_specs(command)), max_size=5)):
+        if spec.get("action") == "store_true":
+            tokens.append(flag)
+        elif draw(st.booleans()):
+            tokens += [flag, draw(value)]
+        else:
+            tokens.append(f"{flag}={draw(value)}")
+    anything = st.sampled_from(_DECLARED_FLAGS + _NOISE)
+    extra = st.one_of(anything, st.tuples(anything, value).map("=".join), value)
+    if draw(st.booleans()):
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(extra))
+    return command, tokens
+
+
+class TestDirectParse:
+    """cli._parse_direct gives argparse's namespace or declines; argparse is built only to decline."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(_command_tokens())
+    def test_direct_parse_is_argparse_or_none(self, drawn):
+        command, tokens = drawn
+        direct = cli._parse_direct(command, tokens)
+        if direct is None:
+            return
+        _, commands = cli._build_parser()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            args, extras = commands[command].parse_known_args(tokens)
+        assert extras == []
+        assert _namespace_items(direct) == _namespace_items(args)
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_table_matches_subparser(self, command):
+        _, commands = cli._build_parser()
+        actions = [
+            (
+                action.option_strings,
+                action.dest,
+                action.type,
+                action.default,
+                isinstance(action, argparse._StoreTrueAction),
+            )
+            for action in commands[command]._actions
+            if not isinstance(action, argparse._HelpAction)
+        ]
+        flags, defaults = cli._flag_table(command)
+        table = [
+            ([flag], dest, convert, defaults[dest], store_true)
+            for flag, (dest, convert, store_true) in flags.items()
+        ]
+        assert table == actions
+        assert list(defaults) == [dest for _, dest, _, _, _ in actions]
+
+    def test_flag_specs_hold_only_what_the_table_reads(self):
+        # a choices=, nargs= or other action would parse differently from the table
+        for pairs in cli._FLAG_GROUPS.values():
+            for flag, spec in pairs:
+                assert set(spec) <= {"type", "default", "help", "action"}, flag
+                assert spec.get("action", "store_true") == "store_true", flag
+                # argparse refuses a value on a ValueError, the one exception the table catches
+                assert spec.get("type", str) in (int, float, str), flag
+
+    def test_well_formed_argv_make_no_argparse_parse(self, monkeypatch):
+        well_formed = _DISPATCH_CORPUS[:11]
+        assert {argv[0] for argv in well_formed} == set(cli._COMMANDS)
+        parser, commands = cli._build_parser()
+        seen = _record_parses(monkeypatch, [parser, *commands.values()])
+        for argv in well_formed:
+            assert cli._parse_direct(argv[0], argv[1:]) is not None, argv
+            _outcome(cli_main, argv)
+        assert seen == []
+
+    def test_state_process_builds_no_parser(self):
+        code = (
+            "import sys; from superq import cli; exit_code = cli.main(sys.argv[1:]); "
+            "print(cli._build_parser.cache_info().currsize, file=sys.stderr); sys.exit(exit_code)"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", code, "state", *_STATE], capture_output=True, text=True
+        )
+        assert (completed.returncode, completed.stderr) == (0, "0\n")
+        assert json.loads(completed.stdout)["dim"] == 6
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["state", "-h"],
+            ["state", "--the=1", "--zeta-re", "1"],
+            ["state", "--bogus", *_STATE],
+            ["state", *_STATE, "junk"],
+            ["state", *_STATE, "--"],
+            ["state", *_STATE, "--theta"],
+            ["state", "--theta", "-1", "--zeta-re", "1"],
+            ["state", "--theta", "abc", "--zeta-re", "1"],
+            ["state", "--zeta-inf=1", "--theta", "1"],
+            [],
+            ["bogus", *_STATE],
+            ["-h"],
+        ],
+        ids=" ".join,
+    )
+    def test_each_declined_argv_is_parsed_once(self, monkeypatch, argv):
+        if argv[:1] and argv[0] in cli._COMMANDS:
+            assert cli._parse_direct(argv[0], argv[1:]) is None
+        parser, commands = cli._build_parser()
+        seen = _record_parses(monkeypatch, [parser, *commands.values()])
+        _outcome(cli_main, argv)
+        assert len(seen) == 1
 
 
 class TestStateEmission:
