@@ -8,17 +8,18 @@ values the truncated space cannot support and sizes too large to allocate).
 A command's flags are parsed straight from its table of declared flags when
 every token is an exact flag with a value argparse would read the same way;
 every other argv (help, abbreviations, unknown or malformed flags) goes to
-argparse, the one source of help text and usage errors, whose parser is
-built only then.
+argparse, the one source of help text and usage errors, which is imported
+and whose parser is built only then.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import math
 import os
 import sys
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -57,6 +58,9 @@ from .uncertainty import (
     quadrature_stats_numeric,
 )
 from .verify import DEFAULT_SEED, DEFAULT_TOL, SUITE_NAMES, run_verify
+
+if TYPE_CHECKING:
+    import argparse
 
 __all__ = ["main"]
 
@@ -160,7 +164,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     """The top-level parser and each command's subparser by name, built from _COMMANDS.
 
     Built on the first call and reused: parsing leaves them unchanged.
+    argparse is imported here, so a well-formed argv never loads it.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="superq",
         description=(
@@ -202,15 +209,15 @@ def _flag_table(command: str) -> tuple[dict[str, tuple[str, type | None, bool]],
     return flags, defaults
 
 
-def _parse_direct(command: str, tokens: list[str]) -> argparse.Namespace | None:
+def _parse_direct(command: str, tokens: list[str]) -> SimpleNamespace | None:
     """tokens parsed from command's flag table, or None for an argv argparse must parse.
 
     Reads only exact declared flags: a store_true flag alone, any other as
     --flag=value or as --flag value with a value that does not start with
-    "-", and each value through its flag's type.  On that subset argparse
-    gives the same namespace; anything else (-h, an abbreviation, an unknown
-    flag or word, "--", a missing or "-"-led value, a failed conversion) is
-    None, and argparse parses it with its own help and errors.
+    "-", and each value through its flag's type.  On that subset argparse's
+    namespace holds the same attributes; anything else (-h, an abbreviation,
+    an unknown flag or word, "--", a missing or "-"-led value, a failed
+    conversion) is None, and argparse parses it with its own help and errors.
     """
     flags, defaults = _flag_table(command)
     values = dict(defaults)
@@ -234,7 +241,7 @@ def _parse_direct(command: str, tokens: list[str]) -> argparse.Namespace | None:
             values[dest] = raw if convert is None else convert(raw)
         except ValueError:
             return None
-    return argparse.Namespace(**values)
+    return SimpleNamespace(**values)
 
 
 def _resolve_dim(args) -> int:
@@ -527,7 +534,7 @@ _COMMANDS = {
 }
 
 
-def _parse_args(argv) -> argparse.Namespace:
+def _parse_args(argv) -> SimpleNamespace | argparse.Namespace:
     """argv parsed as the top-level parser would; argv[1:] is read for the command argv[0] names.
 
     The top-level parser only picks the subparser named by argv[0], so an
@@ -555,7 +562,7 @@ def main(argv=None) -> int:
     return _run(_parse_args(argv))
 
 
-def _run(args: argparse.Namespace) -> int:
+def _run(args: SimpleNamespace | argparse.Namespace) -> int:
     """Validate the parsed flags, run the command and map its failures to exit codes."""
     try:
         _validate(args)

@@ -40,18 +40,23 @@ NORMALIZATION_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """The reduced boson state rho = F F^dag, held as its (dim, 2) factor F; compares by identity."""
+    """The reduced boson state rho = F F^dag, held as its (dim, 2) factor F; compares by identity.
+
+    A (..., dim, 2) factor stack holds one rho per factor, and ``purity`` and
+    ``eigenvalues`` then return one value, or one spectrum, per factor.
+    """
 
     factor: np.ndarray
     _spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         factor = np.array(self.factor, dtype=np.complex128)
-        if factor.ndim != 2 or factor.shape[1] != 2:
-            raise ValueError("density factor must have shape (dim, 2)")
-        # Tr rho = ||F||^2 = ||psi||^2, the one norm check on the rho route
-        _require_normalized(np.vdot(factor, factor).real)
-        # rho's nonzero spectrum, descending, from one SVD: no code shared with the Gram pass
+        if factor.ndim < 2 or factor.shape[-1] != 2:
+            raise ValueError("density factor must have shape (dim, 2), or (..., dim, 2) for a stack")
+        # Tr rho = ||F||^2 = ||psi||^2 of each factor, the one norm check on the rho route
+        rows = factor.reshape(*factor.shape[:-2], 1, -1)
+        _require_normalized((rows.conj() @ rows.swapaxes(-1, -2)).real)
+        # rho's nonzero spectrum, descending, from one SVD of the stack: no code shared with the Gram pass
         singular = np.linalg.svd(factor, compute_uv=False)
         spectrum = singular * singular
         factor.setflags(write=False)
@@ -59,9 +64,10 @@ class DensityMatrix:
         object.__setattr__(self, "factor", factor)
         object.__setattr__(self, "_spectrum", spectrum)
 
-    def purity(self) -> float:
-        """Tr rho^2, the sum of the squared eigenvalues."""
-        return float(sum(lam * lam for lam in self.eigenvalues()))
+    def purity(self) -> float | np.ndarray:
+        """Tr rho^2, the sum of the squared eigenvalues, of each factor."""
+        spectrum = self.eigenvalues()
+        return np.sum(spectrum * spectrum, axis=-1)
 
     def eigenvalues(self) -> np.ndarray:
         return self._spectrum

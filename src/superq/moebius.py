@@ -107,10 +107,12 @@ def _checked_theta(theta: float) -> float:
 
 
 def _reduced_phi(phi: float) -> float:
+    """phi mod 2*pi in [0, 2*pi): a tiny negative phi, whose float remainder rounds to 2*pi, is 0."""
     phi = float(phi)
     if not math.isfinite(phi):
         raise ValueError(f"phi must be finite, got {phi}")
-    return phi % _TWO_PI
+    reduced = phi % _TWO_PI
+    return 0.0 if reduced == _TWO_PI else reduced
 
 
 def _at_pole(theta: float) -> bool:

@@ -611,7 +611,11 @@ def commutator_suite(zetas: Sequence[ExtendedComplex], dim: int) -> CommutatorRe
     One pass over the stack of the zetas' ``super_annihilation`` operators:
     each row is the residual that zeta's operators give alone.
     """
-    a_op = _stacked([super_annihilation(zeta, dim) for zeta in zetas])
+    return _commutator_residuals(_stacked([super_annihilation(zeta, dim) for zeta in zetas]), zetas, dim)
+
+
+def _commutator_residuals(a_op: BlockOperator, zetas: Sequence[ExtendedComplex], dim: int) -> CommutatorResiduals:
+    """commutator_suite's residuals, given a_op, the stack of the zetas' ``super_annihilation`` operators."""
     a_dag = a_op.dagger()
     n_op = super_number_operator(dim)
     inv_mods = np.array([abs(zeta.v) / abs(zeta.u) for zeta in zetas])  # 1/|zeta|, zero at the pole

@@ -150,6 +150,26 @@ def _variance_grid(
     return _closed_variance(x, z, weight).ravel(), _closed_variance(y, z, weight).ravel()
 
 
+def _mean_grid(
+    alphas: list[complex],
+    thetas: list[float],
+    cos_phi: np.ndarray,
+    sin_phi: np.ndarray,
+    zetas: list[ExtendedComplex],
+) -> tuple[np.ndarray, np.ndarray]:
+    """mean_quadratures_closed at each alpha_a and (zeta_k, theta_i, phi_j), as two (A, Z*T*P) arrays.
+
+    Row a holds alpha_a's means in ``_super_qubit_grid``'s row order.  The
+    (x, y) of each point is ``moebius._cartesian_grid``'s, as
+    ``_variance_grid`` reads it, and each product and sum rounds as
+    mean_quadratures_closed's do.
+    """
+    x, y, _ = _cartesian_grid(thetas, cos_phi, sin_phi)
+    weight = np.array([zeta.v.real for zeta in zetas])[:, None, None] / _SQRT2
+    alphas = np.array(alphas, dtype=np.complex128)[:, None]
+    return _SQRT2 * alphas.real + (x * weight).ravel(), _SQRT2 * alphas.imag + (y * weight).ravel()
+
+
 def quadrature_stats_closed(params: CoherentParams) -> QuadratureStats:
     """Closed-form moments packed with the uncertainty product."""
     mean_x, mean_p = mean_quadratures_closed(params)
@@ -157,17 +177,18 @@ def quadrature_stats_closed(params: CoherentParams) -> QuadratureStats:
     return QuadratureStats(mean_x, mean_p, var_x, var_p, math.sqrt(var_x * var_p))
 
 
-def _quadrature_stats(states: np.ndarray) -> list[QuadratureStats]:
-    """The matrix-oracle moments of each state of a (K, 2, dim) coefficient stack.
+def _quadrature_stats(states: np.ndarray) -> np.ndarray:
+    """The matrix-oracle moments of each state of a (..., 2, dim) coefficient stack, as a (5, ...) array.
 
-    Each block's image op @ psi is the banded apply of X and P from
-    :func:`quadrature_operators`: a row holds two nonzero entries, so the
-    dense row sum in any order without FMA adds only exact zeros to the same
-    two rounded products, and the image is that dense product bit for bit.
-    <op^2> is ||op psi||^2 since op is Hermitian; each is one ``_vecdot`` per
-    block, summed from 0.0, psi0 before psi1, which fixes the rounding of the
-    golden Fibonacci table at every dim.  A state on levels 0 and 1 reaches
-    level 2 under X and P, so dim >= 3 is required.
+    Row f holds field f of QuadratureStats (mean_x, mean_p, var_x, var_p,
+    product) for every state.  Each block's image op @ psi is the banded
+    apply of X and P from :func:`quadrature_operators`: a row holds two
+    nonzero entries, so the dense row sum in any order without FMA adds only
+    exact zeros to the same two rounded products, and the image is that dense
+    product bit for bit.  <op^2> is ||op psi||^2 since op is Hermitian; each
+    is one ``_vecdot`` per block, summed from 0.0, psi0 before psi1, which
+    fixes the rounding of the golden Fibonacci table at every dim.  A state
+    on levels 0 and 1 reaches level 2 under X and P, so dim >= 3 is required.
     """
     dim = states.shape[-1]
     if dim < 3:
@@ -177,14 +198,11 @@ def _quadrature_stats(states: np.ndarray) -> list[QuadratureStats]:
         images = op.apply_coeffs(states)
         overlaps = _vecdot(states, images).real
         second = _vecdot(images, images).real
-        means = (0.0 + overlaps[:, 0]) + overlaps[:, 1]
-        seconds = (0.0 + second[:, 0]) + second[:, 1]
-        moments.append((means.tolist(), (seconds - means * means).tolist()))
+        means = (0.0 + overlaps[..., 0]) + overlaps[..., 1]
+        seconds = (0.0 + second[..., 0]) + second[..., 1]
+        moments.append((means, seconds - means * means))
     (mean_x, var_x), (mean_p, var_p) = moments
-    return [
-        QuadratureStats(mx, mp, vx, vp, math.sqrt(vx * vp))
-        for mx, vx, mp, vp in zip(mean_x, var_x, mean_p, var_p)
-    ]
+    return np.array([mean_x, mean_p, var_x, var_p, np.sqrt(var_x * var_p)])
 
 
 def quadrature_stats_numeric(params: CoherentParams, dim: int = DEFAULT_DIM) -> QuadratureStats:
@@ -196,8 +214,7 @@ def quadrature_stats_numeric(params: CoherentParams, dim: int = DEFAULT_DIM) -> 
     ||X psi||^2 since X is Hermitian.  At alpha = 0 the state lives on levels
     0 and 1, and X, P reach level 2, so dim >= 3 is required.
     """
-    (stats,) = _quadrature_stats(super_coherent_state(params, dim).coeffs[None])
-    return stats
+    return QuadratureStats(*_quadrature_stats(super_coherent_state(params, dim).coeffs).tolist())
 
 
 def fibonacci_number(n: int) -> int:
@@ -245,8 +262,8 @@ def _fibonacci_records(first: int, last: int, dim: int) -> list[FibonacciRecord]
         f_nm2, f_nm1 = f_nm1, f_n
     thetas = [0.5 * math.pi]
     low = _super_qubit_grid(thetas, *_grid_phases(thetas, [0.25 * math.pi]), zetas)
-    stats = _quadrature_stats(_undisplaced(low, dim))
-    return [FibonacciRecord(*row, numeric.var_x) for row, numeric in zip(rows, stats)]
+    var_x = _quadrature_stats(_undisplaced(low, dim))[2]
+    return [FibonacciRecord(*row, numeric) for row, numeric in zip(rows, var_x.tolist())]
 
 
 def golden_limit() -> tuple[float, float]:

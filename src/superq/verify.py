@@ -15,17 +15,17 @@ from __future__ import annotations
 import cmath
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .entanglement import (
+    DensityMatrix,
     _gram_measures,
     collapse_probabilities,
     concurrence_n_state,
     concurrence_superqubit,
     entropy_from_z,
-    reduced_boson_density,
 )
 from .errors import InvalidDimensionError, TruncationError
 from .fock import (
@@ -46,6 +46,7 @@ from .superstate import (
     CoherentParams,
     SuperQubitParams,
     SuperVector,
+    _commutator_residuals,
     _displace_low_levels,
     _norms,
     _pole_levels,
@@ -53,7 +54,6 @@ from .superstate import (
     _stacked,
     _super_qubit_grid,
     _undisplaced,
-    commutator_suite,
     flip_operator,
     flip_state,
     n_superparticle_state,
@@ -66,6 +66,7 @@ from .superstate import (
     super_qubit_state,
 )
 from .uncertainty import (
+    _mean_grid,
     _quadrature_stats,
     _variance_grid,
     fibonacci_ladder,
@@ -198,22 +199,29 @@ def _finite_or_none(value: float) -> float | None:
     return value if math.isfinite(value) else None
 
 
-def _random_super_vector(rng: np.random.Generator, dim: int) -> SuperVector:
-    raw = rng.standard_normal(2 * dim) + 1j * rng.standard_normal(2 * dim)
-    raw /= np.linalg.norm(raw)
-    return SuperVector(raw.reshape(2, dim))
+def _random_states(seed: int, count: int, dim: int) -> np.ndarray:
+    """count seeded random unit states as a (count, 2, dim) stack, from one draw.
+
+    State k reads the real parts, then the imaginary parts, of its 2 dim
+    coefficients from the stream, and is divided by its own np.linalg.norm;
+    the norm along an axis of the stack rounds differently.
+    """
+    draws = np.random.default_rng(seed).standard_normal((count, 2, 2 * dim))
+    raw = draws[:, 0] + 1j * draws[:, 1]
+    raw /= np.array([np.linalg.norm(row) for row in raw])[:, None]
+    return raw.reshape(count, 2, dim)
 
 
 def _suite_algebra(dim: int, tol: float, seed: int, n_max: int) -> list[Check]:
     # One pass over the grid zetas and the pole: each operator below is the
     # stack of the single-zeta builders' operators, a row per zeta.
     zetas = (*_ZETAS, ExtendedComplex.infinity())
-    brackets = commutator_suite(zetas, dim)
     flip = flip_operator(dim)
     a_op, at_op, gate_op = (
         _stacked([builder(zeta, dim) for zeta in zetas])
         for builder in (super_annihilation, super_annihilation_transposed, super_creation_gate)
     )
+    brackets = _commutator_residuals(a_op, zetas, dim)
     transpose = (flip @ a_op @ flip - at_op).max_abs()
     vacua, raised = (np.array([n_superparticle_state(n, zeta, dim).coeffs for zeta in zetas]) for n in (0, 1))
     gate = gate_op.apply_coeffs(vacua) - raised
@@ -337,45 +345,53 @@ def _suite_entangle(dim: int, tol: float, seed: int, n_max: int) -> list[Check]:
         geometric += [abs(closed - circle), abs(height - z), abs(p0 - w0), abs(p1 - w1)]
 
     # The angle grids of every zeta are one stack of the CLI's states, and
-    # every concurrence and pole probability comes from the kernels the
-    # commands run.  One more row per zeta is the state and its poles as
-    # state --theta reads them, through super_coherent_state and
-    # pole_probabilities.
-    superqubit_gap, probability_gap = [], []
+    # every Gram concurrence and pole probability comes from the kernels the
+    # commands run.  The closed concurrence is one concurrence_superqubit call
+    # per (zeta, theta), and the closed pole probabilities cos^2(theta/2) and
+    # sin^2(theta/2) are computed once per theta.  One more row per zeta is
+    # the state and its poles as state --theta reads them, through
+    # super_coherent_state and pole_probabilities.
+    layout = (len(_ZETAS), len(_THETAS), len(_PHIS))
     base = (_THETAS[2], _PHIS[1])
     lows = _super_qubit_grid(_THETAS, *_grid_phases(_THETAS, _PHIS), _ZETAS)
     grids = _undisplaced(lows, dim).reshape(len(_ZETAS), len(_ANGLES), 2, dim)
-    grams = _gram_measures(grids)[2]
-    for zeta, grid, zeta_grams in zip(_ZETAS, grids, grams.tolist()):
-        for (theta, _), gram in zip(_ANGLES, zeta_grams):
-            superqubit_gap.append(abs(gram - concurrence_superqubit(theta, zeta)))
+    grams = _gram_measures(grids)[2].reshape(layout)
+    closed = np.array([[concurrence_superqubit(theta, zeta) for theta in _THETAS] for zeta in _ZETAS])
+    superqubit_gap = np.abs(grams - closed[..., None])
+    half_cos, half_sin = (np.array([trig(0.5 * theta) for theta in _THETAS]) for trig in (math.cos, math.sin))
+    targets = np.array([half_cos * half_cos, half_sin * half_sin])
+    # the targets of each zeta's (theta, phi) rows, theta-major, and of its state row
+    targets = np.column_stack([np.repeat(targets, len(_PHIS), axis=1), targets[:, 2]])
+    probabilities = []
+    for zeta, grid in zip(_ZETAS, grids):
         state = super_coherent_state(CoherentParams(0.0, SuperQubitParams(*base, zeta)), dim)
-        rows = zip(*_pole_probabilities(grid, _pole_levels(zeta)).tolist())
-        for (theta, _), (p0, p1) in zip((*_ANGLES, base), [*rows, pole_probabilities(state, zeta)]):
-            half_cos, half_sin = math.cos(0.5 * theta), math.sin(0.5 * theta)
-            probability_gap += [abs(p0 - half_cos * half_cos), abs(p1 - half_sin * half_sin)]
+        rows = _pole_probabilities(grid, _pole_levels(zeta))
+        probabilities.append(np.column_stack([rows, pole_probabilities(state, zeta)]))
+    probability_gap = np.abs(np.array(probabilities) - targets)
 
     # The stride-2 half of every zeta's grid, [:, ::2, ::2] of its (zeta,
     # theta, phi) layout, undisplaced, displaced as super_coherent_state
     # displaces it, and flipped.
-    layout = (len(_ZETAS), len(_THETAS), len(_PHIS))
     halves = lows.reshape(*layout, 2, 2)[:, ::2, ::2].reshape(-1, 2, 2)
     references = grids.reshape(*layout, 2, dim)[:, ::2, ::2].reshape(-1, 2, dim)
-    reference_grams = grams.reshape(layout)[:, ::2, ::2].ravel()
+    reference_grams = grams[:, ::2, ::2].ravel()
     displaced = _displace_low_levels(_ENTANGLE_ALPHA, halves, dim)
     alpha_invariance = np.abs(_gram_measures(displaced)[2] - reference_grams)
     flip_invariance = np.abs(_gram_measures(references[:, ::-1])[2] - reference_grams)
 
-    rng = np.random.default_rng(seed)
-    randoms = [_random_super_vector(rng, dim) for _ in range(12)]
-    random_grams = _gram_measures(np.array([state.coeffs for state in randoms]))[2].tolist()
-    gram_purity, rank_bound = [], []
-    for state, c_gram in zip(randoms, random_grams):
-        rho = reduced_boson_density(state)
-        gram_purity.append(abs(c_gram * c_gram - 2.0 * (1.0 - rho.purity())))
-        # rho >= 0, so its trace ||F||^2 less the two leading eigenvalues bounds every other one
-        high, low = rho.eigenvalues()
-        rank_bound.append(abs(np.vdot(rho.factor, rho.factor).real - high - low))
+    # The seeded random states take one Gram pass, and their rho one
+    # DensityMatrix over the stack of factors [psi0 psi1], one batched SVD.
+    randoms = _random_states(seed, 12, dim)
+    random_grams = _gram_measures(randoms)[2]
+    rho = DensityMatrix(randoms.swapaxes(-1, -2))
+    gram_purity = np.abs(random_grams * random_grams - 2.0 * (1.0 - rho.purity()))
+    # rho >= 0, so its trace ||F||^2 less the two leading eigenvalues bounds
+    # every other one; the trace is one BLAS dot of each factor's entries
+    spectra = rho.eigenvalues()
+    rows = rho.factor.reshape(len(randoms), 1, -1)
+    traces = (rows.conj() @ rows.swapaxes(-1, -2)).real.ravel()
+    rank_bound = np.abs(traces - spectra[:, 0] - spectra[:, 1])
+    for (high, low), c_gram in zip(spectra.tolist(), random_grams.tolist()):
         spectral = -sum(lam * math.log2(lam) for lam in (high, low) if lam > 1e-16)
         # z = sqrt(1 - C^2) clamped at 0; the builtin max(0.0, nan) is 0.0, which
         # would read a NaN C as C = 1, so a non-finite C gives a NaN gap
@@ -406,53 +422,45 @@ def _suite_entangle(dim: int, tol: float, seed: int, n_max: int) -> list[Check]:
 
 
 def _suite_uncertainty(dim: int, tol: float, seed: int, n_max: int) -> list[Check]:
-    # Each angle grid is one stack of the CLI's states, as in the eigen suite,
-    # and one O(dim) apply of the banded X and P gives the oracle moments: per
-    # zeta, of the grid at alpha = 0 and displaced together.  One zeta-major
-    # _super_qubit_grid call and one _variance_grid call (the sweep's closed
-    # variances, alpha-independent as the closed form's) give each zeta's rows.
-    mean_gap, var_gap, alpha_independence = [], [], []
+    # The half angle grid of every zeta is one stack of the CLI's states, at
+    # alpha = 0 and displaced, as in the eigen suite, and one O(dim) apply of
+    # the banded X and P gives their oracle moments, a (field, alpha, point)
+    # array.  The closed means of every point are one _mean_grid call, and
+    # its closed variances and products one _variance_grid call (the sweep's
+    # closed variances, alpha-independent as the closed form's).  One row
+    # more per (zeta, alpha) is the grid's middle point as the uncertainty
+    # command computes it, through quadrature_stats_closed, against that
+    # point's oracle moments.
+    alphas = (0.0, _UNCERTAINTY_ALPHA)
     thetas = _THETAS[::2]
     phases = _grid_phases(thetas, _PHIS[::2])
-    lows = _super_qubit_grid(thetas, *phases, _ZETAS).reshape(len(_ZETAS), -1, 2, 2)
-    sweeps = (var.reshape(len(_ZETAS), -1).tolist() for var in _variance_grid(thetas, *phases, _ZETAS))
-    for zeta, low, sweep_xs, sweep_ps in zip(_ZETAS, lows, *sweeps):
-        stats = _quadrature_stats(
-            np.concatenate([_undisplaced(low, dim), _displace_low_levels(_UNCERTAINTY_ALPHA, low, dim)])
-        )
-        at_zero, displaced = stats[: len(low)], stats[len(low) :]
-        for (theta, phi), numeric_at_zero, numeric_displaced, sweep_x, sweep_p in zip(
-            _HALF_ANGLES, at_zero, displaced, sweep_xs, sweep_ps
-        ):
-            base = SuperQubitParams(theta, phi, zeta)
-            for alpha, numeric in ((0.0, numeric_at_zero), (_UNCERTAINTY_ALPHA, numeric_displaced)):
-                closed = quadrature_stats_closed(CoherentParams(alpha, base))
-                mean_gap += [
-                    abs(closed.mean_x - numeric.mean_x), abs(closed.mean_p - numeric.mean_p)
-                ]
-                var_gap += [
-                    abs(closed.var_x - numeric.var_x),
-                    abs(closed.var_p - numeric.var_p),
-                    abs(closed.product - numeric.product),
-                    abs(sweep_x - numeric.var_x),
-                    abs(sweep_p - numeric.var_p),
-                ]
-                alpha_independence += [
-                    abs(numeric.var_x - numeric_at_zero.var_x),
-                    abs(numeric.var_p - numeric_at_zero.var_p),
-                ]
+    lows = _super_qubit_grid(thetas, *phases, _ZETAS)
+    states = np.stack([_undisplaced(lows, dim), _displace_low_levels(_UNCERTAINTY_ALPHA, lows, dim)])
+    numeric = _quadrature_stats(states)
+    var_x, var_p = _variance_grid(thetas, *phases, _ZETAS)
+    means = _mean_grid(alphas, thetas, *phases, _ZETAS)
+    closed = np.array(np.broadcast_arrays(*means, var_x, var_p, np.sqrt(var_x * var_p)))
+    # the middle point's closed moments as a (field, alpha, zeta) array, and its column of each zeta's rows
+    middle = len(_HALF_ANGLES) // 2
+    commanded = np.array([
+        astuple(quadrature_stats_closed(CoherentParams(alpha, SuperQubitParams(*_HALF_ANGLES[middle], zeta))))
+        for alpha in alphas
+        for zeta in _ZETAS
+    ]).T.reshape(5, len(alphas), len(_ZETAS))
+    columns = middle + len(_HALF_ANGLES) * np.arange(len(_ZETAS))
+    closed = np.concatenate([closed, commanded], axis=-1)
+    gaps = np.abs(closed - np.concatenate([numeric, numeric[..., columns]], axis=-1))
+    alpha_independence = np.abs(numeric[2:4, 1] - numeric[2:4, 0])
 
-    # The symmetric family of every zeta, one zeta-major moment stack.
-    symmetric_closed, symmetric_numeric, variance_floor = [], [], []
+    # The symmetric family of every zeta, one zeta-major moment stack, and
+    # its closed variances from _variance_grid.
     phi = 0.25 * math.pi
-    low = _super_qubit_grid(_THETAS, *_grid_phases(_THETAS, (phi,)), _ZETAS)
-    points = ((zeta, theta) for zeta in _ZETAS for theta in _THETAS)
-    for (zeta, theta), numeric in zip(points, _quadrature_stats(_undisplaced(low, dim))):
-        params = CoherentParams(0.0, SuperQubitParams(theta, phi, zeta))
-        var_x, var_p = variance_quadratures_closed(params)
-        symmetric_closed.append(abs(var_x - var_p))
-        variance_floor += [0.5 - var_x, 0.5 - var_p]
-        symmetric_numeric.append(abs(numeric.var_x - numeric.var_p))
+    phases = _grid_phases(_THETAS, (phi,))
+    symmetric = _quadrature_stats(_undisplaced(_super_qubit_grid(_THETAS, *phases, _ZETAS), dim))
+    var_x, var_p = _variance_grid(_THETAS, *phases, _ZETAS)
+    symmetric_closed = np.abs(var_x - var_p)
+    variance_floor = [0.5 - var_x, 0.5 - var_p]
+    symmetric_numeric = np.abs(symmetric[2] - symmetric[3])
 
     # The symmetric point theta = pi/2, phi = pi/4 at zeta = 1, where both
     # variances are 5/8, and at the golden zeta, where both are the limit.
@@ -467,8 +475,8 @@ def _suite_uncertainty(dim: int, tol: float, seed: int, n_max: int) -> list[Chec
     golden_gap = [abs(v - dispersion) for v in variance_quadratures_closed(golden)]
 
     return [
-        Check("mean_quadratures_closed_vs_matrix", _worst(mean_gap), tol),
-        Check("variance_quadratures_closed_vs_matrix", _worst(var_gap), tol),
+        Check("mean_quadratures_closed_vs_matrix", _worst(gaps[:2]), tol),
+        Check("variance_quadratures_closed_vs_matrix", _worst(gaps[2:]), tol),
         Check("variance_alpha_independence", _worst(alpha_independence), tol),
         Check("symmetric_point_variance_equality_closed", _worst(symmetric_closed), 1e-12),
         Check("symmetric_point_variance_equality_numeric", _worst(symmetric_numeric), tol),

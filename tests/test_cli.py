@@ -183,8 +183,10 @@ class TestBlasKernel:
     def test_every_file_holds_under_haswell(self):
         assert self.golden_failures(self.blas_env("Haswell", ("Haswell",))) == set()
 
-    def test_only_the_simd_bound_files_move_at_x86_v2(self):
-        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": self.X86_V2}
+    @classmethod
+    def x86_v2_env(cls):
+        """os.environ with numpy's dispatch held to X86_V2; skips where numpy refuses that."""
+        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": cls.X86_V2}
         # numpy refuses features that its build does not dispatch, or that are its baseline
         refused = subprocess.run(
             [sys.executable, "-W", "error::ImportWarning", "-c", "import numpy"],
@@ -194,8 +196,11 @@ class TestBlasKernel:
         )
         if refused.returncode != 0:
             reason = refused.stderr.strip().splitlines()[-1]
-            pytest.skip(f"numpy refuses NPY_DISABLE_CPU_FEATURES={self.X86_V2}: {reason}")
-        assert self.golden_failures(env) <= set(self.MOVE_WITH_SIMD)
+            pytest.skip(f"numpy refuses NPY_DISABLE_CPU_FEATURES={cls.X86_V2}: {reason}")
+        return env
+
+    def test_only_the_simd_bound_files_move_at_x86_v2(self):
+        assert self.golden_failures(self.x86_v2_env()) <= set(self.MOVE_WITH_SIMD)
 
     @staticmethod
     def float_texts(env) -> str:
@@ -223,17 +228,30 @@ class TestBlasKernel:
         assert self.float_texts(env) == self.float_texts(dict(os.environ))
 
     def test_float_kernel_holds_at_x86_v2(self):
-        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": self.X86_V2}
-        refused = subprocess.run(
-            [sys.executable, "-W", "error::ImportWarning", "-c", "import numpy"],
+        assert self.float_texts(self.x86_v2_env()) == self.float_texts(dict(os.environ))
+
+    @staticmethod
+    def failed_verify_checks(env) -> list[str]:
+        """The checks a verify --suite all --dim 64 child run under env fails; the run must exit 0.
+
+        The closed side of every suite is numpy array arithmetic, which
+        rounds with numpy's SIMD level, and the oracles read BLAS.
+        """
+        completed = subprocess.run(
+            [sys.executable, "-m", "superq", "verify", "--suite", "all", "--dim", "64"],
             env=env,
             capture_output=True,
             text=True,
+            cwd=Path(__file__).parent.parent,
         )
-        if refused.returncode != 0:
-            reason = refused.stderr.strip().splitlines()[-1]
-            pytest.skip(f"numpy refuses NPY_DISABLE_CPU_FEATURES={self.X86_V2}: {reason}")
-        assert self.float_texts(env) == self.float_texts(dict(os.environ))
+        assert completed.returncode == 0, completed.stderr
+        return [check["name"] for check in json.loads(completed.stdout)["checks"] if not check["pass"]]
+
+    def test_verify_passes_under_prescott(self):
+        assert self.failed_verify_checks(self.blas_env("Prescott", ("Prescott", "Katmai"))) == []
+
+    def test_verify_passes_at_x86_v2(self):
+        assert self.failed_verify_checks(self.x86_v2_env()) == []
 
 
 class TestDimIndependence:
@@ -548,6 +566,22 @@ class TestDirectParse:
         )
         assert (completed.returncode, completed.stderr) == (0, "0\n")
         assert json.loads(completed.stdout)["dim"] == 6
+
+    @pytest.mark.parametrize(
+        "alpha, code, imported",
+        [(["--alpha-re=1.2", "--alpha-im=-0.3", "--dim", "64"], 0, False), (["--alpha-re", "abc"], 2, True)],
+    )
+    def test_argparse_is_imported_only_for_an_argv_it_parses(self, alpha, code, imported):
+        # a usage error exits 2 through argparse, naming its flag
+        argv = ["coherent", "--theta", "1.1", "--zeta-re", "1", *alpha]
+        script = (
+            "import sys\nfrom superq import cli\ntry:\n    exit_code = cli.main(sys.argv[1:])\n"
+            "finally:\n    print('argparse' in sys.modules, file=sys.stderr)\nsys.exit(exit_code)"
+        )
+        completed = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True)
+        *diagnostics, last = completed.stderr.splitlines()
+        assert (completed.returncode, last) == (code, str(imported))
+        assert ("--alpha-re" in "\n".join(diagnostics)) == imported
 
     @pytest.mark.parametrize(
         "argv",
@@ -1150,7 +1184,7 @@ class TestVerifyCommand:
 
     def test_nan_residual_exits_one_naming_its_check(self, run_cli, monkeypatch):
         # a NaN in the first zeta's row of the commutator stack
-        real = verify.commutator_suite
+        real = verify._commutator_residuals
 
         def patched(*args, **kwargs):
             residuals = real(*args, **kwargs)
@@ -1158,7 +1192,7 @@ class TestVerifyCommand:
             lowering[0] = math.nan
             return dataclasses.replace(residuals, number_lowering=lowering)
 
-        monkeypatch.setattr(verify, "commutator_suite", patched)
+        monkeypatch.setattr(verify, "_commutator_residuals", patched)
         code, out, err = run_cli(["verify", "--suite", "algebra", "--dim", "36"])
         assert code == 1
         assert err == "superq: 1 check(s) failed: commutator_number_lowering\n"

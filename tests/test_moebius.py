@@ -84,6 +84,14 @@ class TestBlochPoint:
         assert 0.0 <= point.phi < 2.0 * math.pi
         assert point.phi == pytest.approx(7.0 - 2.0 * math.pi)
 
+    @pytest.mark.parametrize("phi", [-1e-300, -3.350949159174982e-275, -1e-17, -2.0 * math.pi - 1e-17])
+    def test_phi_whose_remainder_rounds_to_two_pi_is_zero(self, phi):
+        # phi % (2 pi) rounds to 2 pi itself; the canonical phi lies in [0, 2 pi) and
+        # reduces to itself, so a second BlochPoint of it keeps it
+        point = BlochPoint(1.0, phi)
+        assert point.phi == 0.0
+        assert BlochPoint(1.0, point.phi).phi == 0.0
+
     @pytest.mark.parametrize(
         "theta,phi",
         [(math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan), (1.0, math.inf), (0.0, -math.inf)],

@@ -6,7 +6,8 @@ method is put off on its class.  Some take a mutation of their own:
 collapse_probabilities is swapped to (p1, p0), since a relative error already
 breaks its p0 + p1 = 1; quadrature_stats_closed has only its ``product`` put
 off, the one field no other closed form produces; the oracle kernel
-_quadrature_stats has every field of each returned QuadratureStats put off;
+_quadrature_stats, whose moment array holds every field of each state, and
+the grid kernels _mean_grid and _variance_grid are put off as a whole;
 each operator builder has every diagonal of its operators put off;
 bloch_cartesian has x and y swapped, since a relative error would trip
 CartesianBloch's unit-vector check instead; zeta_to_bloch has its theta
@@ -70,6 +71,7 @@ CAUGHT_BY = {
     "entanglement.collapse_probabilities": ("geometric_concurrence_identity",),
     "entanglement.concurrence_superqubit": ("superqubit_concurrence_closed_vs_gram",),
     "uncertainty.mean_quadratures_closed": ("mean_quadratures_closed_vs_matrix",),
+    "uncertainty._mean_grid": ("mean_quadratures_closed_vs_matrix",),
     "entanglement.concurrence_n_state": (
         "n_state_concurrence_closed_vs_gram",
         "superqubit_concurrence_closed_vs_gram",
@@ -218,11 +220,13 @@ CAUGHT_BY = {
             "variance_alpha_independence",
         ),
     ),
-    # phi turned by RELATIVE_ERROR at every grid point
+    # phi turned by RELATIVE_ERROR at every grid point, which moves the
+    # symmetric family's states and its closed variances off phi = pi/4
     "moebius._grid_phases": (
         *(f"fibonacci_record[n={n}]" for n in range(3, 21)),
         "mean_quadratures_closed_vs_matrix",
         "variance_quadratures_closed_vs_matrix",
+        "symmetric_point_variance_equality_closed",
         "symmetric_point_variance_equality_numeric",
     ),
 }
@@ -250,12 +254,12 @@ CHECKER_FUNCTIONS = {
     "superstate.BlockOperator": (
         "__add__", "__sub__", "__matmul__", "_entrywise", "_joint_stack", "dagger", "fermion_diagonal", "max_abs",
     ),
-    "superstate": ("_band_matmul", "_norms", "_stacked", "commutator_suite"),
+    "superstate": ("_band_matmul", "_commutator_residuals", "_norms", "_stacked"),
     "verify.Check": ("passed",),
     "verify.VerificationReport": ("all_passed", "max_residual", "passed", "to_payload", "total"),
     "verify": (
         *(f"_suite_{suite}" for suite in ("algebra", "eigen", "entangle", "uncertainty", "fibonacci")),
-        "_above_root5", "_eigen_gaps", "_finite_or_none", "_random_super_vector",
+        "_above_root5", "_eigen_gaps", "_finite_or_none", "_random_states",
         "_selected_suites", "_worst", "required_suite_dim", "run_verify",
     ),
 }
@@ -267,7 +271,6 @@ EXEMPT = {
     "entanglement._checked_z": VALIDATOR,
     "entanglement._require_normalized": "the norm check in front of the Gram kernel and of rho; it raises or returns None",
     "entanglement.concurrence_gram": "the one-state wrapper of the pinned _gram_entries and _concurrence",
-    "entanglement.reduced_boson_density": "the rho oracle, which only verify reaches; the checks read its pinned methods",
     "fock._guard_floor": GUARD,
     "fock.required_displacement_dim": GUARD,
     "fock.ensure_displacement_dim": GUARD,
@@ -320,10 +323,6 @@ def swapped(value):
 
 def product_off(stats):
     return dataclasses.replace(stats, product=off(stats.product))
-
-
-def fields_off(stats_list):
-    return [type(stats)(*off(dataclasses.astuple(stats))) for stats in stats_list]
 
 
 def bands_off(value):
@@ -412,7 +411,6 @@ STACK_KERNELS = (
 MUTATIONS = {
     "entanglement.collapse_probabilities": swapped,
     "uncertainty.quadrature_stats_closed": product_off,
-    "uncertainty._quadrature_stats": fields_off,
     "moebius.bloch_cartesian": xy_swapped,
     "moebius.zeta_to_bloch": theta_shrunk,
     "uncertainty.fibonacci_number": plus_one,

@@ -39,6 +39,15 @@ EXEMPT = {
         "the benchmark's per-layer report reads its span entanglement.entanglement_entropy_bits"
         " (ROADMAP item 13)"
     ),
+    "entanglement.reduced_boson_density": (
+        "the one-state rho of the library, which verify builds as one DensityMatrix stack; the"
+        " benchmark's per-layer report reads its span (ROADMAP item 13)"
+    ),
+    "superstate.commutator_suite": (
+        "the library's commutator residuals of a zeta set, which verify reads through"
+        " _commutator_residuals on its own A stack; the benchmark's per-layer report reads its span"
+        " (ROADMAP item 13)"
+    ),
 }
 
 

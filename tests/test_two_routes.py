@@ -27,12 +27,12 @@ import numpy as np
 import pytest
 
 from superq.entanglement import (
+    DensityMatrix,
     _gram_measures,
     collapse_probabilities,
     concurrence_n_state,
     concurrence_superqubit,
     entropy_from_z,
-    reduced_boson_density,
 )
 from superq.fock import displaced_columns, oracle_columns
 from superq.moebius import ExtendedComplex, _grid_phases, concurrence_circle, zeta_to_bloch
@@ -54,6 +54,7 @@ from superq.superstate import (
     super_qubit_state,
 )
 from superq.uncertainty import (
+    _mean_grid,
     _quadrature_stats,
     _variance_grid,
     fibonacci_ladder,
@@ -92,7 +93,7 @@ GOLDEN = CoherentParams(
 
 
 def quadrature_oracle():
-    return _quadrature_stats(_undisplaced(LOW, DIM)), _quadrature_stats(_displace_low_levels(ALPHA, LOW, DIM))
+    return _quadrature_stats(np.stack([_undisplaced(LOW, DIM), _displace_low_levels(ALPHA, LOW, DIM)]))
 
 
 # verify's check, with a [row] suffix where its rows take different routes:
@@ -128,7 +129,7 @@ ROUTES = {
     ),
     "gram_purity_identity": (
         lambda: _gram_measures(RANDOM.coeffs),
-        lambda: reduced_boson_density(RANDOM).purity(),
+        lambda: DensityMatrix(RANDOM.coeffs[None].swapaxes(-1, -2)).purity(),
     ),
     "spectral_entropy_matches_closed_form[n_state]": (
         lambda: entropy_from_z(HEIGHT),
@@ -136,7 +137,7 @@ ROUTES = {
     ),
     "spectral_entropy_matches_closed_form[random]": (
         lambda: entropy_from_z(math.sqrt(max(0.0, 1.0 - _gram_measures(RANDOM.coeffs)[2] ** 2))),
-        lambda: reduced_boson_density(RANDOM).eigenvalues(),
+        lambda: DensityMatrix(RANDOM.coeffs[None].swapaxes(-1, -2)).eigenvalues(),
     ),
     "geometric_concurrence_identity[circle]": (
         lambda: concurrence_n_state(ZETA),
@@ -147,7 +148,11 @@ ROUTES = {
         lambda: collapse_probabilities(concurrence_circle(zeta_to_bloch(ZETA).theta)[1]),
     ),
     "mean_quadratures_closed_vs_matrix": (
-        lambda: (quadrature_stats_closed(CoherentParams(0.0, BASE)), quadrature_stats_closed(COHERENT)),
+        lambda: (
+            quadrature_stats_closed(CoherentParams(0.0, BASE)),
+            quadrature_stats_closed(COHERENT),
+            _mean_grid((0.0, ALPHA), [BASE.theta], *PHASES, [ZETA]),
+        ),
         quadrature_oracle,
     ),
     "variance_quadratures_closed_vs_matrix": (

@@ -10,11 +10,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from superq import moebius, uncertainty, verify
+from superq import entanglement, superstate
 from superq.entanglement import (
     _gram_measures,
     concurrence_gram,
     concurrence_superqubit,
     entanglement_entropy_bits,
+    entropy_from_z,
+    reduced_boson_density,
 )
 from superq.errors import TruncationError
 from superq.fock import GUARD_BAND, oracle_columns, required_displacement_dim
@@ -39,7 +42,14 @@ from superq.superstate import (
     super_coherent_state,
     super_qubit_state,
 )
-from superq.uncertainty import _quadrature_stats, quadrature_operators, quadrature_stats_numeric
+from superq.uncertainty import (
+    _quadrature_stats,
+    mean_quadratures_closed,
+    quadrature_operators,
+    quadrature_stats_closed,
+    quadrature_stats_numeric,
+    variance_quadratures_closed,
+)
 from superq.verify import SUITE_NAMES, Check, VerificationReport, required_suite_dim, run_verify
 
 from conftest import guarded_norm, rebind
@@ -90,16 +100,16 @@ ALL_INVENTORY = [
 
 
 def nan_at_one_zeta(monkeypatch, field="number_lowering", row=0):
-    """Make verify's commutator_suite report a NaN residual ``field`` in one zeta row of its stack."""
-    real = verify.commutator_suite
+    """Make verify's _commutator_residuals report a NaN residual ``field`` in one zeta row of its stack."""
+    real = verify._commutator_residuals
 
-    def patched(zetas, *args, **kwargs):
-        residuals = real(zetas, *args, **kwargs)
+    def patched(*args, **kwargs):
+        residuals = real(*args, **kwargs)
         poisoned = np.array(getattr(residuals, field))
         poisoned[row] = math.nan
         return dataclasses.replace(residuals, **{field: poisoned})
 
-    monkeypatch.setattr(verify, "commutator_suite", patched)
+    monkeypatch.setattr(verify, "_commutator_residuals", patched)
 
 
 class TestRunVerify:
@@ -437,9 +447,20 @@ class TestNonFiniteResiduals:
         assert report.max_residual == 0.0
 
 
-def bits(stats):
-    """The fields of a QuadratureStats as exact float text, so -0.0 and 0.0 differ."""
-    return [value.hex() for value in dataclasses.astuple(stats)]
+def bits(values):
+    """Floats as exact text, so -0.0 and 0.0 differ."""
+    return [value.hex() for value in values]
+
+
+def one_at_a_time_random_states(seed, count, dim):
+    """The entangle suite's seeded random states, each drawn and normalized on its own."""
+    rng = np.random.default_rng(seed)
+    states = []
+    for _ in range(count):
+        raw = rng.standard_normal(2 * dim) + 1j * rng.standard_normal(2 * dim)
+        raw /= np.linalg.norm(raw)
+        states.append(SuperVector(raw.reshape(2, dim)))
+    return states
 
 
 # the pole, huge and tiny moduli, or a modulus log-uniform in [0.25, 4] with a uniform phase
@@ -490,7 +511,7 @@ class TestBatchedSuites:
             residual = a_op.apply(state) - alpha * state
             assert guarded[k] == SuperVector(residual.coeffs[:, :keep]).norm()
             assert grams[k] == concurrence_gram(flip_state(base))
-            assert bits(moments[k]) == bits(quadrature_stats_numeric(params, dim))
+            assert bits(moments[:, k].tolist()) == bits(dataclasses.astuple(quadrature_stats_numeric(params, dim)))
 
     @pytest.mark.parametrize("dim", [32, 64])
     def test_entangle_grid_checks_equal_the_per_state_functions(self, monkeypatch, dim):
@@ -526,10 +547,10 @@ class TestBatchedSuites:
         assert residuals["alpha_invariance_of_concurrence"] == alpha_drift > 0.0
         assert residuals["flip_invariance_of_concurrence"] == flip_drift
         # the first pass is the |n, zeta> states, zeta-major, and the last the seeded random states
-        rng = np.random.default_rng(verify.DEFAULT_SEED)
+        randoms = one_at_a_time_random_states(verify.DEFAULT_SEED, 12, dim)
         stacks = {
             0: [n_superparticle_state(n, zeta, dim) for zeta in verify._ZETAS for n in (1, 2, 5)],
-            -1: [verify._random_super_vector(rng, dim) for _ in range(12)],
+            -1: randoms,
         }
         for which, states in stacks.items():
             coeffs, measures = passes[which]
@@ -539,6 +560,103 @@ class TestBatchedSuites:
                 assert [g00, g11] == _block_norms_sq(state.coeffs).tolist()
                 assert gram == concurrence_gram(state)
                 assert entropy == entanglement_entropy_bits(state)
+        # the rho stack's residuals are those of each state's own rho, one SVD each
+        purity = rank = 0.0
+        for state in randoms:
+            rho, c_gram = reduced_boson_density(state), concurrence_gram(state)
+            high, low = rho.eigenvalues()
+            purity = max(purity, abs(c_gram * c_gram - 2.0 * (1.0 - rho.purity())))
+            rank = max(rank, abs(np.vdot(rho.factor, rho.factor).real - high - low))
+        assert residuals["gram_purity_identity"] == purity > 0.0
+        assert residuals["density_rank_bound"] == rank
+
+    @pytest.mark.parametrize("dim", [36, 64])
+    def test_uncertainty_grid_checks_equal_the_per_point_functions(self, dim):
+        # each residual is the one quadrature_stats_closed and quadrature_stats_numeric
+        # give point by point, and the symmetric family's the one
+        # variance_quadratures_closed gives, bit for bit
+        mean = var = drift = 0.0
+        for zeta in verify._ZETAS:
+            for theta, phi in verify._HALF_ANGLES:
+                base = SuperQubitParams(theta, phi, zeta)
+                at_zero = quadrature_stats_numeric(CoherentParams(0.0, base), dim)
+                for alpha in (0.0, verify._UNCERTAINTY_ALPHA):
+                    params = CoherentParams(alpha, base)
+                    closed, numeric = quadrature_stats_closed(params), quadrature_stats_numeric(params, dim)
+                    mean = max(mean, abs(closed.mean_x - numeric.mean_x), abs(closed.mean_p - numeric.mean_p))
+                    var = max(
+                        var,
+                        abs(closed.var_x - numeric.var_x),
+                        abs(closed.var_p - numeric.var_p),
+                        abs(closed.product - numeric.product),
+                    )
+                    drift = max(drift, abs(numeric.var_x - at_zero.var_x), abs(numeric.var_p - at_zero.var_p))
+        symmetric_closed = symmetric_numeric = floor = 0.0
+        for zeta in verify._ZETAS:
+            for theta in verify._THETAS:
+                params = CoherentParams(0.0, SuperQubitParams(theta, 0.25 * math.pi, zeta))
+                var_x, var_p = variance_quadratures_closed(params)
+                numeric = quadrature_stats_numeric(params, dim)
+                symmetric_closed = max(symmetric_closed, abs(var_x - var_p))
+                symmetric_numeric = max(symmetric_numeric, abs(numeric.var_x - numeric.var_p))
+                floor = max(floor, 0.5 - var_x, 0.5 - var_p)
+        residuals = {check.name: check.residual for check in run_verify("uncertainty", dim).checks}
+        assert residuals["mean_quadratures_closed_vs_matrix"] == mean > 0.0
+        assert residuals["variance_quadratures_closed_vs_matrix"] == var > 0.0
+        assert residuals["variance_alpha_independence"] == drift > 0.0
+        assert residuals["symmetric_point_variance_equality_closed"] == symmetric_closed
+        assert residuals["symmetric_point_variance_equality_numeric"] == symmetric_numeric
+        assert residuals["variance_floor_on_symmetric_family"] == floor
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        alphas=st.lists(st.builds(complex, st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)), min_size=1, max_size=2),
+        thetas=st.lists(st.floats(0.0, math.pi), min_size=1, max_size=3),
+        phis=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=3),
+        zetas=st.lists(ZETAS, min_size=1, max_size=3),
+    )
+    def test_mean_grid_is_the_closed_means_bit_for_bit(self, alphas, thetas, phis, zetas):
+        # row a, column (k*T + i)*P + j is mean_quadratures_closed at (alpha_a, zeta_k, theta_i, phi_j)
+        grid = uncertainty._mean_grid(alphas, thetas, *_grid_phases(thetas, phis), zetas)
+        points = [
+            [
+                mean_quadratures_closed(CoherentParams(alpha, SuperQubitParams(theta, phi, zeta)))
+                for zeta in zetas
+                for theta in thetas
+                for phi in phis
+            ]
+            for alpha in alphas
+        ]
+        assert [[bits(row) for row in means.tolist()] for means in grid] == [
+            [bits(means[field] for means in row) for row in points] for field in (0, 1)
+        ]
+
+    def test_one_report_calls_each_closed_form_once_per_row(self, monkeypatch):
+        calls = Counter()
+
+        def counting(func):
+            def count(*args, **kwargs):
+                calls[func.__name__] += 1
+                return func(*args, **kwargs)
+
+            return count
+
+        for func in (quadrature_stats_closed, concurrence_superqubit, superstate.super_annihilation):
+            assert rebind(monkeypatch, func, counting(func)) >= 1
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", counting(svd))
+        assert run_verify("all", dim=48).all_passed
+        zetas, alphas = len(verify._ZETAS), 2
+        assert calls == {
+            # once per (zeta, alpha) row of the uncertainty suite
+            "quadrature_stats_closed": zetas * alphas,
+            # once per (zeta, theta) of the entangle suite
+            "concurrence_superqubit": zetas * len(verify._THETAS),
+            # the algebra suite's A stack of the zetas and the pole, built once, and one per zeta in the eigen suite
+            "super_annihilation": (zetas + 1) + zetas,
+            # the random states' rho
+            "svd": 1,
+        }
 
     def test_eigen_suite_builds_only_its_builder_rows_and_displaces_each_grid_once(self, monkeypatch):
         built, displaced = [], Counter()
@@ -582,35 +700,39 @@ class TestBatchedSuites:
         calls = []
 
         def recording(kernel):
-            def record(thetas, cos_phi, sin_phi, zetas):
-                calls.append((kernel.__name__, cos_phi.shape, tuple(zetas)))
-                return kernel(thetas, cos_phi, sin_phi, zetas)
+            # each kernel takes (..., thetas, cos_phi, sin_phi, zetas)
+            def record(*args):
+                calls.append((kernel.__name__, args[-3].shape, tuple(args[-1])))
+                return kernel(*args)
 
             return record
 
-        for kernel in (_super_qubit_grid, uncertainty._variance_grid):
+        for kernel in (_super_qubit_grid, uncertainty._variance_grid, uncertainty._mean_grid):
             assert rebind(monkeypatch, kernel, recording(kernel)) >= 1
         assert run_verify("all", dim=64).all_passed
         # no suite loops over zeta around a kernel: the same five angle grids
         # as the phases above, each with all five zetas, and the ladder's
         # one point with the zeta of each of its 18 rows
-        grid, variances, zetas = "_super_qubit_grid", "_variance_grid", verify._ZETAS
+        grid, variances, means = "_super_qubit_grid", "_variance_grid", "_mean_grid"
+        zetas = verify._ZETAS
         assert calls[:-1] == [
             (grid, (5, 5), zetas),
             (grid, (5, 5), zetas),
             (grid, (3, 3), zetas),
             (variances, (3, 3), zetas),
+            (means, (3, 3), zetas),
             (grid, (5, 1), zetas),
+            (variances, (5, 1), zetas),
         ]
         name, shape, ladder = calls[-1]
         assert (name, shape, len(ladder)) == (grid, (1, 1), 18)
 
     def test_uncertainty_suite_reads_the_oracle_operators_once_per_stack(self, monkeypatch):
-        calls, sizes = [], []
+        calls, stacks = [], []
         operators, stats = uncertainty.quadrature_operators, verify._quadrature_stats
 
         def counting_stats(states):
-            sizes.append(len(states))
+            stacks.append(states.shape[:-2])
             return stats(states)
 
         monkeypatch.setattr(uncertainty, "quadrature_operators", lambda dim: calls.append(dim) or operators(dim))
@@ -618,12 +740,10 @@ class TestBatchedSuites:
         for module in (verify, uncertainty):
             monkeypatch.setattr(module, "_quadrature_stats", counting_stats)
         assert run_verify("uncertainty", dim=40).all_passed
-        # per zeta the grid at alpha = 0 and displaced in one stack, the symmetric
-        # family of all 5 zetas in one, the 5/8 point
-        assert calls == [40] * len(sizes) == [40] * (5 + 1 + 1)
-        assert sizes == [2 * 9] * 5 + [5 * 5, 1]
-        # 45 points at alpha = 0 and displaced, 25 symmetric points, the 5/8 point
-        assert sum(sizes) == 45 * 2 + 25 + 1
+        # the grids of all 5 zetas at alpha = 0 and displaced in one (alpha, point)
+        # stack, the symmetric family of all 5 zetas in one, the 5/8 point alone
+        assert calls == [40] * len(stacks) == [40] * 3
+        assert stacks == [(2, 5 * 9), (5 * 5,), ()]
 
     def test_fibonacci_suite_builds_each_record_once(self, monkeypatch):
         # one ladder call, one banded X and P apply for its 18 states
@@ -683,9 +803,9 @@ class TestBatchedSuites:
                 return _real(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counting)
-        # one SVD of the (dim, 2) factor of rho per random state, and no eigvalsh:
-        # the Gram spectra of |1, zeta> are closed forms
-        per_report = {("svd", (48, 2)): 12}
+        # one SVD of the stack of the random states' (dim, 2) factors of rho, and
+        # no eigvalsh: the Gram spectra of |1, zeta> are closed forms
+        per_report = {("svd", (12, 48, 2)): 1}
         assert run_verify("all", dim=48).all_passed
         # the spectral D of the 4 amplitudes, on the first report at a dim only
         assert seen == {("eigh", (48, 48)): 4, **per_report}
