@@ -452,8 +452,14 @@ def _emit_sweep(args) -> str:
 
     At alpha = 0 every state lives on boson levels 0 and 1, so the grid's
     states are their (T*P, 2, 2) low levels at any --dim; the oracle columns
-    come from them through the single-state commands' kernels (whose dots pad
-    them to 8 levels) and the closed columns from the angles.
+    come from them through the single-state commands' kernels and the closed
+    columns from the angles.  On a grid those kernels pad the dots to 8
+    levels, add the four products of each 2-level pole overlap as whole-grid
+    adds and, from 64 states on, take one log2 per distinct eigenvalue of the
+    grid's spectra.
+    Each theta, phi and closed-concurrence text is formatted once and reaches
+    ``csv_text`` as one str repeated down its column, the zeta cells joined to
+    the closed concurrence's, so no row lead is built per row.
     """
     t_count, p_count = args.grid
     thetas = sweep_thetas(t_count)
@@ -464,16 +470,16 @@ def _emit_sweep(args) -> str:
     p0, p1 = _pole_probabilities(coeffs, _pole_levels(args.zeta))
     var_x, var_p = _variance_grid(thetas, *phases, [args.zeta])
     _, _, gram, entropy = _gram_measures(coeffs)
-    # theta, phi, zeta and the closed concurrence repeat down their columns,
-    # so each is formatted once and a row starts with their joined text
-    phi_cells = [csv_cell(phi) for phi in phis]
+    # zeta and the closed concurrence stand side by side in every row, so
+    # they are one str cell
     zeta_cells = f"{csv_cell(zeta_re)},{csv_cell(zeta_im)}"
-    theta_cells = [
-        (csv_cell(theta), csv_cell(concurrence_superqubit(theta, args.zeta))) for theta in thetas
-    ]
-    leads = [f"{t},{p},{zeta_cells},{c}" for t, c in theta_cells for p in phi_cells]
-    columns = [gram, entropy, p0, p1, var_x, var_p]
-    return csv_text(SWEEP_HEADER, [leads, *columns])
+    theta_column, closed_column = [], []
+    for theta in thetas:
+        theta_column += [csv_cell(theta)] * p_count
+        closed_column += [f"{zeta_cells},{csv_cell(concurrence_superqubit(theta, args.zeta))}"] * p_count
+    phi_column = [csv_cell(phi) for phi in phis] * t_count
+    columns = [theta_column, phi_column, closed_column, gram, entropy, p0, p1, var_x, var_p]
+    return csv_text(SWEEP_HEADER, columns)
 
 
 def _emit_fibonacci(args) -> str:

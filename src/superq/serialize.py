@@ -71,7 +71,7 @@ _ZERO = 4 * 17
 _NEGATIVE_ZERO = _ZERO + len(_EXPONENT_CLASSES) * 17
 _PERCENT = 2 * len(_EXPONENT_CLASSES) * 17
 # Where each 4-digit group of the last 16 digits starts.
-_GROUP_STARTS = np.array([1, 5, 9, 13])
+_GROUP_STARTS = np.array([1, 5, 9, 13], np.int8)
 
 
 def _non_finite(value) -> ValueError:
@@ -128,7 +128,7 @@ def _kernel_tables():
     """The kernel's tables, built exactly from integers on its first call.
 
     powers: (hi, lo) with 10**(16 - k) = (hi + lo) * 2**shift, hi in [1, 2],
-        and hi's two Veltkamp halves, one row per k; shifts: those shifts.
+        and hi's two Veltkamp halves, one column per k; shifts: those shifts.
     quads: the ASCII text of 0..9999 as 4-digit uint32 words; significant:
         the digits of each word left after stripping trailing zeros (a
         negative number for 0000).
@@ -159,7 +159,7 @@ def _kernel_tables():
     # e-XXX, e-XX, the fixed-notation exponents -4..16, e+XX, e+XXX, as in _EXPONENT_CLASSES
     classes = [22 if k <= -100 else 21 if k < -4 else k + 4 if k < 17 else 23 if k < 100 else 24 for k in range(_LOW_K, _HIGH_K + 1)]
     return (
-        np.stack([hi, lo, hi_head, hi - hi_head], axis=1),
+        np.stack([hi, lo, hi_head, hi - hi_head]),
         np.array(shifts, np.int32),
         quads.view(np.uint32).ravel(),
         significant,
@@ -168,58 +168,110 @@ def _kernel_tables():
     )
 
 
+@functools.cache
+def _whole_rows(width: int) -> np.ndarray:
+    """The kernel's layouts as whole source rows of width cells, the separators' cells False.
+
+    take into a column slice of a row matrix gathers into a hidden copy of
+    that slice, so ``_kernel_join`` takes whole rows from this table and
+    writes the separators' cells over them.
+    """
+    layouts = _kernel_tables()[-1]
+    rows = np.zeros((len(layouts), width), bool)
+    rows[:, : len(_SOURCE)] = layouts
+    rows.setflags(write=False)
+    return rows
+
+
 def _scaled(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """k - _LOW_K, and |x| * 10**(16 - k) as big + small, of each nonzero finite value.
 
     k = floor(log10 |x|) is estimated; big is an integer when k is right.
+    Each full-length temporary is dropped once it has been read and the sums
+    accumulate in place, so about eight arrays of the values' length are
+    alive at once.
     """
     powers, shifts = _kernel_tables()[:2]
+    hi, lo, hi_head, hi_tail = powers
     magnitudes = np.abs(values)
     # |x| = f * 2**e exactly
     f, e = np.frexp(magnitudes)
-    k = np.floor(np.log10(magnitudes)).astype(np.intp) - _LOW_K
-    hi, lo, hi_head, hi_tail = powers.take(k, axis=0).T
-    # Dekker's two-product f * hi = head + tail, then f * lo
-    head = f * hi
-    veltkamp = f * _VELTKAMP
-    f_head = veltkamp - (veltkamp - f)
+    k = np.log10(magnitudes)
+    del magnitudes
+    k = np.floor(k, out=k).astype(np.intp)
+    k -= _LOW_K
+    e += shifts.take(k)
+    # Dekker's two-product f * hi = head + tail, then f * lo: tail is
+    # ((f_head hi_head - head) + f_head hi_tail + f_tail hi_head) + f_tail hi_tail + f lo,
+    # added left to right
+    head = hi.take(k)
+    head *= f
+    f_head = f * _VELTKAMP
+    f_head -= f_head - f
     f_tail = f - f_head
-    tail = ((f_head * hi_head - head) + f_head * hi_tail + f_tail * hi_head) + f_tail * hi_tail + f * lo
+    tail = hi_head.take(k)
+    tail *= f_head
+    tail -= head
+    term = np.empty_like(f)
+    for row, factor in ((hi_tail, f_head), (hi_head, f_tail), (hi_tail, f_tail), (lo, f)):
+        # 'clip' lets take write straight into term; every k is in range
+        row.take(k, out=term, mode="clip")
+        term *= factor
+        tail += term
+    del f, f_head, f_tail, factor, term
     big = head + tail
-    small = tail - (big - head)
-    scale = e + shifts[k]
-    return k, np.ldexp(big, scale), np.ldexp(small, scale)
+    # small = tail - (big - head), written over tail
+    tail -= np.subtract(big, head, out=head)
+    del head
+    return k, np.ldexp(big, e, out=big), np.ldexp(tail, e, out=tail)
 
 
 def _kernel_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The layout code, 17 ASCII digits and 3 ASCII exponent digits of each nonzero finite value.
 
     A value whose 17th digit may be a tie, or whose decimal exponent the
-    log10 estimate may have missed, gets the code _PERCENT.
+    log10 estimate may have missed, gets the code _PERCENT.  Like
+    ``_scaled``, it drops each full-length temporary once it has been read.
     """
     quads, significant, classes = _kernel_tables()[2:5]
     count = len(values)
     k, big, small = _scaled(values)
     nearest = np.rint(small)
-    fallback = (
-        (big < 1e16 + 16) | (big >= 1e17 - 16) | (np.abs(np.abs(small - nearest) - 0.5) < 2.0**-30)
-    )
-    integer = big.astype(np.int64) + nearest.astype(np.int64)
+    # |(small - nearest)| - 0.5|, written over small: how far the 17th digit is from a tie
+    small -= nearest
+    np.abs(small, out=small)
+    small -= 0.5
+    fallback = np.abs(small, out=small) < 2.0**-30
+    del small
+    fallback |= big < 1e16 + 16
+    fallback |= big >= 1e17 - 16
+    integer = big.astype(np.int64)
+    del big
+    integer += nearest.astype(np.int64)
+    del nearest
     integer[fallback] = 0
     # a leading digit and four 4-digit groups
-    upper = integer // 10**8
-    lead = upper // 10**8
-    halves = np.stack([upper - lead * 10**8, integer - upper * 10**8], axis=1)
-    high = halves // 10**4
-    groups = np.stack([high, halves - high * 10**4], axis=2).reshape(count, 4)
-    ends = significant.take(groups) + _GROUP_STARTS
+    upper, integer = np.divmod(integer, 10**8, out=(np.empty_like(integer), integer))
+    lead, upper = np.divmod(upper, 10**8, out=(np.empty_like(upper), upper))
+    groups = np.empty((count, 4), np.int64)
+    np.divmod(upper, 10**4, out=(groups[:, 0], groups[:, 1]))
+    np.divmod(integer, 10**4, out=(groups[:, 2], groups[:, 3]))
+    del upper, integer
+    ends = significant.take(groups)
+    ends += _GROUP_STARTS
     kept = np.maximum(np.maximum(ends[:, 0], ends[:, 1]), np.maximum(ends[:, 2], ends[:, 3]))
-    code = classes[k] + np.maximum(kept, 1) - 1 + np.signbit(values) * (_PERCENT // 2)
+    del ends
+    code = classes.take(k)
+    code += np.maximum(kept, 1)
+    code -= 1
+    code[np.signbit(values)] += _PERCENT // 2
     code[fallback] = _PERCENT
     digits = np.empty((count, 17), np.uint8)
     digits[:, 0] = lead + 48
     digits[:, 1:] = quads.take(groups).view(np.uint8)
-    exponents = quads.take(np.abs(k + _LOW_K)).view(np.uint8).reshape(count, 4)[:, 1:]
+    del groups
+    k += _LOW_K
+    exponents = quads.take(np.abs(k, out=k)).view(np.uint8).reshape(count, 4)[:, 1:]
     return code, digits, exponents
 
 
@@ -278,7 +330,11 @@ def _float17_join(blocks: list) -> list[str]:
 
 
 def _kernel_join(blocks: list, values: np.ndarray, nonzero: np.ndarray) -> str:
-    """The kernel's text of the blocks' values, each block's rows ending in a _SLOT."""
+    """The kernel's text of the blocks' values, each block's rows ending in a _SLOT.
+
+    Each full-length temporary is dropped once it has been read, so the two
+    byte matrices and the kept bytes are most of the working set.
+    """
     count = len(values)
     separators = [", ", _SLOT]
     picks = np.zeros(count, np.intp)
@@ -289,25 +345,30 @@ def _kernel_join(blocks: list, values: np.ndarray, nonzero: np.ndarray) -> str:
         start, stop = stop, stop + len(flat)
         picks[start + cols - 1 : stop : cols] = separators.index(between)
         picks[stop - 1] = 1
-    code, digits, exponents = _kernel_digits(values[nonzero])
-    layouts = _kernel_tables()[-1]
+    rows = nonzero if len(nonzero) < count else slice(None)
+    code, digits, exponents = _kernel_digits(values[rows])
+    redo = nonzero[code == _PERCENT]
     ends = "".join(separators).encode("ascii")
     width = len(_SOURCE) + len(ends)
     source = np.frombuffer(bytearray(_SOURCE + ends) * count, np.uint8).reshape(count, width)
-    rows = nonzero if len(nonzero) < count else slice(None)
     source[rows, _WHOLE : _WHOLE + 17] = digits
     source[rows, _FRACTION : _FRACTION + 17] = digits
     source[rows, _POWER : _POWER + 3] = exponents
+    del digits, exponents
     codes = np.where(np.signbit(values), _NEGATIVE_ZERO, _ZERO)
     codes[rows] = code
+    del code
     starts = np.cumsum([0, *map(len, separators)])
     separated = (np.arange(len(ends)) >= starts[:-1, None]) & (np.arange(len(ends)) < starts[1:, None])
-    keep = np.empty((count, width), bool)
-    # 'clip' lets take write straight into keep; every code and pick is in range
-    layouts.take(codes, axis=0, out=keep[:, : len(_SOURCE)], mode="clip")
-    separated.take(picks, axis=0, out=keep[:, len(_SOURCE) :], mode="clip")
-    text = source[keep].tobytes().decode("ascii")
-    redo = nonzero[code == _PERCENT]
+    keep = _whole_rows(width).take(codes, axis=0)
+    del codes
+    keep[:, len(_SOURCE) :] = separated.take(picks, axis=0)
+    del picks
+    kept = source[keep]
+    del source, keep
+    # str decodes the kept bytes in place, with no bytes copy
+    text = str(kept, "ascii")
+    del kept
     return _percent(text, values[redo].tolist()) if len(redo) else text
 
 

@@ -542,6 +542,9 @@ def pole_probabilities(
     return tuple(_pole_probabilities(state.coeffs[None], poles)[:, 0].tolist())
 
 
+_PARTS = np.array([1.0, 1j]).reshape(2, 1, 1, 1)
+
+
 def _pole_probabilities(coeffs: np.ndarray, poles: np.ndarray) -> np.ndarray:
     """Collapse probabilities of each state of a (K, 2, dim) stack onto the poles, as a (2, K) array.
 
@@ -552,13 +555,29 @@ def _pole_probabilities(coeffs: np.ndarray, poles: np.ndarray) -> np.ndarray:
     level, added along the level axis in numpy's pairwise order; the overlap
     adds the two blocks, psi0 first.  No BLAS kernel and no SIMD level
     chooses that rounding.
+
+    On the 4-entry axis of the 2-level poles numpy reduces one output at a
+    time, so for a stack of more than one state (the sweep's grid and
+    verify's pole rows) the four products are added as ((p0 + p1) + p2) + p3
+    in three whole-stack adds, numpy's own order on that axis.  One state
+    (state --theta) and the displaced poles keep numpy's sum, one call.  Each
+    block of a 2-level pole is nonzero at one level, so at most two of its
+    four products are nonzero and any order rounds them alike; the routes
+    differ only in the sign of a zero, which squaring removes.
     """
     if coeffs.shape[-1] < poles.shape[-1]:
         raise InvalidDimensionError(f"dim must be >= {poles.shape[-1]}, got {coeffs.shape[-1]}")
-    # 1j * p is (-Im p, Re p) exactly; [part, pole, block, 2 * level + (re, im)]
-    weights = np.array([poles, 1j * poles]).view(np.float64)
-    # [state, part, pole, block]
-    blocks = (weights * coeffs[..., : poles.shape[-1]].view(np.float64)[:, None, None]).sum(axis=-1)
+    # 1 * p is (Re p, Im p) and 1j * p is (-Im p, Re p), exactly but for the
+    # sign of a zero; [part, pole, block, 2 * level + (re, im)]
+    weights = (_PARTS * poles).view(np.float64)
+    # [state, part, pole, block, 2 * level + (re, im)]
+    products = weights * coeffs[..., : poles.shape[-1]].view(np.float64)[:, None, None]
+    if poles.shape[-1] == 2 and len(coeffs) > 1:
+        blocks = products[..., 0] + products[..., 1]
+        blocks += products[..., 2]
+        blocks += products[..., 3]
+    else:
+        blocks = products.sum(axis=-1)
     overlaps = blocks[..., 0] + blocks[..., 1]
     squares = overlaps * overlaps
     return (squares[:, 0] + squares[:, 1]).T

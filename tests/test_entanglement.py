@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from superq import entanglement
 from superq.cli import sweep_thetas
@@ -354,6 +354,72 @@ class TestSpectralEntropyAccuracy:
         pure = np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1j]]])
         got = entanglement._entropies(*entanglement._gram_entries(pure))
         assert list(map(float.hex, got.tolist())) == ["0x0.0p+0"] * 2
+
+
+def per_value_entropies(g00, g11, g01, det):
+    """The entropy expression in Python floats, value by value: the reference for the distinct-eigenvalue pass."""
+    gap, re, im = g00 - g11, g01.real, g01.imag
+    high = 0.5 * (g00 + g11 + np.sqrt(gap * gap + 4.0 * (re * re + im * im)))
+    return np.array([
+        -((lo * math.log2(lo) if lo > 0.0 else 0.0) + hi * math.log2(hi)) + 0.0
+        for lo, hi in zip(np.ravel(det / high).tolist(), np.ravel(high).tolist())
+    ])
+
+
+def sweep_stack(zeta, t_count, p_count):
+    thetas = sweep_thetas(t_count)
+    phis = [2.0 * math.pi * j / p_count for j in range(p_count)]
+    return _super_qubit_grid(thetas, *_grid_phases(thetas, phis), [zeta])
+
+
+class TestEntropyRoutes:
+    """_entropies bit for bit against the per-value expression, for one state and for stacks."""
+
+    @staticmethod
+    def assert_per_value(coeffs):
+        entries = entanglement._gram_entries(coeffs)
+        assert entanglement._entropies(*entries).tobytes() == per_value_entropies(*entries).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        count=st.integers(1, 30),
+        dim=st.integers(2, 10),
+        pure=st.floats(0.0, 1.0),
+        repeats=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_stacks(self, count, dim, pure, repeats, seed):
+        rng = np.random.default_rng(seed)
+        coeffs = rng.standard_normal((count, 2, dim)) + 1j * rng.standard_normal((count, 2, dim))
+        # a share of product states (one block zero: lam- = 0) and of parallel blocks
+        product = rng.random(count) < pure
+        coeffs[product, 1] = 0.0
+        parallel = rng.random(count) < 0.2
+        coeffs[parallel, 1] = (0.5 - 2j) * coeffs[parallel, 0]
+        # and states repeated down the stack, as a sweep grid repeats its spectra
+        self.assert_per_value(normalized(np.tile(coeffs, (repeats, 1, 1))))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        zeta=st.one_of(
+            st.sampled_from([ExtendedComplex.infinity(), ExtendedComplex.from_value(0.0)]),
+            st.builds(lambda re, im: ExtendedComplex.from_value(complex(re, im)), st.floats(-4, 4), st.floats(-4, 4)),
+        ),
+        grid=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+    )
+    def test_sweep_grids(self, zeta, grid):
+        self.assert_per_value(sweep_stack(zeta, *grid))
+
+    def test_pole_grid_and_pure_states_read_plus_zero(self):
+        # no entropy of the zeta = infinity grid is -0.0, and pure states read +0.0 alone and stacked
+        grid = sweep_stack(ExtendedComplex.infinity(), 25, 25)
+        self.assert_per_value(grid)
+        entropies = entanglement._entropies(*entanglement._gram_entries(grid))
+        assert not (np.signbit(entropies) & (entropies == 0.0)).any()
+        pure = np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1j]]])
+        for stack in (pure, pure[:1]):
+            got = entanglement._entropies(*entanglement._gram_entries(stack))
+            assert list(map(float.hex, got.tolist())) == ["0x0.0p+0"] * len(stack)
 
 
 class TestCollapseProbabilities:

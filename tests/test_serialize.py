@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,6 +165,23 @@ class TestFloatKernel:
         if 2 * np.count_nonzero(values.view(np.int64)) < values.size and len(nonzero) < serialize._KERNEL_MIN:
             # the zeros are written in, and '%' fills only the nonzero values
             assert sent == nonzero.tolist()
+
+    @pytest.mark.parametrize("count", [600, 2409])
+    def test_working_set_is_the_two_byte_matrices(self, count):
+        # each full-length temporary is dropped once read, so two (count, 56)-byte matrices
+        # and the kept text, ~140 bytes a value, are most of the peak
+        rng = np.random.default_rng(count)
+        values = rng.standard_normal(count) * 10.0 ** rng.uniform(-20, 20, count)
+        expected = percent_texts(values)
+        assert serialize._float17_texts(values) == expected  # builds the tables outside the trace
+        tracemalloc.start()
+        try:
+            texts = serialize._float17_texts(values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert texts == expected
+        assert peak <= 200 * count
 
     @pytest.mark.parametrize("count", [serialize._KERNEL_MIN - 1, serialize._KERNEL_MIN])
     def test_both_sides_of_the_crossover(self, count, monkeypatch):

@@ -491,6 +491,69 @@ class TestPoleProbabilityAccuracy:
         self.assert_squares_accurate(self.sweep_stack(zeta, int(t_count), int(p_count)), zeta)
 
 
+def summed_pole_probabilities(coeffs, poles):
+    """The pole kernel with numpy's sum along every level axis, the reference for its explicit adds."""
+    weights = np.array([poles, 1j * poles]).view(np.float64)
+    blocks = (weights * coeffs[..., : poles.shape[-1]].view(np.float64)[:, None, None]).sum(axis=-1)
+    overlaps = blocks[..., 0] + blocks[..., 1]
+    squares = overlaps * overlaps
+    return (squares[:, 0] + squares[:, 1]).T
+
+
+# a pole (infinity and 0), |zeta| = e^-30 and e^30 at any phase, and a generic zeta
+POLE_ZETAS = st.one_of(
+    st.sampled_from([ExtendedComplex.infinity(), ExtendedComplex.from_value(0.0)]),
+    st.builds(
+        lambda exponent, angle: ExtendedComplex.from_value(cmath.rect(math.exp(exponent), angle)),
+        st.sampled_from([-30.0, 30.0]),
+        st.floats(-math.pi, math.pi),
+    ),
+    st.builds(lambda re, im: ExtendedComplex.from_value(complex(re, im)), st.floats(-4, 4), st.floats(-4, 4)),
+)
+
+
+class TestPoleSumRoutes:
+    """_pole_probabilities bit for bit against numpy's sum: the 2-level adds, one state's sum, displaced poles."""
+
+    @staticmethod
+    def random_stack(seed, count, dim):
+        rng = np.random.default_rng(seed)
+        coeffs = rng.standard_normal((count, 2, dim)) + 1j * rng.standard_normal((count, 2, dim))
+        # exact zeros too, as at the poles and in a block of a product state
+        coeffs[rng.random(coeffs.shape) < 0.2] = 0.0
+        return coeffs * np.exp(rng.uniform(-30, 30, (count, 1, 1)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(zeta=POLE_ZETAS, count=st.integers(1, 40), dim=st.integers(2, 12), seed=st.integers(0, 2**32 - 1))
+    def test_two_level_poles_on_stacks(self, zeta, count, dim, seed):
+        coeffs, poles = self.random_stack(seed, count, dim), _pole_levels(zeta)
+        got = _pole_probabilities(coeffs, poles)
+        assert got.tobytes() == summed_pole_probabilities(coeffs, poles).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(zeta=POLE_ZETAS, grid=st.tuples(st.integers(1, 40), st.integers(1, 40)))
+    def test_two_level_poles_on_sweep_grids(self, zeta, grid):
+        thetas = sweep_thetas(grid[0])
+        phis = [2.0 * math.pi * j / grid[1] for j in range(grid[1])]
+        coeffs, poles = _super_qubit_grid(thetas, *_grid_phases(thetas, phis), [zeta]), _pole_levels(zeta)
+        got = _pole_probabilities(coeffs, poles)
+        assert got.tobytes() == summed_pole_probabilities(coeffs, poles).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        zeta=POLE_ZETAS,
+        alpha=st.builds(complex, st.floats(-2, 2), st.floats(-2, 2)),
+        count=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_displaced_poles_keep_the_sum(self, zeta, alpha, count, seed):
+        dim = fock.required_displacement_dim(alpha)
+        coeffs = self.random_stack(seed, count, dim)
+        poles = _displace_low_levels(alpha, _pole_levels(zeta), dim)
+        got = _pole_probabilities(coeffs, poles)
+        assert got.tobytes() == summed_pole_probabilities(coeffs, poles).tobytes()
+
+
 class TestOneStateRoute:
     """super_coherent_state and pole_probabilities give the bits of one displaced (3, 2, 2) stack.
 

@@ -18,7 +18,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from superq.cli import SWEEP_HEADER, main as cli_main, sweep_thetas
 from superq.entanglement import (
+    _DISTINCT_MIN,
     _gram_entries,
+    _gram_measures,
     concurrence_gram,
     concurrence_superqubit,
     entanglement_entropy_bits,
@@ -140,6 +142,50 @@ def test_no_eigvalsh_and_no_states(monkeypatch):
     assert len(sweep_rows(6, 7, (0.5, 0.25), 64)) == 42
     assert shapes == []
     assert built == []
+
+
+def positive_spectra(coeffs) -> list[float]:
+    """lam- and lam+ of each state of a stack, test-side from its Gram entries, the positive ones only."""
+    g00, g11, g01, det = _gram_entries(coeffs)
+    high = [
+        0.5 * (a + b + math.sqrt((a - b) * (a - b) + 4.0 * (c.real * c.real + c.imag * c.imag)))
+        for a, b, c in zip(g00.tolist(), g11.tolist(), g01.tolist())
+    ]
+    low = [d / h for d, h in zip(det.tolist(), high)]
+    return [lam for lam in low + high if lam > 0.0]
+
+
+@pytest.mark.parametrize("zeta", [(0.7, 0.2), None])
+def test_one_log2_per_distinct_eigenvalue(monkeypatch, zeta):
+    t_count = p_count = 25
+    thetas = sweep_thetas(t_count)
+    phis = [2.0 * math.pi * j / p_count for j in range(p_count)]
+    distinct = set(positive_spectra(_super_qubit_grid(thetas, *_grid_phases(thetas, phis), [zeta_label(zeta)])))
+    logged = []
+    log2 = math.log2
+    monkeypatch.setattr(math, "log2", lambda x: logged.append(x) or log2(x))
+    assert len(sweep_rows(t_count, p_count, zeta, 64)) == t_count * p_count
+    assert sorted(logged) == sorted(distinct)
+    assert len(logged) < t_count * p_count
+
+
+def test_stacks_below_the_crossover_take_one_log2_per_value(monkeypatch):
+    thetas = sweep_thetas(4)[1:3]
+    eight = _super_qubit_grid(thetas, *_grid_phases(thetas, [0.1, 0.2, 0.3, 0.4]), [zeta_label((0.7, 0.2))])
+    logged = []
+    log2 = math.log2
+    monkeypatch.setattr(math, "log2", lambda x: logged.append(x) or log2(x))
+    # one state keeps its two logs, lam- and lam+
+    _gram_measures(eight[0])
+    assert len(logged) == 2
+    # eight mixed states repeated: one log per positive value below the crossover, one per
+    # distinct value from it
+    for count in (_DISTINCT_MIN - 1, _DISTINCT_MIN):
+        stack = np.resize(eight, (count, 2, 2))
+        logged.clear()
+        _gram_measures(stack)
+        values = positive_spectra(stack)
+        assert sorted(logged) == sorted(values if count < _DISTINCT_MIN else set(values))
 
 
 class TestGridKernels:
